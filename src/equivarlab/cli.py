@@ -3,9 +3,10 @@
     equivar-lab <task> --config cfg.json [--out DIR] [--seed N] [--tol X]
 
 Tasks: flow, energy, hodge, deform1, deform2, variation, psh, critical-scan,
-refine-study.  Exit codes: 0 success, 2 validation failure, 3 harmonic-map
-solver non-convergence where a converged metric is required, 4 obstructed
-second-order deformation request.
+refine-study.  Exit codes: 0 success, 2 validation failure (every task but
+refine-study starts from build_problem, which checks the relators), 3
+harmonic-map solver non-convergence where a converged metric is required, 4
+obstructed second-order deformation request.
 """
 
 from __future__ import annotations
@@ -106,6 +107,16 @@ def build_representation(spec, group, mesh):
         return rv.genus2_fuchsian_rep(group, mesh)
     raise ConfigError(f"unknown representation family {family!r} "
                       f"(available: {', '.join(FAMILIES)})")
+
+
+def build_problem(cfg):
+    """(mesh, group, rep) of the config; the rep must pass the relator check."""
+    mesh = build_mesh(cfg["mesh"])
+    group = build_group(cfg["group"])
+    rep = build_representation(cfg["representation"], group, mesh)
+    if not rep.validate(cfg["tolerances"]["validation"]):
+        raise ConfigError("representation fails the relator check")
+    return mesh, group, rep
 
 
 def build_path(spec, rep):
@@ -218,11 +229,7 @@ def write_csv(out_dir, name, header, rows):
 # task implementations
 
 def task_flow(cfg, out_dir):
-    mesh = build_mesh(cfg["mesh"])
-    group = build_group(cfg["group"])
-    rep = build_representation(cfg["representation"], group, mesh)
-    if not rep.validate(cfg["tolerances"]["validation"]):
-        raise ConfigError("representation fails the relator check")
+    mesh, group, rep = build_problem(cfg)
     fspec = cfg.get("flow", {})
     rng = np.random.default_rng(cfg["seed"])
     if fspec.get("start", "constant") == "random":
@@ -236,11 +243,7 @@ def task_flow(cfg, out_dir):
 
 
 def task_energy(cfg, out_dir):
-    mesh = build_mesh(cfg["mesh"])
-    group = build_group(cfg["group"])
-    rep = build_representation(cfg["representation"], group, mesh)
-    if not rep.validate(cfg["tolerances"]["validation"]):
-        raise ConfigError("representation fails the relator check")
+    mesh, group, rep = build_problem(cfg)
     fspec = cfg.get("flow", {})
     E, reductive, rpt = hf.energy_of_rep(
         rep, mesh, tol=cfg["tolerances"]["flow_tol"],
@@ -252,11 +255,7 @@ def task_energy(cfg, out_dir):
 
 
 def task_hodge(cfg, out_dir):
-    mesh = build_mesh(cfg["mesh"])
-    group = build_group(cfg["group"])
-    rep = build_representation(cfg["representation"], group, mesh)
-    if not rep.validate(cfg["tolerances"]["validation"]):
-        raise ConfigError("representation fails the relator check")
+    mesh, group, rep = build_problem(cfg)
     ctx, f, rpt = converged_context(cfg, mesh, rep)
     rng = np.random.default_rng(cfg["seed"])
     F = TwistedCochain(0, np.stack([group.random_alg(rng) for _ in range(mesh.nv)]))
@@ -281,9 +280,7 @@ def task_hodge(cfg, out_dir):
 
 
 def task_deform1(cfg, out_dir):
-    mesh = build_mesh(cfg["mesh"])
-    group = build_group(cfg["group"])
-    rep = build_representation(cfg["representation"], group, mesh)
+    mesh, group, rep = build_problem(cfg)
     c = build_cocycle(cfg["deformation"], rep)
     ctx, _, rpt = converged_context(cfg, mesh, rep)
     fo = first_order(ctx, c)
@@ -293,9 +290,7 @@ def task_deform1(cfg, out_dir):
 
 
 def task_deform2(cfg, out_dir):
-    mesh = build_mesh(cfg["mesh"])
-    group = build_group(cfg["group"])
-    rep = build_representation(cfg["representation"], group, mesh)
+    mesh, group, rep = build_problem(cfg)
     c, k, _ = build_jet(cfg["deformation"], rep)
     ctx, _, rpt = converged_context(cfg, mesh, rep)
     so, sol = second_order(ctx, c, k,
@@ -306,9 +301,7 @@ def task_deform2(cfg, out_dir):
 
 
 def task_variation(cfg, out_dir):
-    mesh = build_mesh(cfg["mesh"])
-    group = build_group(cfg["group"])
-    rep = build_representation(cfg["representation"], group, mesh)
+    mesh, group, rep = build_problem(cfg)
     path = build_path(cfg["deformation"]["path_family"], rep)
     ctx, _, rpt = converged_context(cfg, mesh, rep)
     with_second = bool(cfg.get("with_second", True))
@@ -321,11 +314,9 @@ def task_variation(cfg, out_dir):
 
 
 def task_psh(cfg, out_dir):
-    mesh = build_mesh(cfg["mesh"])
-    group = build_group(cfg["group"])
+    mesh, group, rep = build_problem(cfg)
     if not group.is_complex:
         raise ConfigError("psh task needs a complex group")
-    rep = build_representation(cfg["representation"], group, mesh)
     c, k, _ = build_jet(cfg["deformation"], rep)
     ctx, _, rpt = converged_context(cfg, mesh, rep)
     report = ev.psh_defect(ctx, c, k, cfg["tolerances"]["rel_obstruction"])
@@ -334,9 +325,7 @@ def task_psh(cfg, out_dir):
 
 
 def task_critical_scan(cfg, out_dir):
-    mesh = build_mesh(cfg["mesh"])
-    group = build_group(cfg["group"])
-    rep = build_representation(cfg["representation"], group, mesh)
+    mesh, group, rep = build_problem(cfg)
     ctx, _, rpt = converged_context(cfg, mesh, rep)
     scan = ev.critical_scan(ctx)
     write_csv(out_dir, "critical_scan.csv", ["direction", "normalized_first_variation"],

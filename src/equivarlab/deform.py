@@ -18,6 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .liealg import cartan_project
+from .repvar import Jet2Cocycle
 from .twistedhodge import TwistedCochain, _vals
 
 
@@ -80,17 +82,29 @@ class SecondOrderDeformation:
 
 # ----------------------------------------------------------------------
 
-def cartan_split_at(points, vals):
-    """Pointwise (k, p) split of per-vertex values at the metric points."""
-    star = points @ np.conj(np.swapaxes(vals, -1, -2)) @ np.linalg.inv(points)
-    return 0.5 * (vals - star), 0.5 * (vals + star)
+def _edge_jets(ctx, c, k):
+    """Stacked (c(w_e), k(w_e)) over the edges from one Jet2Cocycle; zero on
+    unlabeled edges."""
+    jet = Jet2Cocycle(c, k)
+    cw = np.zeros((ctx.mesh.ne, ctx.n, ctx.n), dtype=complex)
+    kw = np.zeros_like(cw)
+    for i, w in enumerate(ctx.edge_words):
+        if w:
+            j = jet.eval_word(w)
+            cw[i], kw[i] = j.xi, j.mu
+    return cw, kw
+
+
+def _transport(ctx, vals):
+    """Ad_{rho(w_e)} of per-vertex values at the edge targets."""
+    return ctx.kern.g @ vals[ctx.kern.dst] @ ctx.kern.ginv
 
 
 def first_order(ctx, c, tol=1e-8):
     """Harmonic first-order deformation data for the cocycle c."""
     omega, _ = ctx.harmonic_rep(c)
     F, defect = ctx.primitive(omega, c)
-    _, v = cartan_split_at(ctx.points, F.values)
+    _, v = cartan_project(ctx.points, F.values)
     residuals = {
         "equivariance": defect,
         "d_omega": ctx.norm(ctx.d(omega), 2) if ctx.mesh.nf else 0.0,
@@ -125,22 +139,9 @@ def obstruction_check(ctx, omega, rel_tol=1e-7):
 def jet_seed_second(ctx, c, k, xi):
     """Second component omega2^0 of the jet-closed seed, gauge-fixed by xi:
     omega2_0(e) = k(w_e) - [c(w_e), Ad_{rho(w_e)} xi(dst)]."""
-    vals = np.zeros((ctx.mesh.ne, ctx.n, ctx.n), dtype=complex)
-    xiv = _vals(xi)
-    for i, e in enumerate(ctx.mesh.edges):
-        w = ctx.edge_words[i]
-        ad_xi = ctx.edge_g[i] @ xiv[e.dst] @ np.linalg.inv(ctx.edge_g[i])
-        if w:
-            cw = c.eval_word(w)
-            kw = _eval_k_word(ctx, c, k, w)
-            vals[i] = kw - (cw @ ad_xi - ad_xi @ cw)
-    return TwistedCochain(1, vals)
-
-
-def _eval_k_word(ctx, c, k, word):
-    """Second jet component of the word in the 2-jet group."""
-    from .repvar import Jet2Cocycle
-    return Jet2Cocycle(c, k).eval_word(word).mu
+    cw, kw = _edge_jets(ctx, c, k)
+    ad_xi = _transport(ctx, _vals(xi))
+    return TwistedCochain(1, kw - (cw @ ad_xi - ad_xi @ cw))
 
 
 def solve_psi(ctx, c, k, *, rel_tol=1e-7, require_unobstructed=True):
@@ -190,67 +191,49 @@ def second_order(ctx, c, k, *, rel_tol=1e-7, tol=1e-7):
     omega, omega2, F0 = sol.omega, sol.omega2, sol.F0
 
     # second component: Ad_w F2(v) - F2(u) = omega2 - k-seed - [c, Ad_w F0(v)]
-    target = np.array(omega2.values, copy=True)
-    F0v = F0.values
-    for i, e in enumerate(ctx.mesh.edges):
-        w = ctx.edge_words[i]
-        if w:
-            cw = c.eval_word(w)
-            kw = _eval_k_word(ctx, c, k, w)
-            adF = ctx.edge_g[i] @ F0v[e.dst] @ np.linalg.inv(ctx.edge_g[i])
-            target[i] -= kw + (cw @ adF - adF @ cw)
+    cw, kw = _edge_jets(ctx, c, k)
+    adF = _transport(ctx, F0.values)
+    target = omega2.values - (kw + (cw @ adF - adF @ cw))
     flat_target = ctx.to_flat(target)
     x = ctx.solve_deflated(ctx.d0.T @ (ctx.G1 @ flat_target))
     resid = ctx.d0 @ x - flat_target
     defect2 = float(np.sqrt(max(resid @ (ctx.G1 @ resid), 0.0)))
     F2 = TwistedCochain(0, ctx.from_flat(x, ctx.mesh.nv))
 
-    Fk, Fp = cartan_split_at(ctx.points, F0.values)
-    F2k, F2p = cartan_split_at(ctx.points, F2.values)
+    Fk, Fp = cartan_project(ctx.points, F0.values)
+    _, F2p = cartan_project(ctx.points, F2.values)
     v = Fp
     w_beta = F2p + (Fk @ Fp - Fp @ Fk)
 
     residuals = dict(sol.residuals)
     residuals["equivariance_F2"] = defect2
-    residuals["w_projection"] = _w_equivariance_residual(ctx, c, k, F0, F2, w_beta)
+    residuals["w_projection"] = _w_equivariance_residual(ctx, cw, kw, F0, F2, w_beta)
     so = SecondOrderDeformation(F0, F2, sol.psi, v, w_beta, omega, omega2,
                                 residuals)
     return so, sol
 
 
-def _w_equivariance_residual(ctx, c, k, F, F2, w_beta):
+def _w_equivariance_residual(ctx, cw, kw, F, F2, w_beta):
     """Pointwise check of the labeled-edge transformation rule for the
     second-order tangent field (commuting-diagram projection)."""
-    worst = 0.0
-    Fv, F2v = F.values, F2.values
-    for i, e in enumerate(ctx.mesh.edges):
-        w = ctx.edge_words[i]
-        if not w:
-            continue
-        g = ctx.edge_g[i]
-        ginv = np.linalg.inv(g)
-        Q = g @ ctx.points[e.dst] @ np.conj(g).T      # metric at the far lift
-        cw = c.eval_word(w)
-        kw = _eval_k_word(ctx, c, k, w)
-        A = g @ Fv[e.dst] @ ginv
-        B = g @ F2v[e.dst] @ ginv
-
-        def split(X):
-            star = Q @ np.conj(X).T @ np.linalg.inv(Q)
-            return 0.5 * (X - star), 0.5 * (X + star)
-
-        ck, cp = split(cw)
-        Ak, Ap = split(A)
-        kk, kp = split(kw)
-        lhs = g @ w_beta[e.dst] @ ginv + kp \
-            + 2.0 * (ck @ Ap - Ap @ ck) + (ck @ cp - cp @ ck)
-        Ft = A + cw
-        F2t = B + (cw @ A - A @ cw) + kw
-        Ftk, Ftp = split(Ft)
-        _, F2tp = split(F2t)
-        rhs = F2tp + (Ftk @ Ftp - Ftp @ Ftk)
-        worst = max(worst, float(np.abs(lhs - rhs).max()))
-    return worst
+    lab = np.flatnonzero([bool(w) for w in ctx.edge_words])
+    g = ctx.kern.g[lab]
+    cw, kw = cw[lab], kw[lab]
+    # metric at the far lift
+    Q = g @ ctx.points[ctx.kern.dst[lab]] @ np.conj(np.swapaxes(g, -1, -2))
+    A = _transport(ctx, F.values)[lab]
+    B = _transport(ctx, F2.values)[lab]
+    ck, cp = cartan_project(Q, cw)
+    _, Ap = cartan_project(Q, A)
+    _, kp = cartan_project(Q, kw)
+    lhs = _transport(ctx, w_beta)[lab] + kp \
+        + 2.0 * (ck @ Ap - Ap @ ck) + (ck @ cp - cp @ ck)
+    Ft = A + cw
+    F2t = B + (cw @ A - A @ cw) + kw
+    Ftk, Ftp = cartan_project(Q, Ft)
+    _, F2tp = cartan_project(Q, F2t)
+    rhs = F2tp + (Ftk @ Ftp - Ftp @ Ftk)
+    return float(np.abs(lhs - rhs).max(initial=0.0))
 
 
 # ----------------------------------------------------------------------
@@ -285,19 +268,12 @@ def validate_pair(ctx, c, k, F, F2, psi_expected=None):
     and equivariance equations.
     """
     Fv, F2v = _vals(F), _vals(F2)
-    ne = ctx.mesh.ne
-    omega = np.zeros((ne, ctx.n, ctx.n), dtype=complex)
-    omega2 = np.zeros_like(omega)
-    for i, e in enumerate(ctx.mesh.edges):
-        g = ctx.edge_g[i]
-        ginv = np.linalg.inv(g)
-        A = g @ Fv[e.dst] @ ginv
-        B = g @ F2v[e.dst] @ ginv
-        w = ctx.edge_words[i]
-        cw = c.eval_word(w) if w else 0.0 * Fv[0]
-        kw = _eval_k_word(ctx, c, k, w) if w else 0.0 * Fv[0]
-        omega[i] = A + cw - Fv[e.src]
-        omega2[i] = B + (cw @ A - A @ cw) + kw - F2v[e.src]
+    cw, kw = _edge_jets(ctx, c, k)
+    A = _transport(ctx, Fv)
+    B = _transport(ctx, F2v)
+    src = ctx.kern.src
+    omega = A + cw - Fv[src]
+    omega2 = B + (cw @ A - A @ cw) + kw - F2v[src]
     om = TwistedCochain(1, omega)
     psi = TwistedCochain(1, omega2 - ctx.bracket_section(om, TwistedCochain(0, Fv)).values)
     res = {
@@ -312,20 +288,3 @@ def validate_pair(ctx, c, k, F, F2, psi_expected=None):
     if psi_expected is not None:
         res["psi_match"] = float(np.abs(psi.values - _vals(psi_expected)).max())
     return res, om, psi
-
-
-def deformation_report(ctx, c, k=None, rel_tol=1e-7):
-    """JSON-friendly summary of the deformation pipeline on (c) or (c, k)."""
-    out = {"kernel_dim": ctx.kernel_dim}
-    fo = first_order(ctx, c)
-    out["first_order_residuals"] = fo.residuals
-    obs = obstruction_check(ctx, fo.omega, rel_tol)
-    out["obstruction"] = obs.to_dict()
-    if k is not None:
-        if obs.orthogonal:
-            so, sol = second_order(ctx, c, k, rel_tol=rel_tol)
-            out["second_order_residuals"] = so.residuals
-            out["obstructed"] = False
-        else:
-            out["obstructed"] = True
-    return out

@@ -20,7 +20,8 @@ import numpy as np
 
 from . import harmonicflow as hf
 from .deform import companion_pair, second_order, solve_psi
-from .twistedhodge import TwistedCochain
+from .liealg import cartan_project
+from .twistedhodge import TwistedCochain, _vals
 
 #: pairing scale from the mc_edge normalization (displacement = 2 mc values)
 EDGE_PAIRING_SCALE = 4.0
@@ -33,7 +34,7 @@ def first_variation(ctx, omega):
 
 def second_variation(ctx, psi, omega):
     """d2E/dt2 from the psi 1-form and the p-part of omega."""
-    _, om_p = ctx.cartan_split_edges(omega)
+    _, om_p = cartan_project(ctx.edge_points, _vals(omega))
     pairing = ctx.inner(psi, ctx.beta(), 1)
     return EDGE_PAIRING_SCALE * (pairing + ctx.inner(om_p, om_p, 1))
 

@@ -11,7 +11,8 @@ and the tension field is the metric negative gradient,
     tau(v) = 2 sum_{e at v} w1(e) mc_edge(f(v), transported neighbor),
 
 so stepping f(v) -> exp_point(f(v), step * tau(v)) descends the energy.
-All edge quantities are computed with stacked eigendecompositions.
+FlowKernel caches the per-edge arrays of a (mesh, representation) pair and
+evaluates every edge at once through the stacked routines of symspace.
 """
 
 from __future__ import annotations
@@ -19,11 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
-from .symspace import act, dist, random_point
-
-_EIG_FLOOR = 1e-14
+from . import symspace as ss
+from .liealg import adjoint_at
 
 
 @dataclass
@@ -63,41 +62,8 @@ def constant_map(mesh, rep, P=None):
 
 
 def random_map(mesh, rep, rng, scale=0.5):
-    pts = np.stack([random_point(rep.group, rng, scale) for _ in range(mesh.nv)])
+    pts = np.stack([ss.random_point(rep.group, rng, scale) for _ in range(mesh.nv)])
     return EquivariantMap(mesh, rep, pts)
-
-
-# ----------------------------------------------------------------------
-# batched matrix helpers
-
-def _eigh_stack(P):
-    w, U = np.linalg.eigh(P)
-    return np.maximum(w, _EIG_FLOOR), U
-
-
-def _apply_spectral(w, U, func):
-    return np.einsum("vij,vj,vkj->vik", U, func(w), np.conj(U))
-
-
-def _hermitize(M):
-    return 0.5 * (M + np.conj(np.swapaxes(M, -1, -2)))
-
-
-def _expm_stack(X):
-    """exp of stacked traceless matrices (closed form for n <= 2)."""
-    n = X.shape[-1]
-    if n == 1:
-        return np.exp(X)
-    if n == 2:
-        q = -(X[..., 0, 0] * X[..., 1, 1] - X[..., 0, 1] * X[..., 1, 0])
-        s = np.sqrt(q.astype(complex))
-        small = np.abs(s) < 1e-8
-        c = np.cosh(s)
-        coef = np.where(small, 1.0 + q / 6.0, np.sinh(np.where(small, 1.0, s))
-                        / np.where(small, 1.0, s))
-        eye = np.eye(2, dtype=complex)
-        return c[..., None, None] * eye + coef[..., None, None] * X
-    return np.stack([scipy.linalg.expm(x) for x in X])
 
 
 class FlowKernel:
@@ -126,18 +92,10 @@ class FlowKernel:
     # -- geometry ------------------------------------------------------
     def edge_data(self, points):
         """Per-edge (beta, dist_sq): beta = mc_edge(P_src, g P_dst g^†)."""
-        wP, UP = _eigh_stack(points)
-        sqrtP = _apply_spectral(wP, UP, np.sqrt)
-        isqrtP = _apply_spectral(wP, UP, lambda w: 1.0 / np.sqrt(w))
-        Q = _hermitize(self.g @ points[self.dst] @ np.conj(np.swapaxes(self.g, -1, -2)))
-        S = isqrtP[self.src]
-        M = _hermitize(S @ Q @ S)
-        wM, UM = _eigh_stack(M)
-        logw = np.log(wM)
-        L = np.einsum("eij,ej,ekj->eik", UM, logw, np.conj(UM))
-        beta = 0.5 * (sqrtP[self.src] @ L @ S)
-        dist_sq = np.sum(logw ** 2, axis=1)
-        return beta, dist_sq
+        # square roots once per vertex, not once per edge
+        R, S = ss.sqrt_pair(points)
+        return ss.edge_log(R[self.src], S[self.src],
+                           ss.act(self.g, points[self.dst]))
 
     def energy(self, points):
         _, d2 = self.edge_data(points)
@@ -155,15 +113,11 @@ class FlowKernel:
 
     def tension_norm_sq(self, points, tau):
         # weighted L2 norm^2 of tau w.r.t. the pointwise fiber metric
-        Pinv = np.linalg.inv(points)
-        adj = points @ np.conj(np.swapaxes(tau, -1, -2)) @ Pinv
-        vals = np.real(np.einsum("vij,vji->v", tau, adj))
+        vals = np.real(np.einsum("vij,vji->v", tau, adjoint_at(points, tau)))
         return float(np.dot(self.w0, np.maximum(vals, 0.0)))
 
     def retract(self, points, direction, step):
-        X = step * direction
-        E = _expm_stack(X)
-        new = _hermitize(E @ points @ np.conj(np.swapaxes(E, -1, -2)))
+        new = ss.exp_point(points, step * direction)
         if self.n > 1:
             det = np.linalg.det(new)
             new = new / (np.abs(det) ** (1.0 / self.n))[:, None, None]
@@ -239,7 +193,7 @@ def flow(rep, f0, *, tol=1e-8, max_iter=20000, drift_radius=50.0,
     for it in range(1, max_iter + 1):
         gsq = kern.tension_norm_sq(pts, tau)
         tnorm = np.sqrt(gsq)
-        drift = dist(eye, pts[0])
+        drift = ss.dist(eye, pts[0])
         report.iterations = it
         report.basepoint_drift = drift
         if it % history_stride == 0 or it == 1:
@@ -322,11 +276,11 @@ def curved_torus_map(mesh, rep, amplitude=0.3, direction=None):
     """
     if mesh.meta.get("kind") != "torus":
         raise ValueError("curved test map needs a torus mesh")
-    if not hasattr(rep, "meta_logs"):
+    if rep.logs is None:
         raise ValueError("curved test map needs an exp-family representation")
     n_, m_ = mesh.meta["n"], mesh.meta["m"]
-    A = rep.meta_logs["a"]
-    B = rep.meta_logs["b"]
+    A = rep.logs["a"]
+    B = rep.logs["b"]
     group = rep.group
     if direction is None:
         nd = group.n
@@ -352,12 +306,11 @@ def curved_torus_map(mesh, rep, amplitude=0.3, direction=None):
 
 def normalize_basepoint(f):
     """Translate the map so that f(v0) = I (compare maps up to centralizer)."""
-    from .symspace import inv_sqrt_spd
-    g = inv_sqrt_spd(f.points[0])
-    pts = np.stack([act(g, P) for P in f.points])
+    g = ss.inv_sqrt_spd(f.points[0])
+    pts = ss.act(g, f.points)
     return EquivariantMap(f.mesh, f.rep.conjugate(g), pts)
 
 
 def map_distance(f, g):
     """Sup over vertices of the pointwise symmetric-space distance."""
-    return max(dist(f.points[v], g.points[v]) for v in range(f.mesh.nv))
+    return float(np.max(ss.dist(f.points, g.points)))

@@ -4,7 +4,9 @@ Supported groups: SL(n,R), SL(n,C) and GL(1,C) = C*.  The Lie algebra is
 handled as a real vector space with a fixed basis that is orthonormal for
 the base-point trace form <X,Y> = Re tr(X Y^†).  All pointwise Cartan data
 (adjoints, k/p projections, fiber metrics) is taken at a symmetric-space
-point P, i.e. a positive definite matrix, via  X* = P X^† P^{-1}.
+point P, i.e. a positive definite matrix, via  X* = P X^† P^{-1}; the
+adjoint, the Cartan split and the Gram matrix broadcast over stacks of
+points and values.
 """
 
 from __future__ import annotations
@@ -153,9 +155,9 @@ def ad_action(g, X):
 
 
 def adjoint_at(P, X):
-    """Metric adjoint X* = P X^† P^{-1} at the point P."""
+    """Metric adjoint X* = P X^† P^{-1} at the point P (stacks broadcast)."""
     P = np.asarray(P, dtype=complex)
-    return P @ np.conj(X).T @ np.linalg.inv(P)
+    return P @ np.conj(np.swapaxes(X, -1, -2)) @ np.linalg.inv(P)
 
 
 def cartan_project(P, X):
@@ -177,17 +179,14 @@ def norm_at(P, X):
 
 
 def gram_at(group, P):
-    """Gram matrix of the fiber metric at P in the group's real basis."""
-    Pinv = np.linalg.inv(np.asarray(P, dtype=complex))
-    # adj(B_k) stacked, then G[j,k] = Re tr(B_j adj(B_k))
-    adj = np.einsum("ab,kbc,cd->kad", np.asarray(P, dtype=complex), np.conj(self_transpose(group.basis)), Pinv)
-    G = np.real(np.einsum("jab,kba->jk", group.basis, adj))
-    return 0.5 * (G + G.T)
-
-
-def self_transpose(basis):
-    # conjugate-transpose of a stacked basis, helper for gram_at
-    return np.transpose(basis, (0, 2, 1))
+    """Gram matrix of the fiber metric at P in the group's real basis; a
+    stack of points gives a stack of Grams."""
+    P = np.asarray(P, dtype=complex)
+    Pinv = np.linalg.inv(P)
+    # adj(B_k) = P B_k^† P^{-1}, then G[j,k] = Re tr(B_j adj(B_k))
+    adj = np.einsum("...ab,kcb,...cd->...kad", P, np.conj(group.basis), Pinv)
+    G = np.real(np.einsum("jab,...kba->...jk", group.basis, adj))
+    return 0.5 * (G + np.swapaxes(G, -1, -2))
 
 
 def ad_matrix(group, g):

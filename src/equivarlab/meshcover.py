@@ -148,16 +148,6 @@ class CoverMesh:
                 raise ValueError(f"face word {self.face_word(f)} is not a relator")
         return True
 
-    def edges_at(self, v):
-        """(edge_id, +-1) pairs of edges leaving (+) or entering (-) v."""
-        out = []
-        for i, e in enumerate(self.edges):
-            if e.src == v:
-                out.append((i, +1))
-            if e.dst == v:
-                out.append((i, -1))
-        return out
-
     # ------------------------------------------------------------------
     def to_json(self):
         return json.dumps({

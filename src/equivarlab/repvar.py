@@ -41,6 +41,8 @@ class Representation:
     generators: tuple
     images: dict
     relations: tuple = ()
+    #: generator logarithms A with images exp(A), set by exp_family
+    logs: dict | None = None
 
     def __post_init__(self):
         self.images = {k: np.asarray(v, dtype=complex) for k, v in self.images.items()}
@@ -68,9 +70,11 @@ class Representation:
 
     def conjugate(self, h):
         hinv = np.linalg.inv(h)
+        logs = None if self.logs is None else \
+            {k: h @ A @ hinv for k, A in self.logs.items()}
         return Representation(self.group, self.generators,
                               {k: h @ m @ hinv for k, m in self.images.items()},
-                              self.relations)
+                              self.relations, logs)
 
     def is_unitary(self, tol=1e-9):
         return all(np.abs(m @ np.conj(m).T - np.eye(self.group.n)).max() <= tol
@@ -286,11 +290,9 @@ class RepPath:
 def commuting_exp_path(rep0, B, C=None):
     """rho_t(gen) = exp(A + tB + t^2 C/2); all A, B, C must commute."""
     group = rep0.group
-    A = {name: np.asarray(v, dtype=complex) for name, v in rep0.meta_logs.items()} \
-        if hasattr(rep0, "meta_logs") else None
-    if A is None:
+    if rep0.logs is None:
         raise ValueError("commuting_exp_path needs a rep built by exp_family")
-    data = {"A": A, "B": {k: np.asarray(v, dtype=complex) for k, v in B.items()}}
+    data = {"A": rep0.logs, "B": {k: np.asarray(v, dtype=complex) for k, v in B.items()}}
     if C:
         data["C"] = {k: np.asarray(v, dtype=complex) for k, v in C.items()}
     path = RepPath("commuting_exp", rep0, data)
@@ -309,11 +311,10 @@ def _check_commuting(group, data):
 
 def exp_family(group, mesh, logs):
     """Representation gen -> exp(A_gen); remembers the logs for paths."""
-    rep = Representation.for_mesh(group, mesh,
-                                  {k: group.exp(np.asarray(v, dtype=complex))
-                                   for k, v in logs.items()})
-    rep.meta_logs = {k: np.asarray(v, dtype=complex) for k, v in logs.items()}
-    return rep
+    logs = {k: np.asarray(v, dtype=complex) for k, v in logs.items()}
+    return Representation(group, mesh.generators,
+                          {k: group.exp(A) for k, A in logs.items()},
+                          mesh.relations, logs)
 
 
 def conjugation_path(rep0, xi):

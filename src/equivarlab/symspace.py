@@ -8,6 +8,11 @@ P -> g P g^†.  Edge logarithms follow the exact-transport convention
 
 which is selfadjoint at P and satisfies exp_point(P, mc_edge(P,Q)) = Q.
 With this normalization ||mc_edge(P,Q)||_P = dist(P,Q)/2.
+
+The geometry routines (act, dist, geodesic, exp_point, mc_edge, edge_log and
+the spectral functions) broadcast over leading axes: a single point is a
+stack of one, and a stack gives bit for bit the values of the per-point
+calls.  The heat flow in harmonicflow runs on these routines.
 """
 
 from __future__ import annotations
@@ -23,10 +28,22 @@ MC_EDGE_NORM_RATIO = 0.5
 _EIG_FLOOR = 1e-14
 
 
-def _eigh_spd(P):
-    w, U = np.linalg.eigh(np.asarray(P, dtype=complex))
-    w = np.maximum(w, _EIG_FLOOR)
-    return w, U
+def _ct(M):
+    return M.conj().swapaxes(-1, -2)
+
+
+def _hermitize(M):
+    return 0.5 * (M + _ct(M))
+
+
+def _eigh(P):
+    w, U = np.linalg.eigh(P)
+    return np.maximum(w, _EIG_FLOOR), U
+
+
+def _spectral(U, vals):
+    """U diag(vals) U^† over a stack."""
+    return np.einsum("...ij,...j,...kj->...ik", U, vals, np.conj(U))
 
 
 def check_point(P, tol_det=1e-9, require_det_one=True):
@@ -43,24 +60,20 @@ def check_point(P, tol_det=1e-9, require_det_one=True):
             raise ValueError(f"det {d} differs from 1")
 
 
-def sqrt_spd(P):
-    w, U = _eigh_spd(P)
-    return (U * np.sqrt(w)) @ np.conj(U).T
+def sqrt_pair(P):
+    """(P^{1/2}, P^{-1/2}) from one eigendecomposition."""
+    w, U = _eigh(P)
+    return _spectral(U, np.sqrt(w)), _spectral(U, 1.0 / np.sqrt(w))
 
 
 def inv_sqrt_spd(P):
-    w, U = _eigh_spd(P)
-    return (U / np.sqrt(w)) @ np.conj(U).T
-
-
-def log_spd(P):
-    w, U = _eigh_spd(P)
-    return (U * np.log(w)) @ np.conj(U).T
+    w, U = _eigh(P)
+    return _spectral(U, 1.0 / np.sqrt(w))
 
 
 def power_spd(P, t):
-    w, U = _eigh_spd(P)
-    return (U * np.power(w, t)) @ np.conj(U).T
+    w, U = _eigh(P)
+    return _spectral(U, np.power(w, t))
 
 
 def exp_hermitian(H):
@@ -70,50 +83,66 @@ def exp_hermitian(H):
 
 
 def _expm(X):
-    X = np.asarray(X, dtype=complex)
-    n = X.shape[0]
+    """exp of traceless (sl) or 1x1 matrices; closed form for n <= 2."""
+    n = X.shape[-1]
     if n == 1:
         return np.exp(X)
-    if n == 2 and abs(np.trace(X)) < 1e-13:
+    if n == 2:
         # traceless 2x2: X^2 = -det(X) I, so e^X = cosh(s) I + sinh(s)/s X
-        q = -np.linalg.det(X)
-        s = np.sqrt(q + 0j)
-        if abs(s) < 1e-12:
-            coef = 1.0 + q / 6.0
-            return np.cosh(s) * np.eye(2) + coef * X
-        return np.cosh(s) * np.eye(2) + (np.sinh(s) / s) * X
-    return scipy.linalg.expm(X)
+        q = -(X[..., 0, 0] * X[..., 1, 1] - X[..., 0, 1] * X[..., 1, 0])
+        s = np.sqrt(q.astype(complex))
+        small = np.abs(s) < 1e-8
+        c = np.cosh(s)
+        coef = np.where(small, 1.0 + q / 6.0, np.sinh(np.where(small, 1.0, s))
+                        / np.where(small, 1.0, s))
+        eye = np.eye(2, dtype=complex)
+        return c[..., None, None] * eye + coef[..., None, None] * X
+    flat = X.reshape(-1, n, n)
+    return np.stack([scipy.linalg.expm(x) for x in flat]).reshape(X.shape)
 
 
 def act(g, P):
     """Isometric action P -> g P g^†."""
     g = np.asarray(g, dtype=complex)
-    Q = g @ P @ np.conj(g).T
-    return 0.5 * (Q + np.conj(Q).T)
+    return _hermitize(g @ P @ _ct(g))
+
+
+def _log_eigs(S, Q):
+    """Logarithms of the eigenvalues, and eigenvectors, of S Q S."""
+    w, U = _eigh(_hermitize(S @ Q @ S))
+    return np.log(w), U
 
 
 def dist(P, Q):
     """Invariant distance ||log(P^{-1/2} Q P^{-1/2})||_F."""
-    S = inv_sqrt_spd(P)
-    M = S @ Q @ S
-    w, _ = _eigh_spd(0.5 * (M + np.conj(M).T))
-    return float(np.linalg.norm(np.log(w)))
+    logw, _ = _log_eigs(inv_sqrt_spd(P), Q)
+    # vecdot, not a sum of squares: it equals np.linalg.norm bit for bit
+    d = np.sqrt(np.vecdot(logw, logw))
+    return float(d) if d.ndim == 0 else d
+
+
+def edge_log(R, S, Q):
+    """mc_edge(P, Q) and the squared distance, from R = P^{1/2}, S = P^{-1/2}.
+
+    The squared distance is a sum of squares, which can differ from
+    dist(P, Q)**2 in the last bit; the flow energy is built on it.
+    """
+    logw, U = _log_eigs(S, Q)
+    return 0.5 * (R @ _spectral(U, logw) @ S), np.sum(logw ** 2, axis=-1)
 
 
 def geodesic(P, Q, t):
     """Geodesic from P (t=0) to Q (t=1)."""
-    R = sqrt_spd(P)
-    S = inv_sqrt_spd(P)
+    R, S = sqrt_pair(P)
     M = S @ Q @ S
-    G = R @ power_spd(0.5 * (M + np.conj(M).T), t) @ R
-    return 0.5 * (G + np.conj(G).T)
+    return _hermitize(R @ power_spd(_hermitize(M), t) @ R)
 
 
 def exp_point(P, X):
-    """exp_point(P, X) = e^X P e^{X^†}; X should be selfadjoint at P."""
-    E = _expm(X)
-    Q = E @ P @ np.conj(E).T
-    return 0.5 * (Q + np.conj(Q).T)
+    """exp_point(P, X) = e^X P e^{X^†}; X should be selfadjoint at P and lie
+    in the algebra (traceless unless n = 1)."""
+    E = _expm(np.asarray(X, dtype=complex))
+    return _hermitize(E @ P @ _ct(E))
 
 
 def mc_edge(P, Q):
@@ -122,11 +151,7 @@ def mc_edge(P, Q):
     Computed through the symmetric eigendecomposition of P^{-1/2} Q P^{-1/2}
     and conjugated back, which keeps the selfadjointness exact.
     """
-    R = sqrt_spd(P)
-    S = inv_sqrt_spd(P)
-    M = S @ Q @ S
-    L = log_spd(0.5 * (M + np.conj(M).T))
-    return 0.5 * (R @ L @ S)
+    return edge_log(*sqrt_pair(P), Q)[0]
 
 
 def random_point(group, rng, scale=0.5):
@@ -141,16 +166,6 @@ def random_point(group, rng, scale=0.5):
     H = scale * 0.5 * (A + np.conj(A).T)
     H = H - (np.trace(H) / n) * np.eye(n)
     return exp_hermitian(H)
-
-
-def project_det_one(P):
-    """Rescale an SPD matrix to determinant 1 (guards float drift)."""
-    n = P.shape[0]
-    if n == 1:
-        return P
-    w = np.linalg.eigvalsh(P)
-    d = float(np.sum(np.log(w)))
-    return P * np.exp(-d / n)
 
 
 def translation_length(g, *, tol=1e-8, max_iter=20000, radius=50.0, rng=None,

@@ -23,7 +23,8 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .liealg import ad_matrix
+from .harmonicflow import FlowKernel
+from .liealg import ad_matrix, adjoint_at, gram_at
 from .meshcover import invert_word, reduce_word
 
 
@@ -83,9 +84,12 @@ class TwistedComplex:
         n = self.group.n
         self.n = n
 
+        # per-edge src, dst, w1, rho(w_e) and its inverse; also computes beta()
+        self.kern = FlowKernel(mesh, rep)
+        # metric at the edge sources, where 1-cochain values live
+        self.edge_points = self.points[self.kern.src]
         self._word_cache = {}
         self.edge_words = [e.label for e in mesh.edges]
-        self.edge_g = np.stack([self._rho(w) for w in self.edge_words])
         self.edge_T = np.stack([self._admat(w) for w in self.edge_words])
 
         # face boundary walks with prefix transport words
@@ -131,16 +135,9 @@ class TwistedComplex:
         return self.group.from_coords(np.asarray(flat).reshape(ncells, self.dim))
 
     # -- metric ---------------------------------------------------------
-    def _gram_at_points(self, pts):
-        Pinv = np.linalg.inv(pts)
-        B = self.group.basis
-        adjB = np.einsum("vab,kcb,vcd->vkad", pts, np.conj(B), Pinv)
-        G = np.real(np.einsum("jab,vkba->vjk", B, adjB))
-        return 0.5 * (G + np.swapaxes(G, -1, -2))
-
     def _assemble_grams(self):
         mesh = self.mesh
-        gram_v = self._gram_at_points(self.points)
+        gram_v = gram_at(self.group, self.points)
         self.gram_vertex = gram_v
         w0 = np.asarray(mesh.vertex_weights)
         self.G0 = sp.block_diag([w0[v] * gram_v[v] for v in range(mesh.nv)],
@@ -148,7 +145,6 @@ class TwistedComplex:
         self.G0inv = sp.block_diag(
             [np.linalg.inv(w0[v] * gram_v[v]) for v in range(mesh.nv)],
             format="csr")
-        src = [e.src for e in mesh.edges]
         self.G1 = sp.block_diag(
             [e.weight * gram_v[e.src] for e in mesh.edges], format="csr")
         self.G1inv = sp.block_diag(
@@ -395,17 +391,6 @@ class TwistedComplex:
                 TwistedCochain(1, self.from_flat(harm, self.mesh.ne)))
 
     # -- nonlinear pieces ------------------------------------------------------
-    def adjoint_edgewise(self, coch):
-        """Pointwise metric adjoint of a 1-cochain at the edge sources."""
-        vals = _vals(coch)
-        P = self.points[[e.src for e in self.mesh.edges]]
-        return P @ np.conj(np.swapaxes(vals, -1, -2)) @ np.linalg.inv(P)
-
-    def cartan_split_edges(self, coch):
-        vals = _vals(coch)
-        star = self.adjoint_edgewise(vals)
-        return 0.5 * (vals - star), 0.5 * (vals + star)   # (k-part, p-part)
-
     def bracket_wedge(self, a, b):
         """Ordered cup product [a, b] on faces: sum_{j<i} [a_j~, b_i~] of the
         transported boundary values; satisfies d psi0 = -[omega,omega] exactly
@@ -434,25 +419,21 @@ class TwistedComplex:
         w1 [a_e^[p] - a_e^[k], b_e]; Gram-adjoint to xi -> [a, xi]."""
         av = _vals(a)
         bv = _vals(b)
-        star = self.adjoint_edgewise(av)
+        star = adjoint_at(self.edge_points, av)
         out = np.zeros((self.mesh.nv, self.n, self.n), dtype=complex)
-        w1 = np.array([e.weight for e in self.mesh.edges])
-        contrib = w1[:, None, None] * (star @ bv - bv @ star)
-        np.add.at(out, [e.src for e in self.mesh.edges], contrib)
+        contrib = self.kern.w1[:, None, None] * (star @ bv - bv @ star)
+        np.add.at(out, self.kern.src, contrib)
         out /= np.asarray(self.mesh.vertex_weights)[:, None, None]
         return TwistedCochain(0, out)
 
     def bracket_section(self, a, xi):
         """1-cochain [a, xi] with the section evaluated at edge sources."""
         av = _vals(a)
-        xv = _vals(xi)[[e.src for e in self.mesh.edges]]
+        xv = _vals(xi)[self.kern.src]
         return TwistedCochain(1, av @ xv - xv @ av)
 
     def beta(self):
         """Edge logarithms of the metric map (its Maurer-Cartan cochain)."""
-        from .harmonicflow import EquivariantMap, edge_logs
-        f = EquivariantMap(self.mesh, self.rep, self.points)
-        return TwistedCochain(1, np.stack(edge_logs(f))
-                              if self.mesh.ne else np.zeros((0, self.n, self.n)))
+        return TwistedCochain(1, self.kern.edge_data(self.points)[0])
 
 

@@ -1,8 +1,42 @@
+import hashlib
 import json
+import math
+from pathlib import Path
 
 import numpy as np
+import pytest
 
 from equivarlab import cli
+
+#: reports of the ok and obstructed runs, keyed by a hash of (task, cfg, extra)
+GOLDEN_DIR = Path(__file__).parent / "golden"
+
+
+def golden_path(task, cfg, extra):
+    key = hashlib.sha256(json.dumps([task, cfg, list(extra)], sort_keys=True)
+                         .encode()).hexdigest()[:12]
+    return GOLDEN_DIR / f"{task.replace('-', '_')}_{key}.json"
+
+
+def assert_matches_golden(got, want, where="report"):
+    """Strings, ints and bools exactly; floats within 1e-12 max(1, |x|)."""
+    if isinstance(want, dict):
+        assert isinstance(got, dict) and got.keys() == want.keys(), where
+        for key in want:
+            assert_matches_golden(got[key], want[key], f"{where}.{key}")
+    elif isinstance(want, list):
+        assert isinstance(got, list) and len(got) == len(want), where
+        for i, (g, w) in enumerate(zip(got, want)):
+            assert_matches_golden(g, w, f"{where}[{i}]")
+    elif isinstance(want, float):
+        assert isinstance(got, float), where
+        if math.isnan(want):
+            assert math.isnan(got), where
+        else:
+            assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), \
+                f"{where}: {got!r} != {want!r}"
+    else:
+        assert type(got) is type(want) and got == want, f"{where}: {got!r} != {want!r}"
 
 
 def run_cli(tmp_path, task, cfg, name="cfg.json", extra=()):
@@ -12,6 +46,10 @@ def run_cli(tmp_path, task, cfg, name="cfg.json", extra=()):
     code = cli.main([task, "--config", str(cfg_path), "--out", str(out), *extra])
     report_path = out / f"{task.replace('-', '_')}_report.json"
     report = json.loads(report_path.read_text()) if report_path.exists() else None
+    if report is not None and report["status"] in ("ok", "obstructed"):
+        golden = golden_path(task, cfg, extra)
+        assert golden.exists(), f"no golden report {golden.name}"
+        assert_matches_golden(report, json.loads(golden.read_text()))
     return code, report, out
 
 
@@ -59,7 +97,9 @@ def test_malformed_mesh_exit_two(tmp_path):
     assert code == cli.EXIT_VALIDATION
 
 
-def test_invalid_representation_exit_two(tmp_path):
+@pytest.mark.parametrize("task", ["flow", "energy", "hodge", "deform1", "deform2",
+                                  "variation", "psh", "critical-scan"])
+def test_invalid_representation_exit_two(tmp_path, task):
     cfg = {
         "mesh": {"kind": "torus", "n": 4, "m": 4},
         "group": {"kind": "sl", "n": 2, "field": "R"},
@@ -67,8 +107,9 @@ def test_invalid_representation_exit_two(tmp_path):
             "a": [[2.0, 0.0], [0.0, 0.5]],
             "b": [[1.0, 1.0], [0.0, 1.0]]}}},   # a, b do not commute
     }
-    code, report, _ = run_cli(tmp_path, "energy", cfg)
+    code, report, _ = run_cli(tmp_path, task, cfg)
     assert code == cli.EXIT_VALIDATION
+    assert report["error"] == "representation fails the relator check"
 
 
 def test_reports_deterministic(tmp_path):

@@ -4,7 +4,7 @@ import pytest
 from equivarlab import deform as df
 from equivarlab import harmonicflow as hf
 from equivarlab import repvar as rv
-from equivarlab.liealg import bracket
+from equivarlab.liealg import bracket, cartan_project
 from equivarlab.symspace import act
 from equivarlab.twistedhodge import TwistedCochain, TwistedComplex
 from test_twistedhodge import diag_cocycle, offdiag_cocycle
@@ -79,8 +79,8 @@ def test_affine_fiber_over_kernel(diag_ctx):
     in_kernel = ctx.kernel_project_flat(diff)
     assert np.sqrt(max((diff - in_kernel) @ (ctx.G0 @ (diff - in_kernel)), 0)) < 1e-8
     kappa = ctx.from_flat(in_kernel, ctx.mesh.nv)
-    _, kp = df.cartan_split_at(ctx.points, kappa)
-    _, v2 = df.cartan_split_at(ctx.points, F2.values)
+    _, kp = cartan_project(ctx.points, kappa)
+    _, v2 = cartan_project(ctx.points, F2.values)
     assert np.abs((fo.v - v2) - kp).max() < 1e-8
 
 
@@ -180,7 +180,7 @@ def test_solve_psi_matches_fd_second_derivative_of_beta(sl2c, torus66):
                                                   f0.points.copy()), tol=1e-11)
         betas[t] = np.stack(hf.edge_logs(f_t))
     beta_dd = (betas[h] - 2 * betas[0.0] + betas[-h]) / (h * h)
-    _, psi_p = ctx.cartan_split_edges(sol.psi)
+    _, psi_p = cartan_project(ctx.edge_points, sol.psi.values)
     assert np.abs(psi_p - beta_dd).max() < 1e-4
 
 
@@ -265,7 +265,7 @@ def test_flatness_criterion_across_metrics(diag_ctx):
         assert np.abs(ctx.bracket_section(om, kap).values).max() < 1e-10
     assert df.obstruction_check(ctx, om).orthogonal
     base = ctx.kernel_sections()[0].values[0]
-    _, basep = df.cartan_split_at(ctx.points[:1], base[None])
+    _, basep = cartan_project(ctx.points[:1], base[None])
     h = ctx.group.exp(0.7 * basep[0])
     pts = np.stack([act(h, P) for P in ctx.points])
     ctx_h = TwistedComplex(ctx.mesh, ctx.rep, pts)
@@ -314,3 +314,24 @@ def test_equivalence_audit_bank(trivial_ctx, trivialC_ctx, diag_ctx,
         assert cond1 == cond2, (cond1, cond2, sol.obstruction.defect)
         n_obstructed += not cond2
     assert n_obstructed >= 5     # the bank exercises both outcomes
+
+
+def test_edge_jet_table_matches_per_edge_loop(fuchsianC_ctx):
+    # the stacked (c(w_e), k(w_e)) table and the jet seed built on it equal
+    # the per-edge word evaluations bit for bit
+    ctx = fuchsianC_ctx
+    c, k = rv.bending_path(ctx.rep, 0.4).jets()
+    cw, kw = df._edge_jets(ctx, c, k)
+    rng = np.random.default_rng(11)
+    xi = TwistedCochain(0, np.stack([ctx.group.random_alg(rng)
+                                     for _ in range(ctx.mesh.nv)]))
+    seed = df.jet_seed_second(ctx, c, k, xi).values
+    for i, e in enumerate(ctx.mesh.edges):
+        if not e.label:
+            assert not cw[i].any() and not kw[i].any() and not seed[i].any()
+            continue
+        assert np.array_equal(cw[i], c.eval_word(e.label))
+        assert np.array_equal(kw[i], rv.Jet2Cocycle(c, k).eval_word(e.label).mu)
+        g = ctx.rep.eval_word(e.label)
+        ad_xi = g @ xi.values[e.dst] @ np.linalg.inv(g)
+        assert np.array_equal(seed[i], kw[i] - (cw[i] @ ad_xi - ad_xi @ cw[i]))

@@ -183,3 +183,18 @@ def test_cocycle_json_roundtrip(sl2c, torus66):
     c2 = rv.Cocycle.from_json(c.to_json(), rep)
     for name in rep.generators:
         assert np.abs(c.values[name] - c2.values[name]).max() < 1e-15
+
+
+def test_conjugate_carries_exp_family_logs(sl2c, torus66):
+    rep = rv.torus_diag_rep(sl2c, torus66, 0.4 + 0.3j, -0.2 + 0.5j)
+    B = {"a": np.diag([1.0, -1.0]).astype(complex), "b": np.diag([0.5j, -0.5j])}
+    h = np.array([[1.0, 0.7], [0.3j, 1.0 + 0.21j]])
+    hinv = np.linalg.inv(h)
+    path = rv.commuting_exp_path(rep, B)
+    path_h = rv.commuting_exp_path(rep.conjugate(h),
+                                   {k: h @ v @ hinv for k, v in B.items()})
+    for t in (0.3, -0.5):
+        for name in rep.generators:
+            want = h @ path.at(t).images[name] @ hinv
+            assert np.abs(path_h.at(t).images[name] - want).max() < 1e-12
+    assert rv.trivial_rep(sl2c, torus66).conjugate(h).logs is None

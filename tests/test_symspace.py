@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from equivarlab.liealg import MatrixGroup, ad_action, norm_at, adjoint_at
+from equivarlab.liealg import (MatrixGroup, ad_action, adjoint_at,
+                               cartan_project, gram_at, norm_at)
 from equivarlab.symspace import (MC_EDGE_NORM_RATIO, act, check_point, dist,
                                  exp_point, geodesic, mc_edge, random_point,
                                  translation_length)
 
 SL2C = MatrixGroup("sl", 2, "C")
 SL2R = MatrixGroup("sl", 2, "R")
+STACK_GROUPS = (SL2R, SL2C, MatrixGroup("sl", 3, "R"), MatrixGroup("gl1c"))
 
 
 def golden_section_translation_length(g, lo=-12.0, hi=12.0, tol=1e-12):
@@ -157,3 +160,27 @@ def test_check_point_rejects_bad_input():
     with pytest.raises(ValueError):
         check_point(np.diag([2.0, 1.0]))
     check_point(np.diag([2.0, 0.5]))
+
+
+@settings(max_examples=50, deadline=None)
+@given(gi=st.integers(0, len(STACK_GROUPS) - 1), seed=st.integers(0, 2 ** 32 - 1),
+       size=st.integers(1, 4), scale=st.floats(0.05, 1.0))
+def test_scalar_is_a_stack_of_one(gi, seed, size, scale):
+    # stacked calls give bit for bit the per-point values
+    group = STACK_GROUPS[gi]
+    rng = np.random.default_rng(seed)
+    P, Q = (np.stack([random_point(group, rng, scale) for _ in range(size)])
+            for _ in range(2))
+    X = np.stack([group.random_alg(rng) for _ in range(size)])
+    B = mc_edge(P, Q)
+    stacked = {"mc_edge": B, "dist": dist(P, Q), "exp_point": exp_point(P, B),
+               "cartan_project": np.stack(cartan_project(P, X), axis=1),
+               "gram_at": gram_at(group, P)}
+    for i in range(size):
+        single = {"mc_edge": mc_edge(P[i], Q[i]), "dist": dist(P[i], Q[i]),
+                  "exp_point": exp_point(P[i], B[i]),
+                  "cartan_project": np.stack(cartan_project(P[i], X[i])),
+                  "gram_at": gram_at(group, P[i])}
+        for name, value in single.items():
+            assert np.array_equal(stacked[name][i], value), name
+    assert np.abs(stacked["exp_point"] - Q).max() < 1e-9 * max(1.0, np.abs(Q).max())
