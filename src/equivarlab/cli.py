@@ -26,7 +26,7 @@ from . import repvar as rv
 from .deform import (ObstructedDeformationError, first_order,
                      obstruction_check, second_order)
 from .liealg import MatrixGroup
-from .twistedhodge import TwistedCochain, TwistedComplex
+from .twistedhodge import LinearSolverError, TwistedCochain, TwistedComplex
 
 SCHEMA_VERSION = 1
 TASKS = ("flow", "energy", "hodge", "deform1", "deform2", "variation",
@@ -447,6 +447,12 @@ def main(argv=None):
         payload["status"] = "not-converged"
         payload["error"] = str(exc)
         payload["flow"] = exc.report.to_dict()
+        write_report(out_dir, args.task, payload)
+        return EXIT_NONCONVERGED
+    except LinearSolverError as exc:
+        print(f"solver error: {exc}", file=sys.stderr)
+        payload["status"] = "solver-error"
+        payload["error"] = str(exc)
         write_report(out_dir, args.task, payload)
         return EXIT_NONCONVERGED
     except ObstructedDeformationError as exc:

@@ -109,7 +109,9 @@ def first_order(ctx, c, tol=1e-8):
         "equivariance": defect,
         "d_omega": ctx.norm(ctx.d(omega), 2) if ctx.mesh.nf else 0.0,
         "dstar_omega": ctx.norm(ctx.codiff(omega), 0),
-        "jacobi_F": ctx.norm(ctx.codiff(omega), 0),
+        # J F = d* (omega - seed(c)) = -d* seed(c), through the primitive
+        "jacobi_F": ctx.norm(TwistedCochain(0, ctx.jacobi(F).values + ctx.codiff(
+            ctx.seed_cochain(c)).values), 0),
     }
     return FirstOrderDeformation(omega, F, v, residuals)
 

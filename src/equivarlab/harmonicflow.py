@@ -1,4 +1,5 @@
-"""Equivariant harmonic maps by discrete heat flow.
+"""Equivariant harmonic maps by a damped Riemannian Newton method, with the
+explicit heat flow as the fallback for non-reductive representations.
 
 A map assigns a symmetric-space point to every vertex of the fundamental
 domain; evaluation across a labeled edge transports by the representation.
@@ -11,18 +12,36 @@ and the tension field is the metric negative gradient,
     tau(v) = 2 sum_{e at v} w1(e) mc_edge(f(v), transported neighbor),
 
 so stepping f(v) -> exp_point(f(v), step * tau(v)) descends the energy.
+
+The energy is geodesically convex, and its exact Hessian is a sum of
+per-edge Jacobi-field blocks: in the eigenframe of beta_e = mc_edge at the
+edge source, with T = |ad_beta_e|, each edge adds 4 w1 T coth T on both
+endpoints and -4 w1 T / sinh T between them, the far endpoint carried to the
+source by Ad_{e^{-beta_e} rho(w_e)}.  ``flow`` solves for the p-part of the
+Newton step in orthonormal coordinates, damps the centralizer directions by
+mu = 1e-2 min(1, |tau|) times the vertex mass, retracts with exp_point and
+backtracks on the energy (on the tension once energy decrements fall below
+float resolution).  When the Newton phase stalls, leaves the drift radius,
+meets a non-finite value or a singular factor, or spends its step budget,
+the explicit Armijo flow runs from the start map instead; a parabolic
+(non-reductive) representation always ends there.
+
 FlowKernel caches the per-edge arrays of a (mesh, representation) pair and
 evaluates every edge at once through the stacked routines of symspace.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from . import symspace as ss
-from .liealg import adjoint_at
+from .liealg import adjoint_at, p_basis
 
 
 @dataclass
@@ -117,11 +136,105 @@ class FlowKernel:
         return float(np.dot(self.w0, np.maximum(vals, 0.0)))
 
     def retract(self, points, direction, step):
-        new = ss.exp_point(points, step * direction)
-        if self.n > 1:
-            det = np.linalg.det(new)
-            new = new / (np.abs(det) ** (1.0 / self.n))[:, None, None]
+        # an oversize step overflows; it comes back non-finite, silently
+        with np.errstate(all="ignore"):
+            new = ss.exp_point(points, step * direction)
+            if self.n > 1:
+                det = np.linalg.det(new)
+                new = new / (np.abs(det) ** (1.0 / self.n))[:, None, None]
         return new
+
+    def evaluate(self, points):
+        """energy_and_tension, or (inf, None) at a non-finite map."""
+        if not np.isfinite(points).all():
+            return np.inf, None
+        E, tau = self.energy_and_tension(points)
+        return (E, tau) if math.isfinite(E) else (np.inf, None)
+
+    # -- Newton step -----------------------------------------------------
+    @cached_property
+    def _pattern(self):
+        """p-basis B, and the CSC pattern of the Hessian built once: the slot
+        of every entry of the (src, src), (dst, dst), (src, dst) and
+        (dst, src) edge blocks and of the vertex diagonals, row indices and
+        column pointers."""
+        B = p_basis(self.rep.group)
+        dp = len(B)
+        N = self.mesh.nv * dp
+        k = np.arange(dp)
+        s = self.src[:, None, None] * dp
+        d = self.dst[:, None, None] * dp
+        diag = np.arange(N)
+        shape = (self.mesh.ne, dp, dp)
+        rows = np.concatenate([np.broadcast_to(x + k[:, None], shape).ravel()
+                               for x in (s, d, s, d)] + [diag])
+        cols = np.concatenate([np.broadcast_to(x + k, shape).ravel()
+                               for x in (s, d, d, s)] + [diag])
+        uniq, slot = np.unique(cols * N + rows, return_inverse=True)
+        indptr = np.searchsorted(uniq // N, np.arange(N + 1))
+        return B, slot, uniq % N, indptr
+
+    def tangent_field(self, points, x):
+        """Tangent field sum_k x[v, k] R_v B_k R_v^{-1} (R_v = P_v^{1/2}) from
+        orthonormal p-coordinates x (flat, vertex-major)."""
+        B = self._pattern[0]
+        R, S = ss.sqrt_pair(points)
+        return R @ np.tensordot(x.reshape(self.mesh.nv, len(B)), B, axes=1) @ S
+
+    def hessian(self, points, mu=0.0):
+        """Exact Hessian of the energy in orthonormal p-coordinates, plus mu
+        times the vertex mass on the diagonal (sparse CSC).
+
+        x @ H @ x is the second derivative of the energy along
+        exp_point(points, s * tangent_field(points, x)) at s = 0.
+        """
+        B, slot, indices, indptr = self._pattern
+        ne = self.mesh.ne
+        R, S = ss.sqrt_pair(points)
+        logw, U = ss._log_eigs(S[self.src], ss.act(self.g, points[self.dst]))
+        coth, csch = ss.ad_jacobi(logw)
+        Uh = ss._ct(U)
+        # source basis in the eigenframe of beta, and the far basis carried
+        # to the source: U^† e^{-beta~} S g R_dst = e^{-Lambda} U^† S g R_dst
+        Ms = (Uh[:, None] @ B @ U[:, None]).reshape(ne, len(B), -1)
+        Y = np.exp(-0.5 * logw)[..., None] * (Uh @ S[self.src] @ self.g
+                                              @ R[self.dst])
+        Md = (Y[:, None] @ B @ ss._ct(Y)[:, None]).reshape(Ms.shape)
+        coth = coth.reshape(ne, 1, -1)
+        csch = csch.reshape(coth.shape)
+
+        def pair(X, f, Z):
+            # Re <X_k, f o Z_l>_F for every pair of basis elements
+            return np.real((X.conj() * f) @ Z.swapaxes(1, 2))
+
+        scale = 4.0 * self.w1[:, None, None]
+        C = -scale * pair(Ms, csch, Md)
+        vals = np.concatenate([(scale * pair(Ms, coth, Ms)).ravel(),
+                               (scale * pair(Md, coth, Md)).ravel(),
+                               C.ravel(), C.swapaxes(1, 2).ravel(),
+                               np.repeat(mu * self.w0, len(B))])
+        data = np.bincount(slot, weights=vals, minlength=len(indices))
+        n_dof = len(indptr) - 1
+        return sp.csc_matrix((data, indices, indptr), shape=(n_dof, n_dof))
+
+    def newton_step(self, points, tau, mu):
+        """Damped Newton direction (H + mu W0) x = 2 t, t the orthonormal
+        p-coordinates of tau; returns the tangent field and 2 t . x (twice
+        the model decrease), or None on a singular or non-finite solve."""
+        B = self._pattern[0]
+        R, S = ss.sqrt_pair(points)
+        rhs = 2.0 * np.real(np.einsum("kij,vij->vk", B.conj(),
+                                      S @ tau @ R)).ravel()
+        H = self.hessian(points, mu)
+        if not np.isfinite(H.data).all():
+            return None
+        try:
+            x = spla.splu(H).solve(rhs)
+        except RuntimeError:        # exactly singular factor
+            return None
+        if not np.isfinite(x).all():
+            return None
+        return self.tangent_field(points, x), float(rhs @ x)
 
 
 def edge_logs(f):
@@ -161,6 +274,7 @@ class FlowReport:
     step_underflow: bool = False
     energy_history: list = field(default_factory=list)
     drift_history: list = field(default_factory=list)
+    solver: str = "explicit"    # "newton" or "explicit"; not in to_dict
 
     def to_dict(self):
         return {
@@ -172,18 +286,87 @@ class FlowReport:
         }
 
 
+#: Newton steps tried before the explicit flow takes over
+NEWTON_STEPS = 50
+
+
 def flow(rep, f0, *, tol=1e-8, max_iter=20000, drift_radius=50.0,
          history_stride=25, kernel=None):
-    """Energy-descent flow with Armijo backtracking.
+    """Harmonic map from f0: damped Riemannian Newton, explicit flow fallback.
 
     Convergence means the weighted tension norm drops below tol with the
-    basepoint inside the drift radius.  A run that keeps lowering the energy
-    while the basepoint escapes toward infinity (hard radius exit, or a
-    steady drift trend at exhaustion) marks the representation as suspected
-    non-reductive; the plateau energy is reported either way.
+    basepoint inside the drift radius.  ``iterations`` counts tension checks
+    (Newton steps + 1, or explicit iterations).  When the Newton phase gives
+    up, the explicit Armijo flow runs from f0 with max_iter and its report
+    is returned unchanged: a run that keeps lowering the energy while the
+    basepoint escapes toward infinity (hard radius exit, or a steady drift
+    trend at exhaustion) marks the representation as suspected
+    non-reductive, and the plateau energy is reported either way.
     """
+    if not np.isfinite(f0.points).all():
+        raise ValueError("start map has non-finite entries")
     kern = kernel if kernel is not None else FlowKernel(f0.mesh, rep)
-    pts = f0.points.copy()
+    args = dict(tol=tol, max_iter=max_iter, drift_radius=drift_radius,
+                history_stride=history_stride)
+    out = _newton_flow(kern, f0.points.copy(), **args)
+    if out is None:
+        out = _explicit_flow(kern, f0.points.copy(), **args)
+    return EquivariantMap(f0.mesh, rep, out[0]), out[1]
+
+
+def _newton_flow(kern, pts, *, tol, max_iter, drift_radius, history_stride):
+    """Damped Riemannian Newton phase; (points, report), or None when the
+    explicit flow has to take over."""
+    eye = np.eye(kern.n, dtype=complex)
+    report = FlowReport(solver="newton")
+    E, tau = kern.energy_and_tension(pts)
+    gsq = kern.tension_norm_sq(pts, tau)
+    report.energy_history.append(E)
+    slow = 0        # consecutive full steps that cut |tau| by less than 4x
+    for it in range(1, max_iter + 1):
+        tnorm = np.sqrt(gsq)
+        drift = ss.dist(eye, pts[0])
+        if drift > drift_radius:
+            return None
+        report.iterations = it
+        report.basepoint_drift = drift
+        if it % history_stride == 0 or it == 1:
+            report.energy_history.append(E)
+            report.drift_history.append(drift)
+        if tnorm < tol:
+            report.converged = True
+            break
+        if it > NEWTON_STEPS or it == max_iter:
+            return None
+        step = kern.newton_step(pts, tau, 1e-2 * min(1.0, tnorm))
+        if step is None:
+            return None
+        X, decrease = step
+        # below float resolution of E, accept on a smaller tension instead
+        polish = 0.5 * decrease < 1e-13 * max(1.0, abs(E))
+        alpha = 1.0
+        while alpha >= 1e-10:
+            cand = kern.retract(pts, X, alpha)
+            Ec, tauc = kern.evaluate(cand)
+            if tauc is not None:
+                gsq_c = kern.tension_norm_sq(cand, tauc)
+                if gsq_c < gsq if polish else Ec <= E - 1e-4 * alpha * decrease:
+                    break
+            alpha *= 0.5
+        else:
+            return None
+        slow = slow + 1 if alpha == 1.0 and gsq_c > gsq / 16.0 else 0
+        if slow == 2:
+            return None
+        pts, E, tau, gsq = cand, Ec, tauc, gsq_c
+    report.energy = E
+    report.tension = float(np.sqrt(gsq))
+    report.energy_history.append(E)
+    return pts, report
+
+
+def _explicit_flow(kern, pts, *, tol, max_iter, drift_radius, history_stride):
+    """Energy-descent flow with Armijo backtracking; (points, report)."""
     eye = np.eye(kern.n, dtype=complex)
     report = FlowReport()
     E, tau = kern.energy_and_tension(pts)
@@ -244,7 +427,7 @@ def flow(rep, f0, *, tol=1e-8, max_iter=20000, drift_radius=50.0,
         if (len(dh) >= 4 and E < 0.25 * max(E0, 1e-300)
                 and dh[-1] > dh[len(dh) // 2] + 0.2):
             report.reductive_suspected = False
-    return EquivariantMap(f0.mesh, rep, pts), report
+    return pts, report
 
 
 def energy_of_rep(rep, mesh, *, tol=1e-8, max_iter=20000, n_starts=2, seed=0,

@@ -168,6 +168,24 @@ def cartan_project(P, X):
     return Xk, Xp
 
 
+def p_basis(group):
+    """Frobenius-orthonormal basis (dp, n, n) of the selfadjoint part p of the
+    algebra at the identity; R E_k R^{-1} with R = P^{1/2} is then a
+    <.,.>_P-orthonormal basis of p at P."""
+    n = group.n
+    mats = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            m = np.zeros((n, n), dtype=complex)
+            m[i, j] = m[j, i] = np.sqrt(0.5)
+            mats.append(m)
+            if group.is_complex:
+                mats.append(1j * (np.triu(m) - np.tril(m)))
+    # the real diagonal elements of the basis are selfadjoint already
+    mats += [B for B in group.basis if np.array_equal(B, np.diag(np.diag(B).real))]
+    return np.array(mats)
+
+
 def inner_at(P, X, Y):
     """Fiber metric <X,Y>_P = Re tr(X (P Y^† P^{-1}))."""
     return float(np.real(np.trace(np.asarray(X) @ adjoint_at(P, Y))))

@@ -131,6 +131,25 @@ def edge_log(R, S, Q):
     return 0.5 * (R @ _spectral(U, logw) @ S), np.sum(logw ** 2, axis=-1)
 
 
+def ad_jacobi(logw):
+    """Jacobi-field multipliers T coth T and T / sinh T of T = |ad_beta|.
+
+    logw are the log-eigenvalues of P^{-1/2} Q P^{-1/2}, so beta = mc_edge(P, Q)
+    has eigenvalues logw / 2 and, in its eigenframe, |ad_beta| scales the
+    (i, j) entry by T_ij = |logw_i - logw_j| / 2.  Returns the two Hadamard
+    multipliers (both 1 at T = 0), stacked like logw with a trailing (n, n).
+    """
+    T = 0.5 * np.abs(logw[..., :, None] - logw[..., None, :])
+    small = T < 1e-4
+    Ts = np.where(small, 1.0, T)
+    q = np.exp(-Ts)                  # e^{-T}: no overflow at large T
+    den = -np.expm1(-2.0 * Ts)       # 1 - e^{-2T}
+    T2 = T * T
+    coth = np.where(small, 1.0 + T2 / 3.0, Ts * (1.0 + q * q) / den)
+    csch = np.where(small, 1.0 - T2 / 6.0, 2.0 * Ts * q / den)
+    return coth, csch
+
+
 def geodesic(P, Q, t):
     """Geodesic from P (t=0) to Q (t=1)."""
     R, S = sqrt_pair(P)

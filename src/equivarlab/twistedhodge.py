@@ -37,6 +37,33 @@ class PeriodMismatchError(ValueError):
         self.defect = defect
 
 
+class LinearSolverError(RuntimeError):
+    """A factorization or an iterative solve of the twisted calculus failed;
+    the subclasses carry the solver status."""
+
+
+class SingularKKTError(LinearSolverError):
+    """The kernel-deflated KKT matrix is singular: the SVD cutoff kernel_rtol
+    most likely misjudged the centralizer dimension kernel_dim."""
+
+    def __init__(self, kernel_dim, kernel_rtol):
+        super().__init__(f"singular KKT matrix with kernel_dim {kernel_dim} "
+                         f"(kernel_rtol {kernel_rtol:.1e})")
+        self.kernel_dim = kernel_dim
+        self.kernel_rtol = kernel_rtol
+
+
+class IterationLimitError(LinearSolverError):
+    """An iterative solve stopped at its iteration limit."""
+
+    def __init__(self, solver, istop, iterations):
+        super().__init__(f"{solver} hit its iteration limit after {iterations} "
+                         f"iterations (istop {istop})")
+        self.solver = solver
+        self.istop = istop
+        self.iterations = iterations
+
+
 @dataclass
 class TwistedCochain:
     degree: int
@@ -80,6 +107,7 @@ class TwistedComplex:
         self.rep = rep
         self.group = rep.group
         self.points = f.points if hasattr(f, "points") else np.asarray(f)
+        self.kernel_rtol = kernel_rtol
         self.dim = self.group.dim
         n = self.group.n
         self.n = n
@@ -307,7 +335,10 @@ class TwistedComplex:
                              [sp.csr_matrix(K.T), Z]], format="csc")
             else:
                 M = self.A0
-            self._kkt_lu = spla.splu(M)
+            try:
+                self._kkt_lu = spla.splu(M)
+            except RuntimeError as exc:     # exactly singular factor
+                raise SingularKKTError(self.kernel_dim, self.kernel_rtol) from exc
         return self._kkt_lu
 
     def solve_deflated(self, rhs_flat):
@@ -330,9 +361,12 @@ class TwistedComplex:
     def seed_cochain(self, c):
         """Closed 1-cochain with edge values c(word_e); represents {c}."""
         vals = np.zeros((self.mesh.ne, self.n, self.n), dtype=complex)
+        by_word = {}            # many edges cross the same side word
         for i, w in enumerate(self.edge_words):
             if w:
-                vals[i] = c.eval_word(w)
+                if w not in by_word:
+                    by_word[w] = c.eval_word(w)
+                vals[i] = by_word[w]
         return TwistedCochain(1, vals)
 
     def harmonic_rep(self, c):
@@ -380,8 +414,10 @@ class TwistedComplex:
             # minimize || G1^{-1} d1^T Psi - rem ||_{G1}
             sq1 = self._g1_sqrt()
             M = (sq1 @ (self.G1inv @ self.d1.T)).tocsr()
-            sol = spla.lsmr(M, sq1 @ rem, atol=1e-14, btol=1e-14,
-                            maxiter=20000)[0]
+            sol, istop, itn = spla.lsmr(M, sq1 @ rem, atol=1e-14, btol=1e-14,
+                                        maxiter=20000)[:3]
+            if istop == 7:
+                raise IterationLimitError("lsmr", istop, itn)
             coexact = self.G1inv @ (self.d1.T @ sol)
         else:
             coexact = np.zeros_like(rem)

@@ -64,6 +64,25 @@ def test_first_order_residuals_all_instances(diag_ctx, gl1c_ctx, fuchsian_ctx,
         assert max(fo.residuals.values()) < 1e-8
 
 
+def test_jacobi_F_checks_the_primitive(diag_ctx, monkeypatch):
+    # jacobi_F is J F + d* seed(c), computed from F: it flags a wrong
+    # primitive that leaves omega (and dstar_omega) untouched
+    c = offdiag_cocycle(diag_ctx.rep)
+    fo = df.first_order(diag_ctx, c)
+    assert fo.residuals["jacobi_F"] < 1e-10
+    primitive = diag_ctx.primitive
+    bump = np.zeros((diag_ctx.mesh.nv, 2, 2), dtype=complex)
+    bump[0] = E2
+
+    def off_by_a_bump(omega, c):
+        F, defect = primitive(omega, c)
+        return TwistedCochain(0, F.values + bump), defect
+    monkeypatch.setattr(diag_ctx, "primitive", off_by_a_bump)
+    bad = df.first_order(diag_ctx, c)
+    assert bad.residuals["dstar_omega"] == fo.residuals["dstar_omega"]
+    assert bad.residuals["jacobi_F"] > 1e-2
+
+
 def test_affine_fiber_over_kernel(diag_ctx):
     # two independent first-order solutions differ by a kernel section;
     # their tangent fields differ by its pointwise p-part

@@ -1,8 +1,14 @@
+import dataclasses
+import warnings
+
 import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
 
 from equivarlab import harmonicflow as hf
 from equivarlab import meshcover as mc
 from equivarlab import repvar as rv
+from equivarlab.liealg import MatrixGroup
 from equivarlab.symspace import act, dist, exp_point, geodesic
 
 
@@ -156,3 +162,138 @@ def test_map_json_roundtrip(sl2c, torus66):
     import json
     payload = json.loads(json.dumps(report.to_dict()))
     assert payload["converged"] is True
+
+
+# ----------------------------------------------------------------------
+# Newton solver: exact Hessian, agreement with the explicit flow, fallback
+
+def _hessian_rep(group, mesh):
+    kind = mesh.meta["kind"]
+    if group.kind == "gl1c":
+        # abelian, so any images satisfy the relators
+        z = [0.5 + 1.0j, -0.3 + 0.2j, 0.2 - 0.4j, -0.1 + 0.6j]
+        return rv.Representation.for_mesh(group, mesh, {
+            g: np.array([[np.exp(z[i])]]) for i, g in enumerate(mesh.generators)})
+    if kind == "circle":
+        M = np.array([[2.0, 1.0], [0.0, 0.5]]) if group.field == "R" \
+            else np.array([[1.5 + 0.5j, 1.0], [0.0, 1.0 / (1.5 + 0.5j)]])
+        return rv.circle_rep(group, mesh, M)
+    if kind == "torus":
+        if group.field == "R":
+            return rv.torus_diag_rep(group, mesh, 0.4, -0.2)
+        return rv.torus_diag_rep(group, mesh, 0.4 + 0.3j, -0.2 + 0.5j)
+    return rv.genus2_fuchsian_rep(group, mesh)
+
+
+HESSIAN_MESHES = {"circle": mc.build_circle(6), "torus": mc.build_torus(4, 4),
+                  "genus2": mc.build_genus2(1)}
+
+
+@pytest.mark.parametrize("mesh_name", sorted(HESSIAN_MESHES))
+@pytest.mark.parametrize("group_key", [("sl", 2, "R"), ("sl", 2, "C"),
+                                       ("gl1c", 1, "C")])
+@settings(max_examples=8, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), scale=st.floats(0.05, 0.6))
+def test_hessian_is_second_difference(mesh_name, group_key, seed, scale):
+    # x^T H x is the central second difference of the energy along exp_point;
+    # h = 1e-3, because the genus-2 transports leave about 1e-13 of rounding
+    # in each energy value, which at h = 1e-4 reaches 5e-5 of x^T H x
+    mesh = HESSIAN_MESHES[mesh_name]
+    rep = _hessian_rep(MatrixGroup(*group_key), mesh)
+    kern = hf.FlowKernel(mesh, rep)
+    rng = np.random.default_rng(seed)
+    pts = hf.random_map(mesh, rep, rng, scale).points
+    H = kern.hessian(pts)
+    x = rng.standard_normal(H.shape[0])
+    X = kern.tangent_field(pts, x)
+    h = 1e-3
+    E = [kern.energy(exp_point(pts, s * X)) for s in (-h, 0.0, h)]
+    fd = (E[0] - 2.0 * E[1] + E[2]) / h ** 2
+    quad = x @ (H @ x)
+    assert abs(quad - fd) <= 1e-5 * abs(quad)
+    Hd = H.toarray()
+    assert np.abs(Hd - Hd.T).max() <= 1e-12 * np.abs(Hd).max()
+    assert np.linalg.eigvalsh(Hd).min() >= -1e-10 * np.abs(Hd).max()
+
+
+def _agreement(mesh, rep, f0):
+    f, rpt = hf.flow(rep, f0, tol=1e-10)
+    kern = hf.FlowKernel(mesh, rep)
+    pts, ref = hf._explicit_flow(kern, f0.points.copy(), tol=1e-10,
+                                 max_iter=20000, drift_radius=50.0,
+                                 history_stride=25)
+    assert rpt.solver == "newton" and ref.solver == "explicit"
+    assert rpt.converged and ref.converged
+    assert rpt.iterations - 1 <= 8
+    assert abs(rpt.energy - ref.energy) <= 1e-12 * abs(ref.energy)
+    g = hf.EquivariantMap(mesh, rep, pts)
+    assert hf.map_distance(hf.normalize_basepoint(f),
+                           hf.normalize_basepoint(g)) < 1e-6
+
+
+def test_newton_matches_explicit_hyperbolic_circle(sl2r, circle8):
+    rep = rv.hyperbolic_circle_rep(sl2r, circle8, 2.0)
+    _agreement(circle8, rep, hf.random_map(circle8, rep, np.random.default_rng(2), 0.4))
+
+
+def test_newton_matches_explicit_torus_random(sl2c, torus66):
+    rep = rv.torus_diag_rep(sl2c, torus66, 0.4 + 0.3j, -0.2 + 0.5j)
+    _agreement(torus66, rep, hf.random_map(torus66, rep, np.random.default_rng(4), 0.4))
+
+
+def test_newton_matches_explicit_genus2(sl2r, genus2):
+    rep = rv.genus2_fuchsian_rep(sl2r, genus2)
+    _agreement(genus2, rep, hf.constant_map(genus2, rep))
+
+
+def _explicit_run(rep, f0, **kw):
+    args = dict(tol=1e-8, max_iter=20000, drift_radius=50.0, history_stride=25)
+    args.update(kw)
+    return hf._explicit_flow(hf.FlowKernel(f0.mesh, rep), f0.points.copy(), **args)
+
+
+def test_parabolic_takes_explicit_path(sl2r):
+    circle = mc.build_circle(4)
+    rep = rv.parabolic_circle_rep(sl2r, circle)
+    f0 = hf.constant_map(circle, rep)
+    f, rpt = hf.flow(rep, f0, max_iter=2000)
+    pts, ref = _explicit_run(rep, f0, max_iter=2000)
+    assert rpt.solver == "explicit"
+    assert dataclasses.asdict(rpt) == dataclasses.asdict(ref)
+    assert np.array_equal(f.points, pts)
+    assert "solver" not in rpt.to_dict()
+
+
+def test_singular_newton_factor_falls_back(sl2r, circle8, monkeypatch):
+    rep = rv.hyperbolic_circle_rep(sl2r, circle8, 2.0)
+    f0 = hf.constant_map(circle8, rep)
+
+    def singular(A):
+        raise RuntimeError("Factor is exactly singular")
+    monkeypatch.setattr(hf.spla, "splu", singular)
+    f, rpt = hf.flow(rep, f0)
+    pts, ref = _explicit_run(rep, f0)
+    assert rpt.solver == "explicit" and rpt.converged
+    assert dataclasses.asdict(rpt) == dataclasses.asdict(ref)
+
+
+def test_non_finite_start_raises(sl2c, torus66):
+    rep = rv.torus_diag_rep(sl2c, torus66, 0.4 + 0.3j, -0.2 + 0.5j)
+    f0 = hf.constant_map(torus66, rep)
+    f0.points[3, 0, 1] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        hf.flow(rep, f0)
+
+
+def test_oversize_step_is_a_silent_rejection(sl2c, torus66):
+    # an overflowing retraction comes back non-finite without a warning and
+    # evaluates as a rejected candidate
+    rep = rv.torus_diag_rep(sl2c, torus66, 0.4 + 0.3j, -0.2 + 0.5j)
+    kern = hf.FlowKernel(torus66, rep)
+    pts = hf.random_map(torus66, rep, np.random.default_rng(6), 0.4).points
+    _, tau = kern.energy_and_tension(pts)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cand = kern.retract(pts, tau, 1e6)
+        assert not np.isfinite(cand).all()
+        assert kern.evaluate(cand) == (np.inf, None)

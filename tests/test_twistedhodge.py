@@ -4,7 +4,9 @@ import pytest
 from equivarlab import harmonicflow as hf
 from equivarlab import meshcover as mc
 from equivarlab import repvar as rv
-from equivarlab.twistedhodge import (PeriodMismatchError, TwistedCochain,
+from equivarlab import twistedhodge as th
+from equivarlab.twistedhodge import (IterationLimitError, PeriodMismatchError,
+                                     SingularKKTError, TwistedCochain,
                                      TwistedComplex)
 from conftest import random_cochain
 
@@ -221,6 +223,28 @@ def test_hodge_decomposition(diag_ctx, fuchsian_ctx, unitary_ctx):
         assert abs(ctx.inner(coex, harm, 1)) < 1e-8
         assert ctx.norm(ctx.d(harm), 2) < 1e-7
         assert ctx.norm(ctx.codiff(harm), 0) < 1e-7
+
+
+def test_singular_kkt_names_kernel_dim(sl2r):
+    # a cutoff that admits no centralizer leaves the trivial rep's constant
+    # sections in the KKT matrix, whose factorization then fails
+    circle = mc.build_circle(4)
+    rep = rv.trivial_rep(sl2r, circle)
+    ctx = TwistedComplex(circle, rep, hf.constant_map(circle, rep),
+                         kernel_rtol=-1.0)
+    with pytest.raises(SingularKKTError, match="kernel_dim 0") as info:
+        ctx.solve_deflated(np.zeros(circle.nv * ctx.dim))
+    assert (info.value.kernel_dim, info.value.kernel_rtol) == (0, -1.0)
+
+
+def test_hodge_lsmr_iteration_limit_raises(diag_ctx, monkeypatch):
+    lsmr = th.spla.lsmr
+    monkeypatch.setattr(th.spla, "lsmr",
+                        lambda *a, **kw: lsmr(*a, **dict(kw, maxiter=3)))
+    alpha = random_cochain(diag_ctx, 1, np.random.default_rng(7))
+    with pytest.raises(IterationLimitError) as info:
+        diag_ctx.hodge_decompose(alpha)
+    assert (info.value.istop, info.value.iterations) == (7, 3)
 
 
 def test_bracket_wedge_abelian_and_cartan(gl1c_ctx, diag_ctx):
