@@ -15,9 +15,8 @@ from .harmonicflow import (EquivariantMap, FlowReport, constant_map, energy,
                            energy_of_rep, flow, map_distance,
                            normalize_basepoint, random_map, tension,
                            tension_norm)
-from .twistedhodge import (IterationLimitError, LinearSolverError,
-                           PeriodMismatchError, SingularKKTError,
-                           TwistedCochain, TwistedComplex)
+from .twistedhodge import (LinearSolverError, PeriodMismatchError,
+                           SingularKKTError, TwistedCochain, TwistedComplex)
 from .deform import (FirstOrderDeformation, ObstructedDeformationError,
                      ObstructionReport, PsiSolution, SecondOrderDeformation,
                      companion_pair, first_order, obstruction_check,

@@ -5,8 +5,8 @@ handled as a real vector space with a fixed basis that is orthonormal for
 the base-point trace form <X,Y> = Re tr(X Y^†).  All pointwise Cartan data
 (adjoints, k/p projections, fiber metrics) is taken at a symmetric-space
 point P, i.e. a positive definite matrix, via  X* = P X^† P^{-1}; the
-adjoint, the Cartan split and the Gram matrix broadcast over stacks of
-points and values.
+adjoint, the Cartan split, the Gram matrix and the Ad coordinate matrix
+broadcast over stacks of points, values and group elements.
 """
 
 from __future__ import annotations
@@ -208,11 +208,12 @@ def gram_at(group, P):
 
 
 def ad_matrix(group, g):
-    """Real coordinate matrix of X -> g X g^{-1}."""
+    """Real coordinate matrix of X -> g X g^{-1}; a stack of group elements
+    gives a stack of matrices."""
     g = np.asarray(g, dtype=complex)
     ginv = np.linalg.inv(g)
-    conj = np.einsum("ab,kbc,cd->kad", g, group.basis, ginv)
-    return group.to_coords(conj).T.copy()
+    conj = np.einsum("...ab,kbc,...cd->...kad", g, group.basis, ginv)
+    return np.swapaxes(group.to_coords(conj), -1, -2).copy()
 
 
 # ----------------------------------------------------------------------

@@ -10,8 +10,19 @@ representation.  The coboundary on sections is
 on 1-cochains the signed, word-transported sum over the face boundary walk.
 Codifferentials are Gram adjoints (G0^{-1} d0^T G1 on real coordinates), and
 the Jacobi operator is J = d* d on sections; its kernel is the centralizer
-algebra h = H^0 of the adjoint system, computed algebraically and used to
-deflate the linear solves.
+algebra h = H^0 of the adjoint system, computed algebraically.
+
+Both Hodge Laplacians, A0 = d0^T G1 d0 on sections and A2 = d1 G1^{-1} d1^T
+on 2-cochains (the normal equations of the coexact part of the Hodge
+decomposition), are solved by one sparse LU factor of the Laplacian bordered
+by a basis of its kernel.  The kernel of A0 is h; that of A2 is ker d1^T =
+H^2, which Poincare duality under the Killing form Re tr(XY) gives on a
+closed oriented surface as the Killing duals of the parallel sections at the
+face base points.  A factor whose smallest pivot is below 1e-10 of the
+largest is reported as singular.  Transports come from one table built once:
+each distinct deck word is evaluated once, and the face boundary walks are
+stacked as edge ids, signs, rho(prefix word) and its inverse, padded with
+sign-0 steps.
 """
 
 from __future__ import annotations
@@ -38,8 +49,8 @@ class PeriodMismatchError(ValueError):
 
 
 class LinearSolverError(RuntimeError):
-    """A factorization or an iterative solve of the twisted calculus failed;
-    the subclasses carry the solver status."""
+    """A factorization of the twisted calculus failed; the subclasses carry
+    the solver status."""
 
 
 class SingularKKTError(LinearSolverError):
@@ -51,17 +62,6 @@ class SingularKKTError(LinearSolverError):
                          f"(kernel_rtol {kernel_rtol:.1e})")
         self.kernel_dim = kernel_dim
         self.kernel_rtol = kernel_rtol
-
-
-class IterationLimitError(LinearSolverError):
-    """An iterative solve stopped at its iteration limit."""
-
-    def __init__(self, solver, istop, iterations):
-        super().__init__(f"{solver} hit its iteration limit after {iterations} "
-                         f"iterations (istop {istop})")
-        self.solver = solver
-        self.istop = istop
-        self.iterations = iterations
 
 
 @dataclass
@@ -97,6 +97,23 @@ def _vals(x):
     return x.values if isinstance(x, TwistedCochain) else np.asarray(x)
 
 
+def _block_sparse(row, col, blocks, shape):
+    """CSR matrix of shape (shape[0] D, shape[1] D) holding the stacked D x D
+    blocks at the block positions (row[i], col[i]); entries enter in stack
+    order, so repeated positions are summed in that order."""
+    D = blocks.shape[-1]
+    r = np.broadcast_to(row[:, None, None] * D + np.arange(D)[:, None], blocks.shape)
+    c = np.broadcast_to(col[:, None, None] * D + np.arange(D), blocks.shape)
+    return sp.csr_matrix((blocks.ravel(), (r.ravel(), c.ravel())),
+                         shape=(shape[0] * D, shape[1] * D))
+
+
+def _block_diag(blocks):
+    """CSR matrix with the stacked square blocks on its diagonal."""
+    idx = np.arange(len(blocks))
+    return _block_sparse(idx, idx, blocks, (len(blocks), len(blocks)))
+
+
 # ----------------------------------------------------------------------
 
 class TwistedComplex:
@@ -116,44 +133,12 @@ class TwistedComplex:
         self.kern = FlowKernel(mesh, rep)
         # metric at the edge sources, where 1-cochain values live
         self.edge_points = self.points[self.kern.src]
-        self._word_cache = {}
         self.edge_words = [e.label for e in mesh.edges]
-        self.edge_T = np.stack([self._admat(w) for w in self.edge_words])
-
-        # face boundary walks with prefix transport words
-        self.face_steps = []
-        for face in mesh.faces:
-            steps = []
-            word = ()
-            for eid, sign in face.steps:
-                lab = mesh.edges[eid].label
-                if sign > 0:
-                    h = word
-                    word = reduce_word(word + lab)
-                else:
-                    word = reduce_word(word + invert_word(lab))
-                    h = word
-                steps.append((eid, sign, h))
-            self.face_steps.append(tuple(steps))
-
+        gen_T = self._assemble_d()
         self._assemble_grams()
-        self._assemble_d()
         self.A0 = (self.d0.T @ self.G1 @ self.d0).tocsc()
-        self.kernel = self._kernel_fields(kernel_rtol)
-        self._kkt_lu = None
-
-    # -- words ----------------------------------------------------------
-    def _rho(self, word):
-        key = ("g", word)
-        if key not in self._word_cache:
-            self._word_cache[key] = self.rep.eval_word(word)
-        return self._word_cache[key]
-
-    def _admat(self, word):
-        key = ("A", word)
-        if key not in self._word_cache:
-            self._word_cache[key] = ad_matrix(self.group, self._rho(word))
-        return self._word_cache[key]
+        self.kernel = self._kernel_fields(gen_T, kernel_rtol)
+        self._kkt_lu = {}
 
     # -- coordinates ----------------------------------------------------
     def to_flat(self, values):
@@ -164,65 +149,73 @@ class TwistedComplex:
 
     # -- metric ---------------------------------------------------------
     def _assemble_grams(self):
-        mesh = self.mesh
         gram_v = gram_at(self.group, self.points)
         self.gram_vertex = gram_v
-        w0 = np.asarray(mesh.vertex_weights)
-        self.G0 = sp.block_diag([w0[v] * gram_v[v] for v in range(mesh.nv)],
-                                format="csr")
-        self.G0inv = sp.block_diag(
-            [np.linalg.inv(w0[v] * gram_v[v]) for v in range(mesh.nv)],
-            format="csr")
-        self.G1 = sp.block_diag(
-            [e.weight * gram_v[e.src] for e in mesh.edges], format="csr")
-        self.G1inv = sp.block_diag(
-            [np.linalg.inv(e.weight * gram_v[e.src]) for e in mesh.edges],
-            format="csr")
-        if mesh.nf:
-            bases = [self.mesh.edges[f.steps[0][0]].src if f.steps[0][1] > 0
-                     else self.mesh.edges[f.steps[0][0]].dst
-                     for f in mesh.faces]
-            self.face_base = bases
-            self.G2 = sp.block_diag(
-                [f.weight * gram_v[b] for f, b in zip(mesh.faces, bases)],
-                format="csr")
-        else:
-            self.face_base = []
-            self.G2 = sp.csr_matrix((0, 0))
+        g0 = np.asarray(self.mesh.vertex_weights)[:, None, None] * gram_v
+        g1 = self.kern.w1[:, None, None] * gram_v[self.kern.src]
+        w2 = np.array([f.weight for f in self.mesh.faces])
+        self.G0 = _block_diag(g0)
+        self.G0inv = _block_diag(np.linalg.inv(g0))
+        self.G1 = _block_diag(g1)
+        self.G1inv = _block_diag(np.linalg.inv(g1))
+        self.G2 = _block_diag(w2.reshape(-1, 1, 1) * gram_v[self.face_base])
 
-    # -- differentials --------------------------------------------------
+    # -- transports and differentials ---------------------------------------
     def _assemble_d(self):
+        """Build the transport table and d0, d1 from it; returns the Ad
+        matrices of the generators."""
         mesh, D = self.mesh, self.dim
-        ii, jj = np.meshgrid(np.arange(D), np.arange(D), indexing="ij")
+        words = {}      # each distinct word is evaluated once
 
-        def add_block(store, r, c, B):
-            store[0].extend((r * D + ii).ravel())
-            store[1].extend((c * D + jj).ravel())
-            store[2].extend(np.asarray(B).ravel())
+        def word_id(w):
+            return words.setdefault(w, len(words))
 
-        store0 = ([], [], [])
-        for i, e in enumerate(mesh.edges):
-            add_block(store0, i, e.dst, self.edge_T[i])
-            add_block(store0, i, e.src, -np.eye(D))
-        self.d0 = sp.csr_matrix((store0[2], (store0[0], store0[1])),
-                                shape=(mesh.ne * D, mesh.nv * D))
+        edge_ids = [word_id(w) for w in self.edge_words]
+        gen_ids = [word_id((g,)) for g in mesh.generators]
+        L = max((len(f.steps) for f in mesh.faces), default=0)
+        self.face_eid = np.zeros((mesh.nf, L), dtype=int)
+        self.face_sign = np.zeros((mesh.nf, L), dtype=int)
+        self.face_base = np.zeros(mesh.nf, dtype=int)
+        face_ids = np.zeros((mesh.nf, L), dtype=int)
+        for fi, face in enumerate(mesh.faces):
+            e0, s0 = face.steps[0]
+            self.face_base[fi] = mesh.edges[e0].src if s0 > 0 else mesh.edges[e0].dst
+            word = ()
+            for j, (eid, sign) in enumerate(face.steps):
+                lab = mesh.edges[eid].label
+                if sign > 0:
+                    h, word = word, reduce_word(word + lab)
+                else:
+                    word = h = reduce_word(word + invert_word(lab))
+                self.face_eid[fi, j], self.face_sign[fi, j] = eid, sign
+                face_ids[fi, j] = word_id(h)
+        rho = np.stack([self.rep.eval_word(w) for w in words])
+        Ad = ad_matrix(self.group, rho)
+        self.face_g = rho[face_ids]
+        self.face_ginv = np.linalg.inv(rho)[face_ids]
+        self.edge_T = Ad[edge_ids]
 
-        store1 = ([], [], [])
-        for fi, steps in enumerate(self.face_steps):
-            for eid, sign, h in steps:
-                add_block(store1, fi, eid, sign * self._admat(h))
-        self.d1 = sp.csr_matrix((store1[2], (store1[0], store1[1])),
-                                shape=(mesh.nf * D, mesh.ne * D))
+        T = self.edge_T
+        self.d0 = _block_sparse(
+            np.repeat(np.arange(mesh.ne), 2),
+            np.stack([self.kern.dst, self.kern.src], axis=1).ravel(),
+            np.stack([T, np.broadcast_to(-np.eye(D), T.shape)], axis=1).reshape(-1, D, D),
+            (mesh.ne, mesh.nv))
+        step = self.face_sign != 0
+        self.d1 = _block_sparse(
+            np.nonzero(step)[0], self.face_eid[step],
+            self.face_sign[step][:, None, None] * Ad[face_ids[step]],
+            (mesh.nf, mesh.ne))
+        return Ad[gen_ids]
 
     # -- kernel h = H^0 ---------------------------------------------------
-    def _kernel_fields(self, rtol):
+    def _kernel_fields(self, gens, rtol):
         """G0-orthonormal basis of parallel sections (the centralizer algebra),
-        built from Ad-fixed vectors at the base vertex and parallel transport
-        along a spanning tree."""
+        built from Ad-fixed vectors at the base vertex (gens: the Ad matrices
+        of the generators) and parallel transport along a spanning tree."""
         D = self.dim
-        gens = [self._admat((g,)) for g in self.mesh.generators]
-        if gens:
-            stack = np.vstack([A - np.eye(D) for A in gens])
+        if len(gens):
+            stack = np.vstack(gens - np.eye(D))
             u, s, vt = np.linalg.svd(stack)
             # transports are O(1), so anchor the cutoff at absolute scale 1
             smax = max(s[0], 1.0) if len(s) else 1.0
@@ -310,10 +303,8 @@ class TwistedComplex:
 
     def jacobi_dense_sym(self):
         """G0-symmetrized dense Jacobi operator (similar to J), for spectra."""
-        inv_blocks = [np.linalg.inv(np.linalg.cholesky(
-            self.mesh.vertex_weights[v] * self.gram_vertex[v]))
-            for v in range(self.mesh.nv)]
-        Linv = sp.block_diag(inv_blocks, format="csr")
+        g0 = np.asarray(self.mesh.vertex_weights)[:, None, None] * self.gram_vertex
+        Linv = _block_diag(np.linalg.inv(np.linalg.cholesky(g0)))
         S = (Linv @ (self.A0 @ Linv.T)).toarray()
         return 0.5 * (S + S.T)
 
@@ -326,29 +317,54 @@ class TwistedComplex:
         return float(np.sqrt(max(self.inner(a, a, degree), 0.0)))
 
     # -- solves -------------------------------------------------------------
-    def _kkt(self):
-        if self._kkt_lu is None:
-            K = self.kernel
+    def _laplacian(self, degree):
+        """Hodge Laplacian of degree 0 or 2 on coordinates, with the basis of
+        its kernel that borders it in the KKT matrix."""
+        if degree == 0:
+            return self.A0, self.kernel
+        A2 = (self.d1 @ self.G1inv @ self.d1.T).tocsc()
+        # Killing duals Re tr(K B_j) of the parallel sections at the face bases
+        basis = self.group.basis
+        killing = np.real(np.einsum("jab,kba->jk", basis, basis))
+        K = self.kernel.reshape(self.mesh.nv, self.dim, -1)[self.face_base]
+        Q = np.linalg.svd((killing @ K).reshape(A2.shape[0], -1), full_matrices=False)[0]
+        # all of them lie in ker d1^T on a closed oriented surface, none when
+        # the faces leave a boundary
+        _, s, vt = np.linalg.svd(self.d1.T @ Q, full_matrices=False)
+        return A2, Q @ vt[s <= 1e-8].T
+
+    def _kkt(self, degree):
+        """Sparse LU factor of the kernel-bordered Laplacian of a degree."""
+        if degree not in self._kkt_lu:
+            A, K = self._laplacian(degree)
             if K.shape[1]:
                 Z = sp.csr_matrix((K.shape[1], K.shape[1]))
-                M = sp.bmat([[self.A0, sp.csr_matrix(K)],
+                M = sp.bmat([[A, sp.csr_matrix(K)],
                              [sp.csr_matrix(K.T), Z]], format="csc")
             else:
-                M = self.A0
+                M = A
             try:
-                self._kkt_lu = spla.splu(M)
+                # a factor that hands out U keeps a copy of it for its
+                # lifetime, so the pivots are read from a throwaway factor
+                pivots = np.abs(spla.splu(M).U.diagonal())
+                lu = spla.splu(M)
             except RuntimeError as exc:     # exactly singular factor
                 raise SingularKKTError(self.kernel_dim, self.kernel_rtol) from exc
-        return self._kkt_lu
+            if pivots.min() <= 1e-10 * pivots.max():    # numerically singular
+                raise SingularKKTError(self.kernel_dim, self.kernel_rtol)
+            self._kkt_lu[degree] = lu
+        return self._kkt_lu[degree]
+
+    def _solve_kkt(self, degree, rhs):
+        """Solve A x = rhs for the Laplacian A of a degree, with x orthogonal
+        to the bordering kernel basis."""
+        lu = self._kkt(degree)
+        k = lu.shape[0] - len(rhs)      # rows of the bordering kernel basis
+        return lu.solve(np.concatenate([rhs, np.zeros(k)]))[:len(rhs)]
 
     def solve_deflated(self, rhs_flat):
-        """Solve A0 x = rhs with x G0-orthogonal to the kernel fields."""
-        lu = self._kkt()
-        k = self.kernel.shape[1]
-        if k:
-            sol = lu.solve(np.concatenate([rhs_flat, np.zeros(k)]))
-            return sol[:-k]
-        return lu.solve(rhs_flat)
+        """Solve A0 x = rhs with K^T x = 0 for the kernel fields K."""
+        return self._solve_kkt(0, rhs_flat)
 
     def solve_jacobi(self, rhs):
         """Least-squares solve J xi = rhs (rhs a 0-cochain), kernel-deflated."""
@@ -395,15 +411,6 @@ class TwistedComplex:
         return TwistedCochain(0, self.from_flat(x, self.mesh.nv)), defect
 
     # -- Hodge decomposition -------------------------------------------------
-    def _g1_sqrt(self):
-        if not hasattr(self, "_g1_sqrt_cache"):
-            blocks = []
-            for e in self.mesh.edges:
-                w, U = np.linalg.eigh(e.weight * self.gram_vertex[e.src])
-                blocks.append((U * np.sqrt(np.maximum(w, 1e-300))) @ U.T)
-            self._g1_sqrt_cache = sp.block_diag(blocks, format="csr")
-        return self._g1_sqrt_cache
-
     def hodge_decompose(self, alpha):
         """alpha = d xi + d* Phi + harmonic, mutually Gram-orthogonal."""
         a = self.to_flat(_vals(alpha))
@@ -411,14 +418,9 @@ class TwistedComplex:
         exact = self.d0 @ xi
         rem = a - exact
         if self.mesh.nf:
-            # minimize || G1^{-1} d1^T Psi - rem ||_{G1}
-            sq1 = self._g1_sqrt()
-            M = (sq1 @ (self.G1inv @ self.d1.T)).tocsr()
-            sol, istop, itn = spla.lsmr(M, sq1 @ rem, atol=1e-14, btol=1e-14,
-                                        maxiter=20000)[:3]
-            if istop == 7:
-                raise IterationLimitError("lsmr", istop, itn)
-            coexact = self.G1inv @ (self.d1.T @ sol)
+            # Psi minimizes || G1^{-1} d1^T Psi - rem ||_{G1}: A2 Psi = d1 rem
+            Psi = self._solve_kkt(2, self.d1 @ rem)
+            coexact = self.G1inv @ (self.d1.T @ Psi)
         else:
             coexact = np.zeros_like(rem)
         harm = rem - coexact
@@ -431,24 +433,17 @@ class TwistedComplex:
         """Ordered cup product [a, b] on faces: sum_{j<i} [a_j~, b_i~] of the
         transported boundary values; satisfies d psi0 = -[omega,omega] exactly
         for the jet-seeded psi0."""
-        av = _vals(a)
-        bv = _vals(b)
-        out = np.zeros((self.mesh.nf, self.n, self.n), dtype=complex)
-        for fi, steps in enumerate(self.face_steps):
-            ta, tb = [], []
-            for eid, sign, h in steps:
-                g = self._rho(h)
-                ginv = np.linalg.inv(g)
-                ta.append(sign * (g @ av[eid] @ ginv))
-                tb.append(sign * (g @ bv[eid] @ ginv))
-            acc = np.zeros((self.n, self.n), dtype=complex)
-            run = np.zeros((self.n, self.n), dtype=complex)
-            for j in range(len(steps)):
-                if j:
-                    acc += run @ tb[j] - tb[j] @ run
-                run = run + ta[j]
-            out[fi] = acc
-        return TwistedCochain(2, out)
+        g, ginv, eid = self.face_g, self.face_ginv, self.face_eid
+        sign = self.face_sign[..., None, None]
+        ta = sign * (g @ _vals(a)[eid] @ ginv)
+        tb = sign * (g @ _vals(b)[eid] @ ginv)
+        acc = np.zeros((self.mesh.nf, self.n, self.n), dtype=complex)
+        run = np.zeros_like(acc)
+        for j in range(eid.shape[1]):
+            if j:
+                acc += run @ tb[:, j] - tb[:, j] @ run
+            run = run + ta[:, j]
+        return TwistedCochain(2, acc)
 
     def contract_star(self, a, b):
         """Contraction a* -| b: per vertex (1/w0) sum over out-edges of

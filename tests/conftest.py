@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from equivarlab.liealg import MatrixGroup
 from equivarlab import meshcover as mc
@@ -99,3 +101,15 @@ def random_cochain(ctx, degree, rng, scale=1.0):
     ncells = (ctx.mesh.nv, ctx.mesh.ne, ctx.mesh.nf)[degree]
     vals = np.stack([ctx.group.random_alg(rng, scale) for _ in range(ncells)])
     return TwistedCochain(degree, vals)
+
+
+def lsmr_g1(ctx, M, rhs):
+    """Least-squares oracle: x minimizing |M x - rhs|_{G1}, by lsmr on the
+    system scaled by G1^{1/2}, built blockwise from a stacked eigh."""
+    w, U = np.linalg.eigh(ctx.kern.w1[:, None, None] * ctx.gram_vertex[ctx.kern.src])
+    sq1 = sp.block_diag(list((U * np.sqrt(w)[:, None, :]) @ np.swapaxes(U, -1, -2)),
+                        format="csr")
+    x, istop = spla.lsmr(sq1 @ M, sq1 @ rhs, atol=1e-14, btol=1e-14,
+                         maxiter=20000)[:2]
+    assert istop != 7, "lsmr hit its iteration limit"
+    return x

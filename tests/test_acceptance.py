@@ -15,7 +15,7 @@ from equivarlab import repvar as rv
 from equivarlab.symspace import act, dist, translation_length
 from equivarlab.twistedhodge import TwistedCochain, TwistedComplex
 
-from conftest import random_cochain, converged
+from conftest import converged, lsmr_g1, random_cochain
 from test_symspace import golden_section_translation_length
 from test_twistedhodge import diag_cocycle, offdiag_cocycle
 
@@ -105,7 +105,6 @@ def test_criterion_03_hodge_suite(diag_ctx, unitary_ctx, trivial_ctx,
 
 def test_criterion_04_first_order_pipeline(diag_ctx, gl1c_ctx, fuchsian_ctx,
                                            unitary_ctx, trivialC_ctx):
-    import scipy.sparse.linalg as spla
     cases = [
         ("diag", diag_ctx, diag_cocycle(diag_ctx.rep)),
         ("diag offdiag", diag_ctx, offdiag_cocycle(diag_ctx.rep)),
@@ -128,8 +127,7 @@ def test_criterion_04_first_order_pipeline(diag_ctx, gl1c_ctx, fuchsian_ctx,
     c = diag_cocycle(ctx.rep)
     fo = df.first_order(ctx, c)
     target = ctx.to_flat(fo.omega.values) - ctx.to_flat(ctx.seed_cochain(c).values)
-    sq1 = ctx._g1_sqrt()
-    x2 = spla.lsmr(sq1 @ ctx.d0, sq1 @ target, atol=1e-14, btol=1e-14)[0]
+    x2 = lsmr_g1(ctx, ctx.d0, target)
     diff = ctx.to_flat(fo.F.values) - x2
     outside = diff - ctx.kernel_project_flat(diff)
     assert np.sqrt(max(outside @ (ctx.G0 @ outside), 0.0)) < 1e-8

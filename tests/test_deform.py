@@ -7,6 +7,7 @@ from equivarlab import repvar as rv
 from equivarlab.liealg import bracket, cartan_project
 from equivarlab.symspace import act
 from equivarlab.twistedhodge import TwistedCochain, TwistedComplex
+from conftest import lsmr_g1
 from test_twistedhodge import diag_cocycle, offdiag_cocycle
 
 E2 = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
@@ -86,13 +87,11 @@ def test_jacobi_F_checks_the_primitive(diag_ctx, monkeypatch):
 def test_affine_fiber_over_kernel(diag_ctx):
     # two independent first-order solutions differ by a kernel section;
     # their tangent fields differ by its pointwise p-part
-    import scipy.sparse.linalg as spla
     ctx = diag_ctx
     c = diag_cocycle(ctx.rep)
     fo = df.first_order(ctx, c)
     target = ctx.to_flat(fo.omega.values) - ctx.to_flat(ctx.seed_cochain(c).values)
-    sq1 = ctx._g1_sqrt()
-    x2 = spla.lsmr(sq1 @ ctx.d0, sq1 @ target, atol=1e-14, btol=1e-14)[0]
+    x2 = lsmr_g1(ctx, ctx.d0, target)
     F2 = TwistedCochain(0, ctx.from_flat(x2, ctx.mesh.nv))
     diff = ctx.to_flat(fo.F.values - F2.values)
     in_kernel = ctx.kernel_project_flat(diff)

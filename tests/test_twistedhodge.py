@@ -1,14 +1,15 @@
+import json
+
 import numpy as np
 import pytest
 
 from equivarlab import harmonicflow as hf
 from equivarlab import meshcover as mc
 from equivarlab import repvar as rv
-from equivarlab import twistedhodge as th
-from equivarlab.twistedhodge import (IterationLimitError, PeriodMismatchError,
-                                     SingularKKTError, TwistedCochain,
-                                     TwistedComplex)
-from conftest import random_cochain
+from equivarlab.liealg import ad_matrix
+from equivarlab.twistedhodge import (PeriodMismatchError, SingularKKTError,
+                                     TwistedCochain, TwistedComplex)
+from conftest import ALPHA, BETA, lsmr_g1, random_cochain
 
 
 def diag_cocycle(rep, a=(1.0, 0.0), b=(0.0, 0.5)):
@@ -182,15 +183,13 @@ def test_primitive_circle_linear_jump(sl2r, circle8):
 
 
 def test_primitive_affine_freedom_and_kernel_difference(diag_ctx):
-    import scipy.sparse.linalg as spla
     ctx = diag_ctx
     c = diag_cocycle(ctx.rep)
     om, _ = ctx.harmonic_rep(c)
     F1, _ = ctx.primitive(om, c)
     # independent least-squares route (plain lsmr on the same system)
     target = ctx.to_flat(om.values) - ctx.to_flat(ctx.seed_cochain(c).values)
-    sq1 = ctx._g1_sqrt()
-    x2 = spla.lsmr(sq1 @ ctx.d0, sq1 @ target, atol=1e-14, btol=1e-14)[0]
+    x2 = lsmr_g1(ctx, ctx.d0, target)
     F2 = ctx.from_flat(x2, ctx.mesh.nv)
     diff = ctx.to_flat(F1.values - F2)
     resid = diff - ctx.kernel_project_flat(diff)
@@ -211,9 +210,16 @@ def test_primitive_period_mismatch_raises(diag_ctx):
         ctx.primitive(om, c2)
 
 
-def test_hodge_decomposition(diag_ctx, fuchsian_ctx, unitary_ctx):
+def test_hodge_decomposition(diag_ctx, fuchsian_ctx, unitary_ctx, sl2r, torus66):
+    # a torus with one face removed has a boundary, so ker d1^T is 0 there
+    # while the trivial rep still has a 3-dimensional centralizer
+    open_torus = mc.CoverMesh(torus66.generators, torus66.relations,
+                              torus66.vertex_weights, torus66.edges,
+                              torus66.faces[1:])
+    rep = rv.trivial_rep(sl2r, open_torus)
+    open_ctx = TwistedComplex(open_torus, rep, hf.constant_map(open_torus, rep))
     rng = np.random.default_rng(5)
-    for ctx in (diag_ctx, fuchsian_ctx, unitary_ctx):
+    for ctx in (diag_ctx, fuchsian_ctx, unitary_ctx, open_ctx):
         alpha = random_cochain(ctx, 1, rng)
         ex, coex, harm = ctx.hodge_decompose(alpha)
         recon = ex.values + coex.values + harm.values - alpha.values
@@ -223,28 +229,118 @@ def test_hodge_decomposition(diag_ctx, fuchsian_ctx, unitary_ctx):
         assert abs(ctx.inner(coex, harm, 1)) < 1e-8
         assert ctx.norm(ctx.d(harm), 2) < 1e-7
         assert ctx.norm(ctx.codiff(harm), 0) < 1e-7
+        # the coexact part against the least-squares oracle
+        M = ctx.G1inv @ ctx.d1.T
+        rem = ctx.to_flat(alpha.values - ex.values)
+        diff = ctx.to_flat(coex.values) - M @ lsmr_g1(ctx, M, rem)
+        assert np.sqrt(diff @ (ctx.G1 @ diff)) < 1e-9
 
 
-def test_singular_kkt_names_kernel_dim(sl2r):
+def test_degree2_kernel_is_killing_dual(diag_ctx, gl1c_ctx, unitary_ctx,
+                                        trivial_ctx, trivialC_ctx, fuchsian_ctx,
+                                        fuchsianC_ctx):
+    # Poincare duality: the Killing duals of the parallel sections at the
+    # face bases span ker d1^T, the kernel of A2 = d1 G1^{-1} d1^T
+    for ctx in (diag_ctx, gl1c_ctx, unitary_ctx, trivial_ctx, trivialC_ctx,
+                fuchsian_ctx, fuchsianC_ctx):
+        A2, K2 = ctx._laplacian(2)
+        assert np.abs(ctx.d1.T @ K2).max(initial=0.0) < 1e-12
+        assert K2.shape[1] == ctx.kernel_dim
+        assert np.abs(K2.T @ K2 - np.eye(ctx.kernel_dim)).max(initial=0.0) < 1e-12
+        if A2.shape[0] <= 800:
+            spec = np.linalg.eigvalsh(A2.toarray())
+            assert int(np.sum(spec < 1e-9 * spec.max())) == ctx.kernel_dim
+
+
+SINGULAR_MESHES = {"circle4": lambda: mc.build_circle(4),
+                   "torus5": lambda: mc.build_torus(5, 5),
+                   "torus6": lambda: mc.build_torus(6, 6),
+                   "genus2_k1": lambda: mc.build_genus2(1)}
+
+
+@pytest.mark.parametrize("solve", ["solve_deflated", "hodge_decompose"])
+@pytest.mark.parametrize("mesh_key", list(SINGULAR_MESHES))
+def test_singular_kkt_names_kernel_dim(sl2r, solve, mesh_key):
     # a cutoff that admits no centralizer leaves the trivial rep's constant
-    # sections in the KKT matrix, whose factorization then fails
-    circle = mc.build_circle(4)
-    rep = rv.trivial_rep(sl2r, circle)
-    ctx = TwistedComplex(circle, rep, hf.constant_map(circle, rep),
+    # sections in the KKT matrix: its factor is exactly singular on circle 4
+    # and singular to rounding (pivot ratio about 1e-16) on the others
+    mesh = SINGULAR_MESHES[mesh_key]()
+    rep = rv.trivial_rep(sl2r, mesh)
+    ctx = TwistedComplex(mesh, rep, hf.constant_map(mesh, rep),
                          kernel_rtol=-1.0)
+    arg = {"solve_deflated": np.zeros(mesh.nv * ctx.dim),
+           "hodge_decompose": TwistedCochain(1, np.zeros((mesh.ne, 2, 2)))}[solve]
     with pytest.raises(SingularKKTError, match="kernel_dim 0") as info:
-        ctx.solve_deflated(np.zeros(circle.nv * ctx.dim))
+        getattr(ctx, solve)(arg)
     assert (info.value.kernel_dim, info.value.kernel_rtol) == (0, -1.0)
+    if mesh.nf:
+        with pytest.raises(SingularKKTError):
+            ctx._kkt(2)
 
 
-def test_hodge_lsmr_iteration_limit_raises(diag_ctx, monkeypatch):
-    lsmr = th.spla.lsmr
-    monkeypatch.setattr(th.spla, "lsmr",
-                        lambda *a, **kw: lsmr(*a, **dict(kw, maxiter=3)))
-    alpha = random_cochain(diag_ctx, 1, np.random.default_rng(7))
-    with pytest.raises(IterationLimitError) as info:
-        diag_ctx.hodge_decompose(alpha)
-    assert (info.value.istop, info.value.iterations) == (7, 3)
+def mixed_mesh():
+    """Torus 3 x 3 read from JSON, every square but the first cut into two
+    triangles by a diagonal edge."""
+    mesh = mc.build_torus(3, 3)
+    data = json.loads(mesh.to_json())
+    faces = data["faces"][:1]
+    for f in mesh.faces[1:]:
+        (h0, _), (v1, _), (h1, _), (v0, _) = f.steps
+        a, b = mesh.edges[h0], mesh.edges[v1]
+        diag = len(data["edges"])
+        data["edges"].append({"src": a.src, "dst": b.dst, "weight": 1.0,
+                              "label": mc.word_text(mc.reduce_word(a.label + b.label))})
+        faces += [{"steps": [[h0, 1], [v1, 1], [diag, -1]], "weight": 18.0},
+                  {"steps": [[diag, 1], [h1, -1], [v0, -1]], "weight": 18.0}]
+    data["faces"] = faces
+    return mc.CoverMesh.from_json(json.dumps(data))
+
+
+def per_face_reference(ctx, av, bv):
+    """d1 and bracket_wedge(a, b) by the per-face loop over boundary walks,
+    with one rho(prefix word) evaluation and inversion per step."""
+    D, n = ctx.dim, ctx.n
+    d1 = np.zeros((ctx.mesh.nf * D, ctx.mesh.ne * D))
+    wedge = np.zeros((ctx.mesh.nf, n, n), dtype=complex)
+    for fi, face in enumerate(ctx.mesh.faces):
+        ta, tb, word = [], [], ()
+        for eid, sign in face.steps:
+            lab = ctx.mesh.edges[eid].label
+            if sign > 0:
+                h = word
+                word = mc.reduce_word(word + lab)
+            else:
+                word = mc.reduce_word(word + mc.invert_word(lab))
+                h = word
+            g = ctx.rep.eval_word(h)
+            ginv = np.linalg.inv(g)
+            d1[fi * D:(fi + 1) * D, eid * D:(eid + 1) * D] += \
+                sign * ad_matrix(ctx.group, g)
+            ta.append(sign * (g @ av[eid] @ ginv))
+            tb.append(sign * (g @ bv[eid] @ ginv))
+        acc = np.zeros((n, n), dtype=complex)
+        run = np.zeros((n, n), dtype=complex)
+        for j in range(len(face.steps)):
+            if j:
+                acc += run @ tb[j] - tb[j] @ run
+            run = run + ta[j]
+        wedge[fi] = acc
+    return d1, wedge
+
+
+def test_face_table_matches_per_face_loop(sl2c, torus66, genus2):
+    mixed = mixed_mesh()
+    assert {len(f.steps) for f in mixed.faces} == {3, 4}
+    rng = np.random.default_rng(9)
+    for mesh, rep in ((torus66, rv.torus_diag_rep(sl2c, torus66, ALPHA, BETA)),
+                      (genus2, rv.genus2_fuchsian_rep(sl2c, genus2)),
+                      (mixed, rv.torus_diag_rep(sl2c, mixed, ALPHA, BETA))):
+        ctx = TwistedComplex(mesh, rep, hf.random_map(mesh, rep, rng))
+        a, b = random_cochain(ctx, 1, rng), random_cochain(ctx, 1, rng)
+        d1, wedge = per_face_reference(ctx, a.values, b.values)
+        got = ctx.bracket_wedge(a, b).values
+        assert np.array_equal(got, wedge), np.abs(got - wedge).max()
+        assert np.array_equal(ctx.d1.toarray(), d1), np.abs(ctx.d1.toarray() - d1).max()
 
 
 def test_bracket_wedge_abelian_and_cartan(gl1c_ctx, diag_ctx):
