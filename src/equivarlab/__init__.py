@@ -8,7 +8,7 @@ from .symspace import (act, dist, exp_point, geodesic, mc_edge,
                        translation_length)
 from .meshcover import CoverMesh, build_circle, build_genus2, build_torus
 from .repvar import (Cocycle, Jet2Cocycle, RepPath, Representation,
-                     bending_path, coboundary, cocycle_space_basis,
+                     WordTable, bending_path, coboundary, cocycle_space_basis,
                      commuting_exp_path, conjugation_path, exp_family,
                      validation_report)
 from .harmonicflow import (EquivariantMap, FlowReport, constant_map, energy,

@@ -273,6 +273,10 @@ def task_hodge(cfg, out_dir):
         "d_squared": dd,
         "adjunction": adj,
         "hodge_reconstruction": recon,
+        # harm = alpha - ex - coex by construction, so recon is zero up to
+        # rounding whatever coex is; these check harm independently
+        "harmonic_d": ctx.norm(ctx.d(harm), 2) if mesh.nf else 0.0,
+        "harmonic_codiff": ctx.norm(ctx.codiff(harm), 0),
         "kernel_dim": ctx.kernel_dim,
         "jacobi_min_eigenvalue": float(spec.min()),
         "dstar_beta": ctx.norm(ctx.codiff(ctx.beta()), 0),

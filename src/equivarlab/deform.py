@@ -83,16 +83,12 @@ class SecondOrderDeformation:
 # ----------------------------------------------------------------------
 
 def _edge_jets(ctx, c, k):
-    """Stacked (c(w_e), k(w_e)) over the edges from one Jet2Cocycle; zero on
-    unlabeled edges."""
+    """Stacked (c(w_e), k(w_e)) over the edges from the word table of the
+    complex (after validating the jet); zero on unlabeled edges."""
     jet = Jet2Cocycle(c, k)
-    cw = np.zeros((ctx.mesh.ne, ctx.n, ctx.n), dtype=complex)
-    kw = np.zeros_like(cw)
-    for i, w in enumerate(ctx.edge_words):
-        if w:
-            j = jet.eval_word(w)
-            cw[i], kw[i] = j.xi, j.mu
-    return cw, kw
+    words = ctx.words
+    cw, kw = words.jets(words.stack(c.values), words.stack(jet.k))
+    return cw[ctx.edge_word], kw[ctx.edge_word]
 
 
 def _transport(ctx, vals):
@@ -102,8 +98,9 @@ def _transport(ctx, vals):
 
 def first_order(ctx, c, tol=1e-8):
     """Harmonic first-order deformation data for the cocycle c."""
-    omega, _ = ctx.harmonic_rep(c)
-    F, defect = ctx.primitive(omega, c)
+    seed = ctx.seed_cochain(c)
+    omega, _ = ctx.harmonic_rep(seed)
+    F, defect = ctx.primitive(omega, seed)
     _, v = cartan_project(ctx.points, F.values)
     residuals = {
         "equivariance": defect,
@@ -111,7 +108,7 @@ def first_order(ctx, c, tol=1e-8):
         "dstar_omega": ctx.norm(ctx.codiff(omega), 0),
         # J F = d* (omega - seed(c)) = -d* seed(c), through the primitive
         "jacobi_F": ctx.norm(TwistedCochain(0, ctx.jacobi(F).values + ctx.codiff(
-            ctx.seed_cochain(c)).values), 0),
+            seed).values), 0),
     }
     return FirstOrderDeformation(omega, F, v, residuals)
 
@@ -153,8 +150,9 @@ def solve_psi(ctx, c, k, *, rel_tol=1e-7, require_unobstructed=True):
     cochain, psi0 = omega2^0 - [F^0, omega], then a kernel-deflated Jacobi
     solve for eta and psi = psi0 + d eta.
     """
-    omega, xi = ctx.harmonic_rep(c)
-    F0, equiv_defect = ctx.primitive(omega, c)
+    seed = ctx.seed_cochain(c)
+    omega, xi = ctx.harmonic_rep(seed)
+    F0, equiv_defect = ctx.primitive(omega, seed)
     obstruction = obstruction_check(ctx, omega, rel_tol)
     if require_unobstructed and not obstruction.orthogonal:
         raise ObstructedDeformationError(

@@ -7,6 +7,13 @@ the relator words in the 2-jet group G x g x g with product
     (g, xi, mu) (h, eta, nu) = (gh, xi + Ad_g eta, mu + Ad_g nu + [xi, Ad_g eta]),
 
 so a jet datum is valid exactly when every relator evaluates to (I, 0, 0).
+
+``WordTable`` evaluates many words at once: it stores them as padded token
+arrays with rho of every prefix, and runs the TG and 2-jet product laws for
+all words in lockstep, one vectorized step per token position.  The
+per-token ``eval_word`` methods are the reference it agrees with bit for
+bit; the relator checks, the cocycle-space basis and the twisted complex
+read the table.
 """
 
 from __future__ import annotations
@@ -137,7 +144,8 @@ class Cocycle:
         return c
 
     def relator_residuals(self):
-        return [float(np.abs(self.eval_word(r)).max()) for r in self.rep.relations]
+        table = WordTable(self.rep, self.rep.relations)
+        return [float(np.abs(v).max()) for v in table.values(table.stack(self.values))]
 
     def validate(self, tol=1e-8):
         return max(self.relator_residuals(), default=0.0) <= tol
@@ -163,6 +171,87 @@ class Cocycle:
         data = json.loads(text)
         return cls(rep, {k: _matrix_from_json(v)
                          for k, v in data["values"].items()})
+
+
+class WordTable:
+    """Words in the generators, evaluated in lockstep.
+
+    Each word is stored as padded token arrays: ``token`` (the generator
+    slot, plus the number of generators for an inverse token), ``live``
+    (false on padding), and rho of the prefix before each token with its
+    inverse.  Every method takes one vectorized step per token position for
+    all words at once, doing the numpy operations of the per-token loops in
+    their order; padded steps are selected away rather than added as zeros
+    (which would turn -0.0 into 0.0), so each value is the one the per-token
+    evaluations give (``Representation.eval_word``, ``Cocycle.eval_word``,
+    ``Jet2Cocycle.eval_word``) to the last bit.  ``rho`` holds rho(w) of
+    every word; ``values`` and ``jets`` map stacked generator values (see
+    ``stack``) to the cocycle and 2-jet values.
+    """
+
+    def __init__(self, rep, words):
+        self.rep = rep
+        gens = {name: i for i, name in enumerate(rep.generators)}
+        n = rep.group.n
+        L = max(map(len, words), default=0)
+        self.token = np.zeros((len(words), L), dtype=int)
+        self.live = np.zeros((len(words), L), dtype=bool)
+        for i, word in enumerate(words):
+            for j, tok in enumerate(word):
+                if token_base(tok) not in gens:
+                    raise KeyError(f"unknown generator {tok!r}")
+                self.token[i, j] = gens[token_base(tok)] + len(gens) * token_is_inverse(tok)
+                self.live[i, j] = True
+        self._g = np.array([rep.images[name] for name in rep.generators],
+                           dtype=complex).reshape(len(gens), n, n)
+        self._ginv = np.linalg.inv(self._g)
+        h = np.concatenate([self._g, self._ginv])
+        g = np.repeat(rep.group.identity()[None], len(words), axis=0)
+        self.prefix = np.empty((len(words), L, n, n), dtype=complex)
+        for j in range(L):
+            self.prefix[:, j] = g
+            g = np.where(self.live[:, j, None, None], g @ h[self.token[:, j]], g)
+        self.rho = g
+        self.prefix_inv = np.linalg.inv(self.prefix)
+
+    def stack(self, values):
+        """Generator values of a dict, stacked in generator order."""
+        n = self.rep.group.n
+        return np.array([values[name] for name in self.rep.generators],
+                        dtype=complex).reshape(-1, n, n)
+
+    def _tokens(self, C):
+        """Token values of stacked generator values C (..., ngens, n, n):
+        C for a generator, -Ad_{g^-1} C for its inverse."""
+        return np.concatenate([C, -(self._ginv @ C @ self._g)], axis=-3)
+
+    def _step(self, j, X):
+        """Ad_{rho(prefix)} of the token values X at position j."""
+        return self.prefix[:, j] @ X[..., self.token[:, j], :, :] @ self.prefix_inv[:, j]
+
+    def values(self, C):
+        """Cocycle values c(w) of every word, (..., nwords, n, n), from
+        stacked generator values C (..., ngens, n, n)."""
+        D = self._tokens(np.asarray(C, dtype=complex))
+        c = np.zeros(D.shape[:-3] + self.rho.shape, dtype=complex)
+        for j in range(self.live.shape[1]):
+            c = np.where(self.live[:, j, None, None], c + self._step(j, D), c)
+        return c
+
+    def jets(self, C, K):
+        """2-jet values (c(w), k(w)) of every word from stacked generator
+        values C and K, by the product law of the 2-jet group."""
+        D = self._tokens(np.asarray(C, dtype=complex))
+        E = self._tokens(np.asarray(K, dtype=complex))
+        xi = np.zeros(np.broadcast_shapes(D.shape[:-3], E.shape[:-3])
+                      + self.rho.shape, dtype=complex)
+        mu = xi.copy()
+        for j in range(self.live.shape[1]):
+            live = self.live[:, j, None, None]
+            ad_eta = self._step(j, D)
+            mu = np.where(live, mu + self._step(j, E) + (xi @ ad_eta - ad_eta @ xi), mu)
+            xi = np.where(live, xi + ad_eta, xi)
+        return xi, mu
 
 
 def coboundary(rep, xi):
@@ -198,13 +287,12 @@ class Jet2Cocycle:
         return j
 
     def relator_residuals(self):
-        eye = self.c.rep.group.identity()
-        out = []
-        for r in self.c.rep.relations:
-            j = self.eval_word(r)
-            out.append(float(max(np.abs(j.g - eye).max(),
-                                 np.abs(j.xi).max(), np.abs(j.mu).max())))
-        return out
+        rep = self.c.rep
+        table = WordTable(rep, rep.relations)
+        xi, mu = table.jets(table.stack(self.c.values), table.stack(self.k))
+        eye = rep.group.identity()
+        return [float(max(np.abs(g - eye).max(), np.abs(x).max(), np.abs(m).max()))
+                for g, x, m in zip(table.rho, xi, mu)]
 
     def validate(self, tol=1e-8):
         return max(self.relator_residuals(), default=0.0) <= tol
@@ -416,19 +504,15 @@ def cocycle_space_basis(rep, rtol=1e-9):
     if not rep.relations:
         basis_vecs = np.eye(ncols)
     else:
-        rows = []
-        for ridx in range(len(rep.relations)):
-            for col in range(ncols):
-                gi, bi = divmod(col, dim)
-                vals = {name: np.zeros((group.n, group.n), dtype=complex)
-                        for name in gens}
-                vals[gens[gi]] = group.basis[bi]
-                c = Cocycle(rep, vals)
-                rows.append((ridx, col, group.to_coords(
-                    c.eval_word(rep.relations[ridx]))))
-        L = np.zeros((dim * len(rep.relations), ncols))
-        for ridx, col, coords in rows:
-            L[ridx * dim:(ridx + 1) * dim, col] = coords
+        # column gi * dim + bi: the unit cocycle with value basis[bi] at gens[gi]
+        units = np.zeros((len(gens), dim, len(gens), group.n, group.n), dtype=complex)
+        for gi in range(len(gens)):
+            units[gi, :, gi] = group.basis
+        vals = WordTable(rep, rep.relations).values(units.reshape(ncols, len(gens),
+                                                                  group.n, group.n))
+        # coordinates one value at a time: a stacked product rounds differently
+        coords = np.array([[group.to_coords(v) for v in col] for col in vals])
+        L = coords.transpose(1, 2, 0).reshape(-1, ncols)
         u, s, vt = np.linalg.svd(L)
         cutoff = rtol * (max(s[0], 1.0) if len(s) else 1.0)
         null_dim = int(np.sum(s <= cutoff)) + max(0, ncols - len(s))

@@ -20,9 +20,13 @@ H^2, which Poincare duality under the Killing form Re tr(XY) gives on a
 closed oriented surface as the Killing duals of the parallel sections at the
 face base points.  A factor whose smallest pivot is below 1e-10 of the
 largest is reported as singular.  Transports come from one table built once:
-each distinct deck word is evaluated once, and the face boundary walks are
-stacked as edge ids, signs, rho(prefix word) and its inverse, padded with
-sign-0 steps.
+every distinct deck word of the complex (edge labels, generators, face
+prefix words) enters one ``repvar.WordTable``, with an edge-to-word index,
+and the face boundary walks are stacked as edge ids, signs, rho(prefix word)
+and its inverse, padded with sign-0 steps.  The same word table gives the
+cocycle seeds and the edge 2-jets of the deformation pipeline, all words in
+one vectorized pass per token position.  beta() and the inverses of the
+edge-source points are also computed once per complex.
 """
 
 from __future__ import annotations
@@ -35,8 +39,9 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .harmonicflow import FlowKernel
-from .liealg import ad_matrix, adjoint_at, gram_at
+from .liealg import ad_matrix, gram_at
 from .meshcover import invert_word, reduce_word
+from .repvar import WordTable
 
 
 class PeriodMismatchError(ValueError):
@@ -133,6 +138,8 @@ class TwistedComplex:
         self.kern = FlowKernel(mesh, rep)
         # metric at the edge sources, where 1-cochain values live
         self.edge_points = self.points[self.kern.src]
+        self.edge_points_inv = np.linalg.inv(self.edge_points)
+        self._beta = None
         self.edge_words = [e.label for e in mesh.edges]
         gen_T = self._assemble_d()
         self._assemble_grams()
@@ -162,8 +169,8 @@ class TwistedComplex:
 
     # -- transports and differentials ---------------------------------------
     def _assemble_d(self):
-        """Build the transport table and d0, d1 from it; returns the Ad
-        matrices of the generators."""
+        """Build the word table, the transport table and d0, d1 from them;
+        returns the Ad matrices of the generators."""
         mesh, D = self.mesh, self.dim
         words = {}      # each distinct word is evaluated once
 
@@ -189,7 +196,9 @@ class TwistedComplex:
                     word = h = reduce_word(word + invert_word(lab))
                 self.face_eid[fi, j], self.face_sign[fi, j] = eid, sign
                 face_ids[fi, j] = word_id(h)
-        rho = np.stack([self.rep.eval_word(w) for w in words])
+        self.words = WordTable(self.rep, list(words))
+        self.edge_word = np.array(edge_ids, dtype=int)
+        rho = self.words.rho
         Ad = ad_matrix(self.group, rho)
         self.face_g = rho[face_ids]
         self.face_ginv = np.linalg.inv(rho)[face_ids]
@@ -375,18 +384,16 @@ class TwistedComplex:
 
     # -- cocycle seeding and harmonic representatives -----------------------
     def seed_cochain(self, c):
-        """Closed 1-cochain with edge values c(word_e); represents {c}."""
-        vals = np.zeros((self.mesh.ne, self.n, self.n), dtype=complex)
-        by_word = {}            # many edges cross the same side word
-        for i, w in enumerate(self.edge_words):
-            if w:
-                if w not in by_word:
-                    by_word[w] = c.eval_word(w)
-                vals[i] = by_word[w]
-        return TwistedCochain(1, vals)
+        """Closed 1-cochain with edge values c(word_e); represents {c}.  A
+        seed cochain passed for c is returned as it is."""
+        if isinstance(c, TwistedCochain):
+            return c
+        vals = self.words.values(self.words.stack(c.values))
+        return TwistedCochain(1, vals[self.edge_word])
 
     def harmonic_rep(self, c):
-        """Harmonic 1-cochain representing the class of the cocycle c.
+        """Harmonic 1-cochain representing the class of the cocycle c (or of
+        its seed cochain).
 
         Returns (omega, xi) with omega = seed - d xi and d* omega = 0.
         """
@@ -400,8 +407,9 @@ class TwistedComplex:
 
     def primitive(self, omega, c, tol=1e-7):
         """Section F with dF = omega - seed(c), i.e. a c-equivariant primitive
-        of omega on the cover; raises PeriodMismatchError when the classes of
-        omega and c differ.  Solutions form an affine space over the kernel."""
+        of omega on the cover (c a cocycle or its seed cochain); raises
+        PeriodMismatchError when the classes of omega and c differ.
+        Solutions form an affine space over the kernel."""
         target = self.to_flat(_vals(omega)) - self.to_flat(self.seed_cochain(c).values)
         x = self.solve_deflated(self.d0.T @ (self.G1 @ target))
         resid = self.d0 @ x - target
@@ -450,7 +458,8 @@ class TwistedComplex:
         w1 [a_e^[p] - a_e^[k], b_e]; Gram-adjoint to xi -> [a, xi]."""
         av = _vals(a)
         bv = _vals(b)
-        star = adjoint_at(self.edge_points, av)
+        # adjoint_at(edge_points, av), with the inverses taken once
+        star = self.edge_points @ np.conj(np.swapaxes(av, -1, -2)) @ self.edge_points_inv
         out = np.zeros((self.mesh.nv, self.n, self.n), dtype=complex)
         contrib = self.kern.w1[:, None, None] * (star @ bv - bv @ star)
         np.add.at(out, self.kern.src, contrib)
@@ -464,7 +473,11 @@ class TwistedComplex:
         return TwistedCochain(1, av @ xv - xv @ av)
 
     def beta(self):
-        """Edge logarithms of the metric map (its Maurer-Cartan cochain)."""
-        return TwistedCochain(1, self.kern.edge_data(self.points)[0])
+        """Edge logarithms of the metric map (its Maurer-Cartan cochain),
+        computed once per complex; the values are read-only."""
+        if self._beta is None:
+            self._beta = self.kern.edge_data(self.points)[0]
+            self._beta.flags.writeable = False
+        return TwistedCochain(1, self._beta)
 
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from equivarlab import cli
+from equivarlab.twistedhodge import TwistedCochain, TwistedComplex
 
 #: reports of the ok and obstructed runs, keyed by a hash of (task, cfg, extra)
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -130,22 +131,45 @@ def test_report_embeds_config_and_tolerances(tmp_path):
     assert report["schema_version"] == cli.SCHEMA_VERSION
 
 
+HODGE_CFG = {
+    "mesh": {"kind": "torus", "n": 5, "m": 5},
+    "group": {"kind": "sl", "n": 2, "field": "C"},
+    "representation": {"family": "torus_diag",
+                       "params": {"alpha": [0.4, 0.3], "beta": [-0.2, 0.5]}},
+}
+
+
 def test_hodge_task(tmp_path):
-    cfg = {
-        "mesh": {"kind": "torus", "n": 5, "m": 5},
-        "group": {"kind": "sl", "n": 2, "field": "C"},
-        "representation": {"family": "torus_diag",
-                           "params": {"alpha": [0.4, 0.3], "beta": [-0.2, 0.5]}},
-    }
-    code, report, out = run_cli(tmp_path, "hodge", cfg)
+    code, report, out = run_cli(tmp_path, "hodge", HODGE_CFG)
     assert code == cli.EXIT_OK
     res = report["result"]
     assert res["d_squared"] < 1e-12
     assert res["adjunction"] < 1e-10
     assert res["hodge_reconstruction"] < 1e-8
+    assert res["harmonic_d"] < 1e-10
+    assert res["harmonic_codiff"] < 1e-10
     assert res["kernel_dim"] == 2
     assert res["jacobi_min_eigenvalue"] > -1e-10
     assert (out / "jacobi_spectrum.csv").exists()
+
+
+def test_hodge_harmonic_leaves_catch_a_wrong_coexact_part(tmp_path, monkeypatch):
+    # harm = alpha - ex - coex hides any error of coex from the reconstruction
+    decompose = TwistedComplex.hodge_decompose
+
+    def scaled_coexact(self, alpha):
+        ex, coex, _ = decompose(self, alpha)
+        coex = TwistedCochain(1, 1.001 * coex.values)
+        return ex, coex, TwistedCochain(1, alpha.values - ex.values - coex.values)
+
+    monkeypatch.setattr(TwistedComplex, "hodge_decompose", scaled_coexact)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(HODGE_CFG))
+    assert cli.main(["hodge", "--config", str(cfg_path),
+                     "--out", str(tmp_path)]) == cli.EXIT_OK
+    res = json.loads((tmp_path / "hodge_report.json").read_text())["result"]
+    assert res["hodge_reconstruction"] < 1e-12
+    assert res["harmonic_d"] > 1e-6
 
 
 def test_variation_task(tmp_path):

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from equivarlab import repvar as rv
-from equivarlab.liealg import bracket
+from equivarlab.liealg import Jet2, MatrixGroup, bracket, jet2_inv, jet2_mul
 
 E = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 
@@ -198,3 +199,120 @@ def test_conjugate_carries_exp_family_logs(sl2c, torus66):
             want = h @ path.at(t).images[name] @ hinv
             assert np.abs(path_h.at(t).images[name] - want).max() < 1e-12
     assert rv.trivial_rep(sl2c, torus66).conjugate(h).logs is None
+
+
+# ----------------------------------------------------------------------
+# the word table against the per-token evaluations
+
+TABLE_GROUPS = (MatrixGroup("sl", 2, "R"), MatrixGroup("sl", 2, "C"),
+                MatrixGroup("sl", 3, "R"), MatrixGroup("gl1c"))
+GENS = ("a", "b", "c")
+
+
+def random_element(group, rng):
+    return group.exp(group.random_alg(rng, 0.25))
+
+
+def random_jet(group, rng):
+    return Jet2(random_element(group, rng), group.random_alg(rng), group.random_alg(rng))
+
+
+def close(x, y, scale):
+    return np.abs(x - y).max() <= 1e-12 * max(1.0, scale)
+
+
+words_st = st.lists(st.lists(st.sampled_from(GENS + tuple(g.upper() for g in GENS)),
+                             max_size=8).map(tuple), min_size=1, max_size=6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(gi=st.integers(0, len(TABLE_GROUPS) - 1), ngens=st.integers(1, len(GENS)),
+       seed=st.integers(0, 2 ** 32 - 1), words=words_st)
+def test_word_table_matches_per_token_loops(gi, ngens, seed, words):
+    group = TABLE_GROUPS[gi]
+    rng = np.random.default_rng(seed)
+    gens = GENS[:ngens]
+    rep = rv.Representation(group, gens, {g: random_element(group, rng) for g in gens})
+    # every token must name a generator; the empty word pads the shortest row
+    words = [tuple(t for t in w if t.lower() in gens) for w in words] + [()]
+    table = rv.WordTable(rep, words)
+    C = np.stack([np.stack([group.random_alg(rng) for _ in gens]) for _ in range(2)])
+    K = np.stack([group.random_alg(rng) for _ in gens])
+    values = table.values(C)
+    xi, mu = table.jets(C[0], K)
+    for b in range(2):
+        c = rv.Cocycle(rep, dict(zip(gens, C[b])))
+        for i, w in enumerate(words):
+            assert np.array_equal(values[b, i], c.eval_word(w))
+    jet = rv.Jet2Cocycle(rv.Cocycle(rep, dict(zip(gens, C[0]))), dict(zip(gens, K)))
+    for i, w in enumerate(words):
+        assert np.array_equal(table.rho[i], rep.eval_word(w))
+        j = jet.eval_word(w)
+        assert np.array_equal(xi[i], j.xi) and np.array_equal(mu[i], j.mu)
+    # the cocycle law c(uv) = c(u) + Ad_rho(u) c(v) on the drawn words,
+    # relative to the size of the terms Ad_rho(prefix) d summed on each side
+    u, v = words[0], words[-2] if len(words) > 1 else words[0]
+    law = rv.WordTable(rep, [u, v, u + v])
+    cu, cv, cuv = law.values(C[0])
+    g = law.rho[0]
+
+    def cond(m):
+        return np.abs(m).max() * np.abs(np.linalg.inv(m)).max()
+
+    def terms(i):
+        return sum(map(cond, law.prefix[i])) * max(map(cond, rep.images.values())) \
+            * np.abs(C[0]).max()
+    assert close(cuv, cu + g @ cv @ np.linalg.inv(g),
+                 terms(2) + terms(0) + cond(g) * terms(1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(gi=st.integers(0, len(TABLE_GROUPS) - 1), seed=st.integers(0, 2 ** 32 - 1))
+def test_jet2_product_laws(gi, seed):
+    group = TABLE_GROUPS[gi]
+    rng = np.random.default_rng(seed)
+    a, b, c = (random_jet(group, rng) for _ in range(3))
+    left = jet2_mul(jet2_mul(a, b), c)
+    right = jet2_mul(a, jet2_mul(b, c))
+    for x, y in zip(left, right):
+        assert close(x, y, np.abs(x).max())
+    one = jet2_mul(jet2_inv(a), a)
+    scale = max(np.abs(m).max() for m in a)
+    assert close(one.g, group.identity(), scale)
+    assert close(one.xi, 0.0, scale) and close(one.mu, 0.0, scale)
+
+
+def _basis_per_column(rep, rtol=1e-9):
+    """The cocycle-space basis from one Cocycle.eval_word per (relator,
+    column), the per-token reference of cocycle_space_basis."""
+    group, gens, dim = rep.group, list(rep.generators), rep.group.dim
+    ncols = dim * len(gens)
+    L = np.zeros((dim * len(rep.relations), ncols))
+    for ridx, rel in enumerate(rep.relations):
+        for col in range(ncols):
+            gi, bi = divmod(col, dim)
+            vals = {name: np.zeros((group.n, group.n), dtype=complex) for name in gens}
+            vals[gens[gi]] = group.basis[bi]
+            L[ridx * dim:(ridx + 1) * dim, col] = group.to_coords(
+                rv.Cocycle(rep, vals).eval_word(rel))
+    _, s, vt = np.linalg.svd(L)
+    null_dim = int(np.sum(s <= rtol * max(s[0], 1.0))) + max(0, ncols - len(s))
+    return vt[ncols - null_dim:].T
+
+
+def test_cocycle_space_basis_matches_per_column_loop(
+        diag_ctx, gl1c_ctx, unitary_ctx, trivial_ctx, trivialC_ctx, fuchsian_ctx,
+        fuchsianC_ctx, sl3r, torus66):
+    sl3 = rv.exp_family(sl3r, torus66, {"a": np.diag([0.3, 0.1, -0.4]),
+                                        "b": np.diag([-0.2, 0.5, -0.3])})
+    reps = [ctx.rep for ctx in (diag_ctx, gl1c_ctx, unitary_ctx, trivial_ctx,
+                                trivialC_ctx, fuchsian_ctx, fuchsianC_ctx)] + [sl3]
+    for rep in reps:
+        group, dim = rep.group, rep.group.dim
+        want = _basis_per_column(rep)
+        got = rv.cocycle_space_basis(rep)
+        assert len(got) == want.shape[1] > 0
+        for j, c in enumerate(got):
+            for gi, name in enumerate(rep.generators):
+                assert np.array_equal(
+                    c.values[name], group.from_coords(want[gi * dim:(gi + 1) * dim, j]))
