@@ -337,7 +337,16 @@ def task_critical_scan(cfg, out_dir):
     return {"flow": rpt.to_dict(), "scan": scan.to_dict()}
 
 
+#: refine-study values below this fraction of the study's scale (the exact
+#: energy for circle_energy, 1 otherwise) sit at the float floor
+FLOOR_REL = 1e-12
+
+
 def task_refine_study(cfg, out_dir):
+    """Values of one discretization error over mesh levels and the slope of
+    log value against log h.  When a value is below FLOOR_REL times the
+    study's scale, no slope is fitted: fitted_slope is null and the report
+    gains floor_limited = true."""
     spec = cfg.get("refine", {})
     kind = spec.get("kind", "torus_mc")
     levels = [int(x) for x in spec.get("levels", [4, 8, 16])]
@@ -346,6 +355,7 @@ def task_refine_study(cfg, out_dir):
     group = build_group(cfg["group"])
     rows = []
     values = []
+    scale = 1.0         # the study's scale for FLOOR_REL
     if kind == "torus_mc":
         alpha = _as_complex(spec.get("alpha", [0.4, 0.0]))
         beta = _as_complex(spec.get("beta", [-0.2, 0.0]))
@@ -363,6 +373,7 @@ def task_refine_study(cfg, out_dir):
     elif kind == "circle_energy":
         lam = float(spec.get("lam", 2.0))
         exact = 4.0 * np.log(lam) ** 2
+        scale = exact
         for n in levels:
             mesh = mc.build_circle(n)
             rep = rv.hyperbolic_circle_rep(group, mesh, lam)
@@ -394,11 +405,19 @@ def task_refine_study(cfg, out_dir):
     write_csv(out_dir, "refine_study.csv", ["level", "h", "quantity", "value"], rows)
     vals = np.asarray(values)
     hs = 1.0 / np.asarray(levels, dtype=float)
-    slope = float(np.polyfit(np.log(hs), np.log(np.maximum(vals, 1e-300)), 1)[0]) \
-        if np.all(vals > 0) else float("nan")
+    floor_limited = bool(np.any(vals < FLOOR_REL * scale))
+    if floor_limited:
+        slope = None    # a slope through rounding noise measures nothing
+    elif np.all(vals > 0):
+        slope = float(np.polyfit(np.log(hs), np.log(vals), 1)[0])
+    else:
+        slope = float("nan")
     monotone = bool(np.all(np.diff(vals) < 0))
-    return {"kind": kind, "levels": levels, "values": values,
-            "fitted_slope": slope, "monotone_decreasing": monotone}
+    out = {"kind": kind, "levels": levels, "values": values,
+           "fitted_slope": slope, "monotone_decreasing": monotone}
+    if floor_limited:
+        out["floor_limited"] = True
+    return out
 
 
 TASK_FUNCS = {

@@ -159,7 +159,8 @@ def solve_psi(ctx, c, k, *, rel_tol=1e-7, require_unobstructed=True):
             obstruction.defect, rel_tol * obstruction.scale, obstruction.witness)
 
     omega2_0 = jet_seed_second(ctx, c, k, xi)
-    psi0 = TwistedCochain(1, omega2_0.values - ctx.bracket_section(omega, F0).values)
+    # omega2^0 - [F0, omega] = omega2^0 + [omega, F0]
+    psi0 = TwistedCochain(1, omega2_0.values + ctx.bracket_section(omega, F0).values)
     contr = ctx.contract_star(omega, omega)
     rhs = TwistedCochain(0, -contr.values - ctx.codiff(psi0).values)
     eta = ctx.solve_jacobi(rhs)
@@ -275,7 +276,8 @@ def validate_pair(ctx, c, k, F, F2, psi_expected=None):
     omega = A + cw - Fv[src]
     omega2 = B + (cw @ A - A @ cw) + kw - F2v[src]
     om = TwistedCochain(1, omega)
-    psi = TwistedCochain(1, omega2 - ctx.bracket_section(om, TwistedCochain(0, Fv)).values)
+    # psi = omega2 - [F, omega] = omega2 + [omega, F]
+    psi = TwistedCochain(1, omega2 + ctx.bracket_section(om, TwistedCochain(0, Fv)).values)
     res = {
         "d_omega": ctx.norm(ctx.d(om), 2) if ctx.mesh.nf else 0.0,
         "dstar_omega": ctx.norm(ctx.codiff(om), 0),

@@ -65,7 +65,9 @@ def psh_defect(ctx, c, k, rel_tol=1e-7):
     """| d2E(c) + d2E(ic) - ||omega||^2 |, the potential identity defect.
 
     The conjugate direction uses the companion construction
-    (iF, -F2 - eta) with J(eta) = 2 omega* -| omega along (ic, -k).
+    (iF, -F2 - eta) with J(eta) = 2 omega* -| omega along (ic, -k).  The
+    identity is not a check on psi: the psi pairings of the two sides cancel
+    at a harmonic map; the d_psi_plus_wedge residual checks psi.
     """
     if not ctx.group.is_complex:
         raise ValueError("plurisubharmonicity defect needs a complex group")

@@ -225,6 +225,9 @@ def test_refine_study_torus_mc(tmp_path):
     code, report, out = run_cli(tmp_path, "refine-study", cfg)
     assert code == cli.EXIT_OK
     assert report["result"]["monotone_decreasing"] is True
+    # values of order 1: a slope is fitted and no floor flag is set
+    assert isinstance(report["result"]["fitted_slope"], float)
+    assert "floor_limited" not in report["result"]
     csv_text = (out / "refine_study.csv").read_text()
     assert csv_text.startswith("level,h,quantity,value")
     assert len(csv_text.strip().splitlines()) == 4
@@ -239,6 +242,9 @@ def test_refine_study_circle_energy(tmp_path):
     assert code == cli.EXIT_OK
     # discrete geodesic is exact: errors at the solver floor at every level
     assert max(report["result"]["values"]) < 1e-8
+    # so no slope is fitted through the rounding noise
+    assert report["result"]["fitted_slope"] is None
+    assert report["result"]["floor_limited"] is True
 
 
 def test_refine_study_trivial_residuals(tmp_path):
@@ -250,6 +256,8 @@ def test_refine_study_trivial_residuals(tmp_path):
     code, report, _ = run_cli(tmp_path, "refine-study", cfg)
     assert code == cli.EXIT_OK
     assert max(report["result"]["values"]) < 1e-10
+    assert report["result"]["fitted_slope"] is None
+    assert report["result"]["floor_limited"] is True
 
 
 def test_energy_task_unitary(tmp_path):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from equivarlab import deform as df
 from equivarlab import harmonicflow as hf
@@ -353,3 +354,38 @@ def test_edge_jet_table_matches_per_edge_loop(fuchsianC_ctx):
         g = ctx.rep.eval_word(e.label)
         ad_xi = g @ xi.values[e.dst] @ np.linalg.inv(g)
         assert np.array_equal(seed[i], kw[i] - (cw[i] @ ad_xi - ad_xi @ cw[i]))
+
+
+@pytest.mark.parametrize("ctx_name, imaginary", [("fuchsian_ctx", False),
+                                                 ("fuchsianC_ctx", False),
+                                                 ("fuchsianC_ctx", True)])
+def test_psi_closes_on_genus2_bending(request, ctx_name, imaginary):
+    # [F0, omega] does not vanish at the Fuchsian point, so the bracket order
+    # of psi0 = omega2^0 - [F0, omega] shows only on genus 2
+    ctx = request.getfixturevalue(ctx_name)
+    c, k = rv.bending_path(ctx.rep, 0.5, imaginary=imaginary).jets()
+    sol = df.solve_psi(ctx, c, k)
+    so, _ = df.second_order(ctx, c, k)
+    res, _, _ = df.validate_pair(ctx, c, k, so.F, so.F2)
+    assert sol.residuals["d_psi_plus_wedge"] < 1e-10
+    assert so.residuals["d_psi_plus_wedge"] < 1e-10
+    assert res["d_psi_plus_wedge"] < 1e-10
+
+
+@settings(max_examples=12, deadline=None)
+@given(genus2=st.booleans(), seed=st.integers(0, 2 ** 32 - 1),
+       scale=st.floats(0.01, 1.0))
+def test_pure_gauge_pair_closes_psi(trivial_ctx, fuchsianC_ctx, genus2, seed,
+                                    scale):
+    # c = k = 0 gauged by random vertex jets (1, F, F2): omega = dF and
+    # psi = dF2 - [F, omega], so d psi + [omega u omega] = 0 exactly; random
+    # F does not commute, even at the trivial representation
+    ctx = fuchsianC_ctx if genus2 else trivial_ctx
+    rng = np.random.default_rng(seed)
+    F, F2 = (TwistedCochain(0, ctx.group.from_coords(
+        scale * rng.standard_normal((ctx.mesh.nv, ctx.group.dim)))) for _ in range(2))
+    zero = {name: np.zeros((2, 2), dtype=complex) for name in ctx.rep.generators}
+    res, om, _ = df.validate_pair(ctx, rv.Cocycle(ctx.rep, zero), zero, F, F2)
+    wedge = ctx.norm(ctx.bracket_wedge(om, om), 2)
+    assert wedge > 1e-3 * scale ** 2
+    assert res["d_psi_plus_wedge"] <= 1e-12 * (1.0 + wedge)

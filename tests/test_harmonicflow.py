@@ -140,15 +140,86 @@ def test_energy_of_rep_gl1c_closed_form(gl1c, torus66):
     assert reductive
 
 
-def test_curved_torus_map_is_equivariant(sl2c):
-    mesh = mc.build_torus(6, 6)
-    rep = rv.torus_diag_rep(sl2c, mesh, 0.4, -0.2)
+def _curved_torus_map_loop(mesh, rep, amplitude):
+    """Reference: the map built one vertex at a time with MatrixGroup.exp."""
+    n, m, group = mesh.meta["n"], mesh.meta["m"], rep.group
+    C = np.zeros((group.n, group.n), dtype=complex)
+    if group.n >= 2:
+        C[0, 1] = C[1, 0] = 1.0
+    else:
+        C[0, 0] = 1j
+    C = amplitude * C
+    pts = np.empty((mesh.nv, group.n, group.n), dtype=complex)
+    for j in range(m):
+        for i in range(n):
+            x, y = i / n, j / m
+            s = group.exp(x * rep.logs["a"]) @ group.exp(y * rep.logs["b"]) \
+                @ group.exp(np.sin(2 * np.pi * x) * np.sin(2 * np.pi * y) * C)
+            P = s @ np.conj(s).T
+            if group.n > 1:
+                P = P / np.abs(np.linalg.det(P)) ** (1.0 / group.n)
+            pts[i + n * j] = P
+    return pts
+
+
+CURVED_REPS = {
+    "sl2c_diag": (("sl", 2, "C"), lambda g, m: rv.torus_diag_rep(g, m, 0.4 + 0.3j,
+                                                                 -0.2 + 0.5j)),
+    "sl2r_diag": (("sl", 2, "R"), lambda g, m: rv.torus_diag_rep(g, m, 0.4, -0.2)),
+    "gl1c": (("gl1c", 1, "C"), lambda g, m: rv.torus_gl1c_rep(g, m, 0.5 + 1.0j,
+                                                              -0.3 + 0.2j)),
+    "sl3r_exp": (("sl", 3, "R"), lambda g, m: rv.exp_family(g, m, {
+        "a": np.diag([0.3, -0.1, -0.2]), "b": np.diag([-0.2, 0.5, -0.3])})),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CURVED_REPS))
+@pytest.mark.parametrize("n, m", [(6, 6), (7, 5)])
+def test_curved_torus_map_matches_vertex_loop(name, n, m):
+    group_key, make = CURVED_REPS[name]
+    mesh = mc.build_torus(n, m)
+    rep = make(MatrixGroup(*group_key), mesh)
     f = hf.curved_torus_map(mesh, rep, 0.3)
-    kern = hf.FlowKernel(mesh, rep)
-    beta, d2 = kern.edge_data(f.points)
-    assert np.isfinite(d2).all()
-    # wrap-around edges see the transported points, so all distances are O(1/n)
-    assert np.sqrt(d2.max()) < 10.0 / 6.0
+    ref = _curved_torus_map_loop(mesh, rep, 0.3)
+    assert np.abs(f.points - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+def test_curved_torus_map_is_equivariant():
+    mesh = mc.build_torus(6, 6)
+    labeled = np.array([bool(e.label) for e in mesh.edges])
+    for group_key, make in CURVED_REPS.values():
+        rep = make(MatrixGroup(*group_key), mesh)
+        f = hf.curved_torus_map(mesh, rep, 0.3)
+        _, d2 = hf.FlowKernel(mesh, rep).edge_data(f.points)
+        assert np.isfinite(d2).all()
+        # wrap-around edges see the transported points, so all distances are
+        # O(1/n) and no larger than across the interior edges
+        assert np.sqrt(d2.max()) < 10.0 / 6.0
+        assert d2[labeled].max() < 2.0 * d2[~labeled].max()
+
+
+def test_curved_torus_map_rejects_traced_logs(sl2c, torus66):
+    # the closed-form 2x2 exponential needs traceless input; det exp(A) = 1
+    # still holds for trace 2 pi i
+    A = np.diag([1j * np.pi, 1j * np.pi])
+    rep = rv.exp_family(sl2c, torus66, {"a": A, "b": np.zeros((2, 2))})
+    with pytest.raises(ValueError, match="traceless"):
+        hf.curved_torus_map(torus66, rep)
+
+
+@pytest.mark.parametrize("ctx_name", ["diag_ctx", "gl1c_ctx", "unitary_ctx",
+                                      "trivial_ctx", "trivialC_ctx",
+                                      "fuchsian_ctx", "fuchsianC_ctx"])
+def test_kernel_transports_match_per_edge_loop(request, ctx_name):
+    # one eval_word per distinct word, gathered per edge, equals the per-edge
+    # evaluation bit for bit
+    ctx = request.getfixturevalue(ctx_name)
+    n = ctx.group.n
+    g = np.empty((ctx.mesh.ne, n, n), dtype=complex)
+    for i, e in enumerate(ctx.mesh.edges):
+        g[i] = ctx.rep.eval_word(e.label) if e.label else np.eye(n)
+    assert np.array_equal(ctx.kern.g, g)
+    assert np.array_equal(ctx.kern.ginv, np.linalg.inv(g))
 
 
 def test_map_json_roundtrip(sl2c, torus66):

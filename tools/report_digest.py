@@ -12,10 +12,16 @@ with one BLAS thread.  One line ``<sha256>  <seed>/<config>/<file>`` is
 printed per output file, sorted by path, so the outputs of two checkouts
 can be compared with ``diff`` to show that a change keeps every report
 byte-identical.
+
+    python3 tools/report_digest.py --keep DIR
+
+also keeps the output files under DIR (which must not hold an earlier run),
+so that ``tools/report_diff.py`` can show, leaf by leaf, what moved.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -73,9 +79,14 @@ def main():
     if any(os.environ.get(k) != v for k, v in BLAS_ENV.items()):
         env = dict(os.environ, **BLAS_ENV)
         os.execve(sys.executable, [sys.executable, __file__, *sys.argv[1:]], env)
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--keep", metavar="DIR",
+                        help="write the output files under DIR and keep them")
+    args = parser.parse_args()
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
-    with tempfile.TemporaryDirectory() as tmp:
-        print("\n".join(digests(Path(tmp))))
+    with (contextlib.nullcontext(args.keep) if args.keep
+          else tempfile.TemporaryDirectory()) as out_root:
+        print("\n".join(digests(Path(out_root).resolve())))
     return 0
 
 
