@@ -29,8 +29,14 @@ the explicit Armijo flow runs from the start map instead; a parabolic
 FlowKernel caches the per-edge arrays of a (mesh, representation) pair and
 evaluates every edge at once through the stacked routines of symspace; the
 transports rho(word_e) are evaluated once per distinct word and gathered per
-edge.  curved_torus_map builds the smooth test map of the refinement studies
-for all vertices in one stacked pass.
+edge.  A MapEval is the one evaluation of a map: a vertex eigendecomposition
+gives P^{-1/2}, the edge log-eigendecomposition gives the energy, and the
+edge logs, the tension and the basepoint drift are read from the same arrays
+when asked for.  Both flows evaluate a candidate energy first and build its
+tension only once it is accepted (or when a polish step accepts on the
+tension), and read the drift from the vertex eigenvalues instead of a
+separate distance.  curved_torus_map builds the smooth test map of the
+refinement studies for all vertices in one stacked pass.
 """
 
 from __future__ import annotations
@@ -117,24 +123,15 @@ class FlowKernel:
     # -- geometry ------------------------------------------------------
     def edge_data(self, points):
         """Per-edge (beta, dist_sq): beta = mc_edge(P_src, g P_dst g^†)."""
-        # square roots once per vertex, not once per edge
-        R, S = ss.sqrt_pair(points)
-        return ss.edge_log(R[self.src], S[self.src],
-                           ss.act(self.g, points[self.dst]))
+        ev = MapEval(self, points)
+        return ev.beta, ev.d2
 
     def energy(self, points):
-        _, d2 = self.edge_data(points)
-        return 0.5 * float(np.dot(self.w1, d2))
+        return MapEval(self, points).energy
 
     def energy_and_tension(self, points):
-        beta, d2 = self.edge_data(points)
-        E = 0.5 * float(np.dot(self.w1, d2))
-        tau = np.zeros_like(points)
-        fwd = 2.0 * self.w1[:, None, None] * beta
-        back = -(self.ginv @ fwd @ self.g)
-        np.add.at(tau, self.src, fwd)
-        np.add.at(tau, self.dst, back)
-        return E, tau
+        ev = MapEval(self, points)
+        return ev.energy, ev.tension
 
     def tension_norm_sq(self, points, tau):
         # weighted L2 norm^2 of tau w.r.t. the pointwise fiber metric
@@ -151,11 +148,12 @@ class FlowKernel:
         return new
 
     def evaluate(self, points):
-        """energy_and_tension, or (inf, None) at a non-finite map."""
+        """MapEval of points, or None when the map or its energy is not
+        finite (an overflowing retraction)."""
         if not np.isfinite(points).all():
-            return np.inf, None
-        E, tau = self.energy_and_tension(points)
-        return (E, tau) if math.isfinite(E) else (np.inf, None)
+            return None
+        ev = MapEval(self, points)
+        return ev if math.isfinite(ev.energy) else None
 
     # -- Newton step -----------------------------------------------------
     @cached_property
@@ -197,7 +195,7 @@ class FlowKernel:
         B, slot, indices, indptr = self._pattern
         ne = self.mesh.ne
         R, S = ss.sqrt_pair(points)
-        logw, U = ss._log_eigs(S[self.src], ss.act(self.g, points[self.dst]))
+        logw, U = ss.log_frame(S[self.src], ss.act(self.g, points[self.dst]))
         coth, csch = ss.ad_jacobi(logw)
         Uh = ss._ct(U)
         # source basis in the eigenframe of beta, and the far basis carried
@@ -241,6 +239,55 @@ class FlowKernel:
         if not np.isfinite(x).all():
             return None
         return self.tangent_field(points, x), float(rhs @ x)
+
+
+class MapEval:
+    """One evaluation of a map under a FlowKernel.
+
+    One eigendecomposition of the vertex points gives S = P^{-1/2}; the
+    log-eigendecomposition of S_src Q S_src, Q the transported far endpoint,
+    gives the squared edge distances d2 and from them the energy.  The edge
+    logs beta, the tension, its squared norm and the basepoint drift are
+    built from the same arrays when asked for (the tension and its norm once),
+    so a flow that rejects a candidate on its energy pays for nothing else.
+    """
+
+    def __init__(self, kern, points):
+        self.kern = kern
+        self.points = points
+        self.w, self.U, self.S = ss.point_frame(points)
+        self.logw, self.V = ss.log_frame(self.S[kern.src],
+                                         ss.act(kern.g, points[kern.dst]))
+        # a sum of squares, which can differ from dist(P, Q)**2 in the last
+        # bit; the energy is built on it
+        self.d2 = np.sum(self.logw ** 2, axis=-1)
+        self.energy = 0.5 * float(np.dot(kern.w1, self.d2))
+
+    @property
+    def beta(self):
+        """mc_edge(P_src, g P_dst g^†) per edge."""
+        src = self.kern.src
+        return ss.mc_from_frame(self.w[src], self.U[src], self.S[src],
+                                self.logw, self.V)
+
+    @cached_property
+    def tension(self):
+        k = self.kern
+        tau = np.zeros_like(self.points)
+        fwd = 2.0 * k.w1[:, None, None] * self.beta
+        back = -(k.ginv @ fwd @ k.g)
+        np.add.at(tau, k.src, fwd)
+        np.add.at(tau, k.dst, back)
+        return tau
+
+    @cached_property
+    def tension_sq(self):
+        return self.kern.tension_norm_sq(self.points, self.tension)
+
+    @property
+    def drift(self):
+        """dist(I, f(v0)), from the vertex eigenvalues."""
+        return ss.origin_dist(self.points[0], self.w[0])
 
 
 def edge_logs(f):
@@ -323,15 +370,14 @@ def flow(rep, f0, *, tol=1e-8, max_iter=20000, drift_radius=50.0,
 def _newton_flow(kern, pts, *, tol, max_iter, drift_radius, history_stride):
     """Damped Riemannian Newton phase; (points, report), or None when the
     explicit flow has to take over."""
-    eye = np.eye(kern.n, dtype=complex)
     report = FlowReport(solver="newton")
-    E, tau = kern.energy_and_tension(pts)
-    gsq = kern.tension_norm_sq(pts, tau)
-    report.energy_history.append(E)
+    ev = MapEval(kern, pts)
+    report.energy_history.append(ev.energy)
     slow = 0        # consecutive full steps that cut |tau| by less than 4x
     for it in range(1, max_iter + 1):
+        E, gsq = ev.energy, ev.tension_sq
         tnorm = np.sqrt(gsq)
-        drift = ss.dist(eye, pts[0])
+        drift = ev.drift
         if drift > drift_radius:
             return None
         report.iterations = it
@@ -344,7 +390,7 @@ def _newton_flow(kern, pts, *, tol, max_iter, drift_radius, history_stride):
             break
         if it > NEWTON_STEPS or it == max_iter:
             return None
-        step = kern.newton_step(pts, tau, 1e-2 * min(1.0, tnorm))
+        step = kern.newton_step(ev.points, ev.tension, 1e-2 * min(1.0, tnorm))
         if step is None:
             return None
         X, decrease = step
@@ -352,37 +398,37 @@ def _newton_flow(kern, pts, *, tol, max_iter, drift_radius, history_stride):
         polish = 0.5 * decrease < 1e-13 * max(1.0, abs(E))
         alpha = 1.0
         while alpha >= 1e-10:
-            cand = kern.retract(pts, X, alpha)
-            Ec, tauc = kern.evaluate(cand)
-            if tauc is not None:
-                gsq_c = kern.tension_norm_sq(cand, tauc)
-                if gsq_c < gsq if polish else Ec <= E - 1e-4 * alpha * decrease:
-                    break
+            cand = kern.evaluate(kern.retract(ev.points, X, alpha))
+            if cand is not None and (cand.tension_sq < gsq if polish else
+                                     cand.energy <= E - 1e-4 * alpha * decrease):
+                break
             alpha *= 0.5
         else:
             return None
-        slow = slow + 1 if alpha == 1.0 and gsq_c > gsq / 16.0 else 0
+        slow = slow + 1 if alpha == 1.0 and cand.tension_sq > gsq / 16.0 else 0
         if slow == 2:
             return None
-        pts, E, tau, gsq = cand, Ec, tauc, gsq_c
-    report.energy = E
-    report.tension = float(np.sqrt(gsq))
-    report.energy_history.append(E)
-    return pts, report
+        ev = cand
+    report.energy = ev.energy
+    report.tension = float(np.sqrt(ev.tension_sq))
+    report.energy_history.append(ev.energy)
+    return ev.points, report
 
 
 def _explicit_flow(kern, pts, *, tol, max_iter, drift_radius, history_stride):
-    """Energy-descent flow with Armijo backtracking; (points, report)."""
-    eye = np.eye(kern.n, dtype=complex)
+    """Energy-descent flow with Armijo backtracking; (points, report).
+
+    A candidate is evaluated energy first; its tension is built only once
+    it is accepted.  A non-finite candidate fails both acceptance tests."""
     report = FlowReport()
-    E, tau = kern.energy_and_tension(pts)
-    E0 = E
+    ev = MapEval(kern, pts)
+    E0 = ev.energy
     step = 0.5 * kern.step_scale
-    report.energy_history.append(E)
+    report.energy_history.append(E0)
     for it in range(1, max_iter + 1):
-        gsq = kern.tension_norm_sq(pts, tau)
+        E, gsq = ev.energy, ev.tension_sq
         tnorm = np.sqrt(gsq)
-        drift = ss.dist(eye, pts[0])
+        drift = ev.drift
         report.iterations = it
         report.basepoint_drift = drift
         if it % history_stride == 0 or it == 1:
@@ -396,27 +442,23 @@ def _explicit_flow(kern, pts, *, tol, max_iter, drift_radius, history_stride):
         if drift > drift_radius:
             report.reductive_suspected = False
             break
-        accepted = False
         if 0.25 * step * gsq < 1e-13 * max(1.0, abs(E)):
             # energy decrements below float resolution: fixed-step polish
             # accepted on tension decrease instead (energy stays within 1e-12)
-            cand = kern.retract(pts, tau, step)
-            Ec, tauc = kern.energy_and_tension(cand)
-            if kern.tension_norm_sq(cand, tauc) <= gsq * (1.0 + 1e-6):
-                pts, E, tau = cand, Ec, tauc
-                accepted = True
-            else:
-                step *= 0.5
-                accepted = step > 1e-16
-            if not accepted:
-                report.step_underflow = True
-                break
-            continue
+            cand = MapEval(kern, kern.retract(ev.points, ev.tension, step))
+            if cand.tension_sq <= gsq * (1.0 + 1e-6):
+                ev = cand
+                continue
+            step *= 0.5
+            if step > 1e-16:
+                continue
+            report.step_underflow = True
+            break
+        accepted = False
         while step > 1e-16:
-            cand = kern.retract(pts, tau, step)
-            Ec, tauc = kern.energy_and_tension(cand)
-            if Ec <= E - 0.25 * step * gsq:
-                pts, E, tau = cand, Ec, tauc
+            cand = MapEval(kern, kern.retract(ev.points, ev.tension, step))
+            if cand.energy <= E - 0.25 * step * gsq:
+                ev = cand
                 step = min(step * 1.4, 1e8)
                 accepted = True
                 break
@@ -424,8 +466,9 @@ def _explicit_flow(kern, pts, *, tol, max_iter, drift_radius, history_stride):
         if not accepted:
             report.step_underflow = True
             break
+    E = ev.energy
     report.energy = E
-    report.tension = float(np.sqrt(kern.tension_norm_sq(pts, tau)))
+    report.tension = float(np.sqrt(ev.tension_sq))
     report.energy_history.append(E)
     # drift-trend heuristic at exhaustion: energy sinking, basepoint leaving
     if not report.converged and report.reductive_suspected:
@@ -433,7 +476,7 @@ def _explicit_flow(kern, pts, *, tol, max_iter, drift_radius, history_stride):
         if (len(dh) >= 4 and E < 0.25 * max(E0, 1e-300)
                 and dh[-1] > dh[len(dh) // 2] + 0.2):
             report.reductive_suspected = False
-    return pts, report
+    return ev.points, report
 
 
 def energy_of_rep(rep, mesh, *, tol=1e-8, max_iter=20000, n_starts=2, seed=0,

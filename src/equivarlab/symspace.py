@@ -9,10 +9,16 @@ P -> g P g^†.  Edge logarithms follow the exact-transport convention
 which is selfadjoint at P and satisfies exp_point(P, mc_edge(P,Q)) = Q.
 With this normalization ||mc_edge(P,Q)||_P = dist(P,Q)/2.
 
-The geometry routines (act, dist, geodesic, exp_point, mc_edge, edge_log and
-the spectral functions) broadcast over leading axes: a single point is a
-stack of one, and a stack gives bit for bit the values of the per-point
-calls.  The heat flow in harmonicflow runs on these routines.
+The geometry routines (act, dist, geodesic, exp_point, mc_edge and the
+spectral functions) broadcast over leading axes: a single point is a stack
+of one, and a stack gives bit for bit the values of the per-point calls.
+
+The frame routines split one evaluation into its eigendecompositions, so
+that a caller pays for each once: point_frame gives the floored eigenvalues
+w, the eigenvectors U and S = P^{-1/2} of P; log_frame gives the
+log-eigenvalues and eigenvectors of S Q S; mc_from_frame builds mc_edge(P, Q)
+from both, and origin_dist reads dist(I, P) from w.  The heat flow in
+harmonicflow and translation_length run on them.
 """
 
 from __future__ import annotations
@@ -26,6 +32,8 @@ from .liealg import ad_action, norm_at
 MC_EDGE_NORM_RATIO = 0.5
 
 _EIG_FLOOR = 1e-14
+
+_EYE2 = np.eye(2, dtype=complex)
 
 
 def _ct(M):
@@ -46,6 +54,11 @@ def _spectral(U, vals):
     return np.einsum("...ij,...j,...kj->...ik", U, vals, np.conj(U))
 
 
+def _log_norm(logw):
+    # vecdot, not a sum of squares: it equals np.linalg.norm bit for bit
+    return np.sqrt(np.vecdot(logw, logw))
+
+
 def check_point(P, tol_det=1e-9, require_det_one=True):
     """Positive definiteness, Hermitian symmetry and the det-1 constraint."""
     P = np.asarray(P, dtype=complex)
@@ -60,15 +73,33 @@ def check_point(P, tol_det=1e-9, require_det_one=True):
             raise ValueError(f"det {d} differs from 1")
 
 
+def point_frame(P):
+    """Floored eigenvalues w, eigenvectors U and S = P^{-1/2} from one
+    eigendecomposition of P."""
+    w, U = _eigh(P)
+    return w, U, _spectral(U, 1.0 / np.sqrt(w))
+
+
 def sqrt_pair(P):
     """(P^{1/2}, P^{-1/2}) from one eigendecomposition."""
-    w, U = _eigh(P)
-    return _spectral(U, np.sqrt(w)), _spectral(U, 1.0 / np.sqrt(w))
+    w, U, S = point_frame(P)
+    return _spectral(U, np.sqrt(w)), S
 
 
 def inv_sqrt_spd(P):
-    w, U = _eigh(P)
-    return _spectral(U, 1.0 / np.sqrt(w))
+    return point_frame(P)[2]
+
+
+def origin_dist(P, w):
+    """dist(I, P), read from the floored eigenvalues w of P.
+
+    eigh reads one triangle of P, while dist hermitizes it first, so the two
+    agree bit for bit only on an exactly Hermitian P.  Any other P, such as a
+    random start or a point read from JSON, goes through dist.
+    """
+    if not np.array_equal(P, _ct(P)):
+        return dist(np.eye(P.shape[-1], dtype=complex), P)
+    return float(_log_norm(np.log(w)))
 
 
 def power_spd(P, t):
@@ -93,10 +124,9 @@ def _expm(X):
         s = np.sqrt(q.astype(complex))
         small = np.abs(s) < 1e-8
         c = np.cosh(s)
-        coef = np.where(small, 1.0 + q / 6.0, np.sinh(np.where(small, 1.0, s))
-                        / np.where(small, 1.0, s))
-        eye = np.eye(2, dtype=complex)
-        return c[..., None, None] * eye + coef[..., None, None] * X
+        s1 = np.where(small, 1.0, s)
+        coef = np.where(small, 1.0 + q / 6.0, np.sinh(s1) / s1)
+        return c[..., None, None] * _EYE2 + coef[..., None, None] * X
     flat = X.reshape(-1, n, n)
     return np.stack([scipy.linalg.expm(x) for x in flat]).reshape(X.shape)
 
@@ -107,28 +137,26 @@ def act(g, P):
     return _hermitize(g @ P @ _ct(g))
 
 
-def _log_eigs(S, Q):
-    """Logarithms of the eigenvalues, and eigenvectors, of S Q S."""
+def log_frame(S, Q):
+    """Logarithms of the eigenvalues, and eigenvectors, of S Q S.
+
+    With S = P^{-1/2} the logarithms give dist(P, Q) (see dist), and
+    mc_from_frame builds mc_edge(P, Q) from them.
+    """
     w, U = _eigh(_hermitize(S @ Q @ S))
     return np.log(w), U
 
 
+def mc_from_frame(w, U, S, logw, V):
+    """mc_edge(P, Q) from point_frame(P) = (w, U, S) and log_frame(S, Q) =
+    (logw, V)."""
+    return 0.5 * (_spectral(U, np.sqrt(w)) @ _spectral(V, logw) @ S)
+
+
 def dist(P, Q):
     """Invariant distance ||log(P^{-1/2} Q P^{-1/2})||_F."""
-    logw, _ = _log_eigs(inv_sqrt_spd(P), Q)
-    # vecdot, not a sum of squares: it equals np.linalg.norm bit for bit
-    d = np.sqrt(np.vecdot(logw, logw))
+    d = _log_norm(log_frame(inv_sqrt_spd(P), Q)[0])
     return float(d) if d.ndim == 0 else d
-
-
-def edge_log(R, S, Q):
-    """mc_edge(P, Q) and the squared distance, from R = P^{1/2}, S = P^{-1/2}.
-
-    The squared distance is a sum of squares, which can differ from
-    dist(P, Q)**2 in the last bit; the flow energy is built on it.
-    """
-    logw, U = _log_eigs(S, Q)
-    return 0.5 * (R @ _spectral(U, logw) @ S), np.sum(logw ** 2, axis=-1)
 
 
 def ad_jacobi(logw):
@@ -170,7 +198,8 @@ def mc_edge(P, Q):
     Computed through the symmetric eigendecomposition of P^{-1/2} Q P^{-1/2}
     and conjugated back, which keeps the selfadjointness exact.
     """
-    return edge_log(*sqrt_pair(P), Q)[0]
+    w, U, S = point_frame(P)
+    return mc_from_frame(w, U, S, *log_frame(S, Q))
 
 
 def random_point(group, rng, scale=0.5):
@@ -202,8 +231,15 @@ def translation_length(g, *, tol=1e-8, max_iter=20000, radius=50.0, rng=None,
         rng = np.random.default_rng(0)
     ginv = np.linalg.inv(g)
 
-    def displacement_sq(P):
-        return dist(P, act(g, P)) ** 2
+    def frame(P):
+        # point_frame(P) and log_frame(S, g P g^†): a candidate's
+        # displacement, and mc_edge(P, g P g^†) once it is accepted
+        w, U, S = point_frame(P)
+        return (w, U, S) + log_frame(S, act(g, P))
+
+    def displacement_sq(fr):
+        # dist(P, g P g^†) ** 2 from the log-eigenvalues of the frame
+        return float(_log_norm(fr[3])) ** 2
 
     best = None
     for start in range(n_restarts):
@@ -213,16 +249,16 @@ def translation_length(g, *, tol=1e-8, max_iter=20000, radius=50.0, rng=None,
             H = 0.1 * rng.standard_normal((n, n))
             H = 0.5 * (H + H.T) - np.trace(H) / n * np.eye(n)
             P = exp_hermitian(H.astype(complex))
-        val = displacement_sq(P)
+        fr = frame(P)
+        val = displacement_sq(fr)
         step = 0.25
         attained = False
         for _ in range(max_iter):
-            Q = act(g, P)
-            beta = mc_edge(P, Q)
+            beta = mc_from_frame(*fr)
             # gradient of d(P, gPg†)^2 in the <.,.>_P metric is -4*dirn
             dirn = beta + ad_action(ginv, -beta)
             gnorm = norm_at(P, dirn)
-            drift = dist(np.eye(n, dtype=complex), P)
+            drift = origin_dist(P, fr[0])
             if gnorm < tol:
                 attained = drift <= radius
                 break
@@ -233,9 +269,10 @@ def translation_length(g, *, tol=1e-8, max_iter=20000, radius=50.0, rng=None,
             accepted = False
             while step > 1e-14:
                 P_new = exp_point(P, step * dirn)
-                val_new = displacement_sq(P_new)
+                fr_new = frame(P_new)
+                val_new = displacement_sq(fr_new)
                 if val_new <= val - 0.25 * step * gnorm ** 2:
-                    P, val = P_new, val_new
+                    P, fr, val = P_new, fr_new, val_new
                     step = min(step * 1.5, 64.0)
                     accepted = True
                     break

@@ -48,6 +48,16 @@ def genus2():
     return mc.build_genus2(2)
 
 
+@pytest.fixture(scope="session")
+def parabolic_plateau(sl2r):
+    """(map, report) of the 40 000-iteration flow of the parabolic circle-4
+    representation from the constant map, run once for every test that
+    reads it."""
+    circle = mc.build_circle(4)
+    rep = rv.parabolic_circle_rep(sl2r, circle)
+    return hf.flow(rep, hf.constant_map(circle, rep), max_iter=40000)
+
+
 def converged(mesh, rep, tol=1e-10):
     f, rpt = hf.flow(rep, hf.constant_map(mesh, rep), tol=tol, max_iter=60000)
     assert rpt.converged, f"fixture flow failed: tension {rpt.tension}"

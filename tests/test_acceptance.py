@@ -54,10 +54,8 @@ def test_criterion_01_geodesic_energy(sl2r, circle8):
               f"E/L^2 = {ratios} ~ 1/2")
 
 
-def test_criterion_02_semisimplification(sl2r):
-    circle = mc.build_circle(4)
-    rep = rv.parabolic_circle_rep(sl2r, circle)
-    f, rpt = hf.flow(rep, hf.constant_map(circle, rep), max_iter=40000)
+def test_criterion_02_semisimplification(parabolic_plateau):
+    f, rpt = parabolic_plateau
     assert rpt.energy < 1e-3
     assert not rpt.converged
     assert not rpt.reductive_suspected

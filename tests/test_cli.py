@@ -69,8 +69,15 @@ OBSTRUCTED_CFG = {
 }
 
 
-def test_flow_parabolic_exit_zero(tmp_path):
-    code, report, _ = run_cli(tmp_path, "flow", PARABOLIC_CFG)
+@pytest.fixture(scope="module")
+def parabolic_run(tmp_path_factory):
+    """The PARABOLIC_CFG flow run, checked against its golden, once for the
+    tests that read it."""
+    return run_cli(tmp_path_factory.mktemp("parabolic"), "flow", PARABOLIC_CFG)
+
+
+def test_flow_parabolic_exit_zero(parabolic_run):
+    code, report, _ = parabolic_run
     assert code == cli.EXIT_OK
     res = report["result"]["flow"]
     assert res["energy"] < 1e-3
@@ -124,8 +131,8 @@ def test_reports_deterministic(tmp_path):
         == (d2 / "deform2_report.json").read_bytes()
 
 
-def test_report_embeds_config_and_tolerances(tmp_path):
-    code, report, _ = run_cli(tmp_path, "flow", PARABOLIC_CFG)
+def test_report_embeds_config_and_tolerances(parabolic_run):
+    code, report, _ = parabolic_run
     assert report["config"]["mesh"] == PARABOLIC_CFG["mesh"]
     assert "flow_tol" in report["config"]["tolerances"]
     assert report["schema_version"] == cli.SCHEMA_VERSION

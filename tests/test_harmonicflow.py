@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from equivarlab import harmonicflow as hf
+from equivarlab import hyperbolic as hyp
 from equivarlab import meshcover as mc
 from equivarlab import repvar as rv
+from equivarlab import symspace as ss
 from equivarlab.liealg import MatrixGroup
 from equivarlab.symspace import act, dist, exp_point, geodesic
 
@@ -77,10 +79,8 @@ def test_flow_hyperbolic_circle(sl2r, circle8):
     assert rpt.reductive_suspected
 
 
-def test_flow_parabolic_plateau(sl2r):
-    circle = mc.build_circle(4)
-    rep = rv.parabolic_circle_rep(sl2r, circle)
-    f, rpt = hf.flow(rep, hf.constant_map(circle, rep), max_iter=40000)
+def test_flow_parabolic_plateau(parabolic_plateau):
+    f, rpt = parabolic_plateau
     assert not rpt.converged
     assert rpt.energy < 1e-3
     assert not rpt.reductive_suspected
@@ -367,4 +367,189 @@ def test_oversize_step_is_a_silent_rejection(sl2c, torus66):
         warnings.simplefilter("error")
         cand = kern.retract(pts, tau, 1e6)
         assert not np.isfinite(cand).all()
-        assert kern.evaluate(cand) == (np.inf, None)
+        assert kern.evaluate(cand) is None
+
+
+# ----------------------------------------------------------------------
+# one evaluation per candidate: energy first, tension only on acceptance
+
+def _reference_explicit_flow(kern, pts, *, tol, max_iter, drift_radius,
+                             history_stride):
+    """The explicit flow that evaluates energy and tension of every
+    candidate and measures the drift by ss.dist at every iteration."""
+    eye = np.eye(kern.n, dtype=complex)
+    report = hf.FlowReport()
+    E, tau = kern.energy_and_tension(pts)
+    E0 = E
+    step = 0.5 * kern.step_scale
+    report.energy_history.append(E)
+    for it in range(1, max_iter + 1):
+        gsq = kern.tension_norm_sq(pts, tau)
+        tnorm = np.sqrt(gsq)
+        drift = ss.dist(eye, pts[0])
+        report.iterations = it
+        report.basepoint_drift = drift
+        if it % history_stride == 0 or it == 1:
+            report.energy_history.append(E)
+            report.drift_history.append(drift)
+        if tnorm < tol:
+            report.converged = drift <= drift_radius
+            if not report.converged:
+                report.reductive_suspected = False
+            break
+        if drift > drift_radius:
+            report.reductive_suspected = False
+            break
+        accepted = False
+        if 0.25 * step * gsq < 1e-13 * max(1.0, abs(E)):
+            cand = kern.retract(pts, tau, step)
+            Ec, tauc = kern.energy_and_tension(cand)
+            if kern.tension_norm_sq(cand, tauc) <= gsq * (1.0 + 1e-6):
+                pts, E, tau = cand, Ec, tauc
+                accepted = True
+            else:
+                step *= 0.5
+                accepted = step > 1e-16
+            if not accepted:
+                report.step_underflow = True
+                break
+            continue
+        while step > 1e-16:
+            cand = kern.retract(pts, tau, step)
+            Ec, tauc = kern.energy_and_tension(cand)
+            if Ec <= E - 0.25 * step * gsq:
+                pts, E, tau = cand, Ec, tauc
+                step = min(step * 1.4, 1e8)
+                accepted = True
+                break
+            step *= 0.5
+        if not accepted:
+            report.step_underflow = True
+            break
+    report.energy = E
+    report.tension = float(np.sqrt(kern.tension_norm_sq(pts, tau)))
+    report.energy_history.append(E)
+    if not report.converged and report.reductive_suspected:
+        dh = report.drift_history
+        if (len(dh) >= 4 and E < 0.25 * max(E0, 1e-300)
+                and dh[-1] > dh[len(dh) // 2] + 0.2):
+            report.reductive_suspected = False
+    return pts, report
+
+
+SL3R_LOGS = {"a": np.diag([0.3, -0.1, -0.2]), "b": np.diag([-0.2, 0.5, -0.3])}
+
+
+def _reference_case(name):
+    """(mesh, rep, start map, max_iter) of one reference-loop case."""
+    rng = np.random.default_rng(2)
+    if name == "parabolic_circle4":
+        mesh = mc.build_circle(4)
+        rep = rv.parabolic_circle_rep(MatrixGroup("sl", 2, "R"), mesh)
+        return mesh, rep, hf.constant_map(mesh, rep), 2000
+    if name == "hyperbolic_circle8":
+        mesh = mc.build_circle(8)
+        rep = rv.hyperbolic_circle_rep(MatrixGroup("sl", 2, "R"), mesh, 2.0)
+    elif name == "sl2c_torus6_random":
+        mesh = mc.build_torus(6, 6)
+        rep = rv.torus_diag_rep(MatrixGroup("sl", 2, "C"), mesh, 0.4 + 0.3j,
+                                -0.2 + 0.5j)
+    elif name == "sl2r_genus2_k1":
+        mesh = mc.build_genus2(1)
+        rep = rv.genus2_fuchsian_rep(MatrixGroup("sl", 2, "R"), mesh)
+        return mesh, rep, hf.constant_map(mesh, rep), 20000
+    elif name == "gl1c_torus":
+        mesh = mc.build_torus(6, 6)
+        rep = rv.torus_gl1c_rep(MatrixGroup("gl1c"), mesh, 0.5 + 1.0j, -0.3 + 0.2j)
+    else:
+        mesh = mc.build_torus(4, 4)
+        rep = rv.exp_family(MatrixGroup("sl", 3, "R"), mesh, SL3R_LOGS)
+        # 500 of the 2824 iterations to convergence: each retraction takes
+        # one scipy expm per vertex
+        return mesh, rep, hf.random_map(mesh, rep, rng, 0.4), 500
+    # random starts are not exactly Hermitian: the start drift goes through dist
+    return mesh, rep, hf.random_map(mesh, rep, rng, 0.4), 20000
+
+
+@pytest.mark.parametrize("name", ["parabolic_circle4", "hyperbolic_circle8",
+                                  "sl2c_torus6_random", "sl2r_genus2_k1",
+                                  "gl1c_torus", "sl3r_torus4"])
+def test_explicit_flow_matches_reference_loop(name):
+    mesh, rep, f0, max_iter = _reference_case(name)
+    kern = hf.FlowKernel(mesh, rep)
+    args = dict(tol=1e-8, max_iter=max_iter, drift_radius=50.0, history_stride=25)
+    pts, rpt = hf._explicit_flow(kern, f0.points.copy(), **args)
+    ref_pts, ref = _reference_explicit_flow(kern, f0.points.copy(), **args)
+    assert np.array_equal(pts, ref_pts)
+    assert dataclasses.asdict(rpt) == dataclasses.asdict(ref)
+    assert rpt.iterations > 1
+
+
+def _eval_rep(group, mesh):
+    """_hessian_rep, plus SL(3,R): an upper-triangular circle image, the
+    diagonal exponential torus family and the Fuchsian genus-2 generators
+    in the upper-left block, conjugated off the block."""
+    if group.n < 3:
+        return _hessian_rep(group, mesh)
+    kind = mesh.meta["kind"]
+    if kind == "circle":
+        return rv.circle_rep(group, mesh, np.array([[2.0, 1.0, 0.0],
+                                                    [0.0, 1.0, 0.5],
+                                                    [0.0, 0.0, 0.5]]))
+    if kind == "torus":
+        return rv.exp_family(group, mesh, SL3R_LOGS)
+    block = {k: np.block([[M, np.zeros((2, 1))], [np.zeros((1, 2)), np.eye(1)]])
+             for k, M in hyp.fuchsian_generators().items()}
+    h = np.array([[1.0, 0.3, -0.2], [0.0, 1.0, 0.4], [0.1, 0.0, 1.0]])
+    h = h / np.cbrt(np.linalg.det(h))
+    return rv.Representation.for_mesh(group, mesh, block).conjugate(h)
+
+
+def _per_edge_energy_and_tension(kern, points):
+    """Reference: energy and tension one edge at a time, from mc_edge and
+    the log-eigenvalues that dist reads; the tension sums the source terms
+    of all edges first, then the far-end terms."""
+    d2 = np.empty(len(kern.src))
+    fwd = np.empty((len(kern.src),) + points.shape[1:], dtype=complex)
+    for e, (s, d) in enumerate(zip(kern.src, kern.dst)):
+        Q = act(kern.g[e], points[d])
+        d2[e] = np.sum(ss.log_frame(ss.inv_sqrt_spd(points[s]), Q)[0] ** 2)
+        fwd[e] = 2.0 * kern.w1[e] * ss.mc_edge(points[s], Q)
+    tau = np.zeros_like(points)
+    for e, s in enumerate(kern.src):
+        tau[s] += fwd[e]
+    for e, d in enumerate(kern.dst):
+        tau[d] += -(kern.ginv[e] @ fwd[e] @ kern.g[e])
+    return 0.5 * float(np.dot(kern.w1, d2)), tau
+
+
+@pytest.mark.parametrize("mesh_name", sorted(HESSIAN_MESHES))
+@pytest.mark.parametrize("group_key", [("sl", 2, "R"), ("sl", 2, "C"),
+                                       ("gl1c", 1, "C"), ("sl", 3, "R")])
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), scale=st.floats(0.05, 0.6),
+       retracted=st.booleans())
+def test_map_eval_matches_per_edge_loop(mesh_name, group_key, seed, scale,
+                                        retracted):
+    # the evaluation's energy, tension and drift equal the per-edge loop and
+    # dist bit for bit, on random points (often not exactly Hermitian) and on
+    # retracted ones (exactly Hermitian)
+    mesh = HESSIAN_MESHES[mesh_name]
+    rep = _eval_rep(MatrixGroup(*group_key), mesh)
+    kern = hf.FlowKernel(mesh, rep)
+    pts = hf.random_map(mesh, rep, np.random.default_rng(seed), scale).points
+    if retracted:
+        _, tau = _per_edge_energy_and_tension(kern, pts)
+        pts = kern.retract(pts, tau, 0.25 * kern.step_scale)
+    E, tau = _per_edge_energy_and_tension(kern, pts)
+    ev = kern.evaluate(pts)
+    assert ev.energy == E
+    assert np.array_equal(ev.tension, tau)
+    assert ev.drift == dist(np.eye(rep.group.n, dtype=complex), pts[0])
+    assert ev.tension_sq == kern.tension_norm_sq(pts, tau)
+    # the kernel's readers return the same values
+    E2, tau2 = kern.energy_and_tension(pts)
+    assert E2 == E and np.array_equal(tau2, tau)
+    assert kern.energy(pts) == E
+    beta, d2 = kern.edge_data(pts)
+    assert np.array_equal(beta, ev.beta) and np.array_equal(d2, ev.d2)

@@ -5,8 +5,8 @@ from hypothesis import given, settings, strategies as st
 from equivarlab.liealg import (MatrixGroup, ad_action, adjoint_at,
                                cartan_project, gram_at, norm_at)
 from equivarlab.symspace import (MC_EDGE_NORM_RATIO, act, check_point, dist,
-                                 exp_point, geodesic, mc_edge, random_point,
-                                 translation_length)
+                                 exp_hermitian, exp_point, geodesic, mc_edge,
+                                 random_point, translation_length)
 
 SL2C = MatrixGroup("sl", 2, "C")
 SL2R = MatrixGroup("sl", 2, "R")
@@ -152,6 +152,77 @@ def test_translation_length_conjugation_invariance():
     L1, _ = translation_length(g)
     L2, _ = translation_length((h @ g @ np.linalg.inv(h)).astype(complex))
     assert abs(L1 - L2) < 1e-6
+
+
+def _reference_translation_length(g, *, tol=1e-8, max_iter=20000, radius=50.0,
+                                  n_restarts=2):
+    """The descent of translation_length with every displacement, edge log
+    and drift computed from scratch by dist and mc_edge."""
+    g = np.asarray(g, dtype=complex)
+    n = g.shape[0]
+    rng = np.random.default_rng(0)
+    ginv = np.linalg.inv(g)
+    best = None
+    for start in range(n_restarts):
+        if start == 0:
+            P = np.eye(n, dtype=complex)
+        else:
+            H = 0.1 * rng.standard_normal((n, n))
+            H = 0.5 * (H + H.T) - np.trace(H) / n * np.eye(n)
+            P = exp_hermitian(H.astype(complex))
+        val = dist(P, act(g, P)) ** 2
+        step = 0.25
+        attained = False
+        for _ in range(max_iter):
+            beta = mc_edge(P, act(g, P))
+            dirn = beta + ad_action(ginv, -beta)
+            gnorm = norm_at(P, dirn)
+            drift = dist(np.eye(n, dtype=complex), P)
+            if gnorm < tol:
+                attained = drift <= radius
+                break
+            if drift > radius:
+                attained = False
+                break
+            accepted = False
+            while step > 1e-14:
+                P_new = exp_point(P, step * dirn)
+                val_new = dist(P_new, act(g, P_new)) ** 2
+                if val_new <= val - 0.25 * step * gnorm ** 2:
+                    P, val = P_new, val_new
+                    step = min(step * 1.5, 64.0)
+                    accepted = True
+                    break
+                step *= 0.5
+            if not accepted:
+                attained = gnorm < 1e-6 and drift <= radius
+                break
+        cand = (float(np.sqrt(max(val, 0.0))), attained)
+        if best is None or cand[0] < best[0] - 1e-12 or (
+                abs(cand[0] - best[0]) <= 1e-12 and cand[1]):
+            best = cand
+    return best
+
+
+def _conjugated(g, seed=10):
+    h = np.eye(2) + 0.5 * np.random.default_rng(seed).standard_normal((2, 2))
+    h = h / np.sqrt(abs(np.linalg.det(h)))
+    return (h @ g @ np.linalg.inv(h)).astype(complex)
+
+
+@pytest.mark.parametrize("g, max_iter", [
+    (np.eye(2, dtype=complex), 20000),
+    (np.diag([2.0, 0.5]).astype(complex), 20000),
+    (np.diag([1.7, 1 / 1.7]).astype(complex), 20000),
+    (_conjugated(np.diag([1.7, 1 / 1.7])), 20000),
+    # the plateau: 2000 of the 20000 iterations keep the reference cheap
+    (np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex), 2000),
+])
+def test_translation_length_matches_reference_loop(g, max_iter):
+    # the accepted candidate's frames serve the next step, and the drift is
+    # read from the point's eigenvalues; (L, attained) stays bit for bit
+    assert translation_length(g, max_iter=max_iter) \
+        == _reference_translation_length(g, max_iter=max_iter)
 
 
 def test_check_point_rejects_bad_input():
