@@ -13,8 +13,7 @@ from .repvar import (Cocycle, Jet2Cocycle, RepPath, Representation,
                      validation_report)
 from .harmonicflow import (EquivariantMap, FlowReport, constant_map, energy,
                            energy_of_rep, flow, map_distance,
-                           normalize_basepoint, random_map, tension,
-                           tension_norm)
+                           normalize_basepoint, random_map, tension_norm)
 from .twistedhodge import (LinearSolverError, PeriodMismatchError,
                            SingularKKTError, TwistedCochain, TwistedComplex)
 from .deform import (FirstOrderDeformation, ObstructedDeformationError,

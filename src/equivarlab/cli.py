@@ -3,8 +3,9 @@
     equivar-lab <task> --config cfg.json [--out DIR] [--seed N] [--tol X]
 
 Tasks: flow, energy, hodge, deform1, deform2, variation, psh, critical-scan,
-refine-study.  Exit codes: 0 success, 2 validation failure (every task but
-refine-study starts from build_problem, which checks the relators), 3
+refine-study.  Exit codes: 0 success, 2 validation failure (a config section
+missing or not an object; every task but refine-study starts from
+build_problem, which checks the relators), 3
 harmonic-map solver non-convergence where a converged metric is required, 4
 obstructed second-order deformation request.
 """
@@ -40,6 +41,13 @@ EXIT_OBSTRUCTED = 4
 
 class ConfigError(ValueError):
     pass
+
+
+def _section(cfg, name):
+    """cfg[name], which must be an object (else ConfigError)."""
+    if not isinstance(cfg.get(name), dict):
+        raise ConfigError(f"config section {name!r} is missing or not an object")
+    return cfg[name]
 
 
 def _as_complex(x):
@@ -111,9 +119,9 @@ def build_representation(spec, group, mesh):
 
 def build_problem(cfg):
     """(mesh, group, rep) of the config; the rep must pass the relator check."""
-    mesh = build_mesh(cfg["mesh"])
-    group = build_group(cfg["group"])
-    rep = build_representation(cfg["representation"], group, mesh)
+    mesh = build_mesh(_section(cfg, "mesh"))
+    group = build_group(_section(cfg, "group"))
+    rep = build_representation(_section(cfg, "representation"), group, mesh)
     if not rep.validate(cfg["tolerances"]["validation"]):
         raise ConfigError("representation fails the relator check")
     return mesh, group, rep
@@ -189,11 +197,12 @@ def resolve_config(args):
     if args.seed is not None:
         cfg["seed"] = args.seed
     tols = cfg.setdefault("tolerances", {})
-    tols.setdefault("flow_tol", 1e-8)
-    tols.setdefault("rel_obstruction", 1e-7)
-    tols.setdefault("validation", 1e-8)
-    if args.tol is not None:
-        tols["flow_tol"] = args.tol
+    if isinstance(tols, dict):      # else main reports the bad section
+        tols.setdefault("flow_tol", 1e-8)
+        tols.setdefault("rel_obstruction", 1e-7)
+        tols.setdefault("validation", 1e-8)
+        if args.tol is not None:
+            tols["flow_tol"] = args.tol
     return cfg
 
 
@@ -285,7 +294,7 @@ def task_hodge(cfg, out_dir):
 
 def task_deform1(cfg, out_dir):
     mesh, group, rep = build_problem(cfg)
-    c = build_cocycle(cfg["deformation"], rep)
+    c = build_cocycle(_section(cfg, "deformation"), rep)
     ctx, _, rpt = converged_context(cfg, mesh, rep)
     fo = first_order(ctx, c)
     obs = obstruction_check(ctx, fo.omega, cfg["tolerances"]["rel_obstruction"])
@@ -295,7 +304,7 @@ def task_deform1(cfg, out_dir):
 
 def task_deform2(cfg, out_dir):
     mesh, group, rep = build_problem(cfg)
-    c, k, _ = build_jet(cfg["deformation"], rep)
+    c, k, _ = build_jet(_section(cfg, "deformation"), rep)
     ctx, _, rpt = converged_context(cfg, mesh, rep)
     so, sol = second_order(ctx, c, k,
                            rel_tol=cfg["tolerances"]["rel_obstruction"])
@@ -306,7 +315,7 @@ def task_deform2(cfg, out_dir):
 
 def task_variation(cfg, out_dir):
     mesh, group, rep = build_problem(cfg)
-    path = build_path(cfg["deformation"]["path_family"], rep)
+    path = build_path(_section(_section(cfg, "deformation"), "path_family"), rep)
     ctx, _, rpt = converged_context(cfg, mesh, rep)
     with_second = bool(cfg.get("with_second", True))
     out = ev.variation_report(ctx, path, mesh, with_second=with_second,
@@ -321,7 +330,7 @@ def task_psh(cfg, out_dir):
     mesh, group, rep = build_problem(cfg)
     if not group.is_complex:
         raise ConfigError("psh task needs a complex group")
-    c, k, _ = build_jet(cfg["deformation"], rep)
+    c, k, _ = build_jet(_section(cfg, "deformation"), rep)
     ctx, _, rpt = converged_context(cfg, mesh, rep)
     report = ev.psh_defect(ctx, c, k, cfg["tolerances"]["rel_obstruction"])
     return {"flow": rpt.to_dict(), "psh": report.to_dict(),
@@ -352,7 +361,7 @@ def task_refine_study(cfg, out_dir):
     levels = [int(x) for x in spec.get("levels", [4, 8, 16])]
     if len(levels) < 3:
         raise ConfigError("refine-study needs at least 3 levels")
-    group = build_group(cfg["group"])
+    group = build_group(_section(cfg, "group"))
     rows = []
     values = []
     scale = 1.0         # the study's scale for FLOOR_REL
@@ -454,6 +463,7 @@ def main(argv=None):
     payload = {"schema_version": SCHEMA_VERSION, "task": args.task,
                "config": cfg}
     try:
+        _section(cfg, "tolerances")
         result = TASK_FUNCS[args.task](cfg, out_dir)
         payload["result"] = result
         payload["status"] = "ok"

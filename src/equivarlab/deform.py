@@ -65,6 +65,7 @@ class PsiSolution:
     psi: TwistedCochain
     eta: TwistedCochain
     obstruction: ObstructionReport
+    edge_jets: tuple        # (c(w_e), k(w_e)) from _edge_jets
     residuals: dict = field(default_factory=dict)
 
 
@@ -86,9 +87,9 @@ def _edge_jets(ctx, c, k):
     """Stacked (c(w_e), k(w_e)) over the edges from the word table of the
     complex (after validating the jet); zero on unlabeled edges."""
     jet = Jet2Cocycle(c, k)
-    words = ctx.words
+    words, idx = ctx.words, ctx.word_index.edge_word
     cw, kw = words.jets(words.stack(c.values), words.stack(jet.k))
-    return cw[ctx.edge_word], kw[ctx.edge_word]
+    return cw[idx], kw[idx]
 
 
 def _transport(ctx, vals):
@@ -135,10 +136,11 @@ def obstruction_check(ctx, omega, rel_tol=1e-7):
     return ObstructionReport(defect <= threshold, defect, scale, witness)
 
 
-def jet_seed_second(ctx, c, k, xi):
+def jet_seed_second(ctx, edge_jets, xi):
     """Second component omega2^0 of the jet-closed seed, gauge-fixed by xi:
-    omega2_0(e) = k(w_e) - [c(w_e), Ad_{rho(w_e)} xi(dst)]."""
-    cw, kw = _edge_jets(ctx, c, k)
+    omega2_0(e) = k(w_e) - [c(w_e), Ad_{rho(w_e)} xi(dst)], from the edge
+    jets (c(w_e), k(w_e))."""
+    cw, kw = edge_jets
     ad_xi = _transport(ctx, _vals(xi))
     return TwistedCochain(1, kw - (cw @ ad_xi - ad_xi @ cw))
 
@@ -158,7 +160,8 @@ def solve_psi(ctx, c, k, *, rel_tol=1e-7, require_unobstructed=True):
         raise ObstructedDeformationError(
             obstruction.defect, rel_tol * obstruction.scale, obstruction.witness)
 
-    omega2_0 = jet_seed_second(ctx, c, k, xi)
+    edge_jets = _edge_jets(ctx, c, k)
+    omega2_0 = jet_seed_second(ctx, edge_jets, xi)
     # omega2^0 - [F0, omega] = omega2^0 + [omega, F0]
     psi0 = TwistedCochain(1, omega2_0.values + ctx.bracket_section(omega, F0).values)
     contr = ctx.contract_star(omega, omega)
@@ -179,7 +182,7 @@ def solve_psi(ctx, c, k, *, rel_tol=1e-7, require_unobstructed=True):
         "equivariance_F0": equiv_defect,
     }
     return PsiSolution(omega, xi, F0, omega2, psi0, psi, eta,
-                       obstruction, residuals)
+                       obstruction, edge_jets, residuals)
 
 
 def second_order(ctx, c, k, *, rel_tol=1e-7, tol=1e-7):
@@ -192,7 +195,7 @@ def second_order(ctx, c, k, *, rel_tol=1e-7, tol=1e-7):
     omega, omega2, F0 = sol.omega, sol.omega2, sol.F0
 
     # second component: Ad_w F2(v) - F2(u) = omega2 - k-seed - [c, Ad_w F0(v)]
-    cw, kw = _edge_jets(ctx, c, k)
+    cw, kw = sol.edge_jets
     adF = _transport(ctx, F0.values)
     target = omega2.values - (kw + (cw @ adF - adF @ cw))
     flat_target = ctx.to_flat(target)
@@ -208,21 +211,21 @@ def second_order(ctx, c, k, *, rel_tol=1e-7, tol=1e-7):
 
     residuals = dict(sol.residuals)
     residuals["equivariance_F2"] = defect2
-    residuals["w_projection"] = _w_equivariance_residual(ctx, cw, kw, F0, F2, w_beta)
+    residuals["w_projection"] = _w_equivariance_residual(ctx, cw, kw, adF, F2, w_beta)
     so = SecondOrderDeformation(F0, F2, sol.psi, v, w_beta, omega, omega2,
                                 residuals)
     return so, sol
 
 
-def _w_equivariance_residual(ctx, cw, kw, F, F2, w_beta):
+def _w_equivariance_residual(ctx, cw, kw, adF, F2, w_beta):
     """Pointwise check of the labeled-edge transformation rule for the
-    second-order tangent field (commuting-diagram projection)."""
-    lab = np.flatnonzero([bool(w) for w in ctx.edge_words])
+    second-order tangent field (commuting-diagram projection); adF = Ad_w F."""
+    lab = np.flatnonzero([bool(e.label) for e in ctx.mesh.edges])
     g = ctx.kern.g[lab]
     cw, kw = cw[lab], kw[lab]
     # metric at the far lift
     Q = g @ ctx.points[ctx.kern.dst[lab]] @ np.conj(np.swapaxes(g, -1, -2))
-    A = _transport(ctx, F.values)[lab]
+    A = adF[lab]
     B = _transport(ctx, F2.values)[lab]
     ck, cp = cartan_project(Q, cw)
     _, Ap = cartan_project(Q, A)

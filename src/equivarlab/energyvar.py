@@ -187,14 +187,14 @@ def variation_report(ctx, path, mesh, *, with_second=True, fd_steps=(1e-2, 5e-3,
                      rel_tol=1e-7, fd_tol=1e-10):
     """Analytic versus finite-difference variations along one path."""
     c, k = path.jets()
-    omega, _ = ctx.harmonic_rep(c)
+    sol = solve_psi(ctx, c, k, rel_tol=rel_tol) if with_second else None
+    omega = sol.omega if with_second else ctx.harmonic_rep(c)[0]
     analytic1 = first_variation(ctx, omega)
     out = {
         "analytic_first": analytic1,
         "omega_sq": omega_l2sq(ctx, omega),
     }
     if with_second:
-        sol = solve_psi(ctx, c, k, rel_tol=rel_tol)
         out["analytic_second"] = second_variation(ctx, sol.psi, omega)
         out["psi_residuals"] = sol.residuals
     f0 = hf.EquivariantMap(mesh, ctx.rep, ctx.points.copy())

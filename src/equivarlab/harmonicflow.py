@@ -27,16 +27,18 @@ the explicit Armijo flow runs from the start map instead; a parabolic
 (non-reductive) representation always ends there.
 
 FlowKernel caches the per-edge arrays of a (mesh, representation) pair and
-evaluates every edge at once through the stacked routines of symspace; the
-transports rho(word_e) are evaluated once per distinct word and gathered per
-edge.  A MapEval is the one evaluation of a map: a vertex eigendecomposition
-gives P^{-1/2}, the edge log-eigendecomposition gives the energy, and the
-edge logs, the tension and the basepoint drift are read from the same arrays
-when asked for.  Both flows evaluate a candidate energy first and build its
-tension only once it is accepted (or when a polish step accepts on the
-tension), and read the drift from the vertex eigenvalues instead of a
-separate distance.  curved_torus_map builds the smooth test map of the
-refinement studies for all vertices in one stacked pass.
+evaluates every edge at once through the stacked routines of symspace; it
+evaluates the deck words of the mesh (``CoverMesh.word_index``) once, as one
+``repvar.WordTable`` that the twisted complex reads too, and gathers the
+transports rho(word_e) per edge from it.  A MapEval is the one evaluation of
+a map: a vertex eigendecomposition gives P^{-1/2}, the edge
+log-eigendecomposition gives the energy, and the edge logs, the tension, its
+norm and the basepoint drift are read from the same arrays when asked for.
+Both flows evaluate a candidate energy first and build its tension only once
+it is accepted (or when a polish step accepts on the tension), and read the
+drift from the vertex eigenvalues instead of a separate distance.
+curved_torus_map builds the smooth test map of the refinement studies for
+all vertices in one stacked pass.
 """
 
 from __future__ import annotations
@@ -51,6 +53,7 @@ import scipy.sparse.linalg as spla
 
 from . import symspace as ss
 from .liealg import adjoint_at, p_basis
+from .repvar import WordTable
 
 
 @dataclass
@@ -61,9 +64,6 @@ class EquivariantMap:
 
     def copy(self):
         return EquivariantMap(self.mesh, self.rep, self.points.copy())
-
-    def point(self, v):
-        return self.points[v]
 
     def to_json(self):
         import json
@@ -100,19 +100,14 @@ class FlowKernel:
     def __init__(self, mesh, rep):
         self.mesh = mesh
         self.rep = rep
-        n = rep.group.n
-        self.n = n
+        self.n = rep.group.n
         self.src = np.array([e.src for e in mesh.edges])
         self.dst = np.array([e.dst for e in mesh.edges])
         self.w1 = np.array([e.weight for e in mesh.edges])
-        # each distinct word once; slot 0 holds the empty word
-        words = {(): 0}
-        idx = np.array([words.setdefault(e.label, len(words)) for e in mesh.edges],
-                       dtype=int)
-        table = np.array([np.eye(n)] + [rep.eval_word(w) for w in list(words)[1:]],
-                         dtype=complex)
-        self.g = table[idx]
-        self.ginv = np.linalg.inv(table)[idx]
+        self.words = WordTable(rep, mesh.word_index.words)
+        idx = mesh.word_index.edge_word
+        self.g = self.words.rho[idx]
+        self.ginv = np.linalg.inv(self.words.rho)[idx]
         self.w0 = np.asarray(mesh.vertex_weights)
         # Jacobi-style scale: stable explicit step is O(1) in this unit
         deg = np.zeros(mesh.nv)
@@ -121,23 +116,6 @@ class FlowKernel:
         self.step_scale = float(np.min(self.w0 / deg))
 
     # -- geometry ------------------------------------------------------
-    def edge_data(self, points):
-        """Per-edge (beta, dist_sq): beta = mc_edge(P_src, g P_dst g^†)."""
-        ev = MapEval(self, points)
-        return ev.beta, ev.d2
-
-    def energy(self, points):
-        return MapEval(self, points).energy
-
-    def energy_and_tension(self, points):
-        ev = MapEval(self, points)
-        return ev.energy, ev.tension
-
-    def tension_norm_sq(self, points, tau):
-        # weighted L2 norm^2 of tau w.r.t. the pointwise fiber metric
-        vals = np.real(np.einsum("vij,vji->v", tau, adjoint_at(points, tau)))
-        return float(np.dot(self.w0, np.maximum(vals, 0.0)))
-
     def retract(self, points, direction, step):
         # an oversize step overflows; it comes back non-finite, silently
         with np.errstate(all="ignore"):
@@ -282,7 +260,10 @@ class MapEval:
 
     @cached_property
     def tension_sq(self):
-        return self.kern.tension_norm_sq(self.points, self.tension)
+        """Weighted L2 norm^2 of the tension in the pointwise fiber metric."""
+        tau = self.tension
+        vals = np.real(np.einsum("vij,vji->v", tau, adjoint_at(self.points, tau)))
+        return float(np.dot(self.kern.w0, np.maximum(vals, 0.0)))
 
     @property
     def drift(self):
@@ -290,28 +271,13 @@ class MapEval:
         return ss.origin_dist(self.points[0], self.w[0])
 
 
-def edge_logs(f):
-    """mc_edge values beta_e = mc_edge(f(src), transported f(dst)) per edge."""
-    kern = FlowKernel(f.mesh, f.rep)
-    beta, _ = kern.edge_data(f.points)
-    return beta
-
-
 def energy(f):
-    return FlowKernel(f.mesh, f.rep).energy(f.points)
+    return MapEval(FlowKernel(f.mesh, f.rep), f.points).energy
 
 
-def tension(f):
-    """Tension field tau(v); vanishing tau characterizes harmonicity."""
-    _, tau = FlowKernel(f.mesh, f.rep).energy_and_tension(f.points)
-    return tau
-
-
-def tension_norm(f, tau=None):
-    kern = FlowKernel(f.mesh, f.rep)
-    if tau is None:
-        _, tau = kern.energy_and_tension(f.points)
-    return float(np.sqrt(kern.tension_norm_sq(f.points, tau)))
+def tension_norm(f):
+    """Weighted L2 norm of the tension field; zero exactly at harmonic maps."""
+    return float(np.sqrt(MapEval(FlowKernel(f.mesh, f.rep), f.points).tension_sq))
 
 
 # ----------------------------------------------------------------------

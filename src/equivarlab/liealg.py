@@ -131,10 +131,6 @@ class MatrixGroup:
         v = rng.standard_normal(self.dim) * scale
         return self.from_coords(v)
 
-    def project_algebra(self, X):
-        """Nearest algebra element (kills trace part / imaginary part)."""
-        return self.from_coords(self.to_coords(X))
-
 
 # ----------------------------------------------------------------------
 # pointwise operations

@@ -6,6 +6,9 @@ edges), and faces given by boundary walks of signed edge steps.  An edge
 u -> v with word w means that the lift of the edge at the chosen lift of u
 ends at w . (chosen lift of v).
 
+``CoverMesh.word_index`` lists, each once, the deck words that the flow
+kernel and the twisted complex read, with the stacked face boundary walks.
+
 Builders: the circle (Gamma = Z), the flat torus (Z^2) and the genus-2
 surface discretized as a subdivided regular hyperbolic octagon.
 """
@@ -14,6 +17,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -98,6 +102,20 @@ class Face(NamedTuple):
     weight: float
 
 
+class WordIndex(NamedTuple):
+    """The distinct deck words of a mesh (edge labels, then generators, then
+    face prefix words), their ids per edge and per generator, and the face
+    walks padded with sign-0 steps: step j of face f crosses edge face_eid
+    with sign face_sign, and rho(words[face_word]) carries it to face_base."""
+    words: tuple
+    edge_word: np.ndarray
+    gen_word: np.ndarray
+    face_eid: np.ndarray
+    face_sign: np.ndarray
+    face_word: np.ndarray
+    face_base: np.ndarray
+
+
 @dataclass
 class CoverMesh:
     generators: tuple
@@ -118,6 +136,33 @@ class CoverMesh:
     @property
     def nf(self):
         return len(self.faces)
+
+    @cached_property
+    def word_index(self):
+        """WordIndex of the mesh, built on first use."""
+        words = {}
+
+        def word_id(w):
+            return words.setdefault(w, len(words))
+
+        edge_word = np.array([word_id(e.label) for e in self.edges], dtype=int)
+        gen_word = np.array([word_id((g,)) for g in self.generators], dtype=int)
+        L = max((len(f.steps) for f in self.faces), default=0)
+        eid, sign, prefix = (np.zeros((self.nf, L), dtype=int) for _ in range(3))
+        base = np.zeros(self.nf, dtype=int)
+        for fi, face in enumerate(self.faces):
+            e0, s0 = face.steps[0]
+            base[fi] = self.edges[e0].src if s0 > 0 else self.edges[e0].dst
+            word = ()
+            for j, (e, s) in enumerate(face.steps):
+                lab = self.edges[e].label
+                if s > 0:
+                    h, word = word, reduce_word(word + lab)
+                else:
+                    word = h = reduce_word(word + invert_word(lab))
+                eid[fi, j], sign[fi, j], prefix[fi, j] = e, s, word_id(h)
+        return WordIndex(tuple(words), edge_word, gen_word, eid, sign, prefix,
+                         base)
 
     def face_word(self, face):
         """Deck word read along the boundary walk of a face."""

@@ -12,14 +12,15 @@ so a jet datum is valid exactly when every relator evaluates to (I, 0, 0).
 arrays with rho of every prefix, and runs the TG and 2-jet product laws for
 all words in lockstep, one vectorized step per token position.  The
 per-token ``eval_word`` methods are the reference it agrees with bit for
-bit; the relator checks, the cocycle-space basis and the twisted complex
-read the table.
+bit, called only by tests.  A representation caches its relator table; the
+flow kernel evaluates the deck words of a mesh as one table.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -67,9 +68,14 @@ class Representation:
             g = g @ (np.linalg.inv(m) if token_is_inverse(tok) else m)
         return g
 
+    @cached_property
+    def relator_table(self):
+        """WordTable of the relators, built on first use."""
+        return WordTable(self, self.relations)
+
     def relator_residuals(self):
         eye = self.group.identity()
-        return [float(np.abs(self.eval_word(r) - eye).max()) for r in self.relations]
+        return [float(np.abs(g - eye).max()) for g in self.relator_table.rho]
 
     def validate(self, tol=1e-8):
         res = self.relator_residuals()
@@ -144,7 +150,7 @@ class Cocycle:
         return c
 
     def relator_residuals(self):
-        table = WordTable(self.rep, self.rep.relations)
+        table = self.rep.relator_table
         return [float(np.abs(v).max()) for v in table.values(table.stack(self.values))]
 
     def validate(self, tol=1e-8):
@@ -152,14 +158,6 @@ class Cocycle:
 
     def scaled(self, s):
         return Cocycle(self.rep, {k: s * v for k, v in self.values.items()})
-
-    def __add__(self, other):
-        return Cocycle(self.rep, {k: self.values[k] + other.values[k]
-                                  for k in self.values})
-
-    def norm(self):
-        return float(np.sqrt(sum(float(np.sum(np.abs(v) ** 2))
-                                 for v in self.values.values())))
 
     def to_json(self):
         return json.dumps({
@@ -288,7 +286,7 @@ class Jet2Cocycle:
 
     def relator_residuals(self):
         rep = self.c.rep
-        table = WordTable(rep, rep.relations)
+        table = rep.relator_table
         xi, mu = table.jets(table.stack(self.c.values), table.stack(self.k))
         eye = rep.group.identity()
         return [float(max(np.abs(g - eye).max(), np.abs(x).max(), np.abs(m).max()))
@@ -508,8 +506,8 @@ def cocycle_space_basis(rep, rtol=1e-9):
         units = np.zeros((len(gens), dim, len(gens), group.n, group.n), dtype=complex)
         for gi in range(len(gens)):
             units[gi, :, gi] = group.basis
-        vals = WordTable(rep, rep.relations).values(units.reshape(ncols, len(gens),
-                                                                  group.n, group.n))
+        vals = rep.relator_table.values(units.reshape(ncols, len(gens),
+                                                      group.n, group.n))
         # coordinates one value at a time: a stacked product rounds differently
         coords = np.array([[group.to_coords(v) for v in col] for col in vals])
         L = coords.transpose(1, 2, 0).reshape(-1, ncols)

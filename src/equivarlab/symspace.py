@@ -114,7 +114,7 @@ def exp_hermitian(H):
 
 
 def _expm(X):
-    """exp of traceless (sl) or 1x1 matrices; closed form for n <= 2."""
+    """exp of a stack of traceless (sl) or 1x1 matrices; closed form for n <= 2."""
     n = X.shape[-1]
     if n == 1:
         return np.exp(X)
@@ -127,8 +127,7 @@ def _expm(X):
         s1 = np.where(small, 1.0, s)
         coef = np.where(small, 1.0 + q / 6.0, np.sinh(s1) / s1)
         return c[..., None, None] * _EYE2 + coef[..., None, None] * X
-    flat = X.reshape(-1, n, n)
-    return np.stack([scipy.linalg.expm(x) for x in flat]).reshape(X.shape)
+    return scipy.linalg.expm(X)
 
 
 def act(g, P):

@@ -19,14 +19,13 @@ by a basis of its kernel.  The kernel of A0 is h; that of A2 is ker d1^T =
 H^2, which Poincare duality under the Killing form Re tr(XY) gives on a
 closed oriented surface as the Killing duals of the parallel sections at the
 face base points.  A factor whose smallest pivot is below 1e-10 of the
-largest is reported as singular.  Transports come from one table built once:
-every distinct deck word of the complex (edge labels, generators, face
-prefix words) enters one ``repvar.WordTable``, with an edge-to-word index,
-and the face boundary walks are stacked as edge ids, signs, rho(prefix word)
-and its inverse, padded with sign-0 steps.  The same word table gives the
-cocycle seeds and the edge 2-jets of the deformation pipeline, all words in
-one vectorized pass per token position.  beta() and the inverses of the
-edge-source points are also computed once per complex.
+largest is reported as singular.  Transports come from the deck-word table
+of the flow kernel, which evaluates the word list of the mesh
+(``CoverMesh.word_index``: edge labels, generators, face prefix words, with
+the face walks stacked) once; the same table gives the cocycle seeds and
+the edge 2-jets of the deformation pipeline, all words in one vectorized
+pass per token position.  beta() and the inverses of the edge-source points
+are also computed once per complex.
 """
 
 from __future__ import annotations
@@ -38,10 +37,8 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .harmonicflow import FlowKernel
+from .harmonicflow import FlowKernel, MapEval
 from .liealg import ad_matrix, gram_at
-from .meshcover import invert_word, reduce_word
-from .repvar import WordTable
 
 
 class PeriodMismatchError(ValueError):
@@ -134,13 +131,14 @@ class TwistedComplex:
         n = self.group.n
         self.n = n
 
-        # per-edge src, dst, w1, rho(w_e) and its inverse; also computes beta()
+        # per-edge src, dst, w1, rho(w_e) and its inverse, and the word table
         self.kern = FlowKernel(mesh, rep)
+        self.words = self.kern.words
+        self.word_index = mesh.word_index
         # metric at the edge sources, where 1-cochain values live
         self.edge_points = self.points[self.kern.src]
         self.edge_points_inv = np.linalg.inv(self.edge_points)
         self._beta = None
-        self.edge_words = [e.label for e in mesh.edges]
         gen_T = self._assemble_d()
         self._assemble_grams()
         self.A0 = (self.d0.T @ self.G1 @ self.d0).tocsc()
@@ -165,57 +163,29 @@ class TwistedComplex:
         self.G0inv = _block_diag(np.linalg.inv(g0))
         self.G1 = _block_diag(g1)
         self.G1inv = _block_diag(np.linalg.inv(g1))
-        self.G2 = _block_diag(w2.reshape(-1, 1, 1) * gram_v[self.face_base])
+        self.G2 = _block_diag(w2.reshape(-1, 1, 1) * gram_v[self.word_index.face_base])
 
     # -- transports and differentials ---------------------------------------
     def _assemble_d(self):
-        """Build the word table, the transport table and d0, d1 from them;
-        returns the Ad matrices of the generators."""
-        mesh, D = self.mesh, self.dim
-        words = {}      # each distinct word is evaluated once
-
-        def word_id(w):
-            return words.setdefault(w, len(words))
-
-        edge_ids = [word_id(w) for w in self.edge_words]
-        gen_ids = [word_id((g,)) for g in mesh.generators]
-        L = max((len(f.steps) for f in mesh.faces), default=0)
-        self.face_eid = np.zeros((mesh.nf, L), dtype=int)
-        self.face_sign = np.zeros((mesh.nf, L), dtype=int)
-        self.face_base = np.zeros(mesh.nf, dtype=int)
-        face_ids = np.zeros((mesh.nf, L), dtype=int)
-        for fi, face in enumerate(mesh.faces):
-            e0, s0 = face.steps[0]
-            self.face_base[fi] = mesh.edges[e0].src if s0 > 0 else mesh.edges[e0].dst
-            word = ()
-            for j, (eid, sign) in enumerate(face.steps):
-                lab = mesh.edges[eid].label
-                if sign > 0:
-                    h, word = word, reduce_word(word + lab)
-                else:
-                    word = h = reduce_word(word + invert_word(lab))
-                self.face_eid[fi, j], self.face_sign[fi, j] = eid, sign
-                face_ids[fi, j] = word_id(h)
-        self.words = WordTable(self.rep, list(words))
-        self.edge_word = np.array(edge_ids, dtype=int)
+        """The face transports and d0, d1 from the word table; returns the
+        Ad matrices of the generators."""
+        mesh, D, idx = self.mesh, self.dim, self.word_index
         rho = self.words.rho
         Ad = ad_matrix(self.group, rho)
-        self.face_g = rho[face_ids]
-        self.face_ginv = np.linalg.inv(rho)[face_ids]
-        self.edge_T = Ad[edge_ids]
-
-        T = self.edge_T
+        self.face_g = rho[idx.face_word]
+        self.face_ginv = np.linalg.inv(rho)[idx.face_word]
+        T = self.edge_T = Ad[idx.edge_word]
         self.d0 = _block_sparse(
             np.repeat(np.arange(mesh.ne), 2),
             np.stack([self.kern.dst, self.kern.src], axis=1).ravel(),
             np.stack([T, np.broadcast_to(-np.eye(D), T.shape)], axis=1).reshape(-1, D, D),
             (mesh.ne, mesh.nv))
-        step = self.face_sign != 0
+        step = idx.face_sign != 0
         self.d1 = _block_sparse(
-            np.nonzero(step)[0], self.face_eid[step],
-            self.face_sign[step][:, None, None] * Ad[face_ids[step]],
+            np.nonzero(step)[0], idx.face_eid[step],
+            idx.face_sign[step][:, None, None] * Ad[idx.face_word[step]],
             (mesh.nf, mesh.ne))
-        return Ad[gen_ids]
+        return Ad[idx.gen_word]
 
     # -- kernel h = H^0 ---------------------------------------------------
     def _kernel_fields(self, gens, rtol):
@@ -335,7 +305,7 @@ class TwistedComplex:
         # Killing duals Re tr(K B_j) of the parallel sections at the face bases
         basis = self.group.basis
         killing = np.real(np.einsum("jab,kba->jk", basis, basis))
-        K = self.kernel.reshape(self.mesh.nv, self.dim, -1)[self.face_base]
+        K = self.kernel.reshape(self.mesh.nv, self.dim, -1)[self.word_index.face_base]
         Q = np.linalg.svd((killing @ K).reshape(A2.shape[0], -1), full_matrices=False)[0]
         # all of them lie in ker d1^T on a closed oriented surface, none when
         # the faces leave a boundary
@@ -389,7 +359,7 @@ class TwistedComplex:
         if isinstance(c, TwistedCochain):
             return c
         vals = self.words.values(self.words.stack(c.values))
-        return TwistedCochain(1, vals[self.edge_word])
+        return TwistedCochain(1, vals[self.word_index.edge_word])
 
     def harmonic_rep(self, c):
         """Harmonic 1-cochain representing the class of the cocycle c (or of
@@ -441,8 +411,9 @@ class TwistedComplex:
         """Ordered cup product [a, b] on faces: sum_{j<i} [a_j~, b_i~] of the
         transported boundary values; satisfies d psi0 = -[omega,omega] exactly
         for the jet-seeded psi0."""
-        g, ginv, eid = self.face_g, self.face_ginv, self.face_eid
-        sign = self.face_sign[..., None, None]
+        g, ginv = self.face_g, self.face_ginv
+        eid = self.word_index.face_eid
+        sign = self.word_index.face_sign[..., None, None]
         ta = sign * (g @ _vals(a)[eid] @ ginv)
         tb = sign * (g @ _vals(b)[eid] @ ginv)
         acc = np.zeros((self.mesh.nf, self.n, self.n), dtype=complex)
@@ -476,7 +447,7 @@ class TwistedComplex:
         """Edge logarithms of the metric map (its Maurer-Cartan cochain),
         computed once per complex; the values are read-only."""
         if self._beta is None:
-            self._beta = self.kern.edge_data(self.points)[0]
+            self._beta = MapEval(self.kern, self.points).beta
             self._beta.flags.writeable = False
         return TwistedCochain(1, self._beta)
 

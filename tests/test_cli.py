@@ -120,6 +120,25 @@ def test_invalid_representation_exit_two(tmp_path, task):
     assert report["error"] == "representation fails the relator check"
 
 
+@pytest.mark.parametrize("task, section, value", [
+    ("flow", "mesh", None), ("flow", "group", None),
+    ("flow", "representation", None), ("deform1", "deformation", None),
+    ("flow", "tolerances", [1e-8])],
+    ids=["mesh", "group", "representation", "deformation", "tolerances"])
+def test_malformed_config_section_exit_two(tmp_path, task, section, value):
+    # a section that is missing (None) or not an object is a validation
+    # error with a report, not a crash
+    cfg = dict(OBSTRUCTED_CFG)
+    if value is None:
+        del cfg[section]
+    else:
+        cfg[section] = value
+    code, report, _ = run_cli(tmp_path, task, cfg)
+    assert code == cli.EXIT_VALIDATION
+    assert report["status"] == "validation-error"
+    assert repr(section) in report["error"]
+
+
 def test_reports_deterministic(tmp_path):
     d1 = tmp_path / "r1"
     d2 = tmp_path / "r2"

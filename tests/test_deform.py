@@ -197,7 +197,7 @@ def test_solve_psi_matches_fd_second_derivative_of_beta(sl2c, torus66):
         rep_t = path.at(t)
         f_t, _ = hf.flow(rep_t, hf.EquivariantMap(torus66, rep_t,
                                                   f0.points.copy()), tol=1e-11)
-        betas[t] = np.stack(hf.edge_logs(f_t))
+        betas[t] = hf.MapEval(hf.FlowKernel(torus66, rep_t), f_t.points).beta
     beta_dd = (betas[h] - 2 * betas[0.0] + betas[-h]) / (h * h)
     _, psi_p = cartan_project(ctx.edge_points, sol.psi.values)
     assert np.abs(psi_p - beta_dd).max() < 1e-4
@@ -344,7 +344,7 @@ def test_edge_jet_table_matches_per_edge_loop(fuchsianC_ctx):
     rng = np.random.default_rng(11)
     xi = TwistedCochain(0, np.stack([ctx.group.random_alg(rng)
                                      for _ in range(ctx.mesh.nv)]))
-    seed = df.jet_seed_second(ctx, c, k, xi).values
+    seed = df.jet_seed_second(ctx, (cw, kw), xi).values
     for i, e in enumerate(ctx.mesh.edges):
         if not e.label:
             assert not cw[i].any() and not kw[i].any() and not seed[i].any()

@@ -10,15 +10,20 @@ from equivarlab import hyperbolic as hyp
 from equivarlab import meshcover as mc
 from equivarlab import repvar as rv
 from equivarlab import symspace as ss
-from equivarlab.liealg import MatrixGroup
+from equivarlab.liealg import MatrixGroup, adjoint_at
 from equivarlab.symspace import act, dist, exp_point, geodesic
+
+
+def evaluate(f):
+    """The MapEval of a map."""
+    return hf.MapEval(hf.FlowKernel(f.mesh, f.rep), f.points)
 
 
 def test_energy_constant_trivial(sl2r, torus66):
     rep = rv.trivial_rep(sl2r, torus66)
     f = hf.constant_map(torus66, rep)
     assert hf.energy(f) < 1e-30
-    assert np.abs(hf.tension(f)).max() < 1e-14
+    assert np.abs(evaluate(f).tension).max() < 1e-14
 
 
 def test_energy_circle_axis_sampling(sl2r, circle8):
@@ -57,7 +62,7 @@ def test_tension_is_descent_direction(sl2r, circle8):
     # symmetrize the perturbation direction at each point
     g = hf.EquivariantMap(circle8, rep, np.stack(
         [0.5 * (P + np.conj(P).T) for P in pts]))
-    tau = hf.tension(g)
+    tau = evaluate(g).tension
     assert hf.tension_norm(g) > 1e-6
     eps = 1e-4
     E0 = hf.energy(g)
@@ -190,7 +195,7 @@ def test_curved_torus_map_is_equivariant():
     for group_key, make in CURVED_REPS.values():
         rep = make(MatrixGroup(*group_key), mesh)
         f = hf.curved_torus_map(mesh, rep, 0.3)
-        _, d2 = hf.FlowKernel(mesh, rep).edge_data(f.points)
+        d2 = evaluate(f).d2
         assert np.isfinite(d2).all()
         # wrap-around edges see the transported points, so all distances are
         # O(1/n) and no larger than across the interior edges
@@ -211,8 +216,8 @@ def test_curved_torus_map_rejects_traced_logs(sl2c, torus66):
                                       "trivial_ctx", "trivialC_ctx",
                                       "fuchsian_ctx", "fuchsianC_ctx"])
 def test_kernel_transports_match_per_edge_loop(request, ctx_name):
-    # one eval_word per distinct word, gathered per edge, equals the per-edge
-    # evaluation bit for bit
+    # the deck-word table of the kernel, gathered per edge, equals the
+    # per-edge evaluation bit for bit, and the complex reads the same table
     ctx = request.getfixturevalue(ctx_name)
     n = ctx.group.n
     g = np.empty((ctx.mesh.ne, n, n), dtype=complex)
@@ -220,6 +225,8 @@ def test_kernel_transports_match_per_edge_loop(request, ctx_name):
         g[i] = ctx.rep.eval_word(e.label) if e.label else np.eye(n)
     assert np.array_equal(ctx.kern.g, g)
     assert np.array_equal(ctx.kern.ginv, np.linalg.inv(g))
+    assert ctx.kern.words is ctx.words
+    assert np.array_equal(ctx.kern.g, ctx.words.rho[ctx.mesh.word_index.edge_word])
 
 
 def test_map_json_roundtrip(sl2c, torus66):
@@ -278,7 +285,7 @@ def test_hessian_is_second_difference(mesh_name, group_key, seed, scale):
     x = rng.standard_normal(H.shape[0])
     X = kern.tangent_field(pts, x)
     h = 1e-3
-    E = [kern.energy(exp_point(pts, s * X)) for s in (-h, 0.0, h)]
+    E = [hf.MapEval(kern, exp_point(pts, s * X)).energy for s in (-h, 0.0, h)]
     fd = (E[0] - 2.0 * E[1] + E[2]) / h ** 2
     quad = x @ (H @ x)
     assert abs(quad - fd) <= 1e-5 * abs(quad)
@@ -362,7 +369,7 @@ def test_oversize_step_is_a_silent_rejection(sl2c, torus66):
     rep = rv.torus_diag_rep(sl2c, torus66, 0.4 + 0.3j, -0.2 + 0.5j)
     kern = hf.FlowKernel(torus66, rep)
     pts = hf.random_map(torus66, rep, np.random.default_rng(6), 0.4).points
-    _, tau = kern.energy_and_tension(pts)
+    tau = hf.MapEval(kern, pts).tension
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         cand = kern.retract(pts, tau, 1e6)
@@ -373,18 +380,29 @@ def test_oversize_step_is_a_silent_rejection(sl2c, torus66):
 # ----------------------------------------------------------------------
 # one evaluation per candidate: energy first, tension only on acceptance
 
+def _energy_and_tension(kern, pts):
+    ev = hf.MapEval(kern, pts)
+    return ev.energy, ev.tension
+
+
+def _tension_norm_sq(kern, pts, tau):
+    """Weighted L2 norm^2 of tau in the pointwise fiber metric."""
+    vals = np.real(np.einsum("vij,vji->v", tau, adjoint_at(pts, tau)))
+    return float(np.dot(kern.w0, np.maximum(vals, 0.0)))
+
+
 def _reference_explicit_flow(kern, pts, *, tol, max_iter, drift_radius,
                              history_stride):
     """The explicit flow that evaluates energy and tension of every
     candidate and measures the drift by ss.dist at every iteration."""
     eye = np.eye(kern.n, dtype=complex)
     report = hf.FlowReport()
-    E, tau = kern.energy_and_tension(pts)
+    E, tau = _energy_and_tension(kern, pts)
     E0 = E
     step = 0.5 * kern.step_scale
     report.energy_history.append(E)
     for it in range(1, max_iter + 1):
-        gsq = kern.tension_norm_sq(pts, tau)
+        gsq = _tension_norm_sq(kern, pts, tau)
         tnorm = np.sqrt(gsq)
         drift = ss.dist(eye, pts[0])
         report.iterations = it
@@ -403,8 +421,8 @@ def _reference_explicit_flow(kern, pts, *, tol, max_iter, drift_radius,
         accepted = False
         if 0.25 * step * gsq < 1e-13 * max(1.0, abs(E)):
             cand = kern.retract(pts, tau, step)
-            Ec, tauc = kern.energy_and_tension(cand)
-            if kern.tension_norm_sq(cand, tauc) <= gsq * (1.0 + 1e-6):
+            Ec, tauc = _energy_and_tension(kern, cand)
+            if _tension_norm_sq(kern, cand, tauc) <= gsq * (1.0 + 1e-6):
                 pts, E, tau = cand, Ec, tauc
                 accepted = True
             else:
@@ -416,7 +434,7 @@ def _reference_explicit_flow(kern, pts, *, tol, max_iter, drift_radius,
             continue
         while step > 1e-16:
             cand = kern.retract(pts, tau, step)
-            Ec, tauc = kern.energy_and_tension(cand)
+            Ec, tauc = _energy_and_tension(kern, cand)
             if Ec <= E - 0.25 * step * gsq:
                 pts, E, tau = cand, Ec, tauc
                 step = min(step * 1.4, 1e8)
@@ -427,7 +445,7 @@ def _reference_explicit_flow(kern, pts, *, tol, max_iter, drift_radius,
             report.step_underflow = True
             break
     report.energy = E
-    report.tension = float(np.sqrt(kern.tension_norm_sq(pts, tau)))
+    report.tension = float(np.sqrt(_tension_norm_sq(kern, pts, tau)))
     report.energy_history.append(E)
     if not report.converged and report.reductive_suspected:
         dh = report.drift_history
@@ -546,10 +564,4 @@ def test_map_eval_matches_per_edge_loop(mesh_name, group_key, seed, scale,
     assert ev.energy == E
     assert np.array_equal(ev.tension, tau)
     assert ev.drift == dist(np.eye(rep.group.n, dtype=complex), pts[0])
-    assert ev.tension_sq == kern.tension_norm_sq(pts, tau)
-    # the kernel's readers return the same values
-    E2, tau2 = kern.energy_and_tension(pts)
-    assert E2 == E and np.array_equal(tau2, tau)
-    assert kern.energy(pts) == E
-    beta, d2 = kern.edge_data(pts)
-    assert np.array_equal(beta, ev.beta) and np.array_equal(d2, ev.d2)
+    assert ev.tension_sq == _tension_norm_sq(kern, pts, tau)

@@ -282,6 +282,24 @@ def test_jet2_product_laws(gi, seed):
     assert close(one.xi, 0.0, scale) and close(one.mu, 0.0, scale)
 
 
+def test_relator_residuals_match_per_token_loop(
+        diag_ctx, gl1c_ctx, unitary_ctx, trivial_ctx, trivialC_ctx, fuchsian_ctx,
+        fuchsianC_ctx, sl3r, torus66):
+    # the cached relator table gives the residuals of one eval_word per
+    # relator; the SL(3,R) images do not commute, so its residual is large
+    rng = np.random.default_rng(7)
+    sl3 = rv.Representation.for_mesh(sl3r, torus66, {
+        g: random_element(sl3r, rng) for g in torus66.generators})
+    reps = [ctx.rep for ctx in (diag_ctx, gl1c_ctx, unitary_ctx, trivial_ctx,
+                                trivialC_ctx, fuchsian_ctx, fuchsianC_ctx)] + [sl3]
+    for rep in reps:
+        eye = rep.group.identity()
+        want = [float(np.abs(rep.eval_word(r) - eye).max()) for r in rep.relations]
+        assert rep.relator_residuals() == want
+        assert rep.relator_table is rep.relator_table
+    assert sl3.relator_residuals()[0] > 1e-3
+
+
 def _basis_per_column(rep, rtol=1e-9):
     """The cocycle-space basis from one Cocycle.eval_word per (relator,
     column), the per-token reference of cocycle_space_basis."""
