@@ -30,8 +30,6 @@ from .liealg import MatrixGroup
 from .twistedhodge import LinearSolverError, TwistedCochain, TwistedComplex
 
 SCHEMA_VERSION = 1
-TASKS = ("flow", "energy", "hodge", "deform1", "deform2", "variation",
-         "psh", "critical-scan", "refine-study")
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -82,9 +80,20 @@ def build_group(spec):
                        field=spec.get("field", "R"))
 
 
-FAMILIES = ("circle_hyperbolic", "circle_parabolic", "circle_elliptic",
-            "torus_diag", "torus_gl1c", "torus_unitary", "trivial",
-            "genus2_fuchsian")
+#: representation family -> builder(group, mesh, params)
+FAMILIES = {
+    "circle_hyperbolic": lambda g, m, p: rv.hyperbolic_circle_rep(g, m, float(p.get("lam", 2.0))),
+    "circle_parabolic": lambda g, m, p: rv.parabolic_circle_rep(g, m),
+    "circle_elliptic": lambda g, m, p: rv.elliptic_circle_rep(g, m, float(p.get("theta", 0.7))),
+    "torus_diag": lambda g, m, p: rv.torus_diag_rep(g, m, _as_complex(p.get("alpha", [0.4, 0.3])),
+                                                    _as_complex(p.get("beta", [-0.2, 0.5]))),
+    "torus_gl1c": lambda g, m, p: rv.torus_gl1c_rep(g, m, _as_complex(p.get("z1", [0.5, 1.0])),
+                                                    _as_complex(p.get("z2", [-0.3, 0.2]))),
+    "torus_unitary": lambda g, m, p: rv.torus_unitary_rep(g, m, float(p.get("theta1", 0.6)),
+                                                          float(p.get("theta2", -0.35))),
+    "trivial": lambda g, m, p: rv.trivial_rep(g, m),
+    "genus2_fuchsian": lambda g, m, p: rv.genus2_fuchsian_rep(g, m),
+}
 
 
 def build_representation(spec, group, mesh):
@@ -93,28 +102,10 @@ def build_representation(spec, group, mesh):
         images = {k: _as_matrix(v) for k, v in data["images"].items()}
         return rv.Representation.for_mesh(group, mesh, images)
     family = spec.get("family")
-    params = spec.get("params", {})
-    if family == "circle_hyperbolic":
-        return rv.hyperbolic_circle_rep(group, mesh, float(params.get("lam", 2.0)))
-    if family == "circle_parabolic":
-        return rv.parabolic_circle_rep(group, mesh)
-    if family == "circle_elliptic":
-        return rv.elliptic_circle_rep(group, mesh, float(params.get("theta", 0.7)))
-    if family == "torus_diag":
-        return rv.torus_diag_rep(group, mesh, _as_complex(params.get("alpha", [0.4, 0.3])),
-                                 _as_complex(params.get("beta", [-0.2, 0.5])))
-    if family == "torus_gl1c":
-        return rv.torus_gl1c_rep(group, mesh, _as_complex(params.get("z1", [0.5, 1.0])),
-                                 _as_complex(params.get("z2", [-0.3, 0.2])))
-    if family == "torus_unitary":
-        return rv.torus_unitary_rep(group, mesh, float(params.get("theta1", 0.6)),
-                                    float(params.get("theta2", -0.35)))
-    if family == "trivial":
-        return rv.trivial_rep(group, mesh)
-    if family == "genus2_fuchsian":
-        return rv.genus2_fuchsian_rep(group, mesh)
-    raise ConfigError(f"unknown representation family {family!r} "
-                      f"(available: {', '.join(FAMILIES)})")
+    if not isinstance(family, str) or family not in FAMILIES:
+        raise ConfigError(f"unknown representation family {family!r} "
+                          f"(available: {', '.join(FAMILIES)})")
+    return FAMILIES[family](group, mesh, spec.get("params", {}))
 
 
 def build_problem(cfg):
@@ -156,9 +147,7 @@ def build_cocycle(spec, rep):
 
 def build_jet(spec, rep):
     if "path_family" in spec:
-        path = build_path(spec["path_family"], rep)
-        c, k = path.jets()
-        return c, k, path
+        return build_path(spec["path_family"], rep).jets()
     c = build_cocycle(spec, rep)
     kvals = {name: _as_matrix(v) for name, v in spec.get("second", {}).items()} \
         if "second" in spec else {name: np.zeros_like(c.values[name])
@@ -166,7 +155,7 @@ def build_jet(spec, rep):
     jet = rv.Jet2Cocycle(c, kvals)
     if not jet.validate():
         raise ConfigError("second-order values fail the jet cocycle law")
-    return c, kvals, None
+    return c, kvals
 
 
 def converged_context(cfg, mesh, rep):
@@ -176,7 +165,7 @@ def converged_context(cfg, mesh, rep):
                      max_iter=int(cfg.get("flow", {}).get("max_iter", 60000)))
     if not rpt.converged:
         raise FlowNotConverged(rpt)
-    return TwistedComplex(mesh, rep, f), f, rpt
+    return TwistedComplex(mesh, rep, f), rpt
 
 
 class FlowNotConverged(RuntimeError):
@@ -265,7 +254,7 @@ def task_energy(cfg, out_dir):
 
 def task_hodge(cfg, out_dir):
     mesh, group, rep = build_problem(cfg)
-    ctx, f, rpt = converged_context(cfg, mesh, rep)
+    ctx, rpt = converged_context(cfg, mesh, rep)
     rng = np.random.default_rng(cfg["seed"])
     F = TwistedCochain(0, np.stack([group.random_alg(rng) for _ in range(mesh.nv)]))
     alpha = TwistedCochain(1, np.stack([group.random_alg(rng) for _ in range(mesh.ne)]))
@@ -295,7 +284,7 @@ def task_hodge(cfg, out_dir):
 def task_deform1(cfg, out_dir):
     mesh, group, rep = build_problem(cfg)
     c = build_cocycle(_section(cfg, "deformation"), rep)
-    ctx, _, rpt = converged_context(cfg, mesh, rep)
+    ctx, rpt = converged_context(cfg, mesh, rep)
     fo = first_order(ctx, c)
     obs = obstruction_check(ctx, fo.omega, cfg["tolerances"]["rel_obstruction"])
     return {"flow": rpt.to_dict(), "residuals": fo.residuals,
@@ -304,8 +293,8 @@ def task_deform1(cfg, out_dir):
 
 def task_deform2(cfg, out_dir):
     mesh, group, rep = build_problem(cfg)
-    c, k, _ = build_jet(_section(cfg, "deformation"), rep)
-    ctx, _, rpt = converged_context(cfg, mesh, rep)
+    c, k = build_jet(_section(cfg, "deformation"), rep)
+    ctx, rpt = converged_context(cfg, mesh, rep)
     so, sol = second_order(ctx, c, k,
                            rel_tol=cfg["tolerances"]["rel_obstruction"])
     return {"flow": rpt.to_dict(), "residuals": so.residuals,
@@ -316,7 +305,7 @@ def task_deform2(cfg, out_dir):
 def task_variation(cfg, out_dir):
     mesh, group, rep = build_problem(cfg)
     path = build_path(_section(_section(cfg, "deformation"), "path_family"), rep)
-    ctx, _, rpt = converged_context(cfg, mesh, rep)
+    ctx, rpt = converged_context(cfg, mesh, rep)
     with_second = bool(cfg.get("with_second", True))
     out = ev.variation_report(ctx, path, mesh, with_second=with_second,
                               rel_tol=cfg["tolerances"]["rel_obstruction"])
@@ -330,8 +319,8 @@ def task_psh(cfg, out_dir):
     mesh, group, rep = build_problem(cfg)
     if not group.is_complex:
         raise ConfigError("psh task needs a complex group")
-    c, k, _ = build_jet(_section(cfg, "deformation"), rep)
-    ctx, _, rpt = converged_context(cfg, mesh, rep)
+    c, k = build_jet(_section(cfg, "deformation"), rep)
+    ctx, rpt = converged_context(cfg, mesh, rep)
     report = ev.psh_defect(ctx, c, k, cfg["tolerances"]["rel_obstruction"])
     return {"flow": rpt.to_dict(), "psh": report.to_dict(),
             "residuals": report.residuals}
@@ -339,7 +328,7 @@ def task_psh(cfg, out_dir):
 
 def task_critical_scan(cfg, out_dir):
     mesh, group, rep = build_problem(cfg)
-    ctx, _, rpt = converged_context(cfg, mesh, rep)
+    ctx, rpt = converged_context(cfg, mesh, rep)
     scan = ev.critical_scan(ctx)
     write_csv(out_dir, "critical_scan.csv", ["direction", "normalized_first_variation"],
               list(enumerate(scan.per_direction)))
@@ -404,7 +393,7 @@ def task_refine_study(cfg, out_dir):
                 rep = rv.torus_diag_rep(group, mesh, alpha, beta)
                 c = rv.Cocycle(rep, {"a": np.diag([1.0, -1.0]).astype(complex),
                                      "b": np.zeros((2, 2), dtype=complex)})
-            ctx, _, _ = converged_context(cfg, mesh, rep)
+            ctx, _ = converged_context(cfg, mesh, rep)
             om, _ = ctx.harmonic_rep(c)
             val = max(ctx.norm(ctx.d(om), 2), ctx.norm(ctx.codiff(om), 0))
             rows.append([n, 1.0 / n, "harmonic_residual", val])
@@ -446,7 +435,7 @@ def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="equivar-lab",
         description="equivariant harmonic map laboratory")
-    parser.add_argument("task", choices=TASKS)
+    parser.add_argument("task", choices=TASK_FUNCS)
     parser.add_argument("--config", required=True)
     parser.add_argument("--out", default=".")
     parser.add_argument("--seed", type=int, default=None)

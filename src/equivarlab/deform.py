@@ -97,7 +97,7 @@ def _transport(ctx, vals):
     return ctx.kern.g @ vals[ctx.kern.dst] @ ctx.kern.ginv
 
 
-def first_order(ctx, c, tol=1e-8):
+def first_order(ctx, c):
     """Harmonic first-order deformation data for the cocycle c."""
     seed = ctx.seed_cochain(c)
     omega, _ = ctx.harmonic_rep(seed)
@@ -185,7 +185,7 @@ def solve_psi(ctx, c, k, *, rel_tol=1e-7, require_unobstructed=True):
                        obstruction, edge_jets, residuals)
 
 
-def second_order(ctx, c, k, *, rel_tol=1e-7, tol=1e-7):
+def second_order(ctx, c, k, *, rel_tol=1e-7):
     """Equivariant pair (F, F2) of harmonic type and its tangent data.
 
     Raises ObstructedDeformationError when the contraction defect blocks the
@@ -252,7 +252,7 @@ def shifted_pair(ctx, F, F2, xi_kernel, eta_kernel):
             TwistedCochain(0, _vals(F2) + (Fv @ xiv - xiv @ Fv) + etav))
 
 
-def companion_pair(ctx, so, require_unobstructed=True):
+def companion_pair(ctx, so):
     """Companion (iF, -F2 - eta) with J(eta) = 2 omega* -| omega, valid along
     the jet (i c, -k) for complex groups."""
     if not ctx.group.is_complex:

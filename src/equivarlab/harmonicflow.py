@@ -26,17 +26,17 @@ meets a non-finite value or a singular factor, or spends its step budget,
 the explicit Armijo flow runs from the start map instead; a parabolic
 (non-reductive) representation always ends there.
 
-FlowKernel caches the per-edge arrays of a (mesh, representation) pair and
-evaluates every edge at once through the stacked routines of symspace; it
-evaluates the deck words of the mesh (``CoverMesh.word_index``) once, as one
-``repvar.WordTable`` that the twisted complex reads too, and gathers the
-transports rho(word_e) per edge from it.  A MapEval is the one evaluation of
-a map: a vertex eigendecomposition gives P^{-1/2}, the edge
-log-eigendecomposition gives the energy, and the edge logs, the tension, its
-norm and the basepoint drift are read from the same arrays when asked for.
-Both flows evaluate a candidate energy first and build its tension only once
-it is accepted (or when a polish step accepts on the tension), and read the
-drift from the vertex eigenvalues instead of a separate distance.
+FlowKernel holds only (mesh, representation) data: the per-edge arrays, the
+deck words of the mesh (``CoverMesh.word_index``) evaluated once as one
+``repvar.WordTable`` that the twisted complex reads too, the transports
+rho(word_e) and their inverses per edge, and the Hessian's sparsity pattern.
+A MapEval holds all the data of one map: the vertex frame (w, U, S =
+P^{-1/2}) and the edge frame (logw, V) give the energy, and the edge logs,
+the tension, its norm, the basepoint drift and the Newton model (tangent
+fields, Hessian, Newton step, with P^{1/2} = U diag(sqrt w) U^†) are read
+from them when asked for.  Both flows evaluate a candidate energy first and
+build its tension only once it is accepted (or when a polish step accepts
+on the tension), and read the drift from the vertex eigenvalues.
 curved_torus_map builds the smooth test map of the refinement studies for
 all vertices in one stacked pass.
 """
@@ -95,7 +95,7 @@ def random_map(mesh, rep, rng, scale=0.5):
 
 
 class FlowKernel:
-    """Cached per-(mesh, rep) edge arrays for batched energy and tension."""
+    """Cached per-(mesh, rep) edge arrays, word table and Hessian pattern."""
 
     def __init__(self, mesh, rep):
         self.mesh = mesh
@@ -107,7 +107,7 @@ class FlowKernel:
         self.words = WordTable(rep, mesh.word_index.words)
         idx = mesh.word_index.edge_word
         self.g = self.words.rho[idx]
-        self.ginv = np.linalg.inv(self.words.rho)[idx]
+        self.ginv = self.words.rho_inv[idx]
         self.w0 = np.asarray(mesh.vertex_weights)
         # Jacobi-style scale: stable explicit step is O(1) in this unit
         deg = np.zeros(mesh.nv)
@@ -156,68 +156,6 @@ class FlowKernel:
         indptr = np.searchsorted(uniq // N, np.arange(N + 1))
         return B, slot, uniq % N, indptr
 
-    def tangent_field(self, points, x):
-        """Tangent field sum_k x[v, k] R_v B_k R_v^{-1} (R_v = P_v^{1/2}) from
-        orthonormal p-coordinates x (flat, vertex-major)."""
-        B = self._pattern[0]
-        R, S = ss.sqrt_pair(points)
-        return R @ np.tensordot(x.reshape(self.mesh.nv, len(B)), B, axes=1) @ S
-
-    def hessian(self, points, mu=0.0):
-        """Exact Hessian of the energy in orthonormal p-coordinates, plus mu
-        times the vertex mass on the diagonal (sparse CSC).
-
-        x @ H @ x is the second derivative of the energy along
-        exp_point(points, s * tangent_field(points, x)) at s = 0.
-        """
-        B, slot, indices, indptr = self._pattern
-        ne = self.mesh.ne
-        R, S = ss.sqrt_pair(points)
-        logw, U = ss.log_frame(S[self.src], ss.act(self.g, points[self.dst]))
-        coth, csch = ss.ad_jacobi(logw)
-        Uh = ss._ct(U)
-        # source basis in the eigenframe of beta, and the far basis carried
-        # to the source: U^† e^{-beta~} S g R_dst = e^{-Lambda} U^† S g R_dst
-        Ms = (Uh[:, None] @ B @ U[:, None]).reshape(ne, len(B), -1)
-        Y = np.exp(-0.5 * logw)[..., None] * (Uh @ S[self.src] @ self.g
-                                              @ R[self.dst])
-        Md = (Y[:, None] @ B @ ss._ct(Y)[:, None]).reshape(Ms.shape)
-        coth = coth.reshape(ne, 1, -1)
-        csch = csch.reshape(coth.shape)
-
-        def pair(X, f, Z):
-            # Re <X_k, f o Z_l>_F for every pair of basis elements
-            return np.real((X.conj() * f) @ Z.swapaxes(1, 2))
-
-        scale = 4.0 * self.w1[:, None, None]
-        C = -scale * pair(Ms, csch, Md)
-        vals = np.concatenate([(scale * pair(Ms, coth, Ms)).ravel(),
-                               (scale * pair(Md, coth, Md)).ravel(),
-                               C.ravel(), C.swapaxes(1, 2).ravel(),
-                               np.repeat(mu * self.w0, len(B))])
-        data = np.bincount(slot, weights=vals, minlength=len(indices))
-        n_dof = len(indptr) - 1
-        return sp.csc_matrix((data, indices, indptr), shape=(n_dof, n_dof))
-
-    def newton_step(self, points, tau, mu):
-        """Damped Newton direction (H + mu W0) x = 2 t, t the orthonormal
-        p-coordinates of tau; returns the tangent field and 2 t . x (twice
-        the model decrease), or None on a singular or non-finite solve."""
-        B = self._pattern[0]
-        R, S = ss.sqrt_pair(points)
-        rhs = 2.0 * np.real(np.einsum("kij,vij->vk", B.conj(),
-                                      S @ tau @ R)).ravel()
-        H = self.hessian(points, mu)
-        if not np.isfinite(H.data).all():
-            return None
-        try:
-            x = spla.splu(H).solve(rhs)
-        except RuntimeError:        # exactly singular factor
-            return None
-        if not np.isfinite(x).all():
-            return None
-        return self.tangent_field(points, x), float(rhs @ x)
-
 
 class MapEval:
     """One evaluation of a map under a FlowKernel.
@@ -225,9 +163,10 @@ class MapEval:
     One eigendecomposition of the vertex points gives S = P^{-1/2}; the
     log-eigendecomposition of S_src Q S_src, Q the transported far endpoint,
     gives the squared edge distances d2 and from them the energy.  The edge
-    logs beta, the tension, its squared norm and the basepoint drift are
-    built from the same arrays when asked for (the tension and its norm once),
-    so a flow that rejects a candidate on its energy pays for nothing else.
+    logs beta, the tension, its squared norm, the basepoint drift and the
+    Newton model are built from the same arrays when asked for (the tension,
+    its norm and P^{1/2} once), so a rejected candidate pays for its energy
+    alone and a Newton step takes no eigendecomposition of its own.
     """
 
     def __init__(self, kern, points):
@@ -270,6 +209,73 @@ class MapEval:
         """dist(I, f(v0)), from the vertex eigenvalues."""
         return ss.origin_dist(self.points[0], self.w[0])
 
+    # -- Newton model at this map ------------------------------------------
+    @cached_property
+    def R(self):
+        """P^{1/2} per vertex, from the vertex frame."""
+        return ss._spectral(self.U, np.sqrt(self.w))
+
+    def tangent_field(self, x):
+        """Tangent field sum_k x[v, k] R_v B_k R_v^{-1} (R_v = P_v^{1/2}) from
+        orthonormal p-coordinates x (flat, vertex-major)."""
+        B = self.kern._pattern[0]
+        return self.R @ np.tensordot(x.reshape(len(self.points), len(B)), B,
+                                     axes=1) @ self.S
+
+    def hessian(self, mu=0.0):
+        """Exact Hessian of the energy in orthonormal p-coordinates, plus mu
+        times the vertex mass on the diagonal (sparse CSC).
+
+        x @ H @ x is the second derivative of the energy along
+        exp_point(points, s * tangent_field(x)) at s = 0.
+        """
+        k = self.kern
+        B, slot, indices, indptr = k._pattern
+        ne = len(k.src)
+        R, S, logw, V = self.R, self.S, self.logw, self.V
+        coth, csch = ss.ad_jacobi(logw)
+        Vh = ss._ct(V)
+        # source basis in the eigenframe of beta, and the far basis carried
+        # to the source: V^† e^{-beta~} S g R_dst = e^{-Lambda} V^† S g R_dst
+        Ms = (Vh[:, None] @ B @ V[:, None]).reshape(ne, len(B), -1)
+        Y = np.exp(-0.5 * logw)[..., None] * (Vh @ S[k.src] @ k.g @ R[k.dst])
+        Md = (Y[:, None] @ B @ ss._ct(Y)[:, None]).reshape(Ms.shape)
+        coth = coth.reshape(ne, 1, -1)
+        csch = csch.reshape(coth.shape)
+
+        def pair(X, f, Z):
+            # Re <X_k, f o Z_l>_F for every pair of basis elements
+            return np.real((X.conj() * f) @ Z.swapaxes(1, 2))
+
+        scale = 4.0 * k.w1[:, None, None]
+        C = -scale * pair(Ms, csch, Md)
+        vals = np.concatenate([(scale * pair(Ms, coth, Ms)).ravel(),
+                               (scale * pair(Md, coth, Md)).ravel(),
+                               C.ravel(), C.swapaxes(1, 2).ravel(),
+                               np.repeat(mu * k.w0, len(B))])
+        data = np.bincount(slot, weights=vals, minlength=len(indices))
+        n_dof = len(indptr) - 1
+        return sp.csc_matrix((data, indices, indptr), shape=(n_dof, n_dof))
+
+    def newton_step(self, mu):
+        """Damped Newton direction (H + mu W0) x = 2 t, t the orthonormal
+        p-coordinates of the tension; returns the tangent field and 2 t . x
+        (twice the model decrease), or None on a singular or non-finite
+        solve."""
+        B = self.kern._pattern[0]
+        rhs = 2.0 * np.real(np.einsum("kij,vij->vk", B.conj(),
+                                      self.S @ self.tension @ self.R)).ravel()
+        H = self.hessian(mu)
+        if not np.isfinite(H.data).all():
+            return None
+        try:
+            x = spla.splu(H).solve(rhs)
+        except RuntimeError:        # exactly singular factor
+            return None
+        if not np.isfinite(x).all():
+            return None
+        return self.tangent_field(x), float(rhs @ x)
+
 
 def energy(f):
     return MapEval(FlowKernel(f.mesh, f.rep), f.points).energy
@@ -307,10 +313,11 @@ class FlowReport:
 
 #: Newton steps tried before the explicit flow takes over
 NEWTON_STEPS = 50
+#: iterations between the entries of the energy and drift histories
+HISTORY_STRIDE = 25
 
 
-def flow(rep, f0, *, tol=1e-8, max_iter=20000, drift_radius=50.0,
-         history_stride=25, kernel=None):
+def flow(rep, f0, *, tol=1e-8, max_iter=20000, drift_radius=50.0):
     """Harmonic map from f0: damped Riemannian Newton, explicit flow fallback.
 
     Convergence means the weighted tension norm drops below tol with the
@@ -324,16 +331,15 @@ def flow(rep, f0, *, tol=1e-8, max_iter=20000, drift_radius=50.0,
     """
     if not np.isfinite(f0.points).all():
         raise ValueError("start map has non-finite entries")
-    kern = kernel if kernel is not None else FlowKernel(f0.mesh, rep)
-    args = dict(tol=tol, max_iter=max_iter, drift_radius=drift_radius,
-                history_stride=history_stride)
+    kern = FlowKernel(f0.mesh, rep)
+    args = dict(tol=tol, max_iter=max_iter, drift_radius=drift_radius)
     out = _newton_flow(kern, f0.points.copy(), **args)
     if out is None:
         out = _explicit_flow(kern, f0.points.copy(), **args)
     return EquivariantMap(f0.mesh, rep, out[0]), out[1]
 
 
-def _newton_flow(kern, pts, *, tol, max_iter, drift_radius, history_stride):
+def _newton_flow(kern, pts, *, tol, max_iter, drift_radius):
     """Damped Riemannian Newton phase; (points, report), or None when the
     explicit flow has to take over."""
     report = FlowReport(solver="newton")
@@ -348,7 +354,7 @@ def _newton_flow(kern, pts, *, tol, max_iter, drift_radius, history_stride):
             return None
         report.iterations = it
         report.basepoint_drift = drift
-        if it % history_stride == 0 or it == 1:
+        if it % HISTORY_STRIDE == 0 or it == 1:
             report.energy_history.append(E)
             report.drift_history.append(drift)
         if tnorm < tol:
@@ -356,7 +362,7 @@ def _newton_flow(kern, pts, *, tol, max_iter, drift_radius, history_stride):
             break
         if it > NEWTON_STEPS or it == max_iter:
             return None
-        step = kern.newton_step(ev.points, ev.tension, 1e-2 * min(1.0, tnorm))
+        step = ev.newton_step(1e-2 * min(1.0, tnorm))
         if step is None:
             return None
         X, decrease = step
@@ -381,7 +387,7 @@ def _newton_flow(kern, pts, *, tol, max_iter, drift_radius, history_stride):
     return ev.points, report
 
 
-def _explicit_flow(kern, pts, *, tol, max_iter, drift_radius, history_stride):
+def _explicit_flow(kern, pts, *, tol, max_iter, drift_radius):
     """Energy-descent flow with Armijo backtracking; (points, report).
 
     A candidate is evaluated energy first; its tension is built only once
@@ -397,7 +403,7 @@ def _explicit_flow(kern, pts, *, tol, max_iter, drift_radius, history_stride):
         drift = ev.drift
         report.iterations = it
         report.basepoint_drift = drift
-        if it % history_stride == 0 or it == 1:
+        if it % HISTORY_STRIDE == 0 or it == 1:
             report.energy_history.append(E)
             report.drift_history.append(drift)
         if tnorm < tol:
@@ -449,14 +455,13 @@ def energy_of_rep(rep, mesh, *, tol=1e-8, max_iter=20000, n_starts=2, seed=0,
                   drift_radius=50.0):
     """Energy infimum estimate over flows from several starts."""
     rng = np.random.default_rng(seed)
-    kern = FlowKernel(mesh, rep)
     best_E = np.inf
     reductive = True
     best_report = None
     for s in range(n_starts):
         f0 = constant_map(mesh, rep) if s == 0 else random_map(mesh, rep, rng, 0.4)
         _, rep_out = flow(rep, f0, tol=tol, max_iter=max_iter,
-                          drift_radius=drift_radius, kernel=kern)
+                          drift_radius=drift_radius)
         if rep_out.energy < best_E:
             best_E = rep_out.energy
             best_report = rep_out

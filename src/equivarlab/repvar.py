@@ -176,15 +176,17 @@ class WordTable:
 
     Each word is stored as padded token arrays: ``token`` (the generator
     slot, plus the number of generators for an inverse token), ``live``
-    (false on padding), and rho of the prefix before each token with its
-    inverse.  Every method takes one vectorized step per token position for
-    all words at once, doing the numpy operations of the per-token loops in
-    their order; padded steps are selected away rather than added as zeros
-    (which would turn -0.0 into 0.0), so each value is the one the per-token
-    evaluations give (``Representation.eval_word``, ``Cocycle.eval_word``,
+    (false on padding), and rho of the prefix before each token (its inverse
+    ``prefix_inv`` is built on first use).  Every method takes one vectorized
+    step per token position for all words at once, doing the numpy
+    operations of the per-token loops in their order; padded steps are
+    selected away rather than added as zeros (which would turn -0.0 into
+    0.0), so each value is the one the per-token evaluations give
+    (``Representation.eval_word``, ``Cocycle.eval_word``,
     ``Jet2Cocycle.eval_word``) to the last bit.  ``rho`` holds rho(w) of
-    every word; ``values`` and ``jets`` map stacked generator values (see
-    ``stack``) to the cocycle and 2-jet values.
+    every word and ``rho_inv`` its inverse (on first use); ``values`` and
+    ``jets`` map stacked generator values (see ``stack``) to the cocycle and
+    2-jet values.
     """
 
     def __init__(self, rep, words):
@@ -210,7 +212,14 @@ class WordTable:
             self.prefix[:, j] = g
             g = np.where(self.live[:, j, None, None], g @ h[self.token[:, j]], g)
         self.rho = g
-        self.prefix_inv = np.linalg.inv(self.prefix)
+
+    @cached_property
+    def rho_inv(self):
+        return np.linalg.inv(self.rho)
+
+    @cached_property
+    def prefix_inv(self):
+        return np.linalg.inv(self.prefix)
 
     def stack(self, values):
         """Generator values of a dict, stacked in generator order."""

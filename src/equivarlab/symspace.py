@@ -80,12 +80,6 @@ def point_frame(P):
     return w, U, _spectral(U, 1.0 / np.sqrt(w))
 
 
-def sqrt_pair(P):
-    """(P^{1/2}, P^{-1/2}) from one eigendecomposition."""
-    w, U, S = point_frame(P)
-    return _spectral(U, np.sqrt(w)), S
-
-
 def inv_sqrt_spd(P):
     return point_frame(P)[2]
 
@@ -179,7 +173,8 @@ def ad_jacobi(logw):
 
 def geodesic(P, Q, t):
     """Geodesic from P (t=0) to Q (t=1)."""
-    R, S = sqrt_pair(P)
+    w, U, S = point_frame(P)
+    R = _spectral(U, np.sqrt(w))
     M = S @ Q @ S
     return _hermitize(R @ power_spd(_hermitize(M), t) @ R)
 

@@ -173,7 +173,7 @@ class TwistedComplex:
         rho = self.words.rho
         Ad = ad_matrix(self.group, rho)
         self.face_g = rho[idx.face_word]
-        self.face_ginv = np.linalg.inv(rho)[idx.face_word]
+        self.face_ginv = self.words.rho_inv[idx.face_word]
         T = self.edge_T = Ad[idx.edge_word]
         self.d0 = _block_sparse(
             np.repeat(np.arange(mesh.ne), 2),
@@ -254,26 +254,20 @@ class TwistedComplex:
 
     # -- operators --------------------------------------------------------
     def d(self, coch):
-        vals = _vals(coch)
-        deg = coch.degree if isinstance(coch, TwistedCochain) else \
-            (0 if len(vals) == self.mesh.nv else 1)
-        if deg == 0:
-            out = self.d0 @ self.to_flat(vals)
+        if coch.degree == 0:
+            out = self.d0 @ self.to_flat(coch.values)
             return TwistedCochain(1, self.from_flat(out, self.mesh.ne))
-        if deg == 1:
-            out = self.d1 @ self.to_flat(vals)
+        if coch.degree == 1:
+            out = self.d1 @ self.to_flat(coch.values)
             return TwistedCochain(2, self.from_flat(out, self.mesh.nf))
         raise ValueError("d is defined on degrees 0 and 1")
 
     def codiff(self, coch):
-        vals = _vals(coch)
-        deg = coch.degree if isinstance(coch, TwistedCochain) else \
-            (1 if len(vals) == self.mesh.ne else 2)
-        if deg == 1:
-            out = self.G0inv @ (self.d0.T @ (self.G1 @ self.to_flat(vals)))
+        if coch.degree == 1:
+            out = self.G0inv @ (self.d0.T @ (self.G1 @ self.to_flat(coch.values)))
             return TwistedCochain(0, self.from_flat(out, self.mesh.nv))
-        if deg == 2:
-            out = self.G1inv @ (self.d1.T @ (self.G2 @ self.to_flat(vals)))
+        if coch.degree == 2:
+            out = self.G1inv @ (self.d1.T @ (self.G2 @ self.to_flat(coch.values)))
             return TwistedCochain(1, self.from_flat(out, self.mesh.ne))
         raise ValueError("codifferential is defined on degrees 1 and 2")
 

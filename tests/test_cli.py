@@ -139,6 +139,34 @@ def test_malformed_config_section_exit_two(tmp_path, task, section, value):
     assert repr(section) in report["error"]
 
 
+def test_unknown_representation_family_lists_the_families(tmp_path):
+    cfg = dict(PARABOLIC_CFG, representation={"family": "nope"})
+    code, report, _ = run_cli(tmp_path, "flow", cfg)
+    assert code == cli.EXIT_VALIDATION
+    assert report["error"] == (
+        "unknown representation family 'nope' (available: circle_hyperbolic, "
+        "circle_parabolic, circle_elliptic, torus_diag, torus_gl1c, "
+        "torus_unitary, trivial, genus2_fuchsian)")
+
+
+def test_unconverged_flow_exit_three(tmp_path):
+    # a task that needs a harmonic metric refuses an unconverged flow with
+    # a report that carries the flow
+    cfg = {
+        "mesh": {"kind": "torus", "n": 4, "m": 4},
+        "group": {"kind": "sl", "n": 2, "field": "C"},
+        "representation": {"family": "torus_diag"},
+        "flow": {"max_iter": 1},
+    }
+    code, report, _ = run_cli(tmp_path, "hodge", cfg)
+    assert code == cli.EXIT_NONCONVERGED
+    assert report["status"] == "not-converged"
+    assert report["error"].startswith("flow did not converge")
+    assert report["flow"]["iterations"] == 1
+    assert report["flow"]["converged"] is False
+    assert "result" not in report
+
+
 def test_reports_deterministic(tmp_path):
     d1 = tmp_path / "r1"
     d2 = tmp_path / "r2"

@@ -281,9 +281,10 @@ def test_hessian_is_second_difference(mesh_name, group_key, seed, scale):
     kern = hf.FlowKernel(mesh, rep)
     rng = np.random.default_rng(seed)
     pts = hf.random_map(mesh, rep, rng, scale).points
-    H = kern.hessian(pts)
+    ev = hf.MapEval(kern, pts)
+    H = ev.hessian()
     x = rng.standard_normal(H.shape[0])
-    X = kern.tangent_field(pts, x)
+    X = ev.tangent_field(x)
     h = 1e-3
     E = [hf.MapEval(kern, exp_point(pts, s * X)).energy for s in (-h, 0.0, h)]
     fd = (E[0] - 2.0 * E[1] + E[2]) / h ** 2
@@ -294,12 +295,46 @@ def test_hessian_is_second_difference(mesh_name, group_key, seed, scale):
     assert np.linalg.eigvalsh(Hd).min() >= -1e-10 * np.abs(Hd).max()
 
 
+def test_newton_step_reads_map_eval_frames(sl2r, genus2, monkeypatch):
+    # the Newton model of a map is built from the frames of its MapEval:
+    # no further eigendecomposition
+    rep = rv.genus2_fuchsian_rep(sl2r, genus2)
+    pts = hf.random_map(genus2, rep, np.random.default_rng(7), 0.3).points
+    ev = hf.MapEval(hf.FlowKernel(genus2, rep), pts)
+    calls = []
+    eigh = ss._eigh
+
+    def counting(P):
+        calls.append(P.shape)
+        return eigh(P)
+    monkeypatch.setattr(ss, "_eigh", counting)
+    X, decrease = ev.newton_step(1e-2)
+    assert calls == []
+    assert np.isfinite(X).all() and decrease > 0.0
+
+
+def test_flow_leaves_prefix_inverses_unbuilt(sl2r, genus2, monkeypatch):
+    # a flow reads rho and its inverse from the word table, never the
+    # inverted prefix products of the cocycle and jet evaluations
+    kernels = []
+
+    class Recording(hf.FlowKernel):
+        def __init__(self, mesh, rep):
+            super().__init__(mesh, rep)
+            kernels.append(self)
+    monkeypatch.setattr(hf, "FlowKernel", Recording)
+    rep = rv.genus2_fuchsian_rep(sl2r, genus2)
+    _, rpt = hf.flow(rep, hf.constant_map(genus2, rep))
+    assert rpt.converged and len(kernels) == 1
+    built = vars(kernels[0].words)
+    assert "rho_inv" in built and "prefix_inv" not in built
+
+
 def _agreement(mesh, rep, f0):
     f, rpt = hf.flow(rep, f0, tol=1e-10)
     kern = hf.FlowKernel(mesh, rep)
     pts, ref = hf._explicit_flow(kern, f0.points.copy(), tol=1e-10,
-                                 max_iter=20000, drift_radius=50.0,
-                                 history_stride=25)
+                                 max_iter=20000, drift_radius=50.0)
     assert rpt.solver == "newton" and ref.solver == "explicit"
     assert rpt.converged and ref.converged
     assert rpt.iterations - 1 <= 8
@@ -325,7 +360,7 @@ def test_newton_matches_explicit_genus2(sl2r, genus2):
 
 
 def _explicit_run(rep, f0, **kw):
-    args = dict(tol=1e-8, max_iter=20000, drift_radius=50.0, history_stride=25)
+    args = dict(tol=1e-8, max_iter=20000, drift_radius=50.0)
     args.update(kw)
     return hf._explicit_flow(hf.FlowKernel(f0.mesh, rep), f0.points.copy(), **args)
 
@@ -391,8 +426,7 @@ def _tension_norm_sq(kern, pts, tau):
     return float(np.dot(kern.w0, np.maximum(vals, 0.0)))
 
 
-def _reference_explicit_flow(kern, pts, *, tol, max_iter, drift_radius,
-                             history_stride):
+def _reference_explicit_flow(kern, pts, *, tol, max_iter, drift_radius):
     """The explicit flow that evaluates energy and tension of every
     candidate and measures the drift by ss.dist at every iteration."""
     eye = np.eye(kern.n, dtype=complex)
@@ -407,7 +441,7 @@ def _reference_explicit_flow(kern, pts, *, tol, max_iter, drift_radius,
         drift = ss.dist(eye, pts[0])
         report.iterations = it
         report.basepoint_drift = drift
-        if it % history_stride == 0 or it == 1:
+        if it % 25 == 0 or it == 1:
             report.energy_history.append(E)
             report.drift_history.append(drift)
         if tnorm < tol:
@@ -495,7 +529,7 @@ def _reference_case(name):
 def test_explicit_flow_matches_reference_loop(name):
     mesh, rep, f0, max_iter = _reference_case(name)
     kern = hf.FlowKernel(mesh, rep)
-    args = dict(tol=1e-8, max_iter=max_iter, drift_radius=50.0, history_stride=25)
+    args = dict(tol=1e-8, max_iter=max_iter, drift_radius=50.0)
     pts, rpt = hf._explicit_flow(kern, f0.points.copy(), **args)
     ref_pts, ref = _reference_explicit_flow(kern, f0.points.copy(), **args)
     assert np.array_equal(pts, ref_pts)
