@@ -4,10 +4,11 @@
 
 Tasks: flow, energy, hodge, deform1, deform2, variation, psh, critical-scan,
 refine-study.  Exit codes: 0 success, 2 validation failure (a config section
-missing or not an object; every task but refine-study starts from
-build_problem, which checks the relators), 3
-harmonic-map solver non-convergence where a converged metric is required, 4
-obstructed second-order deformation request.
+missing or not an object, a missing key inside a section, an unreadable mesh
+file; every task but refine-study starts from build_problem, which checks
+the relators), 3 harmonic-map solver non-convergence where a converged
+metric is required, 4 obstructed second-order deformation request.  Complex
+matrices and numbers are read and written as [re, im] pairs.
 """
 
 from __future__ import annotations
@@ -48,6 +49,18 @@ def _section(cfg, name):
     return cfg[name]
 
 
+def _optional(cfg, name):
+    """cfg[name] if it is given (it must be an object), else {}."""
+    return _section(cfg, name) if name in cfg else {}
+
+
+def _key(spec, name):
+    """spec[name] (else ConfigError)."""
+    if name not in spec:
+        raise ConfigError(f"config key {name!r} is missing")
+    return spec[name]
+
+
 def _as_complex(x):
     if isinstance(x, (list, tuple)) and len(x) == 2:
         return complex(x[0], x[1])
@@ -70,8 +83,12 @@ def build_mesh(spec):
     if kind == "genus2":
         return mc.build_genus2(int(spec.get("k", 1)))
     if kind == "json":
-        path = Path(spec["path"])
-        return mc.CoverMesh.from_json(path.read_text())
+        path = Path(_key(spec, "path"))
+        try:
+            text = path.read_text()
+        except OSError as exc:
+            raise ConfigError(f"cannot read mesh: {exc}") from exc
+        return mc.CoverMesh.from_json(text)
     raise ConfigError(f"unknown mesh kind {kind!r}")
 
 
@@ -98,14 +115,14 @@ FAMILIES = {
 
 def build_representation(spec, group, mesh):
     if "inline" in spec:
-        data = spec["inline"]
-        images = {k: _as_matrix(v) for k, v in data["images"].items()}
+        images = {k: _as_matrix(v) for k, v in
+                  _section(_section(spec, "inline"), "images").items()}
         return rv.Representation.for_mesh(group, mesh, images)
     family = spec.get("family")
     if not isinstance(family, str) or family not in FAMILIES:
         raise ConfigError(f"unknown representation family {family!r} "
                           f"(available: {', '.join(FAMILIES)})")
-    return FAMILIES[family](group, mesh, spec.get("params", {}))
+    return FAMILIES[family](group, mesh, _optional(spec, "params"))
 
 
 def build_problem(cfg):
@@ -121,11 +138,11 @@ def build_problem(cfg):
 def build_path(spec, rep):
     kind = spec.get("kind")
     if kind == "commuting_exp":
-        B = {k: _as_matrix(v) for k, v in spec["B"].items()}
-        C = {k: _as_matrix(v) for k, v in spec.get("C", {}).items()} or None
+        B = {k: _as_matrix(v) for k, v in _section(spec, "B").items()}
+        C = {k: _as_matrix(v) for k, v in _optional(spec, "C").items()} or None
         return rv.commuting_exp_path(rep, B, C)
     if kind == "conjugation":
-        return rv.conjugation_path(rep, _as_matrix(spec["xi"]))
+        return rv.conjugation_path(rep, _as_matrix(_key(spec, "xi")))
     if kind == "bending":
         return rv.bending_path(rep, float(spec.get("scale", 0.5)),
                                bool(spec.get("imaginary", True)))
@@ -134,10 +151,10 @@ def build_path(spec, rep):
 
 def build_cocycle(spec, rep):
     if "values" in spec:
-        vals = {k: _as_matrix(v) for k, v in spec["values"].items()}
+        vals = {k: _as_matrix(v) for k, v in _section(spec, "values").items()}
         c = rv.Cocycle(rep, vals)
     elif "path_family" in spec:
-        c, _ = build_path(spec["path_family"], rep).jets()
+        c, _ = build_path(_section(spec, "path_family"), rep).jets()
     else:
         raise ConfigError("deformation spec needs 'values' or 'path_family'")
     if not c.validate():
@@ -147,9 +164,9 @@ def build_cocycle(spec, rep):
 
 def build_jet(spec, rep):
     if "path_family" in spec:
-        return build_path(spec["path_family"], rep).jets()
+        return build_path(_section(spec, "path_family"), rep).jets()
     c = build_cocycle(spec, rep)
-    kvals = {name: _as_matrix(v) for name, v in spec.get("second", {}).items()} \
+    kvals = {name: _as_matrix(v) for name, v in _section(spec, "second").items()} \
         if "second" in spec else {name: np.zeros_like(c.values[name])
                                   for name in rep.generators}
     jet = rv.Jet2Cocycle(c, kvals)
@@ -162,7 +179,7 @@ def converged_context(cfg, mesh, rep):
     tol = cfg["tolerances"]["flow_tol"]
     f0 = hf.constant_map(mesh, rep)
     f, rpt = hf.flow(rep, f0, tol=tol,
-                     max_iter=int(cfg.get("flow", {}).get("max_iter", 60000)))
+                     max_iter=int(_optional(cfg, "flow").get("max_iter", 60000)))
     if not rpt.converged:
         raise FlowNotConverged(rpt)
     return TwistedComplex(mesh, rep, f), rpt
@@ -228,7 +245,7 @@ def write_csv(out_dir, name, header, rows):
 
 def task_flow(cfg, out_dir):
     mesh, group, rep = build_problem(cfg)
-    fspec = cfg.get("flow", {})
+    fspec = _optional(cfg, "flow")
     rng = np.random.default_rng(cfg["seed"])
     if fspec.get("start", "constant") == "random":
         f0 = hf.random_map(mesh, rep, rng, float(fspec.get("scale", 0.4)))
@@ -242,7 +259,7 @@ def task_flow(cfg, out_dir):
 
 def task_energy(cfg, out_dir):
     mesh, group, rep = build_problem(cfg)
-    fspec = cfg.get("flow", {})
+    fspec = _optional(cfg, "flow")
     E, reductive, rpt = hf.energy_of_rep(
         rep, mesh, tol=cfg["tolerances"]["flow_tol"],
         max_iter=int(fspec.get("max_iter", 20000)),
@@ -306,8 +323,7 @@ def task_variation(cfg, out_dir):
     mesh, group, rep = build_problem(cfg)
     path = build_path(_section(_section(cfg, "deformation"), "path_family"), rep)
     ctx, rpt = converged_context(cfg, mesh, rep)
-    with_second = bool(cfg.get("with_second", True))
-    out = ev.variation_report(ctx, path, mesh, with_second=with_second,
+    out = ev.variation_report(ctx, path,
                               rel_tol=cfg["tolerances"]["rel_obstruction"])
     rows = [[r["h"], r["first"], r["second"]] for r in out["fd_table"]]
     write_csv(out_dir, "variation_fd.csv", ["h", "fd_first", "fd_second"], rows)
@@ -345,7 +361,7 @@ def task_refine_study(cfg, out_dir):
     log value against log h.  When a value is below FLOOR_REL times the
     study's scale, no slope is fitted: fitted_slope is null and the report
     gains floor_limited = true."""
-    spec = cfg.get("refine", {})
+    spec = _optional(cfg, "refine")
     kind = spec.get("kind", "torus_mc")
     levels = [int(x) for x in spec.get("levels", [4, 8, 16])]
     if len(levels) < 3:

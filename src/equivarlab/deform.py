@@ -58,12 +58,9 @@ class FirstOrderDeformation:
 @dataclass
 class PsiSolution:
     omega: TwistedCochain
-    xi: TwistedCochain
     F0: TwistedCochain
     omega2: TwistedCochain
-    psi0: TwistedCochain
     psi: TwistedCochain
-    eta: TwistedCochain
     obstruction: ObstructionReport
     edge_jets: tuple        # (c(w_e), k(w_e)) from _edge_jets
     residuals: dict = field(default_factory=dict)
@@ -77,7 +74,6 @@ class SecondOrderDeformation:
     v: np.ndarray
     w_beta: np.ndarray
     omega: TwistedCochain
-    omega2: TwistedCochain
     residuals: dict = field(default_factory=dict)
 
 
@@ -150,9 +146,11 @@ def solve_psi(ctx, c, k, *, rel_tol=1e-7, require_unobstructed=True):
 
     Follows the constructive route: omega2^0 from the (c,k)-seeded jet
     cochain, psi0 = omega2^0 - [F^0, omega], then a kernel-deflated Jacobi
-    solve for eta and psi = psi0 + d eta.
+    solve for eta and psi = psi0 + d eta.  The seed is read from the edge
+    jets, so the word table makes one pass.
     """
-    seed = ctx.seed_cochain(c)
+    edge_jets = _edge_jets(ctx, c, k)
+    seed = TwistedCochain(1, edge_jets[0])
     omega, xi = ctx.harmonic_rep(seed)
     F0, equiv_defect = ctx.primitive(omega, seed)
     obstruction = obstruction_check(ctx, omega, rel_tol)
@@ -160,7 +158,6 @@ def solve_psi(ctx, c, k, *, rel_tol=1e-7, require_unobstructed=True):
         raise ObstructedDeformationError(
             obstruction.defect, rel_tol * obstruction.scale, obstruction.witness)
 
-    edge_jets = _edge_jets(ctx, c, k)
     omega2_0 = jet_seed_second(ctx, edge_jets, xi)
     # omega2^0 - [F0, omega] = omega2^0 + [omega, F0]
     psi0 = TwistedCochain(1, omega2_0.values + ctx.bracket_section(omega, F0).values)
@@ -181,8 +178,8 @@ def solve_psi(ctx, c, k, *, rel_tol=1e-7, require_unobstructed=True):
         "dstar_psi_plus_contract": res_coclosed,
         "equivariance_F0": equiv_defect,
     }
-    return PsiSolution(omega, xi, F0, omega2, psi0, psi, eta,
-                       obstruction, edge_jets, residuals)
+    return PsiSolution(omega, F0, omega2, psi, obstruction, edge_jets,
+                       residuals)
 
 
 def second_order(ctx, c, k, *, rel_tol=1e-7):
@@ -198,11 +195,7 @@ def second_order(ctx, c, k, *, rel_tol=1e-7):
     cw, kw = sol.edge_jets
     adF = _transport(ctx, F0.values)
     target = omega2.values - (kw + (cw @ adF - adF @ cw))
-    flat_target = ctx.to_flat(target)
-    x = ctx.solve_deflated(ctx.d0.T @ (ctx.G1 @ flat_target))
-    resid = ctx.d0 @ x - flat_target
-    defect2 = float(np.sqrt(max(resid @ (ctx.G1 @ resid), 0.0)))
-    F2 = TwistedCochain(0, ctx.from_flat(x, ctx.mesh.nv))
+    F2, defect2 = ctx._primitive_flat(ctx.to_flat(target))
 
     Fk, Fp = cartan_project(ctx.points, F0.values)
     _, F2p = cartan_project(ctx.points, F2.values)
@@ -212,8 +205,7 @@ def second_order(ctx, c, k, *, rel_tol=1e-7):
     residuals = dict(sol.residuals)
     residuals["equivariance_F2"] = defect2
     residuals["w_projection"] = _w_equivariance_residual(ctx, cw, kw, adF, F2, w_beta)
-    so = SecondOrderDeformation(F0, F2, sol.psi, v, w_beta, omega, omega2,
-                                residuals)
+    so = SecondOrderDeformation(F0, F2, sol.psi, v, w_beta, omega, residuals)
     return so, sol
 
 

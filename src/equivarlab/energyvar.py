@@ -110,15 +110,14 @@ class ScanReport:
                 "basis_size": self.basis_size}
 
 
-def critical_scan(ctx, basis=None, floor=1e-12):
+def critical_scan(ctx):
     """max over cocycle directions of |dE/dt| / (||omega|| ||beta||).
 
     Vanishing scan value characterizes critical points of the energy on the
     representation variety.
     """
     from .repvar import cocycle_space_basis
-    if basis is None:
-        basis = cocycle_space_basis(ctx.rep)
+    basis = cocycle_space_basis(ctx.rep)
     beta = ctx.beta()
     bnorm = np.sqrt(omega_l2sq(ctx, beta))
     vals = []
@@ -126,7 +125,7 @@ def critical_scan(ctx, basis=None, floor=1e-12):
         omega, _ = ctx.harmonic_rep(c)
         onorm = np.sqrt(omega_l2sq(ctx, omega))
         fv = first_variation(ctx, omega)
-        vals.append(abs(fv) / max(onorm * bnorm, floor))
+        vals.append(abs(fv) / max(onorm * bnorm, 1e-12))
     return ScanReport(max(vals, default=0.0), vals, len(basis))
 
 
@@ -138,11 +137,6 @@ class FDReport:
     first: float
     second: float
     table: list
-    steps: tuple
-
-    def to_dict(self):
-        return {"first": self.first, "second": self.second,
-                "steps": list(self.steps), "table": self.table}
 
 
 def fd_energy_derivatives(path, mesh, *, steps=(1e-2, 5e-3, 2.5e-3),
@@ -180,31 +174,26 @@ def fd_energy_derivatives(path, mesh, *, steps=(1e-2, 5e-3, 2.5e-3),
         second = (4.0 * seconds[-1] - seconds[-2]) / 3.0
     else:
         first, second = firsts[-1], seconds[-1]
-    return FDReport(first, second, table, tuple(steps))
+    return FDReport(first, second, table)
 
 
-def variation_report(ctx, path, mesh, *, with_second=True, fd_steps=(1e-2, 5e-3, 2.5e-3),
-                     rel_tol=1e-7, fd_tol=1e-10):
-    """Analytic versus finite-difference variations along one path."""
+def variation_report(ctx, path, *, rel_tol=1e-7):
+    """Analytic versus finite-difference variations along one path at the
+    harmonic map of the complex."""
     c, k = path.jets()
-    sol = solve_psi(ctx, c, k, rel_tol=rel_tol) if with_second else None
-    omega = sol.omega if with_second else ctx.harmonic_rep(c)[0]
-    analytic1 = first_variation(ctx, omega)
-    out = {
+    sol = solve_psi(ctx, c, k, rel_tol=rel_tol)
+    analytic1 = first_variation(ctx, sol.omega)
+    analytic2 = second_variation(ctx, sol.psi, sol.omega)
+    f0 = hf.EquivariantMap(ctx.mesh, ctx.rep, ctx.points.copy())
+    fd = fd_energy_derivatives(path, ctx.mesh, f0=f0)
+    return {
         "analytic_first": analytic1,
-        "omega_sq": omega_l2sq(ctx, omega),
+        "omega_sq": omega_l2sq(ctx, sol.omega),
+        "analytic_second": analytic2,
+        "psi_residuals": sol.residuals,
+        "fd_first": fd.first,
+        "fd_second": fd.second,
+        "fd_table": fd.table,
+        "first_rel_err": abs(analytic1 - fd.first) / max(abs(analytic1), 1e-12),
+        "second_rel_err": abs(analytic2 - fd.second) / max(abs(analytic2), 1e-12),
     }
-    if with_second:
-        out["analytic_second"] = second_variation(ctx, sol.psi, omega)
-        out["psi_residuals"] = sol.residuals
-    f0 = hf.EquivariantMap(mesh, ctx.rep, ctx.points.copy())
-    fd = fd_energy_derivatives(path, mesh, steps=fd_steps, tol=fd_tol, f0=f0)
-    out["fd_first"] = fd.first
-    out["fd_second"] = fd.second
-    out["fd_table"] = fd.table
-    scale1 = max(abs(analytic1), 1e-12)
-    out["first_rel_err"] = abs(analytic1 - fd.first) / scale1
-    if with_second:
-        scale2 = max(abs(out["analytic_second"]), 1e-12)
-        out["second_rel_err"] = abs(out["analytic_second"] - fd.second) / scale2
-    return out

@@ -62,24 +62,6 @@ class EquivariantMap:
     rep: object
     points: np.ndarray     # (nv, n, n)
 
-    def copy(self):
-        return EquivariantMap(self.mesh, self.rep, self.points.copy())
-
-    def to_json(self):
-        import json
-        pts = [[[[float(z.real), float(z.imag)] for z in row] for row in P]
-               for P in self.points]
-        return json.dumps({"points": pts}, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text, mesh, rep):
-        import json
-        arr = np.asarray(json.loads(text)["points"], dtype=float)
-        pts = arr[..., 0] + 1j * arr[..., 1]
-        if len(pts) != mesh.nv:
-            raise ValueError("map JSON does not match the mesh size")
-        return cls(mesh, rep, pts)
-
 
 def constant_map(mesh, rep, P=None):
     n = rep.group.n

@@ -182,6 +182,8 @@ class CoverMesh:
             if e.weight <= 0:
                 raise ValueError("non-positive edge weight")
         for f in self.faces:
+            if f.weight <= 0:
+                raise ValueError("non-positive face weight")
             for (eid, sign), (eid2, sign2) in zip(f.steps, f.steps[1:] + f.steps[:1]):
                 a = self.edges[eid]
                 b = self.edges[eid2]
@@ -230,23 +232,6 @@ class CoverMesh:
 
 
 # ----------------------------------------------------------------------
-
-class GramData(NamedTuple):
-    """Diagonal mass data of the discrete integral over the base manifold."""
-    vertex: np.ndarray
-    edge: np.ndarray
-    face: np.ndarray
-
-
-def gram_data(mesh):
-    g = GramData(np.asarray(mesh.vertex_weights, dtype=float),
-                 np.array([e.weight for e in mesh.edges]),
-                 np.array([f.weight for f in mesh.faces]))
-    for arr in g:
-        if arr.size and arr.min() <= 0:
-            raise ValueError("mass data must have strictly positive diagonals")
-    return g
-
 
 def build_circle(n):
     """Cycle mesh for Gamma = Z at unit circumference: w0 = 1/n, w1 = n."""

@@ -18,7 +18,6 @@ flow kernel evaluates the deck words of a mesh as one table.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -26,21 +25,7 @@ import numpy as np
 
 from . import hyperbolic as hyp
 from .liealg import MatrixGroup, Jet2, ad_action, bracket, jet2_mul, jet2_inv
-from .meshcover import parse_word, token_is_inverse, token_base, word_text
-
-
-def _matrix_to_json(M, complex_entries):
-    M = np.asarray(M)
-    if complex_entries:
-        return [[[float(z.real), float(z.imag)] for z in row] for row in M]
-    return [[float(z.real) for z in row] for row in M]
-
-
-def _matrix_from_json(data):
-    arr = np.asarray(data, dtype=float)
-    if arr.ndim == 3:
-        return arr[..., 0] + 1j * arr[..., 1]
-    return arr.astype(complex)
+from .meshcover import token_is_inverse, token_base
 
 
 @dataclass
@@ -97,24 +82,6 @@ class Representation:
     def for_mesh(cls, group, mesh, images):
         return cls(group, mesh.generators, images, mesh.relations)
 
-    def to_json(self):
-        return json.dumps({
-            "group": {"kind": self.group.kind, "n": self.group.n,
-                      "field": self.group.field},
-            "generators": list(self.generators),
-            "relations": [word_text(r) for r in self.relations],
-            "images": {k: _matrix_to_json(m, self.group.is_complex)
-                       for k, m in self.images.items()},
-        }, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text):
-        data = json.loads(text)
-        group = MatrixGroup(**data["group"])
-        return cls(group, tuple(data["generators"]),
-                   {k: _matrix_from_json(v) for k, v in data["images"].items()},
-                   tuple(parse_word(r) for r in data["relations"]))
-
 
 # ----------------------------------------------------------------------
 
@@ -158,17 +125,6 @@ class Cocycle:
 
     def scaled(self, s):
         return Cocycle(self.rep, {k: s * v for k, v in self.values.items()})
-
-    def to_json(self):
-        return json.dumps({
-            "values": {k: _matrix_to_json(v, self.rep.group.is_complex)
-                       for k, v in self.values.items()}}, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text, rep):
-        data = json.loads(text)
-        return cls(rep, {k: _matrix_from_json(v)
-                         for k, v in data["values"].items()})
 
 
 class WordTable:

@@ -89,7 +89,7 @@ def origin_dist(P, w):
 
     eigh reads one triangle of P, while dist hermitizes it first, so the two
     agree bit for bit only on an exactly Hermitian P.  Any other P, such as a
-    random start or a point read from JSON, goes through dist.
+    random start, goes through dist.
     """
     if not np.array_equal(P, _ct(P)):
         return dist(np.eye(P.shape[-1], dtype=complex), P)

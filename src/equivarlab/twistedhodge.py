@@ -30,7 +30,6 @@ are also computed once per complex.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,29 +69,6 @@ class SingularKKTError(LinearSolverError):
 class TwistedCochain:
     degree: int
     values: np.ndarray      # (ncells, n, n)
-
-    def copy(self):
-        return TwistedCochain(self.degree, self.values.copy())
-
-    def to_json(self, complex_entries=True):
-        vals = []
-        for M in self.values:
-            if complex_entries:
-                vals.append([[[float(z.real), float(z.imag)] for z in row]
-                             for row in M])
-            else:
-                vals.append([[float(z.real) for z in row] for row in M])
-        return json.dumps({"degree": self.degree, "values": vals}, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text):
-        data = json.loads(text)
-        arr = np.asarray(data["values"], dtype=float)
-        if arr.ndim == 4:
-            vals = arr[..., 0] + 1j * arr[..., 1]
-        else:
-            vals = arr.astype(complex)
-        return cls(int(data["degree"]), vals)
 
 
 def _vals(x):
@@ -374,12 +350,18 @@ class TwistedComplex:
         of omega on the cover (c a cocycle or its seed cochain); raises
         PeriodMismatchError when the classes of omega and c differ.
         Solutions form an affine space over the kernel."""
-        target = self.to_flat(_vals(omega)) - self.to_flat(self.seed_cochain(c).values)
+        F, defect = self._primitive_flat(
+            self.to_flat(_vals(omega)) - self.to_flat(self.seed_cochain(c).values))
+        if defect > tol:
+            raise PeriodMismatchError(defect)
+        return F, defect
+
+    def _primitive_flat(self, target):
+        """Kernel-deflated least-squares section F with dF ~ target (a flat
+        1-cochain), and the G1 norm of the defect dF - target."""
         x = self.solve_deflated(self.d0.T @ (self.G1 @ target))
         resid = self.d0 @ x - target
         defect = float(np.sqrt(max(resid @ (self.G1 @ resid), 0.0)))
-        if defect > tol:
-            raise PeriodMismatchError(defect)
         return TwistedCochain(0, self.from_flat(x, self.mesh.nv)), defect
 
     # -- Hodge decomposition -------------------------------------------------

@@ -250,13 +250,13 @@ def test_criterion_07_obstruction(trivial_ctx, trivialC_ctx, diag_ctx,
               f"({n_obstructed} obstructed), conditions (1)<->(2) agree")
 
 
-def test_criterion_08_second_variation_fd(diag_ctx, torus66):
+def test_criterion_08_second_variation_fd(diag_ctx):
     path = rv.commuting_exp_path(
         diag_ctx.rep, {"a": np.diag([1.0, -1.0]).astype(complex),
                        "b": np.diag([0.5j, -0.5j])},
         {"a": np.diag([0.3, -0.3]).astype(complex),
          "b": np.diag([0.2, -0.2]).astype(complex)})
-    out = ev.variation_report(diag_ctx, path, torus66)
+    out = ev.variation_report(diag_ctx, path)
     assert out["second_rel_err"] < 1e-2
     assert max(out["psi_residuals"].values()) < 1e-7
     report(8, f"second variation vs FD rel err {out['second_rel_err']:.1e} "

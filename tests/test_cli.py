@@ -139,6 +139,27 @@ def test_malformed_config_section_exit_two(tmp_path, task, section, value):
     assert repr(section) in report["error"]
 
 
+@pytest.mark.parametrize("task, section, value, key", [
+    ("flow", "representation", {"inline": {}}, "images"),
+    ("flow", "mesh", {"kind": "json"}, "path"),
+    ("flow", "mesh", {"kind": "json", "path": "no_such_mesh.json"},
+     "no_such_mesh.json"),
+    ("variation", "deformation", {"path_family": {"kind": "commuting_exp"}}, "B"),
+    ("variation", "deformation", {"path_family": {"kind": "conjugation"}}, "xi"),
+    ("flow", "representation", {"family": "trivial", "params": [0.4]}, "params"),
+    ("flow", "flow", [1000], "flow")],
+    ids=["inline-images", "mesh-path", "mesh-file", "commuting-B",
+         "conjugation-xi", "params-list", "flow-list"])
+def test_malformed_config_value_exit_two(tmp_path, task, section, value, key):
+    # a missing key inside a section, a section of the wrong type or an
+    # unreadable mesh file is a validation error with a report
+    cfg = dict(OBSTRUCTED_CFG, **{section: value})
+    code, report, _ = run_cli(tmp_path, task, cfg)
+    assert code == cli.EXIT_VALIDATION
+    assert report["status"] == "validation-error"
+    assert key in report["error"]
+
+
 def test_unknown_representation_family_lists_the_families(tmp_path):
     cfg = dict(PARABOLIC_CFG, representation={"family": "nope"})
     code, report, _ = run_cli(tmp_path, "flow", cfg)

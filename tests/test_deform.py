@@ -356,6 +356,26 @@ def test_edge_jet_table_matches_per_edge_loop(fuchsianC_ctx):
         assert np.array_equal(seed[i], kw[i] - (cw[i] @ ad_xi - ad_xi @ cw[i]))
 
 
+def test_solve_psi_makes_one_word_table_pass(fuchsianC_ctx, monkeypatch):
+    # the seed of omega is the c(w_e) half of the edge jets, which equals
+    # the seed cochain of c bit for bit
+    ctx = fuchsianC_ctx
+    c, k = rv.bending_path(ctx.rep, 0.4).jets()
+    passes = []
+
+    def counting(method):
+        def wrapper(self, *args):
+            passes.append(method.__name__)
+            return method(self, *args)
+        return wrapper
+    for name in ("values", "jets"):
+        monkeypatch.setattr(rv.WordTable, name, counting(getattr(rv.WordTable, name)))
+    sol = df.solve_psi(ctx, c, k)
+    assert passes == ["jets"]
+    monkeypatch.undo()
+    assert np.array_equal(sol.edge_jets[0], ctx.seed_cochain(c).values)
+
+
 @pytest.mark.parametrize("ctx_name, imaginary", [("fuchsian_ctx", False),
                                                  ("fuchsianC_ctx", False),
                                                  ("fuchsianC_ctx", True)])

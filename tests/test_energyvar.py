@@ -89,27 +89,27 @@ def test_second_variation_unitary_nonnegative(unitary_ctx):
                    * unitary_ctx.inner(om_p, om_p, 1)) < 1e-9
 
 
-def test_second_variation_abelian_closed_form(gl1c_ctx, torus66):
+def test_second_variation_abelian_closed_form(gl1c_ctx):
     # quadratic energy: analytic second variation matches d2/dt2 exactly
     path = rv.commuting_exp_path(gl1c_ctx.rep,
                                  {"a": np.array([[0.3 - 0.2j]]),
                                   "b": np.array([[0.1 + 0.4j]])},
                                  {"a": np.array([[0.25 + 0.3j]]),
                                   "b": np.array([[-0.15]])})
-    out = ev.variation_report(gl1c_ctx, path, torus66)
+    out = ev.variation_report(gl1c_ctx, path)
     # E(t) = 2((0.5+0.3t+0.125t^2)^2 + (-0.3+0.1t-0.075t^2)^2)
     exact2 = 2 * (2 * 0.3 ** 2 + 2 * 0.5 * 0.25 + 2 * 0.1 ** 2 + 2 * 0.3 * 0.15)
     assert abs(out["analytic_second"] - exact2) < 1e-6
     assert out["second_rel_err"] < 1e-2
 
 
-def test_second_variation_diag_family_fd(diag_ctx, torus66):
+def test_second_variation_diag_family_fd(diag_ctx):
     path = rv.commuting_exp_path(
         diag_ctx.rep, {"a": np.diag([1.0, -1.0]).astype(complex),
                        "b": np.diag([0.5j, -0.5j])},
         {"a": np.diag([0.3, -0.3]).astype(complex),
          "b": np.diag([0.2, -0.2]).astype(complex)})
-    out = ev.variation_report(diag_ctx, path, torus66)
+    out = ev.variation_report(diag_ctx, path)
     assert out["first_rel_err"] < 1e-3
     assert out["second_rel_err"] < 1e-2
     assert max(out["psi_residuals"].values()) < 1e-7

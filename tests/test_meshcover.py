@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -119,12 +121,16 @@ def test_face_chain_validation():
 
 
 def test_gram_data_accessor(torus66, genus2):
+    # the diagonal mass data of the builders is strictly positive; its
+    # refinement scaling is test_gram_scaling_under_refinement
     for mesh in (torus66, genus2):
-        g = mc.gram_data(mesh)
-        assert g.vertex.min() > 0 and g.edge.min() > 0
-        if mesh.nf:
-            assert g.face.min() > 0
-    g1 = mc.gram_data(mc.build_torus(4, 4))
-    g2 = mc.gram_data(mc.build_torus(8, 8))
-    assert abs(g1.vertex[0] / g2.vertex[0] - 4.0) < 1e-12    # ~ cell volume
-    assert abs(g1.edge[0] - g2.edge[0]) < 1e-12              # ~ vol / len^2
+        assert np.min(mesh.vertex_weights) > 0
+        assert min(e.weight for e in mesh.edges) > 0
+        assert min(f.weight for f in mesh.faces) > 0
+
+
+def test_mesh_json_rejects_a_negative_face_weight(torus66):
+    data = json.loads(torus66.to_json())
+    data["faces"][3]["weight"] = -2.0
+    with pytest.raises(ValueError, match="non-positive face weight"):
+        mc.CoverMesh.from_json(json.dumps(data))

@@ -164,26 +164,9 @@ def test_cocycle_space_dimensions(sl2r, sl2c, gl1c, circle8, torus66, genus2):
         assert c.validate(1e-7)
 
 
-def test_representation_json_roundtrip(sl2c, torus66):
-    rep = rv.torus_diag_rep(sl2c, torus66, 0.4 + 0.3j, -0.2 + 0.5j)
-    rep2 = rv.Representation.from_json(rep.to_json())
-    for name in rep.generators:
-        assert np.abs(rep.images[name] - rep2.images[name]).max() < 1e-15
-    assert rep2.validate(1e-10)
-
-
 def test_unitary_detection(sl2c, torus66):
     assert rv.torus_unitary_rep(sl2c, torus66).is_unitary()
     assert not rv.torus_diag_rep(sl2c, torus66, 0.4, 0.2).is_unitary()
-
-
-def test_cocycle_json_roundtrip(sl2c, torus66):
-    rep = rv.torus_diag_rep(sl2c, torus66, 0.4 + 0.3j, -0.2 + 0.5j)
-    c = rv.Cocycle(rep, {"a": np.diag([0.2j, -0.2j]),
-                         "b": np.diag([0.5, -0.5]).astype(complex)})
-    c2 = rv.Cocycle.from_json(c.to_json(), rep)
-    for name in rep.generators:
-        assert np.abs(c.values[name] - c2.values[name]).max() < 1e-15
 
 
 def test_conjugate_carries_exp_family_logs(sl2c, torus66):

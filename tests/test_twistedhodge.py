@@ -418,14 +418,6 @@ def test_maurer_cartan_refinement(sl2c):
         prev = val
 
 
-def test_cochain_json_roundtrip(diag_ctx):
-    rng = np.random.default_rng(8)
-    om = random_cochain(diag_ctx, 1, rng)
-    om2 = TwistedCochain.from_json(om.to_json())
-    assert om2.degree == 1
-    assert np.abs(om2.values - om.values).max() < 1e-15
-
-
 def test_maurer_cartan_refinement_genus2_converged(sl2r):
     # on converged (curved) harmonic maps the residual also decreases
     vals = []
