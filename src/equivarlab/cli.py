@@ -61,6 +61,15 @@ def _key(spec, name):
     return spec[name]
 
 
+def _value(spec, name, default, convert):
+    """convert(spec.get(name, default)); a value of the wrong type raises
+    ConfigError naming the key."""
+    try:
+        return convert(spec.get(name, default))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"config key {name!r} has a bad value: {exc}") from exc
+
+
 def _as_complex(x):
     if isinstance(x, (list, tuple)) and len(x) == 2:
         return complex(x[0], x[1])
@@ -77,11 +86,11 @@ def _as_matrix(data):
 def build_mesh(spec):
     kind = spec.get("kind")
     if kind == "circle":
-        return mc.build_circle(int(spec.get("n", 8)))
+        return mc.build_circle(_value(spec, "n", 8, int))
     if kind == "torus":
-        return mc.build_torus(int(spec.get("n", 6)), int(spec.get("m", spec.get("n", 6))))
+        return mc.build_torus(_value(spec, "n", 6, int), _value(spec, "m", spec.get("n", 6), int))
     if kind == "genus2":
-        return mc.build_genus2(int(spec.get("k", 1)))
+        return mc.build_genus2(_value(spec, "k", 1, int))
     if kind == "json":
         path = Path(_key(spec, "path"))
         try:
@@ -93,21 +102,21 @@ def build_mesh(spec):
 
 
 def build_group(spec):
-    return MatrixGroup(kind=spec.get("kind", "sl"), n=int(spec.get("n", 2)),
+    return MatrixGroup(kind=spec.get("kind", "sl"), n=_value(spec, "n", 2, int),
                        field=spec.get("field", "R"))
 
 
 #: representation family -> builder(group, mesh, params)
 FAMILIES = {
-    "circle_hyperbolic": lambda g, m, p: rv.hyperbolic_circle_rep(g, m, float(p.get("lam", 2.0))),
+    "circle_hyperbolic": lambda g, m, p: rv.hyperbolic_circle_rep(g, m, _value(p, "lam", 2.0, float)),
     "circle_parabolic": lambda g, m, p: rv.parabolic_circle_rep(g, m),
-    "circle_elliptic": lambda g, m, p: rv.elliptic_circle_rep(g, m, float(p.get("theta", 0.7))),
-    "torus_diag": lambda g, m, p: rv.torus_diag_rep(g, m, _as_complex(p.get("alpha", [0.4, 0.3])),
-                                                    _as_complex(p.get("beta", [-0.2, 0.5]))),
-    "torus_gl1c": lambda g, m, p: rv.torus_gl1c_rep(g, m, _as_complex(p.get("z1", [0.5, 1.0])),
-                                                    _as_complex(p.get("z2", [-0.3, 0.2]))),
-    "torus_unitary": lambda g, m, p: rv.torus_unitary_rep(g, m, float(p.get("theta1", 0.6)),
-                                                          float(p.get("theta2", -0.35))),
+    "circle_elliptic": lambda g, m, p: rv.elliptic_circle_rep(g, m, _value(p, "theta", 0.7, float)),
+    "torus_diag": lambda g, m, p: rv.torus_diag_rep(g, m, _value(p, "alpha", [0.4, 0.3], _as_complex),
+                                                    _value(p, "beta", [-0.2, 0.5], _as_complex)),
+    "torus_gl1c": lambda g, m, p: rv.torus_gl1c_rep(g, m, _value(p, "z1", [0.5, 1.0], _as_complex),
+                                                    _value(p, "z2", [-0.3, 0.2], _as_complex)),
+    "torus_unitary": lambda g, m, p: rv.torus_unitary_rep(g, m, _value(p, "theta1", 0.6, float),
+                                                          _value(p, "theta2", -0.35, float)),
     "trivial": lambda g, m, p: rv.trivial_rep(g, m),
     "genus2_fuchsian": lambda g, m, p: rv.genus2_fuchsian_rep(g, m),
 }
@@ -144,7 +153,7 @@ def build_path(spec, rep):
     if kind == "conjugation":
         return rv.conjugation_path(rep, _as_matrix(_key(spec, "xi")))
     if kind == "bending":
-        return rv.bending_path(rep, float(spec.get("scale", 0.5)),
+        return rv.bending_path(rep, _value(spec, "scale", 0.5, float),
                                bool(spec.get("imaginary", True)))
     raise ConfigError(f"unknown path kind {kind!r}")
 
@@ -179,7 +188,7 @@ def converged_context(cfg, mesh, rep):
     tol = cfg["tolerances"]["flow_tol"]
     f0 = hf.constant_map(mesh, rep)
     f, rpt = hf.flow(rep, f0, tol=tol,
-                     max_iter=int(_optional(cfg, "flow").get("max_iter", 60000)))
+                     max_iter=_value(_optional(cfg, "flow"), "max_iter", 60000, int))
     if not rpt.converged:
         raise FlowNotConverged(rpt)
     return TwistedComplex(mesh, rep, f), rpt
@@ -248,12 +257,12 @@ def task_flow(cfg, out_dir):
     fspec = _optional(cfg, "flow")
     rng = np.random.default_rng(cfg["seed"])
     if fspec.get("start", "constant") == "random":
-        f0 = hf.random_map(mesh, rep, rng, float(fspec.get("scale", 0.4)))
+        f0 = hf.random_map(mesh, rep, rng, _value(fspec, "scale", 0.4, float))
     else:
         f0 = hf.constant_map(mesh, rep)
     f, rpt = hf.flow(rep, f0, tol=cfg["tolerances"]["flow_tol"],
-                     max_iter=int(fspec.get("max_iter", 20000)),
-                     drift_radius=float(fspec.get("drift_radius", 50.0)))
+                     max_iter=_value(fspec, "max_iter", 20000, int),
+                     drift_radius=_value(fspec, "drift_radius", 50.0, float))
     return {"flow": rpt.to_dict()}
 
 
@@ -262,9 +271,9 @@ def task_energy(cfg, out_dir):
     fspec = _optional(cfg, "flow")
     E, reductive, rpt = hf.energy_of_rep(
         rep, mesh, tol=cfg["tolerances"]["flow_tol"],
-        max_iter=int(fspec.get("max_iter", 20000)),
-        n_starts=int(fspec.get("n_starts", 2)), seed=cfg["seed"],
-        drift_radius=float(fspec.get("drift_radius", 50.0)))
+        max_iter=_value(fspec, "max_iter", 20000, int),
+        n_starts=_value(fspec, "n_starts", 2, int), seed=cfg["seed"],
+        drift_radius=_value(fspec, "drift_radius", 50.0, float))
     return {"energy": E, "reductive_suspected": reductive,
             "last_flow": rpt.to_dict()}
 
@@ -363,7 +372,7 @@ def task_refine_study(cfg, out_dir):
     gains floor_limited = true."""
     spec = _optional(cfg, "refine")
     kind = spec.get("kind", "torus_mc")
-    levels = [int(x) for x in spec.get("levels", [4, 8, 16])]
+    levels = _value(spec, "levels", [4, 8, 16], lambda xs: [int(x) for x in xs])
     if len(levels) < 3:
         raise ConfigError("refine-study needs at least 3 levels")
     group = build_group(_section(cfg, "group"))
@@ -371,12 +380,12 @@ def task_refine_study(cfg, out_dir):
     values = []
     scale = 1.0         # the study's scale for FLOOR_REL
     if kind == "torus_mc":
-        alpha = _as_complex(spec.get("alpha", [0.4, 0.0]))
-        beta = _as_complex(spec.get("beta", [-0.2, 0.0]))
+        alpha = _value(spec, "alpha", [0.4, 0.0], _as_complex)
+        beta = _value(spec, "beta", [-0.2, 0.0], _as_complex)
         for n in levels:
             mesh = mc.build_torus(n, n)
             rep = rv.torus_diag_rep(group, mesh, alpha, beta)
-            f = hf.curved_torus_map(mesh, rep, float(spec.get("amplitude", 0.3)))
+            f = hf.curved_torus_map(mesh, rep, _value(spec, "amplitude", 0.3, float))
             ctx = TwistedComplex(mesh, rep, f)
             b = ctx.beta()
             res = TwistedCochain(2, ctx.d(b).values
@@ -385,7 +394,7 @@ def task_refine_study(cfg, out_dir):
             rows.append([n, 1.0 / n, "mc_residual", val])
             values.append(val)
     elif kind == "circle_energy":
-        lam = float(spec.get("lam", 2.0))
+        lam = _value(spec, "lam", 2.0, float)
         exact = 4.0 * np.log(lam) ** 2
         scale = exact
         for n in levels:
@@ -397,8 +406,8 @@ def task_refine_study(cfg, out_dir):
             rows.append([n, 1.0 / n, "energy_error", val])
             values.append(val)
     elif kind == "harmonic_residuals":
-        alpha = _as_complex(spec.get("alpha", [0.4, 0.3]))
-        beta = _as_complex(spec.get("beta", [-0.2, 0.5]))
+        alpha = _value(spec, "alpha", [0.4, 0.3], _as_complex)
+        beta = _value(spec, "beta", [-0.2, 0.5], _as_complex)
         for n in levels:
             mesh = mc.build_torus(n, n)
             if group.kind == "gl1c":

@@ -139,14 +139,19 @@ class FDReport:
     table: list
 
 
-def fd_energy_derivatives(path, mesh, *, steps=(1e-2, 5e-3, 2.5e-3),
-                          tol=1e-10, max_iter=60000, f0=None):
+#: central-difference steps; Richardson extrapolation combines the last two
+FD_STEPS = (1e-2, 5e-3, 2.5e-3)
+#: iteration cap of each re-solved harmonic map
+FD_MAX_ITER = 60000
+
+
+def fd_energy_derivatives(path, mesh, *, tol=1e-10, f0=None):
     """Central finite differences of t -> E(rho_t) with Richardson
     extrapolation; each sample re-solves the harmonic map (warm started)."""
     rep0 = path.rep0
     if f0 is None:
         f0, _ = hf.flow(rep0, hf.constant_map(mesh, rep0), tol=tol,
-                        max_iter=max_iter)
+                        max_iter=FD_MAX_ITER)
     E0 = hf.energy(f0)
     cache = {0.0: E0}
 
@@ -155,13 +160,13 @@ def fd_energy_derivatives(path, mesh, *, steps=(1e-2, 5e-3, 2.5e-3),
             rep_t = path.at(t)
             f_t, rpt = hf.flow(rep_t, hf.EquivariantMap(mesh, rep_t,
                                                         f0.points.copy()),
-                               tol=tol, max_iter=max_iter)
+                               tol=tol, max_iter=FD_MAX_ITER)
             cache[t] = rpt.energy
         return cache[t]
 
     table = []
     firsts, seconds = [], []
-    for h in steps:
+    for h in FD_STEPS:
         ep, em = energy_at(h), energy_at(-h)
         d1 = (ep - em) / (2.0 * h)
         d2 = (ep - 2.0 * E0 + em) / (h * h)
@@ -169,11 +174,8 @@ def fd_energy_derivatives(path, mesh, *, steps=(1e-2, 5e-3, 2.5e-3),
         seconds.append(d2)
         table.append({"h": h, "first": d1, "second": d2})
     # Richardson on the last pair (central differences are O(h^2))
-    if len(steps) >= 2:
-        first = (4.0 * firsts[-1] - firsts[-2]) / 3.0
-        second = (4.0 * seconds[-1] - seconds[-2]) / 3.0
-    else:
-        first, second = firsts[-1], seconds[-1]
+    first = (4.0 * firsts[-1] - firsts[-2]) / 3.0
+    second = (4.0 * seconds[-1] - seconds[-2]) / 3.0
     return FDReport(first, second, table)
 
 

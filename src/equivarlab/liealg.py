@@ -212,6 +212,18 @@ def ad_matrix(group, g):
     return np.swapaxes(group.to_coords(conj), -1, -2).copy()
 
 
+def nullspace(A, rtol=1e-9):
+    """Orthonormal columns spanning the numerical nullspace of A (m, n): the
+    right singular vectors with singular value <= rtol * max(s_0, 1), a cutoff
+    anchored at the O(1) scale of transports.  With no rows, the identity."""
+    m, n = A.shape
+    if m == 0:
+        return np.eye(n)
+    _, s, vt = np.linalg.svd(A)
+    null_dim = int(np.sum(s <= rtol * max(s[0], 1.0))) + max(0, n - len(s))
+    return vt[n - null_dim:].T
+
+
 # ----------------------------------------------------------------------
 # second jets of the group: right-trivialized J^2 G = G x g x g
 

@@ -24,7 +24,8 @@ from functools import cached_property
 import numpy as np
 
 from . import hyperbolic as hyp
-from .liealg import MatrixGroup, Jet2, ad_action, bracket, jet2_mul, jet2_inv
+from .liealg import (MatrixGroup, Jet2, ad_action, bracket, jet2_mul, jet2_inv,
+                     nullspace)
 from .meshcover import token_is_inverse, token_base
 
 
@@ -454,7 +455,7 @@ def genus2_fuchsian_rep(group, mesh):
 
 # ----------------------------------------------------------------------
 
-def cocycle_space_basis(rep, rtol=1e-9):
+def cocycle_space_basis(rep):
     """Basis of Z^1(Gamma, g) by SVD of the linearized relator map.
 
     The map c -> (relator values of the TG extension) is linear in the
@@ -464,9 +465,8 @@ def cocycle_space_basis(rep, rtol=1e-9):
     gens = list(rep.generators)
     dim = group.dim
     ncols = dim * len(gens)
-    if not rep.relations:
-        basis_vecs = np.eye(ncols)
-    else:
+    L = np.zeros((0, ncols))
+    if rep.relations:
         # column gi * dim + bi: the unit cocycle with value basis[bi] at gens[gi]
         units = np.zeros((len(gens), dim, len(gens), group.n, group.n), dtype=complex)
         for gi in range(len(gens)):
@@ -476,10 +476,7 @@ def cocycle_space_basis(rep, rtol=1e-9):
         # coordinates one value at a time: a stacked product rounds differently
         coords = np.array([[group.to_coords(v) for v in col] for col in vals])
         L = coords.transpose(1, 2, 0).reshape(-1, ncols)
-        u, s, vt = np.linalg.svd(L)
-        cutoff = rtol * (max(s[0], 1.0) if len(s) else 1.0)
-        null_dim = int(np.sum(s <= cutoff)) + max(0, ncols - len(s))
-        basis_vecs = vt[ncols - null_dim:].T if null_dim else np.zeros((ncols, 0))
+    basis_vecs = nullspace(L)
     out = []
     for j in range(basis_vecs.shape[1]):
         vec = basis_vecs[:, j]

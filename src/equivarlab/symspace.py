@@ -18,7 +18,7 @@ that a caller pays for each once: point_frame gives the floored eigenvalues
 w, the eigenvectors U and S = P^{-1/2} of P; log_frame gives the
 log-eigenvalues and eigenvectors of S Q S; mc_from_frame builds mc_edge(P, Q)
 from both, and origin_dist reads dist(I, P) from w.  The heat flow in
-harmonicflow and translation_length run on them.
+harmonicflow runs on them.
 """
 
 from __future__ import annotations
@@ -26,12 +26,13 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg
 
-from .liealg import ad_action, norm_at
-
 #: ||mc_edge(P,Q)||_P / dist(P,Q); fixed by the half-log normalization.
 MC_EDGE_NORM_RATIO = 0.5
 
 _EIG_FLOOR = 1e-14
+
+#: distance from I within which translation_length's minimizer counts
+ATTAINED_RADIUS = 50.0
 
 _EYE2 = np.eye(2, dtype=complex)
 
@@ -210,71 +211,25 @@ def random_point(group, rng, scale=0.5):
     return exp_hermitian(H)
 
 
-def translation_length(g, *, tol=1e-8, max_iter=20000, radius=50.0, rng=None,
-                       n_restarts=2):
-    """Infimum of dist(P, g P g^†) over the symmetric space.
+def translation_length(g):
+    """Infimum L of dist(P, g P g^†) over the symmetric space, and whether a
+    point attains it.
 
-    Riemannian gradient descent on the squared displacement from the identity
-    with restarts.  Returns (L, attained); attained is False when the gradient
-    stalls while the basepoint escapes a ball of the given radius, the
-    signature of a non-semisimple g.
+    L = 2 (sum_i log^2 |lambda_i|)^{1/2} over the eigenvalues of g.  The
+    infimum is attained exactly when g is semisimple, at P* = V V^† /
+    |det V|^{2/n} for the eigenvectors V of g.  attained is True when that
+    P* is finite, lies within ATTAINED_RADIUS of I and displaces by L to
+    1e-8 max(1, L); the nearly parallel eigenvectors of a Jordan block fail
+    the check.
     """
     g = np.asarray(g, dtype=complex)
     n = g.shape[0]
-    if rng is None:
-        rng = np.random.default_rng(0)
-    ginv = np.linalg.inv(g)
-
-    def frame(P):
-        # point_frame(P) and log_frame(S, g P g^†): a candidate's
-        # displacement, and mc_edge(P, g P g^†) once it is accepted
-        w, U, S = point_frame(P)
-        return (w, U, S) + log_frame(S, act(g, P))
-
-    def displacement_sq(fr):
-        # dist(P, g P g^†) ** 2 from the log-eigenvalues of the frame
-        return float(_log_norm(fr[3])) ** 2
-
-    best = None
-    for start in range(n_restarts):
-        if start == 0:
-            P = np.eye(n, dtype=complex)
-        else:
-            H = 0.1 * rng.standard_normal((n, n))
-            H = 0.5 * (H + H.T) - np.trace(H) / n * np.eye(n)
-            P = exp_hermitian(H.astype(complex))
-        fr = frame(P)
-        val = displacement_sq(fr)
-        step = 0.25
-        attained = False
-        for _ in range(max_iter):
-            beta = mc_from_frame(*fr)
-            # gradient of d(P, gPg†)^2 in the <.,.>_P metric is -4*dirn
-            dirn = beta + ad_action(ginv, -beta)
-            gnorm = norm_at(P, dirn)
-            drift = origin_dist(P, fr[0])
-            if gnorm < tol:
-                attained = drift <= radius
-                break
-            if drift > radius:
-                attained = False
-                break
-            # Armijo backtracking on the squared displacement
-            accepted = False
-            while step > 1e-14:
-                P_new = exp_point(P, step * dirn)
-                fr_new = frame(P_new)
-                val_new = displacement_sq(fr_new)
-                if val_new <= val - 0.25 * step * gnorm ** 2:
-                    P, fr, val = P_new, fr_new, val_new
-                    step = min(step * 1.5, 64.0)
-                    accepted = True
-                    break
-                step *= 0.5
-            if not accepted:
-                attained = gnorm < 1e-6 and drift <= radius
-                break
-        cand = (float(np.sqrt(max(val, 0.0))), attained)
-        if best is None or cand[0] < best[0] - 1e-12 or (abs(cand[0] - best[0]) <= 1e-12 and cand[1]):
-            best = cand
-    return best
+    lam, V = np.linalg.eig(g)
+    L = 2.0 * float(_log_norm(np.log(np.abs(lam))))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        P = _hermitize(V @ _ct(V)) / np.abs(np.linalg.det(V)) ** (2.0 / n)
+    attained = bool(
+        np.all(np.isfinite(P))
+        and dist(np.eye(n, dtype=complex), P) <= ATTAINED_RADIUS
+        and abs(dist(P, act(g, P)) - L) <= 1e-8 * max(1.0, L))
+    return L, attained

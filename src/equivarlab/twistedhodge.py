@@ -37,7 +37,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .harmonicflow import FlowKernel, MapEval
-from .liealg import ad_matrix, gram_at
+from .liealg import ad_matrix, gram_at, nullspace
 
 
 class PeriodMismatchError(ValueError):
@@ -169,15 +169,7 @@ class TwistedComplex:
         built from Ad-fixed vectors at the base vertex (gens: the Ad matrices
         of the generators) and parallel transport along a spanning tree."""
         D = self.dim
-        if len(gens):
-            stack = np.vstack(gens - np.eye(D))
-            u, s, vt = np.linalg.svd(stack)
-            # transports are O(1), so anchor the cutoff at absolute scale 1
-            smax = max(s[0], 1.0) if len(s) else 1.0
-            null_dim = int(np.sum(s <= rtol * smax)) + max(0, D - len(s))
-            basis0 = vt[D - null_dim:].T if null_dim else np.zeros((D, 0))
-        else:
-            basis0 = np.eye(D)
+        basis0 = nullspace((gens - np.eye(D)).reshape(-1, D), rtol)
         if basis0.shape[1] == 0:
             return np.zeros((self.mesh.nv * D, 0))
         # parallel extension over a BFS tree

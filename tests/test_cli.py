@@ -160,6 +160,26 @@ def test_malformed_config_value_exit_two(tmp_path, task, section, value, key):
     assert key in report["error"]
 
 
+@pytest.mark.parametrize("task, section, value, key", [
+    ("flow", "mesh", {"kind": "torus", "n": [4]}, "n"),
+    ("flow", "representation",
+     {"family": "torus_diag", "params": {"alpha": {"x": 1}}}, "alpha"),
+    ("flow", "representation",
+     {"family": "circle_hyperbolic", "params": {"lam": [2]}}, "lam"),
+    ("flow", "flow", {"max_iter": [5]}, "max_iter"),
+    ("refine-study", "refine", {"levels": [4, [8], 16]}, "levels")],
+    ids=["mesh-n", "torus_diag-alpha", "circle_hyperbolic-lam", "flow-max_iter",
+         "refine-levels"])
+def test_config_scalar_of_wrong_type_exit_two(tmp_path, task, section, value, key):
+    # a config value that int, float or complex cannot convert is a
+    # validation error with a report that names its key, not a TypeError
+    cfg = dict(OBSTRUCTED_CFG, **{section: value})
+    code, report, _ = run_cli(tmp_path, task, cfg)
+    assert code == cli.EXIT_VALIDATION
+    assert report["status"] == "validation-error"
+    assert f"config key {key!r}" in report["error"]
+
+
 def test_unknown_representation_family_lists_the_families(tmp_path):
     cfg = dict(PARABOLIC_CFG, representation={"family": "nope"})
     code, report, _ = run_cli(tmp_path, "flow", cfg)

@@ -156,8 +156,10 @@ def test_translation_length_conjugation_invariance():
 
 def _reference_translation_length(g, *, tol=1e-8, max_iter=20000, radius=50.0,
                                   n_restarts=2):
-    """The descent of translation_length with every displacement, edge log
-    and drift computed from scratch by dist and mc_edge."""
+    """Independent oracle: Riemannian gradient descent on the squared
+    displacement from I with restarts, every displacement, edge log and
+    drift computed from scratch by dist and mc_edge.  attained is False when
+    the gradient stalls while the basepoint escapes the radius."""
     g = np.asarray(g, dtype=complex)
     n = g.shape[0]
     rng = np.random.default_rng(0)
@@ -205,8 +207,9 @@ def _reference_translation_length(g, *, tol=1e-8, max_iter=20000, radius=50.0,
 
 
 def _conjugated(g, seed=10):
-    h = np.eye(2) + 0.5 * np.random.default_rng(seed).standard_normal((2, 2))
-    h = h / np.sqrt(abs(np.linalg.det(h)))
+    n = g.shape[0]
+    h = np.eye(n) + 0.5 * np.random.default_rng(seed).standard_normal((n, n))
+    h = h / abs(np.linalg.det(h)) ** (1.0 / n)
     return (h @ g @ np.linalg.inv(h)).astype(complex)
 
 
@@ -219,10 +222,54 @@ def _conjugated(g, seed=10):
     (np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex), 2000),
 ])
 def test_translation_length_matches_reference_loop(g, max_iter):
-    # the accepted candidate's frames serve the next step, and the drift is
-    # read from the point's eigenvalues; (L, attained) stays bit for bit
-    assert translation_length(g, max_iter=max_iter) \
-        == _reference_translation_length(g, max_iter=max_iter)
+    L, attained = translation_length(g)
+    L_ref, attained_ref = _reference_translation_length(g, max_iter=max_iter)
+    if attained_ref:
+        assert abs(L - L_ref) <= 1e-6 and attained
+    else:
+        # the descent stalls on its plateau above the infimum
+        assert not attained and L <= L_ref
+
+
+JORDAN3 = np.array([[2.0, 1.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 0.25]])
+JORDAN3_L = 2.0 * np.sqrt(2.0 * np.log(2.0) ** 2 + np.log(4.0) ** 2)
+
+
+@pytest.mark.parametrize("g, attained_want", [
+    (JORDAN3, False),
+    (_conjugated(np.diag([2.0, 2.0, 0.25])), True),
+], ids=["jordan_block", "semisimple"])
+def test_translation_length_sl3_repeated_eigenvalue(g, attained_want):
+    # the same eigenvalues, with and without a Jordan block
+    L, attained = translation_length(g)
+    assert abs(L - JORDAN3_L) <= 1e-12
+    assert attained is attained_want
+
+
+def test_translation_length_near_parabolic_attained():
+    # diagonalizable, with eigenvectors 2e-9 apart: P* sits at distance 29.3
+    # from I and displaces by exactly L
+    eps = 1e-9
+    L, attained = translation_length(np.array([[1.0 + eps, 1.0],
+                                               [0.0, 1.0 / (1.0 + eps)]]))
+    assert attained
+    assert abs(L - 2.0 * np.sqrt(2.0) * np.log1p(eps)) <= 1e-15
+
+
+@settings(max_examples=40, deadline=None)
+@given(gi=st.integers(0, len(STACK_GROUPS) - 1), seed=st.integers(0, 2 ** 32 - 1),
+       scale=st.floats(0.05, 1.5))
+def test_translation_length_is_a_lower_bound_and_invariant(gi, seed, scale):
+    group = STACK_GROUPS[gi]
+    rng = np.random.default_rng(seed)
+    g = group.exp(group.random_alg(rng, scale))
+    L, _ = translation_length(g)
+    for _ in range(5):
+        P = random_point(group, rng, 1.0)
+        assert L <= dist(P, act(g, P)) + 1e-9 * max(1.0, L)
+    h = group.exp(group.random_alg(rng))
+    L_h, _ = translation_length(h @ g @ np.linalg.inv(h))
+    assert abs(L_h - L) <= 1e-9
 
 
 def test_check_point_rejects_bad_input():

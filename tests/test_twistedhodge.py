@@ -2,11 +2,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from equivarlab import harmonicflow as hf
 from equivarlab import meshcover as mc
 from equivarlab import repvar as rv
-from equivarlab.liealg import ad_matrix
+from equivarlab.liealg import MatrixGroup, ad_matrix
 from equivarlab.twistedhodge import (PeriodMismatchError, SingularKKTError,
                                      TwistedCochain, TwistedComplex)
 from conftest import ALPHA, BETA, lsmr_g1, random_cochain
@@ -57,6 +58,47 @@ def test_codiff_adjunction(diag_ctx, fuchsian_ctx):
         lhs2 = ctx.inner(ctx.d(al), Ph, 2)
         rhs2 = ctx.inner(al, ctx.codiff(Ph), 1)
         assert abs(lhs2 - rhs2) < 1e-10 * max(1.0, abs(lhs2))
+
+
+LAW_TORUS = mc.build_torus(4, 4)
+LAW_GENUS2 = mc.build_genus2(1)
+#: (mesh, group) of the random representations: commuting exponentials on
+#: the torus, the Fuchsian representation conjugated by h on genus 2
+LAW_CASES = [(LAW_TORUS, MatrixGroup("sl", 2, "R")),
+             (LAW_TORUS, MatrixGroup("sl", 2, "C")),
+             (LAW_TORUS, MatrixGroup("sl", 3, "R")),
+             (LAW_TORUS, MatrixGroup("gl1c")),
+             (LAW_GENUS2, MatrixGroup("sl", 2, "R")),
+             (LAW_GENUS2, MatrixGroup("sl", 2, "C"))]
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=st.integers(0, len(LAW_CASES) - 1), seed=st.integers(0, 2 ** 32 - 1),
+       scale=st.floats(0.05, 1.0))
+def test_d_squared_and_adjunction_random(case, seed, scale):
+    # d d = 0 and <d x, y> = <x, d* y> at random representations, random
+    # (non-harmonic) maps and random cochains
+    mesh, group = LAW_CASES[case]
+    rng = np.random.default_rng(seed)
+    if mesh is LAW_TORUS:
+        X = group.random_alg(rng, scale)
+        s = rng.standard_normal(2)
+        rep = rv.exp_family(group, mesh, {"a": s[0] * X, "b": s[1] * X})
+    else:
+        rep = rv.genus2_fuchsian_rep(group, mesh).conjugate(
+            group.exp(group.random_alg(rng, scale)))
+    ctx = TwistedComplex(mesh, rep, hf.random_map(mesh, rep, rng, scale))
+    F, al, Ph = (random_cochain(ctx, degree, rng) for degree in range(3))
+    dF = ctx.d(F)
+    # exact up to the relator residual of rep, relative to the terms summed
+    terms = (abs(ctx.d1) @ np.abs(ctx.to_flat(dF.values))).max()
+    assert np.abs(ctx.d(dF).values).max() \
+        <= (1e-14 + max(rep.relator_residuals())) * terms
+    for x, y, deg in ((F, al, 0), (al, Ph, 1)):
+        dx = ctx.d(x)
+        lhs = ctx.inner(dx, y, deg + 1)
+        rhs = ctx.inner(x, ctx.codiff(y), deg)
+        assert abs(lhs - rhs) <= 1e-10 * max(1.0, ctx.norm(dx, deg + 1) * ctx.norm(y, deg + 1))
 
 
 def test_codiff_reduces_to_graph_divergence(trivial_ctx):
