@@ -200,6 +200,10 @@ class FlowNotConverged(RuntimeError):
         self.report = report
 
 
+#: the tolerances of a config and their defaults
+TOLERANCES = {"flow_tol": 1e-8, "rel_obstruction": 1e-7, "validation": 1e-8}
+
+
 def resolve_config(args):
     try:
         cfg = json.loads(Path(args.config).read_text())
@@ -213,9 +217,8 @@ def resolve_config(args):
         cfg["seed"] = args.seed
     tols = cfg.setdefault("tolerances", {})
     if isinstance(tols, dict):      # else main reports the bad section
-        tols.setdefault("flow_tol", 1e-8)
-        tols.setdefault("rel_obstruction", 1e-7)
-        tols.setdefault("validation", 1e-8)
+        for key, default in TOLERANCES.items():
+            tols.setdefault(key, default)
         if args.tol is not None:
             tols["flow_tol"] = args.tol
     return cfg
@@ -477,8 +480,12 @@ def main(argv=None):
     payload = {"schema_version": SCHEMA_VERSION, "task": args.task,
                "config": cfg}
     try:
-        _section(cfg, "tolerances")
-        result = TASK_FUNCS[args.task](cfg, out_dir)
+        tols = _section(cfg, "tolerances")
+        # the task reads converted copies; the report echoes the config as given
+        run_cfg = dict(cfg, seed=_value(cfg, "seed", 0, int),
+                       tolerances=dict(tols, **{k: _value(tols, k, None, float)
+                                                for k in TOLERANCES}))
+        result = TASK_FUNCS[args.task](run_cfg, out_dir)
         payload["result"] = result
         payload["status"] = "ok"
         write_report(out_dir, args.task, payload)

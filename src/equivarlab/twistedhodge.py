@@ -24,13 +24,15 @@ of the flow kernel, which evaluates the word list of the mesh
 (``CoverMesh.word_index``: edge labels, generators, face prefix words, with
 the face walks stacked) once; the same table gives the cocycle seeds and
 the edge 2-jets of the deformation pipeline, all words in one vectorized
-pass per token position.  beta() and the inverses of the edge-source points
-are also computed once per complex.
+pass per token position.  A complex builds each operator from that table
+the first time it is read and keeps it, so a study that reads only d1, the
+face transports, G2 and beta builds nothing else.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -87,15 +89,26 @@ def _block_sparse(row, col, blocks, shape):
 
 
 def _block_diag(blocks):
-    """CSR matrix with the stacked square blocks on its diagonal."""
-    idx = np.arange(len(blocks))
-    return _block_sparse(idx, idx, blocks, (len(blocks), len(blocks)))
+    """CSR matrix with the stacked square blocks on its diagonal, written
+    row by row: block row i * D + a holds row a of block i in the columns
+    i * D .. i * D + D - 1."""
+    N, D = blocks.shape[0], blocks.shape[-1]
+    cols = np.broadcast_to(np.arange(N)[:, None, None] * D + np.arange(D), blocks.shape)
+    return sp.csr_matrix((blocks.ravel(), cols.ravel(), np.arange(0, N * D * D + 1, D)),
+                         shape=(N * D, N * D))
 
 
 # ----------------------------------------------------------------------
 
 class TwistedComplex:
-    """Assembled twisted calculus for (mesh, representation, metric map)."""
+    """Twisted calculus for (mesh, representation, metric map).
+
+    Every operator (d0, d1, the face and edge transports, the Gram matrices
+    and their inverses, A0, the kernel sections, beta and the inverses of
+    the edge-source points) is built from the deck-word table the first
+    time it is read and kept for the life of the complex, so a caller pays
+    only for the operators it reads.
+    """
 
     def __init__(self, mesh, rep, f, kernel_rtol=1e-9):
         self.mesh = mesh
@@ -104,8 +117,7 @@ class TwistedComplex:
         self.points = f.points if hasattr(f, "points") else np.asarray(f)
         self.kernel_rtol = kernel_rtol
         self.dim = self.group.dim
-        n = self.group.n
-        self.n = n
+        self.n = self.group.n
 
         # per-edge src, dst, w1, rho(w_e) and its inverse, and the word table
         self.kern = FlowKernel(mesh, rep)
@@ -113,12 +125,6 @@ class TwistedComplex:
         self.word_index = mesh.word_index
         # metric at the edge sources, where 1-cochain values live
         self.edge_points = self.points[self.kern.src]
-        self.edge_points_inv = np.linalg.inv(self.edge_points)
-        self._beta = None
-        gen_T = self._assemble_d()
-        self._assemble_grams()
-        self.A0 = (self.d0.T @ self.G1 @ self.d0).tocsc()
-        self.kernel = self._kernel_fields(gen_T, kernel_rtol)
         self._kkt_lu = {}
 
     # -- coordinates ----------------------------------------------------
@@ -129,47 +135,90 @@ class TwistedComplex:
         return self.group.from_coords(np.asarray(flat).reshape(ncells, self.dim))
 
     # -- metric ---------------------------------------------------------
-    def _assemble_grams(self):
-        gram_v = gram_at(self.group, self.points)
-        self.gram_vertex = gram_v
-        g0 = np.asarray(self.mesh.vertex_weights)[:, None, None] * gram_v
-        g1 = self.kern.w1[:, None, None] * gram_v[self.kern.src]
+    @cached_property
+    def gram_vertex(self):
+        return gram_at(self.group, self.points)
+
+    def _g0(self):
+        return np.asarray(self.mesh.vertex_weights)[:, None, None] * self.gram_vertex
+
+    def _g1(self):
+        return self.kern.w1[:, None, None] * self.gram_vertex[self.kern.src]
+
+    @cached_property
+    def G0(self):
+        return _block_diag(self._g0())
+
+    @cached_property
+    def G0inv(self):
+        return _block_diag(np.linalg.inv(self._g0()))
+
+    @cached_property
+    def G1(self):
+        return _block_diag(self._g1())
+
+    @cached_property
+    def G1inv(self):
+        return _block_diag(np.linalg.inv(self._g1()))
+
+    @cached_property
+    def G2(self):
         w2 = np.array([f.weight for f in self.mesh.faces])
-        self.G0 = _block_diag(g0)
-        self.G0inv = _block_diag(np.linalg.inv(g0))
-        self.G1 = _block_diag(g1)
-        self.G1inv = _block_diag(np.linalg.inv(g1))
-        self.G2 = _block_diag(w2.reshape(-1, 1, 1) * gram_v[self.word_index.face_base])
+        return _block_diag(w2.reshape(-1, 1, 1) * self.gram_vertex[self.word_index.face_base])
+
+    @cached_property
+    def edge_points_inv(self):
+        return np.linalg.inv(self.edge_points)
 
     # -- transports and differentials ---------------------------------------
-    def _assemble_d(self):
-        """The face transports and d0, d1 from the word table; returns the
-        Ad matrices of the generators."""
-        mesh, D, idx = self.mesh, self.dim, self.word_index
-        rho = self.words.rho
-        Ad = ad_matrix(self.group, rho)
-        self.face_g = rho[idx.face_word]
-        self.face_ginv = self.words.rho_inv[idx.face_word]
-        T = self.edge_T = Ad[idx.edge_word]
-        self.d0 = _block_sparse(
-            np.repeat(np.arange(mesh.ne), 2),
+    @cached_property
+    def _Ad(self):
+        """Ad matrices of every word of the table."""
+        return ad_matrix(self.group, self.words.rho)
+
+    @cached_property
+    def face_g(self):
+        return self.words.rho[self.word_index.face_word]
+
+    @cached_property
+    def face_ginv(self):
+        return self.words.rho_inv[self.word_index.face_word]
+
+    @cached_property
+    def edge_T(self):
+        return self._Ad[self.word_index.edge_word]
+
+    @cached_property
+    def d0(self):
+        D, T = self.dim, self.edge_T
+        return _block_sparse(
+            np.repeat(np.arange(self.mesh.ne), 2),
             np.stack([self.kern.dst, self.kern.src], axis=1).ravel(),
             np.stack([T, np.broadcast_to(-np.eye(D), T.shape)], axis=1).reshape(-1, D, D),
-            (mesh.ne, mesh.nv))
+            (self.mesh.ne, self.mesh.nv))
+
+    @cached_property
+    def d1(self):
+        idx = self.word_index
         step = idx.face_sign != 0
-        self.d1 = _block_sparse(
+        return _block_sparse(
             np.nonzero(step)[0], idx.face_eid[step],
-            idx.face_sign[step][:, None, None] * Ad[idx.face_word[step]],
-            (mesh.nf, mesh.ne))
-        return Ad[idx.gen_word]
+            idx.face_sign[step][:, None, None] * self._Ad[idx.face_word[step]],
+            (self.mesh.nf, self.mesh.ne))
+
+    @cached_property
+    def A0(self):
+        return (self.d0.T @ self.G1 @ self.d0).tocsc()
 
     # -- kernel h = H^0 ---------------------------------------------------
-    def _kernel_fields(self, gens, rtol):
+    @cached_property
+    def kernel(self):
         """G0-orthonormal basis of parallel sections (the centralizer algebra),
-        built from Ad-fixed vectors at the base vertex (gens: the Ad matrices
-        of the generators) and parallel transport along a spanning tree."""
+        built from Ad-fixed vectors of the generators at the base vertex and
+        parallel transport along a spanning tree."""
         D = self.dim
-        basis0 = nullspace((gens - np.eye(D)).reshape(-1, D), rtol)
+        gens = self._Ad[self.word_index.gen_word]
+        basis0 = nullspace((gens - np.eye(D)).reshape(-1, D), self.kernel_rtol)
         if basis0.shape[1] == 0:
             return np.zeros((self.mesh.nv * D, 0))
         # parallel extension over a BFS tree
@@ -244,14 +293,13 @@ class TwistedComplex:
 
     def jacobi_dense_sym(self):
         """G0-symmetrized dense Jacobi operator (similar to J), for spectra."""
-        g0 = np.asarray(self.mesh.vertex_weights)[:, None, None] * self.gram_vertex
-        Linv = _block_diag(np.linalg.inv(np.linalg.cholesky(g0)))
+        Linv = _block_diag(np.linalg.inv(np.linalg.cholesky(self._g0())))
         S = (Linv @ (self.A0 @ Linv.T)).toarray()
         return 0.5 * (S + S.T)
 
     # -- inner products ----------------------------------------------------
     def inner(self, a, b, degree):
-        G = (self.G0, self.G1, self.G2)[degree]
+        G = getattr(self, ("G0", "G1", "G2")[degree])
         return float(self.to_flat(_vals(a)) @ (G @ self.to_flat(_vals(b))))
 
     def norm(self, a, degree):
@@ -411,12 +459,15 @@ class TwistedComplex:
         xv = _vals(xi)[self.kern.src]
         return TwistedCochain(1, av @ xv - xv @ av)
 
+    @cached_property
+    def _beta(self):
+        beta = MapEval(self.kern, self.points).beta
+        beta.flags.writeable = False
+        return beta
+
     def beta(self):
-        """Edge logarithms of the metric map (its Maurer-Cartan cochain),
-        computed once per complex; the values are read-only."""
-        if self._beta is None:
-            self._beta = MapEval(self.kern, self.points).beta
-            self._beta.flags.writeable = False
+        """Edge logarithms of the metric map (its Maurer-Cartan cochain); the
+        values are read-only."""
         return TwistedCochain(1, self._beta)
 
 

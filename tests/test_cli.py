@@ -167,9 +167,12 @@ def test_malformed_config_value_exit_two(tmp_path, task, section, value, key):
     ("flow", "representation",
      {"family": "circle_hyperbolic", "params": {"lam": [2]}}, "lam"),
     ("flow", "flow", {"max_iter": [5]}, "max_iter"),
-    ("refine-study", "refine", {"levels": [4, [8], 16]}, "levels")],
+    ("refine-study", "refine", {"levels": [4, [8], 16]}, "levels"),
+    ("flow", "seed", {"a": 1}, "seed"),
+    ("flow", "tolerances", {"validation": "x"}, "validation"),
+    ("flow", "tolerances", {"flow_tol": [1e-8]}, "flow_tol")],
     ids=["mesh-n", "torus_diag-alpha", "circle_hyperbolic-lam", "flow-max_iter",
-         "refine-levels"])
+         "refine-levels", "seed", "tolerance-validation", "tolerance-flow_tol"])
 def test_config_scalar_of_wrong_type_exit_two(tmp_path, task, section, value, key):
     # a config value that int, float or complex cannot convert is a
     # validation error with a report that names its key, not a TypeError
@@ -353,6 +356,34 @@ def test_refine_study_trivial_residuals(tmp_path):
     assert max(report["result"]["values"]) < 1e-10
     assert report["result"]["fitted_slope"] is None
     assert report["result"]["floor_limited"] is True
+
+
+@pytest.mark.parametrize("group, refine, built", [
+    ({"kind": "sl", "n": 2, "field": "C"},
+     {"kind": "torus_mc", "levels": [4, 8, 16]}, False),
+    ({"kind": "gl1c"},
+     {"kind": "harmonic_residuals", "levels": [4, 6, 8],
+      "alpha": [0.0, 0.0], "beta": [0.0, 0.0]}, True)],
+    ids=["torus_mc", "harmonic_residuals"])
+def test_refine_study_builds_only_the_operators_it_reads(tmp_path, monkeypatch,
+                                                        group, refine, built):
+    # the Maurer-Cartan levels read d1, the face transports, G2 and beta;
+    # the harmonic representative needs the kernel-bordered solve as well
+    complexes = []
+
+    class Recording(TwistedComplex):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            complexes.append(self)
+
+    monkeypatch.setattr(cli, "TwistedComplex", Recording)
+    code, _, _ = run_cli(tmp_path, "refine-study", {"group": group, "refine": refine})
+    assert code == cli.EXIT_OK
+    assert len(complexes) == 3
+    for ctx in complexes:
+        for name in ("kernel", "A0", "G0", "G1", "d0"):
+            assert (name in vars(ctx)) is built, name
+        assert "d1" in vars(ctx) and "G2" in vars(ctx)
 
 
 def test_energy_task_unitary(tmp_path):

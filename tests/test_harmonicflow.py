@@ -589,3 +589,30 @@ def test_map_eval_matches_per_edge_loop(mesh_name, group_key, seed, scale,
     assert np.array_equal(ev.tension, tau)
     assert ev.drift == dist(np.eye(rep.group.n, dtype=complex), pts[0])
     assert ev.tension_sq == _tension_norm_sq(kern, pts, tau)
+
+
+@pytest.mark.parametrize("mesh_name", ["torus", "genus2"])
+@pytest.mark.parametrize("group_key", [("sl", 2, "C"), ("sl", 3, "R")])
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), scale=st.floats(0.05, 0.6))
+def test_energy_and_tension_conjugation_invariant(mesh_name, group_key, seed, scale):
+    # h acts by the isometry P -> h P h^† and carries rho-equivariant maps to
+    # h rho h^-1-equivariant ones, so E and the tension norm of (h.f, h.rho)
+    # equal those of (f, rho); SL(2,C) takes random torus_diag parameters or
+    # the Fuchsian generators, SL(3,R) the representations of _eval_rep
+    mesh = HESSIAN_MESHES[mesh_name]
+    group = MatrixGroup(*group_key)
+    rng = np.random.default_rng(seed)
+    if group.n == 3:
+        rep = _eval_rep(group, mesh)
+    elif mesh_name == "torus":
+        alpha, beta = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        rep = rv.torus_diag_rep(group, mesh, alpha, beta)
+    else:
+        rep = rv.genus2_fuchsian_rep(group, mesh)
+    f = hf.random_map(mesh, rep, rng, scale)
+    h = group.exp(group.random_alg(rng, scale))
+    g = hf.EquivariantMap(mesh, rep.conjugate(h), act(h, f.points))
+    E = hf.energy(f)
+    assert abs(hf.energy(g) - E) <= 1e-10 * max(1.0, E)
+    assert abs(hf.tension_norm(g) - hf.tension_norm(f)) <= 1e-10 * max(1.0, E)

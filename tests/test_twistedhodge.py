@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from equivarlab import harmonicflow as hf
@@ -9,7 +10,7 @@ from equivarlab import meshcover as mc
 from equivarlab import repvar as rv
 from equivarlab.liealg import MatrixGroup, ad_matrix
 from equivarlab.twistedhodge import (PeriodMismatchError, SingularKKTError,
-                                     TwistedCochain, TwistedComplex)
+                                     TwistedCochain, TwistedComplex, _block_diag)
 from conftest import ALPHA, BETA, lsmr_g1, random_cochain
 
 
@@ -58,6 +59,53 @@ def test_codiff_adjunction(diag_ctx, fuchsian_ctx):
         lhs2 = ctx.inner(ctx.d(al), Ph, 2)
         rhs2 = ctx.inner(al, ctx.codiff(Ph), 1)
         assert abs(lhs2 - rhs2) < 1e-10 * max(1.0, abs(lhs2))
+
+
+def coo_block_diag(blocks):
+    """Reference: the block diagonal from COO triplets, which scipy sorts
+    into CSR."""
+    N, D = blocks.shape[0], blocks.shape[-1]
+    i = np.arange(N)[:, None, None] * D
+    rows = np.broadcast_to(i + np.arange(D)[:, None], blocks.shape)
+    cols = np.broadcast_to(i + np.arange(D), blocks.shape)
+    return sp.csr_matrix((blocks.ravel(), (rows.ravel(), cols.ravel())),
+                         shape=(N * D, N * D))
+
+
+@pytest.mark.parametrize("D", [1, 3, 6, 8])
+def test_block_diag_matches_coo_reference(D):
+    blocks = np.random.default_rng(D).standard_normal((7, D, D))
+    got, want = _block_diag(blocks), coo_block_diag(blocks)
+    assert got.shape == want.shape
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
+#: every operator a complex builds on first read
+OPERATORS = ("d0", "d1", "face_g", "face_ginv", "edge_T", "gram_vertex", "G0",
+             "G0inv", "G1", "G1inv", "G2", "A0", "kernel", "edge_points_inv")
+
+
+def test_operators_independent_of_read_order(sl2c, torus66, genus2):
+    # the operators read from each other; the order of first reads must not
+    # change a bit of them (Fuchsian: no kernel; torus_diag: a 2-dim kernel)
+    rng = np.random.default_rng(12)
+    for mesh, rep in ((genus2, rv.genus2_fuchsian_rep(sl2c, genus2)),
+                      (torus66, rv.torus_diag_rep(sl2c, torus66, ALPHA, BETA))):
+        f = hf.random_map(mesh, rep, rng)
+        fwd, back = TwistedComplex(mesh, rep, f), TwistedComplex(mesh, rep, f)
+        got = {name: getattr(fwd, name) for name in OPERATORS}
+        want = {name: getattr(back, name) for name in reversed(OPERATORS)}
+        assert np.array_equal(fwd.beta().values, back.beta().values)
+        for name in OPERATORS:
+            a, b = got[name], want[name]
+            if sp.issparse(a):
+                assert np.array_equal(a.indptr, b.indptr), name
+                assert np.array_equal(a.indices, b.indices), name
+                a, b = a.data, b.data
+            assert np.array_equal(a, b), name
+    assert fwd.kernel_dim == 2
 
 
 LAW_TORUS = mc.build_torus(4, 4)
