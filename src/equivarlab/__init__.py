@@ -9,8 +9,7 @@ from .symspace import (act, dist, exp_point, geodesic, mc_edge,
 from .meshcover import CoverMesh, build_circle, build_genus2, build_torus
 from .repvar import (Cocycle, Jet2Cocycle, RepPath, Representation,
                      WordTable, bending_path, coboundary, cocycle_space_basis,
-                     commuting_exp_path, conjugation_path, exp_family,
-                     validation_report)
+                     commuting_exp_path, conjugation_path, exp_family)
 from .harmonicflow import (EquivariantMap, FlowReport, constant_map, energy,
                            energy_of_rep, flow, map_distance,
                            normalize_basepoint, random_map, tension_norm)
@@ -21,7 +20,7 @@ from .deform import (FirstOrderDeformation, ObstructedDeformationError,
                      companion_pair, first_order, obstruction_check,
                      second_order, shifted_pair, solve_psi, validate_pair)
 from .energyvar import (critical_scan, fd_energy_derivatives, first_variation,
-                        omega_l2sq, psh_defect, psh_defect_independent,
-                        second_variation, variation_report)
+                        omega_l2sq, psh_defect, second_variation,
+                        variation_report)
 
 __version__ = "0.1.0"

@@ -158,7 +158,10 @@ def build_path(spec, rep):
     raise ConfigError(f"unknown path kind {kind!r}")
 
 
-def build_cocycle(spec, rep):
+def build_cocycle(cfg, rep):
+    """The cocycle of the config's deformation; it must pass the relator
+    check at tolerances.validation."""
+    spec = _section(cfg, "deformation")
     if "values" in spec:
         vals = {k: _as_matrix(v) for k, v in _section(spec, "values").items()}
         c = rv.Cocycle(rep, vals)
@@ -166,20 +169,23 @@ def build_cocycle(spec, rep):
         c, _ = build_path(_section(spec, "path_family"), rep).jets()
     else:
         raise ConfigError("deformation spec needs 'values' or 'path_family'")
-    if not c.validate():
+    if not c.validate(cfg["tolerances"]["validation"]):
         raise ConfigError("cocycle does not satisfy the relator conditions")
     return c
 
 
-def build_jet(spec, rep):
+def build_jet(cfg, rep):
+    """(c, k) of the config's deformation; values given in the config must
+    pass the relator checks at tolerances.validation."""
+    spec = _section(cfg, "deformation")
     if "path_family" in spec:
         return build_path(_section(spec, "path_family"), rep).jets()
-    c = build_cocycle(spec, rep)
+    c = build_cocycle(cfg, rep)
     kvals = {name: _as_matrix(v) for name, v in _section(spec, "second").items()} \
         if "second" in spec else {name: np.zeros_like(c.values[name])
                                   for name in rep.generators}
     jet = rv.Jet2Cocycle(c, kvals)
-    if not jet.validate():
+    if not jet.validate(cfg["tolerances"]["validation"]):
         raise ConfigError("second-order values fail the jet cocycle law")
     return c, kvals
 
@@ -312,7 +318,7 @@ def task_hodge(cfg, out_dir):
 
 def task_deform1(cfg, out_dir):
     mesh, group, rep = build_problem(cfg)
-    c = build_cocycle(_section(cfg, "deformation"), rep)
+    c = build_cocycle(cfg, rep)
     ctx, rpt = converged_context(cfg, mesh, rep)
     fo = first_order(ctx, c)
     obs = obstruction_check(ctx, fo.omega, cfg["tolerances"]["rel_obstruction"])
@@ -322,7 +328,7 @@ def task_deform1(cfg, out_dir):
 
 def task_deform2(cfg, out_dir):
     mesh, group, rep = build_problem(cfg)
-    c, k = build_jet(_section(cfg, "deformation"), rep)
+    c, k = build_jet(cfg, rep)
     ctx, rpt = converged_context(cfg, mesh, rep)
     so, sol = second_order(ctx, c, k,
                            rel_tol=cfg["tolerances"]["rel_obstruction"])
@@ -347,7 +353,7 @@ def task_psh(cfg, out_dir):
     mesh, group, rep = build_problem(cfg)
     if not group.is_complex:
         raise ConfigError("psh task needs a complex group")
-    c, k = build_jet(_section(cfg, "deformation"), rep)
+    c, k = build_jet(cfg, rep)
     ctx, rpt = converged_context(cfg, mesh, rep)
     report = ev.psh_defect(ctx, c, k, cfg["tolerances"]["rel_obstruction"])
     return {"flow": rpt.to_dict(), "psh": report.to_dict(),

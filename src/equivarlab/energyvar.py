@@ -82,20 +82,6 @@ def psh_defect(ctx, c, k, rel_tol=1e-7):
                      dict(so.residuals))
 
 
-def psh_defect_independent(ctx, c, k, rel_tol=1e-7):
-    """Same identity with the conjugate side solved independently of the
-    companion construction (a second full psi-solve along (ic, -k))."""
-    so, _ = second_order(ctx, c, k, rel_tol=rel_tol)
-    c_i = c.scaled(1j)
-    k_neg = {name: -np.asarray(v) for name, v in k.items()}
-    so_i, _ = second_order(ctx, c_i, k_neg, rel_tol=rel_tol)
-    s1 = second_variation(ctx, so.psi, so.omega)
-    s2 = second_variation(ctx, so_i.psi, so_i.omega)
-    osq = omega_l2sq(ctx, so.omega)
-    defect = abs(s1 + s2 - osq)
-    return PshReport(s1, s2, osq, defect, defect / max(osq, 1e-300))
-
-
 # ----------------------------------------------------------------------
 
 @dataclass

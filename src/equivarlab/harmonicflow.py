@@ -63,11 +63,10 @@ class EquivariantMap:
     points: np.ndarray     # (nv, n, n)
 
 
-def constant_map(mesh, rep, P=None):
+def constant_map(mesh, rep):
+    """The map sending every vertex to the basepoint I."""
     n = rep.group.n
-    if P is None:
-        P = np.eye(n, dtype=complex)
-    pts = np.broadcast_to(np.asarray(P, dtype=complex), (mesh.nv, n, n)).copy()
+    pts = np.broadcast_to(np.eye(n, dtype=complex), (mesh.nv, n, n)).copy()
     return EquivariantMap(mesh, rep, pts)
 
 

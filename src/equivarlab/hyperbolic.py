@@ -13,7 +13,6 @@ import numpy as np
 # corner angle pi/4 octagon: right triangle (pi/8, pi/8, pi/2) data
 COT_PI8 = 1.0 + np.sqrt(2.0)
 RADIUS_CORNER = np.arccosh(COT_PI8 ** 2)   # center to corner
-RADIUS_MID = np.arccosh(COT_PI8)           # center to side midpoint
 
 SIDE_LABELS = ("a1", "b1", "A1", "B1", "a2", "b2", "A2", "B2")
 #: primary side -> paired (secondary) side; generator g maps side p+2 onto p

@@ -54,13 +54,6 @@ class MatrixGroup:
             return "MatrixGroup(GL(1,C))"
         return f"MatrixGroup(SL({self.n},{self.field}))"
 
-    def __eq__(self, other):
-        return (isinstance(other, MatrixGroup)
-                and (self.kind, self.n, self.field) == (other.kind, other.n, other.field))
-
-    def __hash__(self):
-        return hash((self.kind, self.n, self.field))
-
     # ------------------------------------------------------------------
     def _build_basis(self):
         n = self.n

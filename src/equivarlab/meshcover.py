@@ -324,7 +324,6 @@ def _corner_words():
     return {k: reduce_word(w) for k, w in words.items()}
 
 
-_SECONDARY_OF = {p: q for p, q in hyp.PAIR_OF.items()}
 _PRIMARY_OF = {q: p for p, q in hyp.PAIR_OF.items()}
 
 

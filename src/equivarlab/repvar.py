@@ -10,9 +10,9 @@ so a jet datum is valid exactly when every relator evaluates to (I, 0, 0).
 
 ``WordTable`` evaluates many words at once: it stores them as padded token
 arrays with rho of every prefix, and runs the TG and 2-jet product laws for
-all words in lockstep, one vectorized step per token position.  The
-per-token ``eval_word`` methods are the reference it agrees with bit for
-bit, called only by tests.  A representation caches its relator table; the
+all words in lockstep, one vectorized step per token position; the
+per-token references it agrees with bit for bit live in
+``tests/reference.py``.  A representation caches its relator table; the
 flow kernel evaluates the deck words of a mesh as one table.
 """
 
@@ -24,8 +24,7 @@ from functools import cached_property
 import numpy as np
 
 from . import hyperbolic as hyp
-from .liealg import (MatrixGroup, Jet2, ad_action, bracket, jet2_mul, jet2_inv,
-                     nullspace)
+from .liealg import MatrixGroup, ad_action, bracket, nullspace
 from .meshcover import token_is_inverse, token_base
 
 
@@ -44,15 +43,6 @@ class Representation:
             if name not in self.images:
                 raise ValueError(f"missing image for generator {name!r}")
             self.group.check_group(self.images[name])
-
-    def eval_word(self, word):
-        g = self.group.identity()
-        for tok in word:
-            m = self.images.get(token_base(tok))
-            if m is None:
-                raise KeyError(f"unknown generator {tok!r}")
-            g = g @ (np.linalg.inv(m) if token_is_inverse(tok) else m)
-        return g
 
     @cached_property
     def relator_table(self):
@@ -75,10 +65,6 @@ class Representation:
                               {k: h @ m @ hinv for k, m in self.images.items()},
                               self.relations, logs)
 
-    def is_unitary(self, tol=1e-9):
-        return all(np.abs(m @ np.conj(m).T - np.eye(self.group.n)).max() <= tol
-                   for m in self.images.values())
-
     @classmethod
     def for_mesh(cls, group, mesh, images):
         return cls(group, mesh.generators, images, mesh.relations)
@@ -97,25 +83,6 @@ class Cocycle:
             if name not in self.values:
                 raise ValueError(f"missing cocycle value for generator {name!r}")
             self.rep.group.check_algebra(self.values[name])
-
-    def _tg_generator(self, tok):
-        base = token_base(tok)
-        g = self.rep.images[base]
-        c = self.values[base]
-        if token_is_inverse(tok):
-            ginv = np.linalg.inv(g)
-            return ginv, -(ginv @ c @ g)
-        return g, c
-
-    def eval_word(self, word):
-        """Cocycle extension c(word) through the TG product law."""
-        g = self.rep.group.identity()
-        c = np.zeros((self.rep.group.n, self.rep.group.n), dtype=complex)
-        for tok in word:
-            h, d = self._tg_generator(tok)
-            c = c + g @ d @ np.linalg.inv(g)
-            g = g @ h
-        return c
 
     def relator_residuals(self):
         table = self.rep.relator_table
@@ -136,14 +103,13 @@ class WordTable:
     (false on padding), and rho of the prefix before each token (its inverse
     ``prefix_inv`` is built on first use).  Every method takes one vectorized
     step per token position for all words at once, doing the numpy
-    operations of the per-token loops in their order; padded steps are
-    selected away rather than added as zeros (which would turn -0.0 into
-    0.0), so each value is the one the per-token evaluations give
-    (``Representation.eval_word``, ``Cocycle.eval_word``,
-    ``Jet2Cocycle.eval_word``) to the last bit.  ``rho`` holds rho(w) of
-    every word and ``rho_inv`` its inverse (on first use); ``values`` and
-    ``jets`` map stacked generator values (see ``stack``) to the cocycle and
-    2-jet values.
+    operations of a per-token loop over one word in their order; padded
+    steps are selected away rather than added as zeros (which would turn
+    -0.0 into 0.0), so each value is the one a per-token evaluation of its
+    word gives, to the last bit.  ``rho`` holds rho(w) of every word and
+    ``rho_inv`` its inverse (on first use); ``values`` and ``jets`` map
+    stacked generator values (see ``stack``) to the cocycle and 2-jet
+    values.
     """
 
     def __init__(self, rep, words):
@@ -237,19 +203,6 @@ class Jet2Cocycle:
                 raise ValueError(f"missing second-order value for {name!r}")
             rep.group.check_algebra(self.k[name])
 
-    def _jet_generator(self, tok):
-        base = token_base(tok)
-        j = Jet2(self.c.rep.images[base], self.c.values[base], self.k[base])
-        return jet2_inv(j) if token_is_inverse(tok) else j
-
-    def eval_word(self, word):
-        j = Jet2(self.c.rep.group.identity(),
-                 np.zeros((self.c.rep.group.n,) * 2, dtype=complex),
-                 np.zeros((self.c.rep.group.n,) * 2, dtype=complex))
-        for tok in word:
-            j = jet2_mul(j, self._jet_generator(tok))
-        return j
-
     def relator_residuals(self):
         rep = self.c.rep
         table = rep.relator_table
@@ -260,22 +213,6 @@ class Jet2Cocycle:
 
     def validate(self, tol=1e-8):
         return max(self.relator_residuals(), default=0.0) <= tol
-
-
-def validation_report(rep, c=None, k=None, tol=1e-8):
-    """Per-relator residuals at each jet level; pass iff all below tol."""
-    report = {"tol": tol, "levels": {}}
-    report["levels"]["rep"] = rep.relator_residuals()
-    ok = max(report["levels"]["rep"], default=0.0) <= tol
-    if c is not None:
-        report["levels"]["cocycle"] = c.relator_residuals()
-        ok = ok and max(report["levels"]["cocycle"], default=0.0) <= tol
-        if k is not None:
-            jet = Jet2Cocycle(c, k)
-            report["levels"]["jet2"] = jet.relator_residuals()
-            ok = ok and max(report["levels"]["jet2"], default=0.0) <= tol
-    report["pass"] = bool(ok)
-    return report
 
 
 # ----------------------------------------------------------------------

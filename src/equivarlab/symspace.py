@@ -60,20 +60,6 @@ def _log_norm(logw):
     return np.sqrt(np.vecdot(logw, logw))
 
 
-def check_point(P, tol_det=1e-9, require_det_one=True):
-    """Positive definiteness, Hermitian symmetry and the det-1 constraint."""
-    P = np.asarray(P, dtype=complex)
-    if np.abs(P - np.conj(P).T).max() > 1e-10 * max(1.0, np.abs(P).max()):
-        raise ValueError("symmetric-space point is not Hermitian")
-    w = np.linalg.eigvalsh(P)
-    if w.min() <= 0:
-        raise ValueError("symmetric-space point is not positive definite")
-    if require_det_one and P.shape[0] > 1:
-        d = np.prod(w)
-        if abs(d - 1.0) > tol_det:
-            raise ValueError(f"det {d} differs from 1")
-
-
 def point_frame(P):
     """Floored eigenvalues w, eigenvectors U and S = P^{-1/2} from one
     eigendecomposition of P."""

@@ -41,6 +41,10 @@ import scipy.sparse.linalg as spla
 from .harmonicflow import FlowKernel, MapEval
 from .liealg import ad_matrix, gram_at, nullspace
 
+#: nullspace cutoff (relative to max(s_0, 1)) below which a direction counts
+#: as Ad-fixed by every generator, that is as a centralizer direction
+KERNEL_RTOL = 1e-9
+
 
 class PeriodMismatchError(ValueError):
     """Raised when a closed 1-cochain does not represent the target class."""
@@ -57,7 +61,7 @@ class LinearSolverError(RuntimeError):
 
 
 class SingularKKTError(LinearSolverError):
-    """The kernel-deflated KKT matrix is singular: the SVD cutoff kernel_rtol
+    """The kernel-deflated KKT matrix is singular: the SVD cutoff KERNEL_RTOL
     most likely misjudged the centralizer dimension kernel_dim."""
 
     def __init__(self, kernel_dim, kernel_rtol):
@@ -110,12 +114,11 @@ class TwistedComplex:
     only for the operators it reads.
     """
 
-    def __init__(self, mesh, rep, f, kernel_rtol=1e-9):
+    def __init__(self, mesh, rep, f):
         self.mesh = mesh
         self.rep = rep
         self.group = rep.group
-        self.points = f.points if hasattr(f, "points") else np.asarray(f)
-        self.kernel_rtol = kernel_rtol
+        self.points = f.points
         self.dim = self.group.dim
         self.n = self.group.n
 
@@ -218,7 +221,7 @@ class TwistedComplex:
         parallel transport along a spanning tree."""
         D = self.dim
         gens = self._Ad[self.word_index.gen_word]
-        basis0 = nullspace((gens - np.eye(D)).reshape(-1, D), self.kernel_rtol)
+        basis0 = nullspace((gens - np.eye(D)).reshape(-1, D), KERNEL_RTOL)
         if basis0.shape[1] == 0:
             return np.zeros((self.mesh.nv * D, 0))
         # parallel extension over a BFS tree
@@ -338,9 +341,9 @@ class TwistedComplex:
                 pivots = np.abs(spla.splu(M).U.diagonal())
                 lu = spla.splu(M)
             except RuntimeError as exc:     # exactly singular factor
-                raise SingularKKTError(self.kernel_dim, self.kernel_rtol) from exc
+                raise SingularKKTError(self.kernel_dim, KERNEL_RTOL) from exc
             if pivots.min() <= 1e-10 * pivots.max():    # numerically singular
-                raise SingularKKTError(self.kernel_dim, self.kernel_rtol)
+                raise SingularKKTError(self.kernel_dim, KERNEL_RTOL)
             self._kkt_lu[degree] = lu
         return self._kkt_lu[degree]
 
@@ -385,14 +388,15 @@ class TwistedComplex:
         xi = TwistedCochain(0, self.from_flat(x, self.mesh.nv))
         return omega, xi
 
-    def primitive(self, omega, c, tol=1e-7):
+    def primitive(self, omega, c):
         """Section F with dF = omega - seed(c), i.e. a c-equivariant primitive
         of omega on the cover (c a cocycle or its seed cochain); raises
-        PeriodMismatchError when the classes of omega and c differ.
-        Solutions form an affine space over the kernel."""
+        PeriodMismatchError when the G1 norm of the defect exceeds 1e-7,
+        i.e. when the classes of omega and c differ.  Solutions form an
+        affine space over the kernel."""
         F, defect = self._primitive_flat(
             self.to_flat(_vals(omega)) - self.to_flat(self.seed_cochain(c).values))
-        if defect > tol:
+        if defect > 1e-7:
             raise PeriodMismatchError(defect)
         return F, defect
 

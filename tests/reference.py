@@ -1,0 +1,82 @@
+"""Per-token references that the tests compare the library with.
+
+``WordTable`` evaluates many words in lockstep; the functions here evaluate
+one word one token at a time, through the group law of rho, the TG product
+law of a cocycle and the 2-jet product law, doing the numpy operations of
+the table in their order, so that the two agree to the last bit.
+``psh_defect_independent`` solves the conjugate side of the
+plurisubharmonicity identity by a second full psi solve, independently of
+the companion construction that ``energyvar.psh_defect`` uses.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from equivarlab.deform import second_order
+from equivarlab.energyvar import PshReport, omega_l2sq, second_variation
+from equivarlab.liealg import Jet2, jet2_inv, jet2_mul
+from equivarlab.meshcover import token_base, token_is_inverse
+
+
+def rho_word(rep, word):
+    """rho(word) of a Representation."""
+    g = rep.group.identity()
+    for tok in word:
+        m = rep.images.get(token_base(tok))
+        if m is None:
+            raise KeyError(f"unknown generator {tok!r}")
+        g = g @ (np.linalg.inv(m) if token_is_inverse(tok) else m)
+    return g
+
+
+def _tg_generator(c, tok):
+    base = token_base(tok)
+    g = c.rep.images[base]
+    v = c.values[base]
+    if token_is_inverse(tok):
+        ginv = np.linalg.inv(g)
+        return ginv, -(ginv @ v @ g)
+    return g, v
+
+
+def cocycle_word(c, word):
+    """Cocycle extension c(word) through the TG product law."""
+    g = c.rep.group.identity()
+    out = np.zeros((c.rep.group.n, c.rep.group.n), dtype=complex)
+    for tok in word:
+        h, d = _tg_generator(c, tok)
+        out = out + g @ d @ np.linalg.inv(g)
+        g = g @ h
+    return out
+
+
+def _jet_generator(jet, tok):
+    base = token_base(tok)
+    j = Jet2(jet.c.rep.images[base], jet.c.values[base], jet.k[base])
+    return jet2_inv(j) if token_is_inverse(tok) else j
+
+
+def jet_word(jet, word):
+    """2-jet value (rho(word), c(word), k(word)) of a Jet2Cocycle."""
+    j = Jet2(jet.c.rep.group.identity(),
+             np.zeros((jet.c.rep.group.n,) * 2, dtype=complex),
+             np.zeros((jet.c.rep.group.n,) * 2, dtype=complex))
+    for tok in word:
+        j = jet2_mul(j, _jet_generator(jet, tok))
+    return j
+
+
+def psh_defect_independent(ctx, c, k, rel_tol=1e-7):
+    """The identity of ``energyvar.psh_defect`` with the conjugate side
+    solved independently of the companion construction (a second full
+    psi-solve along (ic, -k))."""
+    so, _ = second_order(ctx, c, k, rel_tol=rel_tol)
+    c_i = c.scaled(1j)
+    k_neg = {name: -np.asarray(v) for name, v in k.items()}
+    so_i, _ = second_order(ctx, c_i, k_neg, rel_tol=rel_tol)
+    s1 = second_variation(ctx, so.psi, so.omega)
+    s2 = second_variation(ctx, so_i.psi, so_i.omega)
+    osq = omega_l2sq(ctx, so.omega)
+    defect = abs(s1 + s2 - osq)
+    return PshReport(s1, s2, osq, defect, defect / max(osq, 1e-300))

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from equivarlab import cli
+from equivarlab import twistedhodge as th
 from equivarlab.twistedhodge import TwistedCochain, TwistedComplex
 
 #: reports of the ok and obstructed runs, keyed by a hash of (task, cfg, extra)
@@ -268,6 +269,71 @@ def test_hodge_harmonic_leaves_catch_a_wrong_coexact_part(tmp_path, monkeypatch)
     res = json.loads((tmp_path / "hodge_report.json").read_text())["result"]
     assert res["hodge_reconstruction"] < 1e-12
     assert res["harmonic_d"] > 1e-6
+
+
+def test_solver_error_exit_three(tmp_path, monkeypatch):
+    # a kernel cutoff that admits no centralizer leaves the trivial rep's
+    # constant sections in the KKT matrix, whose factor is then singular
+    monkeypatch.setattr(th, "KERNEL_RTOL", -1.0)
+    cfg = {key: OBSTRUCTED_CFG[key] for key in ("mesh", "group", "representation")}
+    code, report, _ = run_cli(tmp_path, "hodge", cfg)
+    assert code == cli.EXIT_NONCONVERGED
+    assert report["status"] == "solver-error"
+    assert report["error"] == ("singular KKT matrix with kernel_dim 0 "
+                               "(kernel_rtol -1.0e+00)")
+    assert "result" not in report
+
+
+DIAG_DEFORM_CFG = {
+    "mesh": {"kind": "torus", "n": 4, "m": 4},
+    "group": {"kind": "sl", "n": 2, "field": "C"},
+    "representation": {"family": "torus_diag"},
+    "deformation": {"values": {"a": [[1, 0], [0, -1]], "b": [[0, 0], [0, 0]]}},
+}
+
+
+def test_deform1_task(tmp_path):
+    code, report, _ = run_cli(tmp_path, "deform1", DIAG_DEFORM_CFG)
+    assert code == cli.EXIT_OK
+    res = report["result"]
+    assert res["flow"]["converged"] is True
+    assert res["kernel_dim"] == 2
+    assert max(res["residuals"].values()) < 1e-8
+    assert res["obstruction"]["orthogonal"] is True
+    assert res["obstruction"]["defect"] < 1e-12 * res["obstruction"]["scale"]
+
+
+def test_deform2_task(tmp_path):
+    # diagonal values commute, so (c, k) is a jet and nothing obstructs it
+    deformation = dict(DIAG_DEFORM_CFG["deformation"],
+                       second={"a": [[0.3, 0], [0, -0.3]], "b": [[0.1, 0], [0, -0.1]]})
+    cfg = dict(DIAG_DEFORM_CFG, deformation=deformation)
+    code, report, _ = run_cli(tmp_path, "deform2", cfg)
+    assert code == cli.EXIT_OK
+    res = report["result"]
+    assert res["kernel_dim"] == 2
+    assert max(res["residuals"].values()) < 1e-8
+    assert res["obstruction"]["orthogonal"] is True
+
+
+@pytest.mark.parametrize("task, deformation, error", [
+    ("deform1", {"values": {"a": [[1, 0], [0, -1]], "b": [[0, 1e-9], [0, 0]]}},
+     "cocycle does not satisfy the relator conditions"),
+    ("deform2", {"values": {"a": [[1, 0], [0, -1]], "b": [[0, 0], [0, 0]]},
+                 "second": {"a": [[0, 0], [0, 0]], "b": [[0, 1e-9], [0, 0]]}},
+     "second-order values fail the jet cocycle law")],
+    ids=["cocycle", "jet"])
+def test_deformation_checked_at_the_validation_tolerance(tmp_path, task,
+                                                        deformation, error):
+    # the representation's relator residual is 2.6e-17; a value of 1e-9
+    # leaves a residual of 1.5e-9 in the cocycle (or the jet), which passes
+    # the default 1e-8 but not the configured 1e-12
+    cfg = dict(DIAG_DEFORM_CFG, deformation=deformation,
+               tolerances={"validation": 1e-12})
+    code, report, _ = run_cli(tmp_path, task, cfg)
+    assert code == cli.EXIT_VALIDATION
+    assert report["status"] == "validation-error"
+    assert report["error"] == error
 
 
 def test_variation_task(tmp_path):

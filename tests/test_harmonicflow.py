@@ -13,6 +13,7 @@ from equivarlab import repvar as rv
 from equivarlab import symspace as ss
 from equivarlab.liealg import MatrixGroup, adjoint_at
 from equivarlab.symspace import act, dist, exp_point, geodesic
+import reference as ref
 
 
 def evaluate(f):
@@ -225,7 +226,7 @@ def test_kernel_transports_match_per_edge_loop(request, ctx_name):
     n = ctx.group.n
     g = np.empty((ctx.mesh.ne, n, n), dtype=complex)
     for i, e in enumerate(ctx.mesh.edges):
-        g[i] = ctx.rep.eval_word(e.label) if e.label else np.eye(n)
+        g[i] = ref.rho_word(ctx.rep, e.label) if e.label else np.eye(n)
     assert np.array_equal(ctx.kern.g, g)
     assert np.array_equal(ctx.kern.ginv, np.linalg.inv(g))
     assert ctx.kern.words is ctx.words
@@ -400,6 +401,109 @@ def test_oversize_step_is_a_silent_rejection(sl2c, torus66):
         cand = kern.retract(pts, tau, 1e6)
         assert not np.isfinite(cand).all()
         assert kern.evaluate(cand) is None
+
+
+# ----------------------------------------------------------------------
+# the exits of both phases, each reached from a real input
+
+def _newton_candidates(monkeypatch):
+    """Candidates the line search evaluates in each Newton step, recorded
+    as the flow runs: 1 for a full step, 34 (alpha = 1, 1/2, ..., 2^-33)
+    when it gives up below alpha = 1e-10."""
+    steps = []
+    newton_step, evaluate = hf.MapEval.newton_step, hf.FlowKernel.evaluate
+
+    def counted_step(self, mu):
+        steps.append(0)
+        return newton_step(self, mu)
+
+    def counted_evaluate(self, points):
+        steps[-1] += 1
+        return evaluate(self, points)
+    monkeypatch.setattr(hf.MapEval, "newton_step", counted_step)
+    monkeypatch.setattr(hf.FlowKernel, "evaluate", counted_evaluate)
+    return steps
+
+
+def _constant_at(mesh, rep, s):
+    """The constant map at diag(e^s, e^-s), at distance sqrt(2) s from I."""
+    P = np.diag([np.exp(s), np.exp(-s)]).astype(complex)
+    return hf.EquivariantMap(mesh, rep, np.broadcast_to(P, (mesh.nv, 2, 2)).copy())
+
+
+def test_newton_backtracks_from_a_far_start(sl2r, circle8, monkeypatch):
+    # a random start at scale 10 is far outside the Newton model: the first
+    # step is halved, and Newton still reaches the geodesic, of energy
+    # 4 log^2(lambda)
+    steps = _newton_candidates(monkeypatch)
+    rep = rv.hyperbolic_circle_rep(sl2r, circle8, 2.0)
+    f0 = hf.random_map(circle8, rep, np.random.default_rng(0), 10.0)
+    _, rpt = hf.flow(rep, f0, tol=1e-10)
+    assert rpt.solver == "newton" and rpt.converged
+    assert len(steps) == rpt.iterations - 1 and steps[0] > 1
+    assert abs(rpt.energy - 4.0 * np.log(2.0) ** 2) < 1e-12
+
+
+def test_newton_gives_up_and_explicit_polish_underflows(sl2c, monkeypatch):
+    # a tolerance below the rounding floor of the tension: Newton's polish
+    # search finds no smaller tension down to alpha = 1e-10 and gives up;
+    # the explicit flow's fixed-step polish then halves its step below
+    # 1e-16 and flags the underflow, at the harmonic energy
+    mesh = mc.build_torus(4, 4)
+    rep = rv.torus_diag_rep(sl2c, mesh, 0.4 + 0.3j, -0.2 + 0.5j)
+    _, harmonic = hf.flow(rep, hf.constant_map(mesh, rep), tol=1e-10)
+    steps = _newton_candidates(monkeypatch)
+    _, rpt = hf.flow(rep, hf.constant_map(mesh, rep), tol=1e-17)
+    assert steps[-1] == 34
+    assert rpt.solver == "explicit" and rpt.step_underflow
+    assert not rpt.converged and rpt.reductive_suspected
+    # at this tension every step up to the 1e8 cap is in the polish regime
+    assert 0.25 * 1e8 * rpt.tension ** 2 < 1e-13
+    assert abs(rpt.energy - harmonic.energy) < 1e-12
+
+
+def test_newton_drift_exit_and_convergence_outside_the_radius(sl2r, circle8):
+    # every constant map is harmonic for the trivial representation.  One
+    # at distance 3 sqrt(2) lies outside a drift radius of 1: Newton checks
+    # the drift before the tension and hands over at once, and the explicit
+    # flow converges but flags the drift
+    rep = rv.trivial_rep(sl2r, circle8)
+    f0 = _constant_at(circle8, rep, 3.0)
+    f, rpt = hf.flow(rep, f0, drift_radius=1.0)
+    assert rpt.solver == "explicit" and rpt.iterations == 1
+    assert rpt.tension == 0.0
+    assert not rpt.converged and not rpt.reductive_suspected
+    assert abs(rpt.basepoint_drift - 3.0 * np.sqrt(2.0)) < 1e-12
+    assert np.array_equal(f.points, f0.points)
+
+
+def test_explicit_flow_stops_at_the_drift_radius(sl2r):
+    # the parabolic circle has no harmonic map: the explicit flow stops
+    # where the basepoint leaves a radius of 0.5, long before max_iter,
+    # and marks the representation non-reductive
+    circle = mc.build_circle(4)
+    rep = rv.parabolic_circle_rep(sl2r, circle)
+    _, rpt = hf.flow(rep, hf.constant_map(circle, rep), drift_radius=0.5)
+    assert rpt.solver == "explicit" and rpt.iterations < 100
+    assert rpt.basepoint_drift > 0.5 and rpt.tension > 1e-2
+    assert not rpt.converged and not rpt.reductive_suspected
+    assert not rpt.step_underflow
+
+
+def test_explicit_armijo_underflow_far_out(sl2r):
+    # a constant start at diag(e^40, e^-40), whose small eigenvalue is below
+    # the 1e-14 floor: no step along the tension lowers the computed
+    # energy, so Newton gives up and the explicit Armijo search halves its
+    # first step below 1e-16
+    circle = mc.build_circle(4)
+    rep = rv.elliptic_circle_rep(sl2r, circle)
+    _, rpt = hf.flow(rep, _constant_at(circle, rep, 40.0), drift_radius=100.0)
+    assert rpt.solver == "explicit" and rpt.iterations == 1
+    assert rpt.step_underflow and not rpt.converged
+    # the first step, 0.5 step_scale, is outside the polish regime, so the
+    # underflow is the Armijo search's
+    step = 0.5 * hf.FlowKernel(circle, rep).step_scale
+    assert 0.25 * step * rpt.tension ** 2 >= 1e-13 * rpt.energy
 
 
 # ----------------------------------------------------------------------

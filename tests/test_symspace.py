@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from equivarlab.liealg import (MatrixGroup, ad_action, adjoint_at,
                                cartan_project, gram_at, norm_at)
-from equivarlab.symspace import (MC_EDGE_NORM_RATIO, act, check_point, dist,
+from equivarlab.symspace import (MC_EDGE_NORM_RATIO, act, dist,
                                  exp_hermitian, exp_point, geodesic, mc_edge,
                                  random_point, translation_length)
 
@@ -270,14 +270,6 @@ def test_translation_length_is_a_lower_bound_and_invariant(gi, seed, scale):
     h = group.exp(group.random_alg(rng))
     L_h, _ = translation_length(h @ g @ np.linalg.inv(h))
     assert abs(L_h - L) <= 1e-9
-
-
-def test_check_point_rejects_bad_input():
-    with pytest.raises(ValueError):
-        check_point(np.diag([1.0, -1.0]))
-    with pytest.raises(ValueError):
-        check_point(np.diag([2.0, 1.0]))
-    check_point(np.diag([2.0, 0.5]))
 
 
 @settings(max_examples=50, deadline=None)

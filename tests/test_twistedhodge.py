@@ -8,10 +8,12 @@ from hypothesis import given, settings, strategies as st
 from equivarlab import harmonicflow as hf
 from equivarlab import meshcover as mc
 from equivarlab import repvar as rv
+from equivarlab import twistedhodge as th
 from equivarlab.liealg import MatrixGroup, ad_matrix
 from equivarlab.twistedhodge import (PeriodMismatchError, SingularKKTError,
                                      TwistedCochain, TwistedComplex, _block_diag)
 from conftest import ALPHA, BETA, lsmr_g1, random_cochain
+import reference as ref
 
 
 def diag_cocycle(rep, a=(1.0, 0.0), b=(0.0, 0.5)):
@@ -350,14 +352,14 @@ SINGULAR_MESHES = {"circle4": lambda: mc.build_circle(4),
 
 @pytest.mark.parametrize("solve", ["solve_deflated", "hodge_decompose"])
 @pytest.mark.parametrize("mesh_key", list(SINGULAR_MESHES))
-def test_singular_kkt_names_kernel_dim(sl2r, solve, mesh_key):
+def test_singular_kkt_names_kernel_dim(sl2r, solve, mesh_key, monkeypatch):
     # a cutoff that admits no centralizer leaves the trivial rep's constant
     # sections in the KKT matrix: its factor is exactly singular on circle 4
     # and singular to rounding (pivot ratio about 1e-16) on the others
+    monkeypatch.setattr(th, "KERNEL_RTOL", -1.0)
     mesh = SINGULAR_MESHES[mesh_key]()
     rep = rv.trivial_rep(sl2r, mesh)
-    ctx = TwistedComplex(mesh, rep, hf.constant_map(mesh, rep),
-                         kernel_rtol=-1.0)
+    ctx = TwistedComplex(mesh, rep, hf.constant_map(mesh, rep))
     arg = {"solve_deflated": np.zeros(mesh.nv * ctx.dim),
            "hodge_decompose": TwistedCochain(1, np.zeros((mesh.ne, 2, 2)))}[solve]
     with pytest.raises(SingularKKTError, match="kernel_dim 0") as info:
@@ -402,7 +404,7 @@ def per_face_reference(ctx, av, bv):
             else:
                 word = mc.reduce_word(word + mc.invert_word(lab))
                 h = word
-            g = ctx.rep.eval_word(h)
+            g = ref.rho_word(ctx.rep, h)
             ginv = np.linalg.inv(g)
             d1[fi * D:(fi + 1) * D, eid * D:(eid + 1) * D] += \
                 sign * ad_matrix(ctx.group, g)
