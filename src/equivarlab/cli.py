@@ -496,6 +496,13 @@ def main(argv=None):
         payload["status"] = "ok"
         write_report(out_dir, args.task, payload)
         return EXIT_OK
+    # numpy's LinAlgError is a ValueError: a singular solve is not a config fault
+    except (LinearSolverError, np.linalg.LinAlgError) as exc:
+        print(f"solver error: {exc}", file=sys.stderr)
+        payload["status"] = "solver-error"
+        payload["error"] = str(exc)
+        write_report(out_dir, args.task, payload)
+        return EXIT_NONCONVERGED
     except (ConfigError, ValueError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         payload["status"] = "validation-error"
@@ -507,12 +514,6 @@ def main(argv=None):
         payload["status"] = "not-converged"
         payload["error"] = str(exc)
         payload["flow"] = exc.report.to_dict()
-        write_report(out_dir, args.task, payload)
-        return EXIT_NONCONVERGED
-    except LinearSolverError as exc:
-        print(f"solver error: {exc}", file=sys.stderr)
-        payload["status"] = "solver-error"
-        payload["error"] = str(exc)
         write_report(out_dir, args.task, payload)
         return EXIT_NONCONVERGED
     except ObstructedDeformationError as exc:

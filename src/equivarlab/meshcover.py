@@ -270,17 +270,11 @@ def build_torus(n, m):
             label = ("b",) if j == m - 1 else ()
             edges.append(Edge(vid(i, j), vid(i, j + 1), label, m / n))
 
-    def h_eid(i, j):
-        return (i % n) + n * (j % m)
-
-    def v_eid(i, j):
-        return n * m + (i % n) + n * (j % m)
-
     faces = []
     for j in range(m):
         for i in range(n):
-            steps = ((h_eid(i, j), +1), (v_eid(i + 1, j), +1),
-                     (h_eid(i, j + 1), -1), (v_eid(i, j), -1))
+            steps = ((vid(i, j), +1), (n * m + vid(i + 1, j), +1),
+                     (vid(i, j + 1), -1), (n * m + vid(i, j), -1))
             faces.append(Face(steps, float(n * m)))
 
     return CoverMesh(
@@ -317,8 +311,6 @@ def _corner_words():
             if d in words and s not in words:
                 words[s] = (flip_token(tok),) + words[d]
                 nxt.append(s)
-        if not nxt:
-            break
         frontier = nxt
     assert len(words) == 8
     return {k: reduce_word(w) for k, w in words.items()}
@@ -336,7 +328,7 @@ class _OctagonComplex:
 
     def __init__(self, depth):
         self.verts = []          # _DomainVertex records
-        self._by_key = {}
+        self._mid = {}           # unordered vertex pair -> midpoint
         corners = hyp.octagon_corners()
         self.corner_ids = [self._add(_DomainVertex(z, "corner", k, 0.0))
                            for k, z in enumerate(corners)]
@@ -351,21 +343,9 @@ class _OctagonComplex:
         self.triangles = tris
 
     # -- vertex store ---------------------------------------------------
-    def _key(self, v):
-        if v.kind == "corner":
-            return ("corner", v.side)
-        if v.kind == "boundary":
-            return ("boundary", v.side, v.t)
-        return ("interior", round(v.z.real, 9), round(v.z.imag, 9))
-
     def _add(self, v):
-        k = self._key(v)
-        if k in self._by_key:
-            return self._by_key[k]
         self.verts.append(v)
-        idx = len(self.verts) - 1
-        self._by_key[k] = idx
-        return idx
+        return len(self.verts) - 1
 
     def _interp_side(self, side, t):
         """Boundary point of side `side` at dyadic parameter t.
@@ -424,12 +404,18 @@ class _OctagonComplex:
         return v.t
 
     def _midpoint(self, i, j):
-        side = self._shared_side(i, j)
-        if side is not None:
-            t = 0.5 * (self._t_on_side(i, side) + self._t_on_side(j, side))
-            return self._interp_side(side, t)
-        z = hyp.geodesic_midpoint(self.verts[i].z, self.verts[j].z)
-        return self._add(_DomainVertex(z, "interior", -1, 0.0))
+        """Midpoint of the domain edge i-j, made once per edge: the two
+        triangles on an interior edge share it."""
+        key = (min(i, j), max(i, j))
+        if key not in self._mid:
+            side = self._shared_side(i, j)
+            if side is not None:
+                t = 0.5 * (self._t_on_side(i, side) + self._t_on_side(j, side))
+                self._mid[key] = self._interp_side(side, t)
+            else:
+                z = hyp.geodesic_midpoint(self.verts[i].z, self.verts[j].z)
+                self._mid[key] = self._add(_DomainVertex(z, "interior", -1, 0.0))
+        return self._mid[key]
 
     def _subdivide(self, tris):
         out = []
@@ -465,6 +451,14 @@ class _OctagonComplex:
 def build_genus2(k=1):
     """Genus-2 mesh from the regular hyperbolic octagon, subdivided k-1 times.
 
+    One pass over the domain triangles builds the quotient.  Each triangle
+    side is looked up by its edge key (identified octagon sides share one);
+    at its first crossing i -> j the edge is added as qv[i] -> qv[j] with
+    deck word delta(i)^-1 delta(j).  No domain edge joins two vertices of
+    one class, so a step i -> j crosses its edge with sign +1 exactly when
+    the edge's source class is qv[i].  Subdivision makes the midpoint of a
+    domain edge once, keyed by its vertex pair.
+
     Vertex and edge weights come from hyperbolic triangle areas and edge
     lengths (length-squared weights), normalized to total measure 1.
     """
@@ -472,23 +466,12 @@ def build_genus2(k=1):
         raise ValueError("subdivision depth must be >= 1")
     octo = _OctagonComplex(k)
     corner_words = _corner_words()
-
-    # quotient vertices
     class_of = {}
-    classes = []
-    for i in range(len(octo.verts)):
-        key = octo.quotient_class_key(i)
-        if key not in class_of:
-            class_of[key] = len(classes)
-            classes.append(key)
-    nv = len(classes)
-
-    def qv(i):
-        return class_of[octo.quotient_class_key(i)]
-
+    qv = [class_of.setdefault(octo.quotient_class_key(i), len(class_of))
+          for i in range(len(octo.verts))]
     deltas = [octo.delta_word(i, corner_words) for i in range(len(octo.verts))]
 
-    # quotient edges; identified boundary edges share a key
+    # identified boundary edges share a key
     def edge_key(i, j):
         side = octo._shared_side(i, j)
         if side is not None:
@@ -501,43 +484,8 @@ def build_genus2(k=1):
         return ("interior", min(i, j), max(i, j))
 
     edge_ids = {}
-    edge_rep = {}
-    edges = []
-    directed = {}
-
-    def register(i, j):
-        key = edge_key(i, j)
-        if key not in edge_ids:
-            label = reduce_word(invert_word(deltas[i]) + deltas[j])
-            eid = len(edges)
-            edge_ids[key] = eid
-            edge_rep[key] = (i, j)
-            edges.append([qv(i), qv(j), label, 0.0, 0.0])  # src,dst,label,area,len
-            directed[(i, j)] = (eid, +1)
-            directed[(j, i)] = (eid, -1)
-            return
-        eid = edge_ids[key]
-        if (i, j) in directed:
-            return
-        # secondary copy: orient by matched side parameters
-        side = octo._shared_side(i, j)
-        ri, rj = edge_rep[key]
-        rep_side = octo._shared_side(ri, rj)
-        ti = octo._t_on_side(i, side)
-        tri = octo._t_on_side(ri, rep_side)
-        p = _side_of_pair(side)
-        ti_p = ti if side == p else 1.0 - ti
-        tri_p = tri if rep_side == p else 1.0 - tri
-        sign = +1 if abs(ti_p - tri_p) < 1e-12 else -1
-        directed[(i, j)] = (eid, sign)
-        directed[(j, i)] = (eid, -sign)
-
-    for (p, q, r) in octo.triangles:
-        for (i, j) in ((p, q), (q, r), (r, p)):
-            register(i, j)
-
-    # faces and weights
-    vertex_area = np.zeros(nv)
+    edges = []                   # [src, dst, label, area, length]
+    vertex_area = np.zeros(len(class_of))
     faces = []
     total_area = 0.0
     for (p, q, r) in octo.triangles:
@@ -545,30 +493,27 @@ def build_genus2(k=1):
         A = hyp.triangle_area(zp, zq, zr)
         total_area += A
         for i in (p, q, r):
-            vertex_area[qv(i)] += A / 3.0
+            vertex_area[qv[i]] += A / 3.0
         steps = []
         for (i, j) in ((p, q), (q, r), (r, p)):
-            eid, sign = directed[(i, j)]
+            eid = edge_ids.setdefault(edge_key(i, j), len(edges))
+            if eid == len(edges):
+                edges.append([qv[i], qv[j],
+                              reduce_word(invert_word(deltas[i]) + deltas[j]),
+                              0.0, hyp.dist_disk(octo.verts[i].z, octo.verts[j].z)])
             edges[eid][3] += A / 3.0
-            steps.append((eid, sign))
-        faces.append([tuple(steps), A])
-
-    for key, (i, j) in edge_rep.items():
-        eid = edge_ids[key]
-        edges[eid][4] = hyp.dist_disk(octo.verts[i].z, octo.verts[j].z)
+            steps.append((eid, +1 if edges[eid][0] == qv[i] else -1))
+        faces.append((tuple(steps), A))
 
     edge_list = [Edge(s, d, lab, (area / (length ** 2)) / total_area)
                  for (s, d, lab, area, length) in edges]
     face_list = [Face(steps, total_area / A) for steps, A in faces]
 
-    mesh = CoverMesh(
+    return CoverMesh(
         generators=("a1", "b1", "a2", "b2"),
         relations=(("a1", "b1", "A1", "B1", "a2", "b2", "A2", "B2"),),
         vertex_weights=vertex_area / total_area,
         edges=edge_list,
         faces=face_list,
-        meta={"kind": "genus2", "k": k, "total_area": total_area,
-              "side_labels": hyp.SIDE_LABELS,
-              "corner_words": corner_words},
+        meta={"kind": "genus2", "k": k, "total_area": total_area},
     )
-    return mesh

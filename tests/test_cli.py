@@ -284,6 +284,22 @@ def test_solver_error_exit_three(tmp_path, monkeypatch):
     assert "result" not in report
 
 
+def test_singular_numpy_solve_exit_three(tmp_path):
+    # a random start at scale 11 drives the flow into a singular matrix in
+    # np.linalg.inv; numpy's LinAlgError is a ValueError, but the failure is
+    # the solver's, not the config's
+    cfg = {
+        "mesh": {"kind": "torus", "n": 4, "m": 4},
+        "group": {"kind": "sl", "n": 2, "field": "C"},
+        "representation": {"family": "torus_diag"},
+        "flow": {"start": "random", "scale": 11},
+    }
+    code, report, _ = run_cli(tmp_path, "flow", cfg)
+    assert code == cli.EXIT_NONCONVERGED
+    assert report["status"] == "solver-error"
+    assert report["error"] == "Singular matrix"
+
+
 DIAG_DEFORM_CFG = {
     "mesh": {"kind": "torus", "n": 4, "m": 4},
     "group": {"kind": "sl", "n": 2, "field": "C"},
@@ -379,6 +395,20 @@ def test_critical_scan_task(tmp_path):
     assert code == cli.EXIT_OK
     assert report["result"]["scan"]["max_normalized"] < 1e-9
     assert (out / "critical_scan.csv").exists()
+
+
+def test_critical_scan_genus2_fuchsian(tmp_path):
+    # the Fuchsian point is harmonic and critical on the genus-2 mesh too
+    cfg = {
+        "mesh": {"kind": "genus2", "k": 1},
+        "group": {"kind": "sl", "n": 2, "field": "R"},
+        "representation": {"family": "genus2_fuchsian"},
+    }
+    code, report, _ = run_cli(tmp_path, "critical-scan", cfg)
+    assert code == cli.EXIT_OK
+    assert report["result"]["flow"]["converged"] is True
+    assert report["result"]["scan"]["basis_size"] == 9
+    assert report["result"]["scan"]["max_normalized"] < 1e-9
 
 
 def test_refine_study_torus_mc(tmp_path):

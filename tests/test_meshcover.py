@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -49,15 +50,34 @@ def test_torus_label_consistency_under_rep(sl2c, torus66):
         assert np.abs(g - eye).max() < 1e-10
 
 
-def test_genus2_structure(genus2):
-    genus2.check()
-    assert genus2.nv - genus2.ne + genus2.nf == -2      # Euler characteristic
-    assert abs(genus2.meta["total_area"] - 4.0 * np.pi) < 1e-8  # Gauss-Bonnet
-    assert abs(float(np.sum(genus2.vertex_weights)) - 1.0) < 1e-12
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_genus2_structure(k):
+    mesh = mc.build_genus2(k)
+    mesh.check()
+    assert mesh.nv - mesh.ne + mesh.nf == -2      # Euler characteristic
+    assert abs(mesh.meta["total_area"] - 4.0 * np.pi) < 1e-8  # Gauss-Bonnet
+    assert abs(float(np.sum(mesh.vertex_weights)) - 1.0) < 1e-12
+    # the face step signs rest on it: no edge joins two vertices of one class
+    assert all(e.src != e.dst for e in mesh.edges)
+
+
+@pytest.mark.parametrize("k, digest, area_hex", [
+    (1, "821c942631259c78c57cb57b27c611c09b14decfdad82266494075ff5fab549d",
+     "0x1.921fb54442d16p+3"),
+    (2, "f5cf7e6a51b0559c73eaa184e237c630800f752a11a54498894fbabb57e6c698",
+     "0x1.921fb54442d14p+3"),
+    (3, "ba4ed6962f274fb22d823d1c1ea239ecee6b696829232989cd9fe4e80403e61d",
+     "0x1.921fb54442d12p+3"),
+])
+def test_genus2_mesh_is_pinned(k, digest, area_hex):
+    # every genus-2 report, golden and bench figure reads these meshes; a
+    # change to them is a change of discretization and moves all of those
+    mesh = mc.build_genus2(k)
+    assert hashlib.sha256(mesh.to_json().encode()).hexdigest() == digest
+    assert mesh.meta["total_area"].hex() == area_hex
 
 
 def test_genus2_paired_side_words():
-    mesh = mc.build_genus2(1)
     # secondary-side boundary points carry single-generator deck words,
     # mutually inverse between the a-type and b-type pairing conventions
     from equivarlab import hyperbolic as hyp
