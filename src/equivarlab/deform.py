@@ -41,6 +41,7 @@ class ObstructionReport:
     defect: float
     scale: float
     witness: TwistedCochain | None
+    contraction: TwistedCochain     # omega* -| omega; not in to_dict
 
     def to_dict(self):
         return {"orthogonal": self.orthogonal, "defect": self.defect,
@@ -74,6 +75,7 @@ class SecondOrderDeformation:
     v: np.ndarray
     w_beta: np.ndarray
     omega: TwistedCochain
+    contraction: TwistedCochain     # omega* -| omega
     residuals: dict = field(default_factory=dict)
 
 
@@ -115,6 +117,7 @@ def obstruction_check(ctx, omega, rel_tol=1e-7):
 
     The defect is the weighted norm of the kernel projection, compared
     against rel_tol * ||omega||^2; the witness is the projection direction.
+    The report carries the contraction, so that the psi solve reuses it.
     """
     q = ctx.contract_star(omega, omega)
     flat = ctx.to_flat(q.values)
@@ -129,7 +132,7 @@ def obstruction_check(ctx, omega, rel_tol=1e-7):
         nrm = np.abs(wit).max()
         if nrm > 0:
             witness = TwistedCochain(0, wit / nrm)
-    return ObstructionReport(defect <= threshold, defect, scale, witness)
+    return ObstructionReport(defect <= threshold, defect, scale, witness, q)
 
 
 def jet_seed_second(ctx, edge_jets, xi):
@@ -161,7 +164,7 @@ def solve_psi(ctx, c, k, *, rel_tol=1e-7, require_unobstructed=True):
     omega2_0 = jet_seed_second(ctx, edge_jets, xi)
     # omega2^0 - [F0, omega] = omega2^0 + [omega, F0]
     psi0 = TwistedCochain(1, omega2_0.values + ctx.bracket_section(omega, F0).values)
-    contr = ctx.contract_star(omega, omega)
+    contr = obstruction.contraction
     rhs = TwistedCochain(0, -contr.values - ctx.codiff(psi0).values)
     eta = ctx.solve_jacobi(rhs)
     d_eta = ctx.d(eta)
@@ -205,7 +208,8 @@ def second_order(ctx, c, k, *, rel_tol=1e-7):
     residuals = dict(sol.residuals)
     residuals["equivariance_F2"] = defect2
     residuals["w_projection"] = _w_equivariance_residual(ctx, cw, kw, adF, F2, w_beta)
-    so = SecondOrderDeformation(F0, F2, sol.psi, v, w_beta, omega, residuals)
+    so = SecondOrderDeformation(F0, F2, sol.psi, v, w_beta, omega,
+                                sol.obstruction.contraction, residuals)
     return so, sol
 
 
@@ -249,8 +253,7 @@ def companion_pair(ctx, so):
     the jet (i c, -k) for complex groups."""
     if not ctx.group.is_complex:
         raise ValueError("companion pair needs a complex group")
-    contr = ctx.contract_star(so.omega, so.omega)
-    eta = ctx.solve_jacobi(TwistedCochain(0, 2.0 * contr.values))
+    eta = ctx.solve_jacobi(TwistedCochain(0, 2.0 * so.contraction.values))
     F_t = TwistedCochain(0, 1j * so.F.values)
     F2_t = TwistedCochain(0, -so.F2.values - eta.values)
     psi_t = TwistedCochain(1, -so.psi.values - ctx.d(eta).values)

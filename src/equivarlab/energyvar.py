@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import harmonicflow as hf
+from . import symspace as ss
 from .deform import companion_pair, second_order, solve_psi
 from .liealg import cartan_project
 from .twistedhodge import TwistedCochain, _vals
@@ -131,29 +132,54 @@ FD_STEPS = (1e-2, 5e-3, 2.5e-3)
 FD_MAX_ITER = 60000
 
 
+def _lagrange_at(t, nodes):
+    """Value at t of the Lagrange polynomial through (0, 0) and the
+    (t_j, X_j) of nodes."""
+    ts = [0.0] + [tj for tj, _ in nodes]
+    out = 0.0
+    for j, (tj, X) in enumerate(nodes, start=1):
+        weight = 1.0
+        for m, tm in enumerate(ts):
+            if m != j:
+                weight *= (t - tm) / (tj - tm)
+        out = out + weight * X
+    return out
+
+
 def fd_energy_derivatives(path, mesh, *, tol=1e-10, f0=None):
     """Central finite differences of t -> E(rho_t) with Richardson
-    extrapolation; each sample re-solves the harmonic map (warm started)."""
+    extrapolation; each sample re-solves the harmonic map.
+
+    The samples are solved in order of increasing |t| and warm started by
+    continuation: every solved f_t is kept in log coordinates at f0,
+    X_t = mc_edge(f0, f_t), and a new sample starts from
+    exp_point(f0, X(t)), with X the Lagrange polynomial through X(0) = 0
+    and the (at most two) solved samples nearest t.  The predictor reads
+    only earlier samples; Newton corrects it to the same tolerance.
+    """
     rep0 = path.rep0
     if f0 is None:
         f0, _ = hf.flow(rep0, hf.constant_map(mesh, rep0), tol=tol,
                         max_iter=FD_MAX_ITER)
     E0 = hf.energy(f0)
-    cache = {0.0: E0}
-
-    def energy_at(t):
-        if t not in cache:
-            rep_t = path.at(t)
-            f_t, rpt = hf.flow(rep_t, hf.EquivariantMap(mesh, rep_t,
-                                                        f0.points.copy()),
-                               tol=tol, max_iter=FD_MAX_ITER)
-            cache[t] = rpt.energy
-        return cache[t]
+    energies = {}
+    logs = []                   # (t, X_t) of the solved samples
+    for t in sorted((s * h for h in FD_STEPS for s in (1.0, -1.0)), key=abs):
+        nearest = sorted(logs, key=lambda node: abs(t - node[0]))[:2]
+        if nearest:
+            start = hf.retract(f0.points, _lagrange_at(t, nearest))
+        else:
+            start = f0.points.copy()
+        rep_t = path.at(t)
+        f_t, rpt = hf.flow(rep_t, hf.EquivariantMap(mesh, rep_t, start),
+                           tol=tol, max_iter=FD_MAX_ITER)
+        energies[t] = rpt.energy
+        logs.append((t, ss.mc_edge(f0.points, f_t.points)))
 
     table = []
     firsts, seconds = [], []
     for h in FD_STEPS:
-        ep, em = energy_at(h), energy_at(-h)
+        ep, em = energies[h], energies[-h]
         d1 = (ep - em) / (2.0 * h)
         d2 = (ep - 2.0 * E0 + em) / (h * h)
         firsts.append(d1)

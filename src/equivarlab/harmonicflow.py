@@ -75,6 +75,19 @@ def random_map(mesh, rep, rng, scale=0.5):
     return EquivariantMap(mesh, rep, pts)
 
 
+def retract(points, X):
+    """exp_point(points, X) with the determinant normalized to 1 for n > 1
+    (GL(1,C) points are left alone)."""
+    n = points.shape[-1]
+    # an oversize step overflows; it comes back non-finite, silently
+    with np.errstate(all="ignore"):
+        new = ss.exp_point(points, X)
+        if n > 1:
+            det = np.linalg.det(new)
+            new = new / (np.abs(det) ** (1.0 / n))[:, None, None]
+    return new
+
+
 class FlowKernel:
     """Cached per-(mesh, rep) edge arrays, word table and Hessian pattern."""
 
@@ -97,15 +110,6 @@ class FlowKernel:
         self.step_scale = float(np.min(self.w0 / deg))
 
     # -- geometry ------------------------------------------------------
-    def retract(self, points, direction, step):
-        # an oversize step overflows; it comes back non-finite, silently
-        with np.errstate(all="ignore"):
-            new = ss.exp_point(points, step * direction)
-            if self.n > 1:
-                det = np.linalg.det(new)
-                new = new / (np.abs(det) ** (1.0 / self.n))[:, None, None]
-        return new
-
     def evaluate(self, points):
         """MapEval of points, or None when the map or its energy is not
         finite (an overflowing retraction)."""
@@ -351,7 +355,7 @@ def _newton_flow(kern, pts, *, tol, max_iter, drift_radius):
         polish = 0.5 * decrease < 1e-13 * max(1.0, abs(E))
         alpha = 1.0
         while alpha >= 1e-10:
-            cand = kern.evaluate(kern.retract(ev.points, X, alpha))
+            cand = kern.evaluate(retract(ev.points, alpha * X))
             if cand is not None and (cand.tension_sq < gsq if polish else
                                      cand.energy <= E - 1e-4 * alpha * decrease):
                 break
@@ -398,7 +402,7 @@ def _explicit_flow(kern, pts, *, tol, max_iter, drift_radius):
         if 0.25 * step * gsq < 1e-13 * max(1.0, abs(E)):
             # energy decrements below float resolution: fixed-step polish
             # accepted on tension decrease instead (energy stays within 1e-12)
-            cand = MapEval(kern, kern.retract(ev.points, ev.tension, step))
+            cand = MapEval(kern, retract(ev.points, step * ev.tension))
             if cand.tension_sq <= gsq * (1.0 + 1e-6):
                 ev = cand
                 continue
@@ -409,7 +413,7 @@ def _explicit_flow(kern, pts, *, tol, max_iter, drift_radius):
             break
         accepted = False
         while step > 1e-16:
-            cand = MapEval(kern, kern.retract(ev.points, ev.tension, step))
+            cand = MapEval(kern, retract(ev.points, step * ev.tension))
             if cand.energy <= E - 0.25 * step * gsq:
                 ev = cand
                 step = min(step * 1.4, 1e8)

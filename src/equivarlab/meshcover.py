@@ -329,7 +329,14 @@ class _OctagonComplex:
     def __init__(self, depth):
         self.verts = []          # _DomainVertex records
         self._mid = {}           # unordered vertex pair -> midpoint
-        corners = hyp.octagon_corners()
+        self._corners = corners = hyp.octagon_corners()
+        # per primary side p: the deck map carrying side p onto its pair
+        maps = hyp.side_pairings()
+        self._pair_map = {}
+        for p in hyp.PRIMARY_SIDES:
+            name = hyp.SIDE_LABELS[p]
+            g = maps[name]
+            self._pair_map[p] = np.linalg.inv(g) if name.startswith("a") else g
         self.corner_ids = [self._add(_DomainVertex(z, "corner", k, 0.0))
                            for k, z in enumerate(corners)]
         center = self._add(_DomainVertex(0j, "interior", -1, 0.0))
@@ -353,15 +360,12 @@ class _OctagonComplex:
         Secondary-side points are constructed as deck images of the primary
         ones, so paired parameters match exactly."""
         p = _side_of_pair(side)
-        corners = hyp.octagon_corners()
+        corners = self._corners
         if side == p:
             z = self._dyadic_geodesic_point(corners[side], corners[(side + 1) % 8], t)
         else:
             zp = self._dyadic_geodesic_point(corners[p], corners[(p + 1) % 8], 1.0 - t)
-            g = hyp.side_pairings()[hyp.SIDE_LABELS[p]]
-            name = hyp.SIDE_LABELS[p]
-            M = np.linalg.inv(g) if name.startswith("a") else g
-            z = hyp.mobius_apply(M, zp)
+            z = hyp.mobius_apply(self._pair_map[p], zp)
         return self._add(_DomainVertex(z, "boundary", side, t))
 
     @staticmethod

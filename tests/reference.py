@@ -7,6 +7,8 @@ the table in their order, so that the two agree to the last bit.
 ``psh_defect_independent`` solves the conjugate side of the
 plurisubharmonicity identity by a second full psi solve, independently of
 the companion construction that ``energyvar.psh_defect`` uses.
+``fd_energy_derivatives_from_f0`` is the finite-difference oracle with every
+sample started from f0, without the continuation predictor.
 """
 
 from __future__ import annotations
@@ -14,7 +16,9 @@ from __future__ import annotations
 import numpy as np
 
 from equivarlab.deform import second_order
-from equivarlab.energyvar import PshReport, omega_l2sq, second_variation
+from equivarlab import harmonicflow as hf
+from equivarlab.energyvar import (FD_MAX_ITER, FD_STEPS, FDReport, PshReport,
+                                  omega_l2sq, second_variation)
 from equivarlab.liealg import Jet2, jet2_inv, jet2_mul
 from equivarlab.meshcover import token_base, token_is_inverse
 
@@ -80,3 +84,22 @@ def psh_defect_independent(ctx, c, k, rel_tol=1e-7):
     osq = omega_l2sq(ctx, so.omega)
     defect = abs(s1 + s2 - osq)
     return PshReport(s1, s2, osq, defect, defect / max(osq, 1e-300))
+
+
+def fd_energy_derivatives_from_f0(path, mesh, f0, *, tol=1e-10):
+    """``energyvar.fd_energy_derivatives`` with each sample re-solved from
+    f0, in FD_STEPS order."""
+    def energy_at(t):
+        rep_t = path.at(t)
+        start = hf.EquivariantMap(mesh, rep_t, f0.points.copy())
+        return hf.flow(rep_t, start, tol=tol, max_iter=FD_MAX_ITER)[1].energy
+
+    E0 = hf.energy(f0)
+    firsts, seconds, table = [], [], []
+    for h in FD_STEPS:
+        ep, em = energy_at(h), energy_at(-h)
+        firsts.append((ep - em) / (2.0 * h))
+        seconds.append((ep - 2.0 * E0 + em) / (h * h))
+        table.append({"h": h, "first": firsts[-1], "second": seconds[-1]})
+    return FDReport((4.0 * firsts[-1] - firsts[-2]) / 3.0,
+                    (4.0 * seconds[-1] - seconds[-2]) / 3.0, table)

@@ -1,7 +1,9 @@
 import numpy as np
+import pytest
 
 from equivarlab import energyvar as ev
 from equivarlab import harmonicflow as hf
+from equivarlab import meshcover as mc
 from equivarlab import repvar as rv
 from equivarlab.liealg import cartan_project
 from equivarlab.twistedhodge import TwistedComplex
@@ -188,3 +190,71 @@ def test_genus2_bending_variation(fuchsianC_ctx, genus2):
     analytic = ev.first_variation(fuchsianC_ctx, om)
     fd = ev.fd_energy_derivatives(path, genus2, tol=1e-11)
     assert abs(analytic - fd.first) < 2e-3 * max(abs(fd.first), 1e-6)
+
+
+# ----------------------------------------------------------------------
+# the continuation-started FD oracle
+
+TORUS6_B = {"a": np.diag([1.0, -1.0]).astype(complex), "b": np.diag([0.5j, -0.5j])}
+TORUS6_C = {"a": np.diag([0.3, -0.3]).astype(complex),
+            "b": np.diag([0.2, -0.2]).astype(complex)}
+
+
+def _fd_case(name, request):
+    """(mesh, harmonic map f0, representation path) of one FD test case."""
+    fixture = request.getfixturevalue
+    if name in ("torus6_sl2c", "genus2_k2"):
+        if name == "torus6_sl2c":
+            ctx = fixture("diag_ctx")
+            path = rv.commuting_exp_path(ctx.rep, TORUS6_B, TORUS6_C)
+        else:
+            ctx = fixture("fuchsianC_ctx")
+            path = rv.bending_path(ctx.rep, 0.5, imaginary=False)
+        return ctx.mesh, hf.EquivariantMap(ctx.mesh, ctx.rep, ctx.points.copy()), path
+    if name == "circle8":
+        mesh = fixture("circle8")
+        rep = rv.exp_family(fixture("sl2r"), mesh,
+                            {"a": np.diag([0.55, -0.55]).astype(complex)})
+        path = rv.commuting_exp_path(rep, {"a": np.diag([1.0, -1.0]).astype(complex)})
+    else:
+        mesh = mc.build_torus(5, 5)
+        rep = rv.torus_gl1c_rep(fixture("gl1c"), mesh, 0.5 + 1.0j, -0.3 + 0.2j)
+        path = rv.commuting_exp_path(rep, {"a": np.array([[0.3 - 0.2j]]),
+                                           "b": np.array([[0.1 + 0.4j]])})
+    f0, rpt = hf.flow(rep, hf.constant_map(mesh, rep), tol=1e-10,
+                      max_iter=ev.FD_MAX_ITER)
+    assert rpt.converged
+    return mesh, f0, path
+
+
+@pytest.mark.parametrize("name,total", [("genus2_k2", 13), ("torus6_sl2c", 9)])
+def test_fd_samples_warm_started_by_continuation(request, monkeypatch, name, total):
+    # f0-started samples take 3 tension checks each; the predicted starts
+    # save at least one on every sample after the first
+    mesh, f0, path = _fd_case(name, request)
+    checks = []
+    flow = hf.flow
+
+    def counting_flow(rep, start, **kw):
+        out = flow(rep, start, **kw)
+        assert out[1].converged
+        checks.append(out[1].iterations)
+        return out
+
+    monkeypatch.setattr(hf, "flow", counting_flow)
+    ev.fd_energy_derivatives(path, mesh, f0=f0)
+    assert len(checks) == 2 * len(ev.FD_STEPS)
+    assert checks[0] <= 3
+    assert max(checks[1:]) <= 2
+    assert sum(checks) <= total
+
+
+@pytest.mark.parametrize("name", ["circle8", "torus6_sl2c", "torus5_gl1c",
+                                  "genus2_k2"])
+def test_fd_matches_f0_started_reference(request, name):
+    mesh, f0, path = _fd_case(name, request)
+    fd = ev.fd_energy_derivatives(path, mesh, f0=f0)
+    want = ref.fd_energy_derivatives_from_f0(path, mesh, f0)
+    for got, exp in ((fd.first, want.first), (fd.second, want.second)):
+        assert abs(got - exp) <= 1e-8 * max(1.0, abs(exp)), (got, exp)
+    assert [row["h"] for row in fd.table] == list(ev.FD_STEPS)

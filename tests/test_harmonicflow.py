@@ -398,7 +398,7 @@ def test_oversize_step_is_a_silent_rejection(sl2c, torus66):
     tau = hf.MapEval(kern, pts).tension
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        cand = kern.retract(pts, tau, 1e6)
+        cand = hf.retract(pts, 1e6 * tau)
         assert not np.isfinite(cand).all()
         assert kern.evaluate(cand) is None
 
@@ -548,7 +548,7 @@ def _reference_explicit_flow(kern, pts, *, tol, max_iter, drift_radius):
             break
         accepted = False
         if 0.25 * step * gsq < 1e-13 * max(1.0, abs(E)):
-            cand = kern.retract(pts, tau, step)
+            cand = hf.retract(pts, step * tau)
             Ec, tauc = _energy_and_tension(kern, cand)
             if _tension_norm_sq(kern, cand, tauc) <= gsq * (1.0 + 1e-6):
                 pts, E, tau = cand, Ec, tauc
@@ -561,7 +561,7 @@ def _reference_explicit_flow(kern, pts, *, tol, max_iter, drift_radius):
                 break
             continue
         while step > 1e-16:
-            cand = kern.retract(pts, tau, step)
+            cand = hf.retract(pts, step * tau)
             Ec, tauc = _energy_and_tension(kern, cand)
             if Ec <= E - 0.25 * step * gsq:
                 pts, E, tau = cand, Ec, tauc
@@ -686,7 +686,7 @@ def test_map_eval_matches_per_edge_loop(mesh_name, group_key, seed, scale,
     pts = hf.random_map(mesh, rep, np.random.default_rng(seed), scale).points
     if retracted:
         _, tau = _per_edge_energy_and_tension(kern, pts)
-        pts = kern.retract(pts, tau, 0.25 * kern.step_scale)
+        pts = hf.retract(pts, 0.25 * kern.step_scale * tau)
     E, tau = _per_edge_energy_and_tension(kern, pts)
     ev = kern.evaluate(pts)
     assert ev.energy == E

@@ -9,7 +9,8 @@ as ``path: old -> new`` with its relative difference
 |new - old| / max(|old|, |new|) when both are numbers.  For a CSV file the
 largest relative difference of each column is printed, with the row where
 it occurs.  Byte-identical files print nothing; the last line counts the
-files that differ.
+files that differ.  The exit status is 0 when every file is byte-identical,
+1 when any file differs or is missing from one tree, and 2 on bad usage.
 """
 
 from __future__ import annotations
@@ -125,7 +126,7 @@ def main(argv=None):
         print(str(rel))
         print("\n".join(lines or ["  bytes differ, values equal"]))
     print(f"{n_diff} of {len(files)} files differ")
-    return 0
+    return 1 if n_diff else 0
 
 
 if __name__ == "__main__":
