@@ -4,11 +4,12 @@
 
 Tasks: flow, energy, hodge, deform1, deform2, variation, psh, critical-scan,
 refine-study.  Exit codes: 0 success, 2 validation failure (a config section
-missing or not an object, a missing key inside a section, an unreadable mesh
-file; every task but refine-study starts from build_problem, which checks
-the relators), 3 harmonic-map solver non-convergence where a converged
-metric is required, 4 obstructed second-order deformation request.  Complex
-matrices and numbers are read and written as [re, im] pairs.
+missing or not an object, a key missing or of a bad value, an unreadable
+mesh file, a deformation with both values and a path family; every task but
+refine-study starts from build_problem, which checks the relators), 3
+harmonic-map solver non-convergence where a converged metric is required, 4
+obstructed second-order deformation request.  Complex matrices and numbers
+are read and written as [re, im] pairs.
 """
 
 from __future__ import annotations
@@ -153,41 +154,51 @@ def build_path(spec, rep):
     if kind == "conjugation":
         return rv.conjugation_path(rep, _as_matrix(_key(spec, "xi")))
     if kind == "bending":
-        return rv.bending_path(rep, _value(spec, "scale", 0.5, float),
-                               bool(spec.get("imaginary", True)))
+        imaginary = spec.get("imaginary", True)
+        if not isinstance(imaginary, bool):
+            raise ConfigError(f"config key 'imaginary' is {imaginary!r}, not true or false")
+        return rv.bending_path(rep, _value(spec, "scale", 0.5, float), imaginary)
     raise ConfigError(f"unknown path kind {kind!r}")
 
 
-def build_cocycle(cfg, rep):
-    """The cocycle of the config's deformation; it must pass the relator
-    check at tolerances.validation."""
+def build_deformation(cfg, rep):
+    """(c, k, path) of the config's deformation: given ``values`` of c (path
+    None) with optional ``second`` values k (else None), or a
+    ``path_family`` and its jets.  c must pass the relator check and a
+    given k the jet cocycle law, at tolerances.validation."""
     spec = _section(cfg, "deformation")
-    if "values" in spec:
-        vals = {k: _as_matrix(v) for k, v in _section(spec, "values").items()}
-        c = rv.Cocycle(rep, vals)
-    elif "path_family" in spec:
-        c, _ = build_path(_section(spec, "path_family"), rep).jets()
+    if ("values" in spec) == ("path_family" in spec):
+        raise ConfigError("deformation spec needs exactly one of 'values' "
+                          "and 'path_family'")
+    path = k = None
+    if "path_family" in spec:
+        path = build_path(_section(spec, "path_family"), rep)
+        c, k = path.jets()
     else:
-        raise ConfigError("deformation spec needs 'values' or 'path_family'")
+        c = rv.Cocycle(rep, {g: _as_matrix(v) for g, v in
+                             _section(spec, "values").items()})
+        if "second" in spec:
+            k = {g: _as_matrix(v) for g, v in _section(spec, "second").items()}
     if not c.validate(cfg["tolerances"]["validation"]):
         raise ConfigError("cocycle does not satisfy the relator conditions")
-    return c
+    if k is not None:
+        _check_jet(cfg, c, k)
+    return c, k, path
 
 
 def build_jet(cfg, rep):
-    """(c, k) of the config's deformation; values given in the config must
-    pass the relator checks at tolerances.validation."""
-    spec = _section(cfg, "deformation")
-    if "path_family" in spec:
-        return build_path(_section(spec, "path_family"), rep).jets()
-    c = build_cocycle(cfg, rep)
-    kvals = {name: _as_matrix(v) for name, v in _section(spec, "second").items()} \
-        if "second" in spec else {name: np.zeros_like(c.values[name])
-                                  for name in rep.generators}
-    jet = rv.Jet2Cocycle(c, kvals)
-    if not jet.validate(cfg["tolerances"]["validation"]):
+    """(c, k) for a second-order task: k = 0 when the config gives none,
+    and (c, 0) must then be a jet too."""
+    c, k, _ = build_deformation(cfg, rep)
+    if k is None:
+        k = {g: np.zeros_like(c.values[g]) for g in rep.generators}
+        _check_jet(cfg, c, k)
+    return c, k
+
+
+def _check_jet(cfg, c, k):
+    if not rv.Jet2Cocycle(c, k).validate(cfg["tolerances"]["validation"]):
         raise ConfigError("second-order values fail the jet cocycle law")
-    return c, kvals
 
 
 def converged_context(cfg, mesh, rep):
@@ -264,11 +275,12 @@ def write_csv(out_dir, name, header, rows):
 def task_flow(cfg, out_dir):
     mesh, group, rep = build_problem(cfg)
     fspec = _optional(cfg, "flow")
-    rng = np.random.default_rng(cfg["seed"])
-    if fspec.get("start", "constant") == "random":
-        f0 = hf.random_map(mesh, rep, rng, _value(fspec, "scale", 0.4, float))
-    else:
-        f0 = hf.constant_map(mesh, rep)
+    start = fspec.get("start", "constant")
+    if start not in ("constant", "random"):
+        raise ConfigError(f"config key 'start' is {start!r}, not 'constant' or 'random'")
+    f0 = (hf.random_map(mesh, rep, np.random.default_rng(cfg["seed"]),
+                        _value(fspec, "scale", 0.4, float))
+          if start == "random" else hf.constant_map(mesh, rep))
     f, rpt = hf.flow(rep, f0, tol=cfg["tolerances"]["flow_tol"],
                      max_iter=_value(fspec, "max_iter", 20000, int),
                      drift_radius=_value(fspec, "drift_radius", 50.0, float))
@@ -318,7 +330,7 @@ def task_hodge(cfg, out_dir):
 
 def task_deform1(cfg, out_dir):
     mesh, group, rep = build_problem(cfg)
-    c = build_cocycle(cfg, rep)
+    c, _, _ = build_deformation(cfg, rep)
     ctx, rpt = converged_context(cfg, mesh, rep)
     fo = first_order(ctx, c)
     obs = obstruction_check(ctx, fo.omega, cfg["tolerances"]["rel_obstruction"])
@@ -339,7 +351,9 @@ def task_deform2(cfg, out_dir):
 
 def task_variation(cfg, out_dir):
     mesh, group, rep = build_problem(cfg)
-    path = build_path(_section(_section(cfg, "deformation"), "path_family"), rep)
+    _, _, path = build_deformation(cfg, rep)
+    if path is None:
+        raise ConfigError("variation needs a deformation 'path_family'")
     ctx, rpt = converged_context(cfg, mesh, rep)
     out = ev.variation_report(ctx, path,
                               rel_tol=cfg["tolerances"]["rel_obstruction"])

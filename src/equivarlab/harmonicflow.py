@@ -21,10 +21,11 @@ source by Ad_{e^{-beta_e} rho(w_e)}.  ``flow`` solves for the p-part of the
 Newton step in orthonormal coordinates, damps the centralizer directions by
 mu = 1e-2 min(1, |tau|) times the vertex mass, retracts with exp_point and
 backtracks on the energy (on the tension once energy decrements fall below
-float resolution).  When the Newton phase stalls, leaves the drift radius,
-meets a non-finite value or a singular factor, or spends its step budget,
-the explicit Armijo flow runs from the start map instead; a parabolic
-(non-reductive) representation always ends there.
+float resolution).  When the Newton phase stalls, stops outside the drift
+radius, meets a non-finite value or a singular factor, fails its line
+search or spends its step budget, the explicit Armijo flow runs from the
+start map instead; a parabolic (non-reductive) representation always ends
+there.
 
 FlowKernel holds only (mesh, representation) data: the per-edge arrays, the
 deck words of the mesh (``CoverMesh.word_index``) evaluated once as one
@@ -34,9 +35,13 @@ A MapEval holds all the data of one map: the vertex frame (w, U, S =
 P^{-1/2}) and the edge frame (logw, V) give the energy, and the edge logs,
 the tension, its norm, the basepoint drift and the Newton model (tangent
 fields, Hessian, Newton step, with P^{1/2} = U diag(sqrt w) U^†) are read
-from them when asked for.  Both flows evaluate a candidate energy first and
-build its tension only once it is accepted (or when a polish step accepts
-on the tension), and read the drift from the vertex eigenvalues.
+from them when asked for.
+
+Both phases run through one loop, ``_descend`` (record, exit on tension or
+drift, drift-trend test), with Newton and the explicit flow as its two step
+rules and one backtracking search, ``_backtrack``.  Every candidate goes
+through ``FlowKernel.evaluate`` and is evaluated energy first; its tension
+is built only once it is accepted (or when a polish step accepts on it).
 curved_torus_map builds the smooth test map of the refinement studies for
 all vertices in one stacked pass.
 """
@@ -296,7 +301,7 @@ class FlowReport:
         }
 
 
-#: Newton steps tried before the explicit flow takes over
+#: Newton steps checked before the explicit flow takes over
 NEWTON_STEPS = 50
 #: iterations between the entries of the energy and drift histories
 HISTORY_STRIDE = 25
@@ -307,151 +312,131 @@ def flow(rep, f0, *, tol=1e-8, max_iter=20000, drift_radius=50.0):
 
     Convergence means the weighted tension norm drops below tol with the
     basepoint inside the drift radius.  ``iterations`` counts tension checks
-    (Newton steps + 1, or explicit iterations).  When the Newton phase gives
-    up, the explicit Armijo flow runs from f0 with max_iter and its report
-    is returned unchanged: a run that keeps lowering the energy while the
-    basepoint escapes toward infinity (hard radius exit, or a steady drift
-    trend at exhaustion) marks the representation as suspected
-    non-reductive, and the plateau energy is reported either way.
+    (Newton steps + 1, or explicit iterations).  When the Newton phase does
+    not converge, the explicit Armijo flow runs from f0 and its report is
+    returned: a run that keeps lowering the energy while the basepoint
+    escapes (hard radius exit, or a steady drift trend at exhaustion) marks
+    the representation as suspected non-reductive, and the plateau energy
+    is reported either way.
     """
     if not np.isfinite(f0.points).all():
         raise ValueError("start map has non-finite entries")
     kern = FlowKernel(f0.mesh, rep)
     args = dict(tol=tol, max_iter=max_iter, drift_radius=drift_radius)
-    out = _newton_flow(kern, f0.points.copy(), **args)
-    if out is None:
-        out = _explicit_flow(kern, f0.points.copy(), **args)
-    return EquivariantMap(f0.mesh, rep, out[0]), out[1]
+    pts, report = _newton_flow(kern, f0.points.copy(), **args)
+    if not report.converged:
+        pts, report = _explicit_flow(kern, f0.points.copy(), **args)
+    return EquivariantMap(f0.mesh, rep, pts), report
 
 
-def _newton_flow(kern, pts, *, tol, max_iter, drift_radius):
-    """Damped Riemannian Newton phase; (points, report), or None when the
-    explicit flow has to take over."""
-    report = FlowReport(solver="newton")
+def _descend(kern, pts, step, report, *, tol, max_iter, drift_radius):
+    """The loop of both phases; (points, report).  It stops once the tension
+    is below tol or the basepoint is outside the drift radius, where the run
+    is neither converged nor suspected reductive; else step(ev) gives the
+    next MapEval, or None when its search fails."""
     ev = MapEval(kern, pts)
     report.energy_history.append(ev.energy)
-    slow = 0        # consecutive full steps that cut |tau| by less than 4x
     for it in range(1, max_iter + 1):
-        E, gsq = ev.energy, ev.tension_sq
-        tnorm = np.sqrt(gsq)
-        drift = ev.drift
-        if drift > drift_radius:
-            return None
-        report.iterations = it
-        report.basepoint_drift = drift
-        if it % HISTORY_STRIDE == 0 or it == 1:
-            report.energy_history.append(E)
-            report.drift_history.append(drift)
-        if tnorm < tol:
-            report.converged = True
-            break
-        if it > NEWTON_STEPS or it == max_iter:
-            return None
-        step = ev.newton_step(1e-2 * min(1.0, tnorm))
-        if step is None:
-            return None
-        X, decrease = step
-        # below float resolution of E, accept on a smaller tension instead
-        polish = 0.5 * decrease < 1e-13 * max(1.0, abs(E))
-        alpha = 1.0
-        while alpha >= 1e-10:
-            cand = kern.evaluate(retract(ev.points, alpha * X))
-            if cand is not None and (cand.tension_sq < gsq if polish else
-                                     cand.energy <= E - 1e-4 * alpha * decrease):
-                break
-            alpha *= 0.5
-        else:
-            return None
-        slow = slow + 1 if alpha == 1.0 and cand.tension_sq > gsq / 16.0 else 0
-        if slow == 2:
-            return None
-        ev = cand
-    report.energy = ev.energy
-    report.tension = float(np.sqrt(ev.tension_sq))
-    report.energy_history.append(ev.energy)
-    return ev.points, report
-
-
-def _explicit_flow(kern, pts, *, tol, max_iter, drift_radius):
-    """Energy-descent flow with Armijo backtracking; (points, report).
-
-    A candidate is evaluated energy first; its tension is built only once
-    it is accepted.  A non-finite candidate fails both acceptance tests."""
-    report = FlowReport()
-    ev = MapEval(kern, pts)
-    E0 = ev.energy
-    step = 0.5 * kern.step_scale
-    report.energy_history.append(E0)
-    for it in range(1, max_iter + 1):
-        E, gsq = ev.energy, ev.tension_sq
-        tnorm = np.sqrt(gsq)
         drift = ev.drift
         report.iterations = it
         report.basepoint_drift = drift
         if it % HISTORY_STRIDE == 0 or it == 1:
-            report.energy_history.append(E)
+            report.energy_history.append(ev.energy)
             report.drift_history.append(drift)
-        if tnorm < tol:
-            report.converged = drift <= drift_radius
-            if not report.converged:
-                report.reductive_suspected = False
+        if math.sqrt(ev.tension_sq) < tol or drift > drift_radius:
+            report.converged = report.reductive_suspected = bool(drift <= drift_radius)
             break
-        if drift > drift_radius:
-            report.reductive_suspected = False
-            break
-        if 0.25 * step * gsq < 1e-13 * max(1.0, abs(E)):
-            # energy decrements below float resolution: fixed-step polish
-            # accepted on tension decrease instead (energy stays within 1e-12)
-            cand = MapEval(kern, retract(ev.points, step * ev.tension))
-            if cand.tension_sq <= gsq * (1.0 + 1e-6):
-                ev = cand
-                continue
-            step *= 0.5
-            if step > 1e-16:
-                continue
+        nxt = step(ev)
+        if nxt is None:
             report.step_underflow = True
             break
-        accepted = False
-        while step > 1e-16:
-            cand = MapEval(kern, retract(ev.points, step * ev.tension))
-            if cand.energy <= E - 0.25 * step * gsq:
-                ev = cand
-                step = min(step * 1.4, 1e8)
-                accepted = True
-                break
-            step *= 0.5
-        if not accepted:
-            report.step_underflow = True
-            break
-    E = ev.energy
-    report.energy = E
+        ev = nxt
+    report.energy = E = ev.energy
     report.tension = float(np.sqrt(ev.tension_sq))
     report.energy_history.append(E)
     # drift-trend heuristic at exhaustion: energy sinking, basepoint leaving
     if not report.converged and report.reductive_suspected:
         dh = report.drift_history
-        if (len(dh) >= 4 and E < 0.25 * max(E0, 1e-300)
+        if (len(dh) >= 4 and E < 0.25 * max(report.energy_history[0], 1e-300)
                 and dh[-1] > dh[len(dh) // 2] + 0.2):
             report.reductive_suspected = False
     return ev.points, report
 
 
+def _backtrack(kern, points, X, s, floor, accept):
+    """First candidate retract(points, s X) with accept(cand, s), halving s
+    while it is above floor; (cand, s), or (None, s).  Candidates go through
+    ``FlowKernel.evaluate``, so a non-finite one is rejected."""
+    while s > floor:
+        cand = kern.evaluate(retract(points, s * X))
+        if cand is not None and accept(cand, s):
+            return cand, s
+        s *= 0.5
+    return None, s
+
+
+def _newton_flow(kern, pts, *, max_iter, **args):
+    """Damped Riemannian Newton phase; (points, report), unconverged when
+    the explicit flow has to take over."""
+    slow = 0        # full steps in a row that cut |tau| by less than 4x
+
+    def newton(ev):
+        nonlocal slow
+        E, gsq = ev.energy, ev.tension_sq
+        found = ev.newton_step(1e-2 * min(1.0, math.sqrt(gsq)))
+        if found is None:
+            return None
+        X, decrease = found
+        # below float resolution of E, accept on a smaller tension instead
+        polish = 0.5 * decrease < 1e-13 * max(1.0, abs(E))
+        cand, alpha = _backtrack(
+            kern, ev.points, X, 1.0, 1e-10,
+            lambda c, a: (c.tension_sq < gsq if polish else
+                          c.energy <= E - 1e-4 * a * decrease))
+        slow = slow + 1 if alpha == 1.0 and cand.tension_sq > gsq / 16.0 else 0
+        return None if slow == 2 else cand
+
+    return _descend(kern, pts, newton, FlowReport(solver="newton"),
+                    max_iter=min(max_iter, NEWTON_STEPS + 1), **args)
+
+
+def _explicit_flow(kern, pts, **args):
+    """Energy-descent flow with Armijo backtracking; (points, report)."""
+    step = 0.5 * kern.step_scale
+
+    def armijo(ev):
+        nonlocal step
+        E, gsq = ev.energy, ev.tension_sq
+        if 0.25 * step * gsq < 1e-13 * max(1.0, abs(E)):
+            # energy decrements below float resolution: fixed-step polish
+            # accepted on tension decrease instead (energy stays within
+            # 1e-12); a rejection halves the step for the next iteration
+            cand = kern.evaluate(retract(ev.points, step * ev.tension))
+            if cand is not None and cand.tension_sq <= gsq * (1.0 + 1e-6):
+                return cand
+            step *= 0.5
+            return ev if step > 1e-16 else None
+        cand, step = _backtrack(kern, ev.points, ev.tension, step, 1e-16,
+                                lambda c, s: c.energy <= E - 0.25 * s * gsq)
+        step = min(step * 1.4, 1e8)
+        return cand
+
+    return _descend(kern, pts, armijo, FlowReport(), **args)
+
+
 def energy_of_rep(rep, mesh, *, tol=1e-8, max_iter=20000, n_starts=2, seed=0,
                   drift_radius=50.0):
-    """Energy infimum estimate over flows from several starts."""
+    """Energy infimum estimate over flows from n_starts >= 1 starts."""
+    if n_starts < 1:
+        raise ValueError(f"n_starts must be at least 1, not {n_starts}")
     rng = np.random.default_rng(seed)
-    best_E = np.inf
-    reductive = True
-    best_report = None
+    reports = []
     for s in range(n_starts):
         f0 = constant_map(mesh, rep) if s == 0 else random_map(mesh, rep, rng, 0.4)
-        _, rep_out = flow(rep, f0, tol=tol, max_iter=max_iter,
-                          drift_radius=drift_radius)
-        if rep_out.energy < best_E:
-            best_E = rep_out.energy
-            best_report = rep_out
-        reductive = reductive and rep_out.reductive_suspected
-    return best_E, reductive, best_report
+        reports.append(flow(rep, f0, tol=tol, max_iter=max_iter,
+                            drift_radius=drift_radius)[1])
+    best = min(reports, key=lambda r: r.energy)
+    return best.energy, all(r.reductive_suspected for r in reports), best
 
 
 def curved_torus_map(mesh, rep, amplitude=0.3):

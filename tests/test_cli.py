@@ -171,9 +171,11 @@ def test_malformed_config_value_exit_two(tmp_path, task, section, value, key):
     ("refine-study", "refine", {"levels": [4, [8], 16]}, "levels"),
     ("flow", "seed", {"a": 1}, "seed"),
     ("flow", "tolerances", {"validation": "x"}, "validation"),
-    ("flow", "tolerances", {"flow_tol": [1e-8]}, "flow_tol")],
+    ("flow", "tolerances", {"flow_tol": [1e-8]}, "flow_tol"),
+    ("flow", "flow", {"start": "Random"}, "start")],
     ids=["mesh-n", "torus_diag-alpha", "circle_hyperbolic-lam", "flow-max_iter",
-         "refine-levels", "seed", "tolerance-validation", "tolerance-flow_tol"])
+         "refine-levels", "seed", "tolerance-validation", "tolerance-flow_tol",
+         "flow-start"])
 def test_config_scalar_of_wrong_type_exit_two(tmp_path, task, section, value, key):
     # a config value that int, float or complex cannot convert is a
     # validation error with a report that names its key, not a TypeError
@@ -350,6 +352,66 @@ def test_deformation_checked_at_the_validation_tolerance(tmp_path, task,
     assert code == cli.EXIT_VALIDATION
     assert report["status"] == "validation-error"
     assert report["error"] == error
+
+
+#: a valid commuting path next to values that are not a cocycle
+BOTH_FORMS_DEFORMATION = {
+    "values": {"a": [[0, 1], [0, 0]], "b": [[0, 0], [0, 0]]},
+    "path_family": {"kind": "commuting_exp",
+                    "B": {"a": [[1, 0], [0, -1]], "b": [[0, 0], [0, 0]]}}}
+
+GENUS2_BENDING_CFG = {
+    "mesh": {"kind": "genus2", "k": 1},
+    "group": {"kind": "sl", "n": 2, "field": "C"},
+    "representation": {"family": "genus2_fuchsian"},
+    "deformation": {"path_family": {"kind": "bending"}},
+}
+
+
+@pytest.mark.parametrize("task", ["deform1", "deform2", "psh", "variation"])
+def test_deformation_gives_one_form(tmp_path, task):
+    # every deformation task reads the section through build_deformation,
+    # so a config that gives both forms is refused by all four alike
+    cfg = dict(DIAG_DEFORM_CFG, deformation=BOTH_FORMS_DEFORMATION)
+    code, report, _ = run_cli(tmp_path, task, cfg)
+    assert code == cli.EXIT_VALIDATION
+    assert report["error"] == ("deformation spec needs exactly one of "
+                               "'values' and 'path_family'")
+
+
+@pytest.mark.parametrize("task", ["deform1", "deform2", "psh", "variation"])
+def test_path_family_jets_checked_at_the_validation_tolerance(tmp_path, task):
+    # the Fuchsian relator residual is 3.6e-14 and the bending cocycle's
+    # 6.4e-14, both inside 1e-13; the bending jet's is 2.7e-13, outside
+    cfg = dict(GENUS2_BENDING_CFG, tolerances={"validation": 1e-13})
+    code, report, _ = run_cli(tmp_path, task, cfg)
+    assert code == cli.EXIT_VALIDATION
+    assert report["error"] == "second-order values fail the jet cocycle law"
+
+
+def test_bending_imaginary_takes_only_a_boolean(tmp_path):
+    # bool("false") is True, so the string once selected imaginary bending
+    path = {"kind": "bending", "imaginary": "false"}
+    cfg = dict(GENUS2_BENDING_CFG, deformation={"path_family": path})
+    code, report, _ = run_cli(tmp_path, "deform1", cfg)
+    assert code == cli.EXIT_VALIDATION
+    assert "config key 'imaginary'" in report["error"]
+
+
+def test_variation_without_a_path_family_exit_two(tmp_path):
+    code, report, _ = run_cli(tmp_path, "variation", DIAG_DEFORM_CFG)
+    assert code == cli.EXIT_VALIDATION
+    assert "'path_family'" in report["error"]
+
+
+@pytest.mark.parametrize("n_starts", [0, -1])
+def test_energy_without_starts_exit_two(tmp_path, n_starts):
+    # no start means no flow to report: a validation error, not a crash
+    cfg = dict(DIAG_DEFORM_CFG, flow={"n_starts": n_starts})
+    code, report, _ = run_cli(tmp_path, "energy", cfg)
+    assert code == cli.EXIT_VALIDATION
+    assert report["status"] == "validation-error"
+    assert "n_starts" in report["error"]
 
 
 def test_variation_task(tmp_path):

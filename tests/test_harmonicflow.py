@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import warnings
 
@@ -128,6 +129,13 @@ def test_energy_of_rep_unitary(sl2c, torus66):
     E, reductive, _ = hf.energy_of_rep(rep, torus66, n_starts=2)
     assert E < 1e-10
     assert reductive
+
+
+@pytest.mark.parametrize("n_starts", [0, -1])
+def test_energy_of_rep_needs_a_start(sl2c, torus66, n_starts):
+    rep = rv.torus_unitary_rep(sl2c, torus66)
+    with pytest.raises(ValueError, match="n_starts"):
+        hf.energy_of_rep(rep, torus66, n_starts=n_starts)
 
 
 def test_energy_of_rep_parabolic(sl2r):
@@ -409,9 +417,11 @@ def test_oversize_step_is_a_silent_rejection(sl2c, torus66):
 def _newton_candidates(monkeypatch):
     """Candidates the line search evaluates in each Newton step, recorded
     as the flow runs: 1 for a full step, 34 (alpha = 1, 1/2, ..., 2^-33)
-    when it gives up below alpha = 1e-10."""
+    when it gives up below alpha = 1e-10.  Counting stops when the explicit
+    flow takes over, whose candidates go through the same evaluate."""
     steps = []
     newton_step, evaluate = hf.MapEval.newton_step, hf.FlowKernel.evaluate
+    explicit_flow = hf._explicit_flow
 
     def counted_step(self, mu):
         steps.append(0)
@@ -420,9 +430,57 @@ def _newton_candidates(monkeypatch):
     def counted_evaluate(self, points):
         steps[-1] += 1
         return evaluate(self, points)
+
+    def uncounted_explicit_flow(kern, pts, **args):
+        monkeypatch.setattr(hf.FlowKernel, "evaluate", evaluate)
+        return explicit_flow(kern, pts, **args)
     monkeypatch.setattr(hf.MapEval, "newton_step", counted_step)
     monkeypatch.setattr(hf.FlowKernel, "evaluate", counted_evaluate)
+    monkeypatch.setattr(hf, "_explicit_flow", uncounted_explicit_flow)
     return steps
+
+
+#: Newton runs to tol = 1e-10 pinned bit for bit: iterations, float.hex of
+#: energy and tension, and the sha256 of the final points
+NEWTON_PINS = {
+    "torus6_sl2c_constant": (
+        3, "0x1.999999999999bp-1", "0x1.61ea5d17007c3p-46",
+        "f1b675d4617c467e217d5258ed49799c5caa5b9c0dbe1b490567e6548cc79e3c"),
+    "genus2_k2_sl2c_random": (
+        6, "0x1.ab6ba22e7dc60p-1", "0x1.a1b9a8905b513p-53",
+        "ec521fea84b4991b1bc05a19b344aad4da924a2b2661e98b36d549b5c4f79940"),
+    # the first step backtracks (test_newton_backtracks_from_a_far_start)
+    "circle8_hyperbolic_scale10": (
+        9, "0x1.ebfbdff82c58ep+0", "0x1.9707ef2167547p-39",
+        "4b8999008fd65ef3ff29c30d2b1404d941e1010a4d5410c7e5ad03c0cf1ecd56"),
+}
+
+
+def _newton_case(name):
+    """(rep, start map) of one pinned Newton run."""
+    if name == "torus6_sl2c_constant":
+        mesh = mc.build_torus(6, 6)
+        rep = rv.torus_diag_rep(MatrixGroup("sl", 2, "C"), mesh, 0.4 + 0.3j,
+                                -0.2 + 0.5j)
+        return rep, hf.constant_map(mesh, rep)
+    if name == "genus2_k2_sl2c_random":
+        mesh = mc.build_genus2(2)
+        rep = rv.genus2_fuchsian_rep(MatrixGroup("sl", 2, "C"), mesh)
+        return rep, hf.random_map(mesh, rep, np.random.default_rng(7), 0.4)
+    mesh = mc.build_circle(8)
+    rep = rv.hyperbolic_circle_rep(MatrixGroup("sl", 2, "R"), mesh, 2.0)
+    return rep, hf.random_map(mesh, rep, np.random.default_rng(0), 10.0)
+
+
+@pytest.mark.parametrize("name", sorted(NEWTON_PINS))
+def test_newton_phase_is_pinned(name):
+    # the goldens compare floats at 1e-12, so they do not pin the Newton
+    # phase; these runs do, to the last bit
+    rep, f0 = _newton_case(name)
+    f, rpt = hf.flow(rep, f0, tol=1e-10)
+    assert rpt.solver == "newton" and rpt.converged
+    assert (rpt.iterations, rpt.energy.hex(), rpt.tension.hex(),
+            hashlib.sha256(f.points.tobytes()).hexdigest()) == NEWTON_PINS[name]
 
 
 def _constant_at(mesh, rep, s):
@@ -464,9 +522,9 @@ def test_newton_gives_up_and_explicit_polish_underflows(sl2c, monkeypatch):
 
 def test_newton_drift_exit_and_convergence_outside_the_radius(sl2r, circle8):
     # every constant map is harmonic for the trivial representation.  One
-    # at distance 3 sqrt(2) lies outside a drift radius of 1: Newton checks
-    # the drift before the tension and hands over at once, and the explicit
-    # flow converges but flags the drift
+    # at distance 3 sqrt(2) lies outside a drift radius of 1: Newton stops
+    # at its first check, unconverged because of the drift, and hands over
+    # at once, and the explicit flow stops there too but flags the drift
     rep = rv.trivial_rep(sl2r, circle8)
     f0 = _constant_at(circle8, rep, 3.0)
     f, rpt = hf.flow(rep, f0, drift_radius=1.0)
