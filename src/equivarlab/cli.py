@@ -5,9 +5,11 @@
 Tasks: flow, energy, hodge, deform1, deform2, variation, psh, critical-scan,
 refine-study.  Exit codes: 0 success, 2 validation failure (a config section
 missing or not an object, a key missing or of a bad value, an unreadable
-mesh file, a deformation with both values and a path family; every task but
-refine-study starts from build_problem, which checks the relators), 3
-harmonic-map solver non-convergence where a converged metric is required, 4
+mesh file, a deformation with both values and a path family or with second
+values next to one, a path family its representation cannot carry; every
+task but refine-study starts from build_problem, which checks the
+relators), 3 harmonic-map solver non-convergence where a converged metric is
+required (every solve reads the flow section through _flow_args), 4
 obstructed second-order deformation request.  Complex matrices and numbers
 are read and written as [re, im] pairs.
 """
@@ -172,6 +174,8 @@ def build_deformation(cfg, rep):
                           "and 'path_family'")
     path = k = None
     if "path_family" in spec:
+        if "second" in spec:
+            raise ConfigError("'second' cannot be given with a 'path_family'")
         path = build_path(_section(spec, "path_family"), rep)
         c, k = path.jets()
     else:
@@ -201,11 +205,16 @@ def _check_jet(cfg, c, k):
         raise ConfigError("second-order values fail the jet cocycle law")
 
 
+def _flow_args(cfg, max_iter):
+    """hf.flow keywords: flow_tol, and the flow section's max_iter and drift_radius."""
+    fspec = _optional(cfg, "flow")
+    return {"tol": cfg["tolerances"]["flow_tol"],
+            "max_iter": _value(fspec, "max_iter", max_iter, int),
+            "drift_radius": _value(fspec, "drift_radius", 50.0, float)}
+
+
 def converged_context(cfg, mesh, rep):
-    tol = cfg["tolerances"]["flow_tol"]
-    f0 = hf.constant_map(mesh, rep)
-    f, rpt = hf.flow(rep, f0, tol=tol,
-                     max_iter=_value(_optional(cfg, "flow"), "max_iter", 60000, int))
+    f, rpt = hf.flow(rep, hf.constant_map(mesh, rep), **_flow_args(cfg, 60000))
     if not rpt.converged:
         raise FlowNotConverged(rpt)
     return TwistedComplex(mesh, rep, f), rpt
@@ -281,20 +290,15 @@ def task_flow(cfg, out_dir):
     f0 = (hf.random_map(mesh, rep, np.random.default_rng(cfg["seed"]),
                         _value(fspec, "scale", 0.4, float))
           if start == "random" else hf.constant_map(mesh, rep))
-    f, rpt = hf.flow(rep, f0, tol=cfg["tolerances"]["flow_tol"],
-                     max_iter=_value(fspec, "max_iter", 20000, int),
-                     drift_radius=_value(fspec, "drift_radius", 50.0, float))
+    f, rpt = hf.flow(rep, f0, **_flow_args(cfg, 20000))
     return {"flow": rpt.to_dict()}
 
 
 def task_energy(cfg, out_dir):
     mesh, group, rep = build_problem(cfg)
-    fspec = _optional(cfg, "flow")
     E, reductive, rpt = hf.energy_of_rep(
-        rep, mesh, tol=cfg["tolerances"]["flow_tol"],
-        max_iter=_value(fspec, "max_iter", 20000, int),
-        n_starts=_value(fspec, "n_starts", 2, int), seed=cfg["seed"],
-        drift_radius=_value(fspec, "drift_radius", 50.0, float))
+        rep, mesh, n_starts=_value(_optional(cfg, "flow"), "n_starts", 2, int),
+        seed=cfg["seed"], **_flow_args(cfg, 20000))
     return {"energy": E, "reductive_suspected": reductive,
             "last_flow": rpt.to_dict()}
 
@@ -423,8 +427,8 @@ def task_refine_study(cfg, out_dir):
         for n in levels:
             mesh = mc.build_circle(n)
             rep = rv.hyperbolic_circle_rep(group, mesh, lam)
-            E, _, _ = hf.energy_of_rep(rep, mesh, tol=cfg["tolerances"]["flow_tol"],
-                                       n_starts=1, seed=cfg["seed"])
+            E, _, _ = hf.energy_of_rep(rep, mesh, n_starts=1, seed=cfg["seed"],
+                                       **_flow_args(cfg, 20000))
             val = abs(E - exact)
             rows.append([n, 1.0 / n, "energy_error", val])
             values.append(val)

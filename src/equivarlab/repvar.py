@@ -14,11 +14,15 @@ all words in lockstep, one vectorized step per token position; the
 per-token references it agrees with bit for bit live in
 ``tests/reference.py``.  A representation caches its relator table; the
 flow kernel evaluates the deck words of a mesh as one table.
+
+A path t -> rho_t (``RepPath``) is its generator images at t and its jets
+(c, k) at t = 0, both set by the constructor of its family.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -220,82 +224,48 @@ class Jet2Cocycle:
 
 @dataclass
 class RepPath:
-    """Closed-form family t -> rho_t with analytic first and second jets."""
-    kind: str
+    """A family t -> rho_t: ``images(t)`` gives the generator images at t,
+    and ``c``, ``k`` the jets per generator at t = 0 in the right
+    trivialization, c = drho rho^-1 and k = d2rho rho^-1 - c^2."""
     rep0: Representation
-    data: dict = field(default_factory=dict)
+    images: Callable[[float], dict]
+    c: dict
+    k: dict
 
     def at(self, t):
         if t == 0.0:
             return self.rep0
-        images = {}
-        if self.kind == "commuting_exp":
-            for name in self.rep0.generators:
-                A = self.data["A"][name]
-                B = self.data["B"][name]
-                C = self.data.get("C", {}).get(name, 0.0 * A)
-                images[name] = self.rep0.group.exp(A + t * B + 0.5 * t * t * C)
-        elif self.kind in ("conjugation", "bending"):
-            xi = self.data["xi"]
-            moved = self.data.get("moved", set(self.rep0.generators))
-            g = self.rep0.group.exp(t * xi)
-            ginv = np.linalg.inv(g)
-            for name in self.rep0.generators:
-                m = self.rep0.images[name]
-                images[name] = g @ m @ ginv if name in moved else m
-        else:
-            raise ValueError(f"unknown path kind {self.kind!r}")
-        return Representation(self.rep0.group, self.rep0.generators, images,
-                              self.rep0.relations)
+        return Representation(self.rep0.group, self.rep0.generators,
+                              self.images(t), self.rep0.relations)
 
     def jets(self):
-        """(c, k) of the path in the right trivialization:
-        c = drho rho^-1, k = d2rho rho^-1 - c^2, at t = 0."""
-        cvals, kvals = {}, {}
-        if self.kind == "commuting_exp":
-            for name in self.rep0.generators:
-                B = self.data["B"][name]
-                C = self.data.get("C", {}).get(name, 0.0 * B)
-                cvals[name] = B
-                kvals[name] = C
-        elif self.kind in ("conjugation", "bending"):
-            xi = self.data["xi"]
-            moved = self.data.get("moved", set(self.rep0.generators))
-            for name in self.rep0.generators:
-                if name in moved:
-                    adx = ad_action(self.rep0.images[name], xi)
-                    cvals[name] = xi - adx
-                    kvals[name] = bracket(adx, xi)
-                else:
-                    z = np.zeros_like(xi)
-                    cvals[name] = z
-                    kvals[name] = z.copy()
-        else:
-            raise ValueError(f"unknown path kind {self.kind!r}")
-        c = Cocycle(self.rep0, cvals)
-        return c, kvals
+        """(c as a Cocycle at rep0, k)."""
+        return Cocycle(self.rep0, self.c), self.k
 
 
 def commuting_exp_path(rep0, B, C=None):
     """rho_t(gen) = exp(A + tB + t^2 C/2); all A, B, C must commute."""
-    group = rep0.group
     if rep0.logs is None:
         raise ValueError("commuting_exp_path needs a rep built by exp_family")
-    data = {"A": rep0.logs, "B": {k: np.asarray(v, dtype=complex) for k, v in B.items()}}
-    if C:
-        data["C"] = {k: np.asarray(v, dtype=complex) for k, v in C.items()}
-    path = RepPath("commuting_exp", rep0, data)
-    _check_commuting(group, data)
-    return path
-
-
-def _check_commuting(group, data):
-    mats = list(data["A"].values()) + list(data["B"].values()) \
-        + list(data.get("C", {}).values())
+    gens = rep0.generators
+    missing = [name for name in gens if name not in B]
+    if missing:
+        raise ValueError(f"commuting_exp path: B gives no value for generators {missing}")
+    A = rep0.logs
+    B = {k: np.asarray(v, dtype=complex) for k, v in B.items()}
+    C = {k: np.asarray(v, dtype=complex) for k, v in (C or {}).items()}
+    mats = [*A.values(), *B.values(), *C.values()]
     for i, X in enumerate(mats):
         for Y in mats[i + 1:]:
             if np.abs(bracket(X, Y)).max() > 1e-10:
                 raise ValueError("commuting_exp family requires commuting data")
+    return RepPath(
+        rep0,
+        lambda t: {name: rep0.group.exp(A[name] + t * B[name] + 0.5 * t * t
+                                        * C.get(name, 0.0 * A[name]))
+                   for name in gens},
+        {name: B[name] for name in gens},
+        {name: C.get(name, 0.0 * B[name]) for name in gens})
 
 
 def exp_family(group, mesh, logs):
@@ -306,8 +276,27 @@ def exp_family(group, mesh, logs):
                           mesh.relations, logs)
 
 
+def _conjugating_path(rep0, xi, moved):
+    """Conjugate the images of the generators in ``moved`` by exp(t xi),
+    with jets c = xi - Ad xi and k = [Ad xi, xi] there and 0 elsewhere."""
+    gens = rep0.generators
+
+    def images(t):
+        g = rep0.group.exp(t * xi)
+        ginv = np.linalg.inv(g)
+        return {name: g @ rep0.images[name] @ ginv if name in moved
+                else rep0.images[name] for name in gens}
+
+    adx = {name: ad_action(rep0.images[name], xi) for name in moved}
+    return RepPath(rep0, images,
+                   {name: xi - adx[name] if name in moved else np.zeros_like(xi)
+                    for name in gens},
+                   {name: bracket(adx[name], xi) if name in moved else np.zeros_like(xi)
+                    for name in gens})
+
+
 def conjugation_path(rep0, xi):
-    return RepPath("conjugation", rep0, {"xi": np.asarray(xi, dtype=complex)})
+    return _conjugating_path(rep0, np.asarray(xi, dtype=complex), rep0.generators)
 
 
 def bending_path(rep0, scale=0.5, imaginary=True):
@@ -317,20 +306,22 @@ def bending_path(rep0, scale=0.5, imaginary=True):
     commutator h = [rho(a1), rho(b1)]; for Fuchsian reps in SL(2,C) the
     imaginary axis direction gives the classical bending family.
     """
-    rep = rep0
-    a1, b1 = rep.images["a1"], rep.images["b1"]
+    if not {"a1", "b1", "a2", "b2"} <= set(rep0.generators):
+        raise ValueError("bending needs a genus-2 representation with "
+                         "generators a1, b1, a2 and b2")
+    a1, b1 = rep0.images["a1"], rep0.images["b1"]
     h = a1 @ b1 @ np.linalg.inv(a1) @ np.linalg.inv(b1)
-    n = rep.group.n
+    n = rep0.group.n
     axis = h - (np.trace(h) / n) * np.eye(n)
     nrm = np.abs(axis).max()
     if nrm < 1e-12:
         raise ValueError("commutator is central, no bending axis")
     xi = scale * axis / nrm
     if imaginary:
-        if not rep.group.is_complex:
+        if not rep0.group.is_complex:
             raise ValueError("imaginary bending requires a complex group")
         xi = 1j * xi
-    return RepPath("bending", rep, {"xi": xi, "moved": {"a2", "b2"}})
+    return _conjugating_path(rep0, xi, {"a2", "b2"})
 
 
 # ----------------------------------------------------------------------

@@ -147,13 +147,16 @@ def test_malformed_config_section_exit_two(tmp_path, task, section, value):
      "no_such_mesh.json"),
     ("variation", "deformation", {"path_family": {"kind": "commuting_exp"}}, "B"),
     ("variation", "deformation", {"path_family": {"kind": "conjugation"}}, "xi"),
+    ("deform1", "deformation", {"path_family": {"kind": "bending"}},
+     "a1, b1, a2 and b2"),
     ("flow", "representation", {"family": "trivial", "params": [0.4]}, "params"),
     ("flow", "flow", [1000], "flow")],
     ids=["inline-images", "mesh-path", "mesh-file", "commuting-B",
-         "conjugation-xi", "params-list", "flow-list"])
+         "conjugation-xi", "bending-genus2", "params-list", "flow-list"])
 def test_malformed_config_value_exit_two(tmp_path, task, section, value, key):
-    # a missing key inside a section, a section of the wrong type or an
-    # unreadable mesh file is a validation error with a report
+    # a missing key inside a section, a section of the wrong type, an
+    # unreadable mesh file or a bending path on the torus (which has no a1)
+    # is a validation error with a report
     cfg = dict(OBSTRUCTED_CFG, **{section: value})
     code, report, _ = run_cli(tmp_path, task, cfg)
     assert code == cli.EXIT_VALIDATION
@@ -396,6 +399,43 @@ def test_bending_imaginary_takes_only_a_boolean(tmp_path):
     code, report, _ = run_cli(tmp_path, "deform1", cfg)
     assert code == cli.EXIT_VALIDATION
     assert "config key 'imaginary'" in report["error"]
+
+
+@pytest.mark.parametrize("task", ["deform1", "deform2", "psh", "variation"])
+def test_second_values_next_to_a_path_family_exit_two(tmp_path, task):
+    # the path's own jets are the deformation; second values beside them
+    # were once dropped without a word
+    deformation = {"path_family": BOTH_FORMS_DEFORMATION["path_family"],
+                   "second": {"a": [[0, 0], [0, 0]], "b": [[0, 0], [0, 0]]}}
+    cfg = dict(DIAG_DEFORM_CFG, deformation=deformation)
+    code, report, _ = run_cli(tmp_path, task, cfg)
+    assert code == cli.EXIT_VALIDATION
+    assert report["status"] == "validation-error"
+    assert "'second'" in report["error"]
+
+
+def test_commuting_path_missing_a_generator_exit_two(tmp_path):
+    path = {"kind": "commuting_exp", "B": {"a": [[1, 0], [0, -1]]}}
+    cfg = dict(DIAG_DEFORM_CFG, deformation={"path_family": path})
+    code, report, _ = run_cli(tmp_path, "deform1", cfg)
+    assert code == cli.EXIT_VALIDATION
+    assert report["status"] == "validation-error"
+    assert "['b']" in report["error"]
+
+
+def test_converged_context_honours_the_drift_radius(tmp_path):
+    # every task reads the flow section alike: hodge, like flow, stops
+    # unconverged once the basepoint leaves the configured drift radius
+    cfg = {
+        "mesh": {"kind": "circle", "n": 4},
+        "group": {"kind": "sl", "n": 2, "field": "R"},
+        "representation": {"family": "circle_hyperbolic"},
+        "flow": {"drift_radius": 1e-9},
+    }
+    code, report, _ = run_cli(tmp_path, "hodge", cfg)
+    assert code == cli.EXIT_NONCONVERGED
+    assert report["status"] == "not-converged"
+    assert report["flow"]["converged"] is False
 
 
 def test_variation_without_a_path_family_exit_two(tmp_path):

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -143,6 +145,55 @@ def test_bending_path(sl2c, genus2):
     assert np.abs(c.values["a1"]).max() == 0.0
     assert np.abs(c.values["b1"]).max() == 0.0
     assert np.abs(c.values["a2"]).max() > 1e-3
+
+
+PATH_TS = (1e-2, -5e-3, 2.5e-3)
+PIN_XI = np.array([[0.1 + 0.2j, -0.3 + 0.05j], [0.25j, -0.1 - 0.2j]])
+PIN_B = {"a": np.diag([1.0, -1.0]).astype(complex), "b": np.diag([0.5j, -0.5j])}
+PIN_C = {"a": np.diag([0.3, -0.3]).astype(complex), "b": np.diag([-0.1, 0.1]).astype(complex)}
+#: sha256 of the images at PATH_TS and the jets (c, k), in generator order
+PATH_PINS = {
+    "commuting_C":
+        "c3532cc57215279d624843291727e769752626b8686d8fd2aa279d28c7a64b6f",
+    "commuting":
+        "3784af852a9d25dae47d86feb13ad7da0fb6517efe89996ae8b311dac1b459f3",
+    "conjugation":
+        "7b59e1b0b6d1c979ceb16fb4f0ab0025bb3842fe034538a698d2ff6ba6a540f0",
+    "bend_real":
+        "ba3e37b157919e57e95038599f509519f4c1fe17422c3e2eac170fbbddd5c224",
+    "bend_imag":
+        "ad7062688c0a834c307611390cdb7206a72aed0dfab23b43c01cab9a728bb719",
+}
+
+
+def _path_digest(path):
+    digest = hashlib.sha256()
+    gens = path.rep0.generators
+    for t in PATH_TS:
+        images = path.at(t).images
+        for name in gens:
+            digest.update(np.ascontiguousarray(images[name]).tobytes())
+    c, k = path.jets()
+    for name in gens:
+        digest.update(np.ascontiguousarray(c.values[name]).tobytes())
+        digest.update(np.ascontiguousarray(k[name]).tobytes())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("variant", sorted(PATH_PINS))
+def test_path_families_are_pinned(variant, sl2c, torus66, genus2):
+    # every bit of the images and jets, signs of zero included
+    diag = rv.torus_diag_rep(sl2c, torus66, 0.4 + 0.3j, -0.2 + 0.5j)
+    fuchsian = rv.genus2_fuchsian_rep(sl2c, genus2)
+    path = {
+        "commuting_C": lambda: rv.commuting_exp_path(diag, PIN_B, PIN_C),
+        "commuting": lambda: rv.commuting_exp_path(diag, PIN_B),
+        "conjugation": lambda: rv.conjugation_path(diag, PIN_XI),
+        "bend_real": lambda: rv.bending_path(fuchsian, 0.5, imaginary=False),
+        "bend_imag": lambda: rv.bending_path(fuchsian, 0.4, imaginary=True),
+    }[variant]()
+    assert path.at(0.0) is path.rep0
+    assert _path_digest(path) == PATH_PINS[variant]
 
 
 def test_commuting_family_rejects_noncommuting(sl2c, torus66):
