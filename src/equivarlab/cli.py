@@ -5,7 +5,8 @@
 Tasks: flow, energy, hodge, deform1, deform2, variation, psh, critical-scan,
 refine-study.  Exit codes: 0 success, 2 validation failure (a config section
 missing or not an object, a key missing or of a bad value, an unreadable
-mesh file, a deformation with both values and a path family or with second
+or malformed mesh file, a complex matrix entry that is not an [re, im]
+pair, a deformation with both values and a path family or with second
 values next to one, a path family its representation cannot carry; every
 task but refine-study starts from build_problem, which checks the
 relators), 3 harmonic-map solver non-convergence where a converged metric is
@@ -81,6 +82,8 @@ def _as_complex(x):
 
 def _as_matrix(data):
     arr = np.asarray(data, dtype=float)
+    if arr.ndim == 3 and arr.shape[-1] != 2:
+        raise ConfigError(f"complex matrix entries must be [re, im] pairs, got {arr.shape}")
     if arr.ndim == 3:
         return arr[..., 0] + 1j * arr[..., 1]
     return arr.astype(complex)

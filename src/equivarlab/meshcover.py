@@ -42,6 +42,8 @@ def token_is_inverse(tok):
 
 
 def parse_word(text):
+    if not isinstance(text, str):
+        raise TypeError(f"a word is a string of tokens, got {text!r}")
     if not text:
         return ()
     return tuple(text.split())
@@ -173,17 +175,26 @@ class CoverMesh:
         return tuple(word)
 
     def check(self):
-        """Structural invariants: weights, step chains, face words."""
+        """Structural invariants: ranges, weights, step chains, face words."""
         if abs(float(np.sum(self.vertex_weights)) - 1.0) > 1e-9:
             raise ValueError("vertex weights do not sum to 1")
         if np.any(self.vertex_weights <= 0):
             raise ValueError("non-positive vertex weight")
         for e in self.edges:
+            if not (0 <= e.src < self.nv and 0 <= e.dst < self.nv):
+                raise ValueError(f"edge {e.src} -> {e.dst} leaves the {self.nv} vertices")
+            if any(token_base(tok) not in self.generators for tok in e.label):
+                raise ValueError(f"edge label {word_text(e.label)!r} is not a generator word")
             if e.weight <= 0:
                 raise ValueError("non-positive edge weight")
         for f in self.faces:
             if f.weight <= 0:
                 raise ValueError("non-positive face weight")
+            if not f.steps:
+                raise ValueError("face has no steps")
+            for eid, sign in f.steps:
+                if not 0 <= eid < self.ne or sign not in (1, -1):
+                    raise ValueError(f"face step ({eid}, {sign}) is not (edge id, +1 or -1)")
             for (eid, sign), (eid2, sign2) in zip(f.steps, f.steps[1:] + f.steps[:1]):
                 a = self.edges[eid]
                 b = self.edges[eid2]
@@ -319,17 +330,27 @@ def _corner_words():
 _PRIMARY_OF = {q: p for p, q in hyp.PAIR_OF.items()}
 
 
-def _side_of_pair(s):
-    return _PRIMARY_OF.get(s, s)
+def _primary_point(side, t):
+    """(primary side, parameter) of the point at t on `side`: the point at t
+    on a secondary side is the pairing image of the primary point at 1 - t."""
+    if side in _PRIMARY_OF:
+        return _PRIMARY_OF[side], 1.0 - t
+    return side, t
 
 
 class _OctagonComplex:
-    """Geometric octagon triangulation plus quotient bookkeeping."""
+    """Geometric octagon triangulation plus quotient bookkeeping.
+
+    Boundary points live once, in a table keyed by (primary side, t) and
+    seeded with the corners at t = 0 and t = 1.  A new boundary point is the
+    geodesic midpoint of its two parents' table points; on a secondary side
+    the side pairing carries it across."""
 
     def __init__(self, depth):
         self.verts = []          # _DomainVertex records
         self._mid = {}           # unordered vertex pair -> midpoint
-        self._corners = corners = hyp.octagon_corners()
+        self._side_z = {}        # (primary side, t) -> point of that side
+        corners = hyp.octagon_corners()
         # per primary side p: the deck map carrying side p onto its pair
         maps = hyp.side_pairings()
         self._pair_map = {}
@@ -337,10 +358,13 @@ class _OctagonComplex:
             name = hyp.SIDE_LABELS[p]
             g = maps[name]
             self._pair_map[p] = np.linalg.inv(g) if name.startswith("a") else g
+            self._side_z[p, 0.0] = corners[p]
+            self._side_z[p, 1.0] = corners[(p + 1) % 8]
         self.corner_ids = [self._add(_DomainVertex(z, "corner", k, 0.0))
                            for k, z in enumerate(corners)]
         center = self._add(_DomainVertex(0j, "interior", -1, 0.0))
-        mids = [self._interp_side(k, 0.5) for k in range(8)]
+        mids = [self._midpoint(self.corner_ids[k], self.corner_ids[(k + 1) % 8])
+                for k in range(8)]
         tris = []
         for k in range(8):
             tris.append((center, self.corner_ids[k], mids[k]))
@@ -354,71 +378,45 @@ class _OctagonComplex:
         self.verts.append(v)
         return len(self.verts) - 1
 
-    def _interp_side(self, side, t):
-        """Boundary point of side `side` at dyadic parameter t.
-
-        Secondary-side points are constructed as deck images of the primary
-        ones, so paired parameters match exactly."""
-        p = _side_of_pair(side)
-        corners = self._corners
-        if side == p:
-            z = self._dyadic_geodesic_point(corners[side], corners[(side + 1) % 8], t)
-        else:
-            zp = self._dyadic_geodesic_point(corners[p], corners[(p + 1) % 8], 1.0 - t)
-            z = hyp.mobius_apply(self._pair_map[p], zp)
-        return self._add(_DomainVertex(z, "boundary", side, t))
-
-    @staticmethod
-    def _dyadic_geodesic_point(a, b, t):
-        # repeated geodesic bisection; t must be dyadic
-        lo, hi = 0.0, 1.0
-        za, zb = a, b
-        while True:
-            if t == lo:
-                return za
-            if t == hi:
-                return zb
-            mid = 0.5 * (lo + hi)
-            zm = hyp.geodesic_midpoint(za, zb)
-            if t <= mid:
-                hi, zb = mid, zm
-            else:
-                lo, za = mid, zm
-            if hi - lo < 1e-12:
-                return zm
-
     # -- subdivision ----------------------------------------------------
-    def _shared_side(self, i, j):
-        a, b = self.verts[i], self.verts[j]
-
-        def sides_of(v):
+    def boundary_edge(self, i, j):
+        """(side, t_i, t_j) of the domain edge i-j if it lies on the octagon
+        boundary, else None.  Corner k is side k at t = 0 and side k - 1 at
+        t = 1."""
+        def on_sides(v):
             if v.kind == "corner":
-                return {v.side, (v.side - 1) % 8}
-            if v.kind == "boundary":
-                return {v.side}
-            return set()
+                return {v.side: 0.0, (v.side - 1) % 8: 1.0}
+            return {v.side: v.t} if v.kind == "boundary" else {}
 
-        common = sides_of(a) & sides_of(b)
-        return common.pop() if common else None
-
-    def _t_on_side(self, i, side):
-        v = self.verts[i]
-        if v.kind == "corner":
-            return 0.0 if v.side == side else 1.0
-        return v.t
+        a, b = on_sides(self.verts[i]), on_sides(self.verts[j])
+        common = a.keys() & b.keys()
+        if not common:
+            return None
+        side = common.pop()
+        return side, a[side], b[side]
 
     def _midpoint(self, i, j):
         """Midpoint of the domain edge i-j, made once per edge: the two
         triangles on an interior edge share it."""
         key = (min(i, j), max(i, j))
         if key not in self._mid:
-            side = self._shared_side(i, j)
-            if side is not None:
-                t = 0.5 * (self._t_on_side(i, side) + self._t_on_side(j, side))
-                self._mid[key] = self._interp_side(side, t)
-            else:
+            edge = self.boundary_edge(i, j)
+            if edge is None:
                 z = hyp.geodesic_midpoint(self.verts[i].z, self.verts[j].z)
-                self._mid[key] = self._add(_DomainVertex(z, "interior", -1, 0.0))
+                v = _DomainVertex(z, "interior", -1, 0.0)
+            else:
+                side, ti, tj = edge
+                t = 0.5 * (ti + tj)
+                p, tp = _primary_point(side, t)
+                if (p, tp) not in self._side_z:
+                    self._side_z[p, tp] = hyp.geodesic_midpoint(
+                        self._side_z[_primary_point(side, ti)],
+                        self._side_z[_primary_point(side, tj)])
+                z = self._side_z[p, tp]
+                if p != side:
+                    z = hyp.mobius_apply(self._pair_map[p], z)
+                v = _DomainVertex(z, "boundary", side, t)
+            self._mid[key] = self._add(v)
         return self._mid[key]
 
     def _subdivide(self, tris):
@@ -437,9 +435,7 @@ class _OctagonComplex:
         if v.kind == "corner":
             return ("corner",)
         if v.kind == "boundary":
-            p = _side_of_pair(v.side)
-            t = v.t if v.side == p else 1.0 - v.t
-            return ("boundary", p, t)
+            return ("boundary",) + _primary_point(v.side, v.t)
         return ("interior", i)
 
     def delta_word(self, i, corner_words):
@@ -447,8 +443,8 @@ class _OctagonComplex:
         v = self.verts[i]
         if v.kind == "corner":
             return corner_words[v.side]
-        if v.kind == "boundary" and v.side != _side_of_pair(v.side):
-            return hyp.secondary_point_word(_side_of_pair(v.side))
+        if v.kind == "boundary" and v.side in _PRIMARY_OF:
+            return hyp.secondary_point_word(_PRIMARY_OF[v.side])
         return ()
 
 
@@ -461,7 +457,8 @@ def build_genus2(k=1):
     deck word delta(i)^-1 delta(j).  No domain edge joins two vertices of
     one class, so a step i -> j crosses its edge with sign +1 exactly when
     the edge's source class is qv[i].  Subdivision makes the midpoint of a
-    domain edge once, keyed by its vertex pair.
+    domain edge once, keyed by its vertex pair; a boundary midpoint is made
+    from its two parents' points on the primary side.
 
     Vertex and edge weights come from hyperbolic triangle areas and edge
     lengths (length-squared weights), normalized to total measure 1.
@@ -477,15 +474,12 @@ def build_genus2(k=1):
 
     # identified boundary edges share a key
     def edge_key(i, j):
-        side = octo._shared_side(i, j)
-        if side is not None:
-            p = _side_of_pair(side)
-            ti = octo._t_on_side(i, side)
-            tj = octo._t_on_side(j, side)
-            if side != p:
-                ti, tj = 1.0 - ti, 1.0 - tj
-            return ("boundary", p, min(ti, tj), max(ti, tj))
-        return ("interior", min(i, j), max(i, j))
+        edge = octo.boundary_edge(i, j)
+        if edge is None:
+            return ("interior", min(i, j), max(i, j))
+        side, ti, tj = edge
+        (p, ti), (_, tj) = _primary_point(side, ti), _primary_point(side, tj)
+        return ("boundary", p, min(ti, tj), max(ti, tj))
 
     edge_ids = {}
     edges = []                   # [src, dst, label, area, length]

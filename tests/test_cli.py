@@ -9,6 +9,7 @@ import pytest
 from equivarlab import cli
 from equivarlab import twistedhodge as th
 from equivarlab.twistedhodge import TwistedCochain, TwistedComplex
+from test_meshcover import MESH_CORRUPTIONS, MESH_CORRUPTION_IDS, corrupted_mesh_json
 
 #: reports of the ok and obstructed runs, keyed by a hash of (task, cfg, extra)
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -104,6 +105,19 @@ def test_malformed_mesh_exit_two(tmp_path):
     cfg = dict(PARABOLIC_CFG, mesh={"kind": "json", "path": str(bad)})
     code, report, _ = run_cli(tmp_path, "flow", cfg)
     assert code == cli.EXIT_VALIDATION
+
+
+@pytest.mark.parametrize("mesh_name, path, value, error", MESH_CORRUPTIONS,
+                         ids=MESH_CORRUPTION_IDS)
+def test_corrupted_mesh_json_exit_two(tmp_path, mesh_name, path, value, error):
+    # CoverMesh.check refuses each corruption before the flow reads it
+    bad = tmp_path / "bad_mesh.json"
+    bad.write_text(corrupted_mesh_json(mesh_name, path, value))
+    cfg = dict(OBSTRUCTED_CFG, mesh={"kind": "json", "path": str(bad)})
+    code, report, _ = run_cli(tmp_path, "flow", cfg)
+    assert code == cli.EXIT_VALIDATION
+    assert report["status"] == "validation-error"
+    assert error in report["error"]
 
 
 @pytest.mark.parametrize("task", ["flow", "energy", "hodge", "deform1", "deform2",
@@ -412,6 +426,26 @@ def test_second_values_next_to_a_path_family_exit_two(tmp_path, task):
     assert code == cli.EXIT_VALIDATION
     assert report["status"] == "validation-error"
     assert "'second'" in report["error"]
+
+
+@pytest.mark.parametrize("task, section, value", [
+    ("deform1", "deformation",
+     {"values": {"a": [[[1], [0]], [[0], [-1]]], "b": [[0, 0], [0, 0]]}}),
+    ("deform1", "deformation",
+     {"values": {"a": [[[1, 0, 5], [0, 0, 5]], [[0, 0, 5], [-1, 0, 5]]],
+                 "b": [[0, 0], [0, 0]]}}),
+    ("flow", "representation",
+     {"inline": {"images": {"a": [[[2], [0]], [[0], [0.5]]],
+                            "b": [[1, 0], [0, 1]]}}})],
+    ids=["one-number", "three-numbers", "inline-images"])
+def test_complex_matrix_entries_are_pairs(tmp_path, task, section, value):
+    # a complex matrix entry is an [re, im] pair: one number crashed the
+    # reader, and a third number was dropped without a word
+    cfg = dict(DIAG_DEFORM_CFG, **{section: value})
+    code, report, _ = run_cli(tmp_path, task, cfg)
+    assert code == cli.EXIT_VALIDATION
+    assert report["status"] == "validation-error"
+    assert "[re, im] pairs" in report["error"]
 
 
 def test_commuting_path_missing_a_generator_exit_two(tmp_path):

@@ -1,14 +1,20 @@
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from equivarlab import energyvar as ev
 from equivarlab import harmonicflow as hf
 from equivarlab import meshcover as mc
 from equivarlab import repvar as rv
-from equivarlab.liealg import cartan_project
+from equivarlab.deform import solve_psi
+from equivarlab.liealg import MatrixGroup, cartan_project
+from equivarlab.symspace import act
 from equivarlab.twistedhodge import TwistedComplex
 from test_twistedhodge import diag_cocycle, offdiag_cocycle
-from conftest import random_cochain
+from conftest import (ALPHA, BETA, converged, edge_conditioning, random_cochain,
+                      rounding_bound)
 import reference as ref
 
 
@@ -258,3 +264,53 @@ def test_fd_matches_f0_started_reference(request, name):
     for got, exp in ((fd.first, want.first), (fd.second, want.second)):
         assert abs(got - exp) <= 1e-8 * max(1.0, abs(exp)), (got, exp)
     assert [row["h"] for row in fd.table] == list(ev.FD_STEPS)
+
+
+# ----------------------------------------------------------------------
+# conjugation invariance of the variations
+
+
+@functools.lru_cache(maxsize=None)
+def _variation_case(name):
+    """(harmonic complex, path jets (c, k)): torus 4 torus_diag SL(2,C)
+    along a commuting path, or genus-2 k = 1 Fuchsian SL(2,C) along a
+    bending path."""
+    group = MatrixGroup("sl", 2, "C")
+    if name == "torus":
+        mesh = mc.build_torus(4, 4)
+        rep = rv.torus_diag_rep(group, mesh, ALPHA, BETA)
+        path = rv.commuting_exp_path(rep, TORUS6_B, TORUS6_C)
+    else:
+        mesh = mc.build_genus2(1)
+        rep = rv.genus2_fuchsian_rep(group, mesh)
+        path = rv.bending_path(rep, 0.5)
+    return converged(mesh, rep), path.jets()
+
+
+@pytest.mark.parametrize("name", ["torus", "genus2"])
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), scale=st.floats(0.05, 0.6))
+def test_variations_conjugation_invariant(name, seed, scale):
+    # (h.f, h rho h^-1, Ad_h c, Ad_h k) has the first and second variation of
+    # (f, rho, c, k); the jets are conjugated directly, because bending_path
+    # renormalizes its axis
+    ctx, (c, k) = _variation_case(name)
+    h = ctx.group.exp(ctx.group.random_alg(np.random.default_rng(seed), scale))
+    hinv = np.linalg.inv(h)
+    rep_h = ctx.rep.conjugate(h)
+    maps = [hf.EquivariantMap(ctx.mesh, ctx.rep, ctx.points),
+            hf.EquivariantMap(ctx.mesh, rep_h, act(h, ctx.points))]
+    # TwistedComplex.primitive refuses a period defect above a fixed 1e-7,
+    # which rounding alone passes once eps kappa nears it (genus 2, seed 26,
+    # scale 0.6: defect 2.3e-6 at eps kappa = 3.4e-5); until that bound
+    # follows the conditioning, such draws are skipped
+    assume(np.finfo(float).eps * edge_conditioning(maps) <= 1e-7)
+    ctx_h = TwistedComplex(ctx.mesh, rep_h, maps[1])
+    c_h = rv.Cocycle(rep_h, {g: h @ v @ hinv for g, v in c.values.items()})
+    k_h = {g: h @ v @ hinv for g, v in k.items()}
+    sol, sol_h = solve_psi(ctx, c, k), solve_psi(ctx_h, c_h, k_h)
+    for var, var_h in (
+            (ev.first_variation(ctx, sol.omega), ev.first_variation(ctx_h, sol_h.omega)),
+            (ev.second_variation(ctx, sol.psi, sol.omega),
+             ev.second_variation(ctx_h, sol_h.psi, sol_h.omega))):
+        assert abs(var_h - var) <= rounding_bound(maps, abs(var))

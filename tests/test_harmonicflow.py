@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from equivarlab import harmonicflow as hf
 from equivarlab import hyperbolic as hyp
@@ -14,6 +14,7 @@ from equivarlab import repvar as rv
 from equivarlab import symspace as ss
 from equivarlab.liealg import MatrixGroup, adjoint_at
 from equivarlab.symspace import act, dist, exp_point, geodesic
+from conftest import rounding_bound
 import reference as ref
 
 
@@ -757,6 +758,7 @@ def test_map_eval_matches_per_edge_loop(mesh_name, group_key, seed, scale,
 @pytest.mark.parametrize("group_key", [("sl", 2, "C"), ("sl", 3, "R")])
 @settings(max_examples=15, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), scale=st.floats(0.05, 0.6))
+@example(seed=755, scale=0.5625)
 def test_energy_and_tension_conjugation_invariant(mesh_name, group_key, seed, scale):
     # h acts by the isometry P -> h P h^† and carries rho-equivariant maps to
     # h rho h^-1-equivariant ones, so E and the tension norm of (h.f, h.rho)
@@ -776,5 +778,14 @@ def test_energy_and_tension_conjugation_invariant(mesh_name, group_key, seed, sc
     h = group.exp(group.random_alg(rng, scale))
     g = hf.EquivariantMap(mesh, rep.conjugate(h), act(h, f.points))
     E = hf.energy(f)
-    assert abs(hf.energy(g) - E) <= 1e-10 * max(1.0, E)
-    assert abs(hf.tension_norm(g) - hf.tension_norm(f)) <= 1e-10 * max(1.0, E)
+    # the bound follows the draw's conditioning (rounding_bound derives it):
+    # a bound of 1e-10 E failed at the example seed 755, scale 0.5625 on the
+    # torus (|dE| = 1.8e-7, E = 335, cond rho(a) = 6.4e3)
+    bound = rounding_bound([f, g], E)
+    assert abs(hf.energy(g) - E) <= bound
+    assert abs(hf.tension_norm(g) - hf.tension_norm(f)) <= bound
+    # h applied to the map but not to one generator's image is no conjugation
+    images = dict(g.rep.images, **{mesh.generators[0]: rep.images[mesh.generators[0]]})
+    broken = hf.EquivariantMap(mesh, rv.Representation.for_mesh(group, mesh, images),
+                               g.points)
+    assert abs(hf.energy(broken) - E) > bound

@@ -1,8 +1,10 @@
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from equivarlab import meshcover as mc
 from equivarlab import repvar as rv
@@ -68,6 +70,10 @@ def test_genus2_structure(k):
      "0x1.921fb54442d14p+3"),
     (3, "ba4ed6962f274fb22d823d1c1ea239ecee6b696829232989cd9fe4e80403e61d",
      "0x1.921fb54442d12p+3"),
+    (4, "8bddeaa632a7165162a9f7b7f4c997018115fb94b741ee1ebcb751d40fe8bcf4",
+     "0x1.921fb54442d19p+3"),
+    (5, "9fe54594ea4136e267534b8cda628e582e207ba2481fad5bdef9049e93842ca5",
+     "0x1.921fb54442cfbp+3"),
 ])
 def test_genus2_mesh_is_pinned(k, digest, area_hex):
     # every genus-2 report, golden and bench figure reads these meshes; a
@@ -123,6 +129,54 @@ def test_mesh_json_roundtrip(genus2):
     mesh.check()
     assert mesh.nv == genus2.nv and mesh.ne == genus2.ne and mesh.nf == genus2.nf
     assert mesh.to_json() == text
+
+
+@settings(max_examples=20, deadline=None)
+@given(kind=st.sampled_from(["circle", "torus", "genus2"]), n=st.integers(3, 9),
+       m=st.integers(3, 9), k=st.integers(1, 3))
+def test_builder_mesh_json_round_trip(kind, n, m, k):
+    # every builder mesh passes check() and reads back to the same JSON
+    mesh = {"circle": lambda: mc.build_circle(n),
+            "torus": lambda: mc.build_torus(n, m),
+            "genus2": lambda: mc.build_genus2(k)}[kind]()
+    assert mesh.check()
+    text = mesh.to_json()
+    assert mc.CoverMesh.from_json(text).to_json() == text
+
+
+#: (mesh, JSON path, value, error): one corrupted entry of the torus 3x3 or
+#: circle 4 mesh, and the words of the ValueError that refuses it.  Each got
+#: past from_json's checks once, into a traceback, scipy's message or a
+#: silent misread (a sign-0 step is the padding of the stacked face walks)
+MESH_CORRUPTIONS = [
+    ("torus", ("faces", 0, "steps", 0, 0), 99, "face step (99, 1)"),
+    ("torus", ("faces", 0, "steps", 2, 1), 0, "face step (3, 0)"),
+    ("torus", ("faces", 0, "steps"), [], "face has no steps"),
+    ("torus", ("edges", 0, "label"), 5, "a word is a string"),
+    ("circle", ("edges", 0, "label"), "z", "edge label 'z' is not a generator word"),
+    ("circle", ("edges", 0, "dst"), 99, "edge 0 -> 99 leaves the 4 vertices"),
+    ("circle", ("edges", 0, "dst"), -1, "edge 0 -> -1 leaves the 4 vertices"),
+]
+MESH_CORRUPTION_IDS = ["step-edge-id", "step-sign", "empty-face",
+                       "label-not-a-string", "label-not-a-generator", "dst-too-large",
+                       "dst-negative"]
+
+
+def corrupted_mesh_json(mesh_name, path, value):
+    mesh = mc.build_torus(3, 3) if mesh_name == "torus" else mc.build_circle(4)
+    data = json.loads(mesh.to_json())
+    node = data
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return json.dumps(data)
+
+
+@pytest.mark.parametrize("mesh_name, path, value, error", MESH_CORRUPTIONS,
+                         ids=MESH_CORRUPTION_IDS)
+def test_mesh_json_corruption_refused(mesh_name, path, value, error):
+    with pytest.raises(ValueError, match=re.escape(error)):
+        mc.CoverMesh.from_json(corrupted_mesh_json(mesh_name, path, value))
 
 
 def test_mesh_json_malformed():
