@@ -7,12 +7,13 @@ refine-study.  Exit codes: 0 success, 2 validation failure (a config section
 missing or not an object, a key missing or of a bad value, an unreadable
 or malformed mesh file, a complex matrix entry that is not an [re, im]
 pair, a deformation with both values and a path family or with second
-values next to one, a path family its representation cannot carry; every
-task but refine-study starts from build_problem, which checks the
-relators), 3 harmonic-map solver non-convergence where a converged metric is
-required (every solve reads the flow section through _flow_args), 4
-obstructed second-order deformation request.  Complex matrices and numbers
-are read and written as [re, im] pairs.
+values next to one, a path family its representation cannot carry, a real
+group given complex images, refine-study levels that do not strictly
+increase; every task but refine-study starts from build_problem, which
+checks the relators), 3 harmonic-map solver non-convergence where a
+converged metric is required (every solve reads the flow section through
+_flow_args), 4 obstructed second-order deformation request.  Complex
+matrices and numbers are read and written as [re, im] pairs.
 """
 
 from __future__ import annotations
@@ -312,7 +313,7 @@ def task_hodge(cfg, out_dir):
     rng = np.random.default_rng(cfg["seed"])
     F = TwistedCochain(0, np.stack([group.random_alg(rng) for _ in range(mesh.nv)]))
     alpha = TwistedCochain(1, np.stack([group.random_alg(rng) for _ in range(mesh.ne)]))
-    dd = ctx.norm(ctx.d(ctx.d(F)), 2) if mesh.nf else 0.0
+    dd = ctx.norm(ctx.d(ctx.d(F)), 2)
     adj = abs(ctx.inner(ctx.d(F), alpha, 1) - ctx.inner(F, ctx.codiff(alpha), 0))
     ex, coex, harm = ctx.hodge_decompose(alpha)
     recon = ctx.norm(TwistedCochain(1, ex.values + coex.values + harm.values
@@ -327,7 +328,7 @@ def task_hodge(cfg, out_dir):
         "hodge_reconstruction": recon,
         # harm = alpha - ex - coex by construction, so recon is zero up to
         # rounding whatever coex is; these check harm independently
-        "harmonic_d": ctx.norm(ctx.d(harm), 2) if mesh.nf else 0.0,
+        "harmonic_d": ctx.norm(ctx.d(harm), 2),
         "harmonic_codiff": ctx.norm(ctx.codiff(harm), 0),
         "kernel_dim": ctx.kernel_dim,
         "jacobi_min_eigenvalue": float(spec.min()),
@@ -390,21 +391,22 @@ def task_critical_scan(cfg, out_dir):
     return {"flow": rpt.to_dict(), "scan": scan.to_dict()}
 
 
-#: refine-study values below this fraction of the study's scale (the exact
-#: energy for circle_energy, 1 otherwise) sit at the float floor
+#: refine-study values at or below this fraction of the study's scale (the
+#: exact energy for circle_energy, 1 otherwise) sit at the float floor
 FLOOR_REL = 1e-12
 
 
 def task_refine_study(cfg, out_dir):
     """Values of one discretization error over mesh levels and the slope of
-    log value against log h.  When a value is below FLOOR_REL times the
+    log value against log h.  When a value is at most FLOOR_REL times the
     study's scale, no slope is fitted: fitted_slope is null and the report
     gains floor_limited = true."""
     spec = _optional(cfg, "refine")
     kind = spec.get("kind", "torus_mc")
     levels = _value(spec, "levels", [4, 8, 16], lambda xs: [int(x) for x in xs])
-    if len(levels) < 3:
-        raise ConfigError("refine-study needs at least 3 levels")
+    if len(levels) < 3 or any(a >= b for a, b in zip(levels, levels[1:])):
+        raise ConfigError(f"config key 'levels' needs at least 3 strictly "
+                          f"increasing mesh levels, got {levels}")
     group = build_group(_section(cfg, "group"))
     rows = []
     values = []
@@ -425,7 +427,8 @@ def task_refine_study(cfg, out_dir):
             values.append(val)
     elif kind == "circle_energy":
         lam = _value(spec, "lam", 2.0, float)
-        exact = 4.0 * np.log(lam) ** 2
+        # -g acts on the symmetric space as g does, so the sign of lam drops
+        exact = 4.0 * np.log(abs(lam)) ** 2
         scale = exact
         for n in levels:
             mesh = mc.build_circle(n)
@@ -458,13 +461,9 @@ def task_refine_study(cfg, out_dir):
     write_csv(out_dir, "refine_study.csv", ["level", "h", "quantity", "value"], rows)
     vals = np.asarray(values)
     hs = 1.0 / np.asarray(levels, dtype=float)
-    floor_limited = bool(np.any(vals < FLOOR_REL * scale))
-    if floor_limited:
-        slope = None    # a slope through rounding noise measures nothing
-    elif np.all(vals > 0):
-        slope = float(np.polyfit(np.log(hs), np.log(vals), 1)[0])
-    else:
-        slope = float("nan")
+    floor_limited = bool(np.any(vals <= FLOOR_REL * scale))
+    # a slope through rounding noise (or through exact zeros) measures nothing
+    slope = None if floor_limited else float(np.polyfit(np.log(hs), np.log(vals), 1)[0])
     monotone = bool(np.all(np.diff(vals) < 0))
     out = {"kind": kind, "levels": levels, "values": values,
            "fitted_slope": slope, "monotone_decreasing": monotone}

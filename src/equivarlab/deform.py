@@ -95,6 +95,27 @@ def _transport(ctx, vals):
     return ctx.kern.g @ vals[ctx.kern.dst] @ ctx.kern.ginv
 
 
+def _jet_transport(cw, kw, A, B):
+    """(F, F2) carried across edges by the jet (c(w_e), k(w_e)): (A + c,
+    B + [c, A] + k), with A, B the transports of F, F2 at the edge targets."""
+    return A + cw, B + (cw @ A - A @ cw) + kw
+
+
+def _omega_residuals(ctx, omega):
+    """Norms of d omega and d* omega, which vanish for a harmonic omega."""
+    return {"d_omega": ctx.norm(ctx.d(omega), 2),
+            "dstar_omega": ctx.norm(ctx.codiff(omega), 0)}
+
+
+def _psi_residuals(ctx, psi, omega, contraction):
+    """Norms of d psi + [omega, omega] and d* psi + contraction, with the
+    contraction omega* -| omega; both vanish when psi solves its equations."""
+    return {"d_psi_plus_wedge": ctx.norm(TwistedCochain(
+                2, ctx.d(psi).values + ctx.bracket_wedge(omega, omega).values), 2),
+            "dstar_psi_plus_contract": ctx.norm(
+                TwistedCochain(0, ctx.codiff(psi).values + contraction.values), 0)}
+
+
 def first_order(ctx, c):
     """Harmonic first-order deformation data for the cocycle c."""
     seed = ctx.seed_cochain(c)
@@ -103,8 +124,7 @@ def first_order(ctx, c):
     _, v = cartan_project(ctx.points, F.values)
     residuals = {
         "equivariance": defect,
-        "d_omega": ctx.norm(ctx.d(omega), 2) if ctx.mesh.nf else 0.0,
-        "dstar_omega": ctx.norm(ctx.codiff(omega), 0),
+        **_omega_residuals(ctx, omega),
         # J F = d* (omega - seed(c)) = -d* seed(c), through the primitive
         "jacobi_F": ctx.norm(TwistedCochain(0, ctx.jacobi(F).values + ctx.codiff(
             seed).values), 0),
@@ -170,17 +190,8 @@ def solve_psi(ctx, c, k, *, rel_tol=1e-7, require_unobstructed=True):
     d_eta = ctx.d(eta)
     psi = TwistedCochain(1, psi0.values + d_eta.values)
     omega2 = TwistedCochain(1, omega2_0.values + d_eta.values)
-
-    wedge = ctx.bracket_wedge(omega, omega)
-    res_closed = ctx.norm(TwistedCochain(2, ctx.d(psi).values + wedge.values), 2) \
-        if ctx.mesh.nf else 0.0
-    res_coclosed = ctx.norm(
-        TwistedCochain(0, ctx.codiff(psi).values + contr.values), 0)
-    residuals = {
-        "d_psi_plus_wedge": res_closed,
-        "dstar_psi_plus_contract": res_coclosed,
-        "equivariance_F0": equiv_defect,
-    }
+    residuals = {**_psi_residuals(ctx, psi, omega, contr),
+                 "equivariance_F0": equiv_defect}
     return PsiSolution(omega, F0, omega2, psi, obstruction, edge_jets,
                        residuals)
 
@@ -222,14 +233,12 @@ def _w_equivariance_residual(ctx, cw, kw, adF, F2, w_beta):
     # metric at the far lift
     Q = g @ ctx.points[ctx.kern.dst[lab]] @ np.conj(np.swapaxes(g, -1, -2))
     A = adF[lab]
-    B = _transport(ctx, F2.values)[lab]
     ck, cp = cartan_project(Q, cw)
     _, Ap = cartan_project(Q, A)
     _, kp = cartan_project(Q, kw)
     lhs = _transport(ctx, w_beta)[lab] + kp \
         + 2.0 * (ck @ Ap - Ap @ ck) + (ck @ cp - cp @ ck)
-    Ft = A + cw
-    F2t = B + (cw @ A - A @ cw) + kw
+    Ft, F2t = _jet_transport(cw, kw, A, _transport(ctx, F2.values)[lab])
     Ftk, Ftp = cartan_project(Q, Ft)
     _, F2tp = cartan_project(Q, F2t)
     rhs = F2tp + (Ftk @ Ftp - Ftp @ Ftk)
@@ -267,24 +276,15 @@ def validate_pair(ctx, c, k, F, F2, psi_expected=None):
     and equivariance equations.
     """
     Fv, F2v = _vals(F), _vals(F2)
-    cw, kw = _edge_jets(ctx, c, k)
-    A = _transport(ctx, Fv)
-    B = _transport(ctx, F2v)
+    Ft, F2t = _jet_transport(*_edge_jets(ctx, c, k),
+                             _transport(ctx, Fv), _transport(ctx, F2v))
     src = ctx.kern.src
-    omega = A + cw - Fv[src]
-    omega2 = B + (cw @ A - A @ cw) + kw - F2v[src]
-    om = TwistedCochain(1, omega)
-    # psi = omega2 - [F, omega] = omega2 + [omega, F]
-    psi = TwistedCochain(1, omega2 + ctx.bracket_section(om, TwistedCochain(0, Fv)).values)
-    res = {
-        "d_omega": ctx.norm(ctx.d(om), 2) if ctx.mesh.nf else 0.0,
-        "dstar_omega": ctx.norm(ctx.codiff(om), 0),
-        "dstar_psi_plus_contract": ctx.norm(TwistedCochain(
-            0, ctx.codiff(psi).values + ctx.contract_star(om, om).values), 0),
-        "d_psi_plus_wedge": ctx.norm(TwistedCochain(
-            2, ctx.d(psi).values + ctx.bracket_wedge(om, om).values), 2)
-        if ctx.mesh.nf else 0.0,
-    }
+    om = TwistedCochain(1, Ft - Fv[src])
+    # psi = omega2 - [F, omega] = omega2 + [omega, F], omega2 = F2t - F2(src)
+    psi = TwistedCochain(1, F2t - F2v[src]
+                         + ctx.bracket_section(om, TwistedCochain(0, Fv)).values)
+    res = {**_omega_residuals(ctx, om),
+           **_psi_residuals(ctx, psi, om, ctx.contract_star(om, om))}
     if psi_expected is not None:
         res["psi_match"] = float(np.abs(psi.values - _vals(psi_expected)).max())
     return res, om, psi

@@ -176,18 +176,12 @@ def fd_energy_derivatives(path, mesh, *, tol=1e-10, f0=None):
         energies[t] = rpt.energy
         logs.append((t, ss.mc_edge(f0.points, f_t.points)))
 
-    table = []
-    firsts, seconds = [], []
-    for h in FD_STEPS:
-        ep, em = energies[h], energies[-h]
-        d1 = (ep - em) / (2.0 * h)
-        d2 = (ep - 2.0 * E0 + em) / (h * h)
-        firsts.append(d1)
-        seconds.append(d2)
-        table.append({"h": h, "first": d1, "second": d2})
+    table = [{"h": h, "first": (energies[h] - energies[-h]) / (2.0 * h),
+              "second": (energies[h] - 2.0 * E0 + energies[-h]) / (h * h)}
+             for h in FD_STEPS]
     # Richardson on the last pair (central differences are O(h^2))
-    first = (4.0 * firsts[-1] - firsts[-2]) / 3.0
-    second = (4.0 * seconds[-1] - seconds[-2]) / 3.0
+    coarse, fine = table[-2:]
+    first, second = ((4.0 * fine[key] - coarse[key]) / 3.0 for key in ("first", "second"))
     return FDReport(first, second, table)
 
 

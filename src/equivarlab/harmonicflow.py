@@ -331,9 +331,10 @@ def flow(rep, f0, *, tol=1e-8, max_iter=20000, drift_radius=50.0):
 
 def _descend(kern, pts, step, report, *, tol, max_iter, drift_radius):
     """The loop of both phases; (points, report).  It stops once the tension
-    is below tol or the basepoint is outside the drift radius, where the run
-    is neither converged nor suspected reductive; else step(ev) gives the
-    next MapEval, or None when its search fails."""
+    is below tol or the basepoint is outside the drift radius.  A run that
+    stops outside, or at a map with a vertex eigenvalue at the eigenvalue
+    floor, is neither converged nor suspected reductive.  Until it stops,
+    step(ev) gives the next MapEval, or None when its search fails."""
     ev = MapEval(kern, pts)
     report.energy_history.append(ev.energy)
     for it in range(1, max_iter + 1):
@@ -344,7 +345,8 @@ def _descend(kern, pts, step, report, *, tol, max_iter, drift_radius):
             report.energy_history.append(ev.energy)
             report.drift_history.append(drift)
         if math.sqrt(ev.tension_sq) < tol or drift > drift_radius:
-            report.converged = report.reductive_suspected = bool(drift <= drift_radius)
+            inside = drift <= drift_radius and ev.w.min() > ss._EIG_FLOOR
+            report.converged = report.reductive_suspected = bool(inside)
             break
         nxt = step(ev)
         if nxt is None:

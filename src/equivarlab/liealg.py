@@ -81,7 +81,7 @@ class MatrixGroup:
     def to_coords(self, X):
         """Real coordinates of X (leading axes broadcast over a stack)."""
         X = np.asarray(X, dtype=complex)
-        flat = X.reshape(X.shape[:-2] + (-1,))
+        flat = X.reshape(X.shape[:-2] + (self.n * self.n,))
         # <X, B_k>_I = Re tr(X B_k^†) = Re sum_ij X_ij conj(B_k)_ij
         return np.real(flat @ np.conj(self._basis_flat).T)
 
@@ -111,6 +111,8 @@ class MatrixGroup:
             raise ValueError(f"determinant {d} not 1 for SL element")
         if abs(d) < 1e-12:
             raise ValueError("singular matrix is not a group element")
+        if self.field == "R" and np.abs(np.imag(g)).max() > tol:
+            raise ValueError("SL(n,R) element has imaginary part")
 
     def identity(self):
         return np.eye(self.n, dtype=complex)

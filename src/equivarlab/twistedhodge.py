@@ -365,6 +365,12 @@ class TwistedComplex:
             self.to_flat(_vals(rhs))))
         return TwistedCochain(0, self.from_flat(x, self.mesh.nv))
 
+    def _exact(self, a):
+        """Exact part of the flat 1-cochain a: the kernel-deflated x with
+        A0 x = d0^T G1 a, and d0 x, its G1-orthogonal projection onto im d0."""
+        x = self.solve_deflated(self.d0.T @ (self.G1 @ a))
+        return x, self.d0 @ x
+
     # -- cocycle seeding and harmonic representatives -----------------------
     def seed_cochain(self, c):
         """Closed 1-cochain with edge values c(word_e); represents {c}.  A
@@ -380,13 +386,10 @@ class TwistedComplex:
 
         Returns (omega, xi) with omega = seed - d xi and d* omega = 0.
         """
-        omega0 = self.seed_cochain(c)
-        rhs = self.d0.T @ (self.G1 @ self.to_flat(omega0.values))
-        x = self.solve_deflated(rhs)
-        om = self.to_flat(omega0.values) - self.d0 @ x
-        omega = TwistedCochain(1, self.from_flat(om, self.mesh.ne))
-        xi = TwistedCochain(0, self.from_flat(x, self.mesh.nv))
-        return omega, xi
+        a = self.to_flat(self.seed_cochain(c).values)
+        x, exact = self._exact(a)
+        return (TwistedCochain(1, self.from_flat(a - exact, self.mesh.ne)),
+                TwistedCochain(0, self.from_flat(x, self.mesh.nv)))
 
     def primitive(self, omega, c):
         """Section F with dF = omega - seed(c), i.e. a c-equivariant primitive
@@ -403,8 +406,8 @@ class TwistedComplex:
     def _primitive_flat(self, target):
         """Kernel-deflated least-squares section F with dF ~ target (a flat
         1-cochain), and the G1 norm of the defect dF - target."""
-        x = self.solve_deflated(self.d0.T @ (self.G1 @ target))
-        resid = self.d0 @ x - target
+        x, exact = self._exact(target)
+        resid = exact - target
         defect = float(np.sqrt(max(resid @ (self.G1 @ resid), 0.0)))
         return TwistedCochain(0, self.from_flat(x, self.mesh.nv)), defect
 
@@ -412,8 +415,7 @@ class TwistedComplex:
     def hodge_decompose(self, alpha):
         """alpha = d xi + d* Phi + harmonic, mutually Gram-orthogonal."""
         a = self.to_flat(_vals(alpha))
-        xi = self.solve_deflated(self.d0.T @ (self.G1 @ a))
-        exact = self.d0 @ xi
+        _, exact = self._exact(a)
         rem = a - exact
         if self.mesh.nf:
             # Psi minimizes || G1^{-1} d1^T Psi - rem ||_{G1}: A2 Psi = d1 rem

@@ -271,6 +271,60 @@ def test_hodge_task(tmp_path):
     assert (out / "jacobi_spectrum.csv").exists()
 
 
+CIRCLE_CFG = {
+    "mesh": {"kind": "circle", "n": 8},
+    "group": {"kind": "sl", "n": 2, "field": "C"},
+    "representation": {"family": "circle_hyperbolic"},
+}
+
+
+def test_hodge_task_without_faces(tmp_path):
+    # a circle has no faces: d of a 1-cochain is an empty 2-cochain of norm
+    # 0.0, and the Hodge decomposition has no coexact part
+    code, report, _ = run_cli(tmp_path, "hodge", CIRCLE_CFG)
+    assert code == cli.EXIT_OK
+    res = report["result"]
+    assert res["d_squared"] == 0.0 and res["harmonic_d"] == 0.0
+    assert res["hodge_reconstruction"] < 1e-12
+    assert res["harmonic_codiff"] < 1e-10
+    assert res["kernel_dim"] == 2
+
+
+def test_deform2_task_without_faces(tmp_path):
+    cfg = dict(CIRCLE_CFG, deformation={"values": {"a": [[1, 0], [0, -1]]}})
+    code, report, _ = run_cli(tmp_path, "deform2", cfg)
+    assert code == cli.EXIT_OK
+    res = report["result"]["residuals"]
+    assert res["d_psi_plus_wedge"] == 0.0
+    assert max(res.values()) < 1e-8
+
+
+@pytest.mark.parametrize("task", ["flow", "hodge"])
+def test_real_group_refuses_complex_images(tmp_path, task):
+    # torus_diag with alpha = 0.4 + 0.3i has complex images; in
+    # SL(2,R) coordinates their imaginary parts were once dropped unread
+    cfg = dict(HODGE_CFG, group={"kind": "sl", "n": 2, "field": "R"})
+    code, report, _ = run_cli(tmp_path, task, cfg)
+    assert code == cli.EXIT_VALIDATION
+    assert report["status"] == "validation-error"
+    assert report["error"] == "SL(n,R) element has imaginary part"
+
+
+def test_tol_option_overrides_flow_tol(tmp_path):
+    # the config's flow_tol 1e-2 alone stops the solve after 2 checks at
+    # tension 1.8e-4
+    cfg = {
+        "mesh": {"kind": "circle", "n": 8},
+        "group": {"kind": "sl", "n": 2, "field": "R"},
+        "representation": {"family": "circle_hyperbolic"},
+        "tolerances": {"flow_tol": 1e-2},
+    }
+    code, report, _ = run_cli(tmp_path, "flow", cfg, extra=("--tol", "1e-12"))
+    assert code == cli.EXIT_OK
+    assert report["config"]["tolerances"]["flow_tol"] == 1e-12
+    assert report["result"]["flow"]["tension"] < 1e-12
+
+
 def test_hodge_harmonic_leaves_catch_a_wrong_coexact_part(tmp_path, monkeypatch):
     # harm = alpha - ex - coex hides any error of coex from the reconstruction
     decompose = TwistedComplex.hodge_decompose
@@ -588,6 +642,67 @@ def test_refine_study_trivial_residuals(tmp_path):
     assert max(report["result"]["values"]) < 1e-10
     assert report["result"]["fitted_slope"] is None
     assert report["result"]["floor_limited"] is True
+
+
+def test_refine_study_torus_diag_residuals(tmp_path):
+    cfg = {
+        "group": {"kind": "sl", "n": 2, "field": "C"},
+        "refine": {"kind": "harmonic_residuals", "levels": [4, 6, 8]},
+    }
+    code, report, _ = run_cli(tmp_path, "refine-study", cfg)
+    assert code == cli.EXIT_OK
+    assert max(report["result"]["values"]) < 1e-10
+    assert report["result"]["floor_limited"] is True
+
+
+def strict_json(text):
+    """json.loads that refuses NaN and infinities, which are not JSON."""
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+def circle_energy_result(tmp_path, lam):
+    """The result of a refine-study circle_energy run on SL(2,R) at levels
+    4, 8 and 16, read by strict_json."""
+    out = tmp_path / f"lam{lam}"
+    out.mkdir()
+    cfg_path = out / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "group": {"kind": "sl", "n": 2, "field": "R"},
+        "refine": {"kind": "circle_energy", "levels": [4, 8, 16], "lam": lam}}))
+    code = cli.main(["refine-study", "--config", str(cfg_path), "--out", str(out)])
+    assert code == cli.EXIT_OK
+    return strict_json((out / "refine_study_report.json").read_text())["result"]
+
+
+def test_refine_study_circle_energy_negative_lam(tmp_path):
+    # -g acts on the symmetric space as g does; the exact energy once read
+    # log(lam) and turned every value into NaN
+    neg = circle_energy_result(tmp_path, -2.0)
+    assert neg == circle_energy_result(tmp_path, 2.0)
+    assert neg["fitted_slope"] is None and neg["floor_limited"] is True
+
+
+def test_refine_study_exact_zeros_are_floor_limited(tmp_path):
+    # lam = 1 is the trivial representation: every value and the exact
+    # energy are 0.0, and a slope was once fitted through them as NaN
+    res = circle_energy_result(tmp_path, 1.0)
+    assert res["values"] == [0.0, 0.0, 0.0]
+    assert res["fitted_slope"] is None and res["floor_limited"] is True
+
+
+@pytest.mark.parametrize("levels", [[4, 4, 4], [4, 8, 6]], ids=["equal", "decreasing"])
+def test_refine_study_levels_must_increase(tmp_path, levels):
+    # a slope through equal mesh sizes was once fitted with a RankWarning
+    cfg = {
+        "group": {"kind": "sl", "n": 2, "field": "C"},
+        "refine": {"kind": "torus_mc", "levels": levels},
+    }
+    code, report, _ = run_cli(tmp_path, "refine-study", cfg)
+    assert code == cli.EXIT_VALIDATION
+    assert report["status"] == "validation-error"
+    assert "config key 'levels'" in report["error"]
 
 
 @pytest.mark.parametrize("group, refine, built", [

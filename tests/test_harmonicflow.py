@@ -565,6 +565,21 @@ def test_explicit_armijo_underflow_far_out(sl2r):
     assert 0.25 * step * rpt.tension ** 2 >= 1e-13 * rpt.energy
 
 
+def test_flow_stopping_at_the_eigenvalue_floor_is_not_converged(sl2r):
+    # the parabolic circle has no harmonic map.  From diag(e^36, e^-36) the
+    # small eigenvalue is clamped to the floor, the clamped map has tension
+    # 3.1e-15 and drift 48.3 < 50, and the run once stopped there as
+    # converged and reductive
+    circle = mc.build_circle(4)
+    rep = rv.parabolic_circle_rep(sl2r, circle)
+    f0 = _constant_at(circle, rep, 36.0)
+    assert np.linalg.eigvalsh(f0.points[0]).min() < ss._EIG_FLOOR
+    _, rpt = hf.flow(rep, f0)
+    assert rpt.iterations == 1 and rpt.tension < 1e-8
+    assert rpt.basepoint_drift < 50.0
+    assert not rpt.converged and not rpt.reductive_suspected
+
+
 # ----------------------------------------------------------------------
 # one evaluation per candidate: energy first, tension only on acceptance
 
@@ -789,3 +804,4 @@ def test_energy_and_tension_conjugation_invariant(mesh_name, group_key, seed, sc
     broken = hf.EquivariantMap(mesh, rv.Representation.for_mesh(group, mesh, images),
                                g.points)
     assert abs(hf.energy(broken) - E) > bound
+

@@ -237,3 +237,5 @@ def test_algebra_checks():
         sl2r.check_algebra(1j * H)             # imaginary part in sl(2,R)
     with pytest.raises(ValueError):
         sl2r.check_group(np.diag([2.0, 1.0]))  # det != 1
+    with pytest.raises(ValueError, match="imaginary part"):
+        sl2r.check_group(np.diag([1j, -1j]))   # det 1, but not in SL(2,R)
