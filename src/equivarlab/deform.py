@@ -10,6 +10,11 @@ solves  d psi = -[omega, omega]  and  d* psi = -omega* -| omega  exactly when
 the contraction omega* -| omega is orthogonal to the kernel fields; the
 kernel component is the obstruction defect with its projection direction as
 witness.  The pair (F, F2) is completed by a second twisted-primitive solve.
+
+The per-edge transports and brackets go through ``liealg.mul``, and every
+Cartan split passes a cached inverse to ``liealg.cartan_project``: the
+point inverses of the complex, or the far-lift metric of the labeled-edge
+check, inverted once for its five splits.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .liealg import cartan_project
+from .liealg import cartan_project, inv, mul
 from .repvar import Jet2Cocycle
 from .twistedhodge import TwistedCochain, _vals
 
@@ -92,13 +97,13 @@ def _edge_jets(ctx, c, k):
 
 def _transport(ctx, vals):
     """Ad_{rho(w_e)} of per-vertex values at the edge targets."""
-    return ctx.kern.g @ vals[ctx.kern.dst] @ ctx.kern.ginv
+    return mul(mul(ctx.kern.g, vals[ctx.kern.dst]), ctx.kern.ginv)
 
 
 def _jet_transport(cw, kw, A, B):
     """(F, F2) carried across edges by the jet (c(w_e), k(w_e)): (A + c,
     B + [c, A] + k), with A, B the transports of F, F2 at the edge targets."""
-    return A + cw, B + (cw @ A - A @ cw) + kw
+    return A + cw, B + (mul(cw, A) - mul(A, cw)) + kw
 
 
 def _omega_residuals(ctx, omega):
@@ -121,7 +126,7 @@ def first_order(ctx, c):
     seed = ctx.seed_cochain(c)
     omega, _ = ctx.harmonic_rep(seed)
     F, defect = ctx.primitive(omega, seed)
-    _, v = cartan_project(ctx.points, F.values)
+    _, v = cartan_project(ctx.points, F.values, ctx.points_inv)
     residuals = {
         "equivariance": defect,
         **_omega_residuals(ctx, omega),
@@ -161,7 +166,7 @@ def jet_seed_second(ctx, edge_jets, xi):
     jets (c(w_e), k(w_e))."""
     cw, kw = edge_jets
     ad_xi = _transport(ctx, _vals(xi))
-    return TwistedCochain(1, kw - (cw @ ad_xi - ad_xi @ cw))
+    return TwistedCochain(1, kw - (mul(cw, ad_xi) - mul(ad_xi, cw)))
 
 
 def solve_psi(ctx, c, k, *, rel_tol=1e-7, require_unobstructed=True):
@@ -208,13 +213,13 @@ def second_order(ctx, c, k, *, rel_tol=1e-7):
     # second component: Ad_w F2(v) - F2(u) = omega2 - k-seed - [c, Ad_w F0(v)]
     cw, kw = sol.edge_jets
     adF = _transport(ctx, F0.values)
-    target = omega2.values - (kw + (cw @ adF - adF @ cw))
+    target = omega2.values - (kw + (mul(cw, adF) - mul(adF, cw)))
     F2, defect2 = ctx._primitive_flat(ctx.to_flat(target))
 
-    Fk, Fp = cartan_project(ctx.points, F0.values)
-    _, F2p = cartan_project(ctx.points, F2.values)
+    Fk, Fp = cartan_project(ctx.points, F0.values, ctx.points_inv)
+    _, F2p = cartan_project(ctx.points, F2.values, ctx.points_inv)
     v = Fp
-    w_beta = F2p + (Fk @ Fp - Fp @ Fk)
+    w_beta = F2p + (mul(Fk, Fp) - mul(Fp, Fk))
 
     residuals = dict(sol.residuals)
     residuals["equivariance_F2"] = defect2
@@ -230,32 +235,24 @@ def _w_equivariance_residual(ctx, cw, kw, adF, F2, w_beta):
     lab = np.flatnonzero([bool(e.label) for e in ctx.mesh.edges])
     g = ctx.kern.g[lab]
     cw, kw = cw[lab], kw[lab]
-    # metric at the far lift
-    Q = g @ ctx.points[ctx.kern.dst[lab]] @ np.conj(np.swapaxes(g, -1, -2))
+    # metric at the far lift, inverted once for its five Cartan splits
+    Q = mul(mul(g, ctx.points[ctx.kern.dst[lab]]), np.conj(np.swapaxes(g, -1, -2)))
+    Qinv = inv(Q)
     A = adF[lab]
-    ck, cp = cartan_project(Q, cw)
-    _, Ap = cartan_project(Q, A)
-    _, kp = cartan_project(Q, kw)
+    ck, cp = cartan_project(Q, cw, Qinv)
+    _, Ap = cartan_project(Q, A, Qinv)
+    _, kp = cartan_project(Q, kw, Qinv)
     lhs = _transport(ctx, w_beta)[lab] + kp \
-        + 2.0 * (ck @ Ap - Ap @ ck) + (ck @ cp - cp @ ck)
+        + 2.0 * (mul(ck, Ap) - mul(Ap, ck)) + (mul(ck, cp) - mul(cp, ck))
     Ft, F2t = _jet_transport(cw, kw, A, _transport(ctx, F2.values)[lab])
-    Ftk, Ftp = cartan_project(Q, Ft)
-    _, F2tp = cartan_project(Q, F2t)
-    rhs = F2tp + (Ftk @ Ftp - Ftp @ Ftk)
+    Ftk, Ftp = cartan_project(Q, Ft, Qinv)
+    _, F2tp = cartan_project(Q, F2t, Qinv)
+    rhs = F2tp + (mul(Ftk, Ftp) - mul(Ftp, Ftk))
     return float(np.abs(lhs - rhs).max(initial=0.0))
 
 
 # ----------------------------------------------------------------------
-# transformations used by the uniqueness and complex-symmetry laws
-
-def shifted_pair(ctx, F, F2, xi_kernel, eta_kernel):
-    """(F', F2') = (F + xi, F2 + [F, xi] + eta) for kernel sections xi, eta."""
-    xiv = _vals(xi_kernel)
-    etav = _vals(eta_kernel)
-    Fv = _vals(F)
-    return (TwistedCochain(0, Fv + xiv),
-            TwistedCochain(0, _vals(F2) + (Fv @ xiv - xiv @ Fv) + etav))
-
+# the companion pair of the complex-symmetry law, and the residuals of a pair
 
 def companion_pair(ctx, so):
     """Companion (iF, -F2 - eta) with J(eta) = 2 omega* -| omega, valid along

@@ -35,7 +35,8 @@ def first_variation(ctx, omega):
 
 def second_variation(ctx, psi, omega):
     """d2E/dt2 from the psi 1-form and the p-part of omega."""
-    _, om_p = cartan_project(ctx.edge_points, _vals(omega))
+    _, om_p = cartan_project(ctx.edge_points, _vals(omega),
+                             ctx.edge_points_inv)
     pairing = ctx.inner(psi, ctx.beta(), 1)
     return EDGE_PAIRING_SCALE * (pairing + ctx.inner(om_p, om_p, 1))
 
@@ -130,6 +131,9 @@ class FDReport:
 FD_STEPS = (1e-2, 5e-3, 2.5e-3)
 #: iteration cap of each re-solved harmonic map
 FD_MAX_ITER = 60000
+#: first variations at most this fraction of the Cauchy-Schwarz bound
+#: 4 ||omega|| ||beta|| are rounding noise (the scale of critical_scan)
+FIRST_FLOOR = 1e-9
 
 
 def _lagrange_at(t, nodes):
@@ -146,9 +150,13 @@ def _lagrange_at(t, nodes):
     return out
 
 
-def fd_energy_derivatives(path, mesh, *, tol=1e-10, f0=None):
+def fd_energy_derivatives(path, mesh, *, tol=1e-10, f0=None, E0=None):
     """Central finite differences of t -> E(rho_t) with Richardson
     extrapolation; each sample re-solves the harmonic map.
+
+    Without f0 the harmonic map of rho_0 is solved from the constant map and
+    E0 is read from its flow report; a caller that passes f0 may pass its
+    energy E0 too, which otherwise is evaluated once more.
 
     The samples are solved in order of increasing |t| and warm started by
     continuation: every solved f_t is kept in log coordinates at f0,
@@ -159,9 +167,11 @@ def fd_energy_derivatives(path, mesh, *, tol=1e-10, f0=None):
     """
     rep0 = path.rep0
     if f0 is None:
-        f0, _ = hf.flow(rep0, hf.constant_map(mesh, rep0), tol=tol,
-                        max_iter=FD_MAX_ITER)
-    E0 = hf.energy(f0)
+        f0, rpt0 = hf.flow(rep0, hf.constant_map(mesh, rep0), tol=tol,
+                           max_iter=FD_MAX_ITER)
+        E0 = rpt0.energy
+    elif E0 is None:
+        E0 = hf.energy(f0)
     energies = {}
     logs = []                   # (t, X_t) of the solved samples
     for t in sorted((s * h for h in FD_STEPS for s in (1.0, -1.0)), key=abs):
@@ -187,21 +197,33 @@ def fd_energy_derivatives(path, mesh, *, tol=1e-10, f0=None):
 
 def variation_report(ctx, path, *, rel_tol=1e-7):
     """Analytic versus finite-difference variations along one path at the
-    harmonic map of the complex."""
+    harmonic map of the complex.
+
+    When both first variations sit below FIRST_FLOOR times the
+    Cauchy-Schwarz bound 4 ||omega|| ||beta|| (a critical path), their
+    ratio measures rounding noise: ``first_rel_err`` is then None and
+    ``first_floor_limited`` is True."""
     c, k = path.jets()
     sol = solve_psi(ctx, c, k, rel_tol=rel_tol)
     analytic1 = first_variation(ctx, sol.omega)
     analytic2 = second_variation(ctx, sol.psi, sol.omega)
+    omega_sq = omega_l2sq(ctx, sol.omega)
     f0 = hf.EquivariantMap(ctx.mesh, ctx.rep, ctx.points.copy())
-    fd = fd_energy_derivatives(path, ctx.mesh, f0=f0)
+    fd = fd_energy_derivatives(path, ctx.mesh, f0=f0,
+                               E0=hf.MapEval(ctx.kern, ctx.points).energy)
+    floor = FIRST_FLOOR * np.sqrt(omega_sq * omega_l2sq(ctx, ctx.beta()))
+    if max(abs(analytic1), abs(fd.first)) <= floor:
+        first = {"first_rel_err": None, "first_floor_limited": True}
+    else:
+        first = {"first_rel_err": abs(analytic1 - fd.first) / max(abs(analytic1), 1e-12)}
     return {
         "analytic_first": analytic1,
-        "omega_sq": omega_l2sq(ctx, sol.omega),
+        "omega_sq": omega_sq,
         "analytic_second": analytic2,
         "psi_residuals": sol.residuals,
         "fd_first": fd.first,
         "fd_second": fd.second,
         "fd_table": fd.table,
-        "first_rel_err": abs(analytic1 - fd.first) / max(abs(analytic1), 1e-12),
+        **first,
         "second_rel_err": abs(analytic2 - fd.second) / max(abs(analytic2), 1e-12),
     }

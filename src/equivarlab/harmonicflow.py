@@ -478,13 +478,6 @@ def curved_torus_map(mesh, rep, amplitude=0.3):
     return EquivariantMap(mesh, rep, pts)
 
 
-def normalize_basepoint(f):
-    """Translate the map so that f(v0) = I (compare maps up to centralizer)."""
-    g = ss.inv_sqrt_spd(f.points[0])
-    pts = ss.act(g, f.points)
-    return EquivariantMap(f.mesh, f.rep.conjugate(g), pts)
-
-
 def map_distance(f, g):
     """Sup over vertices of the pointwise symmetric-space distance."""
     return float(np.max(ss.dist(f.points, g.points)))

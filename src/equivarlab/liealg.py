@@ -7,6 +7,12 @@ the base-point trace form <X,Y> = Re tr(X Y^†).  All pointwise Cartan data
 point P, i.e. a positive definite matrix, via  X* = P X^† P^{-1}; the
 adjoint, the Cartan split, the Gram matrix and the Ad coordinate matrix
 broadcast over stacks of points, values and group elements.
+
+``mul`` and ``inv`` are the stacked product and inverse of the per-cell
+arithmetic.  numpy's stacked ``@`` and ``np.linalg.inv`` make one BLAS or
+LAPACK call per block, which costs more than the arithmetic of a 2 x 2
+block; for n = 2 both are written as broadcast elementwise arithmetic
+instead, so every block of a stack is computed exactly as a stack of one.
 """
 
 from __future__ import annotations
@@ -130,6 +136,32 @@ class MatrixGroup:
 # ----------------------------------------------------------------------
 # pointwise operations
 
+def mul(A, B):
+    """Stacked matrix product A @ B; for 2 x 2 blocks the sum of two
+    broadcast outer products, column j of A times row j of B."""
+    A = np.asarray(A)
+    B = np.asarray(B)
+    if A.shape[-2:] != (2, 2) or B.shape[-2:] != (2, 2):
+        return A @ B
+    return A[..., :, 0, None] * B[..., None, 0, :] + A[..., :, 1, None] * B[..., None, 1, :]
+
+
+def inv(A):
+    """Stacked matrix inverse; for 2 x 2 blocks the adjugate over the
+    determinant.  A zero or non-finite determinant raises
+    np.linalg.LinAlgError, as np.linalg.inv does on a singular block."""
+    A = np.asarray(A)
+    if A.shape[-2:] != (2, 2):
+        return np.linalg.inv(A)
+    a, b, c, d = A[..., 0, 0], A[..., 0, 1], A[..., 1, 0], A[..., 1, 1]
+    with np.errstate(invalid="ignore", over="ignore"):
+        det = a * d - b * c
+    if not (np.isfinite(det).all() and (det != 0).all()):
+        raise np.linalg.LinAlgError("Singular matrix")
+    adj = np.stack([np.stack([d, -b], axis=-1), np.stack([-c, a], axis=-1)], axis=-2)
+    return adj / det[..., None, None]
+
+
 def bracket(X, Y):
     """Matrix commutator [X,Y] = XY - YX."""
     X = np.asarray(X)
@@ -151,9 +183,13 @@ def adjoint_at(P, X):
     return P @ np.conj(np.swapaxes(X, -1, -2)) @ np.linalg.inv(P)
 
 
-def cartan_project(P, X):
-    """Split X = Xk + Xp into anti-selfadjoint and selfadjoint parts at P."""
-    Xs = adjoint_at(P, X)
+def cartan_project(P, X, Pinv=None):
+    """Split X = Xk + Xp into anti-selfadjoint and selfadjoint parts at P,
+    with X* = P X^† P^{-1} taken through ``mul``; Pinv is P^{-1}, which a
+    caller that splits many values at the same points inverts once."""
+    if Pinv is None:
+        Pinv = inv(P)
+    Xs = mul(mul(P, np.conj(np.swapaxes(X, -1, -2))), Pinv)
     Xp = 0.5 * (X + Xs)
     Xk = 0.5 * (X - Xs)
     return Xk, Xp

@@ -27,6 +27,14 @@ the edge 2-jets of the deformation pipeline, all words in one vectorized
 pass per token position.  A complex builds each operator from that table
 the first time it is read and keeps it, so a study that reads only d1, the
 face transports, G2 and beta builds nothing else.
+
+The per-cell products of the nonlinear pieces (the face cup product, the
+contraction omega* -| alpha, the bracket with a section) go through
+``liealg.mul``, one broadcast product per stack instead of one BLAS call
+per block.  The inverses of the vertex points (``points_inv``, through
+``liealg.inv``) are taken once per complex and the edge-source inverses
+(``edge_points_inv``) are read from them; the Cartan splits of the tangent
+fields and of the second variation pass them to ``liealg.cartan_project``.
 """
 
 from __future__ import annotations
@@ -39,7 +47,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .harmonicflow import FlowKernel, MapEval
-from .liealg import ad_matrix, gram_at, nullspace
+from .liealg import ad_matrix, gram_at, inv, mul, nullspace
 
 #: nullspace cutoff (relative to max(s_0, 1)) below which a direction counts
 #: as Ad-fixed by every generator, that is as a centralizer direction
@@ -109,9 +117,9 @@ class TwistedComplex:
 
     Every operator (d0, d1, the face and edge transports, the Gram matrices
     and their inverses, A0, the kernel sections, beta and the inverses of
-    the edge-source points) is built from the deck-word table the first
-    time it is read and kept for the life of the complex, so a caller pays
-    only for the operators it reads.
+    the vertex and edge-source points) is built from the deck-word table
+    the first time it is read and kept for the life of the complex, so a
+    caller pays only for the operators it reads.
     """
 
     def __init__(self, mesh, rep, f):
@@ -170,8 +178,12 @@ class TwistedComplex:
         return _block_diag(w2.reshape(-1, 1, 1) * self.gram_vertex[self.word_index.face_base])
 
     @cached_property
+    def points_inv(self):
+        return inv(self.points)
+
+    @cached_property
     def edge_points_inv(self):
-        return np.linalg.inv(self.edge_points)
+        return self.points_inv[self.kern.src]
 
     # -- transports and differentials ---------------------------------------
     @cached_property
@@ -436,13 +448,13 @@ class TwistedComplex:
         g, ginv = self.face_g, self.face_ginv
         eid = self.word_index.face_eid
         sign = self.word_index.face_sign[..., None, None]
-        ta = sign * (g @ _vals(a)[eid] @ ginv)
-        tb = sign * (g @ _vals(b)[eid] @ ginv)
+        ta = sign * mul(mul(g, _vals(a)[eid]), ginv)
+        tb = sign * mul(mul(g, _vals(b)[eid]), ginv)
         acc = np.zeros((self.mesh.nf, self.n, self.n), dtype=complex)
         run = np.zeros_like(acc)
         for j in range(eid.shape[1]):
             if j:
-                acc += run @ tb[:, j] - tb[:, j] @ run
+                acc += mul(run, tb[:, j]) - mul(tb[:, j], run)
             run = run + ta[:, j]
         return TwistedCochain(2, acc)
 
@@ -451,10 +463,11 @@ class TwistedComplex:
         w1 [a_e^[p] - a_e^[k], b_e]; Gram-adjoint to xi -> [a, xi]."""
         av = _vals(a)
         bv = _vals(b)
-        # adjoint_at(edge_points, av), with the inverses taken once
-        star = self.edge_points @ np.conj(np.swapaxes(av, -1, -2)) @ self.edge_points_inv
+        # the adjoint at the edge sources, with the cached point inverses
+        star = mul(mul(self.edge_points, np.conj(np.swapaxes(av, -1, -2))),
+                   self.edge_points_inv)
         out = np.zeros((self.mesh.nv, self.n, self.n), dtype=complex)
-        contrib = self.kern.w1[:, None, None] * (star @ bv - bv @ star)
+        contrib = self.kern.w1[:, None, None] * (mul(star, bv) - mul(bv, star))
         np.add.at(out, self.kern.src, contrib)
         out /= np.asarray(self.mesh.vertex_weights)[:, None, None]
         return TwistedCochain(0, out)
@@ -463,7 +476,7 @@ class TwistedComplex:
         """1-cochain [a, xi] with the section evaluated at edge sources."""
         av = _vals(a)
         xv = _vals(xi)[self.kern.src]
-        return TwistedCochain(1, av @ xv - xv @ av)
+        return TwistedCochain(1, mul(av, xv) - mul(xv, av))
 
     @cached_property
     def _beta(self):

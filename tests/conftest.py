@@ -143,6 +143,25 @@ def rounding_bound(maps, size):
             * np.sqrt(W * max(1.0, size)))
 
 
+def block_rounding_bound(A, B=None):
+    """Entrywise bound on the rounding of the stacked product A B, or with B
+    None of the inverse of A, for comparing two evaluations that agree in
+    exact arithmetic.  An entry of an n x n product sums n products, so an
+    evaluation is off by at most about n eps (|A| |B|) there (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, 3.5).  A computed
+    inverse is off by about n eps cond(A) |A^-1| (Higham, 14.1); the 2 x 2
+    adjugate form loses 2 eps (|ad| + |bc|) / |det| <= 2 eps cond_F(A) in
+    the determinant.  The factor 16 covers both evaluations and complex
+    arithmetic, as in rounding_bound."""
+    eps = np.finfo(float).eps
+    n = A.shape[-1]
+    if B is not None:
+        return 16.0 * n * eps * (np.abs(A) @ np.abs(B))
+    kappa = np.linalg.cond(A)[..., None, None]
+    size = np.abs(np.linalg.inv(A)).max(axis=(-2, -1), keepdims=True)
+    return 16.0 * n * eps * kappa * size
+
+
 def random_cochain(ctx, degree, rng, scale=1.0):
     from equivarlab.twistedhodge import TwistedCochain
     ncells = (ctx.mesh.nv, ctx.mesh.ne, ctx.mesh.nf)[degree]

@@ -9,6 +9,9 @@ plurisubharmonicity identity by a second full psi solve, independently of
 the companion construction that ``energyvar.psh_defect`` uses.
 ``fd_energy_derivatives_from_f0`` is the finite-difference oracle with every
 sample started from f0, without the continuation predictor.
+``normalize_basepoint`` and ``shifted_pair`` are the transformations of the
+uniqueness laws: maps compared up to the centralizer, and second-order pairs
+shifted by kernel sections.
 """
 
 from __future__ import annotations
@@ -19,8 +22,10 @@ from equivarlab.deform import second_order
 from equivarlab import harmonicflow as hf
 from equivarlab.energyvar import (FD_MAX_ITER, FD_STEPS, FDReport, PshReport,
                                   omega_l2sq, second_variation)
+from equivarlab import symspace as ss
 from equivarlab.liealg import Jet2, jet2_inv, jet2_mul
 from equivarlab.meshcover import token_base, token_is_inverse
+from equivarlab.twistedhodge import TwistedCochain, _vals
 
 
 def rho_word(rep, word):
@@ -103,3 +108,19 @@ def fd_energy_derivatives_from_f0(path, mesh, f0, *, tol=1e-10):
         table.append({"h": h, "first": firsts[-1], "second": seconds[-1]})
     return FDReport((4.0 * firsts[-1] - firsts[-2]) / 3.0,
                     (4.0 * seconds[-1] - seconds[-2]) / 3.0, table)
+
+
+def normalize_basepoint(f):
+    """Translate the map so that f(v0) = I (compare maps up to centralizer)."""
+    g = ss.inv_sqrt_spd(f.points[0])
+    pts = ss.act(g, f.points)
+    return hf.EquivariantMap(f.mesh, f.rep.conjugate(g), pts)
+
+
+def shifted_pair(F, F2, xi_kernel, eta_kernel):
+    """(F', F2') = (F + xi, F2 + [F, xi] + eta) for kernel sections xi, eta."""
+    xiv = _vals(xi_kernel)
+    etav = _vals(eta_kernel)
+    Fv = _vals(F)
+    return (TwistedCochain(0, Fv + xiv),
+            TwistedCochain(0, _vals(F2) + (Fv @ xiv - xiv @ Fv) + etav))

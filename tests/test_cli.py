@@ -373,6 +373,24 @@ def test_singular_numpy_solve_exit_three(tmp_path):
     assert report["error"] == "Singular matrix"
 
 
+def test_singular_point_inverse_exit_three(tmp_path, monkeypatch):
+    # liealg.inv raises numpy's LinAlgError on a singular 2 x 2 block: a
+    # vertex point zeroed after the Gram matrices are built reaches it
+    # through the cached point inverses of first_order's Cartan split
+    first_order = cli.first_order
+
+    def singular_first_order(ctx, c):
+        ctx.gram_vertex
+        ctx.points = ctx.points.copy()
+        ctx.points[0] = 0.0
+        return first_order(ctx, c)
+    monkeypatch.setattr(cli, "first_order", singular_first_order)
+    code, report, _ = run_cli(tmp_path, "deform1", DIAG_DEFORM_CFG)
+    assert code == cli.EXIT_NONCONVERGED
+    assert report["status"] == "solver-error"
+    assert report["error"] == "Singular matrix"
+
+
 DIAG_DEFORM_CFG = {
     "mesh": {"kind": "torus", "n": 4, "m": 4},
     "group": {"kind": "sl", "n": 2, "field": "C"},

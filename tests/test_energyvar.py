@@ -255,6 +255,39 @@ def test_fd_samples_warm_started_by_continuation(request, monkeypatch, name, tot
     assert sum(checks) <= total
 
 
+def test_variation_first_rel_err_floor(request):
+    # genus-2 Fuchsian real bending is critical: both first variations sit
+    # below FIRST_FLOOR of 4 ||omega|| ||beta||, so their ratio is rounding
+    # noise and is not reported; the GL(1,C) torus path keeps its ratio
+    mesh, f0, path = _fd_case("genus2_k2", request)
+    out = ev.variation_report(request.getfixturevalue("fuchsianC_ctx"), path)
+    assert out["first_rel_err"] is None and out["first_floor_limited"] is True
+    assert abs(out["analytic_first"]) < 1e-9 and abs(out["fd_first"]) < 1e-9
+    mesh, f0, path = _fd_case("torus5_gl1c", request)
+    out = ev.variation_report(TwistedComplex(mesh, f0.rep, f0), path)
+    assert "first_floor_limited" not in out
+    assert out["first_rel_err"] < 1e-3 and abs(out["analytic_first"]) > 0.1
+
+
+def test_fd_E0_needs_no_kernel_build(request, monkeypatch):
+    # E0 read from the complex's kernel, and from the FD oracle's own flow
+    # report, equals hf.energy(f0) bit for bit; neither path calls it
+    mesh, f0, path = _fd_case("torus5_gl1c", request)
+    ctx = TwistedComplex(mesh, f0.rep, f0)
+    E0 = hf.energy(f0)
+    assert hf.MapEval(ctx.kern, ctx.points).energy == E0
+    f, rpt = hf.flow(f0.rep, hf.constant_map(mesh, f0.rep), tol=1e-10,
+                     max_iter=ev.FD_MAX_ITER)
+    assert rpt.energy == hf.energy(f)
+    want = ev.fd_energy_derivatives(path, mesh, f0=f, E0=hf.energy(f))
+
+    def no_energy(f):
+        raise AssertionError("hf.energy builds a flow kernel")
+    monkeypatch.setattr(hf, "energy", no_energy)
+    assert ev.fd_energy_derivatives(path, mesh).table == want.table
+    ev.variation_report(ctx, path)
+
+
 @pytest.mark.parametrize("name", ["circle8", "torus6_sl2c", "torus5_gl1c",
                                   "genus2_k2"])
 def test_fd_matches_f0_started_reference(request, name):

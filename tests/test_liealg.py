@@ -3,9 +3,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from equivarlab.liealg import (MatrixGroup, Jet2, ad_action, adjoint_at,
-                               bracket, cartan_project, inner_at,
+                               bracket, cartan_project, inner_at, inv,
                                jet2_identity, jet2_inv, jet2_mul, gram_at,
-                               ad_matrix)
+                               ad_matrix, mul)
+from conftest import block_rounding_bound
 
 E = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 F = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
@@ -239,3 +240,46 @@ def test_algebra_checks():
         sl2r.check_group(np.diag([2.0, 1.0]))  # det != 1
     with pytest.raises(ValueError, match="imaginary part"):
         sl2r.check_group(np.diag([1j, -1j]))   # det 1, but not in SL(2,R)
+
+
+# ----------------------------------------------------------------------
+# the stacked product and inverse
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 3), is_complex=st.booleans(), size=st.integers(1, 400),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_stacked_mul_and_inv_agree_with_numpy(n, is_complex, size, seed):
+    rng = np.random.default_rng(seed)
+
+    def blocks():
+        A = rng.standard_normal((size, n, n))
+        return A + 1j * rng.standard_normal((size, n, n)) if is_complex else A
+    A, B = blocks(), blocks()
+    prod, Ainv = mul(A, B), inv(A)
+    want_prod, want_inv = A @ B, np.linalg.inv(A)
+    assert prod.dtype == want_prod.dtype and Ainv.dtype == want_inv.dtype
+    if n != 2:
+        # every other size falls back to numpy, bit for bit
+        assert np.array_equal(prod, want_prod) and np.array_equal(Ainv, want_inv)
+    assert np.all(np.abs(prod - want_prod) <= block_rounding_bound(A, B))
+    assert np.all(np.abs(Ainv - want_inv) <= block_rounding_bound(A))
+    # a stack of one gives the stacked result bit for bit
+    for i in range(size):
+        assert np.array_equal(mul(A[i], B[i]), prod[i])
+        assert np.array_equal(inv(A[i]), Ainv[i])
+
+
+@pytest.mark.parametrize("block", [[[1.0, 2.0], [2.0, 4.0]], [[0.0, 0.0], [0.0, 0.0]],
+                                   [[np.nan, 0.0], [0.0, 1.0]],
+                                   [[1.0, np.inf], [0.0, 1.0]]],
+                         ids=["rank-one", "zero", "nan", "inf"])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_stacked_inv_raises_on_a_singular_block(block, dtype):
+    # a zero or non-finite determinant raises numpy's LinAlgError, like
+    # np.linalg.inv on a singular block, for a single block and in a stack
+    bad = np.array(block, dtype=dtype)
+    with pytest.raises(np.linalg.LinAlgError):
+        inv(bad)
+    with pytest.raises(np.linalg.LinAlgError):
+        inv(np.stack([np.eye(2, dtype=dtype), bad, np.eye(2, dtype=dtype)]))
+
