@@ -1,9 +1,8 @@
 """equivarlab: equivariant harmonic maps, twisted Hodge theory and the
 energy functional on representation varieties, at desk scale."""
 
-from .liealg import (MatrixGroup, Jet2, ad_action, adjoint_at, bracket,
-                     cartan_project, inner_at, jet2_identity, jet2_inv,
-                     jet2_mul, norm_at)
+from .liealg import (MatrixGroup, Jet2, ad_action, bracket, cartan_project,
+                     jet2_identity, jet2_inv, jet2_mul)
 from .symspace import (act, dist, exp_point, geodesic, mc_edge,
                        translation_length)
 from .meshcover import CoverMesh, build_circle, build_genus2, build_torus

@@ -34,12 +34,18 @@ rho(word_e) and their inverses per edge, and the Hessian's sparsity pattern.
 A MapEval holds all the data of one map: the vertex frame (w, U, S =
 P^{-1/2}) and the edge frame (logw, V) give the energy, and the edge logs,
 the tension, its norm, the basepoint drift and the Newton model (tangent
-fields, Hessian, Newton step, with P^{1/2} = U diag(sqrt w) U^†) are read
-from them when asked for.
+fields, Hessian, Newton step, with R = P^{1/2} = U diag(sqrt w) U^†) are
+read from them when asked for.  The tension norm needs no inverse: the
+fiber metric at P is the Frobenius one on S tau R.  The 2 x 2 products of
+the flow (transports, frames, the Newton model) go through liealg.mul,
+broadcast arithmetic instead of one BLAS call per block.
 
 Both phases run through one loop, ``_descend`` (record, exit on tension or
 drift, drift-trend test), with Newton and the explicit flow as its two step
-rules and one backtracking search, ``_backtrack``.  Every candidate goes
+rules and one backtracking search, ``_backtrack``.  A flow runs on a complex
+copy of its start map.  The explicit flow's fixed-step polish rejects a
+candidate that equals the current points: such a step moved nothing, and
+accepting it would repeat it until max_iter.  Every candidate goes
 through ``FlowKernel.evaluate`` and is evaluated energy first; its tension
 is built only once it is accepted (or when a polish step accepts on it).
 curved_torus_map builds the smooth test map of the refinement studies for
@@ -57,7 +63,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import symspace as ss
-from .liealg import adjoint_at, p_basis
+from .liealg import mul, p_basis
 from .repvar import WordTable
 
 
@@ -82,13 +88,14 @@ def random_map(mesh, rep, rng, scale=0.5):
 
 def retract(points, X):
     """exp_point(points, X) with the determinant normalized to 1 for n > 1
-    (GL(1,C) points are left alone)."""
+    (GL(1,C) points are left alone); for n = 2 the determinant is a d - b c."""
     n = points.shape[-1]
     # an oversize step overflows; it comes back non-finite, silently
     with np.errstate(all="ignore"):
         new = ss.exp_point(points, X)
         if n > 1:
-            det = np.linalg.det(new)
+            det = (new[:, 0, 0] * new[:, 1, 1] - new[:, 0, 1] * new[:, 1, 0]
+                   if n == 2 else np.linalg.det(new))
             new = new / (np.abs(det) ** (1.0 / n))[:, None, None]
     return new
 
@@ -180,19 +187,26 @@ class MapEval:
     @cached_property
     def tension(self):
         k = self.kern
-        tau = np.zeros_like(self.points)
         fwd = 2.0 * k.w1[:, None, None] * self.beta
-        back = -(k.ginv @ fwd @ k.g)
+        back = -mul(mul(k.ginv, fwd), k.g)
+        tau = np.zeros(self.points.shape, dtype=np.result_type(self.points, k.g))
         np.add.at(tau, k.src, fwd)
         np.add.at(tau, k.dst, back)
         return tau
 
     @cached_property
+    def tension_frame(self):
+        """S tau R per vertex: the tension in the frame of the vertex, where
+        the fiber metric at P is the Frobenius one."""
+        return mul(mul(self.S, self.tension), self.R)
+
+    @cached_property
     def tension_sq(self):
-        """Weighted L2 norm^2 of the tension in the pointwise fiber metric."""
-        tau = self.tension
-        vals = np.real(np.einsum("vij,vji->v", tau, adjoint_at(self.points, tau)))
-        return float(np.dot(self.kern.w0, np.maximum(vals, 0.0)))
+        """Weighted L2 norm^2 of the tension in the pointwise fiber metric,
+        sum_v w0 ||S tau R||_F^2."""
+        T = self.tension_frame
+        vals = np.sum(T.real ** 2 + T.imag ** 2, axis=(-2, -1))
+        return float(np.dot(self.kern.w0, vals))
 
     @property
     def drift(self):
@@ -209,8 +223,8 @@ class MapEval:
         """Tangent field sum_k x[v, k] R_v B_k R_v^{-1} (R_v = P_v^{1/2}) from
         orthonormal p-coordinates x (flat, vertex-major)."""
         B = self.kern._pattern[0]
-        return self.R @ np.tensordot(x.reshape(len(self.points), len(B)), B,
-                                     axes=1) @ self.S
+        X = np.tensordot(x.reshape(len(self.points), len(B)), B, axes=1)
+        return mul(mul(self.R, X), self.S)
 
     def hessian(self, mu=0.0):
         """Exact Hessian of the energy in orthonormal p-coordinates, plus mu
@@ -227,9 +241,10 @@ class MapEval:
         Vh = ss._ct(V)
         # source basis in the eigenframe of beta, and the far basis carried
         # to the source: V^† e^{-beta~} S g R_dst = e^{-Lambda} V^† S g R_dst
-        Ms = (Vh[:, None] @ B @ V[:, None]).reshape(ne, len(B), -1)
-        Y = np.exp(-0.5 * logw)[..., None] * (Vh @ S[k.src] @ k.g @ R[k.dst])
-        Md = (Y[:, None] @ B @ ss._ct(Y)[:, None]).reshape(Ms.shape)
+        Ms = mul(mul(Vh[:, None], B), V[:, None]).reshape(ne, len(B), -1)
+        Y = np.exp(-0.5 * logw)[..., None] * mul(mul(mul(Vh, S[k.src]), k.g),
+                                                 R[k.dst])
+        Md = mul(mul(Y[:, None], B), ss._ct(Y)[:, None]).reshape(Ms.shape)
         coth = coth.reshape(ne, 1, -1)
         csch = csch.reshape(coth.shape)
 
@@ -254,7 +269,7 @@ class MapEval:
         solve."""
         B = self.kern._pattern[0]
         rhs = 2.0 * np.real(np.einsum("kij,vij->vk", B.conj(),
-                                      self.S @ self.tension @ self.R)).ravel()
+                                      self.tension_frame)).ravel()
         H = self.hessian(mu)
         if not np.isfinite(H.data).all():
             return None
@@ -323,9 +338,10 @@ def flow(rep, f0, *, tol=1e-8, max_iter=20000, drift_radius=50.0):
         raise ValueError("start map has non-finite entries")
     kern = FlowKernel(f0.mesh, rep)
     args = dict(tol=tol, max_iter=max_iter, drift_radius=drift_radius)
-    pts, report = _newton_flow(kern, f0.points.copy(), **args)
+    pts, report = _newton_flow(kern, np.array(f0.points, dtype=complex), **args)
     if not report.converged:
-        pts, report = _explicit_flow(kern, f0.points.copy(), **args)
+        pts, report = _explicit_flow(kern, np.array(f0.points, dtype=complex),
+                                     **args)
     return EquivariantMap(f0.mesh, rep, pts), report
 
 
@@ -412,9 +428,11 @@ def _explicit_flow(kern, pts, **args):
         if 0.25 * step * gsq < 1e-13 * max(1.0, abs(E)):
             # energy decrements below float resolution: fixed-step polish
             # accepted on tension decrease instead (energy stays within
-            # 1e-12); a rejection halves the step for the next iteration
+            # 1e-12); a candidate equal to the current points is no step,
+            # and a rejection halves the step for the next iteration
             cand = kern.evaluate(retract(ev.points, step * ev.tension))
-            if cand is not None and cand.tension_sq <= gsq * (1.0 + 1e-6):
+            if (cand is not None and not np.array_equal(cand.points, ev.points)
+                    and cand.tension_sq <= gsq * (1.0 + 1e-6)):
                 return cand
             step *= 0.5
             return ev if step > 1e-16 else None

@@ -3,10 +3,10 @@
 Supported groups: SL(n,R), SL(n,C) and GL(1,C) = C*.  The Lie algebra is
 handled as a real vector space with a fixed basis that is orthonormal for
 the base-point trace form <X,Y> = Re tr(X Y^†).  All pointwise Cartan data
-(adjoints, k/p projections, fiber metrics) is taken at a symmetric-space
-point P, i.e. a positive definite matrix, via  X* = P X^† P^{-1}; the
-adjoint, the Cartan split, the Gram matrix and the Ad coordinate matrix
-broadcast over stacks of points, values and group elements.
+(k/p projections, fiber metrics) is taken at a symmetric-space point P,
+i.e. a positive definite matrix, via  X* = P X^† P^{-1}; the Cartan split,
+the Gram matrix and the Ad coordinate matrix broadcast over stacks of
+points, values and group elements.
 
 ``mul`` and ``inv`` are the stacked product and inverse of the per-cell
 arithmetic.  numpy's stacked ``@`` and ``np.linalg.inv`` make one BLAS or
@@ -177,12 +177,6 @@ def ad_action(g, X):
     return g @ X @ np.linalg.inv(g)
 
 
-def adjoint_at(P, X):
-    """Metric adjoint X* = P X^† P^{-1} at the point P (stacks broadcast)."""
-    P = np.asarray(P, dtype=complex)
-    return P @ np.conj(np.swapaxes(X, -1, -2)) @ np.linalg.inv(P)
-
-
 def cartan_project(P, X, Pinv=None):
     """Split X = Xk + Xp into anti-selfadjoint and selfadjoint parts at P,
     with X* = P X^† P^{-1} taken through ``mul``; Pinv is P^{-1}, which a
@@ -211,16 +205,6 @@ def p_basis(group):
     # the real diagonal elements of the basis are selfadjoint already
     mats += [B for B in group.basis if np.array_equal(B, np.diag(np.diag(B).real))]
     return np.array(mats)
-
-
-def inner_at(P, X, Y):
-    """Fiber metric <X,Y>_P = Re tr(X (P Y^† P^{-1}))."""
-    return float(np.real(np.trace(np.asarray(X) @ adjoint_at(P, Y))))
-
-
-def norm_at(P, X):
-    v = inner_at(P, X, X)
-    return float(np.sqrt(max(v, 0.0)))
 
 
 def gram_at(group, P):

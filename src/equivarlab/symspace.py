@@ -19,12 +19,18 @@ w, the eigenvectors U and S = P^{-1/2} of P; log_frame gives the
 log-eigenvalues and eigenvectors of S Q S; mc_from_frame builds mc_edge(P, Q)
 from both, and origin_dist reads dist(I, P) from w.  The heat flow in
 harmonicflow runs on them.
+
+act, log_frame, mc_from_frame and exp_point multiply through liealg.mul,
+which computes a 2 x 2 block by broadcast arithmetic instead of one BLAS call
+per block; the eigendecompositions are numpy's eigh.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import scipy.linalg
+
+from .liealg import mul
 
 #: ||mc_edge(P,Q)||_P / dist(P,Q); fixed by the half-log normalization.
 MC_EDGE_NORM_RATIO = 0.5
@@ -114,7 +120,7 @@ def _expm(X):
 def act(g, P):
     """Isometric action P -> g P g^†."""
     g = np.asarray(g, dtype=complex)
-    return _hermitize(g @ P @ _ct(g))
+    return _hermitize(mul(mul(g, P), _ct(g)))
 
 
 def log_frame(S, Q):
@@ -123,14 +129,14 @@ def log_frame(S, Q):
     With S = P^{-1/2} the logarithms give dist(P, Q) (see dist), and
     mc_from_frame builds mc_edge(P, Q) from them.
     """
-    w, U = _eigh(_hermitize(S @ Q @ S))
+    w, U = _eigh(_hermitize(mul(mul(S, Q), S)))
     return np.log(w), U
 
 
 def mc_from_frame(w, U, S, logw, V):
     """mc_edge(P, Q) from point_frame(P) = (w, U, S) and log_frame(S, Q) =
     (logw, V)."""
-    return 0.5 * (_spectral(U, np.sqrt(w)) @ _spectral(V, logw) @ S)
+    return 0.5 * mul(mul(_spectral(U, np.sqrt(w)), _spectral(V, logw)), S)
 
 
 def dist(P, Q):
@@ -170,7 +176,7 @@ def exp_point(P, X):
     """exp_point(P, X) = e^X P e^{X^†}; X should be selfadjoint at P and lie
     in the algebra (traceless unless n = 1)."""
     E = _expm(np.asarray(X, dtype=complex))
-    return _hermitize(E @ P @ _ct(E))
+    return _hermitize(mul(mul(E, P), _ct(E)))
 
 
 def mc_edge(P, Q):

@@ -11,7 +11,9 @@ the companion construction that ``energyvar.psh_defect`` uses.
 sample started from f0, without the continuation predictor.
 ``normalize_basepoint`` and ``shifted_pair`` are the transformations of the
 uniqueness laws: maps compared up to the centralizer, and second-order pairs
-shifted by kernel sections.
+shifted by kernel sections.  ``adjoint_at``, ``inner_at`` and ``norm_at`` are
+the fiber metric at a point taken through a LAPACK inverse of the point,
+independently of the Cartan split and of the vertex frames of the flow.
 """
 
 from __future__ import annotations
@@ -108,6 +110,21 @@ def fd_energy_derivatives_from_f0(path, mesh, f0, *, tol=1e-10):
         table.append({"h": h, "first": firsts[-1], "second": seconds[-1]})
     return FDReport((4.0 * firsts[-1] - firsts[-2]) / 3.0,
                     (4.0 * seconds[-1] - seconds[-2]) / 3.0, table)
+
+
+def adjoint_at(P, X):
+    """Metric adjoint X* = P X^† P^{-1} at the point P (stacks broadcast)."""
+    P = np.asarray(P, dtype=complex)
+    return P @ np.conj(np.swapaxes(X, -1, -2)) @ np.linalg.inv(P)
+
+
+def inner_at(P, X, Y):
+    """Fiber metric <X,Y>_P = Re tr(X (P Y^† P^{-1}))."""
+    return float(np.real(np.trace(np.asarray(X) @ adjoint_at(P, Y))))
+
+
+def norm_at(P, X):
+    return float(np.sqrt(max(inner_at(P, X, X), 0.0)))
 
 
 def normalize_basepoint(f):

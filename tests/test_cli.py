@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from equivarlab import cli
+from equivarlab import symspace as ss
 from equivarlab import twistedhodge as th
 from equivarlab.twistedhodge import TwistedCochain, TwistedComplex
 from test_meshcover import MESH_CORRUPTIONS, MESH_CORRUPTION_IDS, corrupted_mesh_json
@@ -357,20 +358,40 @@ def test_solver_error_exit_three(tmp_path, monkeypatch):
     assert "result" not in report
 
 
-def test_singular_numpy_solve_exit_three(tmp_path):
-    # a random start at scale 11 drives the flow into a singular matrix in
-    # np.linalg.inv; numpy's LinAlgError is a ValueError, but the failure is
-    # the solver's, not the config's
-    cfg = {
-        "mesh": {"kind": "torus", "n": 4, "m": 4},
-        "group": {"kind": "sl", "n": 2, "field": "C"},
-        "representation": {"family": "torus_diag"},
-        "flow": {"start": "random", "scale": 11},
-    }
-    code, report, _ = run_cli(tmp_path, "flow", cfg)
+FAR_RANDOM_FLOW_CFG = {
+    "mesh": {"kind": "torus", "n": 4, "m": 4},
+    "group": {"kind": "sl", "n": 2, "field": "C"},
+    "representation": {"family": "torus_diag"},
+    "flow": {"start": "random", "scale": 11},
+}
+
+
+def test_singular_numpy_solve_exit_three(tmp_path, monkeypatch):
+    # numpy's LinAlgError is a ValueError, but a LAPACK failure inside a
+    # flow is the solver's, not the config's: an eigendecomposition that
+    # does not converge, as LAPACK reports it, exits 3 with solver-error
+    def no_convergence(P):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    monkeypatch.setattr(ss, "_eigh", no_convergence)
+    code, report, _ = run_cli(tmp_path, "flow", FAR_RANDOM_FLOW_CFG)
     assert code == cli.EXIT_NONCONVERGED
     assert report["status"] == "solver-error"
-    assert report["error"] == "Singular matrix"
+    assert report["error"] == "Eigenvalues did not converge"
+
+
+def test_far_random_flow_underflows_exit_zero(tmp_path):
+    # the flow takes no LAPACK inverse, so this far start (scale 11) reaches
+    # no singular matrix: its first step underflows and the run reports it.
+    # Read directly, not through run_cli: the energy of the start is
+    # dominated by rounding, so no golden pins its floats
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(FAR_RANDOM_FLOW_CFG))
+    code = cli.main(["flow", "--config", str(cfg_path), "--out", str(tmp_path)])
+    report = json.loads((tmp_path / "flow_report.json").read_text())
+    assert code == cli.EXIT_OK and report["status"] == "ok"
+    flow = report["result"]["flow"]
+    assert not flow["converged"] and flow["step_underflow"]
+    assert flow["iterations"] == 1
 
 
 def test_singular_point_inverse_exit_three(tmp_path, monkeypatch):
