@@ -25,7 +25,8 @@ float resolution).  When the Newton phase stalls, stops outside the drift
 radius, meets a non-finite value or a singular factor, fails its line
 search or spends its step budget, the explicit Armijo flow runs from the
 start map instead; a parabolic (non-reductive) representation always ends
-there.
+there.  A converged run certifies that rho is reductive; otherwise the
+trace-form test ``repvar.Representation.reductive`` decides.
 
 FlowKernel holds only (mesh, representation) data: the per-edge arrays, the
 deck words of the mesh (``CoverMesh.word_index``) evaluated once as one
@@ -41,8 +42,8 @@ the flow (transports, frames, the Newton model) go through liealg.mul,
 broadcast arithmetic instead of one BLAS call per block.
 
 Both phases run through one loop, ``_descend`` (record, exit on tension or
-drift, drift-trend test), with Newton and the explicit flow as its two step
-rules and one backtracking search, ``_backtrack``.  A flow runs on a complex
+drift), with Newton and the explicit flow as its two step rules and one
+backtracking search, ``_backtrack``.  A flow runs on a complex
 copy of its start map.  The explicit flow's fixed-step polish rejects a
 candidate that equals the current points: such a step moved nothing, and
 accepting it would repeat it until max_iter.  Every candidate goes
@@ -55,7 +56,7 @@ all vertices in one stacked pass.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -302,8 +303,6 @@ class FlowReport:
     basepoint_drift: float = 0.0
     reductive_suspected: bool = True
     step_underflow: bool = False
-    energy_history: list = field(default_factory=list)
-    drift_history: list = field(default_factory=list)
     solver: str = "explicit"    # "newton" or "explicit"; not in to_dict
 
     def to_dict(self):
@@ -318,21 +317,19 @@ class FlowReport:
 
 #: Newton steps checked before the explicit flow takes over
 NEWTON_STEPS = 50
-#: iterations between the entries of the energy and drift histories
-HISTORY_STRIDE = 25
 
 
 def flow(rep, f0, *, tol=1e-8, max_iter=20000, drift_radius=50.0):
     """Harmonic map from f0: damped Riemannian Newton, explicit flow fallback.
 
     Convergence means the weighted tension norm drops below tol with the
-    basepoint inside the drift radius.  ``iterations`` counts tension checks
-    (Newton steps + 1, or explicit iterations).  When the Newton phase does
-    not converge, the explicit Armijo flow runs from f0 and its report is
-    returned: a run that keeps lowering the energy while the basepoint
-    escapes (hard radius exit, or a steady drift trend at exhaustion) marks
-    the representation as suspected non-reductive, and the plateau energy
-    is reported either way.
+    basepoint inside the drift radius and no vertex eigenvalue at the floor.
+    ``iterations`` counts tension checks (Newton steps + 1, or explicit
+    iterations).  When the Newton phase does not converge, the explicit
+    Armijo flow runs from f0 and its report is returned, with the plateau
+    energy of an unconverged run.  ``reductive_suspected`` is true when the
+    run converged (a harmonic map exists only for a reductive rho) or when
+    rho passes the trace-form test, ``Representation.reductive``.
     """
     if not np.isfinite(f0.points).all():
         raise ValueError("start map has non-finite entries")
@@ -349,35 +346,26 @@ def _descend(kern, pts, step, report, *, tol, max_iter, drift_radius):
     """The loop of both phases; (points, report).  It stops once the tension
     is below tol or the basepoint is outside the drift radius.  A run that
     stops outside, or at a map with a vertex eigenvalue at the eigenvalue
-    floor, is neither converged nor suspected reductive.  Until it stops,
-    step(ev) gives the next MapEval, or None when its search fails."""
+    floor, is not converged; an unconverged one is reductive as rho's
+    verdict says.  Until it stops, step(ev) gives the next MapEval, or None
+    when its search fails."""
     ev = MapEval(kern, pts)
-    report.energy_history.append(ev.energy)
     for it in range(1, max_iter + 1):
         drift = ev.drift
         report.iterations = it
         report.basepoint_drift = drift
-        if it % HISTORY_STRIDE == 0 or it == 1:
-            report.energy_history.append(ev.energy)
-            report.drift_history.append(drift)
         if math.sqrt(ev.tension_sq) < tol or drift > drift_radius:
-            inside = drift <= drift_radius and ev.w.min() > ss._EIG_FLOOR
-            report.converged = report.reductive_suspected = bool(inside)
+            report.converged = bool(drift <= drift_radius
+                                    and ev.w.min() > ss._EIG_FLOOR)
             break
         nxt = step(ev)
         if nxt is None:
             report.step_underflow = True
             break
         ev = nxt
-    report.energy = E = ev.energy
+    report.energy = ev.energy
     report.tension = float(np.sqrt(ev.tension_sq))
-    report.energy_history.append(E)
-    # drift-trend heuristic at exhaustion: energy sinking, basepoint leaving
-    if not report.converged and report.reductive_suspected:
-        dh = report.drift_history
-        if (len(dh) >= 4 and E < 0.25 * max(report.energy_history[0], 1e-300)
-                and dh[-1] > dh[len(dh) // 2] + 0.2):
-            report.reductive_suspected = False
+    report.reductive_suspected = report.converged or kern.rep.reductive
     return ev.points, report
 
 
@@ -446,7 +434,8 @@ def _explicit_flow(kern, pts, **args):
 
 def energy_of_rep(rep, mesh, *, tol=1e-8, max_iter=20000, n_starts=2, seed=0,
                   drift_radius=50.0):
-    """Energy infimum estimate over flows from n_starts >= 1 starts."""
+    """Energy infimum estimate over flows from n_starts >= 1 starts; (energy,
+    reductive, best report), reductive if a start converged or rho.reductive."""
     if n_starts < 1:
         raise ValueError(f"n_starts must be at least 1, not {n_starts}")
     rng = np.random.default_rng(seed)
@@ -456,7 +445,7 @@ def energy_of_rep(rep, mesh, *, tol=1e-8, max_iter=20000, n_starts=2, seed=0,
         reports.append(flow(rep, f0, tol=tol, max_iter=max_iter,
                             drift_radius=drift_radius)[1])
     best = min(reports, key=lambda r: r.energy)
-    return best.energy, all(r.reductive_suspected for r in reports), best
+    return best.energy, any(r.reductive_suspected for r in reports), best
 
 
 def curved_torus_map(mesh, rep, amplitude=0.3):

@@ -17,8 +17,6 @@ instead, so every block of a stack is computed exactly as a stack of one.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 import numpy as np
 import scipy.linalg
 
@@ -237,34 +235,3 @@ def nullspace(A, rtol=1e-9):
     _, s, vt = np.linalg.svd(A)
     null_dim = int(np.sum(s <= rtol * max(s[0], 1.0))) + max(0, n - len(s))
     return vt[n - null_dim:].T
-
-
-# ----------------------------------------------------------------------
-# second jets of the group: right-trivialized J^2 G = G x g x g
-
-class Jet2(NamedTuple):
-    """Right-trivialized 2-jet (g, xi, mu): g_t = (1 + t xi + t^2(mu+xi^2)/2) g."""
-    g: np.ndarray
-    xi: np.ndarray
-    mu: np.ndarray
-
-
-def jet2_identity(group):
-    z = np.zeros((group.n, group.n), dtype=complex)
-    return Jet2(group.identity(), z.copy(), z.copy())
-
-
-def jet2_mul(a, b):
-    """(g,xi,mu)(h,eta,nu) = (gh, xi + Ad_g eta, mu + Ad_g nu + [xi, Ad_g eta])."""
-    if a.g.shape != b.g.shape:
-        raise ValueError("jet2_mul of mismatched groups")
-    ad_eta = ad_action(a.g, b.xi)
-    return Jet2(a.g @ b.g,
-                a.xi + ad_eta,
-                a.mu + ad_action(a.g, b.mu) + bracket(a.xi, ad_eta))
-
-
-def jet2_inv(a):
-    """Inverse solved from the product law: (g^{-1}, -Ad_{g^{-1}} xi, -Ad_{g^{-1}} mu)."""
-    ginv = np.linalg.inv(a.g)
-    return Jet2(ginv, -(ginv @ a.xi @ a.g), -(ginv @ a.mu @ a.g))

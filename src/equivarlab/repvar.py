@@ -17,6 +17,10 @@ flow kernel evaluates the deck words of a mesh as one table.
 
 A path t -> rho_t (``RepPath``) is its generator images at t and its jets
 (c, k) at t = 0, both set by the constructor of its family.
+
+rho is reductive exactly when the algebra A spanned by its images is
+semisimple, that is (Dickson's criterion) when the trace form tr(xy) on A
+is nondegenerate; ``Representation.reductive`` reads it off the images.
 """
 
 from __future__ import annotations
@@ -30,6 +34,10 @@ import numpy as np
 from . import hyperbolic as hyp
 from .liealg import MatrixGroup, ad_action, bracket, nullspace
 from .meshcover import token_is_inverse, token_base
+
+#: trace-form margin below which rho counts as non-reductive (that of
+#: [[1 + e, 1], [0, 1 / (1 + e)]] is about 2 e^2)
+TRACE_FORM_MARGIN = 1e-9
 
 
 @dataclass
@@ -60,6 +68,28 @@ class Representation:
     def validate(self, tol=1e-8):
         res = self.relator_residuals()
         return max(res, default=0.0) <= tol
+
+    @cached_property
+    def trace_form_margin(self):
+        """Smallest singular value of tr(xy) on the algebra spanned by the
+        images, in a Frobenius-orthonormal basis: the span of I closed under
+        right products with the images (n^2 rounds reach any dimension), its
+        rank cut at 1e-10 of the largest singular value."""
+        n = self.group.n
+        gens = np.array([self.images[name] for name in self.generators])
+        basis = np.eye(n, dtype=complex)[None]
+        for _ in range(n * n):
+            words = np.concatenate([basis, (basis[:, None] @ gens).reshape(-1, n, n)])
+            _, s, vh = np.linalg.svd(words.reshape(len(words), -1),
+                                     full_matrices=False)
+            basis = vh[s > 1e-10 * s[0]].reshape(-1, n, n)
+        form = np.einsum("iab,jba->ij", basis, basis)
+        return float(np.linalg.svd(form, compute_uv=False)[-1])
+
+    @property
+    def reductive(self):
+        """Dickson's criterion, to within TRACE_FORM_MARGIN."""
+        return self.trace_form_margin > TRACE_FORM_MARGIN
 
     def conjugate(self, h):
         hinv = np.linalg.inv(h)

@@ -9,7 +9,7 @@ P -> g P g^†.  Edge logarithms follow the exact-transport convention
 which is selfadjoint at P and satisfies exp_point(P, mc_edge(P,Q)) = Q.
 With this normalization ||mc_edge(P,Q)||_P = dist(P,Q)/2.
 
-The geometry routines (act, dist, geodesic, exp_point, mc_edge and the
+The geometry routines (act, dist, exp_point, mc_edge and the
 spectral functions) broadcast over leading axes: a single point is a stack
 of one, and a stack gives bit for bit the values of the per-point calls.
 
@@ -89,11 +89,6 @@ def origin_dist(P, w):
     return float(_log_norm(np.log(w)))
 
 
-def power_spd(P, t):
-    w, U = _eigh(P)
-    return _spectral(U, np.power(w, t))
-
-
 def exp_hermitian(H):
     H = 0.5 * (H + np.conj(H).T)
     w, U = np.linalg.eigh(H)
@@ -162,14 +157,6 @@ def ad_jacobi(logw):
     coth = np.where(small, 1.0 + T2 / 3.0, Ts * (1.0 + q * q) / den)
     csch = np.where(small, 1.0 - T2 / 6.0, 2.0 * Ts * q / den)
     return coth, csch
-
-
-def geodesic(P, Q, t):
-    """Geodesic from P (t=0) to Q (t=1)."""
-    w, U, S = point_frame(P)
-    R = _spectral(U, np.sqrt(w))
-    M = S @ Q @ S
-    return _hermitize(R @ power_spd(_hermitize(M), t) @ R)
 
 
 def exp_point(P, X):

@@ -10,7 +10,8 @@ representation.  The coboundary on sections is
 on 1-cochains the signed, word-transported sum over the face boundary walk.
 Codifferentials are Gram adjoints (G0^{-1} d0^T G1 on real coordinates), and
 the Jacobi operator is J = d* d on sections; its kernel is the centralizer
-algebra h = H^0 of the adjoint system, computed algebraically.
+algebra h = H^0 of the adjoint system, computed algebraically: the vectors
+fixed by Ad of every generator, constant over the vertices.
 
 Both Hodge Laplacians, A0 = d0^T G1 d0 on sections and A2 = d1 G1^{-1} d1^T
 on 2-cochains (the normal equations of the coexact part of the Hodge
@@ -228,45 +229,23 @@ class TwistedComplex:
     # -- kernel h = H^0 ---------------------------------------------------
     @cached_property
     def kernel(self):
-        """G0-orthonormal basis of parallel sections (the centralizer algebra),
-        built from Ad-fixed vectors of the generators at the base vertex and
-        parallel transport along a spanning tree."""
-        D = self.dim
+        """G0-orthonormal basis of parallel sections (the centralizer algebra):
+        the vectors fixed by Ad of every generator, hence of every deck word,
+        constant over the vertices in the chosen-lift trivialization."""
+        D, nv = self.dim, self.mesh.nv
         gens = self._Ad[self.word_index.gen_word]
         basis0 = nullspace((gens - np.eye(D)).reshape(-1, D), KERNEL_RTOL)
         if basis0.shape[1] == 0:
-            return np.zeros((self.mesh.nv * D, 0))
-        # parallel extension over a BFS tree
-        ext = np.zeros((self.mesh.nv, D, basis0.shape[1]))
-        seen = np.zeros(self.mesh.nv, dtype=bool)
-        ext[0] = basis0
-        seen[0] = True
-        frontier = [0]
-        adjacency = {}
-        for i, e in enumerate(self.mesh.edges):
-            adjacency.setdefault(e.src, []).append((i, +1, e.dst))
-            adjacency.setdefault(e.dst, []).append((i, -1, e.src))
-        Tinv = np.linalg.inv(self.edge_T)
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for eid, direction, v in adjacency.get(u, ()):
-                    if seen[v]:
-                        continue
-                    # F(src) = T F(dst): forward crossing uses T^{-1}
-                    ext[v] = (Tinv[eid] if direction > 0 else self.edge_T[eid]) @ ext[u]
-                    seen[v] = True
-                    nxt.append(v)
-            frontier = nxt
-        K = np.concatenate([ext[v] for v in range(self.mesh.nv)], axis=0)
-        # G0-orthonormalize
+            return np.zeros((nv * D, 0))
+        # G0-orthonormalize; every vertex takes the same product, bit for bit
+        K = np.tile(basis0, (nv, 1))
         M = K.T @ (self.G0 @ K)
         w, U = np.linalg.eigh(0.5 * (M + M.T))
         keep = w > 1e-12 * max(w.max(), 1.0)
-        K = K @ (U[:, keep] / np.sqrt(w[keep]))
+        K = np.tile(basis0 @ (U[:, keep] / np.sqrt(w[keep])), (nv, 1))
         resid = np.abs(self.d0 @ K).max() if K.size else 0.0
         if resid > 1e-8:
-            raise RuntimeError(f"parallel extension inconsistent: {resid}")
+            raise RuntimeError(f"constant sections not parallel: {resid}")
         return K
 
     @property

@@ -2,8 +2,10 @@
 
 ``WordTable`` evaluates many words in lockstep; the functions here evaluate
 one word one token at a time, through the group law of rho, the TG product
-law of a cocycle and the 2-jet product law, doing the numpy operations of
-the table in their order, so that the two agree to the last bit.
+law of a cocycle and the 2-jet product law (``Jet2``, ``jet2_mul``,
+``jet2_inv`` and ``jet2_identity``: the right-trivialized 2-jet group
+G x g x g), doing the numpy operations of the table in their order, so that
+the two agree to the last bit.
 ``psh_defect_independent`` solves the conjugate side of the
 plurisubharmonicity identity by a second full psi solve, independently of
 the companion construction that ``energyvar.psh_defect`` uses.
@@ -18,6 +20,8 @@ independently of the Cartan split and of the vertex frames of the flow.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from equivarlab.deform import second_order
@@ -25,7 +29,7 @@ from equivarlab import harmonicflow as hf
 from equivarlab.energyvar import (FD_MAX_ITER, FD_STEPS, FDReport, PshReport,
                                   omega_l2sq, second_variation)
 from equivarlab import symspace as ss
-from equivarlab.liealg import Jet2, jet2_inv, jet2_mul
+from equivarlab.liealg import ad_action, bracket
 from equivarlab.meshcover import token_base, token_is_inverse
 from equivarlab.twistedhodge import TwistedCochain, _vals
 
@@ -60,6 +64,37 @@ def cocycle_word(c, word):
         out = out + g @ d @ np.linalg.inv(g)
         g = g @ h
     return out
+
+
+# ----------------------------------------------------------------------
+# second jets of the group: right-trivialized J^2 G = G x g x g
+
+class Jet2(NamedTuple):
+    """Right-trivialized 2-jet (g, xi, mu): g_t = (1 + t xi + t^2(mu+xi^2)/2) g."""
+    g: np.ndarray
+    xi: np.ndarray
+    mu: np.ndarray
+
+
+def jet2_identity(group):
+    z = np.zeros((group.n, group.n), dtype=complex)
+    return Jet2(group.identity(), z.copy(), z.copy())
+
+
+def jet2_mul(a, b):
+    """(g,xi,mu)(h,eta,nu) = (gh, xi + Ad_g eta, mu + Ad_g nu + [xi, Ad_g eta])."""
+    if a.g.shape != b.g.shape:
+        raise ValueError("jet2_mul of mismatched groups")
+    ad_eta = ad_action(a.g, b.xi)
+    return Jet2(a.g @ b.g,
+                a.xi + ad_eta,
+                a.mu + ad_action(a.g, b.mu) + bracket(a.xi, ad_eta))
+
+
+def jet2_inv(a):
+    """Inverse solved from the product law: (g^{-1}, -Ad_{g^{-1}} xi, -Ad_{g^{-1}} mu)."""
+    ginv = np.linalg.inv(a.g)
+    return Jet2(ginv, -(ginv @ a.xi @ a.g), -(ginv @ a.mu @ a.g))
 
 
 def _jet_generator(jet, tok):

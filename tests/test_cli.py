@@ -93,8 +93,11 @@ def test_deform2_obstructed_exit_four(tmp_path):
     assert code == cli.EXIT_OBSTRUCTED
     assert report["status"] == "obstructed"
     assert report["obstruction"]["defect"] > 1e-3
-    W = np.asarray(report["obstruction"]["witness"])[0]
-    W = W[..., 0] + 1j * W[..., 1]
+    # a projection onto the constant kernel sections of the trivial rep:
+    # one value, bit for bit, at every vertex
+    W = np.asarray(report["obstruction"]["witness"])
+    assert np.array_equal(W, np.broadcast_to(W[0], W.shape))
+    W = W[0, ..., 0] + 1j * W[0, ..., 1]
     W = W / np.sqrt(abs(np.trace(W @ np.conj(W).T)))
     target = np.diag([1.0, -1.0]) / np.sqrt(2.0)
     assert abs(abs(np.trace(W @ target)) - 1.0) < 1e-8

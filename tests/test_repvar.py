@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from equivarlab import meshcover as mc
 from equivarlab import repvar as rv
-from equivarlab.liealg import Jet2, MatrixGroup, bracket, jet2_inv, jet2_mul
+from equivarlab.liealg import MatrixGroup, bracket
 import reference as ref
+from reference import Jet2, jet2_inv, jet2_mul
+from test_symspace import JORDAN3, _conjugated
 
 E = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 
@@ -363,3 +366,74 @@ def test_cocycle_space_basis_matches_per_column_loop(
             for gi, name in enumerate(rep.generators):
                 assert np.array_equal(
                     c.values[name], group.from_coords(want[gi * dim:(gi + 1) * dim, j]))
+
+
+# ----------------------------------------------------------------------
+# reductivity by Dickson's criterion: the trace form on the image algebra
+
+CIRCLE4 = mc.build_circle(4)
+TORUS4 = mc.build_torus(4, 4)
+GENUS2 = mc.build_genus2(1)
+SL2R, SL2C, SL3R = (MatrixGroup("sl", 2, "R"), MatrixGroup("sl", 2, "C"),
+                    MatrixGroup("sl", 3, "R"))
+
+
+def _verdict_case(name):
+    """(rep, reductive) of one fixture: Jordan blocks are not semisimple,
+    the rest are."""
+    if name == "jordan_sl2r":
+        return rv.parabolic_circle_rep(SL2R, CIRCLE4), False
+    if name == "jordan_sl2c":
+        return rv.circle_rep(SL2C, CIRCLE4, [[-1.0, 0.5 + 2.0j], [0.0, -1.0]]), False
+    if name == "jordan_pair_torus":
+        return rv.Representation.for_mesh(SL2R, TORUS4, {
+            "a": [[1.0, 1.0], [0.0, 1.0]], "b": [[1.0, -0.3], [0.0, 1.0]]}), False
+    if name == "jordan3":
+        return rv.circle_rep(SL3R, CIRCLE4, JORDAN3), False
+    if name == "diagonal":
+        return rv.torus_diag_rep(SL2C, TORUS4, 0.4 + 0.3j, -0.2 + 0.5j), True
+    if name == "elliptic":
+        return rv.elliptic_circle_rep(SL2R, CIRCLE4), True
+    if name == "semisimple3":
+        return rv.circle_rep(SL3R, CIRCLE4,
+                             _conjugated(np.diag([2.0, 2.0, 0.25])).real), True
+    if name == "torus_unitary":
+        return rv.torus_unitary_rep(SL2C, TORUS4), True
+    if name == "gl1c":
+        return rv.torus_gl1c_rep(MatrixGroup("gl1c"), TORUS4, 0.5 + 1.0j,
+                                 -0.3 + 0.2j), True
+    group = SL2R if name == "fuchsian_sl2r" else SL2C
+    return rv.genus2_fuchsian_rep(group, GENUS2), True
+
+
+VERDICT_CASES = ("jordan_sl2r", "jordan_sl2c", "jordan_pair_torus", "jordan3",
+                 "diagonal", "elliptic", "semisimple3", "torus_unitary", "gl1c",
+                 "fuchsian_sl2r", "fuchsian_sl2c")
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(VERDICT_CASES), seed=st.integers(0, 2 ** 32 - 1),
+       scale=st.floats(0.0, 0.5))
+def test_reductive_verdict_is_conjugation_invariant(name, seed, scale):
+    # the image algebra of h rho h^-1 is h A h^-1, semisimple exactly when A
+    # is; the margin moves with the conditioning of h but stays on its side
+    rep, want = _verdict_case(name)
+    h = rep.group.exp(rep.group.random_alg(np.random.default_rng(seed), scale))
+    for r in (rep, rep.conjugate(h)):
+        assert r.reductive is want
+        assert (r.trace_form_margin > 1e-6) if want else (r.trace_form_margin < 1e-12)
+
+
+@pytest.mark.parametrize("eps, reductive", [(1e-2, True), (1e-3, True),
+                                            (1e-4, True), (1e-5, False)])
+def test_trace_form_margin_near_parabolic(eps, reductive):
+    # [[1 + e, 1], [0, 1 / (1 + e)]] is diagonalizable, so rho is reductive;
+    # its algebra is spanned by I and X = [[d, 1], [0, -d]], d about e, and
+    # the margin is 2 d^2 / (1 + 2 d^2).  Below e of about 2e-5 it falls
+    # under TRACE_FORM_MARGIN: a band where the verdict reads non-reductive
+    rep = rv.circle_rep(SL2R, CIRCLE4, [[1.0 + eps, 1.0], [0.0, 1.0 / (1.0 + eps)]])
+    d = 0.5 * ((1.0 + eps) - 1.0 / (1.0 + eps))
+    margin = 2.0 * d * d / (1.0 + 2.0 * d * d)
+    assert abs(rep.trace_form_margin - margin) <= 1e-4 * margin
+    assert abs(rep.trace_form_margin - 2.0 * eps * eps) <= 2.0 * eps * 2.0 * eps * eps
+    assert rep.reductive is reductive

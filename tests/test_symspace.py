@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from equivarlab.liealg import MatrixGroup, ad_action, cartan_project, gram_at
 from equivarlab.symspace import (MC_EDGE_NORM_RATIO, act, dist,
-                                 exp_hermitian, exp_point, geodesic, mc_edge,
+                                 exp_hermitian, exp_point, mc_edge,
                                  random_point, translation_length)
 from reference import adjoint_at, norm_at
 
@@ -68,15 +68,6 @@ def test_dist_g_invariance():
         P, Q = random_point(SL2C, rng), random_point(SL2C, rng)
         g = SL2C.exp(SL2C.random_alg(rng, 0.5))
         assert abs(dist(act(g, P), act(g, Q)) - dist(P, Q)) < 1e-9
-
-
-def test_geodesic_endpoints_and_midpoint():
-    rng = np.random.default_rng(4)
-    P, Q = random_point(SL2C, rng), random_point(SL2C, rng)
-    assert dist(geodesic(P, Q, 0.0), P) < 1e-10
-    assert dist(geodesic(P, Q, 1.0), Q) < 1e-10
-    M = geodesic(P, Q, 0.5)
-    assert abs(dist(P, M) - dist(M, Q)) < 1e-9
 
 
 def test_exp_point_examples():

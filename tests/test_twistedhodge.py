@@ -185,10 +185,17 @@ def test_kernel_dimension_matches_centralizer(diag_ctx, unitary_ctx,
                                               trivial_ctx, fuchsian_ctx,
                                               gl1c_ctx):
     # eigenvalue count of the symmetrized Jacobi operator cross-checks the
-    # algebraically computed parallel-section basis
+    # algebraically computed parallel-section basis: constant sections, the
+    # same value bit for bit at every vertex, G0-orthonormal, with d0 K = 0
     for ctx, expected in ((diag_ctx, 2), (unitary_ctx, 2), (trivial_ctx, 3),
                           (fuchsian_ctx, 0), (gl1c_ctx, 2)):
+        K = ctx.kernel
         assert ctx.kernel_dim == expected
+        per_vertex = K.reshape(ctx.mesh.nv, ctx.dim, expected)
+        assert np.array_equal(per_vertex,
+                              np.broadcast_to(per_vertex[0], per_vertex.shape))
+        assert np.abs(ctx.d0 @ K).max(initial=0.0) < 1e-14
+        assert np.abs(K.T @ (ctx.G0 @ K) - np.eye(expected)).max(initial=0.0) < 1e-12
         spec = np.linalg.eigvalsh(ctx.jacobi_dense_sym())
         cutoff = 1e-9 * spec.max()
         assert int(np.sum(spec < cutoff)) == expected
