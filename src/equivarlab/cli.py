@@ -12,7 +12,8 @@ group given complex images, refine-study levels that do not strictly
 increase; every task but refine-study starts from build_problem, which
 checks the relators), 3 harmonic-map solver non-convergence where a
 converged metric is required (every solve reads the flow section through
-_flow_args), 4 obstructed second-order deformation request.  Complex
+_flow_args), 4 obstructed second-order deformation request; _failure maps
+each failure class to its code, status and report fields.  Complex
 matrices and numbers are read and written as [re, im] pairs.
 """
 
@@ -485,6 +486,21 @@ TASK_FUNCS = {
 }
 
 
+def _failure(exc):
+    """(exit code, status, stderr label, extra report fields) of a failed task."""
+    # numpy's LinAlgError is a ValueError: a singular solve is not a config fault
+    if isinstance(exc, (LinearSolverError, np.linalg.LinAlgError)):
+        return EXIT_NONCONVERGED, "solver-error", "solver error", {}
+    if isinstance(exc, FlowNotConverged):
+        return (EXIT_NONCONVERGED, "not-converged", "solver error",
+                {"flow": exc.report.to_dict()})
+    if isinstance(exc, ObstructedDeformationError):     # raised with defect > 0
+        return (EXIT_OBSTRUCTED, "obstructed", "obstructed deformation",
+                {"obstruction": {"defect": exc.defect, "scale": exc.scale,
+                                 "witness": exc.witness.values.tolist()}})
+    return EXIT_VALIDATION, "validation-error", "validation error", {}
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="equivar-lab",
@@ -511,41 +527,17 @@ def main(argv=None):
         run_cfg = dict(cfg, seed=_value(cfg, "seed", 0, int),
                        tolerances=dict(tols, **{k: _value(tols, k, None, float)
                                                 for k in TOLERANCES}))
-        result = TASK_FUNCS[args.task](run_cfg, out_dir)
-        payload["result"] = result
+        payload["result"] = TASK_FUNCS[args.task](run_cfg, out_dir)
         payload["status"] = "ok"
-        write_report(out_dir, args.task, payload)
-        return EXIT_OK
-    # numpy's LinAlgError is a ValueError: a singular solve is not a config fault
-    except (LinearSolverError, np.linalg.LinAlgError) as exc:
-        print(f"solver error: {exc}", file=sys.stderr)
-        payload["status"] = "solver-error"
+        code = EXIT_OK
+    except (ValueError, LinearSolverError, FlowNotConverged,
+            ObstructedDeformationError) as exc:
+        code, payload["status"], label, extra = _failure(exc)
+        print(f"{label}: {exc}", file=sys.stderr)
         payload["error"] = str(exc)
-        write_report(out_dir, args.task, payload)
-        return EXIT_NONCONVERGED
-    except (ConfigError, ValueError) as exc:
-        print(f"validation error: {exc}", file=sys.stderr)
-        payload["status"] = "validation-error"
-        payload["error"] = str(exc)
-        write_report(out_dir, args.task, payload)
-        return EXIT_VALIDATION
-    except FlowNotConverged as exc:
-        print(f"solver error: {exc}", file=sys.stderr)
-        payload["status"] = "not-converged"
-        payload["error"] = str(exc)
-        payload["flow"] = exc.report.to_dict()
-        write_report(out_dir, args.task, payload)
-        return EXIT_NONCONVERGED
-    except ObstructedDeformationError as exc:
-        print(f"obstructed deformation: {exc}", file=sys.stderr)
-        payload["status"] = "obstructed"
-        payload["error"] = str(exc)
-        payload["obstruction"] = {
-            "defect": exc.defect, "scale": exc.scale,
-            "witness": exc.witness.values.tolist() if exc.witness is not None else None,
-        }
-        write_report(out_dir, args.task, payload)
-        return EXIT_OBSTRUCTED
+        payload.update(extra)
+    write_report(out_dir, args.task, payload)
+    return code
 
 
 if __name__ == "__main__":

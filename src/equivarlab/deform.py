@@ -152,11 +152,9 @@ def obstruction_check(ctx, omega, rel_tol=1e-7):
     # absolute floor keeps near-zero omega from flipping on float noise
     threshold = rel_tol * scale + 1e-12 * (1.0 + scale)
     witness = None
-    if defect > 0:
+    if defect > 0:     # then proj, and so wit, is nonzero
         wit = ctx.from_flat(proj, ctx.mesh.nv)
-        nrm = np.abs(wit).max()
-        if nrm > 0:
-            witness = TwistedCochain(0, wit / nrm)
+        witness = TwistedCochain(0, wit / np.abs(wit).max())
     return ObstructionReport(defect <= threshold, defect, scale, witness, q)
 
 

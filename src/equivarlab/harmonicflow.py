@@ -35,11 +35,11 @@ rho(word_e) and their inverses per edge, and the Hessian's sparsity pattern.
 A MapEval holds all the data of one map: the vertex frame (w, U, S =
 P^{-1/2}) and the edge frame (logw, V) give the energy, and the edge logs,
 the tension, its norm, the basepoint drift and the Newton model (tangent
-fields, Hessian, Newton step, with R = P^{1/2} = U diag(sqrt w) U^†) are
-read from them when asked for.  The tension norm needs no inverse: the
-fiber metric at P is the Frobenius one on S tau R.  The 2 x 2 products of
-the flow (transports, frames, the Newton model) go through liealg.mul,
-broadcast arithmetic instead of one BLAS call per block.
+fields, Hessian, Newton step) are read from them when asked for, with
+R = P^{1/2} = U diag(sqrt w) U^† formed once for all of them.  The tension
+norm needs no inverse: the fiber metric at P is the Frobenius one on S tau R.
+The 2 x 2 products of the flow (transports, frames, the Newton model) go
+through liealg.mul, broadcast arithmetic instead of one BLAS call per block.
 
 Both phases run through one loop, ``_descend`` (record, exit on tension or
 drift), with Newton and the explicit flow as its two step rules and one
@@ -162,9 +162,9 @@ class MapEval:
     log-eigendecomposition of S_src Q S_src, Q the transported far endpoint,
     gives the squared edge distances d2 and from them the energy.  The edge
     logs beta, the tension, its squared norm, the basepoint drift and the
-    Newton model are built from the same arrays when asked for (the tension,
-    its norm and P^{1/2} once), so a rejected candidate pays for its energy
-    alone and a Newton step takes no eigendecomposition of its own.
+    Newton model are built from the same arrays when asked for (beta, the
+    tension, its norm and P^{1/2} once), so a rejected candidate pays for its
+    energy alone and a Newton step takes no eigendecomposition of its own.
     """
 
     def __init__(self, kern, points):
@@ -178,12 +178,11 @@ class MapEval:
         self.d2 = np.sum(self.logw ** 2, axis=-1)
         self.energy = 0.5 * float(np.dot(kern.w1, self.d2))
 
-    @property
+    @cached_property
     def beta(self):
         """mc_edge(P_src, g P_dst g^†) per edge."""
         src = self.kern.src
-        return ss.mc_from_frame(self.w[src], self.U[src], self.S[src],
-                                self.logw, self.V)
+        return ss.mc_from_frame(self.R[src], self.S[src], self.logw, self.V)
 
     @cached_property
     def tension(self):

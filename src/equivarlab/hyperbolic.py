@@ -68,15 +68,14 @@ def dist_disk(p, q):
 
 
 def geodesic_midpoint(p, q):
-    """Midpoint of the geodesic segment [p, q]; symmetric under swap."""
+    """Midpoint of the geodesic segment [p, q] between distinct points;
+    symmetric under swap."""
     swapped = (q.real, q.imag) < (p.real, p.imag)
     if swapped:
         p, q = q, p
     T = translate_to_origin(p)
     u = mobius_apply(T, q)
     r = abs(u)
-    if r < 1e-300:
-        return p
     m = (u / r) * np.tanh(np.arctanh(r) / 2.0)
     return mobius_apply(np.linalg.inv(T), m)
 
@@ -154,13 +153,8 @@ def su11_to_sl2r(M):
     g = _CAYLEY_INV @ M @ _CAYLEY
     g = g / np.sqrt(np.linalg.det(g) + 0j)
     if np.abs(g.imag).max() > 1e-8:
-        g = -1j * g  # the other square root branch of the determinant
-    if np.abs(g.imag).max() > 1e-8:
         raise ValueError("disk isometry did not convert to a real matrix")
-    g = g.real.astype(complex)
-    if g[0, 0].real + g[1, 1].real < 0:
-        g = -g
-    return g
+    return g.real.astype(complex)
 
 
 def fuchsian_generators():

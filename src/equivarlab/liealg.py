@@ -135,20 +135,17 @@ class MatrixGroup:
 # pointwise operations
 
 def mul(A, B):
-    """Stacked matrix product A @ B; for 2 x 2 blocks the sum of two
+    """Stacked matrix product A @ B of arrays; for 2 x 2 blocks the sum of two
     broadcast outer products, column j of A times row j of B."""
-    A = np.asarray(A)
-    B = np.asarray(B)
     if A.shape[-2:] != (2, 2) or B.shape[-2:] != (2, 2):
         return A @ B
     return A[..., :, 0, None] * B[..., None, 0, :] + A[..., :, 1, None] * B[..., None, 1, :]
 
 
 def inv(A):
-    """Stacked matrix inverse; for 2 x 2 blocks the adjugate over the
-    determinant.  A zero or non-finite determinant raises
+    """Stacked matrix inverse of an array; for 2 x 2 blocks the adjugate over
+    the determinant.  A zero or non-finite determinant raises
     np.linalg.LinAlgError, as np.linalg.inv does on a singular block."""
-    A = np.asarray(A)
     if A.shape[-2:] != (2, 2):
         return np.linalg.inv(A)
     a, b, c, d = A[..., 0, 0], A[..., 0, 1], A[..., 1, 0], A[..., 1, 1]
@@ -179,6 +176,7 @@ def cartan_project(P, X, Pinv=None):
     """Split X = Xk + Xp into anti-selfadjoint and selfadjoint parts at P,
     with X* = P X^† P^{-1} taken through ``mul``; Pinv is P^{-1}, which a
     caller that splits many values at the same points inverts once."""
+    P = np.asarray(P)
     if Pinv is None:
         Pinv = inv(P)
     Xs = mul(mul(P, np.conj(np.swapaxes(X, -1, -2))), Pinv)

@@ -17,7 +17,8 @@ The frame routines split one evaluation into its eigendecompositions, so
 that a caller pays for each once: point_frame gives the floored eigenvalues
 w, the eigenvectors U and S = P^{-1/2} of P; log_frame gives the
 log-eigenvalues and eigenvectors of S Q S; mc_from_frame builds mc_edge(P, Q)
-from both, and origin_dist reads dist(I, P) from w.  The heat flow in
+from the latter, S and P^{1/2}, which the caller forms once from (w, U) and
+keeps, and origin_dist reads dist(I, P) from w.  The heat flow in
 harmonicflow runs on them.
 
 act, log_frame, mc_from_frame and exp_point multiply through liealg.mul,
@@ -114,7 +115,7 @@ def _expm(X):
 
 def act(g, P):
     """Isometric action P -> g P g^†."""
-    g = np.asarray(g, dtype=complex)
+    g, P = np.asarray(g, dtype=complex), np.asarray(P)
     return _hermitize(mul(mul(g, P), _ct(g)))
 
 
@@ -128,15 +129,15 @@ def log_frame(S, Q):
     return np.log(w), U
 
 
-def mc_from_frame(w, U, S, logw, V):
-    """mc_edge(P, Q) from point_frame(P) = (w, U, S) and log_frame(S, Q) =
+def mc_from_frame(R, S, logw, V):
+    """mc_edge(P, Q) from R = P^{1/2}, S = P^{-1/2} and log_frame(S, Q) =
     (logw, V)."""
-    return 0.5 * mul(mul(_spectral(U, np.sqrt(w)), _spectral(V, logw)), S)
+    return 0.5 * mul(mul(R, _spectral(V, logw)), S)
 
 
 def dist(P, Q):
     """Invariant distance ||log(P^{-1/2} Q P^{-1/2})||_F."""
-    d = _log_norm(log_frame(inv_sqrt_spd(P), Q)[0])
+    d = _log_norm(log_frame(inv_sqrt_spd(P), np.asarray(Q))[0])
     return float(d) if d.ndim == 0 else d
 
 
@@ -163,7 +164,7 @@ def exp_point(P, X):
     """exp_point(P, X) = e^X P e^{X^†}; X should be selfadjoint at P and lie
     in the algebra (traceless unless n = 1)."""
     E = _expm(np.asarray(X, dtype=complex))
-    return _hermitize(mul(mul(E, P), _ct(E)))
+    return _hermitize(mul(mul(E, np.asarray(P)), _ct(E)))
 
 
 def mc_edge(P, Q):
@@ -173,7 +174,7 @@ def mc_edge(P, Q):
     and conjugated back, which keeps the selfadjointness exact.
     """
     w, U, S = point_frame(P)
-    return mc_from_frame(w, U, S, *log_frame(S, Q))
+    return mc_from_frame(_spectral(U, np.sqrt(w)), S, *log_frame(S, np.asarray(Q)))
 
 
 def random_point(group, rng, scale=0.5):

@@ -49,13 +49,12 @@ def genus2():
 
 
 @pytest.fixture(scope="session")
-def parabolic_plateau(sl2r):
-    """(map, report) of the 40 000-iteration flow of the parabolic circle-4
-    representation from the constant map, run once for every test that
-    reads it."""
-    circle = mc.build_circle(4)
-    rep = rv.parabolic_circle_rep(sl2r, circle)
-    return hf.flow(rep, hf.constant_map(circle, rep), max_iter=40000)
+def parabolic_run(tmp_path_factory):
+    """(exit code, report, out dir) of the README parabolic flow: the
+    40 000-iteration CLI run of test_cli.PARABOLIC_CFG from the constant
+    map, checked against its golden, run once for every test that reads it."""
+    from test_cli import PARABOLIC_CFG, run_cli
+    return run_cli(tmp_path_factory.mktemp("parabolic"), "flow", PARABOLIC_CFG)
 
 
 def converged(mesh, rep, tol=1e-10):

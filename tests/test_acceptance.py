@@ -54,12 +54,12 @@ def test_criterion_01_geodesic_energy(sl2r, circle8):
               f"E/L^2 = {ratios} ~ 1/2")
 
 
-def test_criterion_02_semisimplification(parabolic_plateau):
-    f, rpt = parabolic_plateau
-    assert rpt.energy < 1e-3
-    assert not rpt.converged
-    assert not rpt.reductive_suspected
-    report(2, f"parabolic rep: energy {rpt.energy:.2e} < 1e-3, "
+def test_criterion_02_semisimplification(parabolic_run):
+    rpt = parabolic_run[1]["result"]["flow"]
+    assert rpt["energy"] < 1e-3
+    assert not rpt["converged"]
+    assert not rpt["reductive_suspected"]
+    report(2, f"parabolic rep: energy {rpt['energy']:.2e} < 1e-3, "
               f"no convergence, non-reductive flag set")
 
 

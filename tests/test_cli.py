@@ -72,13 +72,6 @@ OBSTRUCTED_CFG = {
 }
 
 
-@pytest.fixture(scope="module")
-def parabolic_run(tmp_path_factory):
-    """The PARABOLIC_CFG flow run, checked against its golden, once for the
-    tests that read it."""
-    return run_cli(tmp_path_factory.mktemp("parabolic"), "flow", PARABOLIC_CFG)
-
-
 def test_flow_parabolic_exit_zero(parabolic_run):
     code, report, _ = parabolic_run
     assert code == cli.EXIT_OK
@@ -88,10 +81,11 @@ def test_flow_parabolic_exit_zero(parabolic_run):
     assert res["converged"] is False
 
 
-def test_deform2_obstructed_exit_four(tmp_path):
+def test_deform2_obstructed_exit_four(tmp_path, capsys):
     code, report, _ = run_cli(tmp_path, "deform2", OBSTRUCTED_CFG)
     assert code == cli.EXIT_OBSTRUCTED
     assert report["status"] == "obstructed"
+    assert capsys.readouterr().err == f"obstructed deformation: {report['error']}\n"
     assert report["obstruction"]["defect"] > 1e-3
     # a projection onto the constant kernel sections of the trivial rep:
     # one value, bit for bit, at every vertex
@@ -217,7 +211,74 @@ def test_unknown_representation_family_lists_the_families(tmp_path):
         "torus_unitary, trivial, genus2_fuchsian)")
 
 
-def test_unconverged_flow_exit_three(tmp_path):
+@pytest.mark.parametrize("task, cfg, error", [
+    ("flow", dict(PARABOLIC_CFG, mesh={"kind": "nope"}), "unknown mesh kind 'nope'"),
+    ("deform1", dict(OBSTRUCTED_CFG, deformation={"path_family": {"kind": "nope"}}),
+     "unknown path kind 'nope'"),
+    ("psh", OBSTRUCTED_CFG, "psh task needs a complex group"),
+    ("refine-study", {"group": OBSTRUCTED_CFG["group"], "refine": {"kind": "nope"}},
+     "unknown refine-study kind 'nope'")],
+    ids=["mesh_kind", "path_kind", "psh_real_group", "refine_kind"])
+def test_validation_error_exit_two(tmp_path, capsys, task, cfg, error):
+    code, report, _ = run_cli(tmp_path, task, cfg)
+    assert code == cli.EXIT_VALIDATION
+    assert report["status"] == "validation-error"
+    assert report["error"] == error and "result" not in report
+    assert capsys.readouterr().err == f"validation error: {error}\n"
+
+
+@pytest.mark.parametrize("text, error", [
+    (None, "cannot read config: "),
+    ("{not json", "cannot read config: "),
+    ("[1, 2]", "config must be a JSON object")],
+    ids=["unreadable", "not_json", "not_an_object"])
+def test_config_error_exit_two_without_report(tmp_path, capsys, text, error):
+    cfg_path = tmp_path / "cfg.json"
+    if text is not None:
+        cfg_path.write_text(text)
+    out = tmp_path / "out"
+    code = cli.main(["flow", "--config", str(cfg_path), "--out", str(out)])
+    assert code == cli.EXIT_VALIDATION
+    assert capsys.readouterr().err.startswith(f"config error: {error}")
+    assert not out.exists()
+
+
+def main_report(tmp_path, name, task, cfg, *extra):
+    """(exit code, report bytes) of cli.main on cfg, with no golden."""
+    out = tmp_path / name
+    out.mkdir()
+    (out / "cfg.json").write_text(json.dumps(cfg))
+    code = cli.main([task, "--config", str(out / "cfg.json"), "--out", str(out), *extra])
+    return code, (out / f"{task}_report.json").read_bytes()
+
+
+def test_seed_option_overrides_the_config_seed(tmp_path):
+    # a random start reads the seed: --seed 7 over a config seed of 0 runs
+    # and reports exactly what a config seed of 7 does
+    cfg = dict(FAR_RANDOM_FLOW_CFG, flow={"start": "random", "max_iter": 3})
+    runs = [main_report(tmp_path, "option", "flow", dict(cfg, seed=0), "--seed", "7"),
+            main_report(tmp_path, "config", "flow", dict(cfg, seed=7)),
+            main_report(tmp_path, "default", "flow", dict(cfg, seed=0))]
+    assert [code for code, _ in runs] == [cli.EXIT_OK] * 3
+    assert runs[0][1] == runs[1][1] != runs[2][1]
+    assert json.loads(runs[0][1])["config"]["seed"] == 7
+
+
+def test_torus_unitary_on_gl1c(tmp_path):
+    # the 1 x 1 branch of the family: rotations e^{i theta} fix the basepoint
+    cfg = {"mesh": {"kind": "torus", "n": 4, "m": 4}, "group": {"kind": "gl1c"},
+           "representation": {"family": "torus_unitary",
+                              "params": {"theta1": 0.6, "theta2": -0.35}}}
+    code, text = main_report(tmp_path, "unitary", "flow", cfg)
+    assert code == cli.EXIT_OK
+    flow = json.loads(text)["result"]["flow"]
+    assert flow["converged"] is True and flow["energy"] == 0.0
+    rep = cli.build_problem(dict(cfg, tolerances=cli.TOLERANCES))[2]
+    for name, theta in (("a", 0.6), ("b", -0.35)):
+        assert np.allclose(rep.images[name], [[np.exp(1j * theta)]], rtol=0, atol=1e-15)
+
+
+def test_unconverged_flow_exit_three(tmp_path, capsys):
     # a task that needs a harmonic metric refuses an unconverged flow with
     # a report that carries the flow
     cfg = {
@@ -230,6 +291,7 @@ def test_unconverged_flow_exit_three(tmp_path):
     assert code == cli.EXIT_NONCONVERGED
     assert report["status"] == "not-converged"
     assert report["error"].startswith("flow did not converge")
+    assert capsys.readouterr().err == f"solver error: {report['error']}\n"
     assert report["flow"]["iterations"] == 1
     assert report["flow"]["converged"] is False
     assert "result" not in report
@@ -348,7 +410,7 @@ def test_hodge_harmonic_leaves_catch_a_wrong_coexact_part(tmp_path, monkeypatch)
     assert res["harmonic_d"] > 1e-6
 
 
-def test_solver_error_exit_three(tmp_path, monkeypatch):
+def test_solver_error_exit_three(tmp_path, monkeypatch, capsys):
     # a kernel cutoff that admits no centralizer leaves the trivial rep's
     # constant sections in the KKT matrix, whose factor is then singular
     monkeypatch.setattr(th, "KERNEL_RTOL", -1.0)
@@ -358,6 +420,7 @@ def test_solver_error_exit_three(tmp_path, monkeypatch):
     assert report["status"] == "solver-error"
     assert report["error"] == ("singular KKT matrix with kernel_dim 0 "
                                "(kernel_rtol -1.0e+00)")
+    assert capsys.readouterr().err == f"solver error: {report['error']}\n"
     assert "result" not in report
 
 
@@ -369,7 +432,7 @@ FAR_RANDOM_FLOW_CFG = {
 }
 
 
-def test_singular_numpy_solve_exit_three(tmp_path, monkeypatch):
+def test_singular_numpy_solve_exit_three(tmp_path, monkeypatch, capsys):
     # numpy's LinAlgError is a ValueError, but a LAPACK failure inside a
     # flow is the solver's, not the config's: an eigendecomposition that
     # does not converge, as LAPACK reports it, exits 3 with solver-error
@@ -380,6 +443,7 @@ def test_singular_numpy_solve_exit_three(tmp_path, monkeypatch):
     assert code == cli.EXIT_NONCONVERGED
     assert report["status"] == "solver-error"
     assert report["error"] == "Eigenvalues did not converge"
+    assert capsys.readouterr().err == "solver error: Eigenvalues did not converge\n"
 
 
 def test_far_random_flow_underflows_exit_zero(tmp_path):

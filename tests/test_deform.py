@@ -5,10 +5,11 @@ from hypothesis import given, settings, strategies as st
 from equivarlab import deform as df
 from equivarlab import harmonicflow as hf
 from equivarlab import repvar as rv
+from equivarlab import twistedhodge as th
 from equivarlab.liealg import bracket, cartan_project, mul
 from equivarlab.symspace import act
 from equivarlab.twistedhodge import TwistedCochain, TwistedComplex
-from conftest import lsmr_g1
+from conftest import ALPHA, BETA, converged, lsmr_g1
 import reference as ref
 from test_twistedhodge import diag_cocycle, offdiag_cocycle
 
@@ -150,6 +151,43 @@ def test_obstruction_defect_i_symmetry(diag_ctx, trivialC_ctx):
 
 # ----------------------------------------------------------------------
 # psi equations and second order
+
+#: torus_diag at (t ALPHA, t BETA): the stacked Ad - I of the generators has
+#: singular values about 2 t |(ALPHA, BETA)| on the off-diagonal directions,
+#: which the centralizer cutoff KERNEL_RTOL counts as kernel below this t
+SWEEP_JUMP = th.KERNEL_RTOL / (2.0 * np.hypot(abs(ALPHA), abs(BETA)))
+
+
+@pytest.mark.parametrize("t, kernel_dim, verdict", [
+    (1.0, 2, "coboundary"), (1e-2, 2, "coboundary"), (1e-4, 2, "coboundary"),
+    (2e-5, 2, "singular"), (1.01 * SWEEP_JUMP, 2, "singular"),
+    (0.99 * SWEEP_JUMP, 6, "obstructed"), (1e-12, 6, "obstructed"),
+    (0.0, 6, "obstructed")])
+def test_reducibility_sweep(sl2c, torus66, t, kernel_dim, verdict):
+    # the normalized coboundary c_t = (1 - Ad) E2 of torus_diag as t -> 0: it
+    # reads exact while the KKT factor resolves it, the factor is singular
+    # from t = 3.03e-5 (pivot ratio about t^2) down to the kernel jump, and
+    # below the jump E2 is a centralizer direction and c_t the obstructed
+    # class of the trivial rep; rho is diagonal, so reductive throughout
+    rep = rv.torus_diag_rep(sl2c, torus66, t * ALPHA, t * BETA)
+    ctx = converged(torus66, rep)
+    assert ctx.kernel_dim == kernel_dim
+    assert rep.reductive and abs(rep.trace_form_margin - 1.0) < 1e-9
+    u = -np.expm1(2.0 * t * np.array([ALPHA, BETA])) if t else np.array([ALPHA, BETA])
+    u = u / np.linalg.norm(u)
+    c = rv.Cocycle(rep, {"a": u[0] * E2, "b": u[1] * E2})
+    if verdict == "singular":
+        with pytest.raises(th.SingularKKTError):
+            ctx.harmonic_rep(c)
+        return
+    obs = df.obstruction_check(ctx, ctx.harmonic_rep(c)[0])
+    if verdict == "coboundary":
+        assert obs.orthogonal and obs.scale < 1e-12
+    else:
+        assert not obs.orthogonal
+        assert abs(obs.scale - 1.0) < 1e-9
+        assert abs(obs.defect - np.sqrt(2.0)) < 1e-9
+
 
 def test_solve_psi_abelian(gl1c_ctx):
     ctx = gl1c_ctx

@@ -2,7 +2,7 @@ import functools
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from equivarlab import energyvar as ev
 from equivarlab import harmonicflow as hf
@@ -320,30 +320,43 @@ def _variation_case(name):
     return converged(mesh, rep), path.jets()
 
 
+def _conjugated(ctx, c, k, h):
+    """(map, complex, c, k) of (h.f, h rho h^-1, Ad_h c, Ad_h k); the jets
+    are conjugated directly, because bending_path renormalizes its axis."""
+    hinv = np.linalg.inv(h)
+    rep_h = ctx.rep.conjugate(h)
+    f_h = hf.EquivariantMap(ctx.mesh, rep_h, act(h, ctx.points))
+    return (f_h, TwistedComplex(ctx.mesh, rep_h, f_h),
+            rv.Cocycle(rep_h, {g: h @ v @ hinv for g, v in c.values.items()}),
+            {g: h @ v @ hinv for g, v in k.items()})
+
+
 @pytest.mark.parametrize("name", ["torus", "genus2"])
 @settings(max_examples=15, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), scale=st.floats(0.05, 0.6))
 def test_variations_conjugation_invariant(name, seed, scale):
-    # (h.f, h rho h^-1, Ad_h c, Ad_h k) has the first and second variation of
-    # (f, rho, c, k); the jets are conjugated directly, because bending_path
-    # renormalizes its axis
+    # the conjugate (h.f, h rho h^-1, Ad_h c, Ad_h k) has the first and
+    # second variation of (f, rho, c, k)
     ctx, (c, k) = _variation_case(name)
     h = ctx.group.exp(ctx.group.random_alg(np.random.default_rng(seed), scale))
-    hinv = np.linalg.inv(h)
-    rep_h = ctx.rep.conjugate(h)
-    maps = [hf.EquivariantMap(ctx.mesh, ctx.rep, ctx.points),
-            hf.EquivariantMap(ctx.mesh, rep_h, act(h, ctx.points))]
-    # TwistedComplex.primitive refuses a period defect above a fixed 1e-7,
-    # which rounding alone passes once eps kappa nears it (genus 2, seed 26,
-    # scale 0.6: defect 2.3e-6 at eps kappa = 3.4e-5); until that bound
-    # follows the conditioning, such draws are skipped
-    assume(np.finfo(float).eps * edge_conditioning(maps) <= 1e-7)
-    ctx_h = TwistedComplex(ctx.mesh, rep_h, maps[1])
-    c_h = rv.Cocycle(rep_h, {g: h @ v @ hinv for g, v in c.values.items()})
-    k_h = {g: h @ v @ hinv for g, v in k.items()}
+    f_h, ctx_h, c_h, k_h = _conjugated(ctx, c, k, h)
+    maps = [hf.EquivariantMap(ctx.mesh, ctx.rep, ctx.points), f_h]
     sol, sol_h = solve_psi(ctx, c, k), solve_psi(ctx_h, c_h, k_h)
     for var, var_h in (
             (ev.first_variation(ctx, sol.omega), ev.first_variation(ctx_h, sol_h.omega)),
             (ev.second_variation(ctx, sol.psi, sol.omega),
              ev.second_variation(ctx_h, sol_h.psi, sol_h.omega))):
         assert abs(var_h - var) <= rounding_bound(maps, abs(var))
+
+
+def test_period_bound_follows_the_conditioning():
+    # genus 2 along imaginary bending, conjugated by h at seed 26, scale 0.6
+    # (cond h = 22): rounding alone leaves a period defect of about 2.2e-6,
+    # above a fixed 1e-7, so the primitive's bound must grow with kappa
+    ctx, (c, k) = _variation_case("genus2")
+    h = ctx.group.exp(ctx.group.random_alg(np.random.default_rng(26), 0.6))
+    f_h, ctx_h, c_h, k_h = _conjugated(ctx, c, k, h)
+    kappa = ctx_h.edge_conditioning
+    assert kappa == pytest.approx(edge_conditioning([f_h]), rel=1e-6)
+    defect = solve_psi(ctx_h, c_h, k_h).residuals["equivariance_F0"]
+    assert 1e-7 < defect <= np.finfo(float).eps * kappa

@@ -90,11 +90,11 @@ def test_flow_hyperbolic_circle(sl2r, circle8):
     assert payload["converged"] is True and payload["reductive_suspected"] is True
 
 
-def test_flow_parabolic_plateau(parabolic_plateau):
-    f, rpt = parabolic_plateau
-    assert not rpt.converged
-    assert rpt.energy < 1e-3
-    assert not rpt.reductive_suspected
+def test_flow_parabolic_plateau(parabolic_run):
+    rpt = parabolic_run[1]["result"]["flow"]
+    assert not rpt["converged"]
+    assert rpt["energy"] < 1e-3
+    assert not rpt["reductive_suspected"]
 
 
 def test_flow_trivial_rep(sl2r, torus66):
@@ -164,7 +164,7 @@ def test_energy_of_rep_needs_a_start(sl2c, torus66, n_starts):
 
 def test_energy_of_rep_parabolic(sl2r):
     # one start is the flow from the constant map; the 40 000-iteration
-    # plateau (E < 1e-3) is covered by the parabolic_plateau fixture
+    # plateau (E < 1e-3) is covered by the parabolic_run fixture
     circle = mc.build_circle(4)
     rep = rv.parabolic_circle_rep(sl2r, circle)
     E, reductive, best = hf.energy_of_rep(rep, circle, n_starts=1, max_iter=2000)
