@@ -131,8 +131,7 @@ def first_order(ctx, c):
         "equivariance": defect,
         **_omega_residuals(ctx, omega),
         # J F = d* (omega - seed(c)) = -d* seed(c), through the primitive
-        "jacobi_F": ctx.norm(TwistedCochain(0, ctx.jacobi(F).values + ctx.codiff(
-            seed).values), 0),
+        "jacobi_F": ctx.norm(ctx.codiff(ctx.d(F)).values + ctx.codiff(seed).values, 0),
     }
     return FirstOrderDeformation(omega, F, v, residuals)
 
@@ -147,13 +146,13 @@ def obstruction_check(ctx, omega, rel_tol=1e-7):
     q = ctx.contract_star(omega, omega)
     flat = ctx.to_flat(q.values)
     proj = ctx.kernel_project_flat(flat)
-    defect = float(np.sqrt(max(proj @ (ctx.G0 @ proj), 0.0)))
+    defect = ctx.flat_norm(proj, 0)
     scale = max(ctx.inner(omega, omega, 1), 1e-300)
     # absolute floor keeps near-zero omega from flipping on float noise
     threshold = rel_tol * scale + 1e-12 * (1.0 + scale)
     witness = None
     if defect > 0:     # then proj, and so wit, is nonzero
-        wit = ctx.from_flat(proj, ctx.mesh.nv)
+        wit = ctx.from_flat(proj)
         witness = TwistedCochain(0, wit / np.abs(wit).max())
     return ObstructionReport(defect <= threshold, defect, scale, witness, q)
 

@@ -25,6 +25,7 @@ from . import harmonicflow as hf
 from . import symspace as ss
 from .deform import companion_pair, second_order, solve_psi
 from .liealg import cartan_project
+from .repvar import cocycle_space_basis
 from .twistedhodge import TwistedCochain, _vals
 
 #: pairing scale from the mc_edge normalization (displacement = 2 mc values)
@@ -107,7 +108,6 @@ def critical_scan(ctx):
     Vanishing scan value characterizes critical points of the energy on the
     representation variety.
     """
-    from .repvar import cocycle_space_basis
     basis = cocycle_space_basis(ctx.rep)
     beta = ctx.beta()
     bnorm = np.sqrt(omega_l2sq(ctx, beta))

@@ -431,18 +431,17 @@ def _explicit_flow(kern, pts, **args):
     return _descend(kern, pts, armijo, FlowReport(), **args)
 
 
-def energy_of_rep(rep, mesh, *, tol=1e-8, max_iter=20000, n_starts=2, seed=0,
-                  drift_radius=50.0):
+def energy_of_rep(rep, mesh, *, n_starts=2, seed=0, **flow_args):
     """Energy infimum estimate over flows from n_starts >= 1 starts; (energy,
-    reductive, best report), reductive if a start converged or rho.reductive."""
+    reductive, best report), reductive if a start converged or rho.reductive.
+    The flow_args (tol, max_iter, drift_radius) go to every flow."""
     if n_starts < 1:
         raise ValueError(f"n_starts must be at least 1, not {n_starts}")
     rng = np.random.default_rng(seed)
     reports = []
     for s in range(n_starts):
         f0 = constant_map(mesh, rep) if s == 0 else random_map(mesh, rep, rng, 0.4)
-        reports.append(flow(rep, f0, tol=tol, max_iter=max_iter,
-                            drift_radius=drift_radius)[1])
+        reports.append(flow(rep, f0, **flow_args)[1])
     best = min(reports, key=lambda r: r.energy)
     return best.energy, any(r.reductive_suspected for r in reports), best
 

@@ -8,10 +8,13 @@ representation.  The coboundary on sections is
     (dF)(e: u -> v) = Ad_{rho(w_e)} F(v) - F(u),
 
 on 1-cochains the signed, word-transported sum over the face boundary walk.
-Codifferentials are Gram adjoints (G0^{-1} d0^T G1 on real coordinates), and
-the Jacobi operator is J = d* d on sections; its kernel is the centralizer
-algebra h = H^0 of the adjoint system, computed algebraically: the vectors
-fixed by Ad of every generator, constant over the vertices.
+The Gram matrix G_k of degree k is block diagonal: each cell's weight times
+the metric Gram at its base vertex (the vertex, the edge source, the face
+base).  Codifferentials are Gram adjoints, d* = G_{k-1}^{-1} d^T G_k on real
+coordinates, and the Jacobi operator is J = d* d on sections; its kernel is
+the centralizer algebra h = H^0 of the adjoint system, computed
+algebraically: the vectors fixed by Ad of every generator, constant over the
+vertices.
 
 Both Hodge Laplacians, A0 = d0^T G1 d0 on sections and A2 = d1 G1^{-1} d1^T
 on 2-cochains (the normal equations of the coexact part of the Hodge
@@ -27,8 +30,8 @@ the face walks stacked) once; the same table gives the cocycle seeds and
 the edge 2-jets of the deformation pipeline, all words in one vectorized
 pass per token position.  A complex builds each operator from that table
 the first time it is read and keeps it, so a study that reads only d1, the
-face transports, G2 and beta builds nothing else; beta and the energy come
-from one MapEval, and the period bound of a primitive from its conditioning.
+degree-2 Gram and beta builds nothing else; beta and the energy come from
+one MapEval, and the period bound of a primitive from its conditioning.
 
 The per-cell products of the nonlinear pieces (the face cup product, the
 contraction omega* -| alpha, the bracket with a section) go through
@@ -118,11 +121,11 @@ def _block_diag(blocks):
 class TwistedComplex:
     """Twisted calculus for (mesh, representation, metric map).
 
-    Every operator (d0, d1, the face and edge transports, the Gram matrices
-    and their inverses, A0, the kernel sections, beta and the inverses of
-    the vertex and edge-source points) is built from the deck-word table
-    the first time it is read and kept for the life of the complex, so a
-    caller pays only for the operators it reads.
+    Every operator (d0, d1, the Gram matrices gram(k) and their inverses
+    gram_inv(k), A0, the kernel sections, beta and the inverses of the
+    vertex and edge-source points) is built from the deck-word table the
+    first time it is read and kept for the life of the complex, so a caller
+    pays only for the operators it reads.
     """
 
     def __init__(self, mesh, rep, f):
@@ -139,46 +142,44 @@ class TwistedComplex:
         self.word_index = mesh.word_index
         # metric at the edge sources, where 1-cochain values live
         self.edge_points = self.points[self.kern.src]
-        self._kkt_lu = {}
+        self._gram, self._gram_inv, self._kkt_lu = {}, {}, {}
 
     # -- coordinates ----------------------------------------------------
     def to_flat(self, values):
         return self.group.to_coords(np.asarray(values)).ravel()
 
-    def from_flat(self, flat, ncells):
-        return self.group.from_coords(np.asarray(flat).reshape(ncells, self.dim))
+    def from_flat(self, flat):
+        return self.group.from_coords(np.asarray(flat).reshape(-1, self.dim))
 
     # -- metric ---------------------------------------------------------
     @cached_property
     def gram_vertex(self):
         return gram_at(self.group, self.points)
 
-    def _g0(self):
-        return np.asarray(self.mesh.vertex_weights)[:, None, None] * self.gram_vertex
+    def _gram_blocks(self, k):
+        """Gram blocks of the degree-k cells: the cell weight times the vertex
+        Gram at the base vertex of the cell (the vertex, the edge source, the
+        face base)."""
+        if k == 0:
+            weight, base = self.mesh.vertex_weights, slice(None)
+        elif k == 1:
+            weight, base = self.kern.w1, self.kern.src
+        else:
+            weight = [f.weight for f in self.mesh.faces]
+            base = self.word_index.face_base
+        return np.asarray(weight)[:, None, None] * self.gram_vertex[base]
 
-    def _g1(self):
-        return self.kern.w1[:, None, None] * self.gram_vertex[self.kern.src]
+    def gram(self, k):
+        """Block-diagonal Gram matrix of the degree-k cochains."""
+        if k not in self._gram:
+            self._gram[k] = _block_diag(self._gram_blocks(k))
+        return self._gram[k]
 
-    @cached_property
-    def G0(self):
-        return _block_diag(self._g0())
-
-    @cached_property
-    def G0inv(self):
-        return _block_diag(np.linalg.inv(self._g0()))
-
-    @cached_property
-    def G1(self):
-        return _block_diag(self._g1())
-
-    @cached_property
-    def G1inv(self):
-        return _block_diag(np.linalg.inv(self._g1()))
-
-    @cached_property
-    def G2(self):
-        w2 = np.array([f.weight for f in self.mesh.faces])
-        return _block_diag(w2.reshape(-1, 1, 1) * self.gram_vertex[self.word_index.face_base])
+    def gram_inv(self, k):
+        """Inverse of gram(k), from the inverses of its blocks."""
+        if k not in self._gram_inv:
+            self._gram_inv[k] = _block_diag(np.linalg.inv(self._gram_blocks(k)))
+        return self._gram_inv[k]
 
     @cached_property
     def points_inv(self):
@@ -195,20 +196,8 @@ class TwistedComplex:
         return ad_matrix(self.group, self.words.rho)
 
     @cached_property
-    def face_g(self):
-        return self.words.rho[self.word_index.face_word]
-
-    @cached_property
-    def face_ginv(self):
-        return self.words.rho_inv[self.word_index.face_word]
-
-    @cached_property
-    def edge_T(self):
-        return self._Ad[self.word_index.edge_word]
-
-    @cached_property
     def d0(self):
-        D, T = self.dim, self.edge_T
+        D, T = self.dim, self._Ad[self.word_index.edge_word]
         return _block_sparse(
             np.repeat(np.arange(self.mesh.ne), 2),
             np.stack([self.kern.dst, self.kern.src], axis=1).ravel(),
@@ -226,7 +215,7 @@ class TwistedComplex:
 
     @cached_property
     def A0(self):
-        return (self.d0.T @ self.G1 @ self.d0).tocsc()
+        return (self.d0.T @ self.gram(1) @ self.d0).tocsc()
 
     # -- kernel h = H^0 ---------------------------------------------------
     @cached_property
@@ -237,15 +226,13 @@ class TwistedComplex:
         D, nv = self.dim, self.mesh.nv
         gens = self._Ad[self.word_index.gen_word]
         basis0 = nullspace((gens - np.eye(D)).reshape(-1, D), KERNEL_RTOL)
-        if basis0.shape[1] == 0:
-            return np.zeros((nv * D, 0))
         # G0-orthonormalize; every vertex takes the same product, bit for bit
         K = np.tile(basis0, (nv, 1))
-        M = K.T @ (self.G0 @ K)
+        M = K.T @ (self.gram(0) @ K)
         w, U = np.linalg.eigh(0.5 * (M + M.T))
-        keep = w > 1e-12 * max(w.max(), 1.0)
+        keep = w > 1e-12 * max(w.max(initial=0.0), 1.0)
         K = np.tile(basis0 @ (U[:, keep] / np.sqrt(w[keep])), (nv, 1))
-        resid = np.abs(self.d0 @ K).max() if K.size else 0.0
+        resid = np.abs(self.d0 @ K).max(initial=0.0)
         if resid > 1e-8:
             raise RuntimeError(f"constant sections not parallel: {resid}")
         return K
@@ -256,48 +243,45 @@ class TwistedComplex:
 
     def kernel_sections(self):
         """Kernel basis as matrix-valued 0-cochains."""
-        return [TwistedCochain(0, self.from_flat(self.kernel[:, j], self.mesh.nv))
+        return [TwistedCochain(0, self.from_flat(self.kernel[:, j]))
                 for j in range(self.kernel_dim)]
 
     def kernel_project_flat(self, flat):
-        coeff = self.kernel.T @ (self.G0 @ flat)
+        coeff = self.kernel.T @ (self.gram(0) @ flat)
         return self.kernel @ coeff
 
     # -- operators --------------------------------------------------------
     def d(self, coch):
-        if coch.degree == 0:
-            out = self.d0 @ self.to_flat(coch.values)
-            return TwistedCochain(1, self.from_flat(out, self.mesh.ne))
-        if coch.degree == 1:
-            out = self.d1 @ self.to_flat(coch.values)
-            return TwistedCochain(2, self.from_flat(out, self.mesh.nf))
-        raise ValueError("d is defined on degrees 0 and 1")
+        k = coch.degree
+        if k not in (0, 1):
+            raise ValueError("d is defined on degrees 0 and 1")
+        out = getattr(self, f"d{k}") @ self.to_flat(coch.values)
+        return TwistedCochain(k + 1, self.from_flat(out))
 
     def codiff(self, coch):
-        if coch.degree == 1:
-            out = self.G0inv @ (self.d0.T @ (self.G1 @ self.to_flat(coch.values)))
-            return TwistedCochain(0, self.from_flat(out, self.mesh.nv))
-        if coch.degree == 2:
-            out = self.G1inv @ (self.d1.T @ (self.G2 @ self.to_flat(coch.values)))
-            return TwistedCochain(1, self.from_flat(out, self.mesh.ne))
-        raise ValueError("codifferential is defined on degrees 1 and 2")
-
-    def jacobi(self, coch):
-        return self.codiff(self.d(coch))
+        k = coch.degree - 1
+        if k not in (0, 1):
+            raise ValueError("codifferential is defined on degrees 1 and 2")
+        out = self.gram_inv(k) @ (getattr(self, f"d{k}").T
+                                  @ (self.gram(k + 1) @ self.to_flat(coch.values)))
+        return TwistedCochain(k, self.from_flat(out))
 
     def jacobi_dense_sym(self):
         """G0-symmetrized dense Jacobi operator (similar to J), for spectra."""
-        Linv = _block_diag(np.linalg.inv(np.linalg.cholesky(self._g0())))
+        Linv = _block_diag(np.linalg.inv(np.linalg.cholesky(self._gram_blocks(0))))
         S = (Linv @ (self.A0 @ Linv.T)).toarray()
         return 0.5 * (S + S.T)
 
     # -- inner products ----------------------------------------------------
     def inner(self, a, b, degree):
-        G = getattr(self, ("G0", "G1", "G2")[degree])
-        return float(self.to_flat(_vals(a)) @ (G @ self.to_flat(_vals(b))))
+        return float(self.to_flat(_vals(a)) @ (self.gram(degree) @ self.to_flat(_vals(b))))
 
     def norm(self, a, degree):
-        return float(np.sqrt(max(self.inner(a, a, degree), 0.0)))
+        return self.flat_norm(self.to_flat(_vals(a)), degree)
+
+    def flat_norm(self, x, degree):
+        """Gram norm of the flat degree-k cochain x."""
+        return float(np.sqrt(max(x @ (self.gram(degree) @ x), 0.0)))
 
     # -- solves -------------------------------------------------------------
     def _laplacian(self, degree):
@@ -305,7 +289,7 @@ class TwistedComplex:
         its kernel that borders it in the KKT matrix."""
         if degree == 0:
             return self.A0, self.kernel
-        A2 = (self.d1 @ self.G1inv @ self.d1.T).tocsc()
+        A2 = (self.d1 @ self.gram_inv(1) @ self.d1.T).tocsc()
         # Killing duals Re tr(K B_j) of the parallel sections at the face bases
         basis = self.group.basis
         killing = np.real(np.einsum("jab,kba->jk", basis, basis))
@@ -345,21 +329,17 @@ class TwistedComplex:
         k = lu.shape[0] - len(rhs)      # rows of the bordering kernel basis
         return lu.solve(np.concatenate([rhs, np.zeros(k)]))[:len(rhs)]
 
-    def solve_deflated(self, rhs_flat):
-        """Solve A0 x = rhs with K^T x = 0 for the kernel fields K."""
-        return self._solve_kkt(0, rhs_flat)
-
     def solve_jacobi(self, rhs):
         """Least-squares solve J xi = rhs (rhs a 0-cochain), kernel-deflated."""
-        b = self.G0 @ self.to_flat(_vals(rhs))
-        x = self.solve_deflated(b - self.G0 @ self.kernel_project_flat(
+        b = self.gram(0) @ self.to_flat(_vals(rhs))
+        x = self._solve_kkt(0, b - self.gram(0) @ self.kernel_project_flat(
             self.to_flat(_vals(rhs))))
-        return TwistedCochain(0, self.from_flat(x, self.mesh.nv))
+        return TwistedCochain(0, self.from_flat(x))
 
     def _exact(self, a):
         """Exact part of the flat 1-cochain a: the kernel-deflated x with
         A0 x = d0^T G1 a, and d0 x, its G1-orthogonal projection onto im d0."""
-        x = self.solve_deflated(self.d0.T @ (self.G1 @ a))
+        x = self._solve_kkt(0, self.d0.T @ (self.gram(1) @ a))
         return x, self.d0 @ x
 
     # -- cocycle seeding and harmonic representatives -----------------------
@@ -379,8 +359,8 @@ class TwistedComplex:
         """
         a = self.to_flat(self.seed_cochain(c).values)
         x, exact = self._exact(a)
-        return (TwistedCochain(1, self.from_flat(a - exact, self.mesh.ne)),
-                TwistedCochain(0, self.from_flat(x, self.mesh.nv)))
+        return (TwistedCochain(1, self.from_flat(a - exact)),
+                TwistedCochain(0, self.from_flat(x)))
 
     def primitive(self, omega, c):
         """Section F with dF = omega - seed(c), i.e. a c-equivariant primitive
@@ -406,9 +386,7 @@ class TwistedComplex:
         """Kernel-deflated least-squares section F with dF ~ target (a flat
         1-cochain), and the G1 norm of the defect dF - target."""
         x, exact = self._exact(target)
-        resid = exact - target
-        defect = float(np.sqrt(max(resid @ (self.G1 @ resid), 0.0)))
-        return TwistedCochain(0, self.from_flat(x, self.mesh.nv)), defect
+        return TwistedCochain(0, self.from_flat(x)), self.flat_norm(exact - target, 1)
 
     # -- Hodge decomposition -------------------------------------------------
     def hodge_decompose(self, alpha):
@@ -419,21 +397,19 @@ class TwistedComplex:
         if self.mesh.nf:
             # Psi minimizes || G1^{-1} d1^T Psi - rem ||_{G1}: A2 Psi = d1 rem
             Psi = self._solve_kkt(2, self.d1 @ rem)
-            coexact = self.G1inv @ (self.d1.T @ Psi)
+            coexact = self.gram_inv(1) @ (self.d1.T @ Psi)
         else:
             coexact = np.zeros_like(rem)
         harm = rem - coexact
-        return (TwistedCochain(1, self.from_flat(exact, self.mesh.ne)),
-                TwistedCochain(1, self.from_flat(coexact, self.mesh.ne)),
-                TwistedCochain(1, self.from_flat(harm, self.mesh.ne)))
+        return tuple(TwistedCochain(1, self.from_flat(x)) for x in (exact, coexact, harm))
 
     # -- nonlinear pieces ------------------------------------------------------
     def bracket_wedge(self, a, b):
         """Ordered cup product [a, b] on faces: sum_{j<i} [a_j~, b_i~] of the
         transported boundary values; satisfies d psi0 = -[omega,omega] exactly
         for the jet-seeded psi0."""
-        g, ginv = self.face_g, self.face_ginv
-        eid = self.word_index.face_eid
+        fw, eid = self.word_index.face_word, self.word_index.face_eid
+        g, ginv = self.words.rho[fw], self.words.rho_inv[fw]
         sign = self.word_index.face_sign[..., None, None]
         ta = sign * mul(mul(g, _vals(a)[eid]), ginv)
         tb = sign * mul(mul(g, _vals(b)[eid]), ginv)

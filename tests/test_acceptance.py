@@ -128,7 +128,7 @@ def test_criterion_04_first_order_pipeline(diag_ctx, gl1c_ctx, fuchsian_ctx,
     x2 = lsmr_g1(ctx, ctx.d0, target)
     diff = ctx.to_flat(fo.F.values) - x2
     outside = diff - ctx.kernel_project_flat(diff)
-    assert np.sqrt(max(outside @ (ctx.G0 @ outside), 0.0)) < 1e-8
+    assert np.sqrt(max(outside @ (ctx.gram(0) @ outside), 0.0)) < 1e-8
     report(4, f"first-order residuals < 1e-8 on {len(cases)} instances "
               f"(worst {worst:.2e}); affine fiber over the kernel verified")
 

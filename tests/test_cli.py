@@ -211,14 +211,58 @@ def test_unknown_representation_family_lists_the_families(tmp_path):
         "torus_unitary, trivial, genus2_fuchsian)")
 
 
+def genus2_bending(family, field):
+    """Config of the bending path at genus-2 depth 1 from the given family."""
+    return {"mesh": {"kind": "genus2", "k": 1},
+            "group": {"kind": "sl", "n": 2, "field": field},
+            "representation": {"family": family},
+            "deformation": {"path_family": {"kind": "bending"}}}
+
+
+ZERO2 = [[0, 0], [0, 0]]
+
+
 @pytest.mark.parametrize("task, cfg, error", [
     ("flow", dict(PARABOLIC_CFG, mesh={"kind": "nope"}), "unknown mesh kind 'nope'"),
     ("deform1", dict(OBSTRUCTED_CFG, deformation={"path_family": {"kind": "nope"}}),
      "unknown path kind 'nope'"),
     ("psh", OBSTRUCTED_CFG, "psh task needs a complex group"),
     ("refine-study", {"group": OBSTRUCTED_CFG["group"], "refine": {"kind": "nope"}},
-     "unknown refine-study kind 'nope'")],
-    ids=["mesh_kind", "path_kind", "psh_real_group", "refine_kind"])
+     "unknown refine-study kind 'nope'"),
+    ("flow", dict(PARABOLIC_CFG, group={"kind": "so", "n": 3}), "unknown group kind 'so'"),
+    ("flow", dict(PARABOLIC_CFG, group={"kind": "sl", "field": "Q"}),
+     "field must be 'R' or 'C', got 'Q'"),
+    ("flow", dict(PARABOLIC_CFG, group={"kind": "sl", "n": 1}), "sl requires n >= 2"),
+    ("flow", dict(PARABOLIC_CFG, mesh={"kind": "genus2", "k": 0}),
+     "subdivision depth must be >= 1"),
+    ("flow", dict(OBSTRUCTED_CFG, group={"kind": "gl1c"},
+                  representation={"family": "torus_diag"}),
+     "expected 1x1 matrix, got (2, 2)"),
+    ("flow", dict(PARABOLIC_CFG, representation={"inline": {"images": {
+        "a": [[math.nan, 0], [0, 1]]}}}), "non-finite entries in group element"),
+    ("flow", dict(PARABOLIC_CFG, group={"kind": "gl1c"},
+                  representation={"inline": {"images": {"a": [[0.0]]}}}),
+     "singular matrix is not a group element"),
+    ("flow", dict(OBSTRUCTED_CFG, representation={"inline": {"images": {
+        "a": [[1, 0], [0, 1]]}}}), "missing image for generator 'b'"),
+    ("deform1", dict(OBSTRUCTED_CFG, deformation={"values": {"a": [[0]], "b": [[0]]}}),
+     "expected 2x2 matrix, got (1, 1)"),
+    ("deform1", dict(OBSTRUCTED_CFG, deformation={"values": {"a": ZERO2}}),
+     "missing cocycle value for generator 'b'"),
+    ("deform2", dict(OBSTRUCTED_CFG, deformation=dict(OBSTRUCTED_CFG["deformation"],
+                                                      second={"a": ZERO2})),
+     "missing second-order value for 'b'"),
+    ("deform1", dict(OBSTRUCTED_CFG, deformation={"path_family": {
+        "kind": "commuting_exp", "B": {"a": ZERO2, "b": ZERO2}}}),
+     "commuting_exp_path needs a rep built by exp_family"),
+    ("deform1", genus2_bending("trivial", "C"), "commutator is central, no bending axis"),
+    ("deform1", genus2_bending("genus2_fuchsian", "R"),
+     "imaginary bending requires a complex group")],
+    ids=["mesh_kind", "path_kind", "psh_real_group", "refine_kind", "group_kind",
+         "group_field", "sl_n1", "genus2_k0", "image_shape", "image_nonfinite",
+         "image_singular", "image_missing", "cocycle_shape", "cocycle_missing",
+         "jet_missing", "commuting_path_without_logs", "bending_central",
+         "bending_imaginary_real_group"])
 def test_validation_error_exit_two(tmp_path, capsys, task, cfg, error):
     code, report, _ = run_cli(tmp_path, task, cfg)
     assert code == cli.EXIT_VALIDATION
@@ -537,12 +581,7 @@ BOTH_FORMS_DEFORMATION = {
     "path_family": {"kind": "commuting_exp",
                     "B": {"a": [[1, 0], [0, -1]], "b": [[0, 0], [0, 0]]}}}
 
-GENUS2_BENDING_CFG = {
-    "mesh": {"kind": "genus2", "k": 1},
-    "group": {"kind": "sl", "n": 2, "field": "C"},
-    "representation": {"family": "genus2_fuchsian"},
-    "deformation": {"path_family": {"kind": "bending"}},
-}
+GENUS2_BENDING_CFG = genus2_bending("genus2_fuchsian", "C")
 
 
 @pytest.mark.parametrize("task", ["deform1", "deform2", "psh", "variation"])
@@ -820,8 +859,8 @@ def test_refine_study_levels_must_increase(tmp_path, levels):
     ids=["torus_mc", "harmonic_residuals"])
 def test_refine_study_builds_only_the_operators_it_reads(tmp_path, monkeypatch,
                                                         group, refine, built):
-    # the Maurer-Cartan levels read d1, the face transports, G2 and beta;
-    # the harmonic representative needs the kernel-bordered solve as well
+    # the Maurer-Cartan levels read d1, the degree-2 Gram and beta; the
+    # harmonic representative needs the kernel-bordered solve as well
     complexes = []
 
     class Recording(TwistedComplex):
@@ -834,9 +873,10 @@ def test_refine_study_builds_only_the_operators_it_reads(tmp_path, monkeypatch,
     assert code == cli.EXIT_OK
     assert len(complexes) == 3
     for ctx in complexes:
-        for name in ("kernel", "A0", "G0", "G1", "d0"):
+        for name in ("kernel", "A0", "d0"):
             assert (name in vars(ctx)) is built, name
-        assert "d1" in vars(ctx) and "G2" in vars(ctx)
+        assert (0 in ctx._gram, 1 in ctx._gram) == (built, built)
+        assert "d1" in vars(ctx) and 2 in ctx._gram
 
 
 def test_energy_task_unitary(tmp_path):

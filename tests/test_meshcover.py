@@ -156,10 +156,15 @@ MESH_CORRUPTIONS = [
     ("circle", ("edges", 0, "label"), "z", "edge label 'z' is not a generator word"),
     ("circle", ("edges", 0, "dst"), 99, "edge 0 -> 99 leaves the 4 vertices"),
     ("circle", ("edges", 0, "dst"), -1, "edge 0 -> -1 leaves the 4 vertices"),
+    ("circle", ("vertex_weights", 0), 0.5, "vertex weights do not sum to 1"),
+    ("circle", ("vertex_weights",), [0.5, 0.5, 0.25, -0.25], "non-positive vertex weight"),
+    ("circle", ("edges", 0, "weight"), 0.0, "non-positive edge weight"),
+    ("torus", ("faces", 0, "steps", 0, 0), 1, "face boundary walk is not a closed chain"),
 ]
 MESH_CORRUPTION_IDS = ["step-edge-id", "step-sign", "empty-face",
                        "label-not-a-string", "label-not-a-generator", "dst-too-large",
-                       "dst-negative"]
+                       "dst-negative", "weights-not-summing-to-1", "vertex-weight-negative",
+                       "edge-weight-zero", "open-face-walk"]
 
 
 def corrupted_mesh_json(mesh_name, path, value):

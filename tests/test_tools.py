@@ -1,8 +1,13 @@
+import importlib.util
+import json
 import subprocess
 import sys
 from pathlib import Path
 
-REPORT_DIFF = Path(__file__).resolve().parent.parent / "tools" / "report_diff.py"
+from equivarlab import cli
+
+ROOT = Path(__file__).resolve().parent.parent
+REPORT_DIFF = ROOT / "tools" / "report_diff.py"
 
 
 def run_report_diff(*args):
@@ -33,3 +38,26 @@ def test_report_diff_exit_status(tmp_path):
     assert out.returncode == 1, out.stdout
     assert "only in" in out.stdout
     assert run_report_diff(old).returncode == 2
+
+
+def test_report_digest_runs_every_golden_and_bench_config_once(monkeypatch):
+    # the byte-identity check of a refactor is only as wide as this list
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    spec = importlib.util.spec_from_file_location("report_digest",
+                                                  ROOT / "tools" / "report_digest.py")
+    digest = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(digest)
+    import workloads
+    expected = {}
+    for path in sorted((ROOT / "tests" / "golden").glob("*.json")):
+        golden = json.loads(path.read_text())
+        expected[path.stem] = (golden["task"], golden["config"])
+    tables = (workloads.FD_CONFIGS, workloads.PLATEAU_CONFIGS)
+    for table in tables:
+        assert not expected.keys() & table.keys()
+        expected.update(table)
+    runs = digest.configs()
+    names = [name for name, _, _ in runs]
+    assert len(names) == len(set(names)) == len(expected)
+    assert {name: (task, cfg) for name, task, cfg in runs} == expected
+    assert all(task in cli.TASK_FUNCS for _, task, _ in runs)
