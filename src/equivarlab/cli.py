@@ -3,18 +3,25 @@
     equivar-lab <task> --config cfg.json [--out DIR] [--seed N] [--tol X]
 
 Tasks: flow, energy, hodge, deform1, deform2, variation, psh, critical-scan,
-refine-study.  Exit codes: 0 success, 2 validation failure (a config section
-missing or not an object, a key missing or of a bad value, an unreadable
-or malformed mesh file, a complex matrix entry that is not an [re, im]
-pair, a deformation with both values and a path family or with second
-values next to one, a path family its representation cannot carry, a real
-group given complex images, refine-study levels that do not strictly
-increase; every task but refine-study starts from build_problem, which
-checks the relators), 3 harmonic-map solver non-convergence where a
-converged metric is required (every solve reads the flow section through
-_flow_args), 4 obstructed second-order deformation request; _failure maps
-each failure class to its code, status and report fields.  Complex
-matrices and numbers are read and written as [re, im] pairs.
+refine-study.  _failure maps each failure class to its exit code, report
+status and report fields:
+
+  0 ok: the task ran.
+  2 validation-error: a config section missing or not an object, a key
+    missing or of a bad value (a tolerance must be finite and above zero),
+    an unreadable or malformed mesh file, a complex matrix entry that is not
+    an [re, im] pair, a deformation with both values and a path family or
+    with second values next to one, a path family its representation cannot
+    carry, a real group given complex images, refine-study levels that do
+    not strictly increase, or a representation that fails the relator check
+    (every task but refine-study starts from build_problem).
+  3 not-converged: a harmonic-map flow that did not converge where a
+    converged metric is required (every solve reads the flow section through
+    _flow_args); solver-error: a linear solver failure or a singular factor.
+  4 obstructed: a second-order deformation request refused, with its defect
+    and witness.
+
+Complex matrices and numbers are read and written as [re, im] pairs.
 """
 
 from __future__ import annotations
@@ -233,6 +240,15 @@ class FlowNotConverged(RuntimeError):
 
 #: the tolerances of a config and their defaults
 TOLERANCES = {"flow_tol": 1e-8, "rel_obstruction": 1e-7, "validation": 1e-8}
+
+
+def _tolerance(x):
+    """float(x), which must be finite and above zero: no run meets a
+    tolerance of zero or below, and every comparison with NaN fails."""
+    tol = float(x)
+    if not (tol > 0 and np.isfinite(tol)):
+        raise ValueError(f"tolerance {x!r} is not finite and above zero")
+    return tol
 
 
 def resolve_config(args):
@@ -525,7 +541,7 @@ def main(argv=None):
         tols = _section(cfg, "tolerances")
         # the task reads converted copies; the report echoes the config as given
         run_cfg = dict(cfg, seed=_value(cfg, "seed", 0, int),
-                       tolerances=dict(tols, **{k: _value(tols, k, None, float)
+                       tolerances=dict(tols, **{k: _value(tols, k, None, _tolerance)
                                                 for k in TOLERANCES}))
         payload["result"] = TASK_FUNCS[args.task](run_cfg, out_dir)
         payload["status"] = "ok"

@@ -106,6 +106,14 @@ def _jet_transport(cw, kw, A, B):
     return A + cw, B + (mul(cw, A) - mul(A, cw)) + kw
 
 
+def _tangents(P, Pinv, F, F2):
+    """Tangent fields (v, w) = (F^[p], F2^[p] + [F^[k], F^[p]]) of a pair
+    (F, F2), split at the points P with inverses Pinv."""
+    Fk, Fp = cartan_project(P, F, Pinv)
+    _, F2p = cartan_project(P, F2, Pinv)
+    return Fp, F2p + (mul(Fk, Fp) - mul(Fp, Fk))
+
+
 def _omega_residuals(ctx, omega):
     """Norms of d omega and d* omega, which vanish for a harmonic omega."""
     return {"d_omega": ctx.norm(ctx.d(omega), 2),
@@ -157,15 +165,6 @@ def obstruction_check(ctx, omega, rel_tol=1e-7):
     return ObstructionReport(defect <= threshold, defect, scale, witness, q)
 
 
-def jet_seed_second(ctx, edge_jets, xi):
-    """Second component omega2^0 of the jet-closed seed, gauge-fixed by xi:
-    omega2_0(e) = k(w_e) - [c(w_e), Ad_{rho(w_e)} xi(dst)], from the edge
-    jets (c(w_e), k(w_e))."""
-    cw, kw = edge_jets
-    ad_xi = _transport(ctx, _vals(xi))
-    return TwistedCochain(1, kw - (mul(cw, ad_xi) - mul(ad_xi, cw)))
-
-
 def solve_psi(ctx, c, k, *, rel_tol=1e-7, require_unobstructed=True):
     """Solve  d psi = -[omega, omega],  d* psi = -omega* -| omega.
 
@@ -183,15 +182,16 @@ def solve_psi(ctx, c, k, *, rel_tol=1e-7, require_unobstructed=True):
         raise ObstructedDeformationError(
             obstruction.defect, rel_tol * obstruction.scale, obstruction.witness)
 
-    omega2_0 = jet_seed_second(ctx, edge_jets, xi)
+    # omega2^0 = k - [c, Ad_w xi(dst)]: the seed gauge-fixed by xi
+    _, omega2_0 = _jet_transport(*edge_jets, -_transport(ctx, xi.values), 0.0)
     # omega2^0 - [F0, omega] = omega2^0 + [omega, F0]
-    psi0 = TwistedCochain(1, omega2_0.values + ctx.bracket_section(omega, F0).values)
+    psi0 = TwistedCochain(1, omega2_0 + ctx.bracket_section(omega, F0).values)
     contr = obstruction.contraction
     rhs = TwistedCochain(0, -contr.values - ctx.codiff(psi0).values)
     eta = ctx.solve_jacobi(rhs)
     d_eta = ctx.d(eta)
     psi = TwistedCochain(1, psi0.values + d_eta.values)
-    omega2 = TwistedCochain(1, omega2_0.values + d_eta.values)
+    omega2 = TwistedCochain(1, omega2_0 + d_eta.values)
     residuals = {**_psi_residuals(ctx, psi, omega, contr),
                  "equivariance_F0": equiv_defect}
     return PsiSolution(omega, F0, omega2, psi, obstruction, edge_jets,
@@ -207,16 +207,12 @@ def second_order(ctx, c, k, *, rel_tol=1e-7):
     sol = solve_psi(ctx, c, k, rel_tol=rel_tol)
     omega, omega2, F0 = sol.omega, sol.omega2, sol.F0
 
-    # second component: Ad_w F2(v) - F2(u) = omega2 - k-seed - [c, Ad_w F0(v)]
+    # second component: Ad_w F2(v) - F2(u) = omega2 - k - [c, Ad_w F0(v)]
     cw, kw = sol.edge_jets
     adF = _transport(ctx, F0.values)
-    target = omega2.values - (kw + (mul(cw, adF) - mul(adF, cw)))
+    target = omega2.values - _jet_transport(cw, kw, adF, 0.0)[1]
     F2, defect2 = ctx._primitive_flat(ctx.to_flat(target))
-
-    Fk, Fp = cartan_project(ctx.points, F0.values, ctx.points_inv)
-    _, F2p = cartan_project(ctx.points, F2.values, ctx.points_inv)
-    v = Fp
-    w_beta = F2p + (mul(Fk, Fp) - mul(Fp, Fk))
+    v, w_beta = _tangents(ctx.points, ctx.points_inv, F0.values, F2.values)
 
     residuals = dict(sol.residuals)
     residuals["equivariance_F2"] = defect2
@@ -241,10 +237,7 @@ def _w_equivariance_residual(ctx, cw, kw, adF, F2, w_beta):
     _, kp = cartan_project(Q, kw, Qinv)
     lhs = _transport(ctx, w_beta)[lab] + kp \
         + 2.0 * (mul(ck, Ap) - mul(Ap, ck)) + (mul(ck, cp) - mul(cp, ck))
-    Ft, F2t = _jet_transport(cw, kw, A, _transport(ctx, F2.values)[lab])
-    Ftk, Ftp = cartan_project(Q, Ft, Qinv)
-    _, F2tp = cartan_project(Q, F2t, Qinv)
-    rhs = F2tp + (mul(Ftk, Ftp) - mul(Ftp, Ftk))
+    _, rhs = _tangents(Q, Qinv, *_jet_transport(cw, kw, A, _transport(ctx, F2.values)[lab]))
     return float(np.abs(lhs - rhs).max(initial=0.0))
 
 

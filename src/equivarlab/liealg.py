@@ -53,11 +53,6 @@ class MatrixGroup:
     def is_sl(self):
         return self.kind == "sl"
 
-    def __repr__(self):
-        if self.kind == "gl1c":
-            return "MatrixGroup(GL(1,C))"
-        return f"MatrixGroup(SL({self.n},{self.field}))"
-
     # ------------------------------------------------------------------
     def _build_basis(self):
         n = self.n
@@ -122,8 +117,6 @@ class MatrixGroup:
         return np.eye(self.n, dtype=complex)
 
     def exp(self, X):
-        if self.n == 1:
-            return np.exp(np.asarray(X, dtype=complex))
         return scipy.linalg.expm(np.asarray(X, dtype=complex))
 
     def random_alg(self, rng, scale=1.0):

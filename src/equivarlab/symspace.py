@@ -97,11 +97,8 @@ def exp_hermitian(H):
 
 
 def _expm(X):
-    """exp of a stack of traceless (sl) or 1x1 matrices; closed form for n <= 2."""
-    n = X.shape[-1]
-    if n == 1:
-        return np.exp(X)
-    if n == 2:
+    """exp of a stack of traceless (sl) or 1x1 matrices; closed form for n = 2, scipy otherwise."""
+    if X.shape[-1] == 2:
         # traceless 2x2: X^2 = -det(X) I, so e^X = cosh(s) I + sinh(s)/s X
         q = -(X[..., 0, 0] * X[..., 1, 1] - X[..., 0, 1] * X[..., 1, 0])
         s = np.sqrt(q.astype(complex))

@@ -187,13 +187,17 @@ def test_malformed_config_value_exit_two(tmp_path, task, section, value, key):
     ("flow", "seed", {"a": 1}, "seed"),
     ("flow", "tolerances", {"validation": "x"}, "validation"),
     ("flow", "tolerances", {"flow_tol": [1e-8]}, "flow_tol"),
+    ("flow", "tolerances", {"flow_tol": 0}, "flow_tol"),
+    ("flow", "tolerances", {"validation": -1}, "validation"),
+    ("flow", "tolerances", {"rel_obstruction": float("nan")}, "rel_obstruction"),
     ("flow", "flow", {"start": "Random"}, "start")],
     ids=["mesh-n", "torus_diag-alpha", "circle_hyperbolic-lam", "flow-max_iter",
          "refine-levels", "seed", "tolerance-validation", "tolerance-flow_tol",
-         "flow-start"])
+         "tolerance-zero", "tolerance-negative", "tolerance-nan", "flow-start"])
 def test_config_scalar_of_wrong_type_exit_two(tmp_path, task, section, value, key):
-    # a config value that int, float or complex cannot convert is a
-    # validation error with a report that names its key, not a TypeError
+    # a config value that int, float or complex cannot convert, or a
+    # tolerance that is not finite and above zero, is a validation error
+    # with a report that names its key, not a TypeError or a solver fault
     cfg = dict(OBSTRUCTED_CFG, **{section: value})
     code, report, _ = run_cli(tmp_path, task, cfg)
     assert code == cli.EXIT_VALIDATION

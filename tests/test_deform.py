@@ -384,7 +384,7 @@ def test_edge_jet_table_matches_per_edge_loop(fuchsianC_ctx):
     rng = np.random.default_rng(11)
     xi = TwistedCochain(0, np.stack([ctx.group.random_alg(rng)
                                      for _ in range(ctx.mesh.nv)]))
-    seed = df.jet_seed_second(ctx, (cw, kw), xi).values
+    _, seed = df._jet_transport(cw, kw, -df._transport(ctx, xi.values), 0.0)
     for i, e in enumerate(ctx.mesh.edges):
         if not e.label:
             assert not cw[i].any() and not kw[i].any() and not seed[i].any()

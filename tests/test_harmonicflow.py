@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import types
 import warnings
 
 import numpy as np
@@ -429,16 +430,32 @@ def test_parabolic_takes_explicit_path(sl2r):
 
 
 def test_singular_newton_factor_falls_back(sl2r, circle8, monkeypatch):
+    # a singular factor, a Hessian with a NaN or a NaN solve ends the Newton
+    # phase, and the explicit flow runs from the start
     rep = rv.hyperbolic_circle_rep(sl2r, circle8, 2.0)
     f0 = hf.constant_map(circle8, rep)
+    pts, ref = _explicit_run(rep, f0)
+    hessian = hf.MapEval.hessian
 
     def singular(A):
         raise RuntimeError("Factor is exactly singular")
-    monkeypatch.setattr(hf.spla, "splu", singular)
-    f, rpt = hf.flow(rep, f0)
-    pts, ref = _explicit_run(rep, f0)
-    assert rpt.solver == "explicit" and rpt.converged
-    assert dataclasses.asdict(rpt) == dataclasses.asdict(ref)
+
+    def nan_solve(A):
+        return types.SimpleNamespace(solve=lambda b: np.full_like(b, np.nan))
+
+    def nan_hessian(self, mu):
+        H = hessian(self, mu)
+        H.data[0] = np.nan
+        return H
+
+    for owner, name, fault in [(hf.spla, "splu", singular), (hf.spla, "splu", nan_solve),
+                               (hf.MapEval, "hessian", nan_hessian)]:
+        with monkeypatch.context() as m:
+            m.setattr(owner, name, fault)
+            f, rpt = hf.flow(rep, f0)
+        assert rpt.solver == "explicit" and rpt.converged, fault.__name__
+        assert dataclasses.asdict(rpt) == dataclasses.asdict(ref)
+        assert np.array_equal(f.points, pts)
 
 
 def test_non_finite_start_raises(sl2c, torus66):

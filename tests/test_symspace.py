@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from equivarlab.liealg import MatrixGroup, ad_action, cartan_project, gram_at
-from equivarlab.symspace import (MC_EDGE_NORM_RATIO, act, dist,
+from equivarlab.symspace import (MC_EDGE_NORM_RATIO, _expm, act, dist,
                                  exp_hermitian, exp_point, mc_edge,
                                  random_point, translation_length)
 from reference import adjoint_at, norm_at
@@ -11,6 +11,16 @@ from reference import adjoint_at, norm_at
 SL2C = MatrixGroup("sl", 2, "C")
 SL2R = MatrixGroup("sl", 2, "R")
 STACK_GROUPS = (SL2R, SL2C, MatrixGroup("sl", 3, "R"), MatrixGroup("gl1c"))
+
+
+def test_one_by_one_exponentials_are_np_exp():
+    # GL(1,C) exponentiates through scipy's expm, which must take a stack of
+    # 1x1 blocks to np.exp bit for bit, or every gl1c report moves
+    rng = np.random.default_rng(5)
+    X = rng.standard_normal((50, 1, 1)) + 1j * rng.standard_normal((50, 1, 1))
+    for A in (X, X[0]):
+        assert np.array_equal(MatrixGroup("gl1c").exp(A), np.exp(A))
+        assert np.array_equal(_expm(A), np.exp(A))
 
 
 def golden_section_translation_length(g, lo=-12.0, hi=12.0, tol=1e-12):

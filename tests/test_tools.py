@@ -1,10 +1,13 @@
+import ast
 import importlib.util
 import json
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 from equivarlab import cli
+from equivarlab.twistedhodge import TwistedComplex
 
 ROOT = Path(__file__).resolve().parent.parent
 REPORT_DIFF = ROOT / "tools" / "report_diff.py"
@@ -61,3 +64,50 @@ def test_report_digest_runs_every_golden_and_bench_config_once(monkeypatch):
     assert len(names) == len(set(names)) == len(expected)
     assert {name: (task, cfg) for name, task, cfg in runs} == expected
     assert all(task in cli.TASK_FUNCS for _, task, _ in runs)
+
+
+def resolve(module, name):
+    """module.name, imported if it is a submodule; None if it does not exist."""
+    try:
+        return importlib.import_module(f"{module}.{name}")
+    except ImportError:
+        return getattr(importlib.import_module(module), name, None)
+
+
+def bench_package_names():
+    """{"module.name": object or None} of every name that bench/*.py imports
+    from the package, or reads as an attribute of an imported package module."""
+    found = {}
+    for path in sorted((ROOT / "bench").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        modules = {}        # local name -> package module it binds
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules.update({a.asname or a.name: a.name for a in node.names
+                                if a.name.split(".")[0] == "equivarlab"})
+            elif isinstance(node, ast.ImportFrom) \
+                    and (node.module or "").split(".")[0] == "equivarlab":
+                for a in node.names:
+                    obj = found[f"{node.module}.{a.name}"] = resolve(node.module, a.name)
+                    if isinstance(obj, types.ModuleType):
+                        modules[a.asname or a.name] = obj.__name__
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                    and node.value.id in modules:
+                module = modules[node.value.id]
+                found[f"{module}.{node.attr}"] = resolve(module, node.attr)
+    return found
+
+
+def test_bench_reads_only_names_the_package_has():
+    # the benchmark's scripts stay fixed across a refactor, so deleting a
+    # library name they read must fail here, not in a benchmark run
+    found = bench_package_names()
+    assert {"equivarlab.harmonicflow.tension_norm", "equivarlab.deform.validate_pair",
+            "equivarlab.cli.EXIT_OBSTRUCTED",
+            "equivarlab.repvar.cocycle_space_basis"} <= found.keys()
+    assert [name for name, obj in found.items() if obj is None] == []
+    # members the benchmark reads off a complex
+    for member in ("A0", "inner", "norm", "kernel_sections", "kernel_dim",
+                   "contract_star", "hodge_decompose", "jacobi_dense_sym"):
+        assert hasattr(TwistedComplex, member), member
