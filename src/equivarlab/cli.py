@@ -7,14 +7,15 @@ refine-study.  _failure maps each failure class to its exit code, report
 status and report fields:
 
   0 ok: the task ran.
-  2 validation-error: a config section missing or not an object, a key
-    missing or of a bad value (a tolerance must be finite and above zero),
-    an unreadable or malformed mesh file, a complex matrix entry that is not
-    an [re, im] pair, a deformation with both values and a path family or
-    with second values next to one, a path family its representation cannot
-    carry, a real group given complex images, refine-study levels that do
-    not strictly increase, or a representation that fails the relator check
-    (every task but refine-study starts from build_problem).
+  2 validation-error: a config section missing or not an object, a key missing
+    or of a bad value (a tolerance must be finite and above zero, an integer
+    key such as a mesh size or the seed a whole number, not a bool or a
+    string), an unreadable or malformed mesh file, a complex matrix entry that
+    is not an [re, im] pair, a deformation with both values and a path family
+    or with second values next to one, a path family its representation cannot
+    carry, a real group given complex images, refine-study levels that do not
+    strictly increase, or a representation that fails the relator check (every
+    task but refine-study starts from build_problem).
   3 not-converged: a harmonic-map flow that did not converge where a
     converged metric is required (every solve reads the flow section through
     _flow_args); solver-error: a linear solver failure or a singular factor.
@@ -79,8 +80,15 @@ def _value(spec, name, default, convert):
     ConfigError naming the key."""
     try:
         return convert(spec.get(name, default))
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"config key {name!r} has a bad value: {exc}") from exc
+
+
+def _integer(x):
+    """x as an int; a bool, a string or a non-integral number raises."""
+    if isinstance(x, (bool, str)) or int(x) != x:
+        raise ValueError(f"{x!r} is not an integer")
+    return int(x)
 
 
 def _as_complex(x):
@@ -101,11 +109,12 @@ def _as_matrix(data):
 def build_mesh(spec):
     kind = spec.get("kind")
     if kind == "circle":
-        return mc.build_circle(_value(spec, "n", 8, int))
+        return mc.build_circle(_value(spec, "n", 8, _integer))
     if kind == "torus":
-        return mc.build_torus(_value(spec, "n", 6, int), _value(spec, "m", spec.get("n", 6), int))
+        return mc.build_torus(_value(spec, "n", 6, _integer),
+                              _value(spec, "m", spec.get("n", 6), _integer))
     if kind == "genus2":
-        return mc.build_genus2(_value(spec, "k", 1, int))
+        return mc.build_genus2(_value(spec, "k", 1, _integer))
     if kind == "json":
         path = Path(_key(spec, "path"))
         try:
@@ -117,7 +126,7 @@ def build_mesh(spec):
 
 
 def build_group(spec):
-    return MatrixGroup(kind=spec.get("kind", "sl"), n=_value(spec, "n", 2, int),
+    return MatrixGroup(kind=spec.get("kind", "sl"), n=_value(spec, "n", 2, _integer),
                        field=spec.get("field", "R"))
 
 
@@ -221,7 +230,7 @@ def _flow_args(cfg, max_iter):
     """hf.flow keywords: flow_tol, and the flow section's max_iter and drift_radius."""
     fspec = _optional(cfg, "flow")
     return {"tol": cfg["tolerances"]["flow_tol"],
-            "max_iter": _value(fspec, "max_iter", max_iter, int),
+            "max_iter": _value(fspec, "max_iter", max_iter, _integer),
             "drift_radius": _value(fspec, "drift_radius", 50.0, float)}
 
 
@@ -280,10 +289,7 @@ def write_report(out_dir, task, payload):
 
 
 def _json_default(x):
-    if isinstance(x, (np.floating, np.integer)):
-        return x.item()
-    if isinstance(x, np.ndarray):
-        return x.tolist()
+    """[re, im] of a complex number, the one report value json cannot write."""
     if isinstance(x, complex):
         return [x.real, x.imag]
     raise TypeError(f"not JSON serializable: {type(x)}")
@@ -318,7 +324,7 @@ def task_flow(cfg, out_dir):
 def task_energy(cfg, out_dir):
     mesh, group, rep = build_problem(cfg)
     E, reductive, rpt = hf.energy_of_rep(
-        rep, mesh, n_starts=_value(_optional(cfg, "flow"), "n_starts", 2, int),
+        rep, mesh, n_starts=_value(_optional(cfg, "flow"), "n_starts", 2, _integer),
         seed=cfg["seed"], **_flow_args(cfg, 20000))
     return {"energy": E, "reductive_suspected": reductive,
             "last_flow": rpt.to_dict()}
@@ -420,7 +426,7 @@ def task_refine_study(cfg, out_dir):
     gains floor_limited = true."""
     spec = _optional(cfg, "refine")
     kind = spec.get("kind", "torus_mc")
-    levels = _value(spec, "levels", [4, 8, 16], lambda xs: [int(x) for x in xs])
+    levels = _value(spec, "levels", [4, 8, 16], lambda xs: [_integer(x) for x in xs])
     if len(levels) < 3 or any(a >= b for a, b in zip(levels, levels[1:])):
         raise ConfigError(f"config key 'levels' needs at least 3 strictly "
                           f"increasing mesh levels, got {levels}")
@@ -540,7 +546,7 @@ def main(argv=None):
     try:
         tols = _section(cfg, "tolerances")
         # the task reads converted copies; the report echoes the config as given
-        run_cfg = dict(cfg, seed=_value(cfg, "seed", 0, int),
+        run_cfg = dict(cfg, seed=_value(cfg, "seed", 0, _integer),
                        tolerances=dict(tols, **{k: _value(tols, k, None, _tolerance)
                                                 for k in TOLERANCES}))
         payload["result"] = TASK_FUNCS[args.task](run_cfg, out_dir)

@@ -11,8 +11,8 @@ the contraction omega* -| omega is orthogonal to the kernel fields; the
 kernel component is the obstruction defect with its projection direction as
 witness.  The pair (F, F2) is completed by a second twisted-primitive solve.
 
-The per-edge transports and brackets go through ``liealg.mul``, and every
-Cartan split passes a cached inverse to ``liealg.cartan_project``: the
+The transports go through ``liealg.mul``, the brackets through ``bracket``,
+and every Cartan split passes a cached inverse to ``cartan_project``: the
 point inverses of the complex, or the far-lift metric of the labeled-edge
 check, inverted once for its five splits.
 """
@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .liealg import cartan_project, inv, mul
+from .liealg import bracket, cartan_project, ct, inv, mul
 from .repvar import Jet2Cocycle
 from .twistedhodge import TwistedCochain, _vals
 
@@ -45,12 +45,11 @@ class ObstructionReport:
     orthogonal: bool
     defect: float
     scale: float
-    witness: TwistedCochain | None
+    witness: TwistedCochain | None     # not in to_dict
     contraction: TwistedCochain     # omega* -| omega; not in to_dict
 
     def to_dict(self):
-        return {"orthogonal": self.orthogonal, "defect": self.defect,
-                "scale": self.scale}
+        return {k: v for k, v in vars(self).items() if k not in ("witness", "contraction")}
 
 
 @dataclass
@@ -103,7 +102,7 @@ def _transport(ctx, vals):
 def _jet_transport(cw, kw, A, B):
     """(F, F2) carried across edges by the jet (c(w_e), k(w_e)): (A + c,
     B + [c, A] + k), with A, B the transports of F, F2 at the edge targets."""
-    return A + cw, B + (mul(cw, A) - mul(A, cw)) + kw
+    return A + cw, B + bracket(cw, A) + kw
 
 
 def _tangents(P, Pinv, F, F2):
@@ -111,7 +110,7 @@ def _tangents(P, Pinv, F, F2):
     (F, F2), split at the points P with inverses Pinv."""
     Fk, Fp = cartan_project(P, F, Pinv)
     _, F2p = cartan_project(P, F2, Pinv)
-    return Fp, F2p + (mul(Fk, Fp) - mul(Fp, Fk))
+    return Fp, F2p + bracket(Fk, Fp)
 
 
 def _omega_residuals(ctx, omega):
@@ -229,14 +228,14 @@ def _w_equivariance_residual(ctx, cw, kw, adF, F2, w_beta):
     g = ctx.kern.g[lab]
     cw, kw = cw[lab], kw[lab]
     # metric at the far lift, inverted once for its five Cartan splits
-    Q = mul(mul(g, ctx.points[ctx.kern.dst[lab]]), np.conj(np.swapaxes(g, -1, -2)))
+    Q = mul(mul(g, ctx.points[ctx.kern.dst[lab]]), ct(g))
     Qinv = inv(Q)
     A = adF[lab]
     ck, cp = cartan_project(Q, cw, Qinv)
     _, Ap = cartan_project(Q, A, Qinv)
     _, kp = cartan_project(Q, kw, Qinv)
     lhs = _transport(ctx, w_beta)[lab] + kp \
-        + 2.0 * (mul(ck, Ap) - mul(Ap, ck)) + (mul(ck, cp) - mul(cp, ck))
+        + 2.0 * bracket(ck, Ap) + bracket(ck, cp)
     _, rhs = _tangents(Q, Qinv, *_jet_transport(cw, kw, A, _transport(ctx, F2.values)[lab]))
     return float(np.abs(lhs - rhs).max(initial=0.0))
 

@@ -59,12 +59,10 @@ class PshReport:
     omega_sq: float
     defect: float
     relative: float
-    residuals: dict = field(default_factory=dict)
+    residuals: dict = field(default_factory=dict)     # not in to_dict
 
     def to_dict(self):
-        return {"secvar": self.secvar, "secvar_conj": self.secvar_conj,
-                "omega_sq": self.omega_sq, "defect": self.defect,
-                "relative": self.relative}
+        return {k: v for k, v in vars(self).items() if k != "residuals"}
 
 
 def psh_defect(ctx, c, k, rel_tol=1e-7):
@@ -97,9 +95,7 @@ class ScanReport:
     basis_size: int
 
     def to_dict(self):
-        return {"max_normalized": self.max_normalized,
-                "per_direction": self.per_direction,
-                "basis_size": self.basis_size}
+        return dict(vars(self))
 
 
 def critical_scan(ctx):

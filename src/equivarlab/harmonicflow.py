@@ -64,7 +64,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import symspace as ss
-from .liealg import mul, p_basis
+from .liealg import ct, mul, p_basis
 from .repvar import WordTable
 
 
@@ -238,13 +238,13 @@ class MapEval:
         ne = len(k.src)
         R, S, logw, V = self.R, self.S, self.logw, self.V
         coth, csch = ss.ad_jacobi(logw)
-        Vh = ss._ct(V)
+        Vh = ct(V)
         # source basis in the eigenframe of beta, and the far basis carried
         # to the source: V^† e^{-beta~} S g R_dst = e^{-Lambda} V^† S g R_dst
         Ms = mul(mul(Vh[:, None], B), V[:, None]).reshape(ne, len(B), -1)
         Y = np.exp(-0.5 * logw)[..., None] * mul(mul(mul(Vh, S[k.src]), k.g),
                                                  R[k.dst])
-        Md = mul(mul(Y[:, None], B), ss._ct(Y)[:, None]).reshape(Ms.shape)
+        Md = mul(mul(Y[:, None], B), ct(Y)[:, None]).reshape(Ms.shape)
         coth = coth.reshape(ne, 1, -1)
         csch = csch.reshape(coth.shape)
 
@@ -305,13 +305,7 @@ class FlowReport:
     solver: str = "explicit"    # "newton" or "explicit"; not in to_dict
 
     def to_dict(self):
-        return {
-            "energy": self.energy, "tension": self.tension,
-            "iterations": self.iterations, "converged": self.converged,
-            "basepoint_drift": self.basepoint_drift,
-            "reductive_suspected": self.reductive_suspected,
-            "step_underflow": self.step_underflow,
-        }
+        return {k: v for k, v in vars(self).items() if k != "solver"}
 
 
 #: Newton steps checked before the explicit flow takes over
@@ -477,7 +471,7 @@ def curved_torus_map(mesh, rep, amplitude=0.3):
     bump = np.sin(2 * np.pi * x) * np.sin(2 * np.pi * y)
     s = ss._expm(x[:, None, None] * A) @ ss._expm(y[:, None, None] * B) \
         @ ss._expm(bump[:, None, None] * C)
-    pts = s @ ss._ct(s)
+    pts = s @ ct(s)
     if nd > 1:
         pts = pts / (np.abs(np.linalg.det(pts)) ** (1.0 / nd))[:, None, None]
     return EquivariantMap(mesh, rep, pts)

@@ -13,6 +13,9 @@ arithmetic.  numpy's stacked ``@`` and ``np.linalg.inv`` make one BLAS or
 LAPACK call per block, which costs more than the arithmetic of a 2 x 2
 block; for n = 2 both are written as broadcast elementwise arithmetic
 instead, so every block of a stack is computed exactly as a stack of one.
+``ct``, the adjoint ``star`` and ``bracket`` state the rest of it once, the
+last two through ``mul``; ``ad_action`` and ``repvar.WordTable`` keep ``@``,
+on which the last bits of the reports depend.
 """
 
 from __future__ import annotations
@@ -150,13 +153,22 @@ def inv(A):
     return adj / det[..., None, None]
 
 
+def ct(M):
+    """Stacked conjugate transpose M^† over the last two axes."""
+    return np.conj(np.swapaxes(M, -1, -2))
+
+
+def star(P, X, Pinv):
+    """Stacked metric adjoint X* = P X^† P^{-1}, with Pinv = P^{-1}."""
+    return mul(mul(P, ct(X)), Pinv)
+
+
 def bracket(X, Y):
-    """Matrix commutator [X,Y] = XY - YX."""
-    X = np.asarray(X)
-    Y = np.asarray(Y)
+    """Stacked matrix commutator [X,Y] = XY - YX of equal shapes."""
+    X, Y = np.asarray(X), np.asarray(Y)
     if X.shape != Y.shape:
         raise ValueError("bracket of mismatched shapes")
-    return X @ Y - Y @ X
+    return mul(X, Y) - mul(Y, X)
 
 
 def ad_action(g, X):
@@ -167,12 +179,12 @@ def ad_action(g, X):
 
 def cartan_project(P, X, Pinv=None):
     """Split X = Xk + Xp into anti-selfadjoint and selfadjoint parts at P,
-    with X* = P X^† P^{-1} taken through ``mul``; Pinv is P^{-1}, which a
-    caller that splits many values at the same points inverts once."""
+    with X* = ``star(P, X, Pinv)``; Pinv is P^{-1}, which a caller that
+    splits many values at the same points inverts once."""
     P = np.asarray(P)
     if Pinv is None:
         Pinv = inv(P)
-    Xs = mul(mul(P, np.conj(np.swapaxes(X, -1, -2))), Pinv)
+    Xs = star(P, X, Pinv)
     Xp = 0.5 * (X + Xs)
     Xk = 0.5 * (X - Xs)
     return Xk, Xp

@@ -143,7 +143,8 @@ class WordTable:
     word gives, to the last bit.  ``rho`` holds rho(w) of every word and
     ``rho_inv`` its inverse (on first use); ``values`` and ``jets`` map
     stacked generator values (see ``stack``) to the cocycle and 2-jet
-    values.
+    values.  Its products, the commutator in ``jets`` too, stay ``@``:
+    ``liealg.mul`` would move the last bits of the bending-path reports.
     """
 
     def __init__(self, rep, words):

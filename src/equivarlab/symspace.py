@@ -21,9 +21,9 @@ from the latter, S and P^{1/2}, which the caller forms once from (w, U) and
 keeps, and origin_dist reads dist(I, P) from w.  The heat flow in
 harmonicflow runs on them.
 
-act, log_frame, mc_from_frame and exp_point multiply through liealg.mul,
-which computes a 2 x 2 block by broadcast arithmetic instead of one BLAS call
-per block; the eigendecompositions are numpy's eigh.
+act, log_frame, mc_from_frame and exp_point multiply through liealg.mul
+(broadcast arithmetic on a 2 x 2 block instead of one BLAS call per block)
+and transpose through liealg.ct; the eigendecompositions are numpy's eigh.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg
 
-from .liealg import mul
+from .liealg import ct, mul
 
 #: ||mc_edge(P,Q)||_P / dist(P,Q); fixed by the half-log normalization.
 MC_EDGE_NORM_RATIO = 0.5
@@ -44,12 +44,8 @@ ATTAINED_RADIUS = 50.0
 _EYE2 = np.eye(2, dtype=complex)
 
 
-def _ct(M):
-    return M.conj().swapaxes(-1, -2)
-
-
 def _hermitize(M):
-    return 0.5 * (M + _ct(M))
+    return 0.5 * (M + ct(M))
 
 
 def _eigh(P):
@@ -85,7 +81,7 @@ def origin_dist(P, w):
     agree bit for bit only on an exactly Hermitian P.  Any other P, such as a
     random start, goes through dist.
     """
-    if not np.array_equal(P, _ct(P)):
+    if not np.array_equal(P, ct(P)):
         return dist(np.eye(P.shape[-1], dtype=complex), P)
     return float(_log_norm(np.log(w)))
 
@@ -113,7 +109,7 @@ def _expm(X):
 def act(g, P):
     """Isometric action P -> g P g^†."""
     g, P = np.asarray(g, dtype=complex), np.asarray(P)
-    return _hermitize(mul(mul(g, P), _ct(g)))
+    return _hermitize(mul(mul(g, P), ct(g)))
 
 
 def log_frame(S, Q):
@@ -161,7 +157,7 @@ def exp_point(P, X):
     """exp_point(P, X) = e^X P e^{X^†}; X should be selfadjoint at P and lie
     in the algebra (traceless unless n = 1)."""
     E = _expm(np.asarray(X, dtype=complex))
-    return _hermitize(mul(mul(E, np.asarray(P)), _ct(E)))
+    return _hermitize(mul(mul(E, np.asarray(P)), ct(E)))
 
 
 def mc_edge(P, Q):
@@ -204,7 +200,7 @@ def translation_length(g):
     lam, V = np.linalg.eig(g)
     L = 2.0 * float(_log_norm(np.log(np.abs(lam))))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        P = _hermitize(V @ _ct(V)) / np.abs(np.linalg.det(V)) ** (2.0 / n)
+        P = _hermitize(V @ ct(V)) / np.abs(np.linalg.det(V)) ** (2.0 / n)
     attained = bool(
         np.all(np.isfinite(P))
         and dist(np.eye(n, dtype=complex), P) <= ATTAINED_RADIUS

@@ -33,9 +33,9 @@ the first time it is read and keeps it, so a study that reads only d1, the
 degree-2 Gram and beta builds nothing else; beta and the energy come from
 one MapEval, and the period bound of a primitive from its conditioning.
 
-The per-cell products of the nonlinear pieces (the face cup product, the
-contraction omega* -| alpha, the bracket with a section) go through
-``liealg.mul``, one broadcast product per stack instead of one BLAS call
+The nonlinear pieces (the face cup product, the contraction omega* -|
+alpha through the adjoint ``liealg.star``, the bracket with a section) take
+``liealg.bracket``, one broadcast product per stack instead of one BLAS call
 per block.  The inverses of the vertex points (``points_inv``, through
 ``liealg.inv``) are taken once per complex and the edge-source inverses
 (``edge_points_inv``) are read from them; the Cartan splits of the tangent
@@ -52,7 +52,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .harmonicflow import FlowKernel, MapEval
-from .liealg import ad_matrix, gram_at, inv, mul, nullspace
+from .liealg import ad_matrix, bracket, gram_at, inv, mul, nullspace, star
 from .symspace import act
 
 #: nullspace cutoff (relative to max(s_0, 1)) below which a direction counts
@@ -417,29 +417,23 @@ class TwistedComplex:
         run = np.zeros_like(acc)
         for j in range(eid.shape[1]):
             if j:
-                acc += mul(run, tb[:, j]) - mul(tb[:, j], run)
+                acc += bracket(run, tb[:, j])
             run = run + ta[:, j]
         return TwistedCochain(2, acc)
 
     def contract_star(self, a, b):
         """Contraction a* -| b: per vertex (1/w0) sum over out-edges of
         w1 [a_e^[p] - a_e^[k], b_e]; Gram-adjoint to xi -> [a, xi]."""
-        av = _vals(a)
-        bv = _vals(b)
-        # the adjoint at the edge sources, with the cached point inverses
-        star = mul(mul(self.edge_points, np.conj(np.swapaxes(av, -1, -2))),
-                   self.edge_points_inv)
+        a_star = star(self.edge_points, _vals(a), self.edge_points_inv)
         out = np.zeros((self.mesh.nv, self.n, self.n), dtype=complex)
-        contrib = self.kern.w1[:, None, None] * (mul(star, bv) - mul(bv, star))
+        contrib = self.kern.w1[:, None, None] * bracket(a_star, _vals(b))
         np.add.at(out, self.kern.src, contrib)
         out /= np.asarray(self.mesh.vertex_weights)[:, None, None]
         return TwistedCochain(0, out)
 
     def bracket_section(self, a, xi):
         """1-cochain [a, xi] with the section evaluated at edge sources."""
-        av = _vals(a)
-        xv = _vals(xi)[self.kern.src]
-        return TwistedCochain(1, mul(av, xv) - mul(xv, av))
+        return TwistedCochain(1, bracket(_vals(a), _vals(xi)[self.kern.src]))
 
     @cached_property
     def map_eval(self):

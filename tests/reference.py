@@ -29,7 +29,7 @@ from equivarlab import harmonicflow as hf
 from equivarlab.energyvar import (FD_MAX_ITER, FD_STEPS, FDReport, PshReport,
                                   omega_l2sq, second_variation)
 from equivarlab import symspace as ss
-from equivarlab.liealg import ad_action, bracket
+from equivarlab.liealg import ad_action
 from equivarlab.meshcover import token_base, token_is_inverse
 from equivarlab.twistedhodge import TwistedCochain, _vals
 
@@ -86,9 +86,10 @@ def jet2_mul(a, b):
     if a.g.shape != b.g.shape:
         raise ValueError("jet2_mul of mismatched groups")
     ad_eta = ad_action(a.g, b.xi)
+    # the commutator with @, as WordTable.jets takes it, not liealg.bracket
     return Jet2(a.g @ b.g,
                 a.xi + ad_eta,
-                a.mu + ad_action(a.g, b.mu) + bracket(a.xi, ad_eta))
+                a.mu + ad_action(a.g, b.mu) + (a.xi @ ad_eta - ad_eta @ a.xi))
 
 
 def jet2_inv(a):

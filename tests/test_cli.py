@@ -190,12 +190,20 @@ def test_malformed_config_value_exit_two(tmp_path, task, section, value, key):
     ("flow", "tolerances", {"flow_tol": 0}, "flow_tol"),
     ("flow", "tolerances", {"validation": -1}, "validation"),
     ("flow", "tolerances", {"rel_obstruction": float("nan")}, "rel_obstruction"),
-    ("flow", "flow", {"start": "Random"}, "start")],
+    ("flow", "flow", {"start": "Random"}, "start"),
+    ("flow", "mesh", {"kind": "torus", "n": 8.9}, "n"),
+    ("flow", "mesh", {"kind": "torus", "n": float("inf")}, "n"),
+    ("flow", "mesh", {"kind": "torus", "n": "8"}, "n"),
+    ("flow", "seed", True, "seed"),
+    ("refine-study", "refine", {"levels": [4, 8.5, 16]}, "levels")],
     ids=["mesh-n", "torus_diag-alpha", "circle_hyperbolic-lam", "flow-max_iter",
          "refine-levels", "seed", "tolerance-validation", "tolerance-flow_tol",
-         "tolerance-zero", "tolerance-negative", "tolerance-nan", "flow-start"])
+         "tolerance-zero", "tolerance-negative", "tolerance-nan", "flow-start",
+         "mesh-n-fraction", "mesh-n-inf", "mesh-n-string", "seed-bool",
+         "refine-levels-fraction"])
 def test_config_scalar_of_wrong_type_exit_two(tmp_path, task, section, value, key):
-    # a config value that int, float or complex cannot convert, or a
+    # a config value that int, float or complex cannot convert, an integer
+    # key given a fraction, a non-finite number, a bool or a string, or a
     # tolerance that is not finite and above zero, is a validation error
     # with a report that names its key, not a TypeError or a solver fault
     cfg = dict(OBSTRUCTED_CFG, **{section: value})

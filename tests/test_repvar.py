@@ -161,7 +161,7 @@ PATH_PINS = {
     "commuting":
         "3784af852a9d25dae47d86feb13ad7da0fb6517efe89996ae8b311dac1b459f3",
     "conjugation":
-        "7b59e1b0b6d1c979ceb16fb4f0ab0025bb3842fe034538a698d2ff6ba6a540f0",
+        "6d584161fb9de140c1145d38e279b24cda04b0fc8b57c69c41799c02d5fe1753",
     "bend_real":
         "ba3e37b157919e57e95038599f509519f4c1fe17422c3e2eac170fbbddd5c224",
     "bend_imag":

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from equivarlab.liealg import MatrixGroup, ad_action, cartan_project, gram_at
+from equivarlab.liealg import (MatrixGroup, ad_action, bracket, cartan_project,
+                               gram_at, inv, star)
 from equivarlab.symspace import (MC_EDGE_NORM_RATIO, _expm, act, dist,
                                  exp_hermitian, exp_point, mc_edge,
                                  random_point, translation_length)
@@ -282,16 +283,18 @@ def test_scalar_is_a_stack_of_one(gi, seed, size, scale):
     rng = np.random.default_rng(seed)
     P, Q = (np.stack([random_point(group, rng, scale) for _ in range(size)])
             for _ in range(2))
-    X = np.stack([group.random_alg(rng) for _ in range(size)])
+    X, Y = (np.stack([group.random_alg(rng) for _ in range(size)]) for _ in range(2))
     B = mc_edge(P, Q)
     stacked = {"mc_edge": B, "dist": dist(P, Q), "exp_point": exp_point(P, B),
                "cartan_project": np.stack(cartan_project(P, X), axis=1),
-               "gram_at": gram_at(group, P)}
+               "gram_at": gram_at(group, P), "bracket": bracket(X, Y),
+               "star": star(P, X, inv(P))}
     for i in range(size):
         single = {"mc_edge": mc_edge(P[i], Q[i]), "dist": dist(P[i], Q[i]),
                   "exp_point": exp_point(P[i], B[i]),
                   "cartan_project": np.stack(cartan_project(P[i], X[i])),
-                  "gram_at": gram_at(group, P[i])}
+                  "gram_at": gram_at(group, P[i]), "bracket": bracket(X[i], Y[i]),
+                  "star": star(P[i], X[i], inv(P[i]))}
         for name, value in single.items():
             assert np.array_equal(stacked[name][i], value), name
     assert np.abs(stacked["exp_point"] - Q).max() < 1e-9 * max(1.0, np.abs(Q).max())
