@@ -8,14 +8,15 @@ status and report fields:
 
   0 ok: the task ran.
   2 validation-error: a config section missing or not an object, a key missing
-    or of a bad value (a tolerance must be finite and above zero, an integer
-    key such as a mesh size or the seed a whole number, not a bool or a
-    string), an unreadable or malformed mesh file, a complex matrix entry that
-    is not an [re, im] pair, a deformation with both values and a path family
-    or with second values next to one, a path family its representation cannot
-    carry, a real group given complex images, refine-study levels that do not
-    strictly increase, or a representation that fails the relator check (every
-    task but refine-study starts from build_problem).
+    or of a bad value (a number, never a bool or a string; a tolerance finite
+    and above zero; an integer key such as a mesh size or the seed a whole
+    number), an unreadable or malformed mesh file, a matrix entry that is not
+    a number or not an [re, im] pair, a deformation with both values and a
+    path family or with second values next to one, a path family its
+    representation cannot carry, a real group given complex images,
+    refine-study levels that do not strictly increase, or a representation
+    that fails the relator check (every task but refine-study starts from
+    build_problem).  An omitted key takes the default of its routine.
   3 not-converged: a harmonic-map flow that did not converge where a
     converged metric is required (every solve reads the flow section through
     _flow_args); solver-error: a linear solver failure or a singular factor.
@@ -84,26 +85,48 @@ def _value(spec, name, default, convert):
         raise ConfigError(f"config key {name!r} has a bad value: {exc}") from exc
 
 
+def _given(spec, *names, **converters):
+    """Keywords of the keys spec gives, names as given and the others through
+    their converters: an omitted key takes its routine's default."""
+    return {**{name: spec[name] for name in names if name in spec},
+            **{name: _value(spec, name, None, convert)
+               for name, convert in converters.items() if name in spec}}
+
+
+def _real(x):
+    """x as a float; a bool or a string is not a number and raises."""
+    if isinstance(x, (bool, str)):
+        raise ValueError(f"{x!r} is not a number")
+    return float(x)
+
+
 def _integer(x):
-    """x as an int; a bool, a string or a non-integral number raises."""
-    if isinstance(x, (bool, str)) or int(x) != x:
+    """x as an int; what _real refuses and a non-integral number raise."""
+    _real(x)
+    if int(x) != x:
         raise ValueError(f"{x!r} is not an integer")
     return int(x)
 
 
 def _as_complex(x):
-    if isinstance(x, (list, tuple)) and len(x) == 2:
-        return complex(x[0], x[1])
-    return complex(x)
+    re, im = x if isinstance(x, (list, tuple)) and len(x) == 2 else (x, 0.0)
+    return complex(_real(re), _real(im))
 
 
 def _as_matrix(data):
-    arr = np.asarray(data, dtype=float)
+    try:
+        arr = np.vectorize(_real, otypes=[float])(np.asarray(data, dtype=object))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"matrix entries must be numbers: {exc}") from exc
     if arr.ndim == 3 and arr.shape[-1] != 2:
         raise ConfigError(f"complex matrix entries must be [re, im] pairs, got {arr.shape}")
     if arr.ndim == 3:
         return arr[..., 0] + 1j * arr[..., 1]
     return arr.astype(complex)
+
+
+def _matrices(spec):
+    return {k: _as_matrix(v) for k, v in spec.items()}
 
 
 def build_mesh(spec):
@@ -114,7 +137,7 @@ def build_mesh(spec):
         return mc.build_torus(_value(spec, "n", 6, _integer),
                               _value(spec, "m", spec.get("n", 6), _integer))
     if kind == "genus2":
-        return mc.build_genus2(_value(spec, "k", 1, _integer))
+        return mc.build_genus2(**_given(spec, k=_integer))
     if kind == "json":
         path = Path(_key(spec, "path"))
         try:
@@ -126,36 +149,32 @@ def build_mesh(spec):
 
 
 def build_group(spec):
-    return MatrixGroup(kind=spec.get("kind", "sl"), n=_value(spec, "n", 2, _integer),
-                       field=spec.get("field", "R"))
+    return MatrixGroup(**_given(spec, "kind", "field", n=_integer))
 
 
-#: representation family -> builder(group, mesh, params)
+#: representation family -> (builder(group, mesh, **params), param converters)
 FAMILIES = {
-    "circle_hyperbolic": lambda g, m, p: rv.hyperbolic_circle_rep(g, m, _value(p, "lam", 2.0, float)),
-    "circle_parabolic": lambda g, m, p: rv.parabolic_circle_rep(g, m),
-    "circle_elliptic": lambda g, m, p: rv.elliptic_circle_rep(g, m, _value(p, "theta", 0.7, float)),
-    "torus_diag": lambda g, m, p: rv.torus_diag_rep(g, m, _value(p, "alpha", [0.4, 0.3], _as_complex),
-                                                    _value(p, "beta", [-0.2, 0.5], _as_complex)),
-    "torus_gl1c": lambda g, m, p: rv.torus_gl1c_rep(g, m, _value(p, "z1", [0.5, 1.0], _as_complex),
-                                                    _value(p, "z2", [-0.3, 0.2], _as_complex)),
-    "torus_unitary": lambda g, m, p: rv.torus_unitary_rep(g, m, _value(p, "theta1", 0.6, float),
-                                                          _value(p, "theta2", -0.35, float)),
-    "trivial": lambda g, m, p: rv.trivial_rep(g, m),
-    "genus2_fuchsian": lambda g, m, p: rv.genus2_fuchsian_rep(g, m),
+    "circle_hyperbolic": (rv.hyperbolic_circle_rep, {"lam": _real}),
+    "circle_parabolic": (rv.parabolic_circle_rep, {}),
+    "circle_elliptic": (rv.elliptic_circle_rep, {"theta": _real}),
+    "torus_diag": (rv.torus_diag_rep, {"alpha": _as_complex, "beta": _as_complex}),
+    "torus_gl1c": (rv.torus_gl1c_rep, {"z1": _as_complex, "z2": _as_complex}),
+    "torus_unitary": (rv.torus_unitary_rep, {"theta1": _real, "theta2": _real}),
+    "trivial": (rv.trivial_rep, {}),
+    "genus2_fuchsian": (rv.genus2_fuchsian_rep, {}),
 }
 
 
 def build_representation(spec, group, mesh):
     if "inline" in spec:
-        images = {k: _as_matrix(v) for k, v in
-                  _section(_section(spec, "inline"), "images").items()}
+        images = _matrices(_section(_section(spec, "inline"), "images"))
         return rv.Representation.for_mesh(group, mesh, images)
     family = spec.get("family")
     if not isinstance(family, str) or family not in FAMILIES:
         raise ConfigError(f"unknown representation family {family!r} "
                           f"(available: {', '.join(FAMILIES)})")
-    return FAMILIES[family](group, mesh, _optional(spec, "params"))
+    builder, converters = FAMILIES[family]
+    return builder(group, mesh, **_given(_optional(spec, "params"), **converters))
 
 
 def build_problem(cfg):
@@ -171,16 +190,15 @@ def build_problem(cfg):
 def build_path(spec, rep):
     kind = spec.get("kind")
     if kind == "commuting_exp":
-        B = {k: _as_matrix(v) for k, v in _section(spec, "B").items()}
-        C = {k: _as_matrix(v) for k, v in _optional(spec, "C").items()} or None
-        return rv.commuting_exp_path(rep, B, C)
+        return rv.commuting_exp_path(rep, _matrices(_section(spec, "B")),
+                                     _matrices(_optional(spec, "C")) or None)
     if kind == "conjugation":
         return rv.conjugation_path(rep, _as_matrix(_key(spec, "xi")))
     if kind == "bending":
         imaginary = spec.get("imaginary", True)
         if not isinstance(imaginary, bool):
             raise ConfigError(f"config key 'imaginary' is {imaginary!r}, not true or false")
-        return rv.bending_path(rep, _value(spec, "scale", 0.5, float), imaginary)
+        return rv.bending_path(rep, imaginary=imaginary, **_given(spec, scale=_real))
     raise ConfigError(f"unknown path kind {kind!r}")
 
 
@@ -200,10 +218,9 @@ def build_deformation(cfg, rep):
         path = build_path(_section(spec, "path_family"), rep)
         c, k = path.jets()
     else:
-        c = rv.Cocycle(rep, {g: _as_matrix(v) for g, v in
-                             _section(spec, "values").items()})
+        c = rv.Cocycle(rep, _matrices(_section(spec, "values")))
         if "second" in spec:
-            k = {g: _as_matrix(v) for g, v in _section(spec, "second").items()}
+            k = _matrices(_section(spec, "second"))
     if not c.validate(cfg["tolerances"]["validation"]):
         raise ConfigError("cocycle does not satisfy the relator conditions")
     if k is not None:
@@ -226,16 +243,15 @@ def _check_jet(cfg, c, k):
         raise ConfigError("second-order values fail the jet cocycle law")
 
 
-def _flow_args(cfg, max_iter):
-    """hf.flow keywords: flow_tol, and the flow section's max_iter and drift_radius."""
-    fspec = _optional(cfg, "flow")
-    return {"tol": cfg["tolerances"]["flow_tol"],
-            "max_iter": _value(fspec, "max_iter", max_iter, _integer),
-            "drift_radius": _value(fspec, "drift_radius", 50.0, float)}
+def _flow_args(cfg, **defaults):
+    """hf.flow keywords: flow_tol, the defaults given, and the flow
+    section's max_iter and drift_radius where it gives them."""
+    return {"tol": cfg["tolerances"]["flow_tol"], **defaults,
+            **_given(_optional(cfg, "flow"), max_iter=_integer, drift_radius=_real)}
 
 
 def converged_context(cfg, mesh, rep):
-    f, rpt = hf.flow(rep, hf.constant_map(mesh, rep), **_flow_args(cfg, 60000))
+    f, rpt = hf.flow(rep, hf.constant_map(mesh, rep), **_flow_args(cfg, max_iter=60000))
     if not rpt.converged:
         raise FlowNotConverged(rpt)
     return TwistedComplex(mesh, rep, f), rpt
@@ -252,9 +268,9 @@ TOLERANCES = {"flow_tol": 1e-8, "rel_obstruction": 1e-7, "validation": 1e-8}
 
 
 def _tolerance(x):
-    """float(x), which must be finite and above zero: no run meets a
+    """_real(x), which must be finite and above zero: no run meets a
     tolerance of zero or below, and every comparison with NaN fails."""
-    tol = float(x)
+    tol = _real(x)
     if not (tol > 0 and np.isfinite(tol)):
         raise ValueError(f"tolerance {x!r} is not finite and above zero")
     return tol
@@ -315,17 +331,17 @@ def task_flow(cfg, out_dir):
     if start not in ("constant", "random"):
         raise ConfigError(f"config key 'start' is {start!r}, not 'constant' or 'random'")
     f0 = (hf.random_map(mesh, rep, np.random.default_rng(cfg["seed"]),
-                        _value(fspec, "scale", 0.4, float))
+                        _value(fspec, "scale", 0.4, _real))
           if start == "random" else hf.constant_map(mesh, rep))
-    f, rpt = hf.flow(rep, f0, **_flow_args(cfg, 20000))
+    f, rpt = hf.flow(rep, f0, **_flow_args(cfg))
     return {"flow": rpt.to_dict()}
 
 
 def task_energy(cfg, out_dir):
     mesh, group, rep = build_problem(cfg)
     E, reductive, rpt = hf.energy_of_rep(
-        rep, mesh, n_starts=_value(_optional(cfg, "flow"), "n_starts", 2, _integer),
-        seed=cfg["seed"], **_flow_args(cfg, 20000))
+        rep, mesh, seed=cfg["seed"], **_given(_optional(cfg, "flow"), n_starts=_integer),
+        **_flow_args(cfg))
     return {"energy": E, "reductive_suspected": reductive,
             "last_flow": rpt.to_dict()}
 
@@ -431,8 +447,7 @@ def task_refine_study(cfg, out_dir):
         raise ConfigError(f"config key 'levels' needs at least 3 strictly "
                           f"increasing mesh levels, got {levels}")
     group = build_group(_section(cfg, "group"))
-    rows = []
-    values = []
+    rows = []           # [level, h, quantity, value]
     scale = 1.0         # the study's scale for FLOOR_REL
     if kind == "torus_mc":
         alpha = _value(spec, "alpha", [0.4, 0.0], _as_complex)
@@ -440,16 +455,14 @@ def task_refine_study(cfg, out_dir):
         for n in levels:
             mesh = mc.build_torus(n, n)
             rep = rv.torus_diag_rep(group, mesh, alpha, beta)
-            f = hf.curved_torus_map(mesh, rep, _value(spec, "amplitude", 0.3, float))
+            f = hf.curved_torus_map(mesh, rep, **_given(spec, amplitude=_real))
             ctx = TwistedComplex(mesh, rep, f)
             b = ctx.beta()
             res = TwistedCochain(2, ctx.d(b).values
                                  - ctx.bracket_wedge(b, b).values)
-            val = ctx.norm(res, 2)
-            rows.append([n, 1.0 / n, "mc_residual", val])
-            values.append(val)
+            rows.append([n, 1.0 / n, "mc_residual", ctx.norm(res, 2)])
     elif kind == "circle_energy":
-        lam = _value(spec, "lam", 2.0, float)
+        lam = _value(spec, "lam", 2.0, _real)
         # -g acts on the symmetric space as g does, so the sign of lam drops
         exact = 4.0 * np.log(abs(lam)) ** 2
         scale = exact
@@ -457,10 +470,8 @@ def task_refine_study(cfg, out_dir):
             mesh = mc.build_circle(n)
             rep = rv.hyperbolic_circle_rep(group, mesh, lam)
             E, _, _ = hf.energy_of_rep(rep, mesh, n_starts=1, seed=cfg["seed"],
-                                       **_flow_args(cfg, 20000))
-            val = abs(E - exact)
-            rows.append([n, 1.0 / n, "energy_error", val])
-            values.append(val)
+                                       **_flow_args(cfg))
+            rows.append([n, 1.0 / n, "energy_error", abs(E - exact)])
     elif kind == "harmonic_residuals":
         alpha = _value(spec, "alpha", [0.4, 0.3], _as_complex)
         beta = _value(spec, "beta", [-0.2, 0.5], _as_complex)
@@ -476,12 +487,12 @@ def task_refine_study(cfg, out_dir):
                                      "b": np.zeros((2, 2), dtype=complex)})
             ctx, _ = converged_context(cfg, mesh, rep)
             om, _ = ctx.harmonic_rep(c)
-            val = max(ctx.norm(ctx.d(om), 2), ctx.norm(ctx.codiff(om), 0))
-            rows.append([n, 1.0 / n, "harmonic_residual", val])
-            values.append(val)
+            rows.append([n, 1.0 / n, "harmonic_residual",
+                         max(ctx.norm(ctx.d(om), 2), ctx.norm(ctx.codiff(om), 0))])
     else:
         raise ConfigError(f"unknown refine-study kind {kind!r}")
     write_csv(out_dir, "refine_study.csv", ["level", "h", "quantity", "value"], rows)
+    values = [row[3] for row in rows]
     vals = np.asarray(values)
     hs = 1.0 / np.asarray(levels, dtype=float)
     floor_limited = bool(np.any(vals <= FLOOR_REL * scale))
@@ -546,9 +557,8 @@ def main(argv=None):
     try:
         tols = _section(cfg, "tolerances")
         # the task reads converted copies; the report echoes the config as given
-        run_cfg = dict(cfg, seed=_value(cfg, "seed", 0, _integer),
-                       tolerances=dict(tols, **{k: _value(tols, k, None, _tolerance)
-                                                for k in TOLERANCES}))
+        run_cfg = dict(cfg, **_given(cfg, seed=_integer), tolerances=dict(
+            tols, **_given(tols, **dict.fromkeys(TOLERANCES, _tolerance))))
         payload["result"] = TASK_FUNCS[args.task](run_cfg, out_dir)
         payload["status"] = "ok"
         code = EXIT_OK

@@ -219,11 +219,9 @@ def gram_at(group, P):
     return 0.5 * (G + np.swapaxes(G, -1, -2))
 
 
-def ad_matrix(group, g):
-    """Real coordinate matrix of X -> g X g^{-1}; a stack of group elements
-    gives a stack of matrices."""
-    g = np.asarray(g, dtype=complex)
-    ginv = np.linalg.inv(g)
+def ad_matrix(group, g, ginv):
+    """Real coordinate matrix of X -> g X g^{-1}, given g^{-1}; a stack of
+    group elements gives a stack of matrices."""
     conj = np.einsum("...ab,kbc,...cd->...kad", g, group.basis, ginv)
     return np.swapaxes(group.to_coords(conj), -1, -2).copy()
 

@@ -375,7 +375,7 @@ def elliptic_circle_rep(group, mesh, theta=0.7):
     return circle_rep(group, mesh, np.array([[c, -s], [s, c]], dtype=complex))
 
 
-def torus_diag_rep(group, mesh, alpha, beta):
+def torus_diag_rep(group, mesh, alpha=0.4 + 0.3j, beta=-0.2 + 0.5j):
     """Z^2 -> SL(2,C), rho(a) = exp(diag(alpha,-alpha)), same for b."""
     return exp_family(group, mesh, {
         "a": np.diag([alpha, -alpha]),
@@ -383,7 +383,7 @@ def torus_diag_rep(group, mesh, alpha, beta):
     })
 
 
-def torus_gl1c_rep(group, mesh, z1, z2):
+def torus_gl1c_rep(group, mesh, z1=0.5 + 1.0j, z2=-0.3 + 0.2j):
     return exp_family(group, mesh, {
         "a": np.array([[z1]]),
         "b": np.array([[z2]]),
@@ -398,12 +398,9 @@ def trivial_rep(group, mesh):
 
 def torus_unitary_rep(group, mesh, theta1=0.6, theta2=-0.35):
     """Commuting rotations; fixes the basepoint of the symmetric space."""
-    return exp_family(group, mesh, {
-        "a": np.array([[1j * theta1, 0], [0, -1j * theta1]]) if group.n == 2
-        else np.array([[1j * theta1]]),
-        "b": np.array([[1j * theta2, 0], [0, -1j * theta2]]) if group.n == 2
-        else np.array([[1j * theta2]]),
-    })
+    def rotation(theta):
+        return np.diag([1j * theta, -1j * theta]) if group.n == 2 else np.array([[1j * theta]])
+    return exp_family(group, mesh, {"a": rotation(theta1), "b": rotation(theta2)})
 
 
 def genus2_fuchsian_rep(group, mesh):

@@ -70,10 +70,6 @@ def point_frame(P):
     return w, U, _spectral(U, 1.0 / np.sqrt(w))
 
 
-def inv_sqrt_spd(P):
-    return point_frame(P)[2]
-
-
 def origin_dist(P, w):
     """dist(I, P), read from the floored eigenvalues w of P.
 
@@ -84,12 +80,6 @@ def origin_dist(P, w):
     if not np.array_equal(P, ct(P)):
         return dist(np.eye(P.shape[-1], dtype=complex), P)
     return float(_log_norm(np.log(w)))
-
-
-def exp_hermitian(H):
-    H = 0.5 * (H + np.conj(H).T)
-    w, U = np.linalg.eigh(H)
-    return (U * np.exp(w)) @ np.conj(U).T
 
 
 def _expm(X):
@@ -130,7 +120,7 @@ def mc_from_frame(R, S, logw, V):
 
 def dist(P, Q):
     """Invariant distance ||log(P^{-1/2} Q P^{-1/2})||_F."""
-    d = _log_norm(log_frame(inv_sqrt_spd(P), np.asarray(Q))[0])
+    d = _log_norm(log_frame(point_frame(P)[2], np.asarray(Q))[0])
     return float(d) if d.ndim == 0 else d
 
 
@@ -181,7 +171,8 @@ def random_point(group, rng, scale=0.5):
         A = rng.standard_normal((n, n)).astype(complex)
     H = scale * 0.5 * (A + np.conj(A).T)
     H = H - (np.trace(H) / n) * np.eye(n)
-    return exp_hermitian(H)
+    w, U = np.linalg.eigh(H)
+    return (U * np.exp(w)) @ np.conj(U).T
 
 
 def translation_length(g):

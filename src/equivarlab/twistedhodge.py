@@ -193,7 +193,7 @@ class TwistedComplex:
     @cached_property
     def _Ad(self):
         """Ad matrices of every word of the table."""
-        return ad_matrix(self.group, self.words.rho)
+        return ad_matrix(self.group, self.words.rho, self.words.rho_inv)
 
     @cached_property
     def d0(self):

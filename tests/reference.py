@@ -165,7 +165,7 @@ def norm_at(P, X):
 
 def normalize_basepoint(f):
     """Translate the map so that f(v0) = I (compare maps up to centralizer)."""
-    g = ss.inv_sqrt_spd(f.points[0])
+    g = ss.point_frame(f.points[0])[2]
     pts = ss.act(g, f.points)
     return hf.EquivariantMap(f.mesh, f.rep.conjugate(g), pts)
 

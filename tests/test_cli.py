@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from equivarlab import cli
+from equivarlab import repvar as rv
 from equivarlab import symspace as ss
 from equivarlab import twistedhodge as th
 from equivarlab.twistedhodge import TwistedCochain, TwistedComplex
@@ -152,6 +153,9 @@ def test_malformed_config_section_exit_two(tmp_path, task, section, value):
     assert repr(section) in report["error"]
 
 
+MATRIX_ENTRIES = "matrix entries must be numbers"
+
+
 @pytest.mark.parametrize("task, section, value, key", [
     ("flow", "representation", {"inline": {}}, "images"),
     ("flow", "mesh", {"kind": "json"}, "path"),
@@ -162,13 +166,23 @@ def test_malformed_config_section_exit_two(tmp_path, task, section, value):
     ("deform1", "deformation", {"path_family": {"kind": "bending"}},
      "a1, b1, a2 and b2"),
     ("flow", "representation", {"family": "trivial", "params": [0.4]}, "params"),
-    ("flow", "flow", [1000], "flow")],
+    ("flow", "flow", [1000], "flow"),
+    ("flow", "representation", {"inline": {"images": {
+        "a": [["1", 0], [0, 1]], "b": [[1, 0], [0, 1]]}}}, MATRIX_ENTRIES),
+    ("flow", "representation", {"inline": {"images": {
+        "a": [[True, 0], [0, True]], "b": [[1, 0], [0, 1]]}}}, MATRIX_ENTRIES),
+    ("deform1", "deformation", {"values": {
+        "a": [[0, "1"], [0, 0]], "b": [[0, 0], [0, 0]]}}, MATRIX_ENTRIES),
+    ("deform2", "deformation", dict(OBSTRUCTED_CFG["deformation"], second={
+        "a": [[None, 0], [0, 0]], "b": [[0, 0], [0, 0]]}), MATRIX_ENTRIES)],
     ids=["inline-images", "mesh-path", "mesh-file", "commuting-B",
-         "conjugation-xi", "bending-genus2", "params-list", "flow-list"])
+         "conjugation-xi", "bending-genus2", "params-list", "flow-list",
+         "image-string", "image-bool", "values-string", "second-null"])
 def test_malformed_config_value_exit_two(tmp_path, task, section, value, key):
     # a missing key inside a section, a section of the wrong type, an
-    # unreadable mesh file or a bending path on the torus (which has no a1)
-    # is a validation error with a report
+    # unreadable mesh file, a bending path on the torus (which has no a1) or
+    # a matrix entry that is not a number (numpy once read "1" and true as
+    # 1.0, and null as NaN) is a validation error with a report
     cfg = dict(OBSTRUCTED_CFG, **{section: value})
     code, report, _ = run_cli(tmp_path, task, cfg)
     assert code == cli.EXIT_VALIDATION
@@ -176,41 +190,83 @@ def test_malformed_config_value_exit_two(tmp_path, task, section, value, key):
     assert key in report["error"]
 
 
-@pytest.mark.parametrize("task, section, value, key", [
-    ("flow", "mesh", {"kind": "torus", "n": [4]}, "n"),
-    ("flow", "representation",
-     {"family": "torus_diag", "params": {"alpha": {"x": 1}}}, "alpha"),
-    ("flow", "representation",
-     {"family": "circle_hyperbolic", "params": {"lam": [2]}}, "lam"),
-    ("flow", "flow", {"max_iter": [5]}, "max_iter"),
-    ("refine-study", "refine", {"levels": [4, [8], 16]}, "levels"),
-    ("flow", "seed", {"a": 1}, "seed"),
-    ("flow", "tolerances", {"validation": "x"}, "validation"),
-    ("flow", "tolerances", {"flow_tol": [1e-8]}, "flow_tol"),
-    ("flow", "tolerances", {"flow_tol": 0}, "flow_tol"),
-    ("flow", "tolerances", {"validation": -1}, "validation"),
-    ("flow", "tolerances", {"rel_obstruction": float("nan")}, "rel_obstruction"),
-    ("flow", "flow", {"start": "Random"}, "start"),
-    ("flow", "mesh", {"kind": "torus", "n": 8.9}, "n"),
-    ("flow", "mesh", {"kind": "torus", "n": float("inf")}, "n"),
-    ("flow", "mesh", {"kind": "torus", "n": "8"}, "n"),
-    ("flow", "seed", True, "seed"),
-    ("refine-study", "refine", {"levels": [4, 8.5, 16]}, "levels")],
+SL2C = {"kind": "sl", "n": 2, "field": "C"}
+
+
+@pytest.mark.parametrize("task, overrides, key", [
+    ("flow", {"mesh": {"kind": "torus", "n": [4]}}, "n"),
+    ("flow", {"representation":
+              {"family": "torus_diag", "params": {"alpha": {"x": 1}}}}, "alpha"),
+    ("flow", {"representation":
+              {"family": "circle_hyperbolic", "params": {"lam": [2]}}}, "lam"),
+    ("flow", {"flow": {"max_iter": [5]}}, "max_iter"),
+    ("refine-study", {"refine": {"levels": [4, [8], 16]}}, "levels"),
+    ("flow", {"seed": {"a": 1}}, "seed"),
+    ("flow", {"tolerances": {"validation": "x"}}, "validation"),
+    ("flow", {"tolerances": {"flow_tol": [1e-8]}}, "flow_tol"),
+    ("flow", {"tolerances": {"flow_tol": 0}}, "flow_tol"),
+    ("flow", {"tolerances": {"validation": -1}}, "validation"),
+    ("flow", {"tolerances": {"rel_obstruction": float("nan")}}, "rel_obstruction"),
+    ("flow", {"flow": {"start": "Random"}}, "start"),
+    ("flow", {"mesh": {"kind": "torus", "n": 8.9}}, "n"),
+    ("flow", {"mesh": {"kind": "torus", "n": float("inf")}}, "n"),
+    ("flow", {"mesh": {"kind": "torus", "n": "8"}}, "n"),
+    ("flow", {"seed": True}, "seed"),
+    ("refine-study", {"refine": {"levels": [4, 8.5, 16]}}, "levels"),
+    ("flow", {"tolerances": {"flow_tol": True}}, "flow_tol"),
+    ("flow", {"flow": {"drift_radius": True}}, "drift_radius"),
+    ("flow", {"representation":
+              {"family": "circle_hyperbolic", "params": {"lam": "3"}}}, "lam"),
+    ("flow", {"group": SL2C, "representation":
+              {"family": "torus_diag", "params": {"alpha": "0.4"}}}, "alpha")],
     ids=["mesh-n", "torus_diag-alpha", "circle_hyperbolic-lam", "flow-max_iter",
          "refine-levels", "seed", "tolerance-validation", "tolerance-flow_tol",
          "tolerance-zero", "tolerance-negative", "tolerance-nan", "flow-start",
          "mesh-n-fraction", "mesh-n-inf", "mesh-n-string", "seed-bool",
-         "refine-levels-fraction"])
-def test_config_scalar_of_wrong_type_exit_two(tmp_path, task, section, value, key):
-    # a config value that int, float or complex cannot convert, an integer
-    # key given a fraction, a non-finite number, a bool or a string, or a
-    # tolerance that is not finite and above zero, is a validation error
-    # with a report that names its key, not a TypeError or a solver fault
-    cfg = dict(OBSTRUCTED_CFG, **{section: value})
+         "refine-levels-fraction", "tolerance-bool", "flow-drift_radius-bool",
+         "circle_hyperbolic-lam-string", "torus_diag-alpha-string"])
+def test_config_scalar_of_wrong_type_exit_two(tmp_path, task, overrides, key):
+    # a config value that is not a number (a bool or a string among them),
+    # an integer key given a fraction or a non-finite number, or a tolerance
+    # that is not finite and above zero, is a validation error with a report
+    # that names its key, not a TypeError, a solver fault or a run at 1.0
+    cfg = dict(OBSTRUCTED_CFG, **overrides)
     code, report, _ = run_cli(tmp_path, task, cfg)
     assert code == cli.EXIT_VALIDATION
     assert report["status"] == "validation-error"
     assert f"config key {key!r}" in report["error"]
+
+
+#: (family, mesh, group, repvar builder) of every cli.FAMILIES entry, on a
+#: mesh the family fits; an omitted mesh or group key takes its default too
+FAMILY_BUILDERS = [
+    ("circle_hyperbolic", {"kind": "circle", "n": 4}, {}, rv.hyperbolic_circle_rep),
+    ("circle_parabolic", {"kind": "circle", "n": 4}, {}, rv.parabolic_circle_rep),
+    ("circle_elliptic", {"kind": "circle", "n": 4}, {}, rv.elliptic_circle_rep),
+    ("torus_diag", {"kind": "torus", "n": 4}, SL2C, rv.torus_diag_rep),
+    ("torus_gl1c", {"kind": "torus", "n": 4}, {"kind": "gl1c"}, rv.torus_gl1c_rep),
+    ("torus_unitary", {"kind": "torus", "n": 4}, SL2C, rv.torus_unitary_rep),
+    ("trivial", {"kind": "torus", "n": 4}, {}, rv.trivial_rep),
+    ("genus2_fuchsian", {"kind": "genus2"}, {}, rv.genus2_fuchsian_rep),
+]
+
+
+def test_family_builders_cover_the_family_table():
+    assert [family for family, *_ in FAMILY_BUILDERS] == list(cli.FAMILIES)
+
+
+@pytest.mark.parametrize("family, mesh, group, builder", FAMILY_BUILDERS,
+                         ids=[family for family, *_ in FAMILY_BUILDERS])
+def test_family_without_params_takes_the_builder_defaults(family, mesh, group, builder):
+    # each default is declared once, by the builder: a config without
+    # params builds the images of the builder called without them
+    mesh, group, rep = cli.build_problem({
+        "mesh": mesh, "group": group, "representation": {"family": family},
+        "tolerances": cli.TOLERANCES})
+    want = builder(group, mesh)
+    assert rep.generators == want.generators
+    for name in rep.generators:
+        assert np.array_equal(rep.images[name], want.images[name]), name
 
 
 def test_unknown_representation_family_lists_the_families(tmp_path):

@@ -835,7 +835,7 @@ def _per_edge_energy_and_tension(kern, points):
     fwd = np.empty((len(kern.src),) + points.shape[1:], dtype=complex)
     for e, (s, d) in enumerate(zip(kern.src, kern.dst)):
         Q = act(kern.g[e], points[d])
-        d2[e] = np.sum(ss.log_frame(ss.inv_sqrt_spd(points[s]), Q)[0] ** 2)
+        d2[e] = np.sum(ss.log_frame(ss.point_frame(points[s])[2], Q)[0] ** 2)
         fwd[e] = 2.0 * kern.w1[e] * ss.mc_edge(points[s], Q)
     tau = np.zeros(points.shape, dtype=complex)
     for e, s in enumerate(kern.src):

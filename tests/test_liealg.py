@@ -74,7 +74,7 @@ def test_ad_matrix_is_ad_equivariant(gi, seed, scale):
     rng = np.random.default_rng(seed)
     g = group.exp(group.random_alg(rng, scale))
     X, Y = group.random_alg(rng), group.random_alg(rng)
-    A = ad_matrix(group, g)
+    A = ad_matrix(group, g, np.linalg.inv(g))
     want = group.to_coords(g @ X @ np.linalg.inv(g))
     assert np.abs(A @ group.to_coords(X) - want).max() \
         <= 1e-10 * max(1.0, np.abs(want).max())
@@ -226,7 +226,8 @@ def test_coords_roundtrip_all_groups():
         v = group.to_coords(X)
         assert v.shape == (group.dim,)
         assert np.abs(group.from_coords(v) - X).max() < 1e-14
-        A = ad_matrix(group, group.exp(group.random_alg(rng, 0.3)))
+        g = group.exp(group.random_alg(rng, 0.3))
+        A = ad_matrix(group, g, np.linalg.inv(g))
         assert A.shape == (group.dim, group.dim)
 
 

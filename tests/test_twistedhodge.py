@@ -425,7 +425,7 @@ def per_face_reference(ctx, av, bv):
             g = ref.rho_word(ctx.rep, h)
             ginv = np.linalg.inv(g)
             d1[fi * D:(fi + 1) * D, eid * D:(eid + 1) * D] += \
-                sign * ad_matrix(ctx.group, g)
+                sign * ad_matrix(ctx.group, g, ginv)
             ta.append(sign * mul(mul(g, av[eid]), ginv))
             tb.append(sign * mul(mul(g, bv[eid]), ginv))
         acc = np.zeros((n, n), dtype=complex)
