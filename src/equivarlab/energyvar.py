@@ -102,18 +102,21 @@ def critical_scan(ctx):
     """max over cocycle directions of |dE/dt| / (||omega|| ||beta||).
 
     Vanishing scan value characterizes critical points of the energy on the
-    representation variety.
+    representation variety.  The basis cocycles are seeded in one pass of
+    the word table and their harmonic representatives solved as one block.
     """
     basis = cocycle_space_basis(ctx.rep)
-    beta = ctx.beta()
-    bnorm = np.sqrt(omega_l2sq(ctx, beta))
-    vals = []
-    for c in basis:
-        omega, _ = ctx.harmonic_rep(c)
-        onorm = np.sqrt(omega_l2sq(ctx, omega))
-        fv = first_variation(ctx, omega)
-        vals.append(abs(fv) / max(onorm * bnorm, 1e-12))
-    return ScanReport(max(vals, default=0.0), vals, len(basis))
+    words = ctx.words
+    seeds = words.values(np.stack([words.stack(c.values) for c in basis]))
+    edge_seeds = seeds[:, ctx.word_index.edge_word]
+    a = ctx.group.to_coords(edge_seeds).reshape(len(basis), -1).T    # a seed per column
+    omega = a - ctx._exact(a)[1]
+    G1, b = ctx.gram(1), ctx.to_flat(ctx.beta().values)
+    bnorm = np.sqrt(EDGE_PAIRING_SCALE * (b @ (G1 @ b)))
+    onorm = np.sqrt(EDGE_PAIRING_SCALE * np.einsum("im,im->m", omega, G1 @ omega))
+    fv = EDGE_PAIRING_SCALE * ((G1 @ b) @ omega)
+    vals = np.abs(fv) / np.maximum(onorm * bnorm, 1e-12)
+    return ScanReport(float(vals.max()), vals.tolist(), len(basis))
 
 
 # ----------------------------------------------------------------------

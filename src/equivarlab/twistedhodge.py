@@ -22,16 +22,33 @@ decomposition), are solved by one sparse LU factor of the Laplacian bordered
 by a basis of its kernel.  The kernel of A0 is h; that of A2 is ker d1^T =
 H^2, which Poincare duality under the Killing form Re tr(XY) gives on a
 closed oriented surface as the Killing duals of the parallel sections at the
-face base points.  A factor whose smallest pivot is below 1e-10 of the
-largest is reported as singular.  Transports come from the deck-word table
-of the flow kernel, which evaluates the word list of the mesh
-(``CoverMesh.word_index``: edge labels, generators, face prefix words, with
-the face walks stacked) once; the same table gives the cocycle seeds and
-the edge 2-jets of the deformation pipeline, all words in one vectorized
-pass per token position.  A complex builds each operator from that table
-the first time it is read and keeps it, so a study that reads only d1, the
-degree-2 Gram and beta builds nothing else; beta and the energy come from
-one MapEval, and the period bound of a primitive from its conditioning.
+face base points.
+
+The bordered matrix is symmetric, so SuperLU factors it in its symmetric
+mode: a minimum-degree ordering of A + A^T, applied to rows and columns
+alike, with diagonal pivots kept down to 0.1 of their column's largest
+entry.  On torus 48 SL(2,C) at a harmonic map that factors A0 in 43 ms with
+0.83 M nonzeros of fill, where the default COLAMD column ordering took
+169 ms and 2.9 M (at one BLAS thread).  At threshold 0 the zero
+block of the border is pivoted on (pivot ratio about 1e-32, solutions far
+off); at 1.0 pivots leave the diagonal and the factor is slower.  A factor
+whose smallest pivot is below 1e-10 of the largest is reported as singular.
+The pivots are read from a throwaway factor, because a factor that hands out
+U keeps a copy of it for its lifetime: reading them from the kept factor
+raised the peak RSS of the ``deform_at_map`` benchmark from 102-104 to
+103-118 MB, and two symmetric-mode factors cost less than one COLAMD factor
+did.  The transposes d0^T and d1^T are built once, as CSR, and every solve
+takes one flat right-hand side (N,) or a block (N, m) of them.
+
+Transports come from the deck-word table of the flow kernel, which
+evaluates the word list of the mesh (``CoverMesh.word_index``: edge labels,
+generators, face prefix words, with the face walks stacked) once; the same
+table gives the cocycle seeds and the edge 2-jets of the deformation
+pipeline, all words in one vectorized pass per token position.  A complex
+builds each operator from that table the first time it is read and keeps
+it, so a study that reads only d1, the degree-2 Gram and beta builds nothing
+else; beta and the energy come from one MapEval, and the period bound of a
+primitive from its conditioning.
 
 The nonlinear pieces (the face cup product, the contraction omega* -|
 alpha through the adjoint ``liealg.star``, the bracket with a section) take
@@ -121,11 +138,11 @@ def _block_diag(blocks):
 class TwistedComplex:
     """Twisted calculus for (mesh, representation, metric map).
 
-    Every operator (d0, d1, the Gram matrices gram(k) and their inverses
-    gram_inv(k), A0, the kernel sections, beta and the inverses of the
-    vertex and edge-source points) is built from the deck-word table the
-    first time it is read and kept for the life of the complex, so a caller
-    pays only for the operators it reads.
+    Every operator (d0, d1, their transposes d0t and d1t, the Gram matrices
+    gram(k) and their inverses gram_inv(k), A0, the kernel sections, beta
+    and the inverses of the vertex and edge-source points) is built from the
+    deck-word table the first time it is read and kept for the life of the
+    complex, so a caller pays only for the operators it reads.
     """
 
     def __init__(self, mesh, rep, f):
@@ -214,6 +231,16 @@ class TwistedComplex:
             (self.mesh.nf, self.mesh.ne))
 
     @cached_property
+    def d0t(self):
+        """d0^T as CSR; its products equal those of d0.T bit for bit."""
+        return self.d0.T.tocsr()
+
+    @cached_property
+    def d1t(self):
+        """d1^T as CSR; its products equal those of d1.T bit for bit."""
+        return self.d1.T.tocsr()
+
+    @cached_property
     def A0(self):
         return (self.d0.T @ self.gram(1) @ self.d0).tocsc()
 
@@ -262,7 +289,7 @@ class TwistedComplex:
         k = coch.degree - 1
         if k not in (0, 1):
             raise ValueError("codifferential is defined on degrees 1 and 2")
-        out = self.gram_inv(k) @ (getattr(self, f"d{k}").T
+        out = self.gram_inv(k) @ (getattr(self, f"d{k}t")
                                   @ (self.gram(k + 1) @ self.to_flat(coch.values)))
         return TwistedCochain(k, self.from_flat(out))
 
@@ -289,7 +316,7 @@ class TwistedComplex:
         its kernel that borders it in the KKT matrix."""
         if degree == 0:
             return self.A0, self.kernel
-        A2 = (self.d1 @ self.gram_inv(1) @ self.d1.T).tocsc()
+        A2 = (self.d1 @ self.gram_inv(1) @ self.d1t).tocsc()
         # Killing duals Re tr(K B_j) of the parallel sections at the face bases
         basis = self.group.basis
         killing = np.real(np.einsum("jab,kba->jk", basis, basis))
@@ -297,7 +324,7 @@ class TwistedComplex:
         Q = np.linalg.svd((killing @ K).reshape(A2.shape[0], -1), full_matrices=False)[0]
         # all of them lie in ker d1^T on a closed oriented surface, none when
         # the faces leave a boundary
-        _, s, vt = np.linalg.svd(self.d1.T @ Q, full_matrices=False)
+        _, s, vt = np.linalg.svd(self.d1t @ Q, full_matrices=False)
         return A2, Q @ vt[s <= 1e-8].T
 
     def _kkt(self, degree):
@@ -310,11 +337,16 @@ class TwistedComplex:
                              [sp.csr_matrix(K.T), Z]], format="csc")
             else:
                 M = A
+
+            # M is symmetric: see the module docstring for the settings
+            def factor():
+                return spla.splu(M, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.1,
+                                 options={"SymmetricMode": True})
             try:
                 # a factor that hands out U keeps a copy of it for its
                 # lifetime, so the pivots are read from a throwaway factor
-                pivots = np.abs(spla.splu(M).U.diagonal())
-                lu = spla.splu(M)
+                pivots = np.abs(factor().U.diagonal())
+                lu = factor()
             except RuntimeError as exc:     # exactly singular factor
                 raise SingularKKTError(self.kernel_dim, KERNEL_RTOL) from exc
             if pivots.min() <= 1e-10 * pivots.max():    # numerically singular
@@ -324,10 +356,11 @@ class TwistedComplex:
 
     def _solve_kkt(self, degree, rhs):
         """Solve A x = rhs for the Laplacian A of a degree, with x orthogonal
-        to the bordering kernel basis."""
+        to the bordering kernel basis; rhs is (N,) or a block (N, m)."""
         lu = self._kkt(degree)
         k = lu.shape[0] - len(rhs)      # rows of the bordering kernel basis
-        return lu.solve(np.concatenate([rhs, np.zeros(k)]))[:len(rhs)]
+        border = np.zeros((k,) + rhs.shape[1:])
+        return lu.solve(np.concatenate([rhs, border]))[:len(rhs)]
 
     def solve_jacobi(self, rhs):
         """Least-squares solve J xi = rhs (rhs a 0-cochain), kernel-deflated."""
@@ -337,9 +370,10 @@ class TwistedComplex:
         return TwistedCochain(0, self.from_flat(x))
 
     def _exact(self, a):
-        """Exact part of the flat 1-cochain a: the kernel-deflated x with
-        A0 x = d0^T G1 a, and d0 x, its G1-orthogonal projection onto im d0."""
-        x = self._solve_kkt(0, self.d0.T @ (self.gram(1) @ a))
+        """Exact part of the flat 1-cochain a (or of each column of a block):
+        the kernel-deflated x with A0 x = d0^T G1 a, and d0 x, its
+        G1-orthogonal projection onto im d0."""
+        x = self._solve_kkt(0, self.d0t @ (self.gram(1) @ a))
         return x, self.d0 @ x
 
     # -- cocycle seeding and harmonic representatives -----------------------
@@ -397,7 +431,7 @@ class TwistedComplex:
         if self.mesh.nf:
             # Psi minimizes || G1^{-1} d1^T Psi - rem ||_{G1}: A2 Psi = d1 rem
             Psi = self._solve_kkt(2, self.d1 @ rem)
-            coexact = self.gram_inv(1) @ (self.d1.T @ Psi)
+            coexact = self.gram_inv(1) @ (self.d1t @ Psi)
         else:
             coexact = np.zeros_like(rem)
         harm = rem - coexact

@@ -11,6 +11,9 @@ plurisubharmonicity identity by a second full psi solve, independently of
 the companion construction that ``energyvar.psh_defect`` uses.
 ``fd_energy_derivatives_from_f0`` is the finite-difference oracle with every
 sample started from f0, without the continuation predictor.
+``critical_scan_per_cocycle`` is the critical scan with one seed and one
+harmonic representative per basis cocycle, where ``energyvar.critical_scan``
+seeds and solves the whole basis as one block.
 ``normalize_basepoint`` and ``shifted_pair`` are the transformations of the
 uniqueness laws: maps compared up to the centralizer, and second-order pairs
 shifted by kernel sections.  ``adjoint_at``, ``inner_at`` and ``norm_at`` are
@@ -27,10 +30,12 @@ import numpy as np
 from equivarlab.deform import second_order
 from equivarlab import harmonicflow as hf
 from equivarlab.energyvar import (FD_MAX_ITER, FD_STEPS, FDReport, PshReport,
-                                  omega_l2sq, second_variation)
+                                  ScanReport, first_variation, omega_l2sq,
+                                  second_variation)
 from equivarlab import symspace as ss
 from equivarlab.liealg import ad_action
 from equivarlab.meshcover import token_base, token_is_inverse
+from equivarlab.repvar import cocycle_space_basis
 from equivarlab.twistedhodge import TwistedCochain, _vals
 
 
@@ -127,6 +132,19 @@ def psh_defect_independent(ctx, c, k, rel_tol=1e-7):
     osq = omega_l2sq(ctx, so.omega)
     defect = abs(s1 + s2 - osq)
     return PshReport(s1, s2, osq, defect, defect / max(osq, 1e-300))
+
+
+def critical_scan_per_cocycle(ctx):
+    """``energyvar.critical_scan`` one basis cocycle at a time: its seed,
+    its harmonic representative and its normalized first variation."""
+    basis = cocycle_space_basis(ctx.rep)
+    bnorm = np.sqrt(omega_l2sq(ctx, ctx.beta()))
+    vals = []
+    for c in basis:
+        omega, _ = ctx.harmonic_rep(c)
+        onorm = np.sqrt(omega_l2sq(ctx, omega))
+        vals.append(abs(first_variation(ctx, omega)) / max(onorm * bnorm, 1e-12))
+    return ScanReport(max(vals, default=0.0), vals, len(basis))
 
 
 def fd_energy_derivatives_from_f0(path, mesh, f0, *, tol=1e-10):

@@ -166,7 +166,7 @@ SWEEP_JUMP = th.KERNEL_RTOL / (2.0 * np.hypot(abs(ALPHA), abs(BETA)))
 def test_reducibility_sweep(sl2c, torus66, t, kernel_dim, verdict):
     # the normalized coboundary c_t = (1 - Ad) E2 of torus_diag as t -> 0: it
     # reads exact while the KKT factor resolves it, the factor is singular
-    # from t = 3.03e-5 (pivot ratio about t^2) down to the kernel jump, and
+    # from t = 4.10e-5 (pivot ratio about t^2) down to the kernel jump, and
     # below the jump E2 is a centralizer direction and c_t the obstructed
     # class of the trivial rep; rho is diagonal, so reductive throughout
     rep = rv.torus_diag_rep(sl2c, torus66, t * ALPHA, t * BETA)

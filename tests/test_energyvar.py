@@ -180,6 +180,29 @@ def test_critical_scan_gl1c_noncritical(gl1c_ctx):
     assert abs(fv) / (onorm * bnorm) > 0.1
 
 
+@pytest.mark.parametrize("name", ["diag_ctx", "gl1c_ctx", "fuchsianC_ctx"])
+def test_critical_scan_block_matches_per_cocycle(name, request):
+    # one block solve against one solve per cocycle; at the critical
+    # Fuchsian point both sides read rounding noise, so only its size counts
+    ctx = request.getfixturevalue(name)
+    got, want = ev.critical_scan(ctx), ref.critical_scan_per_cocycle(ctx)
+    assert got.basis_size == want.basis_size == len(got.per_direction) > 0
+    if name == "fuchsianC_ctx":
+        assert max(got.max_normalized, want.max_normalized) < 1e-9
+        return
+    np.testing.assert_allclose(got.per_direction, want.per_direction, rtol=1e-10, atol=0)
+    assert abs(got.max_normalized - want.max_normalized) <= 1e-10 * want.max_normalized
+
+
+def test_word_values_of_a_stacked_block(fuchsianC_ctx):
+    # the block seeding of the critical scan reads the per-cocycle seeds
+    words = fuchsianC_ctx.words
+    stacks = [words.stack(c.values) for c in rv.cocycle_space_basis(fuchsianC_ctx.rep)]
+    block = words.values(np.stack(stacks))
+    for C, got in zip(stacks, block):
+        assert np.array_equal(got, words.values(C))
+
+
 def test_critical_scan_hyperbolic_circle(sl2r, circle8):
     rep = rv.hyperbolic_circle_rep(sl2r, circle8, 2.0)
     f, _ = hf.flow(rep, hf.constant_map(circle8, rep), tol=1e-10)

@@ -34,8 +34,11 @@ def test_report_diff_exit_status(tmp_path):
     assert out.stdout.strip() == "0 of 2 files differ"
     out = run_report_diff(old, moved)
     assert out.returncode == 1, out.stdout
-    assert "result.x: 0.5 -> 0.25  (rel 5.00e-01)" in out.stdout
+    assert "result.x: 0.5 -> 0.25  (rel 5.00e-01, abs 2.50e-01)" in out.stdout
     assert out.stdout.strip().endswith("1 of 2 files differ")
+    (moved / "task" / "table.csv").write_text("h,x\n0.1,0.5\n")
+    out = run_report_diff(old, moved)
+    assert "x: max rel 5.00e-01 at row 1, max abs 5.00e-01 at row 1" in out.stdout
     (same / "task" / "table.csv").unlink()
     out = run_report_diff(old, same)
     assert out.returncode == 1, out.stdout

@@ -86,8 +86,9 @@ def test_block_diag_matches_coo_reference(D):
 
 #: every operator a complex builds on first read, by name; "gram_inv1" reads
 #: gram_inv(1)
-OPERATORS = ("d0", "d1", "gram_vertex", "gram0", "gram_inv0", "gram1", "gram_inv1",
-             "gram2", "gram_inv2", "A0", "kernel", "points_inv", "edge_points_inv")
+OPERATORS = ("d0", "d1", "d0t", "d1t", "gram_vertex", "gram0", "gram_inv0", "gram1",
+             "gram_inv1", "gram2", "gram_inv2", "A0", "kernel", "points_inv",
+             "edge_points_inv")
 
 
 def read_operator(ctx, name):
@@ -114,6 +115,12 @@ def test_operators_independent_of_read_order(sl2c, torus66, genus2):
                 assert np.array_equal(a.indices, b.indices), name
                 a, b = a.data, b.data
             assert np.array_equal(a, b), name
+        # the kept transposes multiply as the transposed views do
+        for d, dt in ((fwd.d0, fwd.d0t), (fwd.d1, fwd.d1t)):
+            x = rng.standard_normal(d.shape[0])
+            X = rng.standard_normal((d.shape[0], 3))
+            assert np.array_equal(dt @ x, d.T @ x)
+            assert np.array_equal(dt @ X, d.T @ X)
     assert fwd.kernel_dim == 2
 
 
@@ -356,6 +363,23 @@ def test_degree2_kernel_is_killing_dual(diag_ctx, gl1c_ctx, unitary_ctx,
         if A2.shape[0] <= 800:
             spec = np.linalg.eigvalsh(A2.toarray())
             assert int(np.sum(spec < 1e-9 * spec.max())) == ctx.kernel_dim
+
+
+@pytest.mark.parametrize("degree", [0, 2])
+@pytest.mark.parametrize("name", ["diag_ctx", "fuchsianC_ctx", "trivialC_ctx"])
+def test_kkt_solve_matches_dense_solve(name, degree, request):
+    # the sparse factor against LAPACK on the dense bordered matrix: a
+    # bordering basis of dimension 2 (torus_diag), none (Fuchsian), 6 (trivial)
+    ctx = request.getfixturevalue(name)
+    A, K = ctx._laplacian(degree)
+    k = K.shape[1]
+    M = np.block([[A.toarray(), K], [K.T, np.zeros((k, k))]])
+    rhs = np.random.default_rng(degree).standard_normal((A.shape[0], 3))
+    want = np.linalg.solve(M, np.concatenate([rhs, np.zeros((k, 3))]))[:A.shape[0]]
+    got = ctx._solve_kkt(degree, rhs)
+    assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+    one = ctx._solve_kkt(degree, rhs[:, 1])
+    assert np.linalg.norm(got[:, 1] - one) <= 1e-12 * np.linalg.norm(one)
 
 
 SINGULAR_MESHES = {"circle4": lambda: mc.build_circle(4),

@@ -6,9 +6,11 @@ OLD and NEW are directories written by ``tools/report_digest.py --keep``
 (or any two trees of ``equivar-lab`` outputs).  Files are paired by their
 path relative to the root.  For a JSON file every differing leaf is printed
 as ``path: old -> new`` with its relative difference
-|new - old| / max(|old|, |new|) when both are numbers.  For a CSV file the
-largest relative difference of each column is printed, with the row where
-it occurs.  Byte-identical files print nothing; the last line counts the
+|new - old| / max(|old|, |new|) and its absolute difference |new - old| when
+both are numbers; the absolute one shows whether a large relative move sits
+at the rounding floor.  For a CSV file the largest relative and the largest
+absolute difference of each column are printed, each with the row where it
+occurs.  Byte-identical files print nothing; the last line counts the
 files that differ.  The exit status is 0 when every file is byte-identical,
 1 when any file differs or is missing from one tree, and 2 on bad usage.
 """
@@ -41,13 +43,19 @@ def _number(x):
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
-def rel_diff(a, b):
-    """|b - a| / max(|a|, |b|); 0 for equal values (NaN equals NaN)."""
+def abs_diff(a, b):
+    """|b - a|; 0 for equal values (NaN equals NaN), inf against a NaN."""
     if a == b or (math.isnan(a) and math.isnan(b)):
         return 0.0
     if math.isnan(a) or math.isnan(b):
         return math.inf
-    return abs(b - a) / max(abs(a), abs(b))
+    return abs(b - a)
+
+
+def rel_diff(a, b):
+    """abs_diff(a, b) / max(|a|, |b|); 0 and inf as abs_diff gives them."""
+    d = abs_diff(a, b)
+    return d if d in (0.0, math.inf) else d / max(abs(a), abs(b))
 
 
 def diff_json(old, new):
@@ -59,10 +67,11 @@ def diff_json(old, new):
         elif key not in a:
             lines.append(f"  {key}: (absent) -> {json.dumps(b[key])}")
         elif _number(a[key]) and _number(b[key]):
-            r = rel_diff(float(a[key]), float(b[key]))
+            x, y = float(a[key]), float(b[key])
+            r = rel_diff(x, y)
             if r:
                 lines.append(f"  {key}: {json.dumps(a[key])} -> {json.dumps(b[key])}"
-                             f"  (rel {r:.2e})")
+                             f"  (rel {r:.2e}, abs {abs_diff(x, y):.2e})")
         elif a[key] != b[key]:
             lines.append(f"  {key}: {json.dumps(a[key])} -> {json.dumps(b[key])}")
     return lines
@@ -82,17 +91,20 @@ def diff_csv(old, new):
         return [f"  header or row count differs: {len(a)} -> {len(b)} rows"]
     lines = []
     for col, name in enumerate(a[0]):
-        worst, where, text = 0.0, None, False
+        worst, where, worst_abs, where_abs, text = 0.0, None, 0.0, None, False
         for row, (ra, rb) in enumerate(zip(a[1:], b[1:]), start=1):
             x, y = _cell(ra[col]), _cell(rb[col])
             if isinstance(x, float) and isinstance(y, float):
-                r = rel_diff(x, y)
+                r, d = rel_diff(x, y), abs_diff(x, y)
                 if r > worst:
                     worst, where = r, row
+                if d > worst_abs:
+                    worst_abs, where_abs = d, row
             elif x != y:
                 text = True
         if worst:
-            lines.append(f"  {name}: max rel {worst:.2e} at row {where}")
+            lines.append(f"  {name}: max rel {worst:.2e} at row {where}, "
+                         f"max abs {worst_abs:.2e} at row {where_abs}")
         if text:
             lines.append(f"  {name}: text cells differ")
     return lines
