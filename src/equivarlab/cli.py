@@ -17,6 +17,8 @@ status and report fields:
     refine-study levels that do not strictly increase, or a representation
     that fails the relator check (every task but refine-study starts from
     build_problem).  An omitted key takes the default of its routine.
+    Numbers are read by meshcover's as_real and as_integer, which the mesh
+    reader shares.
   3 not-converged: a harmonic-map flow that did not converge where a
     converged metric is required (every solve reads the flow section through
     _flow_args); solver-error: a linear solver failure or a singular factor.
@@ -43,6 +45,7 @@ from . import repvar as rv
 from .deform import (ObstructedDeformationError, first_order,
                      obstruction_check, second_order)
 from .liealg import MatrixGroup
+from .meshcover import as_integer, as_real
 from .twistedhodge import LinearSolverError, TwistedCochain, TwistedComplex
 
 SCHEMA_VERSION = 1
@@ -93,29 +96,14 @@ def _given(spec, *names, **converters):
                for name, convert in converters.items() if name in spec}}
 
 
-def _real(x):
-    """x as a float; a bool or a string is not a number and raises."""
-    if isinstance(x, (bool, str)):
-        raise ValueError(f"{x!r} is not a number")
-    return float(x)
-
-
-def _integer(x):
-    """x as an int; what _real refuses and a non-integral number raise."""
-    _real(x)
-    if int(x) != x:
-        raise ValueError(f"{x!r} is not an integer")
-    return int(x)
-
-
 def _as_complex(x):
     re, im = x if isinstance(x, (list, tuple)) and len(x) == 2 else (x, 0.0)
-    return complex(_real(re), _real(im))
+    return complex(as_real(re), as_real(im))
 
 
 def _as_matrix(data):
     try:
-        arr = np.vectorize(_real, otypes=[float])(np.asarray(data, dtype=object))
+        arr = np.vectorize(as_real, otypes=[float])(np.asarray(data, dtype=object))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"matrix entries must be numbers: {exc}") from exc
     if arr.ndim == 3 and arr.shape[-1] != 2:
@@ -132,12 +120,12 @@ def _matrices(spec):
 def build_mesh(spec):
     kind = spec.get("kind")
     if kind == "circle":
-        return mc.build_circle(_value(spec, "n", 8, _integer))
+        return mc.build_circle(_value(spec, "n", 8, as_integer))
     if kind == "torus":
-        return mc.build_torus(_value(spec, "n", 6, _integer),
-                              _value(spec, "m", spec.get("n", 6), _integer))
+        return mc.build_torus(_value(spec, "n", 6, as_integer),
+                              _value(spec, "m", spec.get("n", 6), as_integer))
     if kind == "genus2":
-        return mc.build_genus2(**_given(spec, k=_integer))
+        return mc.build_genus2(**_given(spec, k=as_integer))
     if kind == "json":
         path = Path(_key(spec, "path"))
         try:
@@ -149,17 +137,17 @@ def build_mesh(spec):
 
 
 def build_group(spec):
-    return MatrixGroup(**_given(spec, "kind", "field", n=_integer))
+    return MatrixGroup(**_given(spec, "kind", "field", n=as_integer))
 
 
 #: representation family -> (builder(group, mesh, **params), param converters)
 FAMILIES = {
-    "circle_hyperbolic": (rv.hyperbolic_circle_rep, {"lam": _real}),
+    "circle_hyperbolic": (rv.hyperbolic_circle_rep, {"lam": as_real}),
     "circle_parabolic": (rv.parabolic_circle_rep, {}),
-    "circle_elliptic": (rv.elliptic_circle_rep, {"theta": _real}),
+    "circle_elliptic": (rv.elliptic_circle_rep, {"theta": as_real}),
     "torus_diag": (rv.torus_diag_rep, {"alpha": _as_complex, "beta": _as_complex}),
     "torus_gl1c": (rv.torus_gl1c_rep, {"z1": _as_complex, "z2": _as_complex}),
-    "torus_unitary": (rv.torus_unitary_rep, {"theta1": _real, "theta2": _real}),
+    "torus_unitary": (rv.torus_unitary_rep, {"theta1": as_real, "theta2": as_real}),
     "trivial": (rv.trivial_rep, {}),
     "genus2_fuchsian": (rv.genus2_fuchsian_rep, {}),
 }
@@ -198,7 +186,7 @@ def build_path(spec, rep):
         imaginary = spec.get("imaginary", True)
         if not isinstance(imaginary, bool):
             raise ConfigError(f"config key 'imaginary' is {imaginary!r}, not true or false")
-        return rv.bending_path(rep, imaginary=imaginary, **_given(spec, scale=_real))
+        return rv.bending_path(rep, imaginary=imaginary, **_given(spec, scale=as_real))
     raise ConfigError(f"unknown path kind {kind!r}")
 
 
@@ -247,7 +235,7 @@ def _flow_args(cfg, **defaults):
     """hf.flow keywords: flow_tol, the defaults given, and the flow
     section's max_iter and drift_radius where it gives them."""
     return {"tol": cfg["tolerances"]["flow_tol"], **defaults,
-            **_given(_optional(cfg, "flow"), max_iter=_integer, drift_radius=_real)}
+            **_given(_optional(cfg, "flow"), max_iter=as_integer, drift_radius=as_real)}
 
 
 def converged_context(cfg, mesh, rep):
@@ -268,9 +256,9 @@ TOLERANCES = {"flow_tol": 1e-8, "rel_obstruction": 1e-7, "validation": 1e-8}
 
 
 def _tolerance(x):
-    """_real(x), which must be finite and above zero: no run meets a
+    """as_real(x), which must be finite and above zero: no run meets a
     tolerance of zero or below, and every comparison with NaN fails."""
-    tol = _real(x)
+    tol = as_real(x)
     if not (tol > 0 and np.isfinite(tol)):
         raise ValueError(f"tolerance {x!r} is not finite and above zero")
     return tol
@@ -331,7 +319,7 @@ def task_flow(cfg, out_dir):
     if start not in ("constant", "random"):
         raise ConfigError(f"config key 'start' is {start!r}, not 'constant' or 'random'")
     f0 = (hf.random_map(mesh, rep, np.random.default_rng(cfg["seed"]),
-                        _value(fspec, "scale", 0.4, _real))
+                        _value(fspec, "scale", 0.4, as_real))
           if start == "random" else hf.constant_map(mesh, rep))
     f, rpt = hf.flow(rep, f0, **_flow_args(cfg))
     return {"flow": rpt.to_dict()}
@@ -340,7 +328,7 @@ def task_flow(cfg, out_dir):
 def task_energy(cfg, out_dir):
     mesh, group, rep = build_problem(cfg)
     E, reductive, rpt = hf.energy_of_rep(
-        rep, mesh, seed=cfg["seed"], **_given(_optional(cfg, "flow"), n_starts=_integer),
+        rep, mesh, seed=cfg["seed"], **_given(_optional(cfg, "flow"), n_starts=as_integer),
         **_flow_args(cfg))
     return {"energy": E, "reductive_suspected": reductive,
             "last_flow": rpt.to_dict()}
@@ -442,7 +430,7 @@ def task_refine_study(cfg, out_dir):
     gains floor_limited = true."""
     spec = _optional(cfg, "refine")
     kind = spec.get("kind", "torus_mc")
-    levels = _value(spec, "levels", [4, 8, 16], lambda xs: [_integer(x) for x in xs])
+    levels = _value(spec, "levels", [4, 8, 16], lambda xs: [as_integer(x) for x in xs])
     if len(levels) < 3 or any(a >= b for a, b in zip(levels, levels[1:])):
         raise ConfigError(f"config key 'levels' needs at least 3 strictly "
                           f"increasing mesh levels, got {levels}")
@@ -455,14 +443,14 @@ def task_refine_study(cfg, out_dir):
         for n in levels:
             mesh = mc.build_torus(n, n)
             rep = rv.torus_diag_rep(group, mesh, alpha, beta)
-            f = hf.curved_torus_map(mesh, rep, **_given(spec, amplitude=_real))
+            f = hf.curved_torus_map(mesh, rep, **_given(spec, amplitude=as_real))
             ctx = TwistedComplex(mesh, rep, f)
             b = ctx.beta()
             res = TwistedCochain(2, ctx.d(b).values
                                  - ctx.bracket_wedge(b, b).values)
             rows.append([n, 1.0 / n, "mc_residual", ctx.norm(res, 2)])
     elif kind == "circle_energy":
-        lam = _value(spec, "lam", 2.0, _real)
+        lam = _value(spec, "lam", 2.0, as_real)
         # -g acts on the symmetric space as g does, so the sign of lam drops
         exact = 4.0 * np.log(abs(lam)) ** 2
         scale = exact
@@ -557,7 +545,7 @@ def main(argv=None):
     try:
         tols = _section(cfg, "tolerances")
         # the task reads converted copies; the report echoes the config as given
-        run_cfg = dict(cfg, **_given(cfg, seed=_integer), tolerances=dict(
+        run_cfg = dict(cfg, **_given(cfg, seed=as_integer), tolerances=dict(
             tols, **_given(tols, **dict.fromkeys(TOLERANCES, _tolerance))))
         payload["result"] = TASK_FUNCS[args.task](run_cfg, out_dir)
         payload["status"] = "ok"

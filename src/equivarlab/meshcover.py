@@ -9,15 +9,19 @@ ends at w . (chosen lift of v).
 ``CoverMesh.word_index`` lists, each once, the deck words that the flow
 kernel and the twisted complex read, with the stacked face boundary walks.
 
+``as_real`` and ``as_integer`` state the number rules of every JSON value
+the lab reads: mesh files here, and every number of a CLI config.
+
 Builders: the circle (Gamma = Z), the flat torus (Z^2) and the genus-2
-surface discretized as a subdivided regular hyperbolic octagon.
+surface: the 16-triangle fan of the regular hyperbolic octagon, each face of
+the quotient split 1-to-4 once per level.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -88,6 +92,40 @@ def is_relator_or_identity(word, relations):
                     if doubled[k:k + len(w)] == w:
                         return True
     return False
+
+
+# ----------------------------------------------------------------------
+# the number rules of every JSON value the lab reads (meshes and CLI configs)
+
+
+def as_real(x):
+    """x as a float; a bool or a string is not a number and raises."""
+    if isinstance(x, (bool, str)):
+        raise ValueError(f"{x!r} is not a number")
+    return float(x)
+
+
+def as_integer(x):
+    """x as an int; what as_real refuses and a non-integral number raise."""
+    as_real(x)
+    if int(x) != x:
+        raise ValueError(f"{x!r} is not an integer")
+    return int(x)
+
+
+def _as_list(x):
+    """x, which must be a list: a string would read as its characters."""
+    if not isinstance(x, list):
+        raise TypeError(f"{x!r} is not a list")
+    return x
+
+
+def _check_weights(kind, weights):
+    w = np.asarray(weights, dtype=float)
+    if not np.all(np.isfinite(w)):
+        raise ValueError(f"non-finite {kind} weight")
+    if np.any(w <= 0):
+        raise ValueError(f"non-positive {kind} weight")
 
 
 # ----------------------------------------------------------------------
@@ -175,21 +213,25 @@ class CoverMesh:
         return tuple(word)
 
     def check(self):
-        """Structural invariants: ranges, weights, step chains, face words."""
+        """Structural invariants: distinct generators, relations over them,
+        ranges, finite positive weights, step chains, face words."""
+        gens = self.generators
+        if len(set(gens)) != len(gens) or not all(isinstance(g, str) for g in gens):
+            raise ValueError(f"generators {gens} are not distinct strings")
+        for rel in self.relations:
+            if any(token_base(tok) not in gens for tok in rel):
+                raise ValueError(f"relation {word_text(rel)!r} is not a generator word")
+        _check_weights("vertex", self.vertex_weights)
+        _check_weights("edge", [e.weight for e in self.edges])
+        _check_weights("face", [f.weight for f in self.faces])
         if abs(float(np.sum(self.vertex_weights)) - 1.0) > 1e-9:
             raise ValueError("vertex weights do not sum to 1")
-        if np.any(self.vertex_weights <= 0):
-            raise ValueError("non-positive vertex weight")
         for e in self.edges:
             if not (0 <= e.src < self.nv and 0 <= e.dst < self.nv):
                 raise ValueError(f"edge {e.src} -> {e.dst} leaves the {self.nv} vertices")
             if any(token_base(tok) not in self.generators for tok in e.label):
                 raise ValueError(f"edge label {word_text(e.label)!r} is not a generator word")
-            if e.weight <= 0:
-                raise ValueError("non-positive edge weight")
         for f in self.faces:
-            if f.weight <= 0:
-                raise ValueError("non-positive face weight")
             if not f.steps:
                 raise ValueError("face has no steps")
             for eid, sign in f.steps:
@@ -227,14 +269,14 @@ class CoverMesh:
             raise ValueError(f"mesh JSON does not parse: {exc}") from exc
         try:
             mesh = cls(
-                generators=tuple(data["generators"]),
-                relations=tuple(parse_word(r) for r in data["relations"]),
-                vertex_weights=np.asarray(data["vertex_weights"], dtype=float),
-                edges=[Edge(int(e["src"]), int(e["dst"]),
-                            parse_word(e["label"]), float(e["weight"]))
+                generators=tuple(_as_list(data["generators"])),
+                relations=tuple(parse_word(r) for r in _as_list(data["relations"])),
+                vertex_weights=np.array([as_real(w) for w in data["vertex_weights"]]),
+                edges=[Edge(as_integer(e["src"]), as_integer(e["dst"]),
+                            parse_word(e["label"]), as_real(e["weight"]))
                        for e in data["edges"]],
-                faces=[Face(tuple((int(a), int(b)) for a, b in f["steps"]),
-                            float(f["weight"])) for f in data["faces"]],
+                faces=[Face(tuple((as_integer(a), as_integer(b)) for a, b in f["steps"]),
+                            as_real(f["weight"])) for f in data["faces"]],
             )
         except (KeyError, TypeError) as exc:
             raise ValueError(f"mesh JSON has wrong shape: {exc}") from exc
@@ -299,13 +341,11 @@ def build_torus(n, m):
 
 
 # ----------------------------------------------------------------------
-# genus 2: subdivided regular hyperbolic octagon
-
-class _DomainVertex(NamedTuple):
-    z: complex
-    kind: str          # "interior" | "boundary" | "corner"
-    side: int          # boundary: side index; corner: corner index
-    t: float           # boundary: dyadic parameter along the side
+# genus 2: the regular hyperbolic octagon, refined on the quotient
+#
+# A face is three corner lifts (class, deck word w, disk point z), the lift
+# being w . (representative of the class), and one key per side i -> i+1;
+# faces sharing a quotient edge share its key.
 
 
 def _corner_words():
@@ -327,180 +367,121 @@ def _corner_words():
     return {k: reduce_word(w) for k, w in words.items()}
 
 
-_PRIMARY_OF = {q: p for p, q in hyp.PAIR_OF.items()}
+@cache
+def _deck_maps():
+    """SU(1,1) matrix of every generator token and of its inverse."""
+    maps = hyp.side_pairings()
+    return {**maps, **{flip_token(g): np.linalg.inv(m) for g, m in maps.items()}}
 
 
-def _primary_point(side, t):
-    """(primary side, parameter) of the point at t on `side`: the point at t
-    on a secondary side is the pairing image of the primary point at 1 - t."""
-    if side in _PRIMARY_OF:
-        return _PRIMARY_OF[side], 1.0 - t
-    return side, t
+def _deck_apply(word, z):
+    for tok in reversed(word):
+        z = hyp.mobius_apply(_deck_maps()[tok], z)
+    return z
 
 
-class _OctagonComplex:
-    """Geometric octagon triangulation plus quotient bookkeeping.
+def _octagon_fan():
+    """Level 1: the 16 triangles center - corner - side midpoint; returns
+    the class count and faces.  Classes: the corners 0, the center 1, the
+    midpoints of primary side p and of its pair 2 + PRIMARY_SIDES.index(p).
+    The pair's midpoint is the deck image of p's, and the pairing reverses
+    the side, so the pair's half at its first corner is p's second half."""
+    corners = hyp.octagon_corners()
+    words = _corner_words()
+    corner = [(0, words[c], z) for c, z in enumerate(corners)]
+    mid, halves = {}, {}
+    for i, p in enumerate(hyp.PRIMARY_SIDES):
+        q = hyp.PAIR_OF[p]
+        z = hyp.geodesic_midpoint(corners[p], corners[(p + 1) % 8])
+        w = hyp.secondary_point_word(p)
+        mid[p], mid[q] = (2 + i, (), z), (2 + i, w, _deck_apply(w, z))
+        halves[p], halves[q] = ((p, 0), (p, 1)), ((p, 1), (p, 0))
+    center = (1, (), 0j)
+    faces = []
+    for c in range(8):
+        nxt = (c + 1) % 8
+        faces.append(((center, corner[c], mid[c]),
+                      (("spoke", c), halves[c][0], ("radius", c))))
+        faces.append(((center, mid[c], corner[nxt]),
+                      (("radius", c), halves[c][1], ("spoke", nxt))))
+    return 6, faces
 
-    Boundary points live once, in a table keyed by (primary side, t) and
-    seeded with the corners at t = 0 and t = 1.  A new boundary point is the
-    geodesic midpoint of its two parents' table points; on a secondary side
-    the side pairing carries it across."""
 
-    def __init__(self, depth):
-        self.verts = []          # _DomainVertex records
-        self._mid = {}           # unordered vertex pair -> midpoint
-        self._side_z = {}        # (primary side, t) -> point of that side
-        corners = hyp.octagon_corners()
-        # per primary side p: the deck map carrying side p onto its pair
-        maps = hyp.side_pairings()
-        self._pair_map = {}
-        for p in hyp.PRIMARY_SIDES:
-            name = hyp.SIDE_LABELS[p]
-            g = maps[name]
-            self._pair_map[p] = np.linalg.inv(g) if name.startswith("a") else g
-            self._side_z[p, 0.0] = corners[p]
-            self._side_z[p, 1.0] = corners[(p + 1) % 8]
-        self.corner_ids = [self._add(_DomainVertex(z, "corner", k, 0.0))
-                           for k, z in enumerate(corners)]
-        center = self._add(_DomainVertex(0j, "interior", -1, 0.0))
-        mids = [self._midpoint(self.corner_ids[k], self.corner_ids[(k + 1) % 8])
-                for k in range(8)]
-        tris = []
-        for k in range(8):
-            tris.append((center, self.corner_ids[k], mids[k]))
-            tris.append((center, mids[k], self.corner_ids[(k + 1) % 8]))
-        for _ in range(depth - 1):
-            tris = self._subdivide(tris)
-        self.triangles = tris
+def _refine(nv, faces):
+    """Split every face 1-to-4; returns the new class count and faces.
 
-    # -- vertex store ---------------------------------------------------
-    def _add(self, v):
-        self.verts.append(v)
-        return len(self.verts) - 1
-
-    # -- subdivision ----------------------------------------------------
-    def boundary_edge(self, i, j):
-        """(side, t_i, t_j) of the domain edge i-j if it lies on the octagon
-        boundary, else None.  Corner k is side k at t = 0 and side k - 1 at
-        t = 1."""
-        def on_sides(v):
-            if v.kind == "corner":
-                return {v.side: 0.0, (v.side - 1) % 8: 1.0}
-            return {v.side: v.t} if v.kind == "boundary" else {}
-
-        a, b = on_sides(self.verts[i]), on_sides(self.verts[j])
-        common = a.keys() & b.keys()
-        if not common:
-            return None
-        side = common.pop()
-        return side, a[side], b[side]
-
-    def _midpoint(self, i, j):
-        """Midpoint of the domain edge i-j, made once per edge: the two
-        triangles on an interior edge share it."""
-        key = (min(i, j), max(i, j))
-        if key not in self._mid:
-            edge = self.boundary_edge(i, j)
-            if edge is None:
-                z = hyp.geodesic_midpoint(self.verts[i].z, self.verts[j].z)
-                v = _DomainVertex(z, "interior", -1, 0.0)
+    Quotient edges are numbered by first crossing, and the midpoint of edge e
+    is class nv + e.  It is made at e's first crossing, as the geodesic
+    midpoint of that face's corner lifts (word ()).  A later crossing carries
+    it by the deck word that moves an end's first lift onto its lift there,
+    read at both ends (the two agree in the group) and the shorter kept.  A
+    half of e is keyed by (e, its end's class) and an inner edge by (face,
+    the corner it faces), so no two words are ever compared."""
+    mids = {}                # side key -> (class, {end class: first word}, z)
+    out = []
+    for fi, (lifts, keys) in enumerate(faces):
+        m = []
+        for s, key in enumerate(keys):
+            a, b = lifts[s], lifts[(s + 1) % 3]
+            if key not in mids:
+                mids[key] = (nv + len(mids), {a[0]: a[1], b[0]: b[1]},
+                             hyp.geodesic_midpoint(a[2], b[2]))
+                word = ()
             else:
-                side, ti, tj = edge
-                t = 0.5 * (ti + tj)
-                p, tp = _primary_point(side, t)
-                if (p, tp) not in self._side_z:
-                    self._side_z[p, tp] = hyp.geodesic_midpoint(
-                        self._side_z[_primary_point(side, ti)],
-                        self._side_z[_primary_point(side, tj)])
-                z = self._side_z[p, tp]
-                if p != side:
-                    z = hyp.mobius_apply(self._pair_map[p], z)
-                v = _DomainVertex(z, "boundary", side, t)
-            self._mid[key] = self._add(v)
-        return self._mid[key]
-
-    def _subdivide(self, tris):
-        out = []
-        for (p, q, r) in tris:
-            mpq = self._midpoint(p, q)
-            mqr = self._midpoint(q, r)
-            mrp = self._midpoint(r, p)
-            out.extend([(p, mpq, mrp), (mpq, q, mqr),
-                        (mrp, mqr, r), (mpq, mqr, mrp)])
-        return out
-
-    # -- quotient -------------------------------------------------------
-    def quotient_class_key(self, i):
-        v = self.verts[i]
-        if v.kind == "corner":
-            return ("corner",)
-        if v.kind == "boundary":
-            return ("boundary",) + _primary_point(v.side, v.t)
-        return ("interior", i)
-
-    def delta_word(self, i, corner_words):
-        """Deck word w with  position(i) = w . position(representative)."""
-        v = self.verts[i]
-        if v.kind == "corner":
-            return corner_words[v.side]
-        if v.kind == "boundary" and v.side in _PRIMARY_OF:
-            return hyp.secondary_point_word(_PRIMARY_OF[v.side])
-        return ()
+                first = mids[key][1]
+                word = reduce_word(a[1] + invert_word(first[a[0]]))
+                if word:
+                    word = min(word, reduce_word(b[1] + invert_word(first[b[0]])),
+                               key=len)
+            cls, _, z = mids[key]
+            m.append((cls, word, _deck_apply(word, z)))
+        P, Q, R = lifts
+        mPQ, mQR, mRP = m
+        ePQ, eQR, eRP = (mids[key][0] - nv for key in keys)
+        out += [((P, mPQ, mRP), ((ePQ, P[0]), (fi, "P"), (eRP, P[0]))),
+                ((mPQ, Q, mQR), ((ePQ, Q[0]), (eQR, Q[0]), (fi, "Q"))),
+                ((mRP, mQR, R), ((fi, "R"), (eQR, R[0]), (eRP, R[0]))),
+                ((mPQ, mQR, mRP), ((fi, "Q"), (fi, "R"), (fi, "P")))]
+    return nv + len(mids), out
 
 
 def build_genus2(k=1):
-    """Genus-2 mesh from the regular hyperbolic octagon, subdivided k-1 times.
+    """Genus-2 mesh: the 16-triangle octagon fan, each face split 1-to-4
+    k-1 times on the quotient (``_refine``).
 
-    One pass over the domain triangles builds the quotient.  Each triangle
-    side is looked up by its edge key (identified octagon sides share one);
-    at its first crossing i -> j the edge is added as qv[i] -> qv[j] with
-    deck word delta(i)^-1 delta(j).  No domain edge joins two vertices of
-    one class, so a step i -> j crosses its edge with sign +1 exactly when
-    the edge's source class is qv[i].  Subdivision makes the midpoint of a
-    domain edge once, keyed by its vertex pair; a boundary midpoint is made
-    from its two parents' points on the primary side.
+    One pass over the last level's faces assembles the mesh.  At its first
+    crossing a -> b an edge is added as class(a) -> class(b) with deck word
+    w_a^-1 w_b.  No edge joins two vertices of one class, so a step crosses
+    its edge with sign +1 exactly when the edge's source class is the
+    step's first class.
 
     Vertex and edge weights come from hyperbolic triangle areas and edge
     lengths (length-squared weights), normalized to total measure 1.
     """
     if k < 1:
         raise ValueError("subdivision depth must be >= 1")
-    octo = _OctagonComplex(k)
-    corner_words = _corner_words()
-    class_of = {}
-    qv = [class_of.setdefault(octo.quotient_class_key(i), len(class_of))
-          for i in range(len(octo.verts))]
-    deltas = [octo.delta_word(i, corner_words) for i in range(len(octo.verts))]
-
-    # identified boundary edges share a key
-    def edge_key(i, j):
-        edge = octo.boundary_edge(i, j)
-        if edge is None:
-            return ("interior", min(i, j), max(i, j))
-        side, ti, tj = edge
-        (p, ti), (_, tj) = _primary_point(side, ti), _primary_point(side, tj)
-        return ("boundary", p, min(ti, tj), max(ti, tj))
-
+    nv, tris = _octagon_fan()
+    for _ in range(k - 1):
+        nv, tris = _refine(nv, tris)
     edge_ids = {}
     edges = []                   # [src, dst, label, area, length]
-    vertex_area = np.zeros(len(class_of))
+    vertex_area = np.zeros(nv)
     faces = []
     total_area = 0.0
-    for (p, q, r) in octo.triangles:
-        zp, zq, zr = octo.verts[p].z, octo.verts[q].z, octo.verts[r].z
-        A = hyp.triangle_area(zp, zq, zr)
+    for lifts, keys in tris:
+        A = hyp.triangle_area(*(z for _, _, z in lifts))
         total_area += A
-        for i in (p, q, r):
-            vertex_area[qv[i]] += A / 3.0
+        for cls, _, _ in lifts:
+            vertex_area[cls] += A / 3.0
         steps = []
-        for (i, j) in ((p, q), (q, r), (r, p)):
-            eid = edge_ids.setdefault(edge_key(i, j), len(edges))
+        for s, key in enumerate(keys):
+            (ca, wa, za), (cb, wb, zb) = lifts[s], lifts[(s + 1) % 3]
+            eid = edge_ids.setdefault(key, len(edges))
             if eid == len(edges):
-                edges.append([qv[i], qv[j],
-                              reduce_word(invert_word(deltas[i]) + deltas[j]),
-                              0.0, hyp.dist_disk(octo.verts[i].z, octo.verts[j].z)])
+                edges.append([ca, cb, reduce_word(invert_word(wa) + wb), 0.0,
+                              hyp.dist_disk(za, zb)])
             edges[eid][3] += A / 3.0
-            steps.append((eid, +1 if edges[eid][0] == qv[i] else -1))
+            steps.append((eid, +1 if edges[eid][0] == ca else -1))
         faces.append((tuple(steps), A))
 
     edge_list = [Edge(s, d, lab, (area / (length ** 2)) / total_area)

@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import json
 import re
@@ -52,7 +53,7 @@ def test_torus_label_consistency_under_rep(sl2c, torus66):
         assert np.abs(g - eye).max() < 1e-10
 
 
-@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
 def test_genus2_structure(k):
     mesh = mc.build_genus2(k)
     mesh.check()
@@ -106,12 +107,25 @@ def test_genus2_fuchsian_relator(sl2r, genus2):
 
 
 def test_genus2_refinement_preserves_group_and_weight():
-    m1 = mc.build_genus2(1)
-    m2 = mc.build_genus2(2)
-    assert m1.generators == m2.generators
-    assert m1.relations == m2.relations
-    assert abs(float(np.sum(m2.vertex_weights)) - 1.0) < 1e-12
-    assert m2.nf == 4 * m1.nf
+    # level k + 1 splits every face of level k 1-to-4: level k's classes come
+    # first, no edge joins two of them, and the midpoint of level-k edge
+    # e = (u -> v, w) is class nv_k + e, joined to u and to v by one edge
+    # each, whose words read u -> m -> v reduce to w
+    meshes = [mc.build_genus2(k) for k in range(1, 6)]
+    for m1, m2 in zip(meshes, meshes[1:]):
+        assert m1.generators == m2.generators
+        assert m1.relations == m2.relations
+        assert abs(float(np.sum(m2.vertex_weights)) - 1.0) < 1e-12
+        assert m2.nf == 4 * m1.nf
+        assert m2.nv == m1.nv + m1.ne
+        words = collections.defaultdict(list)    # (a, b) -> words read a -> b
+        for e in m2.edges:
+            assert max(e.src, e.dst) >= m1.nv
+            words[e.src, e.dst].append(e.label)
+            words[e.dst, e.src].append(mc.invert_word(e.label))
+        for mid, e in enumerate(m1.edges, start=m1.nv):
+            (first,), (second,) = words[e.src, mid], words[mid, e.dst]
+            assert mc.reduce_word(first + second) == e.label
 
 
 def test_gram_scaling_under_refinement():
@@ -160,11 +174,30 @@ MESH_CORRUPTIONS = [
     ("circle", ("vertex_weights",), [0.5, 0.5, 0.25, -0.25], "non-positive vertex weight"),
     ("circle", ("edges", 0, "weight"), 0.0, "non-positive edge weight"),
     ("torus", ("faces", 0, "steps", 0, 0), 1, "face boundary walk is not a closed chain"),
+    ("torus", ("vertex_weights", 0), float("nan"), "non-finite vertex weight"),
+    ("torus", ("edges", 0, "weight"), float("nan"), "non-finite edge weight"),
+    ("torus", ("faces", 0, "weight"), float("nan"), "non-finite face weight"),
+    ("torus", ("edges", 0, "weight"), float("inf"), "non-finite edge weight"),
+    ("torus", ("faces", 0, "weight"), float("inf"), "non-finite face weight"),
+    ("circle", ("edges", 0, "src"), 0.7, "0.7 is not an integer"),
+    ("torus", ("faces", 0, "steps", 0, 1), 1.5, "1.5 is not an integer"),
+    ("circle", ("edges", 0, "weight"), "3", "'3' is not a number"),
+    ("circle", ("edges", 0, "weight"), True, "True is not a number"),
+    ("circle", ("vertex_weights", 0), "0.25", "'0.25' is not a number"),
+    ("torus", ("generators",), "ab", "'ab' is not a list"),
+    ("circle", ("relations",), "a", "'a' is not a list"),
+    ("torus", ("generators",), ["a", "b", "a"], "are not distinct strings"),
+    ("torus", ("relations",), ["a b A B", "z"], "relation 'z' is not a generator word"),
 ]
 MESH_CORRUPTION_IDS = ["step-edge-id", "step-sign", "empty-face",
                        "label-not-a-string", "label-not-a-generator", "dst-too-large",
                        "dst-negative", "weights-not-summing-to-1", "vertex-weight-negative",
-                       "edge-weight-zero", "open-face-walk"]
+                       "edge-weight-zero", "open-face-walk", "vertex-weight-nan",
+                       "edge-weight-nan", "face-weight-nan", "edge-weight-inf",
+                       "face-weight-inf", "src-fraction", "step-sign-fraction",
+                       "weight-string", "weight-bool", "vertex-weight-string",
+                       "generators-string", "relations-string", "generators-repeated",
+                       "relation-not-a-generator-word"]
 
 
 def corrupted_mesh_json(mesh_name, path, value):
