@@ -13,15 +13,17 @@ status and report fields:
     number), an unreadable or malformed mesh file, a matrix entry that is not
     a number or not an [re, im] pair, a deformation with both values and a
     path family or with second values next to one, a path family its
-    representation cannot carry, a real group given complex images,
-    refine-study levels that do not strictly increase, or a representation
-    that fails the relator check (every task but refine-study starts from
-    build_problem).  An omitted key takes the default of its routine.
-    Numbers are read by meshcover's as_real and as_integer, which the mesh
-    reader shares.
-  3 not-converged: a harmonic-map flow that did not converge where a
-    converged metric is required (every solve reads the flow section through
-    _flow_args); solver-error: a linear solver failure or a singular factor.
+    representation cannot carry, a real group given complex images, a
+    non-finite cocycle or jet value, a flow max_iter below 1 or drift_radius
+    not above zero, a non-finite torus_mc amplitude, refine-study levels
+    that do not strictly increase, or a representation that fails the
+    relator check (every task but refine-study starts from build_problem).
+    An omitted key takes the default of its routine.  Numbers are read by
+    meshcover's as_real and as_integer, which the mesh reader shares.
+  3 not-converged: a map that harmonicflow.harmonic_map refused (every task
+    but flow and energy); the report's flow is the failed run, for variation
+    maybe an FD sample, which keeps the oracle's tolerance and ignores the
+    flow section; solver-error: a linear solver failure or a singular factor.
   4 obstructed: a second-order deformation request refused, with its defect
     and witness.
 
@@ -231,24 +233,16 @@ def _check_jet(cfg, c, k):
         raise ConfigError("second-order values fail the jet cocycle law")
 
 
-def _flow_args(cfg, **defaults):
-    """hf.flow keywords: flow_tol, the defaults given, and the flow
-    section's max_iter and drift_radius where it gives them."""
-    return {"tol": cfg["tolerances"]["flow_tol"], **defaults,
+def _flow_args(cfg):
+    """Flow keywords: flow_tol, and the flow section's max_iter and
+    drift_radius where it gives them."""
+    return {"tol": cfg["tolerances"]["flow_tol"],
             **_given(_optional(cfg, "flow"), max_iter=as_integer, drift_radius=as_real)}
 
 
 def converged_context(cfg, mesh, rep):
-    f, rpt = hf.flow(rep, hf.constant_map(mesh, rep), **_flow_args(cfg, max_iter=60000))
-    if not rpt.converged:
-        raise FlowNotConverged(rpt)
+    f, rpt = hf.harmonic_map(rep, hf.constant_map(mesh, rep), **_flow_args(cfg))
     return TwistedComplex(mesh, rep, f), rpt
-
-
-class FlowNotConverged(RuntimeError):
-    def __init__(self, report):
-        super().__init__(f"flow did not converge: tension {report.tension:.3e}")
-        self.report = report
 
 
 #: the tolerances of a config and their defaults
@@ -457,9 +451,8 @@ def task_refine_study(cfg, out_dir):
         for n in levels:
             mesh = mc.build_circle(n)
             rep = rv.hyperbolic_circle_rep(group, mesh, lam)
-            E, _, _ = hf.energy_of_rep(rep, mesh, n_starts=1, seed=cfg["seed"],
-                                       **_flow_args(cfg))
-            rows.append([n, 1.0 / n, "energy_error", abs(E - exact)])
+            _, rpt = hf.harmonic_map(rep, hf.constant_map(mesh, rep), **_flow_args(cfg))
+            rows.append([n, 1.0 / n, "energy_error", abs(rpt.energy - exact)])
     elif kind == "harmonic_residuals":
         alpha = _value(spec, "alpha", [0.4, 0.3], _as_complex)
         beta = _value(spec, "beta", [-0.2, 0.5], _as_complex)
@@ -512,7 +505,7 @@ def _failure(exc):
     # numpy's LinAlgError is a ValueError: a singular solve is not a config fault
     if isinstance(exc, (LinearSolverError, np.linalg.LinAlgError)):
         return EXIT_NONCONVERGED, "solver-error", "solver error", {}
-    if isinstance(exc, FlowNotConverged):
+    if isinstance(exc, hf.FlowNotConverged):
         return (EXIT_NONCONVERGED, "not-converged", "solver error",
                 {"flow": exc.report.to_dict()})
     if isinstance(exc, ObstructedDeformationError):     # raised with defect > 0
@@ -550,7 +543,7 @@ def main(argv=None):
         payload["result"] = TASK_FUNCS[args.task](run_cfg, out_dir)
         payload["status"] = "ok"
         code = EXIT_OK
-    except (ValueError, LinearSolverError, FlowNotConverged,
+    except (ValueError, LinearSolverError, hf.FlowNotConverged,
             ObstructedDeformationError) as exc:
         code, payload["status"], label, extra = _failure(exc)
         print(f"{label}: {exc}", file=sys.stderr)

@@ -131,8 +131,6 @@ class FDReport:
 
 #: central-difference steps; Richardson extrapolation combines the last two
 FD_STEPS = (1e-2, 5e-3, 2.5e-3)
-#: iteration cap of each re-solved harmonic map
-FD_MAX_ITER = 60000
 #: first variations at most this fraction of the Cauchy-Schwarz bound
 #: 4 ||omega|| ||beta|| are rounding noise (the scale of critical_scan)
 FIRST_FLOOR = 1e-9
@@ -152,13 +150,11 @@ def _lagrange_at(t, nodes):
     return out
 
 
-def fd_energy_derivatives(path, mesh, *, tol=1e-10, f0=None, E0=None):
-    """Central finite differences of t -> E(rho_t) with Richardson
-    extrapolation; each sample re-solves the harmonic map.
-
-    Without f0 the harmonic map of rho_0 is solved from the constant map and
-    E0 is read from its flow report; a caller that passes f0 may pass its
-    energy E0 too, which otherwise is evaluated once more.
+def fd_energy_derivatives(path, f0, E0, *, tol=1e-10):
+    """Central finite differences of t -> E(rho_t) at the harmonic map f0
+    of rho_0, of energy E0, with Richardson extrapolation; each sample
+    re-solves the harmonic map to tol through ``hf.harmonic_map``, so an
+    unconverged sample raises FlowNotConverged.
 
     The samples are solved in order of increasing |t| and warm started by
     continuation: every solved f_t is kept in log coordinates at f0,
@@ -167,13 +163,6 @@ def fd_energy_derivatives(path, mesh, *, tol=1e-10, f0=None, E0=None):
     and the (at most two) solved samples nearest t.  The predictor reads
     only earlier samples; Newton corrects it to the same tolerance.
     """
-    rep0 = path.rep0
-    if f0 is None:
-        f0, rpt0 = hf.flow(rep0, hf.constant_map(mesh, rep0), tol=tol,
-                           max_iter=FD_MAX_ITER)
-        E0 = rpt0.energy
-    elif E0 is None:
-        E0 = hf.energy(f0)
     energies = {}
     logs = []                   # (t, X_t) of the solved samples
     for t in sorted((s * h for h in FD_STEPS for s in (1.0, -1.0)), key=abs):
@@ -183,8 +172,7 @@ def fd_energy_derivatives(path, mesh, *, tol=1e-10, f0=None, E0=None):
         else:
             start = f0.points.copy()
         rep_t = path.at(t)
-        f_t, rpt = hf.flow(rep_t, hf.EquivariantMap(mesh, rep_t, start),
-                           tol=tol, max_iter=FD_MAX_ITER)
+        f_t, rpt = hf.harmonic_map(rep_t, hf.EquivariantMap(f0.mesh, rep_t, start), tol=tol)
         energies[t] = rpt.energy
         logs.append((t, ss.mc_edge(f0.points, f_t.points)))
 
@@ -211,7 +199,7 @@ def variation_report(ctx, path, *, rel_tol=1e-7):
     analytic2 = second_variation(ctx, sol.psi, sol.omega)
     omega_sq = omega_l2sq(ctx, sol.omega)
     f0 = hf.EquivariantMap(ctx.mesh, ctx.rep, ctx.points.copy())
-    fd = fd_energy_derivatives(path, ctx.mesh, f0=f0, E0=ctx.map_eval.energy)
+    fd = fd_energy_derivatives(path, f0, ctx.map_eval.energy)
     floor = FIRST_FLOOR * np.sqrt(omega_sq * omega_l2sq(ctx, ctx.beta()))
     if max(abs(analytic1), abs(fd.first)) <= floor:
         first = {"first_rel_err": None, "first_floor_limited": True}

@@ -26,7 +26,8 @@ radius, meets a non-finite value or a singular factor, fails its line
 search or spends its step budget, the explicit Armijo flow runs from the
 start map instead; a parabolic (non-reductive) representation always ends
 there.  A converged run certifies that rho is reductive; otherwise the
-trace-form test ``repvar.Representation.reductive`` decides.
+trace-form test ``repvar.Representation.reductive`` decides.  Every reader
+of a harmonic map takes it from ``harmonic_map``, which refuses the rest.
 
 FlowKernel holds only (mesh, representation) data: the per-edge arrays, the
 deck words of the mesh (``CoverMesh.word_index``) evaluated once as one
@@ -322,10 +323,15 @@ def flow(rep, f0, *, tol=1e-8, max_iter=20000, drift_radius=50.0):
     Armijo flow runs from f0 and its report is returned, with the plateau
     energy of an unconverged run.  ``reductive_suspected`` is true when the
     run converged (a harmonic map exists only for a reductive rho) or when
-    rho passes the trace-form test, ``Representation.reductive``.
+    rho passes the trace-form test, ``Representation.reductive``.  A run
+    needs max_iter >= 1 and a drift radius above zero (inf allows any drift).
     """
     if not np.isfinite(f0.points).all():
         raise ValueError("start map has non-finite entries")
+    if not max_iter >= 1:
+        raise ValueError(f"max_iter must be at least 1, not {max_iter}")
+    if not drift_radius > 0:
+        raise ValueError(f"drift_radius must be above zero, not {drift_radius}")
     kern = FlowKernel(f0.mesh, rep)
     args = dict(tol=tol, max_iter=max_iter, drift_radius=drift_radius)
     pts, report = _newton_flow(kern, np.array(f0.points, dtype=complex), **args)
@@ -333,6 +339,21 @@ def flow(rep, f0, *, tol=1e-8, max_iter=20000, drift_radius=50.0):
         pts, report = _explicit_flow(kern, np.array(f0.points, dtype=complex),
                                      **args)
     return EquivariantMap(f0.mesh, rep, pts), report
+
+
+class FlowNotConverged(RuntimeError):
+    def __init__(self, report):
+        super().__init__(f"flow did not converge: tension {report.tension:.3e}")
+        self.report = report
+
+
+def harmonic_map(rep, f0, *, max_iter=60000, **flow_args):
+    """(map, report) of a converged ``flow`` from f0, else FlowNotConverged
+    with the report; the flow_args (tol, drift_radius) go to the flow."""
+    f, report = flow(rep, f0, max_iter=max_iter, **flow_args)
+    if not report.converged:
+        raise FlowNotConverged(report)
+    return f, report
 
 
 def _descend(kern, pts, step, report, *, tol, max_iter, drift_radius):
@@ -452,6 +473,8 @@ def curved_torus_map(mesh, rep, amplitude=0.3):
     """
     if mesh.meta.get("kind") != "torus":
         raise ValueError("curved test map needs a torus mesh")
+    if not np.isfinite(amplitude):
+        raise ValueError(f"amplitude {amplitude} is not finite")
     if rep.logs is None:
         raise ValueError("curved test map needs an exp-family representation")
     n_, m_ = mesh.meta["n"], mesh.meta["m"]

@@ -93,10 +93,12 @@ class MatrixGroup:
 
     # ------------------------------------------------------------------
     def check_algebra(self, X, tol=1e-12):
-        """Trace and realness constraints for algebra elements."""
+        """Finiteness, trace and realness constraints for algebra elements."""
         X = np.asarray(X)
         if X.shape != (self.n, self.n):
             raise ValueError(f"expected {self.n}x{self.n} matrix, got {X.shape}")
+        if not np.isfinite(X).all():
+            raise ValueError("non-finite entries in algebra element")
         if self.is_sl and abs(np.trace(X)) > tol * max(1.0, np.abs(X).max()):
             raise ValueError(f"trace {np.trace(X)} not zero for sl element")
         if self.field == "R" and np.abs(np.imag(X)).max() > tol:

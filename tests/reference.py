@@ -29,9 +29,8 @@ import numpy as np
 
 from equivarlab.deform import second_order
 from equivarlab import harmonicflow as hf
-from equivarlab.energyvar import (FD_MAX_ITER, FD_STEPS, FDReport, PshReport,
-                                  ScanReport, first_variation, omega_l2sq,
-                                  second_variation)
+from equivarlab.energyvar import (FD_STEPS, FDReport, PshReport, ScanReport,
+                                  first_variation, omega_l2sq, second_variation)
 from equivarlab import symspace as ss
 from equivarlab.liealg import ad_action
 from equivarlab.meshcover import token_base, token_is_inverse
@@ -153,7 +152,7 @@ def fd_energy_derivatives_from_f0(path, mesh, f0, *, tol=1e-10):
     def energy_at(t):
         rep_t = path.at(t)
         start = hf.EquivariantMap(mesh, rep_t, f0.points.copy())
-        return hf.flow(rep_t, start, tol=tol, max_iter=FD_MAX_ITER)[1].energy
+        return hf.harmonic_map(rep_t, start, tol=tol)[1].energy
 
     E0 = hf.energy(f0)
     firsts, seconds, table = [], [], []

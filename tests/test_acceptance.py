@@ -138,13 +138,13 @@ def test_criterion_05_first_variation_fd(sl2r, gl1c_ctx, diag_ctx, circle8,
     # axis family
     s = np.log(2.0)
     rep = rv.exp_family(sl2r, circle8, {"a": np.diag([s, -s]).astype(complex)})
-    f, _ = hf.flow(rep, hf.constant_map(circle8, rep), tol=1e-10)
+    f, rpt = hf.harmonic_map(rep, hf.constant_map(circle8, rep), tol=1e-10)
     ctx = TwistedComplex(circle8, rep, f)
     path = rv.commuting_exp_path(rep, {"a": np.diag([1.0, -1.0]).astype(complex)})
     c, _ = path.jets()
     om, _ = ctx.harmonic_rep(c)
     a1 = ev.first_variation(ctx, om)
-    fd1 = ev.fd_energy_derivatives(path, circle8)
+    fd1 = ev.fd_energy_derivatives(path, f, rpt.energy)
     err_axis = abs(a1 - fd1.first) / max(abs(a1), 1e-12)
     assert err_axis < 1e-3
 
@@ -155,7 +155,8 @@ def test_criterion_05_first_variation_fd(sl2r, gl1c_ctx, diag_ctx, circle8,
     cg, _ = pathg.jets()
     omg, _ = gl1c_ctx.harmonic_rep(cg)
     a2 = ev.first_variation(gl1c_ctx, omg)
-    fd2 = ev.fd_energy_derivatives(pathg, torus66)
+    fg, rptg = hf.harmonic_map(pathg.rep0, hf.constant_map(torus66, pathg.rep0), tol=1e-10)
+    fd2 = ev.fd_energy_derivatives(pathg, fg, rptg.energy)
     err_ab = abs(a2 - fd2.first) / max(abs(a2), 1e-12)
     assert err_ab < 1e-3
 

@@ -289,6 +289,10 @@ def genus2_bending(family, field):
 
 ZERO2 = [[0, 0], [0, 0]]
 
+#: the circle has no relators, so only check_algebra sees these values
+NAN_COCYCLE_CFG = dict(PARABOLIC_CFG, representation={"family": "circle_hyperbolic"},
+                       deformation={"values": {"a": [[math.nan, 1], [0, math.nan]]}})
+
 
 @pytest.mark.parametrize("task, cfg, error", [
     ("flow", dict(PARABOLIC_CFG, mesh={"kind": "nope"}), "unknown mesh kind 'nope'"),
@@ -325,12 +329,33 @@ ZERO2 = [[0, 0], [0, 0]]
      "commuting_exp_path needs a rep built by exp_family"),
     ("deform1", genus2_bending("trivial", "C"), "commutator is central, no bending axis"),
     ("deform1", genus2_bending("genus2_fuchsian", "R"),
-     "imaginary bending requires a complex group")],
+     "imaginary bending requires a complex group"),
+    ("flow", dict(OBSTRUCTED_CFG, flow={"start": "random", "scale": 3, "max_iter": 0}),
+     "max_iter must be at least 1, not 0"),
+    ("hodge", dict(OBSTRUCTED_CFG, flow={"max_iter": -1}),
+     "max_iter must be at least 1, not -1"),
+    ("energy", dict(OBSTRUCTED_CFG, flow={"max_iter": 0}),
+     "max_iter must be at least 1, not 0"),
+    ("hodge", dict(OBSTRUCTED_CFG, flow={"drift_radius": 0}),
+     "drift_radius must be above zero, not 0.0"),
+    ("hodge", dict(OBSTRUCTED_CFG, flow={"drift_radius": -1}),
+     "drift_radius must be above zero, not -1.0"),
+    ("hodge", dict(OBSTRUCTED_CFG, flow={"drift_radius": math.nan}),
+     "drift_radius must be above zero, not nan"),
+    ("deform1", NAN_COCYCLE_CFG, "non-finite entries in algebra element"),
+    ("deform2", NAN_COCYCLE_CFG, "non-finite entries in algebra element"),
+    ("refine-study", {"group": SL2C, "refine": {"kind": "torus_mc", "amplitude": math.nan}},
+     "amplitude nan is not finite"),
+    ("refine-study", {"group": SL2C, "refine": {"kind": "torus_mc", "amplitude": math.inf}},
+     "amplitude inf is not finite")],
     ids=["mesh_kind", "path_kind", "psh_real_group", "refine_kind", "group_kind",
          "group_field", "sl_n1", "genus2_k0", "image_shape", "image_nonfinite",
          "image_singular", "image_missing", "cocycle_shape", "cocycle_missing",
          "jet_missing", "commuting_path_without_logs", "bending_central",
-         "bending_imaginary_real_group"])
+         "bending_imaginary_real_group", "flow_max_iter_zero", "hodge_max_iter_negative",
+         "energy_max_iter_zero", "drift_radius_zero", "drift_radius_negative",
+         "drift_radius_nan", "cocycle_nonfinite_deform1", "cocycle_nonfinite_deform2",
+         "torus_mc_amplitude_nan", "torus_mc_amplitude_inf"])
 def test_validation_error_exit_two(tmp_path, capsys, task, cfg, error):
     code, report, _ = run_cli(tmp_path, task, cfg)
     assert code == cli.EXIT_VALIDATION
@@ -736,6 +761,19 @@ def test_converged_context_honours_the_drift_radius(tmp_path):
     code, report, _ = run_cli(tmp_path, "hodge", cfg)
     assert code == cli.EXIT_NONCONVERGED
     assert report["status"] == "not-converged"
+    assert report["flow"]["converged"] is False
+
+
+def test_refine_study_circle_energy_needs_converged_maps(tmp_path):
+    # each level's energy is read off a harmonic map, so an unconverged
+    # level is refused with its flow; it once gave values and a slope
+    cfg = {"group": {"kind": "sl", "n": 2, "field": "R"},
+           "refine": {"kind": "circle_energy", "levels": [8, 16, 32], "lam": 3.0},
+           "flow": {"max_iter": 1}}
+    code, report, _ = run_cli(tmp_path, "refine-study", cfg)
+    assert code == cli.EXIT_NONCONVERGED
+    assert report["status"] == "not-converged" and "result" not in report
+    assert report["flow"]["iterations"] == 1
     assert report["flow"]["converged"] is False
 
 

@@ -18,6 +18,12 @@ from conftest import (ALPHA, BETA, converged, edge_conditioning, random_cochain,
 import reference as ref
 
 
+def solved(path, mesh, tol=1e-10):
+    """(f0, E0) of the harmonic map of path.rep0 from the constant map."""
+    f0, rpt = hf.harmonic_map(path.rep0, hf.constant_map(mesh, path.rep0), tol=tol)
+    return f0, rpt.energy
+
+
 def test_first_variation_unitary_zero(unitary_ctx):
     # beta = 0 at the fixed point: every direction is critical
     rng = np.random.default_rng(0)
@@ -38,13 +44,13 @@ def test_first_variation_coboundary_zero(diag_ctx):
 def test_first_variation_circle_fd(sl2r, circle8):
     s = 0.55
     rep = rv.exp_family(sl2r, circle8, {"a": np.diag([s, -s]).astype(complex)})
-    f, _ = hf.flow(rep, hf.constant_map(circle8, rep), tol=1e-10)
+    f, rpt = hf.harmonic_map(rep, hf.constant_map(circle8, rep), tol=1e-10)
     ctx = TwistedComplex(circle8, rep, f)
     path = rv.commuting_exp_path(rep, {"a": np.diag([1.0, -1.0]).astype(complex)})
     c, _ = path.jets()
     om, _ = ctx.harmonic_rep(c)
     analytic = ev.first_variation(ctx, om)
-    fd = ev.fd_energy_derivatives(path, circle8)
+    fd = ev.fd_energy_derivatives(path, f, rpt.energy)
     assert abs(analytic - fd.first) < 1e-3 * max(abs(analytic), 1e-12)
     assert abs(analytic - 8.0 * s) < 1e-9
 
@@ -56,7 +62,7 @@ def test_first_variation_abelian_fd(gl1c_ctx, torus66):
     c, _ = path.jets()
     om, _ = gl1c_ctx.harmonic_rep(c)
     analytic = ev.first_variation(gl1c_ctx, om)
-    fd = ev.fd_energy_derivatives(path, torus66)
+    fd = ev.fd_energy_derivatives(path, *solved(path, torus66))
     assert abs(analytic - fd.first) < 1e-3 * max(abs(analytic), 1e-12)
     # closed form: E(t) = 2((0.5 + 0.3 t)^2 + (-0.3 + 0.1 t)^2)
     exact = 2 * (2 * 0.5 * 0.3 + 2 * (-0.3) * 0.1)
@@ -73,7 +79,7 @@ def test_conjugation_path_variations_vanish(diag_ctx, torus66):
     sol = __import__("equivarlab.deform", fromlist=["solve_psi"]).solve_psi(
         diag_ctx, c, k)
     assert abs(ev.second_variation(diag_ctx, sol.psi, om)) < 1e-8
-    fd = ev.fd_energy_derivatives(path, torus66)
+    fd = ev.fd_energy_derivatives(path, *solved(path, torus66))
     assert abs(fd.first) < 1e-8
     assert abs(fd.second) < 1e-6
 
@@ -217,7 +223,7 @@ def test_genus2_bending_variation(fuchsianC_ctx, genus2):
     c, k = path.jets()
     om, _ = fuchsianC_ctx.harmonic_rep(c)
     analytic = ev.first_variation(fuchsianC_ctx, om)
-    fd = ev.fd_energy_derivatives(path, genus2, tol=1e-11)
+    fd = ev.fd_energy_derivatives(path, *solved(path, genus2, tol=1e-11), tol=1e-11)
     assert abs(analytic - fd.first) < 2e-3 * max(abs(fd.first), 1e-6)
 
 
@@ -250,9 +256,7 @@ def _fd_case(name, request):
         rep = rv.torus_gl1c_rep(fixture("gl1c"), mesh, 0.5 + 1.0j, -0.3 + 0.2j)
         path = rv.commuting_exp_path(rep, {"a": np.array([[0.3 - 0.2j]]),
                                            "b": np.array([[0.1 + 0.4j]])})
-    f0, rpt = hf.flow(rep, hf.constant_map(mesh, rep), tol=1e-10,
-                      max_iter=ev.FD_MAX_ITER)
-    assert rpt.converged
+    f0, _ = hf.harmonic_map(rep, hf.constant_map(mesh, rep), tol=1e-10)
     return mesh, f0, path
 
 
@@ -271,7 +275,7 @@ def test_fd_samples_warm_started_by_continuation(request, monkeypatch, name, tot
         return out
 
     monkeypatch.setattr(hf, "flow", counting_flow)
-    ev.fd_energy_derivatives(path, mesh, f0=f0)
+    ev.fd_energy_derivatives(path, f0, hf.energy(f0))
     assert len(checks) == 2 * len(ev.FD_STEPS)
     assert checks[0] <= 3
     assert max(checks[1:]) <= 2
@@ -293,29 +297,44 @@ def test_variation_first_rel_err_floor(request):
 
 
 def test_fd_E0_needs_no_kernel_build(request, monkeypatch):
-    # E0 read from the complex's kernel, and from the FD oracle's own flow
-    # report, equals hf.energy(f0) bit for bit; neither path calls it
+    # E0 read from the complex's kernel, and from a flow report, equals
+    # hf.energy(f0) bit for bit; variation_report reads the kernel's
     mesh, f0, path = _fd_case("torus5_gl1c", request)
     ctx = TwistedComplex(mesh, f0.rep, f0)
-    E0 = hf.energy(f0)
-    assert hf.MapEval(ctx.kern, ctx.points).energy == E0
-    f, rpt = hf.flow(f0.rep, hf.constant_map(mesh, f0.rep), tol=1e-10,
-                     max_iter=ev.FD_MAX_ITER)
+    assert hf.MapEval(ctx.kern, ctx.points).energy == hf.energy(f0)
+    f, rpt = hf.harmonic_map(f0.rep, hf.constant_map(mesh, f0.rep), tol=1e-10)
     assert rpt.energy == hf.energy(f)
-    want = ev.fd_energy_derivatives(path, mesh, f0=f, E0=hf.energy(f))
 
     def no_energy(f):
         raise AssertionError("hf.energy builds a flow kernel")
     monkeypatch.setattr(hf, "energy", no_energy)
-    assert ev.fd_energy_derivatives(path, mesh).table == want.table
     ev.variation_report(ctx, path)
+
+
+def test_fd_refuses_an_unconverged_sample(request, monkeypatch):
+    # every sample goes through hf.harmonic_map: an unconverged one stops
+    # the oracle with its report, where its energy was once read as a value
+    mesh, f0, path = _fd_case("torus5_gl1c", request)
+    reports = []
+    flow = hf.flow
+
+    def third_unconverged(rep, start, **kw):
+        f, rpt = flow(rep, start, **kw)
+        reports.append(rpt)
+        rpt.converged = len(reports) != 3
+        return f, rpt
+
+    monkeypatch.setattr(hf, "flow", third_unconverged)
+    with pytest.raises(hf.FlowNotConverged) as info:
+        ev.fd_energy_derivatives(path, f0, hf.energy(f0))
+    assert len(reports) == 3 and info.value.report is reports[2]
 
 
 @pytest.mark.parametrize("name", ["circle8", "torus6_sl2c", "torus5_gl1c",
                                   "genus2_k2"])
 def test_fd_matches_f0_started_reference(request, name):
     mesh, f0, path = _fd_case(name, request)
-    fd = ev.fd_energy_derivatives(path, mesh, f0=f0)
+    fd = ev.fd_energy_derivatives(path, f0, hf.energy(f0))
     want = ref.fd_energy_derivatives_from_f0(path, mesh, f0)
     for got, exp in ((fd.first, want.first), (fd.second, want.second)):
         assert abs(got - exp) <= 1e-8 * max(1.0, abs(exp)), (got, exp)
