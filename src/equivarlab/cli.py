@@ -1,6 +1,6 @@
 """Batch experiment runner: JSON config in, JSON/CSV reports out.
 
-    equivar-lab <task> --config cfg.json [--out DIR] [--seed N] [--tol X]
+    equivar-lab <task> --config cfg.json [--out DIR] [--seed N]
 
 Tasks: flow, energy, hodge, deform1, deform2, variation, psh, critical-scan,
 refine-study.  _failure maps each failure class to its exit code, report
@@ -8,11 +8,13 @@ status and report fields:
 
   0 ok: the task ran.
   2 validation-error: a config section missing or not an object, a key missing
-    or of a bad value (a number, never a bool or a string; a tolerance finite
-    and above zero; an integer key such as a mesh size or the seed a whole
-    number), an unreadable or malformed mesh file, a matrix entry that is not
-    a number or not an [re, im] pair, a deformation with both values and a
-    path family or with second values next to one, a path family its
+    or of a bad value (a number, never a bool, a string or an integer beyond
+    the float range; a tolerance finite and above zero; an integer key such
+    as a mesh size or the seed a whole number), a schema_version other than
+    1 or an unreadable config (these two write no report), an unreadable or
+    malformed mesh file, a matrix entry that is not a number or not an
+    [re, im] pair, a deformation with both values and a path family or with
+    second values next to one, a path family its
     representation cannot carry, a real group given complex images, a
     non-finite cocycle or jet value, a flow max_iter below 1 or drift_radius
     not above zero, a non-finite torus_mc amplitude, refine-study levels
@@ -23,7 +25,8 @@ status and report fields:
   3 not-converged: a map that harmonicflow.harmonic_map refused (every task
     but flow and energy); the report's flow is the failed run, for variation
     maybe an FD sample, which keeps the oracle's tolerance and ignores the
-    flow section; solver-error: a linear solver failure or a singular factor.
+    flow section; solver-error: a linear solver failure, a singular factor
+    or kernel sections that are not parallel.
   4 obstructed: a second-order deformation request refused, with its defect
     and witness.
 
@@ -86,7 +89,7 @@ def _value(spec, name, default, convert):
     ConfigError naming the key."""
     try:
         return convert(spec.get(name, default))
-    except (TypeError, ValueError, OverflowError) as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"config key {name!r} has a bad value: {exc}") from exc
 
 
@@ -185,10 +188,7 @@ def build_path(spec, rep):
     if kind == "conjugation":
         return rv.conjugation_path(rep, _as_matrix(_key(spec, "xi")))
     if kind == "bending":
-        imaginary = spec.get("imaginary", True)
-        if not isinstance(imaginary, bool):
-            raise ConfigError(f"config key 'imaginary' is {imaginary!r}, not true or false")
-        return rv.bending_path(rep, imaginary=imaginary, **_given(spec, scale=as_real))
+        return rv.bending_path(rep, **_given(spec, "imaginary", scale=as_real))
     raise ConfigError(f"unknown path kind {kind!r}")
 
 
@@ -265,7 +265,9 @@ def resolve_config(args):
         raise ConfigError(f"cannot read config: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")
-    cfg.setdefault("schema_version", SCHEMA_VERSION)
+    version = cfg.setdefault("schema_version", SCHEMA_VERSION)
+    if isinstance(version, bool) or version != SCHEMA_VERSION:
+        raise ConfigError(f"schema_version {version!r} is not {SCHEMA_VERSION}")
     cfg.setdefault("seed", 0)
     if args.seed is not None:
         cfg["seed"] = args.seed
@@ -273,8 +275,6 @@ def resolve_config(args):
     if isinstance(tols, dict):      # else main reports the bad section
         for key, default in TOLERANCES.items():
             tols.setdefault(key, default)
-        if args.tol is not None:
-            tols["flow_tol"] = args.tol
     return cfg
 
 
@@ -313,7 +313,7 @@ def task_flow(cfg, out_dir):
     if start not in ("constant", "random"):
         raise ConfigError(f"config key 'start' is {start!r}, not 'constant' or 'random'")
     f0 = (hf.random_map(mesh, rep, np.random.default_rng(cfg["seed"]),
-                        _value(fspec, "scale", 0.4, as_real))
+                        **_given(fspec, scale=as_real))
           if start == "random" else hf.constant_map(mesh, rep))
     f, rpt = hf.flow(rep, f0, **_flow_args(cfg))
     return {"flow": rpt.to_dict()}
@@ -444,13 +444,11 @@ def task_refine_study(cfg, out_dir):
                                  - ctx.bracket_wedge(b, b).values)
             rows.append([n, 1.0 / n, "mc_residual", ctx.norm(res, 2)])
     elif kind == "circle_energy":
-        lam = _value(spec, "lam", 2.0, as_real)
-        # -g acts on the symmetric space as g does, so the sign of lam drops
-        exact = 4.0 * np.log(abs(lam)) ** 2
-        scale = exact
         for n in levels:
             mesh = mc.build_circle(n)
-            rep = rv.hyperbolic_circle_rep(group, mesh, lam)
+            rep = rv.hyperbolic_circle_rep(group, mesh, **_given(spec, lam=as_real))
+            # -g acts on the symmetric space as g does, so the sign of lam drops
+            exact = scale = 4.0 * np.log(abs(rep.images["a"][0, 0])) ** 2
             _, rpt = hf.harmonic_map(rep, hf.constant_map(mesh, rep), **_flow_args(cfg))
             rows.append([n, 1.0 / n, "energy_error", abs(rpt.energy - exact)])
     elif kind == "harmonic_residuals":
@@ -523,7 +521,6 @@ def main(argv=None):
     parser.add_argument("--config", required=True)
     parser.add_argument("--out", default=".")
     parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--tol", type=float, default=None)
     args = parser.parse_args(argv)
     out_dir = Path(args.out)
 

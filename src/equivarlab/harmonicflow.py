@@ -83,7 +83,8 @@ def constant_map(mesh, rep):
     return EquivariantMap(mesh, rep, pts)
 
 
-def random_map(mesh, rep, rng, scale=0.5):
+def random_map(mesh, rep, rng, scale=0.4):
+    """Vertices drawn by ``symspace.random_point``; every random start's scale."""
     pts = np.stack([ss.random_point(rep.group, rng, scale) for _ in range(mesh.nv)])
     return EquivariantMap(mesh, rep, pts)
 
@@ -313,7 +314,7 @@ class FlowReport:
 NEWTON_STEPS = 50
 
 
-def flow(rep, f0, *, tol=1e-8, max_iter=20000, drift_radius=50.0):
+def flow(rep, f0, *, tol=1e-8, max_iter=20000, drift_radius=ss.ATTAINED_RADIUS):
     """Harmonic map from f0: damped Riemannian Newton, explicit flow fallback.
 
     Convergence means the weighted tension norm drops below tol with the
@@ -324,7 +325,8 @@ def flow(rep, f0, *, tol=1e-8, max_iter=20000, drift_radius=50.0):
     energy of an unconverged run.  ``reductive_suspected`` is true when the
     run converged (a harmonic map exists only for a reductive rho) or when
     rho passes the trace-form test, ``Representation.reductive``.  A run
-    needs max_iter >= 1 and a drift radius above zero (inf allows any drift).
+    needs max_iter >= 1 and a drift radius above zero (inf allows any drift);
+    the defaults are every flow's, ``harmonic_map``'s too.
     """
     if not np.isfinite(f0.points).all():
         raise ValueError("start map has non-finite entries")
@@ -347,10 +349,10 @@ class FlowNotConverged(RuntimeError):
         self.report = report
 
 
-def harmonic_map(rep, f0, *, max_iter=60000, **flow_args):
+def harmonic_map(rep, f0, **flow_args):
     """(map, report) of a converged ``flow`` from f0, else FlowNotConverged
-    with the report; the flow_args (tol, drift_radius) go to the flow."""
-    f, report = flow(rep, f0, max_iter=max_iter, **flow_args)
+    with the report; the flow_args go to the flow, whose defaults stand."""
+    f, report = flow(rep, f0, **flow_args)
     if not report.converged:
         raise FlowNotConverged(report)
     return f, report
@@ -455,7 +457,7 @@ def energy_of_rep(rep, mesh, *, n_starts=2, seed=0, **flow_args):
     rng = np.random.default_rng(seed)
     reports = []
     for s in range(n_starts):
-        f0 = constant_map(mesh, rep) if s == 0 else random_map(mesh, rep, rng, 0.4)
+        f0 = constant_map(mesh, rep) if s == 0 else random_map(mesh, rep, rng)
         reports.append(flow(rep, f0, **flow_args)[1])
     best = min(reports, key=lambda r: r.energy)
     return best.energy, any(r.reductive_suspected for r in reports), best

@@ -99,16 +99,20 @@ def is_relator_or_identity(word, relations):
 
 
 def as_real(x):
-    """x as a float; a bool or a string is not a number and raises."""
+    """x as a float; a bool or a string is not a number, and an integer
+    beyond the float range does not fit one: both raise ValueError."""
     if isinstance(x, (bool, str)):
         raise ValueError(f"{x!r} is not a number")
-    return float(x)
+    try:
+        return float(x)
+    except OverflowError as exc:
+        raise ValueError(f"number out of the float range: {exc}") from exc
 
 
 def as_integer(x):
-    """x as an int; what as_real refuses and a non-integral number raise."""
-    as_real(x)
-    if int(x) != x:
+    """x as an int; what as_real refuses and a non-finite or non-integral
+    number raise."""
+    if not np.isfinite(as_real(x)) or int(x) != x:
         raise ValueError(f"{x!r} is not an integer")
     return int(x)
 

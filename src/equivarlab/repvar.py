@@ -337,6 +337,8 @@ def bending_path(rep0, scale=0.5, imaginary=True):
     commutator h = [rho(a1), rho(b1)]; for Fuchsian reps in SL(2,C) the
     imaginary axis direction gives the classical bending family.
     """
+    if not isinstance(imaginary, bool):
+        raise ValueError(f"imaginary is {imaginary!r}, not a bool")
     if not {"a1", "b1", "a2", "b2"} <= set(rep0.generators):
         raise ValueError("bending needs a genus-2 representation with "
                          "generators a1, b1, a2 and b2")

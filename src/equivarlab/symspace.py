@@ -38,7 +38,8 @@ MC_EDGE_NORM_RATIO = 0.5
 
 _EIG_FLOOR = 1e-14
 
-#: distance from I within which translation_length's minimizer counts
+#: distance from I within which a minimizer counts as attained, by
+#: translation_length and by the flow (its default drift radius)
 ATTAINED_RADIUS = 50.0
 
 _EYE2 = np.eye(2, dtype=complex)

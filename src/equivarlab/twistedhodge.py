@@ -92,8 +92,9 @@ class LinearSolverError(RuntimeError):
 
 
 class SingularKKTError(LinearSolverError):
-    """The kernel-deflated KKT matrix is singular: the SVD cutoff KERNEL_RTOL
-    most likely misjudged the centralizer dimension kernel_dim."""
+    """The kernel-deflated KKT matrix is singular, or the kernel's sections
+    are not parallel: the SVD cutoff KERNEL_RTOL most likely misjudged the
+    centralizer dimension kernel_dim."""
 
     def __init__(self, kernel_dim, kernel_rtol):
         super().__init__(f"singular KKT matrix with kernel_dim {kernel_dim} "
@@ -261,7 +262,7 @@ class TwistedComplex:
         K = np.tile(basis0 @ (U[:, keep] / np.sqrt(w[keep])), (nv, 1))
         resid = np.abs(self.d0 @ K).max(initial=0.0)
         if resid > 1e-8:
-            raise RuntimeError(f"constant sections not parallel: {resid}")
+            raise SingularKKTError(K.shape[1], KERNEL_RTOL)
         return K
 
     @property

@@ -174,15 +174,19 @@ MATRIX_ENTRIES = "matrix entries must be numbers"
     ("deform1", "deformation", {"values": {
         "a": [[0, "1"], [0, 0]], "b": [[0, 0], [0, 0]]}}, MATRIX_ENTRIES),
     ("deform2", "deformation", dict(OBSTRUCTED_CFG["deformation"], second={
-        "a": [[None, 0], [0, 0]], "b": [[0, 0], [0, 0]]}), MATRIX_ENTRIES)],
+        "a": [[None, 0], [0, 0]], "b": [[0, 0], [0, 0]]}), MATRIX_ENTRIES),
+    ("flow", "representation", {"inline": {"images": {
+        "a": [[10 ** 400, 0], [0, 1]], "b": [[1, 0], [0, 1]]}}}, MATRIX_ENTRIES)],
     ids=["inline-images", "mesh-path", "mesh-file", "commuting-B",
          "conjugation-xi", "bending-genus2", "params-list", "flow-list",
-         "image-string", "image-bool", "values-string", "second-null"])
+         "image-string", "image-bool", "values-string", "second-null",
+         "image-overflow"])
 def test_malformed_config_value_exit_two(tmp_path, task, section, value, key):
     # a missing key inside a section, a section of the wrong type, an
     # unreadable mesh file, a bending path on the torus (which has no a1) or
     # a matrix entry that is not a number (numpy once read "1" and true as
-    # 1.0, and null as NaN) is a validation error with a report
+    # 1.0, and null as NaN) or overflows a float (once a traceback) is a
+    # validation error with a report
     cfg = dict(OBSTRUCTED_CFG, **{section: value})
     code, report, _ = run_cli(tmp_path, task, cfg)
     assert code == cli.EXIT_VALIDATION
@@ -367,8 +371,12 @@ def test_validation_error_exit_two(tmp_path, capsys, task, cfg, error):
 @pytest.mark.parametrize("text, error", [
     (None, "cannot read config: "),
     ("{not json", "cannot read config: "),
-    ("[1, 2]", "config must be a JSON object")],
-    ids=["unreadable", "not_json", "not_an_object"])
+    ("[1, 2]", "config must be a JSON object"),
+    ('{"schema_version": 99}', "schema_version 99 is not 1"),
+    ('{"schema_version": true}', "schema_version True is not 1"),
+    ('{"schema_version": "1"}', "schema_version '1' is not 1")],
+    ids=["unreadable", "not_json", "not_an_object", "schema_version_99",
+         "schema_version_bool", "schema_version_string"])
 def test_config_error_exit_two_without_report(tmp_path, capsys, text, error):
     cfg_path = tmp_path / "cfg.json"
     if text is not None:
@@ -513,19 +521,22 @@ def test_real_group_refuses_complex_images(tmp_path, task):
     assert report["error"] == "SL(n,R) element has imaginary part"
 
 
-def test_tol_option_overrides_flow_tol(tmp_path):
-    # the config's flow_tol 1e-2 alone stops the solve after 2 checks at
-    # tension 1.8e-4
+def test_flow_tol_is_the_one_flow_tolerance_switch(tmp_path):
+    # a flow_tol of 1e-2 would stop the solve after 2 checks at tension
+    # 1.8e-4; no command-line option restates the key
     cfg = {
         "mesh": {"kind": "circle", "n": 8},
         "group": {"kind": "sl", "n": 2, "field": "R"},
         "representation": {"family": "circle_hyperbolic"},
-        "tolerances": {"flow_tol": 1e-2},
+        "tolerances": {"flow_tol": 1e-12},
     }
-    code, report, _ = run_cli(tmp_path, "flow", cfg, extra=("--tol", "1e-12"))
+    code, report, _ = run_cli(tmp_path, "flow", cfg)
     assert code == cli.EXIT_OK
     assert report["config"]["tolerances"]["flow_tol"] == 1e-12
     assert report["result"]["flow"]["tension"] < 1e-12
+    with pytest.raises(SystemExit) as info:
+        run_cli(tmp_path, "flow", cfg, extra=("--tol", "1e-2"))
+    assert info.value.code == cli.EXIT_VALIDATION
 
 
 def test_hodge_harmonic_leaves_catch_a_wrong_coexact_part(tmp_path, monkeypatch):
@@ -559,6 +570,19 @@ def test_solver_error_exit_three(tmp_path, monkeypatch, capsys):
                                "(kernel_rtol -1.0e+00)")
     assert capsys.readouterr().err == f"solver error: {report['error']}\n"
     assert "result" not in report
+
+
+def test_kernel_of_a_far_diagonal_rep_exit_three(tmp_path):
+    # the kernel cutoff counts four centralizer directions where two are
+    # (test_refusals.far_diagonal_kernel); a bare RuntimeError once ended
+    # the run with exit 1 and no report
+    cfg = {"mesh": {"kind": "torus", "n": 4}, "group": SL2C,
+           "representation": {"family": "torus_diag",
+                              "params": {"alpha": [12, 0.3], "beta": [0.2, 0.5]}}}
+    code, report, _ = run_cli(tmp_path, "hodge", cfg)
+    assert code == cli.EXIT_NONCONVERGED
+    assert report["status"] == "solver-error"
+    assert report["error"] == "singular KKT matrix with kernel_dim 4 (kernel_rtol 1.0e-09)"
 
 
 FAR_RANDOM_FLOW_CFG = {
@@ -704,7 +728,8 @@ def test_bending_imaginary_takes_only_a_boolean(tmp_path):
     cfg = dict(GENUS2_BENDING_CFG, deformation={"path_family": path})
     code, report, _ = run_cli(tmp_path, "deform1", cfg)
     assert code == cli.EXIT_VALIDATION
-    assert "config key 'imaginary'" in report["error"]
+    assert report["status"] == "validation-error"
+    assert report["error"] == "imaginary is 'false', not a bool"
 
 
 @pytest.mark.parametrize("task", ["deform1", "deform2", "psh", "variation"])

@@ -175,6 +175,22 @@ def test_energy_of_rep_parabolic(sl2r):
     assert not reductive
 
 
+def test_harmonic_map_takes_the_flow_defaults(sl2r, circle8, monkeypatch):
+    # harmonic_map states no budget of its own: what its caller omits
+    # (max_iter, drift_radius) takes flow's default, as every flow does
+    rep = rv.hyperbolic_circle_rep(sl2r, circle8)
+    calls = []
+    flow = hf.flow
+
+    def recording_flow(rep, start, **kw):
+        calls.append(kw)
+        return flow(rep, start, **kw)
+
+    monkeypatch.setattr(hf, "flow", recording_flow)
+    hf.harmonic_map(rep, hf.constant_map(circle8, rep), tol=1e-10)
+    assert calls == [{"tol": 1e-10}]
+
+
 def _near_parabolic(sl2r, eps):
     """Circle 4 with the diagonalizable image [[1 + eps, 1], [0, 1 / (1 + eps)]]."""
     circle = mc.build_circle(4)

@@ -188,6 +188,9 @@ MESH_CORRUPTIONS = [
     ("circle", ("relations",), "a", "'a' is not a list"),
     ("torus", ("generators",), ["a", "b", "a"], "are not distinct strings"),
     ("torus", ("relations",), ["a b A B", "z"], "relation 'z' is not a generator word"),
+    ("circle", ("edges", 0, "src"), float("inf"), "inf is not an integer"),
+    ("torus", ("faces", 0, "steps", 0, 1), float("inf"), "inf is not an integer"),
+    ("circle", ("edges", 0, "weight"), 10 ** 400, "number out of the float range"),
 ]
 MESH_CORRUPTION_IDS = ["step-edge-id", "step-sign", "empty-face",
                        "label-not-a-string", "label-not-a-generator", "dst-too-large",
@@ -197,7 +200,8 @@ MESH_CORRUPTION_IDS = ["step-edge-id", "step-sign", "empty-face",
                        "face-weight-inf", "src-fraction", "step-sign-fraction",
                        "weight-string", "weight-bool", "vertex-weight-string",
                        "generators-string", "relations-string", "generators-repeated",
-                       "relation-not-a-generator-word"]
+                       "relation-not-a-generator-word", "src-inf", "step-sign-inf",
+                       "edge-weight-overflow"]
 
 
 def corrupted_mesh_json(mesh_name, path, value):

@@ -37,6 +37,16 @@ def circle_ctx():
     return TwistedComplex(CIRCLE, rep, hf.constant_map(CIRCLE, rep))
 
 
+def far_diagonal_kernel():
+    """The kernel of torus_diag at alpha = 12 + 0.3i on torus 4: the cutoff
+    KERNEL_RTOL max(s0, 1), about 26.5, lies above the two Ad singular values
+    1.313, so four directions count as centralizer where two are, and their
+    sections are not parallel, already at the constant map."""
+    mesh = mc.build_torus(4, 4)
+    rep = rv.torus_diag_rep(MatrixGroup("sl", 2, "C"), mesh, 12 + 0.3j, 0.2 + 0.5j)
+    return TwistedComplex(mesh, rep, hf.constant_map(mesh, rep)).kernel
+
+
 #: id -> (call, exception type, message)
 REFUSALS = {
     "group_kind": (lambda: MatrixGroup("so", 3), ValueError, "unknown group kind 'so'"),
@@ -70,9 +80,15 @@ REFUSALS = {
         lambda: rv.bending_path(rv.Representation(
             SL2R, GENUS2_GENS, {name: EYE for name in GENUS2_GENS})),
         ValueError, "commutator is central, no bending axis"),
+    "bending_imaginary_not_a_bool": (
+        lambda: rv.bending_path(rv.genus2_fuchsian_rep(SL2R, mc.build_genus2(1)),
+                                imaginary="false"),
+        ValueError, "imaginary is 'false', not a bool"),
     "bending_imaginary_real_group": (
         lambda: rv.bending_path(rv.genus2_fuchsian_rep(SL2R, mc.build_genus2(1))),
         ValueError, "imaginary bending requires a complex group"),
+    "kernel_not_parallel": (far_diagonal_kernel, th.LinearSolverError,
+                            "singular KKT matrix with kernel_dim 4"),
     "curved_map_not_torus": (
         lambda: hf.curved_torus_map(CIRCLE, rv.trivial_rep(SL2R, CIRCLE)),
         ValueError, "curved test map needs a torus mesh"),
@@ -106,5 +122,6 @@ def test_kernel_refuses_sections_that_are_not_parallel(sl2c, monkeypatch):
     monkeypatch.setattr(th, "KERNEL_RTOL", 1e3)
     rep = rv.torus_diag_rep(sl2c, TORUS, 0.4 + 0.3j, -0.2 + 0.5j)
     ctx = TwistedComplex(TORUS, rep, hf.constant_map(TORUS, rep))
-    with pytest.raises(RuntimeError, match="constant sections not parallel: "):
+    with pytest.raises(th.SingularKKTError, match="kernel_dim 6") as info:
         ctx.kernel
+    assert info.value.kernel_rtol == 1e3
