@@ -17,9 +17,11 @@ status and report fields:
     second values next to one, a path family its
     representation cannot carry, a real group given complex images, a
     non-finite cocycle or jet value, a flow max_iter below 1 or drift_radius
-    not above zero, a non-finite torus_mc amplitude, refine-study levels
-    that do not strictly increase, or a representation that fails the
-    relator check (every task but refine-study starts from build_problem).
+    not above zero, a circle_hyperbolic lam of zero, a start map of
+    non-finite energy, a torus_mc amplitude or curved map that is not
+    finite, refine-study levels that do not strictly increase, or a
+    representation that fails the relator check (every task but
+    refine-study starts from build_problem).
     An omitted key takes the default of its routine.  Numbers are read by
     meshcover's as_real and as_integer, which the mesh reader shares.
   3 not-converged: a map that harmonicflow.harmonic_map refused (every task
@@ -27,8 +29,8 @@ status and report fields:
     maybe an FD sample, which keeps the oracle's tolerance and ignores the
     flow section; solver-error: a linear solver failure, a singular factor
     or kernel sections that are not parallel.
-  4 obstructed: a second-order deformation request refused, with its defect
-    and witness.
+  4 obstructed: a second-order deformation request refused, with deform1's
+    obstruction report (scale is |omega|^2) and the witness.
 
 Complex matrices and numbers are read and written as [re, im] pairs.
 """
@@ -508,8 +510,8 @@ def _failure(exc):
                 {"flow": exc.report.to_dict()})
     if isinstance(exc, ObstructedDeformationError):     # raised with defect > 0
         return (EXIT_OBSTRUCTED, "obstructed", "obstructed deformation",
-                {"obstruction": {"defect": exc.defect, "scale": exc.scale,
-                                 "witness": exc.witness.values.tolist()}})
+                {"obstruction": {**exc.report.to_dict(),
+                                 "witness": exc.report.witness.values.tolist()}})
     return EXIT_VALIDATION, "validation-error", "validation error", {}
 
 

@@ -29,15 +29,13 @@ from .twistedhodge import TwistedCochain, _vals
 
 
 class ObstructedDeformationError(RuntimeError):
-    """Second-order deformation refused: carries the defect and witness."""
+    """Second-order deformation refused: carries the ObstructionReport."""
 
-    def __init__(self, defect, scale, witness):
+    def __init__(self, report):
         super().__init__(
             f"obstructed: kernel component of omega* -| omega has norm "
-            f"{defect:.3e} (threshold scale {scale:.3e})")
-        self.defect = defect
-        self.scale = scale
-        self.witness = witness
+            f"{report.defect:.3e} (|omega|^2 = {report.scale:.3e})")
+        self.report = report
 
 
 @dataclass
@@ -178,8 +176,7 @@ def solve_psi(ctx, c, k, *, rel_tol=1e-7, require_unobstructed=True):
     F0, equiv_defect = ctx.primitive(omega, seed)
     obstruction = obstruction_check(ctx, omega, rel_tol)
     if require_unobstructed and not obstruction.orthogonal:
-        raise ObstructedDeformationError(
-            obstruction.defect, rel_tol * obstruction.scale, obstruction.witness)
+        raise ObstructedDeformationError(obstruction)
 
     # omega2^0 = k - [c, Ad_w xi(dst)]: the seed gauge-fixed by xi
     _, omega2_0 = _jet_transport(*edge_jets, -_transport(ctx, xi.values), 0.0)

@@ -42,14 +42,14 @@ norm needs no inverse: the fiber metric at P is the Frobenius one on S tau R.
 The 2 x 2 products of the flow (transports, frames, the Newton model) go
 through liealg.mul, broadcast arithmetic instead of one BLAS call per block.
 
-Both phases run through one loop, ``_descend`` (record, exit on tension or
-drift), with Newton and the explicit flow as its two step rules and one
-backtracking search, ``_backtrack``.  A flow runs on a complex
-copy of its start map.  The explicit flow's fixed-step polish rejects a
-candidate that equals the current points: such a step moved nothing, and
-accepting it would repeat it until max_iter.  Every candidate goes
-through ``FlowKernel.evaluate`` and is evaluated energy first; its tension
-is built only once it is accepted (or when a polish step accepts on it).
+Both phases run through one loop, ``_descend`` (exit, then one report of the
+map it returns), with Newton and the explicit flow as its two step rules and
+one backtracking search, ``_backtrack``.  A flow runs on a complex copy of
+its start map.  The explicit flow's fixed-step polish rejects a candidate
+that equals the current points: such a step moved nothing, and accepting it
+would repeat it until max_iter.  Every candidate goes through
+``FlowKernel.evaluate`` and is evaluated energy first; its tension is built
+only once it is accepted (or when a polish step accepts on it).
 curved_torus_map builds the smooth test map of the refinement studies for
 all vertices in one stacked pass.
 """
@@ -297,14 +297,14 @@ def tension_norm(f):
 
 @dataclass
 class FlowReport:
-    energy: float = np.nan
-    tension: float = np.nan
-    iterations: int = 0
-    converged: bool = False
-    basepoint_drift: float = 0.0
-    reductive_suspected: bool = True
-    step_underflow: bool = False
-    solver: str = "explicit"    # "newton" or "explicit"; not in to_dict
+    energy: float
+    tension: float
+    iterations: int
+    converged: bool
+    basepoint_drift: float
+    reductive_suspected: bool
+    step_underflow: bool
+    solver: str     # "newton" or "explicit"; not in to_dict
 
     def to_dict(self):
         return {k: v for k, v in vars(self).items() if k != "solver"}
@@ -319,8 +319,8 @@ def flow(rep, f0, *, tol=1e-8, max_iter=20000, drift_radius=ss.ATTAINED_RADIUS):
 
     Convergence means the weighted tension norm drops below tol with the
     basepoint inside the drift radius and no vertex eigenvalue at the floor.
-    ``iterations`` counts tension checks (Newton steps + 1, or explicit
-    iterations).  When the Newton phase does not converge, the explicit
+    The report describes the returned map; ``iterations`` counts loop passes,
+    at most max_iter.  When the Newton phase does not converge, the explicit
     Armijo flow runs from f0 and its report is returned, with the plateau
     energy of an unconverged run.  ``reductive_suspected`` is true when the
     run converged (a harmonic map exists only for a reductive rho) or when
@@ -358,31 +358,32 @@ def harmonic_map(rep, f0, **flow_args):
     return f, report
 
 
-def _descend(kern, pts, step, report, *, tol, max_iter, drift_radius):
+def _descend(kern, pts, step, solver, *, tol, max_iter, drift_radius):
     """The loop of both phases; (points, report).  It stops once the tension
-    is below tol or the basepoint is outside the drift radius.  A run that
-    stops outside, or at a map with a vertex eigenvalue at the eigenvalue
-    floor, is not converged; an unconverged one is reductive as rho's
-    verdict says.  Until it stops, step(ev) gives the next MapEval, or None
-    when its search fails."""
+    is below tol or the basepoint is outside the drift radius, when step(ev)
+    finds no next MapEval (None), or after max_iter passes, which
+    ``iterations`` counts.  The report is read off the returned map: it is
+    converged when that map passes the tension, drift and eigenvalue-floor
+    tests, else reductive as rho's verdict says.  A start map of non-finite
+    energy is refused."""
     ev = MapEval(kern, pts)
+    if not math.isfinite(ev.energy):
+        raise ValueError("start map has non-finite energy")
+    underflow = False
     for it in range(1, max_iter + 1):
-        drift = ev.drift
-        report.iterations = it
-        report.basepoint_drift = drift
-        if math.sqrt(ev.tension_sq) < tol or drift > drift_radius:
-            report.converged = bool(drift <= drift_radius
-                                    and ev.w.min() > ss._EIG_FLOOR)
+        if math.sqrt(ev.tension_sq) < tol or ev.drift > drift_radius:
             break
         nxt = step(ev)
         if nxt is None:
-            report.step_underflow = True
+            underflow = True
             break
         ev = nxt
-    report.energy = ev.energy
-    report.tension = float(np.sqrt(ev.tension_sq))
-    report.reductive_suspected = report.converged or kern.rep.reductive
-    return ev.points, report
+    tension, drift = math.sqrt(ev.tension_sq), ev.drift
+    converged = bool(tension < tol and drift <= drift_radius
+                     and ev.w.min() > ss._EIG_FLOOR)
+    return ev.points, FlowReport(ev.energy, tension, it, converged, drift,
+                                 converged or kern.rep.reductive, underflow,
+                                 solver)
 
 
 def _backtrack(kern, points, X, s, floor, accept):
@@ -418,7 +419,7 @@ def _newton_flow(kern, pts, *, max_iter, **args):
         slow = slow + 1 if alpha == 1.0 and cand.tension_sq > gsq / 16.0 else 0
         return None if slow == 2 else cand
 
-    return _descend(kern, pts, newton, FlowReport(solver="newton"),
+    return _descend(kern, pts, newton, "newton",
                     max_iter=min(max_iter, NEWTON_STEPS + 1), **args)
 
 
@@ -445,7 +446,7 @@ def _explicit_flow(kern, pts, **args):
         step = min(step * 1.4, 1e8)
         return cand
 
-    return _descend(kern, pts, armijo, FlowReport(), **args)
+    return _descend(kern, pts, armijo, "explicit", **args)
 
 
 def energy_of_rep(rep, mesh, *, n_starts=2, seed=0, **flow_args):
@@ -499,6 +500,8 @@ def curved_torus_map(mesh, rep, amplitude=0.3):
     pts = s @ ct(s)
     if nd > 1:
         pts = pts / (np.abs(np.linalg.det(pts)) ** (1.0 / nd))[:, None, None]
+    if not np.isfinite(pts).all():
+        raise ValueError(f"curved test map at amplitude {amplitude} is not finite")
     return EquivariantMap(mesh, rep, pts)
 
 

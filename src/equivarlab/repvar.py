@@ -365,6 +365,8 @@ def circle_rep(group, mesh, matrix):
 
 
 def hyperbolic_circle_rep(group, mesh, lam=2.0):
+    if lam == 0:
+        raise ValueError(f"lam must be nonzero, not {lam}")
     return circle_rep(group, mesh, np.diag([lam, 1.0 / lam]).astype(complex))
 
 

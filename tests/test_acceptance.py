@@ -192,10 +192,10 @@ def test_criterion_07_obstruction(trivial_ctx, trivialC_ctx, diag_ctx,
     c_ob = rv.Cocycle(trivial_ctx.rep, {"a": E2, "b": 0 * E2})
     with pytest.raises(df.ObstructedDeformationError) as err:
         df.second_order(trivial_ctx, c_ob, ZERO2)
-    W = err.value.witness.values[0]
+    W = err.value.report.witness.values[0]
     W = W / np.sqrt(abs(np.trace(W @ np.conj(W).T)))
     target = np.diag([1.0, -1.0]) / np.sqrt(2.0)
-    assert err.value.defect > 0
+    assert err.value.report.defect > 0
     assert abs(abs(np.trace(W @ target)) - 1.0) < 1e-8
 
     # the Cartan-line instance passes

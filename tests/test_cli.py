@@ -98,6 +98,19 @@ def test_deform2_obstructed_exit_four(tmp_path, capsys):
     assert abs(abs(np.trace(W @ target)) - 1.0) < 1e-8
 
 
+def test_obstructed_exit_four_carries_the_deform1_obstruction(tmp_path):
+    # the exit-4 section is deform1's obstruction report plus the witness:
+    # the same keys, and scale is |omega|^2 in both
+    _, report, _ = run_cli(tmp_path, "deform2", OBSTRUCTED_CFG)
+    _, first = main_report(tmp_path, "deform1", "deform1", OBSTRUCTED_CFG)
+    first = json.loads(first)["result"]["obstruction"]
+    got = report["obstruction"]
+    assert got.keys() == first.keys() | {"witness"}
+    assert got["orthogonal"] is first["orthogonal"] is False
+    assert got["scale"] == first["scale"]
+    assert abs(got["scale"] - 1.0) < 1e-12
+
+
 def test_malformed_mesh_exit_two(tmp_path):
     bad = tmp_path / "bad_mesh.json"
     bad.write_text("{this is not json")
@@ -293,6 +306,12 @@ def genus2_bending(family, field):
 
 ZERO2 = [[0, 0], [0, 0]]
 
+def hyperbolic_lam(lam):
+    """PARABOLIC_CFG's circle 4 in SL(2,R) with the hyperbolic image at lam."""
+    return dict(PARABOLIC_CFG, representation={"family": "circle_hyperbolic",
+                                               "params": {"lam": lam}})
+
+
 #: the circle has no relators, so only check_algebra sees these values
 NAN_COCYCLE_CFG = dict(PARABOLIC_CFG, representation={"family": "circle_hyperbolic"},
                        deformation={"values": {"a": [[math.nan, 1], [0, math.nan]]}})
@@ -351,7 +370,15 @@ NAN_COCYCLE_CFG = dict(PARABOLIC_CFG, representation={"family": "circle_hyperbol
     ("refine-study", {"group": SL2C, "refine": {"kind": "torus_mc", "amplitude": math.nan}},
      "amplitude nan is not finite"),
     ("refine-study", {"group": SL2C, "refine": {"kind": "torus_mc", "amplitude": math.inf}},
-     "amplitude inf is not finite")],
+     "amplitude inf is not finite"),
+    ("refine-study", {"group": SL2C, "refine": {"kind": "torus_mc", "amplitude": 10}},
+     "curved test map at amplitude 10.0 is not finite"),
+    ("flow", hyperbolic_lam(0), "lam must be nonzero, not 0.0"),
+    ("refine-study", {"group": PARABOLIC_CFG["group"],
+                      "refine": {"kind": "circle_energy", "lam": 0}},
+     "lam must be nonzero, not 0.0"),
+    ("flow", hyperbolic_lam(1e160), "start map has non-finite energy"),
+    ("energy", hyperbolic_lam(1e160), "start map has non-finite energy")],
     ids=["mesh_kind", "path_kind", "psh_real_group", "refine_kind", "group_kind",
          "group_field", "sl_n1", "genus2_k0", "image_shape", "image_nonfinite",
          "image_singular", "image_missing", "cocycle_shape", "cocycle_missing",
@@ -359,7 +386,9 @@ NAN_COCYCLE_CFG = dict(PARABOLIC_CFG, representation={"family": "circle_hyperbol
          "bending_imaginary_real_group", "flow_max_iter_zero", "hodge_max_iter_negative",
          "energy_max_iter_zero", "drift_radius_zero", "drift_radius_negative",
          "drift_radius_nan", "cocycle_nonfinite_deform1", "cocycle_nonfinite_deform2",
-         "torus_mc_amplitude_nan", "torus_mc_amplitude_inf"])
+         "torus_mc_amplitude_nan", "torus_mc_amplitude_inf", "torus_mc_points_nonfinite",
+         "flow_lam_zero", "circle_energy_lam_zero", "flow_start_energy_nonfinite",
+         "energy_start_energy_nonfinite"])
 def test_validation_error_exit_two(tmp_path, capsys, task, cfg, error):
     code, report, _ = run_cli(tmp_path, task, cfg)
     assert code == cli.EXIT_VALIDATION

@@ -247,8 +247,8 @@ def test_solve_psi_refuses_obstructed(trivial_ctx):
     k = {"a": 0 * E2, "b": 0 * E2}
     with pytest.raises(df.ObstructedDeformationError) as err:
         df.solve_psi(trivial_ctx, c, k)
-    assert err.value.defect > 0
-    assert err.value.witness is not None
+    assert err.value.report.defect > 0
+    assert err.value.report.witness is not None
 
 
 def test_second_order_diag_family(diag_ctx):

@@ -628,6 +628,32 @@ def test_newton_gives_up_and_explicit_polish_underflows(sl2c, monkeypatch):
     assert abs(rpt.energy - harmonic.energy) < 1e-12
 
 
+def test_exhausted_run_reports_the_map_it_returns(sl2c):
+    # one explicit step from a far random start: drift, energy and tension
+    # are all those of the returned map, not of the start
+    torus = mc.build_torus(4, 4)
+    rep = rv.torus_diag_rep(sl2c, torus)
+    f0 = hf.random_map(torus, rep, np.random.default_rng(0), 3.0)
+    f, rpt = hf.flow(rep, f0, max_iter=1)
+    ev = hf.MapEval(hf.FlowKernel(torus, rep), f.points)
+    assert rpt.iterations == 1 and not rpt.converged
+    assert rpt.basepoint_drift == ev.drift
+    assert rpt.energy == ev.energy
+    assert rpt.tension == np.sqrt(ev.tension_sq)
+    assert abs(rpt.basepoint_drift - 2.1019) < 1e-4
+
+
+def test_last_step_that_converges_counts(sl2r, circle8):
+    # Newton from the constant map converges in 3 checks; with max_iter 2
+    # its second step reaches tension 1.7e-12, and the run that stops there
+    # is converged
+    rep = rv.hyperbolic_circle_rep(sl2r, circle8)
+    f, rpt = hf.flow(rep, hf.constant_map(circle8, rep), max_iter=2)
+    assert rpt.solver == "newton" and rpt.converged and rpt.iterations == 2
+    assert rpt.tension < 1e-11
+    assert rpt.tension == hf.tension_norm(f)
+
+
 def test_newton_drift_exit_and_convergence_outside_the_radius(sl2r, circle8):
     # every constant map is harmonic for the trivial representation.  One
     # at distance 3 sqrt(2) lies outside a drift radius of 1: Newton stops
@@ -725,21 +751,15 @@ def _tension_norm_sq(kern, pts, tau):
 
 def _reference_explicit_flow(kern, pts, *, tol, max_iter, drift_radius):
     """The explicit flow that evaluates energy and tension of every
-    candidate and measures the drift by ss.dist at every iteration."""
+    candidate and measures the drift by ss.dist, and builds its report from
+    the map it returns."""
     eye = np.eye(kern.n, dtype=complex)
-    report = hf.FlowReport()
+    underflow = False
     E, tau = _energy_and_tension(kern, pts)
     step = 0.5 * kern.step_scale
     for it in range(1, max_iter + 1):
         gsq = _tension_norm_sq(kern, pts, tau)
-        tnorm = np.sqrt(gsq)
-        drift = ss.dist(eye, pts[0])
-        report.iterations = it
-        report.basepoint_drift = drift
-        if tnorm < tol:
-            report.converged = drift <= drift_radius
-            break
-        if drift > drift_radius:
+        if np.sqrt(gsq) < tol or ss.dist(eye, pts[0]) > drift_radius:
             break
         accepted = False
         if 0.25 * step * gsq < 1e-13 * max(1.0, abs(E)):
@@ -753,7 +773,7 @@ def _reference_explicit_flow(kern, pts, *, tol, max_iter, drift_radius):
                 step *= 0.5
                 accepted = step > 1e-16
             if not accepted:
-                report.step_underflow = True
+                underflow = True
                 break
             continue
         while step > 1e-16:
@@ -766,12 +786,14 @@ def _reference_explicit_flow(kern, pts, *, tol, max_iter, drift_radius):
                 break
             step *= 0.5
         if not accepted:
-            report.step_underflow = True
+            underflow = True
             break
-    report.energy = E
-    report.tension = float(np.sqrt(_tension_norm_sq(kern, pts, tau)))
-    report.reductive_suspected = report.converged or kern.rep.reductive
-    return pts, report
+    tension = float(np.sqrt(_tension_norm_sq(kern, pts, tau)))
+    drift = ss.dist(eye, pts[0])
+    converged = bool(tension < tol and drift <= drift_radius)
+    return pts, hf.FlowReport(E, tension, it, converged, drift,
+                              converged or kern.rep.reductive, underflow,
+                              "explicit")
 
 
 SL3R_LOGS = {"a": np.diag([0.3, -0.1, -0.2]), "b": np.diag([-0.2, 0.5, -0.3])}

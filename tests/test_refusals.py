@@ -23,6 +23,7 @@ SL2R = MatrixGroup("sl", 2, "R")
 GL1C = MatrixGroup("gl1c")
 CIRCLE = mc.build_circle(4)
 TORUS = mc.build_torus(3, 3)
+TORUS4 = mc.build_torus(4, 4)
 GENUS2_GENS = ("a1", "b1", "a2", "b2")
 EYE = np.eye(2, dtype=complex)
 ZERO = np.zeros((2, 2), dtype=complex)
@@ -42,9 +43,16 @@ def far_diagonal_kernel():
     KERNEL_RTOL max(s0, 1), about 26.5, lies above the two Ad singular values
     1.313, so four directions count as centralizer where two are, and their
     sections are not parallel, already at the constant map."""
-    mesh = mc.build_torus(4, 4)
-    rep = rv.torus_diag_rep(MatrixGroup("sl", 2, "C"), mesh, 12 + 0.3j, 0.2 + 0.5j)
-    return TwistedComplex(mesh, rep, hf.constant_map(mesh, rep)).kernel
+    rep = rv.torus_diag_rep(MatrixGroup("sl", 2, "C"), TORUS4, 12 + 0.3j, 0.2 + 0.5j)
+    return TwistedComplex(TORUS4, rep, hf.constant_map(TORUS4, rep)).kernel
+
+
+def far_hyperbolic_flow():
+    """The flow of the hyperbolic circle at lam = 1e160 from the constant map:
+    the transported points overflow, so every point is finite but the start
+    energy is not (at lam = 1e150 it is 9.56e5)."""
+    rep = rv.hyperbolic_circle_rep(SL2R, CIRCLE, 1e160)
+    return hf.flow(rep, hf.constant_map(CIRCLE, rep))
 
 
 #: id -> (call, exception type, message)
@@ -95,6 +103,14 @@ REFUSALS = {
     "curved_map_not_exp_family": (
         lambda: hf.curved_torus_map(TORUS, trivial_torus()),
         ValueError, "curved test map needs an exp-family representation"),
+    "flow_start_energy_not_finite": (far_hyperbolic_flow, ValueError,
+                                     "start map has non-finite energy"),
+    "curved_map_not_finite": (
+        lambda: hf.curved_torus_map(TORUS4, rv.torus_diag_rep(
+            MatrixGroup("sl", 2, "C"), TORUS4, 0.4, -0.2), amplitude=10.0),
+        ValueError, "curved test map at amplitude 10.0 is not finite"),
+    "hyperbolic_lam_zero": (lambda: rv.hyperbolic_circle_rep(SL2R, CIRCLE, 0.0),
+                            ValueError, "lam must be nonzero, not 0.0"),
     "companion_real_group": (lambda: df.companion_pair(circle_ctx(), None), ValueError,
                              "companion pair needs a complex group"),
     "psh_real_group": (lambda: ev.psh_defect(circle_ctx(), None, None), ValueError,

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import importlib.util
 import json
 import subprocess
@@ -7,6 +8,9 @@ import types
 from pathlib import Path
 
 from equivarlab import cli
+from equivarlab.deform import (FirstOrderDeformation, ObstructionReport,
+                               SecondOrderDeformation)
+from equivarlab.harmonicflow import FlowReport
 from equivarlab.twistedhodge import TwistedComplex
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -114,3 +118,10 @@ def test_bench_reads_only_names_the_package_has():
     for member in ("A0", "inner", "norm", "kernel_sections", "kernel_dim",
                    "contract_star", "hodge_decompose", "jacobi_dense_sym"):
         assert hasattr(TwistedComplex, member), member
+    # fields the benchmark reads off the records the package returns
+    for record, names in [
+            (FlowReport, {"converged", "energy", "iterations"}),
+            (ObstructionReport, {"defect", "orthogonal", "scale"}),
+            (FirstOrderDeformation, {"omega", "residuals"}),
+            (SecondOrderDeformation, {"F", "F2", "psi", "residuals"})]:
+        assert names <= {f.name for f in dataclasses.fields(record)}, record
