@@ -44,12 +44,13 @@ through liealg.mul, broadcast arithmetic instead of one BLAS call per block.
 
 Both phases run through one loop, ``_descend`` (exit, then one report of the
 map it returns), with Newton and the explicit flow as its two step rules and
-one backtracking search, ``_backtrack``.  A flow runs on a complex copy of
-its start map.  The explicit flow's fixed-step polish rejects a candidate
-that equals the current points: such a step moved nothing, and accepting it
-would repeat it until max_iter.  Every candidate goes through
-``FlowKernel.evaluate`` and is evaluated energy first; its tension is built
-only once it is accepted (or when a polish step accepts on it).
+one backtracking search, ``_backtrack``.  A flow evaluates a complex copy of
+its start map once, quietly, and both phases descend from that MapEval.  The
+explicit flow's fixed-step polish rejects a candidate equal to the current
+points: such a step moved nothing, and accepting it would repeat it until
+max_iter.  The start and every candidate pass one gate, ``FlowKernel.evaluate``
+(finite entries and energy); a candidate is evaluated energy first, and its
+tension is built only once it is accepted (or a polish step accepts on it).
 curved_torus_map builds the smooth test map of the refinement studies for
 all vertices in one stacked pass.
 """
@@ -127,7 +128,7 @@ class FlowKernel:
     # -- geometry ------------------------------------------------------
     def evaluate(self, points):
         """MapEval of points, or None when the map or its energy is not
-        finite (an overflowing retraction)."""
+        finite: the one gate of a flow's start and of every candidate."""
         if not np.isfinite(points).all():
             return None
         ev = MapEval(self, points)
@@ -320,26 +321,28 @@ def flow(rep, f0, *, tol=1e-8, max_iter=20000, drift_radius=ss.ATTAINED_RADIUS):
     Convergence means the weighted tension norm drops below tol with the
     basepoint inside the drift radius and no vertex eigenvalue at the floor.
     The report describes the returned map; ``iterations`` counts loop passes,
-    at most max_iter.  When the Newton phase does not converge, the explicit
-    Armijo flow runs from f0 and its report is returned, with the plateau
-    energy of an unconverged run.  ``reductive_suspected`` is true when the
-    run converged (a harmonic map exists only for a reductive rho) or when
-    rho passes the trace-form test, ``Representation.reductive``.  A run
-    needs max_iter >= 1 and a drift radius above zero (inf allows any drift);
-    the defaults are every flow's, ``harmonic_map``'s too.
+    at most max_iter.  f0 is evaluated once, quietly, and refused if its energy
+    is not finite; when the Newton phase does not converge, the explicit Armijo
+    flow runs from that evaluation and returns its report, with the plateau
+    energy of an unconverged run.  ``reductive_suspected`` is true when the run
+    converged (a harmonic map exists only for a reductive rho) or when rho
+    passes the trace-form test, ``Representation.reductive``.  A run needs
+    max_iter >= 1 and a drift radius above zero (inf allows any drift); the
+    defaults are every flow's, ``harmonic_map``'s too.
     """
-    if not np.isfinite(f0.points).all():
-        raise ValueError("start map has non-finite entries")
     if not max_iter >= 1:
         raise ValueError(f"max_iter must be at least 1, not {max_iter}")
     if not drift_radius > 0:
         raise ValueError(f"drift_radius must be above zero, not {drift_radius}")
     kern = FlowKernel(f0.mesh, rep)
+    with np.errstate(all="ignore"):
+        start = kern.evaluate(np.array(f0.points, dtype=complex))
+    if start is None:
+        raise ValueError("start map has non-finite energy")
     args = dict(tol=tol, max_iter=max_iter, drift_radius=drift_radius)
-    pts, report = _newton_flow(kern, np.array(f0.points, dtype=complex), **args)
+    pts, report = _newton_flow(kern, start, **args)
     if not report.converged:
-        pts, report = _explicit_flow(kern, np.array(f0.points, dtype=complex),
-                                     **args)
+        pts, report = _explicit_flow(kern, start, **args)
     return EquivariantMap(f0.mesh, rep, pts), report
 
 
@@ -358,17 +361,13 @@ def harmonic_map(rep, f0, **flow_args):
     return f, report
 
 
-def _descend(kern, pts, step, solver, *, tol, max_iter, drift_radius):
-    """The loop of both phases; (points, report).  It stops once the tension
-    is below tol or the basepoint is outside the drift radius, when step(ev)
-    finds no next MapEval (None), or after max_iter passes, which
-    ``iterations`` counts.  The report is read off the returned map: it is
-    converged when that map passes the tension, drift and eigenvalue-floor
-    tests, else reductive as rho's verdict says.  A start map of non-finite
-    energy is refused."""
-    ev = MapEval(kern, pts)
-    if not math.isfinite(ev.energy):
-        raise ValueError("start map has non-finite energy")
+def _descend(kern, ev, step, solver, *, tol, max_iter, drift_radius):
+    """The loop of both phases from the start MapEval ev; (points, report).
+    It stops once the tension is below tol or the basepoint is outside the
+    drift radius, when step(ev) finds no next MapEval (None), or after
+    max_iter passes, which ``iterations`` counts.  The report is read off
+    the returned map: it is converged when that map passes the tension,
+    drift and eigenvalue-floor tests, else reductive as rho's verdict says."""
     underflow = False
     for it in range(1, max_iter + 1):
         if math.sqrt(ev.tension_sq) < tol or ev.drift > drift_radius:
@@ -388,8 +387,7 @@ def _descend(kern, pts, step, solver, *, tol, max_iter, drift_radius):
 
 def _backtrack(kern, points, X, s, floor, accept):
     """First candidate retract(points, s X) with accept(cand, s), halving s
-    while it is above floor; (cand, s), or (None, s).  Candidates go through
-    ``FlowKernel.evaluate``, so a non-finite one is rejected."""
+    while it is above floor; (cand, s), or (None, s)."""
     while s > floor:
         cand = kern.evaluate(retract(points, s * X))
         if cand is not None and accept(cand, s):
@@ -398,7 +396,7 @@ def _backtrack(kern, points, X, s, floor, accept):
     return None, s
 
 
-def _newton_flow(kern, pts, *, max_iter, **args):
+def _newton_flow(kern, start, *, max_iter, **args):
     """Damped Riemannian Newton phase; (points, report), unconverged when
     the explicit flow has to take over."""
     slow = 0        # full steps in a row that cut |tau| by less than 4x
@@ -419,11 +417,11 @@ def _newton_flow(kern, pts, *, max_iter, **args):
         slow = slow + 1 if alpha == 1.0 and cand.tension_sq > gsq / 16.0 else 0
         return None if slow == 2 else cand
 
-    return _descend(kern, pts, newton, "newton",
+    return _descend(kern, start, newton, "newton",
                     max_iter=min(max_iter, NEWTON_STEPS + 1), **args)
 
 
-def _explicit_flow(kern, pts, **args):
+def _explicit_flow(kern, start, **args):
     """Energy-descent flow with Armijo backtracking; (points, report)."""
     step = 0.5 * kern.step_scale
 
@@ -446,7 +444,7 @@ def _explicit_flow(kern, pts, **args):
         step = min(step * 1.4, 1e8)
         return cand
 
-    return _descend(kern, pts, armijo, "explicit", **args)
+    return _descend(kern, start, armijo, "explicit", **args)
 
 
 def energy_of_rep(rep, mesh, *, n_starts=2, seed=0, **flow_args):
@@ -499,7 +497,8 @@ def curved_torus_map(mesh, rep, amplitude=0.3):
         @ ss._expm(bump[:, None, None] * C)
     pts = s @ ct(s)
     if nd > 1:
-        pts = pts / (np.abs(np.linalg.det(pts)) ** (1.0 / nd))[:, None, None]
+        with np.errstate(all="ignore"):    # refused below, without a warning
+            pts = pts / (np.abs(np.linalg.det(pts)) ** (1.0 / nd))[:, None, None]
     if not np.isfinite(pts).all():
         raise ValueError(f"curved test map at amplitude {amplitude} is not finite")
     return EquivariantMap(mesh, rep, pts)

@@ -116,7 +116,8 @@ def test_flow_energy_monotone(sl2c, torus66):
     kern = hf.FlowKernel(torus66, rep)
     f0 = hf.random_map(torus66, rep, rng, 0.4)
     for phase in (hf._newton_flow, hf._explicit_flow):
-        hist = np.array([phase(kern, f0.points.astype(complex), tol=1e-8,
+        start = kern.evaluate(f0.points.astype(complex))
+        hist = np.array([phase(kern, start, tol=1e-8,
                                max_iter=k, drift_radius=50.0)[1].energy
                          for k in range(1, 13)])
         assert hist[-1] < hist[0]
@@ -401,8 +402,8 @@ def test_flow_leaves_prefix_inverses_unbuilt(sl2r, genus2, monkeypatch):
 def _agreement(mesh, rep, f0):
     f, rpt = hf.flow(rep, f0, tol=1e-10)
     kern = hf.FlowKernel(mesh, rep)
-    pts, slow = hf._explicit_flow(kern, f0.points.copy(), tol=1e-10,
-                                  max_iter=20000, drift_radius=50.0)
+    pts, slow = hf._explicit_flow(kern, kern.evaluate(f0.points.astype(complex)),
+                                  tol=1e-10, max_iter=20000, drift_radius=50.0)
     assert rpt.solver == "newton" and slow.solver == "explicit"
     assert rpt.converged and slow.converged
     assert rpt.iterations - 1 <= 8
@@ -430,7 +431,8 @@ def test_newton_matches_explicit_genus2(sl2r, genus2):
 def _explicit_run(rep, f0, **kw):
     args = dict(tol=1e-8, max_iter=20000, drift_radius=50.0)
     args.update(kw)
-    return hf._explicit_flow(hf.FlowKernel(f0.mesh, rep), f0.points.copy(), **args)
+    kern = hf.FlowKernel(f0.mesh, rep)
+    return hf._explicit_flow(kern, kern.evaluate(f0.points.astype(complex)), **args)
 
 
 def test_parabolic_takes_explicit_path(sl2r):
@@ -443,6 +445,23 @@ def test_parabolic_takes_explicit_path(sl2r):
     assert dataclasses.asdict(rpt) == dataclasses.asdict(ref)
     assert np.array_equal(f.points, pts)
     assert "solver" not in rpt.to_dict()
+
+
+def test_fallback_evaluates_its_start_once(sl2r, monkeypatch):
+    # the explicit flow descends from the MapEval the Newton phase began from
+    circle = mc.build_circle(4)
+    rep = rv.parabolic_circle_rep(sl2r, circle)
+    f0 = hf.constant_map(circle, rep)
+    built = []
+    init = hf.MapEval.__init__
+
+    def recorded_init(self, kern, points):
+        built.append(points.copy())
+        init(self, kern, points)
+    monkeypatch.setattr(hf.MapEval, "__init__", recorded_init)
+    _, rpt = hf.flow(rep, f0, max_iter=5)
+    assert rpt.solver == "explicit"
+    assert sum(np.array_equal(p, f0.points) for p in built) == 1
 
 
 def test_singular_newton_factor_falls_back(sl2r, circle8, monkeypatch):
@@ -502,7 +521,8 @@ def test_oversize_step_is_a_silent_rejection(sl2c, torus66):
 def _newton_candidates(monkeypatch):
     """Candidates the line search evaluates in each Newton step, recorded
     as the flow runs: 1 for a full step, 34 (alpha = 1, 1/2, ..., 2^-33)
-    when it gives up below alpha = 1e-10.  Counting stops when the explicit
+    when it gives up below alpha = 1e-10.  The start's evaluation, before
+    the first step, is not counted, and counting stops when the explicit
     flow takes over, whose candidates go through the same evaluate."""
     steps = []
     newton_step, evaluate = hf.MapEval.newton_step, hf.FlowKernel.evaluate
@@ -513,12 +533,13 @@ def _newton_candidates(monkeypatch):
         return newton_step(self, mu)
 
     def counted_evaluate(self, points):
-        steps[-1] += 1
+        if steps:
+            steps[-1] += 1
         return evaluate(self, points)
 
-    def uncounted_explicit_flow(kern, pts, **args):
+    def uncounted_explicit_flow(kern, start, **args):
         monkeypatch.setattr(hf.FlowKernel, "evaluate", evaluate)
-        return explicit_flow(kern, pts, **args)
+        return explicit_flow(kern, start, **args)
     monkeypatch.setattr(hf.MapEval, "newton_step", counted_step)
     monkeypatch.setattr(hf.FlowKernel, "evaluate", counted_evaluate)
     monkeypatch.setattr(hf, "_explicit_flow", uncounted_explicit_flow)
@@ -604,7 +625,8 @@ def test_newton_far_start_scan(sl2r, circle8):
         converged = 0
         for seed in range(60):
             f0 = hf.random_map(circle8, rep, np.random.default_rng(seed), scale)
-            _, rpt = hf._newton_flow(kern, f0.points.copy(), tol=1e-10,
+            start = kern.evaluate(f0.points.astype(complex))
+            _, rpt = hf._newton_flow(kern, start, tol=1e-10,
                                      max_iter=20000, drift_radius=50.0)
             converged += rpt.converged
         assert converged >= floor, scale
@@ -837,7 +859,8 @@ def test_explicit_flow_matches_reference_loop(name):
     mesh, rep, f0, max_iter = _reference_case(name)
     kern = hf.FlowKernel(mesh, rep)
     args = dict(tol=1e-8, max_iter=max_iter, drift_radius=50.0)
-    pts, rpt = hf._explicit_flow(kern, f0.points.copy(), **args)
+    pts, rpt = hf._explicit_flow(kern, kern.evaluate(f0.points.astype(complex)),
+                                 **args)
     ref_pts, ref = _reference_explicit_flow(kern, f0.points.copy(), **args)
     assert np.array_equal(pts, ref_pts)
     assert dataclasses.asdict(rpt) == dataclasses.asdict(ref)

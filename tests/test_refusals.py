@@ -55,6 +55,16 @@ def far_hyperbolic_flow():
     return hf.flow(rep, hf.constant_map(CIRCLE, rep))
 
 
+def hyperbolic_flow_from(entry):
+    """The flow of the hyperbolic circle from the constant map with one
+    entry set to a non-finite value: no finite start has a non-finite
+    entry, so it is refused as a start of non-finite energy."""
+    rep = rv.hyperbolic_circle_rep(SL2R, CIRCLE, 2.0)
+    f0 = hf.constant_map(CIRCLE, rep)
+    f0.points[1, 0, 1] = entry
+    return hf.flow(rep, f0)
+
+
 #: id -> (call, exception type, message)
 REFUSALS = {
     "group_kind": (lambda: MatrixGroup("so", 3), ValueError, "unknown group kind 'so'"),
@@ -105,6 +115,10 @@ REFUSALS = {
         ValueError, "curved test map needs an exp-family representation"),
     "flow_start_energy_not_finite": (far_hyperbolic_flow, ValueError,
                                      "start map has non-finite energy"),
+    "flow_start_nan_entry": (lambda: hyperbolic_flow_from(np.nan), ValueError,
+                             "start map has non-finite energy"),
+    "flow_start_inf_entry": (lambda: hyperbolic_flow_from(np.inf), ValueError,
+                             "start map has non-finite energy"),
     "curved_map_not_finite": (
         lambda: hf.curved_torus_map(TORUS4, rv.torus_diag_rep(
             MatrixGroup("sl", 2, "C"), TORUS4, 0.4, -0.2), amplitude=10.0),
