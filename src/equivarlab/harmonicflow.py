@@ -17,30 +17,40 @@ The energy is geodesically convex, and its exact Hessian is a sum of
 per-edge Jacobi-field blocks: in the eigenframe of beta_e = mc_edge at the
 edge source, with T = |ad_beta_e|, each edge adds 4 w1 T coth T on both
 endpoints and -4 w1 T / sinh T between them, the far endpoint carried to the
-source by Ad_{e^{-beta_e} rho(w_e)}.  ``flow`` solves for the p-part of the
-Newton step in orthonormal coordinates, damps the centralizer directions by
-mu = 1e-2 min(1, |tau|) times the vertex mass, retracts with exp_point and
-backtracks on the energy (on the tension once energy decrements fall below
-float resolution).  When the Newton phase stalls, stops outside the drift
-radius, meets a non-finite value or a singular factor, fails its line
-search or spends its step budget, the explicit Armijo flow runs from the
-start map instead; a parabolic (non-reductive) representation always ends
-there.  A converged run certifies that rho is reductive; otherwise the
-trace-form test ``repvar.Representation.reductive`` decides.  Every reader
-of a harmonic map takes it from ``harmonic_map``, which refuses the rest.
+source by Ad_{e^{-beta_e} rho(w_e)}.  For n = 2, T is l on the complement of
+ker ad beta and 0 on it, so the blocks need no eigenvectors (see
+``MapEval._sl2_blocks``).  ``flow`` solves for the p-part of the Newton step
+in orthonormal coordinates, damps the centralizer directions by
+mu = 1e-2 min(1, |tau|) times the vertex mass, retracts with exp_point
+(``MapEval.moved``) and backtracks on the energy (on the tension once energy
+decrements fall below float resolution).  When the Newton phase stalls,
+stops outside the drift radius, meets a non-finite value or a singular
+factor, fails its line search or spends its step budget, the explicit Armijo
+flow runs from the start map instead; a parabolic (non-reductive)
+representation always ends there.  A converged run certifies that rho is
+reductive; otherwise the trace-form test ``repvar.Representation.reductive``
+decides.  Every reader of a harmonic map takes it from ``harmonic_map``,
+which refuses the rest.
 
 FlowKernel holds only (mesh, representation) data: the per-edge arrays, the
 deck words of the mesh (``CoverMesh.word_index``) evaluated once as one
 ``repvar.WordTable`` that the twisted complex reads too, the transports
 rho(word_e) and their inverses per edge, and the Hessian's sparsity pattern.
-A MapEval holds all the data of one map: the vertex frame (w, U, S =
-P^{-1/2}) and the edge frame (logw, V) give the energy, and the edge logs,
-the tension, its norm, the basepoint drift and the Newton model (tangent
-fields, Hessian, Newton step) are read from them when asked for, with
-R = P^{1/2} = U diag(sqrt w) U^† formed once for all of them.  The tension
-norm needs no inverse: the fiber metric at P is the Frobenius one on S tau R.
-The 2 x 2 products of the flow (transports, frames, the Newton model) go
-through liealg.mul, broadcast arithmetic instead of one BLAS call per block.
+A MapEval holds all the data of one map.  For n = 2 it takes no
+eigendecomposition: the edge frame of ``symspace.sl2_frame`` (the traceless
+part N of Q adj(P_src), sinh l = sqrt(-det N)) gives the energy and the edge
+logs; the roots R = P^{1/2}, S = P^{-1/2} are ``symspace.sl2_root`` and its
+adjugate; the tension in the vertex frames sums the traceless Gram parts of
+Z = S_src g R_dst per edge; the drift and the eigenvalue-floor rule read the
+vertex distance dist(I, P); and a step moves a point to R e^{2X} R, X in the
+vertex frame, which is exp_point(P, R X S) without its cancellation far out.
+For n = 1 and n >= 3 the vertex frame (w, U, S = P^{-1/2}) and the edge frame
+(logw, V) of numpy's eigh give the energy, and the edge logs, the tension,
+its norm, the drift and the Newton model are read from them, with
+R = U diag(sqrt w) U^† formed once.  Either way the tension norm needs no
+inverse: the fiber metric at P is the Frobenius one on S tau R.  The 2 x 2
+products of the flow (transports, frames, the Newton model) go through
+liealg.mul, broadcast arithmetic instead of one BLAS call per block.
 
 Both phases run through one loop, ``_descend`` (exit, then one report of the
 map it returns), with Newton and the explicit flow as its two step rules and
@@ -49,10 +59,11 @@ its start map once, quietly, and both phases descend from that MapEval.  The
 explicit flow's fixed-step polish rejects a candidate equal to the current
 points: such a step moved nothing, and accepting it would repeat it until
 max_iter.  The start and every candidate pass one gate, ``FlowKernel.evaluate``
-(finite entries and energy); a candidate is evaluated energy first, and its
-tension is built only once it is accepted (or a polish step accepts on it).
-curved_torus_map builds the smooth test map of the refinement studies for
-all vertices in one stacked pass.
+(finite entries and energy, and for n = 2 a positive trace at every vertex);
+a candidate is evaluated energy first, and its tension is built only once
+it is accepted (or a polish step accepts on it).  curved_torus_map builds
+the smooth test map of the refinement studies for all vertices in one
+stacked pass, and refuses one whose points have lost their determinant.
 """
 
 from __future__ import annotations
@@ -93,14 +104,18 @@ def random_map(mesh, rep, rng, scale=0.4):
 def retract(points, X):
     """exp_point(points, X) with the determinant normalized to 1 for n > 1
     (GL(1,C) points are left alone); for n = 2 the determinant is a d - b c."""
-    n = points.shape[-1]
     # an oversize step overflows; it comes back non-finite, silently
     with np.errstate(all="ignore"):
-        new = ss.exp_point(points, X)
-        if n > 1:
-            det = (new[:, 0, 0] * new[:, 1, 1] - new[:, 0, 1] * new[:, 1, 0]
-                   if n == 2 else np.linalg.det(new))
-            new = new / (np.abs(det) ** (1.0 / n))[:, None, None]
+        return _unit_det(ss.exp_point(points, X))
+
+
+def _unit_det(new):
+    """new / |det new|^(1/n) for n > 1, under the caller's np.errstate."""
+    n = new.shape[-1]
+    if n > 1:
+        det = (new[:, 0, 0] * new[:, 1, 1] - new[:, 0, 1] * new[:, 1, 0]
+               if n == 2 else np.linalg.det(new))
+        new = new / (np.abs(det) ** (1.0 / n))[:, None, None]
     return new
 
 
@@ -128,8 +143,12 @@ class FlowKernel:
     # -- geometry ------------------------------------------------------
     def evaluate(self, points):
         """MapEval of points, or None when the map or its energy is not
-        finite: the one gate of a flow's start and of every candidate."""
+        finite or, for n = 2, a point has a trace at or below zero, so is
+        not positive (an oversize step far out leaves R e^{2X} R no correct
+        digit): the one gate of a flow's start and of every candidate."""
         if not np.isfinite(points).all():
+            return None
+        if self.n == 2 and not (points[:, 0, 0].real + points[:, 1, 1].real > 0.0).all():
             return None
         ev = MapEval(self, points)
         return ev if math.isfinite(ev.energy) else None
@@ -161,29 +180,39 @@ class FlowKernel:
 class MapEval:
     """One evaluation of a map under a FlowKernel.
 
-    One eigendecomposition of the vertex points gives S = P^{-1/2}; the
-    log-eigendecomposition of S_src Q S_src, Q the transported far endpoint,
-    gives the squared edge distances d2 and from them the energy.  The edge
-    logs beta, the tension, its squared norm, the basepoint drift and the
-    Newton model are built from the same arrays when asked for (beta, the
-    tension, its norm and P^{1/2} once), so a rejected candidate pays for its
-    energy alone and a Newton step takes no eigendecomposition of its own.
+    For n = 2 the edge frame of symspace.sl2_frame, the traceless part N of
+    Q adj(P_src) with sinh l = sqrt(-det N), Q the transported far endpoint,
+    gives the squared edge distances d2 = dist^2 = 2 l^2 and from them the
+    energy; no eigendecomposition is taken.  Otherwise one eigendecomposition
+    of the vertex points gives S = P^{-1/2}, and the log-eigendecomposition
+    of S_src Q S_src gives d2.  The edge logs beta, the tension, its squared
+    norm, the basepoint drift and the Newton model are built from the same
+    arrays when asked for (beta, the tension, its norm and the roots
+    R = P^{1/2}, S once), so a rejected candidate pays for its energy alone
+    and a Newton step takes no eigendecomposition of its own.
     """
 
     def __init__(self, kern, points):
         self.kern = kern
         self.points = points
-        self.w, self.U, self.S = ss.point_frame(points)
-        self.logw, self.V = ss.log_frame(self.S[kern.src],
-                                         ss.act(kern.g, points[kern.dst]))
-        # a sum of squares, which can differ from dist(P, Q)**2 in the last
-        # bit; the energy is built on it
-        self.d2 = np.sum(self.logw ** 2, axis=-1)
+        Q = ss.act(kern.g, points[kern.dst])
+        if kern.n == 2:
+            self.N, self.sh, self.ell = ss.sl2_frame(points[kern.src], Q)
+            d = ss._SQRT2 * self.ell
+            self.d2 = d * d
+        else:
+            self.w, self.U, self.S = ss.point_frame(points)
+            self.logw, self.V = ss.log_frame(self.S[kern.src], Q)
+            # a sum of squares, which can differ from dist(P, Q)**2 in the
+            # last bit; the energy is built on it
+            self.d2 = np.sum(self.logw ** 2, axis=-1)
         self.energy = 0.5 * float(np.dot(kern.w1, self.d2))
 
     @cached_property
     def beta(self):
         """mc_edge(P_src, g P_dst g^†) per edge."""
+        if self.kern.n == 2:
+            return 0.5 * self.csch[:, None, None] * self.N
         src = self.kern.src
         return ss.mc_from_frame(self.R[src], self.S[src], self.logw, self.V)
 
@@ -200,8 +229,37 @@ class MapEval:
     @cached_property
     def tension_frame(self):
         """S tau R per vertex: the tension in the frame of the vertex, where
-        the fiber metric at P is the Frobenius one."""
-        return mul(mul(self.S, self.tension), self.R)
+        the fiber metric at P is the Frobenius one.  For n = 2 it is summed
+        in the vertex frames from the edges' Z = S_src g R_dst: an edge adds
+        w1 (l / sinh l) H0 at its source and minus w1 (l / sinh l) K0 at its
+        far end (symspace.sl2_grams), S_src beta R_src being
+        (l / sinh l) H0 / 2 and Z^{-1} H0 Z = K0.  S, R applied to a tension
+        summed at the points would lose the digits of a far point."""
+        if self.kern.n != 2:
+            return mul(mul(self.S, self.tension), self.R)
+        k = self.kern
+        H0, K0 = self.grams
+        c = (k.w1 * self.csch)[:, None, None]
+        T = np.zeros(self.points.shape, dtype=complex)
+        np.add.at(T, k.src, c * H0)
+        np.add.at(T, k.dst, -c * K0)
+        return T
+
+    @cached_property
+    def Z(self):
+        """S_src g R_dst per edge, for n = 2."""
+        k = self.kern
+        return mul(mul(self.S[k.src], k.g), self.R[k.dst])
+
+    @cached_property
+    def grams(self):
+        """symspace.sl2_grams of Z per edge, for n = 2."""
+        return ss.sl2_grams(self.Z)
+
+    @cached_property
+    def csch(self):
+        """l / sinh l per edge, for n = 2."""
+        return ss.sl2_csch(self.sh, self.ell)
 
     @cached_property
     def tension_sq(self):
@@ -213,21 +271,62 @@ class MapEval:
 
     @property
     def drift(self):
-        """dist(I, f(v0)), from the vertex eigenvalues."""
+        """dist(I, f(v0)): in closed form for n = 2, else from the vertex
+        eigenvalues."""
+        if self.kern.n == 2:
+            return ss.origin_dist(self.points[0])
         return ss.origin_dist(self.points[0], self.w[0])
+
+    @property
+    def floored(self):
+        """Whether a vertex eigenvalue is at the floor symspace._EIG_FLOOR;
+        for n = 2 the small eigenvalue e^{-a} of a point at dist(I, P) =
+        sqrt(2) a is."""
+        if self.kern.n == 2:
+            return bool(ss.origin_dist(self.points).max() >= ss._FLOOR_DIST)
+        return bool(self.w.min() <= ss._EIG_FLOOR)
 
     # -- Newton model at this map ------------------------------------------
     @cached_property
     def R(self):
-        """P^{1/2} per vertex, from the vertex frame."""
+        """P^{1/2} per vertex: symspace.sl2_root for n = 2, else from the
+        vertex frame."""
+        if self.kern.n == 2:
+            return ss.sl2_root(self.points)
         return ss._spectral(self.U, np.sqrt(self.w))
+
+    @cached_property
+    def S(self):
+        """P^{-1/2} = adj(R) per vertex for n = 2; the vertex frame sets it
+        otherwise."""
+        return ss.adj(self.R)
 
     def tangent_field(self, x):
         """Tangent field sum_k x[v, k] R_v B_k R_v^{-1} (R_v = P_v^{1/2}) from
         orthonormal p-coordinates x (flat, vertex-major)."""
+        return mul(mul(self.R, self._frame_field(x)), self.S)
+
+    def _frame_field(self, x):
+        """sum_k x[v, k] B_k per vertex: a tangent field in the vertex frames."""
         B = self.kern._pattern[0]
-        X = np.tensordot(x.reshape(len(self.points), len(B)), B, axes=1)
-        return mul(mul(self.R, X), self.S)
+        return np.tensordot(x.reshape(len(self.points), len(B)), B, axes=1)
+
+    @property
+    def descent(self):
+        """The direction of the explicit flow, in the form ``moved`` takes:
+        the tension in the vertex frames for n = 2, the tension otherwise."""
+        return self.tension_frame if self.kern.n == 2 else self.tension
+
+    def moved(self, s, X):
+        """The points retracted along s X.  For n = 2 X is a tangent field
+        in the vertex frames and the points are R e^{2 s X} R, which is
+        exp_point(P, s R X S) in closed form and keeps the digits of a far
+        point; otherwise X is a tangent field at the points (``retract``)."""
+        if self.kern.n != 2:
+            return retract(self.points, s * X)
+        with np.errstate(all="ignore"):
+            E = ss.sl2_exph(2.0 * s * X)
+            return _unit_det(ss._hermitize(mul(mul(self.R, E), self.R)))
 
     def hessian(self, mu=0.0):
         """Exact Hessian of the energy in orthonormal p-coordinates, plus mu
@@ -238,6 +337,46 @@ class MapEval:
         """
         k = self.kern
         B, slot, indices, indptr = k._pattern
+        src, far, cross = (self._sl2_blocks(B) if k.n == 2
+                           else self._eigen_blocks(B))
+        scale = 4.0 * k.w1[:, None, None]
+        C = -scale * cross
+        vals = np.concatenate([(scale * src).ravel(), (scale * far).ravel(),
+                               C.ravel(), C.swapaxes(1, 2).ravel(),
+                               np.repeat(mu * k.w0, len(B))])
+        data = np.bincount(slot, weights=vals, minlength=len(indices))
+        n_dof = len(indptr) - 1
+        return sp.csc_matrix((data, indices, indptr), shape=(n_dof, n_dof))
+
+    def _sl2_blocks(self, B):
+        """Per-edge (source, far, cross) Jacobi blocks over 4 w1 for n = 2,
+        with no eigenvectors: with c and d the p-coordinates of H0 / |H0|
+        and K0 / |K0| (symspace.sl2_grams) and U the unitary polar factor of
+        Z, so that K0 = U^† H0 U, the source block is
+        l coth l I + (1 - l coth l) c c^T, the far block the same in d, and
+        the cross block (l / sinh l) Ad_U + (1 - l / sinh l) c d^T."""
+
+        def unit(X):
+            x = np.real(np.einsum("kij,eij->ek", B.conj(), X))
+            norm = np.sqrt(np.sum(x * x, axis=1, keepdims=True))
+            return x / np.where(norm > 0.0, norm, 1.0)
+
+        c, d = map(unit, self.grams)
+        U = ss.sl2_unitary(self.Z)
+        A = np.real(np.einsum("kij,elij->ekl", B.conj(),
+                              mul(mul(U[:, None], B), ct(U)[:, None])))
+        csch = self.csch[:, None, None]
+        coth = csch * np.hypot(1.0, self.sh)[:, None, None]
+        eye = np.eye(len(B))
+        cc, dd, cd = (x[:, :, None] * y[:, None, :] for x, y in ((c, c), (d, d), (c, d)))
+        return (coth * eye + (1.0 - coth) * cc, coth * eye + (1.0 - coth) * dd,
+                csch * A + (1.0 - csch) * cd)
+
+    def _eigen_blocks(self, B):
+        """Per-edge (source, far, cross) Jacobi blocks over 4 w1, in the
+        eigenframe of beta: T coth T and T / sinh T of T = |ad beta| as
+        Hadamard multipliers."""
+        k = self.kern
         ne = len(k.src)
         R, S, logw, V = self.R, self.S, self.logw, self.V
         coth, csch = ss.ad_jacobi(logw)
@@ -255,21 +394,13 @@ class MapEval:
             # Re <X_k, f o Z_l>_F for every pair of basis elements
             return np.real((X.conj() * f) @ Z.swapaxes(1, 2))
 
-        scale = 4.0 * k.w1[:, None, None]
-        C = -scale * pair(Ms, csch, Md)
-        vals = np.concatenate([(scale * pair(Ms, coth, Ms)).ravel(),
-                               (scale * pair(Md, coth, Md)).ravel(),
-                               C.ravel(), C.swapaxes(1, 2).ravel(),
-                               np.repeat(mu * k.w0, len(B))])
-        data = np.bincount(slot, weights=vals, minlength=len(indices))
-        n_dof = len(indptr) - 1
-        return sp.csc_matrix((data, indices, indptr), shape=(n_dof, n_dof))
+        return pair(Ms, coth, Ms), pair(Md, coth, Md), pair(Ms, csch, Md)
 
     def newton_step(self, mu):
         """Damped Newton direction (H + mu W0) x = 2 t, t the orthonormal
-        p-coordinates of the tension; returns the tangent field and 2 t . x
-        (twice the model decrease), or None on a singular or non-finite
-        solve."""
+        p-coordinates of the tension; returns the tangent field of x, in the
+        form ``moved`` takes, and 2 t . x (twice the model decrease), or None
+        on a singular or non-finite solve."""
         B = self.kern._pattern[0]
         rhs = 2.0 * np.real(np.einsum("kij,vij->vk", B.conj(),
                                       self.tension_frame)).ravel()
@@ -282,7 +413,8 @@ class MapEval:
             return None
         if not np.isfinite(x).all():
             return None
-        return self.tangent_field(x), float(rhs @ x)
+        X = self._frame_field(x) if self.kern.n == 2 else self.tangent_field(x)
+        return X, float(rhs @ x)
 
 
 def energy(f):
@@ -379,17 +511,17 @@ def _descend(kern, ev, step, solver, *, tol, max_iter, drift_radius):
         ev = nxt
     tension, drift = math.sqrt(ev.tension_sq), ev.drift
     converged = bool(tension < tol and drift <= drift_radius
-                     and ev.w.min() > ss._EIG_FLOOR)
+                     and not ev.floored)
     return ev.points, FlowReport(ev.energy, tension, it, converged, drift,
                                  converged or kern.rep.reductive, underflow,
                                  solver)
 
 
-def _backtrack(kern, points, X, s, floor, accept):
-    """First candidate retract(points, s X) with accept(cand, s), halving s
-    while it is above floor; (cand, s), or (None, s)."""
+def _backtrack(kern, ev, X, s, floor, accept):
+    """First candidate ev.moved(s, X) with accept(cand, s), halving s while
+    it is above floor; (cand, s), or (None, s)."""
     while s > floor:
-        cand = kern.evaluate(retract(points, s * X))
+        cand = kern.evaluate(ev.moved(s, X))
         if cand is not None and accept(cand, s):
             return cand, s
         s *= 0.5
@@ -411,7 +543,7 @@ def _newton_flow(kern, start, *, max_iter, **args):
         # below float resolution of E, accept on a smaller tension instead
         polish = 0.5 * decrease < 1e-13 * max(1.0, abs(E))
         cand, alpha = _backtrack(
-            kern, ev.points, X, 1.0, 1e-10,
+            kern, ev, X, 1.0, 1e-10,
             lambda c, a: (c.tension_sq < gsq if polish else
                           c.energy <= E - 1e-4 * a * decrease))
         slow = slow + 1 if alpha == 1.0 and cand.tension_sq > gsq / 16.0 else 0
@@ -433,13 +565,13 @@ def _explicit_flow(kern, start, **args):
             # accepted on tension decrease instead (energy stays within
             # 1e-12); a candidate equal to the current points is no step,
             # and a rejection halves the step for the next iteration
-            cand = kern.evaluate(retract(ev.points, step * ev.tension))
+            cand = kern.evaluate(ev.moved(step, ev.descent))
             if (cand is not None and not np.array_equal(cand.points, ev.points)
                     and cand.tension_sq <= gsq * (1.0 + 1e-6)):
                 return cand
             step *= 0.5
             return ev if step > 1e-16 else None
-        cand, step = _backtrack(kern, ev.points, ev.tension, step, 1e-16,
+        cand, step = _backtrack(kern, ev, ev.descent, step, 1e-16,
                                 lambda c, s: c.energy <= E - 0.25 * s * gsq)
         step = min(step * 1.4, 1e8)
         return cand
@@ -501,6 +633,12 @@ def curved_torus_map(mesh, rep, amplitude=0.3):
             pts = pts / (np.abs(np.linalg.det(pts)) ** (1.0 / nd))[:, None, None]
     if not np.isfinite(pts).all():
         raise ValueError(f"curved test map at amplitude {amplitude} is not finite")
+    # a point's determinant is known to eps cond(P): past 1e-8 the map has
+    # left SL(n) by more than any residual it is built to show
+    lost = np.finfo(float).eps * float(np.linalg.cond(pts).max())
+    if lost > 1e-8:
+        raise ValueError(f"curved test map at amplitude {amplitude} has lost its "
+                         f"determinant (eps cond(P) = {lost:.1e} > 1e-8)")
     return EquivariantMap(mesh, rep, pts)
 
 

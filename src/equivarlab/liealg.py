@@ -157,7 +157,7 @@ def inv(A):
 
 def ct(M):
     """Stacked conjugate transpose M^† over the last two axes."""
-    return np.conj(np.swapaxes(M, -1, -2))
+    return np.asarray(M).swapaxes(-1, -2).conj()
 
 
 def star(P, X, Pinv):

@@ -13,17 +13,35 @@ The geometry routines (act, dist, exp_point, mc_edge and the
 spectral functions) broadcast over leading axes: a single point is a stack
 of one, and a stack gives bit for bit the values of the per-point calls.
 
-The frame routines split one evaluation into its eigendecompositions, so
-that a caller pays for each once: point_frame gives the floored eigenvalues
-w, the eigenvectors U and S = P^{-1/2} of P; log_frame gives the
-log-eigenvalues and eigenvectors of S Q S; mc_from_frame builds mc_edge(P, Q)
-from the latter, S and P^{1/2}, which the caller forms once from (w, U) and
-keeps, and origin_dist reads dist(I, P) from w.  The heat flow in
-harmonicflow runs on them.
+For n = 2 every routine is in closed form and reads no eigendecomposition.
+A Hermitian positive 2 x 2 point of det 1 has eigenvalues e^{+-a}, and its
+adjugate adj(P) is its inverse.  M = Q adj(P) = Q P^{-1} has
+eigenvalues e^{+-l} with dist(P, Q) = sqrt(2) l; with N = M - (tr M / 2) I
+its traceless part, sinh l = sqrt(-det N) (sl2_frame), which a short edge
+reads to full relative precision where arccosh(tr M / 2) loses half of the
+digits, and log M = (l / sinh l) N (sl2_csch gives l / sinh l).  The roots
+are P^{1/2} = (P + I) / sqrt(tr P + 2) and P^{-1/2} = adj(P^{1/2})
+(sl2_root).
+dist, mc_edge and origin_dist take these forms.  For Z = P^{-1/2} g Q^{1/2}
+(the flow's edge frame, g the transport of the far endpoint Q) sl2_grams
+gives the traceless parts of Z Z^† and Z^† Z and sl2_unitary the polar
+factor of Z, and sl2_exph exponentiates a Hermitian traceless block in real
+arithmetic; all of them are sums of products of entries, with no
+cancellation far from I.
 
-act, log_frame, mc_from_frame and exp_point multiply through liealg.mul
-(broadcast arithmetic on a 2 x 2 block instead of one BLAS call per block)
-and transpose through liealg.ct; the eigendecompositions are numpy's eigh.
+For n = 1 and n >= 3 the frame routines split one evaluation into its
+eigendecompositions, so that a caller pays for each once: point_frame gives
+the floored eigenvalues w, the eigenvectors U and S = P^{-1/2} of P;
+log_frame gives the log-eigenvalues and eigenvectors of S Q S;
+mc_from_frame builds mc_edge(P, Q) from the latter, S and P^{1/2}, which
+the caller forms once from (w, U) and keeps, and origin_dist reads
+dist(I, P) from w.  The heat flow in harmonicflow runs on the frames of
+either kind.
+
+act, log_frame, mc_from_frame, sl2_frame and exp_point multiply through
+liealg.mul (broadcast arithmetic on a 2 x 2 block instead of one BLAS call
+per block) and transpose through liealg.ct; the eigendecompositions of
+n != 2 are numpy's eigh.
 """
 
 from __future__ import annotations
@@ -37,12 +55,16 @@ from .liealg import ct, mul
 MC_EDGE_NORM_RATIO = 0.5
 
 _EIG_FLOOR = 1e-14
+#: dist(I, P) of a det-1 2 x 2 point whose small eigenvalue is _EIG_FLOOR
+_FLOOR_DIST = -np.sqrt(2.0) * np.log(_EIG_FLOOR)
 
 #: distance from I within which a minimizer counts as attained, by
 #: translation_length and by the flow (its default drift radius)
 ATTAINED_RADIUS = 50.0
 
 _EYE2 = np.eye(2, dtype=complex)
+_SQRT2 = np.sqrt(2.0)
+_ADJ_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])
 
 
 def _hermitize(M):
@@ -71,13 +93,18 @@ def point_frame(P):
     return w, U, _spectral(U, 1.0 / np.sqrt(w))
 
 
-def origin_dist(P, w):
-    """dist(I, P), read from the floored eigenvalues w of P.
+def origin_dist(P, w=None):
+    """dist(I, P): for n = 2 in closed form (a stack gives a stack),
+    otherwise read from the floored eigenvalues w of P.
 
     eigh reads one triangle of P, while dist hermitizes it first, so the two
     agree bit for bit only on an exactly Hermitian P.  Any other P, such as a
     random start, goes through dist.
     """
+    if P.shape[-1] == 2:
+        # M = P adj(I) = P: dist(I, P) without the product, bit for bit
+        d = _SQRT2 * _sl2_split(np.array(P))[2]
+        return float(d) if d.ndim == 0 else d
     if not np.array_equal(P, ct(P)):
         return dist(np.eye(P.shape[-1], dtype=complex), P)
     return float(_log_norm(np.log(w)))
@@ -119,9 +146,90 @@ def mc_from_frame(R, S, logw, V):
     return 0.5 * mul(mul(R, _spectral(V, logw)), S)
 
 
+def adj(P):
+    """Adjugate of 2 x 2 blocks, P^{-1} at det 1: the diagonal swapped and
+    the off-diagonal negated, entry by entry, so that no digit of a small
+    diagonal entry is lost to tr(P) I - P."""
+    A = -P
+    A[..., 0, 0] = P[..., 1, 1]
+    A[..., 1, 1] = P[..., 0, 0]
+    return A
+
+
+def sl2_root(P):
+    """P^{1/2} = (P + I) / sqrt(tr P + 2) of det-1 2 x 2 points; its
+    adjugate is P^{-1/2}."""
+    return (P + _EYE2) / np.sqrt((P[..., 0, 0] + P[..., 1, 1]).real + 2.0)[..., None, None]
+
+
+def sl2_frame(P, Q):
+    """(N, sinh l, l) for det-1 2 x 2 points: N the traceless part of
+    M = Q adj(P), whose eigenvalues are e^{+-l}, and sinh l = sqrt(-det N),
+    so that dist(P, Q) = sqrt(2) l."""
+    return _sl2_split(mul(np.asarray(Q), adj(np.asarray(P))))
+
+
+def _traceless(M):
+    """M - (tr M / 2) I of 2 x 2 blocks, in place, exactly traceless."""
+    a = 0.5 * (M[..., 0, 0] - M[..., 1, 1])
+    M[..., 0, 0] = a
+    M[..., 1, 1] = -a
+    return M
+
+
+def _sl2_split(N):
+    """sl2_frame of M = N, made traceless in place."""
+    _traceless(N)
+    a, b, c = N[..., 0, 0], N[..., 0, 1], N[..., 1, 0]
+    # -det N = a^2 + b c, real; in real arithmetic, because numpy's complex
+    # product of a stack and of a single value can differ in the last bit
+    q = a.real * a.real - a.imag * a.imag + (b.real * c.real - b.imag * c.imag)
+    sh = np.sqrt(np.maximum(q, 0.0))
+    return N, sh, np.arcsinh(sh)
+
+
+def sl2_grams(Z):
+    """Traceless parts H0 of Z Z^† and K0 of Z^† Z, for 2 x 2 blocks Z of
+    det 1.  With U = H^{-1/2} Z the unitary polar factor of Z (H = Z Z^†),
+    K0 = U^† H0 U = Z^{-1} H0 Z; both are sums of products of entries of Z,
+    so a far point keeps its digits."""
+    return _traceless(mul(Z, ct(Z))), _traceless(mul(ct(Z), Z))
+
+
+def sl2_unitary(Z):
+    """The unitary polar factor U = (Z + adj(Z)^†) / sqrt(|Z|_F^2 + 2) of
+    2 x 2 blocks Z of det 1, adj(Z)^† being Z turned by 180 degrees,
+    conjugated, its off-diagonal negated."""
+    norm2 = np.sum(Z.real * Z.real + Z.imag * Z.imag, axis=(-2, -1))
+    return ((Z + _ADJ_SIGNS * np.conj(Z[..., ::-1, ::-1]))
+            / np.sqrt(norm2 + 2.0)[..., None, None])
+
+
+def sl2_exph(X):
+    """e^X of Hermitian traceless 2 x 2 blocks X, in real arithmetic:
+    cosh(s) I + (sinh(s) / s) X with s^2 = X_00^2 + |X_01|^2 = -det X."""
+    q = X[..., 0, 0].real ** 2 + X[..., 0, 1].real ** 2 + X[..., 0, 1].imag ** 2
+    s = np.sqrt(q)
+    small = s < 1e-8
+    s1 = np.where(small, 1.0, s)
+    coef = np.where(small, 1.0 + q / 6.0, np.sinh(s1) / s1)
+    return np.cosh(s)[..., None, None] * _EYE2 + coef[..., None, None] * X
+
+
+def sl2_csch(sh, ell):
+    """l / sinh l from sh = sinh l; the series 1 - l^2/6 below l = 1e-4."""
+    small = ell < 1e-4
+    return np.where(small, 1.0 - ell * ell / 6.0, ell / np.where(small, 1.0, sh))
+
+
 def dist(P, Q):
-    """Invariant distance ||log(P^{-1/2} Q P^{-1/2})||_F."""
-    d = _log_norm(log_frame(point_frame(P)[2], np.asarray(Q))[0])
+    """Invariant distance ||log(P^{-1/2} Q P^{-1/2})||_F; sqrt(2) l of
+    sl2_frame for n = 2."""
+    Q = np.asarray(Q)
+    if Q.shape[-1] == 2:
+        d = _SQRT2 * sl2_frame(P, Q)[2]
+    else:
+        d = _log_norm(log_frame(point_frame(P)[2], Q)[0])
     return float(d) if d.ndim == 0 else d
 
 
@@ -154,9 +262,13 @@ def exp_point(P, X):
 def mc_edge(P, Q):
     """Edge logarithm (1/2) log(Q P^{-1}), selfadjoint at P.
 
-    Computed through the symmetric eigendecomposition of P^{-1/2} Q P^{-1/2}
+    For n = 2 it is (l / 2 sinh l) N of sl2_frame(P, Q).  Otherwise it is
+    computed through the symmetric eigendecomposition of P^{-1/2} Q P^{-1/2}
     and conjugated back, which keeps the selfadjointness exact.
     """
+    if np.shape(Q)[-1] == 2:
+        N, sh, ell = sl2_frame(P, Q)
+        return 0.5 * sl2_csch(sh, ell)[..., None, None] * N
     w, U, S = point_frame(P)
     return mc_from_frame(_spectral(U, np.sqrt(w)), S, *log_frame(S, np.asarray(Q)))
 

@@ -14,6 +14,17 @@ sample started from f0, without the continuation predictor.
 ``critical_scan_per_cocycle`` is the critical scan with one seed and one
 harmonic representative per basis cocycle, where ``energyvar.critical_scan``
 seeds and solves the whole basis as one block.
+``mp_energy_tension`` and ``mp_hessian`` evaluate the SL(2) energy, its
+tension field, the tension norm and the Hessian in 50-digit mpmath
+arithmetic, from the exact values of the float points and transports.  Every
+float point is read as a point of det 1, as the flow layer reads it
+(P^{-1} = adj P, P^{1/2} = (P + I) / sqrt(tr P + 2)); the energy and the
+tension field go through the closed forms of ``symspace``, and the tension
+norm and the Hessian through central first and second differences of the
+energy along the geodesics P -> P^{1/2} e^{2 sum x_k B_k} P^{1/2}, with no
+polar frame and no Jacobi field.
+``mp_log_dist`` is the distance by mpmath's matrix logarithm, which checks
+the closed forms themselves on points of det 1.
 ``normalize_basepoint`` and ``shifted_pair`` are the transformations of the
 uniqueness laws: maps compared up to the centralizer, and second-order pairs
 shifted by kernel sections.  ``adjoint_at``, ``inner_at`` and ``norm_at`` are
@@ -25,6 +36,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
+import mpmath
 import numpy as np
 
 from equivarlab.deform import second_order
@@ -32,7 +44,7 @@ from equivarlab import harmonicflow as hf
 from equivarlab.energyvar import (FD_STEPS, FDReport, PshReport, ScanReport,
                                   first_variation, omega_l2sq, second_variation)
 from equivarlab import symspace as ss
-from equivarlab.liealg import ad_action
+from equivarlab.liealg import ad_action, p_basis
 from equivarlab.meshcover import token_base, token_is_inverse
 from equivarlab.repvar import cocycle_space_basis
 from equivarlab.twistedhodge import TwistedCochain, _vals
@@ -194,3 +206,142 @@ def shifted_pair(F, F2, xi_kernel, eta_kernel):
     Fv = _vals(F)
     return (TwistedCochain(0, Fv + xiv),
             TwistedCochain(0, _vals(F2) + (Fv @ xiv - xiv @ Fv) + etav))
+
+
+# ----------------------------------------------------------------------
+# 50-digit SL(2) oracle
+
+MP_DPS = 50
+
+
+def _mp(A):
+    """mpmath matrix of the exact values of a 2 x 2 float array."""
+    return mpmath.matrix([[mpmath.mpc(complex(A[i, j])) for j in range(2)]
+                          for i in range(2)])
+
+
+def _mp_ct(A):
+    return A.transpose_conj()
+
+
+def _mp_adj(A):
+    return mpmath.matrix([[A[1, 1], -A[0, 1]], [-A[1, 0], A[0, 0]]])
+
+
+def _mp_edge(P, Q):
+    """(N, l): N the traceless part of Q adj(P), sinh l = sqrt(-det N)."""
+    M = Q * _mp_adj(P)
+    a = (M[0, 0] - M[1, 1]) / 2
+    N = mpmath.matrix([[a, M[0, 1]], [M[1, 0], -a]])
+    q = mpmath.re(a * a + M[0, 1] * M[1, 0])
+    return N, mpmath.asinh(mpmath.sqrt(max(q, mpmath.mpf(0))))
+
+
+def _mp_transports(kern):
+    g = [_mp(kern.g[e]) for e in range(len(kern.src))]
+    return g, [mpmath.inverse(x) for x in g]
+
+
+def _mp_energy(kern, pts, g):
+    E = mpmath.mpf(0)
+    for e, (s, d) in enumerate(zip(kern.src, kern.dst)):
+        Q = g[e] * pts[d] * _mp_ct(g[e])
+        E += mpmath.mpf(kern.w1[e]) * _mp_edge(pts[s], (Q + _mp_ct(Q)) / 2)[1] ** 2
+    return E
+
+
+def mp_energy_tension(kern, points):
+    """(energy, tension field, tension norm^2) of an SL(2) map at MP_DPS
+    digits, as floats.  The norm^2 is sum_v w0 ||S tau R||_F^2, whose vertex
+    terms are the p-coordinates -g/2 of the gradient g of ``mp_gradient``."""
+    with mpmath.workdps(MP_DPS):
+        pts = [_mp(P) for P in points]
+        g, ginv = _mp_transports(kern)
+        tau = [mpmath.zeros(2, 2) for _ in pts]
+        for e, (s, d) in enumerate(zip(kern.src, kern.dst)):
+            Q = g[e] * pts[d] * _mp_ct(g[e])
+            N, ell = _mp_edge(pts[s], (Q + _mp_ct(Q)) / 2)
+            coef = ell / mpmath.sinh(ell) if ell else mpmath.mpf(1)
+            fwd = mpmath.mpf(kern.w1[e]) * coef * N      # 2 w1 beta
+            tau[s] += fwd
+            tau[d] -= ginv[e] * fwd * g[e]
+        E = _mp_energy(kern, pts, g)
+    t = -0.5 * mp_gradient(kern, points).reshape(len(points), -1)
+    return (float(E), np.array([[[complex(T[i, j]) for j in range(2)]
+                                 for i in range(2)] for T in tau]),
+            float(np.dot(kern.w0, np.sum(t * t, axis=1))))
+
+
+def _mp_exp2(Y):
+    """e^Y of a traceless 2 x 2 matrix: cosh(s) I + sinh(s)/s Y, s^2 = -det Y."""
+    s = mpmath.sqrt(-(Y[0, 0] * Y[1, 1] - Y[0, 1] * Y[1, 0]))
+    c = mpmath.sinh(s) / s if s else mpmath.mpf(1)
+    return mpmath.cosh(s) * mpmath.eye(2) + c * Y
+
+
+def _mp_root(P):
+    """P^{1/2} of a point read as det 1: (P + I) / sqrt(tr P + 2)."""
+    return (P + mpmath.eye(2)) / mpmath.sqrt(mpmath.re(P[0, 0] + P[1, 1]) + 2)
+
+
+def _mp_geodesic_energy(kern, points):
+    """F(shift) = energy at P_v -> R_v e^{2 sum_k x_vk B_k} R_v, x the sparse
+    {dof: value} shift in vertex-major p-coordinates, at MP_DPS digits."""
+    B = p_basis(kern.rep.group)
+    dp = len(B)
+    g, _ = _mp_transports(kern)
+    Bm = [_mp(b) for b in B]
+    roots = []
+    for P in points:
+        Pm = _mp(P)
+        roots.append(_mp_root((Pm + _mp_ct(Pm)) / 2))
+
+    def F(shift):
+        pts = []
+        for v, R in enumerate(roots):
+            X = mpmath.zeros(2, 2)
+            for k in range(dp):
+                X += 2 * shift.get(v * dp + k, 0) * Bm[k]
+            pts.append(R * _mp_exp2(X) * R)
+        return _mp_energy(kern, pts, g)
+    return F, len(points) * dp
+
+
+def mp_gradient(kern, points, h=1e-20):
+    """Gradient of the energy in orthonormal p-coordinates along the same
+    geodesics as ``mp_hessian``, by MP_DPS-digit central differences."""
+    with mpmath.workdps(MP_DPS):
+        F, n = _mp_geodesic_energy(kern, points)
+        h = mpmath.mpf(h)
+        return np.array([float((F({i: h}) - F({i: -h})) / (2 * h)) for i in range(n)])
+
+
+def mp_hessian(kern, points, h=1e-12):
+    """Hessian of the energy in orthonormal p-coordinates (vertex-major, as
+    ``MapEval.hessian``) by MP_DPS-digit central differences along
+    P_v -> R_v e^{2 sum_k x_vk B_k} R_v, R_v the root of the exactly
+    hermitized float point."""
+    with mpmath.workdps(MP_DPS):
+        F, n = _mp_geodesic_energy(kern, points)
+        h = mpmath.mpf(h)
+
+        E0 = F({})
+        H = np.empty((n, n))
+        for i in range(n):
+            H[i, i] = float((F({i: h}) - 2 * E0 + F({i: -h})) / h ** 2)
+            for j in range(i):
+                val = (F({i: h, j: h}) - F({i: h, j: -h}) - F({i: -h, j: h})
+                       + F({i: -h, j: -h})) / (4 * h * h)
+                H[i, j] = H[j, i] = float(val)
+        return H
+
+
+def mp_log_dist(P, Q):
+    """||log(P^{-1/2} Q P^{-1/2})||_F at MP_DPS digits, by mpmath's sqrtm
+    and logm."""
+    with mpmath.workdps(MP_DPS):
+        Pm, Qm = (_mp(x) for x in (P, Q))
+        S = mpmath.inverse(mpmath.sqrtm(Pm))
+        L = mpmath.logm(S * Qm * S)
+        return float(mpmath.sqrt(sum(abs(L[i, j]) ** 2 for i in range(2)
+                                     for j in range(2))))

@@ -373,6 +373,9 @@ NAN_COCYCLE_CFG = dict(PARABOLIC_CFG, representation={"family": "circle_hyperbol
      "amplitude inf is not finite"),
     ("refine-study", {"group": SL2C, "refine": {"kind": "torus_mc", "amplitude": 10}},
      "curved test map at amplitude 10.0 is not finite"),
+    ("refine-study", {"group": SL2C, "refine": {"kind": "torus_mc", "amplitude": 6}},
+     "curved test map at amplitude 6.0 has lost its determinant "
+     "(eps cond(P) = 7.5e-06 > 1e-8)"),
     ("flow", hyperbolic_lam(0), "lam must be nonzero, not 0.0"),
     ("refine-study", {"group": PARABOLIC_CFG["group"],
                       "refine": {"kind": "circle_energy", "lam": 0}},
@@ -387,6 +390,7 @@ NAN_COCYCLE_CFG = dict(PARABOLIC_CFG, representation={"family": "circle_hyperbol
          "energy_max_iter_zero", "drift_radius_zero", "drift_radius_negative",
          "drift_radius_nan", "cocycle_nonfinite_deform1", "cocycle_nonfinite_deform2",
          "torus_mc_amplitude_nan", "torus_mc_amplitude_inf", "torus_mc_points_nonfinite",
+         "torus_mc_determinant_lost",
          "flow_lam_zero", "circle_energy_lam_zero", "flow_start_energy_nonfinite",
          "energy_start_energy_nonfinite"])
 def test_validation_error_exit_two(tmp_path, capsys, task, cfg, error):
@@ -625,30 +629,35 @@ FAR_RANDOM_FLOW_CFG = {
 def test_singular_numpy_solve_exit_three(tmp_path, monkeypatch, capsys):
     # numpy's LinAlgError is a ValueError, but a LAPACK failure inside a
     # flow is the solver's, not the config's: an eigendecomposition that
-    # does not converge, as LAPACK reports it, exits 3 with solver-error
+    # does not converge, as LAPACK reports it, exits 3 with solver-error.
+    # A GL(1,C) flow takes eigh (an SL(2) flow takes none)
     def no_convergence(P):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
     monkeypatch.setattr(ss, "_eigh", no_convergence)
-    code, report, _ = run_cli(tmp_path, "flow", FAR_RANDOM_FLOW_CFG)
+    cfg = dict(FAR_RANDOM_FLOW_CFG, group={"kind": "gl1c"},
+               representation={"family": "torus_gl1c"})
+    code, report, _ = run_cli(tmp_path, "flow", cfg)
     assert code == cli.EXIT_NONCONVERGED
     assert report["status"] == "solver-error"
     assert report["error"] == "Eigenvalues did not converge"
     assert capsys.readouterr().err == "solver error: Eigenvalues did not converge\n"
 
 
-def test_far_random_flow_underflows_exit_zero(tmp_path):
-    # the flow takes no LAPACK inverse, so this far start (scale 11) reaches
-    # no singular matrix: its first step underflows and the run reports it.
-    # Read directly, not through run_cli: the energy of the start is
-    # dominated by rounding, so no golden pins its floats
+def test_far_random_flow_converges_exit_zero(tmp_path):
+    # the flow takes no LAPACK inverse, so this far start (scale 11, points
+    # up to 31 from I) reaches no singular matrix, and its closed-form
+    # energy is exact: it converges to the harmonic energy 0.8 of the
+    # constant start (its first step once underflowed on an energy that
+    # rounding dominated).  Read directly, not through run_cli: the path
+    # from such a start is not pinned by a golden
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(FAR_RANDOM_FLOW_CFG))
     code = cli.main(["flow", "--config", str(cfg_path), "--out", str(tmp_path)])
     report = json.loads((tmp_path / "flow_report.json").read_text())
     assert code == cli.EXIT_OK and report["status"] == "ok"
     flow = report["result"]["flow"]
-    assert not flow["converged"] and flow["step_underflow"]
-    assert flow["iterations"] == 1
+    assert flow["converged"] and not flow["step_underflow"]
+    assert abs(flow["energy"] - 0.8) < 1e-12
 
 
 def test_singular_point_inverse_exit_three(tmp_path, monkeypatch):

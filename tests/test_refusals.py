@@ -123,6 +123,11 @@ REFUSALS = {
         lambda: hf.curved_torus_map(TORUS4, rv.torus_diag_rep(
             MatrixGroup("sl", 2, "C"), TORUS4, 0.4, -0.2), amplitude=10.0),
         ValueError, "curved test map at amplitude 10.0 is not finite"),
+    "curved_map_lost_determinant": (
+        lambda: hf.curved_torus_map(TORUS4, rv.torus_diag_rep(
+            MatrixGroup("sl", 2, "C"), TORUS4, 0.4, -0.2), amplitude=6.0),
+        ValueError, "curved test map at amplitude 6.0 has lost its determinant "
+                    "(eps cond(P) = 7.5e-06 > 1e-8)"),
     "hyperbolic_lam_zero": (lambda: rv.hyperbolic_circle_rep(SL2R, CIRCLE, 0.0),
                             ValueError, "lam must be nonzero, not 0.0"),
     "companion_real_group": (lambda: df.companion_pair(circle_ctx(), None), ValueError,

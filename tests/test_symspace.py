@@ -8,7 +8,7 @@ from equivarlab.liealg import (MatrixGroup, ad_action, bracket, cartan_project,
 from equivarlab.symspace import (MC_EDGE_NORM_RATIO, _expm, act, dist,
                                  exp_point, mc_edge, random_point,
                                  translation_length)
-from reference import adjoint_at, norm_at
+from reference import adjoint_at, mp_log_dist, norm_at
 
 SL2C = MatrixGroup("sl", 2, "C")
 SL2R = MatrixGroup("sl", 2, "R")
@@ -96,6 +96,23 @@ def test_mc_edge_examples():
     assert np.abs(mc_edge(P, P)).max() < 1e-12
     L = mc_edge(np.eye(2, dtype=complex), np.diag([4.0, 0.25]).astype(complex))
     assert np.abs(L - np.diag([np.log(2.0), -np.log(2.0)])).max() < 1e-12
+
+
+@pytest.mark.parametrize("group", [SL2R, SL2C], ids=["sl2r", "sl2c"])
+@pytest.mark.parametrize("t", [1.0, 1e-4, 1e-8, 1e-12])
+def test_dist_matches_matrix_logarithm(group, t):
+    # the closed form sqrt(2) asinh(sqrt(-det N)) against mpmath's logm at 50
+    # digits, down to edges of length 1e-12, where it keeps an absolute
+    # error of eps (arccosh(tr M / 2) would keep sqrt(eps))
+    rng = np.random.default_rng(11)
+    for scale in (0.3, 1.0):
+        P = random_point(group, rng, scale)
+        X = group.random_alg(rng, 0.3)
+        Q = exp_point(P, t * (P @ np.conj(X).T + X @ P) @ np.linalg.inv(P) / 2)
+        ref = mp_log_dist(P, Q)
+        # the float points miss det 1 by eps cond, which logm reads and the
+        # closed form does not: the relative part of the bound
+        assert abs(dist(P, Q) - ref) <= 1e-15 + 1e-13 * ref
 
 
 def test_mc_edge_transport_identity_and_selfadjoint():
