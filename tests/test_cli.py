@@ -660,6 +660,33 @@ def test_far_random_flow_converges_exit_zero(tmp_path):
     assert abs(flow["energy"] - 0.8) < 1e-12
 
 
+def _diag_images(*entries):
+    """Inline images: diagonal matrices of the given complex entries."""
+    return [[[z.real, z.imag] if i == j else [0.0, 0.0] for j in range(len(entries))]
+            for i, z in enumerate(entries)]
+
+
+def test_far_random_flow_underflows_exit_zero(tmp_path):
+    # the same far start in SL(3,C), where the flow keeps eigh: the torus_diag
+    # images in the upper block, 1 below.  The flow takes no LAPACK inverse,
+    # so it reaches no singular matrix: its first step underflows and the run
+    # reports it with exit 0.  Read directly, not through run_cli: the path
+    # from such a start is not pinned by a golden
+    a, b = np.exp(0.4 + 0.3j), np.exp(-0.2 + 0.5j)
+    cfg = dict(FAR_RANDOM_FLOW_CFG, group={"kind": "sl", "n": 3, "field": "C"},
+               representation={"inline": {"images": {
+                   "a": _diag_images(a, 1 / a, 1 + 0j),
+                   "b": _diag_images(b, 1 / b, 1 + 0j)}}})
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    code = cli.main(["flow", "--config", str(cfg_path), "--out", str(tmp_path)])
+    report = json.loads((tmp_path / "flow_report.json").read_text())
+    assert code == cli.EXIT_OK and report["status"] == "ok"
+    flow = report["result"]["flow"]
+    assert not flow["converged"] and flow["step_underflow"]
+    assert flow["iterations"] == 1
+
+
 def test_singular_point_inverse_exit_three(tmp_path, monkeypatch):
     # liealg.inv raises numpy's LinAlgError on a singular 2 x 2 block: a
     # vertex point zeroed after the Gram matrices are built reaches it

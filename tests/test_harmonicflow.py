@@ -742,6 +742,26 @@ def test_flow_converges_from_below_the_floor(sl2r, s, solver, iterations):
     assert rpt.energy < 1e-15 and rpt.basepoint_drift < 1e-6
 
 
+def test_explicit_armijo_underflow_far_out(sl3r):
+    # n >= 3 keeps eigh and its 1e-14 eigenvalue floor.  A constant start at
+    # diag(e^60, e^-60, 1) on the circle of the SL(2,R) elliptic rotation in
+    # SL(3,R): no step along the tension lowers the computed energy, so
+    # Newton gives up and the explicit Armijo search halves its first step
+    # below 1e-16 (the SL(2) closed forms converge from e^60, above)
+    circle = mc.build_circle(4)
+    c, s = np.cos(0.7), np.sin(0.7)
+    rep = rv.circle_rep(sl3r, circle, np.array([[c, -s, 0], [s, c, 0], [0, 0, 1]]))
+    P = np.diag([np.exp(60.0), np.exp(-60.0), 1.0]).astype(complex)
+    f0 = hf.EquivariantMap(circle, rep, np.broadcast_to(P, (circle.nv, 3, 3)).copy())
+    _, rpt = hf.flow(rep, f0, drift_radius=100.0)
+    assert rpt.solver == "explicit" and rpt.iterations == 1
+    assert rpt.step_underflow and not rpt.converged
+    # the first step, 0.5 step_scale, is outside the polish regime, so the
+    # underflow is the Armijo search's
+    step = 0.5 * hf.FlowKernel(circle, rep).step_scale
+    assert 0.25 * step * rpt.tension ** 2 >= 1e-13 * rpt.energy
+
+
 def test_flow_stopping_at_the_eigenvalue_floor_is_not_converged(sl2r):
     # the parabolic circle has no harmonic map.  From diag(e^34, e^-34), at
     # 34 sqrt 2 = 48.08 < 50 from I, the small eigenvalue e^-34 is below the
