@@ -16,12 +16,12 @@ status and report fields:
     [re, im] pair, a deformation with both values and a path family or with
     second values next to one, a path family its
     representation cannot carry, a real group given complex images, a
-    non-finite cocycle or jet value, a flow max_iter below 1 or drift_radius
-    not above zero, a circle_hyperbolic lam of zero, a start map of
-    non-finite energy, a torus_mc amplitude or curved map that is not
-    finite, refine-study levels that do not strictly increase, or a
-    representation that fails the relator check (every task but
-    refine-study starts from build_problem).
+    non-finite family image, a non-finite cocycle or jet value, a flow
+    max_iter below 1 or drift_radius not above zero, a circle_hyperbolic
+    lam of zero, a start map of non-finite energy, a torus_mc amplitude or
+    curved map that is not finite, refine-study levels that do not strictly
+    increase, or a representation that fails the relator check (every task
+    but refine-study starts from build_problem).
     An omitted key takes the default of its routine.  Numbers are read by
     meshcover's as_real and as_integer, which the mesh reader shares.
   3 not-converged: a map that harmonicflow.harmonic_map refused (every task
@@ -323,10 +323,8 @@ def task_flow(cfg, out_dir):
 
 def task_energy(cfg, out_dir):
     mesh, group, rep = build_problem(cfg)
-    E, reductive, rpt = hf.energy_of_rep(
-        rep, mesh, seed=cfg["seed"], **_given(_optional(cfg, "flow"), n_starts=as_integer),
-        **_flow_args(cfg))
-    return {"energy": E, "reductive_suspected": reductive,
+    f, rpt = hf.flow(rep, hf.constant_map(mesh, rep), **_flow_args(cfg))
+    return {"energy": rpt.energy, "reductive_suspected": rpt.reductive_suspected,
             "last_flow": rpt.to_dict()}
 
 

@@ -96,8 +96,11 @@ def constant_map(mesh, rep):
 
 
 def random_map(mesh, rep, rng, scale=0.4):
-    """Vertices drawn by ``symspace.random_point``; every random start's scale."""
-    pts = np.stack([ss.random_point(rep.group, rng, scale) for _ in range(mesh.nv)])
+    """Vertices drawn by ``symspace.random_point``, the start of the CLI flow
+    task's ``flow.start = "random"``; a far scale overflows quietly, and
+    ``flow`` refuses the start."""
+    with np.errstate(all="ignore"):
+        pts = np.stack([ss.random_point(rep.group, rng, scale) for _ in range(mesh.nv)])
     return EquivariantMap(mesh, rep, pts)
 
 
@@ -577,21 +580,6 @@ def _explicit_flow(kern, start, **args):
         return cand
 
     return _descend(kern, start, armijo, "explicit", **args)
-
-
-def energy_of_rep(rep, mesh, *, n_starts=2, seed=0, **flow_args):
-    """Energy infimum estimate over flows from n_starts >= 1 starts; (energy,
-    reductive, best report), reductive if a start converged or rho.reductive.
-    The flow_args (tol, max_iter, drift_radius) go to every flow."""
-    if n_starts < 1:
-        raise ValueError(f"n_starts must be at least 1, not {n_starts}")
-    rng = np.random.default_rng(seed)
-    reports = []
-    for s in range(n_starts):
-        f0 = constant_map(mesh, rep) if s == 0 else random_map(mesh, rep, rng)
-        reports.append(flow(rep, f0, **flow_args)[1])
-    best = min(reports, key=lambda r: r.energy)
-    return best.energy, any(r.reductive_suspected for r in reports), best
 
 
 def curved_torus_map(mesh, rep, amplitude=0.3):

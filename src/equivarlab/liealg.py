@@ -122,7 +122,9 @@ class MatrixGroup:
         return np.eye(self.n, dtype=complex)
 
     def exp(self, X):
-        return scipy.linalg.expm(np.asarray(X, dtype=complex))
+        # a far image overflows quietly; check_group refuses it
+        with np.errstate(all="ignore"):
+            return scipy.linalg.expm(np.asarray(X, dtype=complex))
 
     def random_alg(self, rng, scale=1.0):
         v = rng.standard_normal(self.dim) * scale

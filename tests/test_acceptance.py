@@ -45,7 +45,7 @@ def test_criterion_01_geodesic_energy(sl2r, circle8):
     ratios = []
     for lam in (1.5, 2.0, 3.0):
         rep_l = rv.hyperbolic_circle_rep(sl2r, circle8, lam)
-        E, _, _ = hf.energy_of_rep(rep_l, circle8, n_starts=1)
+        E = hf.flow(rep_l, hf.constant_map(circle8, rep_l))[1].energy
         L_l, _ = translation_length(np.diag([lam, 1.0 / lam]).astype(complex))
         ratios.append(E / L_l ** 2)
     assert all(abs(r - 0.5) < 1e-6 for r in ratios)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from equivarlab import cli
+from equivarlab import harmonicflow as hf
 from equivarlab import repvar as rv
 from equivarlab import symspace as ss
 from equivarlab import twistedhodge as th
@@ -208,6 +209,7 @@ def test_malformed_config_value_exit_two(tmp_path, task, section, value, key):
 
 
 SL2C = {"kind": "sl", "n": 2, "field": "C"}
+TORUS4_SL2C = {"mesh": {"kind": "torus", "n": 4, "m": 4}, "group": SL2C}
 
 
 @pytest.mark.parametrize("task, overrides, key", [
@@ -381,7 +383,21 @@ NAN_COCYCLE_CFG = dict(PARABOLIC_CFG, representation={"family": "circle_hyperbol
                       "refine": {"kind": "circle_energy", "lam": 0}},
      "lam must be nonzero, not 0.0"),
     ("flow", hyperbolic_lam(1e160), "start map has non-finite energy"),
-    ("energy", hyperbolic_lam(1e160), "start map has non-finite energy")],
+    ("energy", hyperbolic_lam(1e160), "start map has non-finite energy"),
+    ("flow", dict(PARABOLIC_CFG, representation={"family": "circle_hyperbolic"},
+                  flow={"start": "random", "scale": 1000}),
+     "start map has non-finite energy"),
+    ("flow", dict(TORUS4_SL2C, representation={"family": "torus_diag",
+                                               "params": {"alpha": [800, 0]}}),
+     "non-finite entries in group element"),
+    ("flow", dict(TORUS4_SL2C, group={"kind": "gl1c"}, representation={
+        "family": "torus_gl1c", "params": {"z1": [800, 0]}}),
+     "non-finite entries in group element"),
+    ("refine-study", {"group": SL2C, "refine": {"kind": "torus_mc", "alpha": [800, 0]}},
+     "non-finite entries in group element"),
+    ("refine-study", {"group": SL2C, "refine": {"kind": "harmonic_residuals",
+                                                "alpha": [800, 0]}},
+     "non-finite entries in group element")],
     ids=["mesh_kind", "path_kind", "psh_real_group", "refine_kind", "group_kind",
          "group_field", "sl_n1", "genus2_k0", "image_shape", "image_nonfinite",
          "image_singular", "image_missing", "cocycle_shape", "cocycle_missing",
@@ -392,7 +408,9 @@ NAN_COCYCLE_CFG = dict(PARABOLIC_CFG, representation={"family": "circle_hyperbol
          "torus_mc_amplitude_nan", "torus_mc_amplitude_inf", "torus_mc_points_nonfinite",
          "torus_mc_determinant_lost",
          "flow_lam_zero", "circle_energy_lam_zero", "flow_start_energy_nonfinite",
-         "energy_start_energy_nonfinite"])
+         "energy_start_energy_nonfinite", "flow_random_start_overflow",
+         "torus_diag_image_overflow", "torus_gl1c_image_overflow",
+         "torus_mc_image_overflow", "harmonic_residuals_image_overflow"])
 def test_validation_error_exit_two(tmp_path, capsys, task, cfg, error):
     code, report, _ = run_cli(tmp_path, task, cfg)
     assert code == cli.EXIT_VALIDATION
@@ -873,16 +891,6 @@ def test_variation_without_a_path_family_exit_two(tmp_path):
     assert "'path_family'" in report["error"]
 
 
-@pytest.mark.parametrize("n_starts", [0, -1])
-def test_energy_without_starts_exit_two(tmp_path, n_starts):
-    # no start means no flow to report: a validation error, not a crash
-    cfg = dict(DIAG_DEFORM_CFG, flow={"n_starts": n_starts})
-    code, report, _ = run_cli(tmp_path, "energy", cfg)
-    assert code == cli.EXIT_VALIDATION
-    assert report["status"] == "validation-error"
-    assert "n_starts" in report["error"]
-
-
 def test_variation_task(tmp_path):
     cfg = {
         "mesh": {"kind": "torus", "n": 5, "m": 5},
@@ -1076,12 +1084,34 @@ def test_refine_study_builds_only_the_operators_it_reads(tmp_path, monkeypatch,
 
 
 def test_energy_task_unitary(tmp_path):
-    cfg = {
-        "mesh": {"kind": "torus", "n": 4, "m": 4},
-        "group": {"kind": "sl", "n": 2, "field": "C"},
-        "representation": {"family": "torus_unitary"},
-    }
+    cfg = dict(TORUS4_SL2C, representation={"family": "torus_unitary"})
     code, report, _ = run_cli(tmp_path, "energy", cfg)
     assert code == cli.EXIT_OK
     assert report["result"]["energy"] < 1e-10
     assert report["result"]["reductive_suspected"] is True
+
+
+@pytest.mark.parametrize("cfg", [
+    dict(TORUS4_SL2C, representation={"family": "torus_unitary"}),
+    dict(PARABOLIC_CFG, flow={"max_iter": 200})],
+    ids=["torus4_unitary", "circle4_parabolic"])
+def test_energy_task_runs_one_flow_from_the_constant_map(tmp_path, monkeypatch, cfg):
+    # the energy is that of the flow task's run from the constant map, and
+    # every field of the result is read off that one report
+    starts = []
+    flow = hf.flow
+
+    def counted_flow(rep, f0, **kw):
+        starts.append(f0.points.copy())
+        return flow(rep, f0, **kw)
+
+    monkeypatch.setattr(hf, "flow", counted_flow)
+    code, text = main_report(tmp_path, "energy", "energy", cfg)
+    assert code == cli.EXIT_OK and len(starts) == 1
+    assert np.array_equal(starts[0], np.broadcast_to(np.eye(2), starts[0].shape))
+    code, flow_text = main_report(tmp_path, "flow", "flow", cfg)
+    result = json.loads(text)["result"]
+    last = result["last_flow"]
+    assert code == cli.EXIT_OK and last == json.loads(flow_text)["result"]["flow"]
+    assert result["energy"] == last["energy"]
+    assert result["reductive_suspected"] is last["reductive_suspected"]

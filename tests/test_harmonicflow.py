@@ -150,30 +150,21 @@ def test_float_and_complex_starts_agree(sl2r, genus2):
     assert np.array_equal(f_real.points, f.points)
 
 
-def test_energy_of_rep_unitary(sl2c, torus66):
+def test_energy_unitary(sl2c, torus66):
     rep = rv.torus_unitary_rep(sl2c, torus66)
-    E, reductive, _ = hf.energy_of_rep(rep, torus66, n_starts=2)
-    assert E < 1e-10
-    assert reductive
+    _, rpt = hf.flow(rep, hf.constant_map(torus66, rep))
+    assert rpt.energy < 1e-10
+    assert rpt.reductive_suspected
 
 
-@pytest.mark.parametrize("n_starts", [0, -1])
-def test_energy_of_rep_needs_a_start(sl2c, torus66, n_starts):
-    rep = rv.torus_unitary_rep(sl2c, torus66)
-    with pytest.raises(ValueError, match="n_starts"):
-        hf.energy_of_rep(rep, torus66, n_starts=n_starts)
-
-
-def test_energy_of_rep_parabolic(sl2r):
-    # one start is the flow from the constant map; the 40 000-iteration
-    # plateau (E < 1e-3) is covered by the parabolic_run fixture
+def test_energy_parabolic(sl2r):
+    # the flow from the constant map; the 40 000-iteration plateau
+    # (E < 1e-3) is covered by the parabolic_run fixture
     circle = mc.build_circle(4)
     rep = rv.parabolic_circle_rep(sl2r, circle)
-    E, reductive, best = hf.energy_of_rep(rep, circle, n_starts=1, max_iter=2000)
     _, rpt = hf.flow(rep, hf.constant_map(circle, rep), max_iter=2000)
-    assert dataclasses.asdict(best) == dataclasses.asdict(rpt)
-    assert E == rpt.energy and rpt.iterations == 2000
-    assert not reductive
+    assert rpt.iterations == 2000
+    assert not rpt.reductive_suspected
 
 
 def test_harmonic_map_takes_the_flow_defaults(sl2r, circle8, monkeypatch):
@@ -216,15 +207,15 @@ def test_near_parabolic_semisimple_rep_is_reductive(sl2r, eps, reductive):
     assert rpt.converged and rpt.reductive_suspected
 
 
-def test_energy_of_rep_gl1c_closed_form(gl1c, torus66):
+def test_energy_gl1c_closed_form(gl1c, torus66):
     # rho(a) = e^{z1}, rho(b) = e^{z2}: the linear harmonic map gives
     # E = 2((Re z1)^2 + (Re z2)^2) in this discretization
     z1, z2 = 0.5 + 1.0j, -0.3 + 0.2j
     rep = rv.torus_gl1c_rep(gl1c, torus66, z1, z2)
-    E, reductive, _ = hf.energy_of_rep(rep, torus66, n_starts=1)
+    _, rpt = hf.flow(rep, hf.constant_map(torus66, rep))
     exact = 2.0 * (z1.real ** 2 + z2.real ** 2)
-    assert abs(E - exact) < 1e-9
-    assert reductive
+    assert abs(rpt.energy - exact) < 1e-9
+    assert rpt.reductive_suspected
 
 
 def _curved_torus_map_loop(mesh, rep, amplitude):
