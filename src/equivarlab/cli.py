@@ -134,9 +134,11 @@ def build_mesh(spec):
     if kind == "genus2":
         return mc.build_genus2(**_given(spec, k=as_integer))
     if kind == "json":
-        path = Path(_key(spec, "path"))
+        path = _key(spec, "path")
+        if not isinstance(path, str):
+            raise ConfigError(f"config key 'path' has a bad value: {path!r} is not a string")
         try:
-            text = path.read_text()
+            text = Path(path).read_text()
         except OSError as exc:
             raise ConfigError(f"cannot read mesh: {exc}") from exc
         return mc.CoverMesh.from_json(text)
@@ -188,7 +190,10 @@ def build_path(spec, rep):
         return rv.commuting_exp_path(rep, _matrices(_section(spec, "B")),
                                      _matrices(_optional(spec, "C")) or None)
     if kind == "conjugation":
-        return rv.conjugation_path(rep, _as_matrix(_key(spec, "xi")))
+        xi, n = _as_matrix(_key(spec, "xi")), rep.group.n
+        if xi.shape != (n, n):
+            raise ConfigError(f"config key 'xi' must be a {n}x{n} matrix, got shape {xi.shape}")
+        return rv.conjugation_path(rep, xi)
     if kind == "bending":
         return rv.bending_path(rep, **_given(spec, "imaginary", scale=as_real))
     raise ConfigError(f"unknown path kind {kind!r}")

@@ -17,12 +17,14 @@ The energy is geodesically convex, and its exact Hessian is a sum of
 per-edge Jacobi-field blocks: in the eigenframe of beta_e = mc_edge at the
 edge source, with T = |ad_beta_e|, each edge adds 4 w1 T coth T on both
 endpoints and -4 w1 T / sinh T between them, the far endpoint carried to the
-source by Ad_{e^{-beta_e} rho(w_e)}.  For n = 2, T is l on the complement of
-ker ad beta and 0 on it, so the blocks need no eigenvectors (see
-``MapEval._sl2_blocks``).  ``flow`` solves for the p-part of the Newton step
-in orthonormal coordinates, damps the centralizer directions by
-mu = 1e-2 min(1, |tau|) times the vertex mass, retracts with exp_point
-(``MapEval.moved``) and backtracks on the energy (on the tension once energy
+source by Ad_{e^{-beta_e} rho(w_e)}.  In the vertex frames these are the
+frames U and V of the edge SVD Z = U Sigma V^† (``MapEval._svd_blocks``);
+for n = 2, T is l on the complement of ker ad beta and 0 on it, so the
+blocks need no eigenvectors (``MapEval._sl2_blocks``).  ``flow`` solves for
+the p-part of the Newton step in orthonormal coordinates, damps the
+centralizer directions by mu = 1e-2 min(1, |tau|) times the vertex mass,
+moves each point along the step in its vertex frame (``MapEval.moved``)
+and backtracks on the energy (on the tension once energy
 decrements fall below float resolution).  When the Newton phase stalls,
 stops outside the drift radius, meets a non-finite value or a singular
 factor, fails its line search or spends its step budget, the explicit Armijo
@@ -36,21 +38,21 @@ FlowKernel holds only (mesh, representation) data: the per-edge arrays, the
 deck words of the mesh (``CoverMesh.word_index``) evaluated once as one
 ``repvar.WordTable`` that the twisted complex reads too, the transports
 rho(word_e) and their inverses per edge, and the Hessian's sparsity pattern.
-A MapEval holds all the data of one map.  For n = 2 it takes no
-eigendecomposition: the edge frame of ``symspace.sl2_frame`` (the traceless
-part N of Q adj(P_src), sinh l = sqrt(-det N)) gives the energy and the edge
-logs; the roots R = P^{1/2}, S = P^{-1/2} are ``symspace.sl2_root`` and its
-adjugate; the tension in the vertex frames sums the traceless Gram parts of
-Z = S_src g R_dst per edge; the drift and the eigenvalue-floor rule read the
-vertex distance dist(I, P); and a step moves a point to R e^{2X} R, X in the
-vertex frame, which is exp_point(P, R X S) without its cancellation far out.
-For n = 1 and n >= 3 the vertex frame (w, U, S = P^{-1/2}) and the edge frame
-(logw, V) of numpy's eigh give the energy, and the edge logs, the tension,
-its norm, the drift and the Newton model are read from them, with
-R = U diag(sqrt w) U^† formed once.  Either way the tension norm needs no
-inverse: the fiber metric at P is the Frobenius one on S tau R.  The 2 x 2
-products of the flow (transports, frames, the Newton model) go through
-liealg.mul, broadcast arithmetic instead of one BLAS call per block.
+A MapEval holds all the data of one map, in one vertex-frame kernel for
+every n.  The roots R = P^{1/2}, S = P^{-1/2} of the vertices
+(``symspace.roots``) give each edge its frame Z = S_src g R_dst; log(Z Z^†)
+and log(Z^† Z) are twice the edge log in the source and in the far frame,
+so the tension in the vertex frames is a sum of them; the drift and the
+far-point rule read the vertex distance dist(I, P); and a step moves a point
+to R e^{2X} R, X in the vertex frame, which is exp_point(P, R X S) without
+its cancellation far out.  For n = 2 the closed forms of ``symspace`` give
+the edge quantities with no eigendecomposition (``sl2_frame`` for the
+energy, ``sl2_grams`` for the Gram parts of Z); for n = 1 and n >= 3 one
+eigh per vertex gives the roots and ``symspace.edge_svd`` the SVD of Z.  The
+tension norm needs no inverse: the fiber metric at P is the Frobenius one on
+S tau R.  The 2 x 2 products of the flow (transports, frames, the Newton
+model) go through liealg.mul, broadcast arithmetic instead of one BLAS call
+per block.
 
 Both phases run through one loop, ``_descend`` (exit, then one report of the
 map it returns), with Newton and the explicit flow as its two step rules and
@@ -59,9 +61,9 @@ its start map once, quietly, and both phases descend from that MapEval.  The
 explicit flow's fixed-step polish rejects a candidate equal to the current
 points: such a step moved nothing, and accepting it would repeat it until
 max_iter.  The start and every candidate pass one gate, ``FlowKernel.evaluate``
-(finite entries and energy, and for n = 2 a positive trace at every vertex);
-a candidate is evaluated energy first, and its tension is built only once
-it is accepted (or a polish step accepts on it).  curved_torus_map builds
+(finite entries and energy, and a positive trace at every vertex); a
+candidate is evaluated energy first, and for n = 2 its tension is built only
+once it is accepted (or a polish step accepts on it).  curved_torus_map builds
 the smooth test map of the refinement studies for all vertices in one
 stacked pass, and refuses one whose points have lost their determinant.
 """
@@ -146,12 +148,12 @@ class FlowKernel:
     # -- geometry ------------------------------------------------------
     def evaluate(self, points):
         """MapEval of points, or None when the map or its energy is not
-        finite or, for n = 2, a point has a trace at or below zero, so is
-        not positive (an oversize step far out leaves R e^{2X} R no correct
-        digit): the one gate of a flow's start and of every candidate."""
+        finite or a point has a trace at or below zero, so is not positive
+        (an oversize step far out leaves R e^{2X} R no correct digit): the
+        one gate of a flow's start and of every candidate."""
         if not np.isfinite(points).all():
             return None
-        if self.n == 2 and not (points[:, 0, 0].real + points[:, 1, 1].real > 0.0).all():
+        if not (np.trace(points, axis1=1, axis2=2).real > 0.0).all():
             return None
         ev = MapEval(self, points)
         return ev if math.isfinite(ev.energy) else None
@@ -181,43 +183,60 @@ class FlowKernel:
 
 
 class MapEval:
-    """One evaluation of a map under a FlowKernel.
+    """One evaluation of a map under a FlowKernel, in the vertex frames.
 
-    For n = 2 the edge frame of symspace.sl2_frame, the traceless part N of
-    Q adj(P_src) with sinh l = sqrt(-det N), Q the transported far endpoint,
-    gives the squared edge distances d2 = dist^2 = 2 l^2 and from them the
-    energy; no eigendecomposition is taken.  Otherwise one eigendecomposition
-    of the vertex points gives S = P^{-1/2}, and the log-eigendecomposition
-    of S_src Q S_src gives d2.  The edge logs beta, the tension, its squared
-    norm, the basepoint drift and the Newton model are built from the same
-    arrays when asked for (beta, the tension, its norm and the roots
-    R = P^{1/2}, S once), so a rejected candidate pays for its energy alone
-    and a Newton step takes no eigendecomposition of its own.
+    Every edge is read through Z = S_src g R_dst between the roots
+    R = P^{1/2}, S = P^{-1/2} of its endpoints (symspace.roots): Z Z^† =
+    S_src Q S_src for the transported far endpoint Q, so log(Z Z^†) is twice
+    the edge log in the source frame and log(Z^† Z) in the far frame.  For
+    n = 2 sl2_frame of (P_src, Q) gives the squared edge distances d2 = 2 l^2
+    with no root, and Z and its Gram parts are formed when the tension is
+    first read, so a rejected candidate pays for its energy alone; otherwise
+    edge_svd factors Z = U Sigma V^† with the energy.  The tension, its
+    norm, the drift, a move and the Newton model read the same arrays for
+    every n; only the Jacobi blocks have an n = 2 closed form of their own.
     """
 
     def __init__(self, kern, points):
         self.kern = kern
         self.points = points
-        Q = ss.act(kern.g, points[kern.dst])
         if kern.n == 2:
-            self.N, self.sh, self.ell = ss.sl2_frame(points[kern.src], Q)
+            _, self.sh, self.ell = ss.sl2_frame(points[kern.src],
+                                                ss.act(kern.g, points[kern.dst]))
             d = ss._SQRT2 * self.ell
             self.d2 = d * d
         else:
-            self.w, self.U, self.S = ss.point_frame(points)
-            self.logw, self.V = ss.log_frame(self.S[kern.src], Q)
-            # a sum of squares, which can differ from dist(P, Q)**2 in the
-            # last bit; the energy is built on it
-            self.d2 = np.sum(self.logw ** 2, axis=-1)
+            self.U, self.logs, self.V = ss.edge_svd(self.Z)
+            self.d2 = 4.0 * np.sum(self.logs ** 2, axis=-1)
+            # shadows the cached property, which builds the n = 2 closed forms
+            self.frame = (2.0, ss._spectral(self.U, self.logs),
+                          ss._spectral(self.V, self.logs))
         self.energy = 0.5 * float(np.dot(kern.w1, self.d2))
+
+    @cached_property
+    def roots(self):
+        """(R, S) = (P^{1/2}, P^{-1/2}) per vertex, symspace.roots."""
+        return ss.roots(self.points)
+
+    @cached_property
+    def Z(self):
+        """S_src g R_dst per edge."""
+        k = self.kern
+        R, S = self.roots
+        return mul(mul(S[k.src], k.g), R[k.dst])
+
+    @cached_property
+    def frame(self):
+        """(c, Fs, Ff) per edge with log(Z Z^†) = c Fs and log(Z^† Z) = c Ff:
+        l / sinh l and the traceless Gram parts of symspace.sl2_grams for
+        n = 2; otherwise __init__ sets (2, U log Sigma U^†, V log Sigma V^†)."""
+        return ss.sl2_csch(self.sh, self.ell), *ss.sl2_grams(self.Z)
 
     @cached_property
     def beta(self):
         """mc_edge(P_src, g P_dst g^†) per edge."""
-        if self.kern.n == 2:
-            return 0.5 * self.csch[:, None, None] * self.N
-        src = self.kern.src
-        return ss.mc_from_frame(self.R[src], self.S[src], self.logw, self.V)
+        k = self.kern
+        return ss.mc_edge(self.points[k.src], ss.act(k.g, self.points[k.dst]))
 
     @cached_property
     def tension(self):
@@ -232,37 +251,18 @@ class MapEval:
     @cached_property
     def tension_frame(self):
         """S tau R per vertex: the tension in the frame of the vertex, where
-        the fiber metric at P is the Frobenius one.  For n = 2 it is summed
-        in the vertex frames from the edges' Z = S_src g R_dst: an edge adds
-        w1 (l / sinh l) H0 at its source and minus w1 (l / sinh l) K0 at its
-        far end (symspace.sl2_grams), S_src beta R_src being
-        (l / sinh l) H0 / 2 and Z^{-1} H0 Z = K0.  S, R applied to a tension
-        summed at the points would lose the digits of a far point."""
-        if self.kern.n != 2:
-            return mul(mul(self.S, self.tension), self.R)
+        the fiber metric at P is the Frobenius one, summed in the vertex
+        frames: an edge adds w1 log(Z Z^†) = 2 w1 S_src beta R_src at its
+        source and minus w1 log(Z^† Z) = Z^{-1} (.) Z of it at its far end.
+        S, R applied to a tension summed at the points would lose the digits
+        of a far point."""
         k = self.kern
-        H0, K0 = self.grams
-        c = (k.w1 * self.csch)[:, None, None]
+        c, Fs, Ff = self.frame
+        c = (k.w1 * c)[:, None, None]
         T = np.zeros(self.points.shape, dtype=complex)
-        np.add.at(T, k.src, c * H0)
-        np.add.at(T, k.dst, -c * K0)
+        np.add.at(T, k.src, c * Fs)
+        np.add.at(T, k.dst, -c * Ff)
         return T
-
-    @cached_property
-    def Z(self):
-        """S_src g R_dst per edge, for n = 2."""
-        k = self.kern
-        return mul(mul(self.S[k.src], k.g), self.R[k.dst])
-
-    @cached_property
-    def grams(self):
-        """symspace.sl2_grams of Z per edge, for n = 2."""
-        return ss.sl2_grams(self.Z)
-
-    @cached_property
-    def csch(self):
-        """l / sinh l per edge, for n = 2."""
-        return ss.sl2_csch(self.sh, self.ell)
 
     @cached_property
     def tension_sq(self):
@@ -274,62 +274,35 @@ class MapEval:
 
     @property
     def drift(self):
-        """dist(I, f(v0)): in closed form for n = 2, else from the vertex
-        eigenvalues."""
-        if self.kern.n == 2:
-            return ss.origin_dist(self.points[0])
-        return ss.origin_dist(self.points[0], self.w[0])
+        """dist(I, f(v0))."""
+        return ss.origin_dist(self.points[0])
 
     @property
     def floored(self):
-        """Whether a vertex eigenvalue is at the floor symspace._EIG_FLOOR;
-        for n = 2 the small eigenvalue e^{-a} of a point at dist(I, P) =
-        sqrt(2) a is."""
-        if self.kern.n == 2:
-            return bool(ss.origin_dist(self.points).max() >= ss._FLOOR_DIST)
-        return bool(self.w.min() <= ss._EIG_FLOOR)
+        """Whether a vertex lies at or beyond symspace._FLOOR_DIST from I,
+        where the small eigenvalue of a det-1 2 x 2 point reaches the floor
+        symspace._EIG_FLOOR."""
+        return bool(ss.origin_dist(self.points).max() >= ss._FLOOR_DIST)
 
     # -- Newton model at this map ------------------------------------------
-    @cached_property
-    def R(self):
-        """P^{1/2} per vertex: symspace.sl2_root for n = 2, else from the
-        vertex frame."""
-        if self.kern.n == 2:
-            return ss.sl2_root(self.points)
-        return ss._spectral(self.U, np.sqrt(self.w))
-
-    @cached_property
-    def S(self):
-        """P^{-1/2} = adj(R) per vertex for n = 2; the vertex frame sets it
-        otherwise."""
-        return ss.adj(self.R)
-
     def tangent_field(self, x):
         """Tangent field sum_k x[v, k] R_v B_k R_v^{-1} (R_v = P_v^{1/2}) from
         orthonormal p-coordinates x (flat, vertex-major)."""
-        return mul(mul(self.R, self._frame_field(x)), self.S)
+        R, S = self.roots
+        return mul(mul(R, self._frame_field(x)), S)
 
     def _frame_field(self, x):
         """sum_k x[v, k] B_k per vertex: a tangent field in the vertex frames."""
         B = self.kern._pattern[0]
         return np.tensordot(x.reshape(len(self.points), len(B)), B, axes=1)
 
-    @property
-    def descent(self):
-        """The direction of the explicit flow, in the form ``moved`` takes:
-        the tension in the vertex frames for n = 2, the tension otherwise."""
-        return self.tension_frame if self.kern.n == 2 else self.tension
-
     def moved(self, s, X):
-        """The points retracted along s X.  For n = 2 X is a tangent field
-        in the vertex frames and the points are R e^{2 s X} R, which is
-        exp_point(P, s R X S) in closed form and keeps the digits of a far
-        point; otherwise X is a tangent field at the points (``retract``)."""
-        if self.kern.n != 2:
-            return retract(self.points, s * X)
+        """The points R e^{2 s X} R, X a tangent field in the vertex frames:
+        exp_point(P, s R X S), without its cancellation far out."""
+        R = self.roots[0]
         with np.errstate(all="ignore"):
-            E = ss.sl2_exph(2.0 * s * X)
-            return _unit_det(ss._hermitize(mul(mul(self.R, E), self.R)))
+            E = ss.exph(2.0 * s * X)
+            return _unit_det(ss._hermitize(mul(mul(R, E), R)))
 
     def hessian(self, mu=0.0):
         """Exact Hessian of the energy in orthonormal p-coordinates, plus mu
@@ -341,7 +314,7 @@ class MapEval:
         k = self.kern
         B, slot, indices, indptr = k._pattern
         src, far, cross = (self._sl2_blocks(B) if k.n == 2
-                           else self._eigen_blocks(B))
+                           else self._svd_blocks(B))
         scale = 4.0 * k.w1[:, None, None]
         C = -scale * cross
         vals = np.concatenate([(scale * src).ravel(), (scale * far).ravel(),
@@ -364,46 +337,40 @@ class MapEval:
             norm = np.sqrt(np.sum(x * x, axis=1, keepdims=True))
             return x / np.where(norm > 0.0, norm, 1.0)
 
-        c, d = map(unit, self.grams)
+        csch, H0, K0 = self.frame
+        c, d = unit(H0), unit(K0)
         U = ss.sl2_unitary(self.Z)
         A = np.real(np.einsum("kij,elij->ekl", B.conj(),
                               mul(mul(U[:, None], B), ct(U)[:, None])))
-        csch = self.csch[:, None, None]
+        csch = csch[:, None, None]
         coth = csch * np.hypot(1.0, self.sh)[:, None, None]
         eye = np.eye(len(B))
         cc, dd, cd = (x[:, :, None] * y[:, None, :] for x, y in ((c, c), (d, d), (c, d)))
         return (coth * eye + (1.0 - coth) * cc, coth * eye + (1.0 - coth) * dd,
                 csch * A + (1.0 - csch) * cd)
 
-    def _eigen_blocks(self, B):
-        """Per-edge (source, far, cross) Jacobi blocks over 4 w1, in the
-        eigenframe of beta: T coth T and T / sinh T of T = |ad beta| as
-        Hadamard multipliers."""
-        k = self.kern
-        ne = len(k.src)
-        R, S, logw, V = self.R, self.S, self.logw, self.V
-        coth, csch = ss.ad_jacobi(logw)
-        Vh = ct(V)
-        # source basis in the eigenframe of beta, and the far basis carried
-        # to the source: V^† e^{-beta~} S g R_dst = e^{-Lambda} V^† S g R_dst
-        Ms = mul(mul(Vh[:, None], B), V[:, None]).reshape(ne, len(B), -1)
-        Y = np.exp(-0.5 * logw)[..., None] * mul(mul(mul(Vh, S[k.src]), k.g),
-                                                 R[k.dst])
-        Md = mul(mul(Y[:, None], B), ct(Y)[:, None]).reshape(Ms.shape)
-        coth = coth.reshape(ne, 1, -1)
-        csch = csch.reshape(coth.shape)
+    def _svd_blocks(self, B):
+        """Per-edge (source, far, cross) Jacobi blocks over 4 w1 in the SVD
+        frames of Z = U Sigma V^†: U is the eigenframe of beta at the source
+        and V the far frame, so the basis goes in as U^† B U and V^† B V, and
+        T coth T and T / sinh T of T = |ad beta| (symspace.ad_jacobi of
+        log sigma) act as Hadamard multipliers."""
+        ne = len(self.kern.src)
+        coth, csch = (f.reshape(ne, 1, -1) for f in ss.ad_jacobi(self.logs))
+        Ms, Md = (mul(mul(ct(W)[:, None], B), W[:, None]).reshape(ne, len(B), -1)
+                  for W in (self.U, self.V))
 
-        def pair(X, f, Z):
-            # Re <X_k, f o Z_l>_F for every pair of basis elements
-            return np.real((X.conj() * f) @ Z.swapaxes(1, 2))
+        def pair(X, f, Y):
+            # Re <X_k, f o Y_l>_F for every pair of basis elements
+            return np.real((X.conj() * f) @ Y.swapaxes(1, 2))
 
         return pair(Ms, coth, Ms), pair(Md, coth, Md), pair(Ms, csch, Md)
 
     def newton_step(self, mu):
         """Damped Newton direction (H + mu W0) x = 2 t, t the orthonormal
-        p-coordinates of the tension; returns the tangent field of x, in the
-        form ``moved`` takes, and 2 t . x (twice the model decrease), or None
-        on a singular or non-finite solve."""
+        p-coordinates of the tension; returns the tangent field of x in the
+        vertex frames, the form ``moved`` takes, and 2 t . x (twice the
+        model decrease), or None on a singular or non-finite solve."""
         B = self.kern._pattern[0]
         rhs = 2.0 * np.real(np.einsum("kij,vij->vk", B.conj(),
                                       self.tension_frame)).ravel()
@@ -416,8 +383,7 @@ class MapEval:
             return None
         if not np.isfinite(x).all():
             return None
-        X = self._frame_field(x) if self.kern.n == 2 else self.tangent_field(x)
-        return X, float(rhs @ x)
+        return self._frame_field(x), float(rhs @ x)
 
 
 def energy(f):
@@ -568,13 +534,13 @@ def _explicit_flow(kern, start, **args):
             # accepted on tension decrease instead (energy stays within
             # 1e-12); a candidate equal to the current points is no step,
             # and a rejection halves the step for the next iteration
-            cand = kern.evaluate(ev.moved(step, ev.descent))
+            cand = kern.evaluate(ev.moved(step, ev.tension_frame))
             if (cand is not None and not np.array_equal(cand.points, ev.points)
                     and cand.tension_sq <= gsq * (1.0 + 1e-6)):
                 return cand
             step *= 0.5
             return ev if step > 1e-16 else None
-        cand, step = _backtrack(kern, ev, ev.descent, step, 1e-16,
+        cand, step = _backtrack(kern, ev, ev.tension_frame, step, 1e-16,
                                 lambda c, s: c.energy <= E - 0.25 * s * gsq)
         step = min(step * 1.4, 1e8)
         return cand

@@ -196,27 +196,38 @@ class WordTable:
 
     def values(self, C):
         """Cocycle values c(w) of every word, (..., nwords, n, n), from
-        stacked generator values C (..., ngens, n, n)."""
-        D = self._tokens(np.asarray(C, dtype=complex))
-        c = np.zeros(D.shape[:-3] + self.rho.shape, dtype=complex)
-        for j in range(self.live.shape[1]):
-            c = np.where(self.live[:, j, None, None], c + self._step(j, D), c)
-        return c
+        stacked generator values C (..., ngens, n, n); ValueError if one
+        is not finite (finite generator values can overflow on a word)."""
+        with np.errstate(all="ignore"):
+            D = self._tokens(np.asarray(C, dtype=complex))
+            c = np.zeros(D.shape[:-3] + self.rho.shape, dtype=complex)
+            for j in range(self.live.shape[1]):
+                c = np.where(self.live[:, j, None, None], c + self._step(j, D), c)
+        return _finite_words(c)
 
     def jets(self, C, K):
         """2-jet values (c(w), k(w)) of every word from stacked generator
-        values C and K, by the product law of the 2-jet group."""
-        D = self._tokens(np.asarray(C, dtype=complex))
-        E = self._tokens(np.asarray(K, dtype=complex))
-        xi = np.zeros(np.broadcast_shapes(D.shape[:-3], E.shape[:-3])
-                      + self.rho.shape, dtype=complex)
-        mu = xi.copy()
-        for j in range(self.live.shape[1]):
-            live = self.live[:, j, None, None]
-            ad_eta = self._step(j, D)
-            mu = np.where(live, mu + self._step(j, E) + (xi @ ad_eta - ad_eta @ xi), mu)
-            xi = np.where(live, xi + ad_eta, xi)
-        return xi, mu
+        values C and K, by the product law of the 2-jet group; ValueError
+        if one is not finite."""
+        with np.errstate(all="ignore"):
+            D = self._tokens(np.asarray(C, dtype=complex))
+            E = self._tokens(np.asarray(K, dtype=complex))
+            xi = np.zeros(np.broadcast_shapes(D.shape[:-3], E.shape[:-3])
+                          + self.rho.shape, dtype=complex)
+            mu = xi.copy()
+            for j in range(self.live.shape[1]):
+                live = self.live[:, j, None, None]
+                ad_eta = self._step(j, D)
+                mu = np.where(live, mu + self._step(j, E) + (xi @ ad_eta - ad_eta @ xi), mu)
+                xi = np.where(live, xi + ad_eta, xi)
+        return _finite_words(xi), _finite_words(mu)
+
+
+def _finite_words(values):
+    """values, refused unless every entry is finite."""
+    if not np.isfinite(values).all():
+        raise ValueError("non-finite entries in cocycle word values")
+    return values
 
 
 def coboundary(rep, xi):

@@ -29,19 +29,18 @@ factor of Z, and sl2_exph exponentiates a Hermitian traceless block in real
 arithmetic; all of them are sums of products of entries, with no
 cancellation far from I.
 
-For n = 1 and n >= 3 the frame routines split one evaluation into its
-eigendecompositions, so that a caller pays for each once: point_frame gives
-the floored eigenvalues w, the eigenvectors U and S = P^{-1/2} of P;
-log_frame gives the log-eigenvalues and eigenvectors of S Q S;
-mc_from_frame builds mc_edge(P, Q) from the latter, S and P^{1/2}, which
-the caller forms once from (w, U) and keeps, and origin_dist reads
-dist(I, P) from w.  The heat flow in harmonicflow runs on the frames of
-either kind.
+For n = 1 and n >= 3 the same quantities come from numpy's eigh, once per
+point, and SVD, once per pair.  roots gives R = P^{1/2} and S = P^{-1/2},
+exph e^X of a Hermitian X (for n = 2 both select the closed forms), and
+edge_svd factors Z = S_P R_Q (the flow's S_src g R_dst) as U Sigma V^†:
+dist(P, Q) = 2 |log sigma|, mc_edge(P, Q) = R_P U log Sigma U^† S_P, and
+V log Sigma V^† is the same log in Q's frame.  A det-1 spectrum reads its
+smallest value as the reciprocal of the product of the others (_unit_logs).
 
-act, log_frame, mc_from_frame, sl2_frame and exp_point multiply through
-liealg.mul (broadcast arithmetic on a 2 x 2 block instead of one BLAS call
-per block) and transpose through liealg.ct; the eigendecompositions of
-n != 2 are numpy's eigh.
+act, sl2_frame and exp_point multiply through liealg.mul (broadcast
+arithmetic on a 2 x 2 block instead of one BLAS call per block) and
+transpose through liealg.ct; the eigendecompositions and SVDs of n != 2
+are numpy's.
 """
 
 from __future__ import annotations
@@ -54,8 +53,10 @@ from .liealg import ct, mul
 #: ||mc_edge(P,Q)||_P / dist(P,Q); fixed by the half-log normalization.
 MC_EDGE_NORM_RATIO = 0.5
 
+#: floor of _eigh's eigenvalues (an SL(n) point's smallest is read from det 1)
 _EIG_FLOOR = 1e-14
-#: dist(I, P) of a det-1 2 x 2 point whose small eigenvalue is _EIG_FLOOR
+#: dist(I, P) of a det-1 2 x 2 point whose small eigenvalue is _EIG_FLOOR:
+#: a flow ending at or beyond it from I, for any n, is not converged
 _FLOOR_DIST = -np.sqrt(2.0) * np.log(_EIG_FLOOR)
 
 #: distance from I within which a minimizer counts as attained, by
@@ -86,28 +87,47 @@ def _log_norm(logw):
     return np.sqrt(np.vecdot(logw, logw))
 
 
-def point_frame(P):
-    """Floored eigenvalues w, eigenvectors U and S = P^{-1/2} from one
-    eigendecomposition of P."""
+def _unit_logs(x, k):
+    """log x of spectra whose product is 1 for n > 1 (an SL(n) point's
+    eigenvalues, the singular values of S_P R_Q), the smallest, at index k,
+    set to minus the sum of the others: its float value is known only to
+    eps times the largest, which far out leaves it no digit."""
+    with np.errstate(divide="ignore"):
+        logs = np.log(x)
+    if x.shape[-1] > 1:
+        logs[..., k] = 0.0
+        logs[..., k] = -np.sum(logs, axis=-1)
+    return logs
+
+
+def roots(P):
+    """(R, S) = (P^{1/2}, P^{-1/2}) of points: sl2_root and its adjugate for
+    n = 2, otherwise from one eigh of P (_eigh, which reads one triangle)
+    with its smallest eigenvalue read from det P = 1 (_unit_logs)."""
+    if P.shape[-1] == 2:
+        R = sl2_root(P)
+        return R, adj(R)
     w, U = _eigh(P)
-    return w, U, _spectral(U, 1.0 / np.sqrt(w))
+    h = 0.5 * _unit_logs(w, 0)
+    return _spectral(U, np.exp(h)), _spectral(U, np.exp(-h))
 
 
-def origin_dist(P, w=None):
-    """dist(I, P): for n = 2 in closed form (a stack gives a stack),
-    otherwise read from the floored eigenvalues w of P.
+def edge_svd(Z):
+    """(U, log sigma, V) of Z = U Sigma V^†, the smallest sigma read from
+    |det Z| = 1 (_unit_logs).  For Z = S_P R_Q, U log Sigma U^† is half of
+    log(S_P Q S_P) and V log Sigma V^† = Z^{-1} (U log Sigma U^†) Z."""
+    U, sigma, Vh = np.linalg.svd(Z)
+    return U, _unit_logs(sigma, -1), ct(Vh)
 
-    eigh reads one triangle of P, while dist hermitizes it first, so the two
-    agree bit for bit only on an exactly Hermitian P.  Any other P, such as a
-    random start, goes through dist.
-    """
+
+def origin_dist(P):
+    """dist(I, P); for n = 2 in closed form without the product (a stack
+    gives a stack)."""
     if P.shape[-1] == 2:
         # M = P adj(I) = P: dist(I, P) without the product, bit for bit
         d = _SQRT2 * _sl2_split(np.array(P))[2]
         return float(d) if d.ndim == 0 else d
-    if not np.array_equal(P, ct(P)):
-        return dist(np.eye(P.shape[-1], dtype=complex), P)
-    return float(_log_norm(np.log(w)))
+    return dist(np.eye(P.shape[-1], dtype=complex), P)
 
 
 def _expm(X):
@@ -128,22 +148,6 @@ def act(g, P):
     """Isometric action P -> g P g^†."""
     g, P = np.asarray(g, dtype=complex), np.asarray(P)
     return _hermitize(mul(mul(g, P), ct(g)))
-
-
-def log_frame(S, Q):
-    """Logarithms of the eigenvalues, and eigenvectors, of S Q S.
-
-    With S = P^{-1/2} the logarithms give dist(P, Q) (see dist), and
-    mc_from_frame builds mc_edge(P, Q) from them.
-    """
-    w, U = _eigh(_hermitize(mul(mul(S, Q), S)))
-    return np.log(w), U
-
-
-def mc_from_frame(R, S, logw, V):
-    """mc_edge(P, Q) from R = P^{1/2}, S = P^{-1/2} and log_frame(S, Q) =
-    (logw, V)."""
-    return 0.5 * mul(mul(R, _spectral(V, logw)), S)
 
 
 def adj(P):
@@ -205,6 +209,14 @@ def sl2_unitary(Z):
             / np.sqrt(norm2 + 2.0)[..., None, None])
 
 
+def exph(X):
+    """e^X of Hermitian blocks X: sl2_exph for n = 2, otherwise from eigh."""
+    if X.shape[-1] == 2:
+        return sl2_exph(X)
+    w, W = np.linalg.eigh(X)
+    return _spectral(W, np.exp(w))
+
+
 def sl2_exph(X):
     """e^X of Hermitian traceless 2 x 2 blocks X, in real arithmetic:
     cosh(s) I + (sinh(s) / s) X with s^2 = X_00^2 + |X_01|^2 = -det X."""
@@ -223,25 +235,25 @@ def sl2_csch(sh, ell):
 
 
 def dist(P, Q):
-    """Invariant distance ||log(P^{-1/2} Q P^{-1/2})||_F; sqrt(2) l of
-    sl2_frame for n = 2."""
+    """Invariant distance ||log(P^{-1/2} Q P^{-1/2})||_F: sqrt(2) l of
+    sl2_frame for n = 2, otherwise 2 |log sigma| of edge_svd."""
     Q = np.asarray(Q)
     if Q.shape[-1] == 2:
         d = _SQRT2 * sl2_frame(P, Q)[2]
     else:
-        d = _log_norm(log_frame(point_frame(P)[2], Q)[0])
+        d = 2.0 * _log_norm(edge_svd(mul(roots(np.asarray(P))[1], roots(Q)[0]))[1])
     return float(d) if d.ndim == 0 else d
 
 
-def ad_jacobi(logw):
+def ad_jacobi(lam):
     """Jacobi-field multipliers T coth T and T / sinh T of T = |ad_beta|.
 
-    logw are the log-eigenvalues of P^{-1/2} Q P^{-1/2}, so beta = mc_edge(P, Q)
-    has eigenvalues logw / 2 and, in its eigenframe, |ad_beta| scales the
-    (i, j) entry by T_ij = |logw_i - logw_j| / 2.  Returns the two Hadamard
-    multipliers (both 1 at T = 0), stacked like logw with a trailing (n, n).
+    lam are the eigenvalues of beta = mc_edge(P, Q), the log sigma of
+    edge_svd; in its eigenframe |ad_beta| scales the (i, j) entry by
+    T_ij = |lam_i - lam_j|.  Returns the two Hadamard multipliers (both 1 at
+    T = 0), stacked like lam with a trailing (n, n).
     """
-    T = 0.5 * np.abs(logw[..., :, None] - logw[..., None, :])
+    T = np.abs(lam[..., :, None] - lam[..., None, :])
     small = T < 1e-4
     Ts = np.where(small, 1.0, T)
     q = np.exp(-Ts)                  # e^{-T}: no overflow at large T
@@ -263,14 +275,14 @@ def mc_edge(P, Q):
     """Edge logarithm (1/2) log(Q P^{-1}), selfadjoint at P.
 
     For n = 2 it is (l / 2 sinh l) N of sl2_frame(P, Q).  Otherwise it is
-    computed through the symmetric eigendecomposition of P^{-1/2} Q P^{-1/2}
-    and conjugated back, which keeps the selfadjointness exact.
+    R_P U log Sigma U^† S_P from edge_svd of S_P R_Q.
     """
     if np.shape(Q)[-1] == 2:
         N, sh, ell = sl2_frame(P, Q)
         return 0.5 * sl2_csch(sh, ell)[..., None, None] * N
-    w, U, S = point_frame(P)
-    return mc_from_frame(_spectral(U, np.sqrt(w)), S, *log_frame(S, np.asarray(Q)))
+    R, S = roots(np.asarray(P))
+    U, logs, _ = edge_svd(mul(S, roots(np.asarray(Q))[0]))
+    return mul(mul(R, _spectral(U, logs)), S)
 
 
 def random_point(group, rng, scale=0.5):

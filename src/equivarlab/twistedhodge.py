@@ -390,12 +390,16 @@ class TwistedComplex:
         """Harmonic 1-cochain representing the class of the cocycle c (or of
         its seed cochain).
 
-        Returns (omega, xi) with omega = seed - d xi and d* omega = 0.
+        Returns (omega, xi) with omega = seed - d xi and d* omega = 0, or
+        ValueError if an overflowing cocycle makes them not finite.
         """
         a = self.to_flat(self.seed_cochain(c).values)
-        x, exact = self._exact(a)
-        return (TwistedCochain(1, self.from_flat(a - exact)),
-                TwistedCochain(0, self.from_flat(x)))
+        with np.errstate(all="ignore"):
+            x, exact = self._exact(a)
+            a = a - exact
+        if not (np.isfinite(a).all() and np.isfinite(x).all()):
+            raise ValueError("non-finite entries in harmonic representative")
+        return TwistedCochain(1, self.from_flat(a)), TwistedCochain(0, self.from_flat(x))
 
     def primitive(self, omega, c):
         """Section F with dF = omega - seed(c), i.e. a c-equivariant primitive

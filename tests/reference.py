@@ -14,15 +14,18 @@ sample started from f0, without the continuation predictor.
 ``critical_scan_per_cocycle`` is the critical scan with one seed and one
 harmonic representative per basis cocycle, where ``energyvar.critical_scan``
 seeds and solves the whole basis as one block.
-``mp_energy_tension`` and ``mp_hessian`` evaluate the SL(2) energy, its
-tension field, the tension norm and the Hessian in 50-digit mpmath
-arithmetic, from the exact values of the float points and transports.  Every
-float point is read as a point of det 1, as the flow layer reads it
-(P^{-1} = adj P, P^{1/2} = (P + I) / sqrt(tr P + 2)); the energy and the
-tension field go through the closed forms of ``symspace``, and the tension
-norm and the Hessian through central first and second differences of the
-energy along the geodesics P -> P^{1/2} e^{2 sum x_k B_k} P^{1/2}, with no
-polar frame and no Jacobi field.
+``mp_energy_tension`` and ``mp_hessian`` evaluate the SL(2) or SL(3)
+energy, its tension field, the tension norm and the Hessian in 50-digit
+mpmath arithmetic, from the exact values of the float points and transports.
+Every float point is read as a point of det 1, as the flow layer reads it
+(for n = 2 P^{-1} = adj P and P^{1/2} = (P + I) / sqrt(tr P + 2); for
+n = 3 the smallest eigenvalue of mpmath's ``eighe`` is the reciprocal of the
+product of the others).  The energy and the tension field go through the
+closed forms of ``symspace`` for n = 2 and through log(S Q S) by ``eighe``
+for n = 3, with no SVD, and the tension norm and the Hessian through central
+first and second differences of the energy along the geodesics
+P -> P^{1/2} e^{2 sum x_k B_k} P^{1/2}, with no polar frame and no Jacobi
+field.
 ``mp_log_dist`` is the distance by mpmath's matrix logarithm, which checks
 the closed forms themselves on points of det 1.
 ``normalize_basepoint`` and ``shifted_pair`` are the transformations of the
@@ -194,7 +197,7 @@ def norm_at(P, X):
 
 def normalize_basepoint(f):
     """Translate the map so that f(v0) = I (compare maps up to centralizer)."""
-    g = ss.point_frame(f.points[0])[2]
+    g = ss.roots(f.points[0])[1]
     pts = ss.act(g, f.points)
     return hf.EquivariantMap(f.mesh, f.rep.conjugate(g), pts)
 
@@ -209,15 +212,26 @@ def shifted_pair(F, F2, xi_kernel, eta_kernel):
 
 
 # ----------------------------------------------------------------------
-# 50-digit SL(2) oracle
+# 50-digit SL(2) and SL(3) oracle
 
 MP_DPS = 50
 
 
+def _digits(kern, points):
+    """MP_DPS, and for n >= 3, whose log(S Q S) goes through eighe, twice
+    the decades of the largest cond(P) on top: the eigenvalues of S Q S
+    span about cond(P)^2 (70 decades from diag(e^40, e^-40, 1)), and the
+    eigenvector of the smallest needs them all."""
+    if kern.n == 2:
+        return MP_DPS
+    return MP_DPS + 2 * int(np.ceil(np.log10(np.linalg.cond(points).max())))
+
+
 def _mp(A):
-    """mpmath matrix of the exact values of a 2 x 2 float array."""
-    return mpmath.matrix([[mpmath.mpc(complex(A[i, j])) for j in range(2)]
-                          for i in range(2)])
+    """mpmath matrix of the exact values of an n x n float array."""
+    n = len(A)
+    return mpmath.matrix([[mpmath.mpc(complex(A[i, j])) for j in range(n)]
+                          for i in range(n)])
 
 
 def _mp_ct(A):
@@ -228,13 +242,64 @@ def _mp_adj(A):
     return mpmath.matrix([[A[1, 1], -A[0, 1]], [-A[1, 0], A[0, 0]]])
 
 
+def _mp_spectral(V, vals):
+    """V diag(vals) V^†."""
+    return V * mpmath.diag(vals) * _mp_ct(V)
+
+
+def _mp_eigh(P):
+    """Eigenvalues (a list) and eigenvectors of the Hermitian part of P."""
+    E, V = mpmath.eighe((P + _mp_ct(P)) / 2)
+    return [mpmath.re(x) for x in E], V
+
+
+def _mp_unit(P):
+    """Eigenvalues and eigenvectors of a point of det 1 as the flow reads it
+    for n >= 3: its smallest eigenvalue is the reciprocal of the product of
+    the others."""
+    w, V = _mp_eigh(P)
+    k = min(range(len(w)), key=lambda i: w[i])
+    w[k] = 1 / mpmath.fprod(w[:k] + w[k + 1:])
+    return w, V
+
+
+def _mp_point(P):
+    """The float point P at MP_DPS digits, as the flow reads it: for n = 2
+    its exact values (the closed forms read them as a point of det 1),
+    otherwise rebuilt from _mp_unit."""
+    Pm = _mp(P)
+    if len(P) == 2:
+        return Pm
+    w, V = _mp_unit(Pm)
+    return _mp_spectral(V, w)
+
+
+def _mp_root(P):
+    """P^{1/2} of a point read as det 1: (P + I) / sqrt(tr P + 2) for n = 2,
+    otherwise from _mp_unit."""
+    if P.rows == 2:
+        return (P + mpmath.eye(2)) / mpmath.sqrt(mpmath.re(P[0, 0] + P[1, 1]) + 2)
+    w, V = _mp_unit(P)
+    return _mp_spectral(V, [mpmath.sqrt(x) for x in w])
+
+
 def _mp_edge(P, Q):
-    """(N, l): N the traceless part of Q adj(P), sinh l = sqrt(-det N)."""
-    M = Q * _mp_adj(P)
-    a = (M[0, 0] - M[1, 1]) / 2
-    N = mpmath.matrix([[a, M[0, 1]], [M[1, 0], -a]])
-    q = mpmath.re(a * a + M[0, 1] * M[1, 0])
-    return N, mpmath.asinh(mpmath.sqrt(max(q, mpmath.mpf(0))))
+    """(d^2 / 2, 2 mc_edge(P, Q)) of Hermitian mp points.  For n = 2 from N,
+    the traceless part of Q adj(P), and l with sinh l = sqrt(-det N):
+    (l^2, (l / sinh l) N).  Otherwise from L = log(S Q S), S = P^{-1/2}:
+    (|L|^2 / 2, R L S)."""
+    if P.rows == 2:
+        M = Q * _mp_adj(P)
+        a = (M[0, 0] - M[1, 1]) / 2
+        N = mpmath.matrix([[a, M[0, 1]], [M[1, 0], -a]])
+        q = mpmath.re(a * a + M[0, 1] * M[1, 0])
+        ell = mpmath.asinh(mpmath.sqrt(max(q, mpmath.mpf(0))))
+        return ell ** 2, (ell / mpmath.sinh(ell) if ell else mpmath.mpf(1)) * N
+    R = _mp_root(P)
+    S = mpmath.inverse(R)
+    w, V = _mp_eigh(S * Q * S)
+    logs = [mpmath.log(x) for x in w]
+    return sum(x * x for x in logs) / 2, R * _mp_spectral(V, logs) * S
 
 
 def _mp_transports(kern):
@@ -246,42 +311,47 @@ def _mp_energy(kern, pts, g):
     E = mpmath.mpf(0)
     for e, (s, d) in enumerate(zip(kern.src, kern.dst)):
         Q = g[e] * pts[d] * _mp_ct(g[e])
-        E += mpmath.mpf(kern.w1[e]) * _mp_edge(pts[s], (Q + _mp_ct(Q)) / 2)[1] ** 2
+        E += mpmath.mpf(kern.w1[e]) * _mp_edge(pts[s], (Q + _mp_ct(Q)) / 2)[0]
     return E
 
 
 def mp_energy_tension(kern, points):
-    """(energy, tension field, tension norm^2) of an SL(2) map at MP_DPS
-    digits, as floats.  The norm^2 is sum_v w0 ||S tau R||_F^2, whose vertex
-    terms are the p-coordinates -g/2 of the gradient g of ``mp_gradient``."""
-    with mpmath.workdps(MP_DPS):
-        pts = [_mp(P) for P in points]
+    """(energy, tension field, tension norm^2, tension in the vertex frames)
+    of an SL(2) or SL(3) map at _digits, as floats.  The norm^2 is
+    sum_v w0 ||S tau R||_F^2, whose vertex terms are the p-coordinates -g/2
+    of the gradient g of ``mp_gradient``; the last is S tau R per vertex,
+    S = R^{-1} and R the root of the point."""
+    n = kern.n
+    with mpmath.workdps(_digits(kern, points)):
+        pts = [_mp_point(P) for P in points]
         g, ginv = _mp_transports(kern)
-        tau = [mpmath.zeros(2, 2) for _ in pts]
+        tau = [mpmath.zeros(n, n) for _ in pts]
         for e, (s, d) in enumerate(zip(kern.src, kern.dst)):
             Q = g[e] * pts[d] * _mp_ct(g[e])
-            N, ell = _mp_edge(pts[s], (Q + _mp_ct(Q)) / 2)
-            coef = ell / mpmath.sinh(ell) if ell else mpmath.mpf(1)
-            fwd = mpmath.mpf(kern.w1[e]) * coef * N      # 2 w1 beta
+            fwd = mpmath.mpf(kern.w1[e]) * _mp_edge(pts[s], (Q + _mp_ct(Q)) / 2)[1]
             tau[s] += fwd
             tau[d] -= ginv[e] * fwd * g[e]
         E = _mp_energy(kern, pts, g)
+        roots = [_mp_root(P) for P in pts]
+        frame = [mpmath.inverse(R) * T * R for R, T in zip(roots, tau)]
     t = -0.5 * mp_gradient(kern, points).reshape(len(points), -1)
-    return (float(E), np.array([[[complex(T[i, j]) for j in range(2)]
-                                 for i in range(2)] for T in tau]),
-            float(np.dot(kern.w0, np.sum(t * t, axis=1))))
+
+    def floats(Ts):
+        return np.array([[[complex(T[i, j]) for j in range(n)] for i in range(n)]
+                         for T in Ts])
+    return (float(E), floats(tau), float(np.dot(kern.w0, np.sum(t * t, axis=1))),
+            floats(frame))
 
 
-def _mp_exp2(Y):
-    """e^Y of a traceless 2 x 2 matrix: cosh(s) I + sinh(s)/s Y, s^2 = -det Y."""
+def _mp_exph(Y):
+    """e^Y of a Hermitian traceless matrix: for n = 2 cosh(s) I + sinh(s)/s Y,
+    s^2 = -det Y; otherwise from its eigendecomposition."""
+    if Y.rows != 2:
+        w, V = _mp_eigh(Y)
+        return _mp_spectral(V, [mpmath.exp(x) for x in w])
     s = mpmath.sqrt(-(Y[0, 0] * Y[1, 1] - Y[0, 1] * Y[1, 0]))
     c = mpmath.sinh(s) / s if s else mpmath.mpf(1)
     return mpmath.cosh(s) * mpmath.eye(2) + c * Y
-
-
-def _mp_root(P):
-    """P^{1/2} of a point read as det 1: (P + I) / sqrt(tr P + 2)."""
-    return (P + mpmath.eye(2)) / mpmath.sqrt(mpmath.re(P[0, 0] + P[1, 1]) + 2)
 
 
 def _mp_geodesic_energy(kern, points):
@@ -299,18 +369,18 @@ def _mp_geodesic_energy(kern, points):
     def F(shift):
         pts = []
         for v, R in enumerate(roots):
-            X = mpmath.zeros(2, 2)
+            X = mpmath.zeros(kern.n, kern.n)
             for k in range(dp):
                 X += 2 * shift.get(v * dp + k, 0) * Bm[k]
-            pts.append(R * _mp_exp2(X) * R)
+            pts.append(R * _mp_exph(X) * R)
         return _mp_energy(kern, pts, g)
     return F, len(points) * dp
 
 
 def mp_gradient(kern, points, h=1e-20):
     """Gradient of the energy in orthonormal p-coordinates along the same
-    geodesics as ``mp_hessian``, by MP_DPS-digit central differences."""
-    with mpmath.workdps(MP_DPS):
+    geodesics as ``mp_hessian``, by central differences at _digits."""
+    with mpmath.workdps(_digits(kern, points)):
         F, n = _mp_geodesic_energy(kern, points)
         h = mpmath.mpf(h)
         return np.array([float((F({i: h}) - F({i: -h})) / (2 * h)) for i in range(n)])

@@ -314,6 +314,18 @@ def hyperbolic_lam(lam):
                                                "params": {"lam": lam}})
 
 
+#: a cocycle that passes the relator check of the trivial torus 5, whose
+#: harmonic representative overflows in the solve
+OVERFLOW_COCYCLE_CFG = dict(OBSTRUCTED_CFG, deformation={
+    "values": {"a": [[0, 1e308], [0, 0]], "b": ZERO2}})
+
+#: the genus-2 Fuchsian point with a cocycle whose relator word values overflow
+WORD_OVERFLOW_CFG = {"mesh": {"kind": "genus2", "k": 1},
+                     "group": {"kind": "sl", "n": 2, "field": "R"},
+                     "representation": {"family": "genus2_fuchsian"},
+                     "deformation": {"values": {"a1": [[1e308, 0], [0, -1e308]], "b1": ZERO2,
+                                                "a2": ZERO2, "b2": ZERO2}}}
+
 #: the circle has no relators, so only check_algebra sees these values
 NAN_COCYCLE_CFG = dict(PARABOLIC_CFG, representation={"family": "circle_hyperbolic"},
                        deformation={"values": {"a": [[math.nan, 1], [0, math.nan]]}})
@@ -397,7 +409,15 @@ NAN_COCYCLE_CFG = dict(PARABOLIC_CFG, representation={"family": "circle_hyperbol
      "non-finite entries in group element"),
     ("refine-study", {"group": SL2C, "refine": {"kind": "harmonic_residuals",
                                                 "alpha": [800, 0]}},
-     "non-finite entries in group element")],
+     "non-finite entries in group element"),
+    ("flow", dict(OBSTRUCTED_CFG, mesh={"kind": "json", "path": 3}),
+     "config key 'path' has a bad value: 3 is not a string"),
+    ("deform1", dict(OBSTRUCTED_CFG, deformation={"path_family": {
+        "kind": "conjugation", "xi": [[1]]}}),
+     "config key 'xi' must be a 2x2 matrix, got shape (1, 1)"),
+    ("deform1", OVERFLOW_COCYCLE_CFG, "non-finite entries in harmonic representative"),
+    ("deform2", OVERFLOW_COCYCLE_CFG, "non-finite entries in harmonic representative"),
+    ("deform1", WORD_OVERFLOW_CFG, "non-finite entries in cocycle word values")],
     ids=["mesh_kind", "path_kind", "psh_real_group", "refine_kind", "group_kind",
          "group_field", "sl_n1", "genus2_k0", "image_shape", "image_nonfinite",
          "image_singular", "image_missing", "cocycle_shape", "cocycle_missing",
@@ -410,7 +430,10 @@ NAN_COCYCLE_CFG = dict(PARABOLIC_CFG, representation={"family": "circle_hyperbol
          "flow_lam_zero", "circle_energy_lam_zero", "flow_start_energy_nonfinite",
          "energy_start_energy_nonfinite", "flow_random_start_overflow",
          "torus_diag_image_overflow", "torus_gl1c_image_overflow",
-         "torus_mc_image_overflow", "harmonic_residuals_image_overflow"])
+         "torus_mc_image_overflow", "harmonic_residuals_image_overflow",
+         "json_mesh_path_not_a_string", "conjugation_xi_shape",
+         "cocycle_overflow_deform1", "cocycle_overflow_deform2",
+         "cocycle_word_overflow"])
 def test_validation_error_exit_two(tmp_path, capsys, task, cfg, error):
     code, report, _ = run_cli(tmp_path, task, cfg)
     assert code == cli.EXIT_VALIDATION
@@ -684,12 +707,20 @@ def _diag_images(*entries):
             for i, z in enumerate(entries)]
 
 
-def test_far_random_flow_underflows_exit_zero(tmp_path):
-    # the same far start in SL(3,C), where the flow keeps eigh: the torus_diag
-    # images in the upper block, 1 below.  The flow takes no LAPACK inverse,
-    # so it reaches no singular matrix: its first step underflows and the run
-    # reports it with exit 0.  Read directly, not through run_cli: the path
-    # from such a start is not pinned by a golden
+def test_far_random_flow_underflows_exit_zero(tmp_path, monkeypatch):
+    # the same far start in SL(3,C): the torus_diag images in the upper
+    # block, 1 below.  A flow whose first step underflows reports it with
+    # exit 0.  The SVD edge frame converges from this start (the eigh frame
+    # once underflowed), so the gate refuses every candidate after the
+    # start.  Read directly, not through run_cli: the path from such a
+    # start is not pinned by a golden
+    evaluate = hf.FlowKernel.evaluate
+    starts = []
+
+    def start_only(kern, points):
+        starts.append(points)
+        return evaluate(kern, points) if len(starts) == 1 else None
+    monkeypatch.setattr(hf.FlowKernel, "evaluate", start_only)
     a, b = np.exp(0.4 + 0.3j), np.exp(-0.2 + 0.5j)
     cfg = dict(FAR_RANDOM_FLOW_CFG, group={"kind": "sl", "n": 3, "field": "C"},
                representation={"inline": {"images": {

@@ -329,7 +329,7 @@ HESSIAN_MESHES = {"circle": mc.build_circle(6), "torus": mc.build_torus(4, 4),
 
 @pytest.mark.parametrize("mesh_name", sorted(HESSIAN_MESHES))
 @pytest.mark.parametrize("group_key", [("sl", 2, "R"), ("sl", 2, "C"),
-                                       ("gl1c", 1, "C")])
+                                       ("gl1c", 1, "C"), ("sl", 3, "R")])
 @settings(max_examples=8, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), scale=st.floats(0.05, 0.6))
 def test_hessian_is_second_difference(mesh_name, group_key, seed, scale):
@@ -337,7 +337,7 @@ def test_hessian_is_second_difference(mesh_name, group_key, seed, scale):
     # h = 1e-3, because the genus-2 transports leave about 1e-13 of rounding
     # in each energy value, which at h = 1e-4 reaches 5e-5 of x^T H x
     mesh = HESSIAN_MESHES[mesh_name]
-    rep = _hessian_rep(MatrixGroup(*group_key), mesh)
+    rep = _eval_rep(MatrixGroup(*group_key), mesh)
     kern = hf.FlowKernel(mesh, rep)
     rng = np.random.default_rng(seed)
     pts = hf.random_map(mesh, rep, rng, scale).points
@@ -733,23 +733,77 @@ def test_flow_converges_from_below_the_floor(sl2r, s, solver, iterations):
     assert rpt.energy < 1e-15 and rpt.basepoint_drift < 1e-6
 
 
-def test_explicit_armijo_underflow_far_out(sl3r):
-    # n >= 3 keeps eigh and its 1e-14 eigenvalue floor.  A constant start at
-    # diag(e^60, e^-60, 1) on the circle of the SL(2,R) elliptic rotation in
-    # SL(3,R): no step along the tension lowers the computed energy, so
-    # Newton gives up and the explicit Armijo search halves its first step
-    # below 1e-16 (the SL(2) closed forms converge from e^60, above)
+def _sl3_elliptic_at(sl3r, s):
+    """(rep, start) on circle 4: the SL(2,R) elliptic rotation in the upper
+    block of SL(3,R), and the constant map at diag(e^s, e^-s, 1)."""
     circle = mc.build_circle(4)
-    c, s = np.cos(0.7), np.sin(0.7)
-    rep = rv.circle_rep(sl3r, circle, np.array([[c, -s, 0], [s, c, 0], [0, 0, 1]]))
-    P = np.diag([np.exp(60.0), np.exp(-60.0), 1.0]).astype(complex)
-    f0 = hf.EquivariantMap(circle, rep, np.broadcast_to(P, (circle.nv, 3, 3)).copy())
+    c, sn = np.cos(0.7), np.sin(0.7)
+    rep = rv.circle_rep(sl3r, circle, np.array([[c, -sn, 0], [sn, c, 0], [0, 0, 1]]))
+    P = np.diag([np.exp(s), np.exp(-s), 1.0]).astype(complex)
+    return rep, hf.EquivariantMap(circle, rep, np.broadcast_to(P, (circle.nv, 3, 3)).copy())
+
+
+@pytest.mark.parametrize("s, solver, iterations", [
+    (20.0, "newton", 6), (40.0, "newton", 6), (60.0, "explicit", 311)])
+def test_sl3_flow_converges_from_far_out(sl3r, s, solver, iterations):
+    # the SVD edge frame, with the smallest singular value read from
+    # |det Z| = 1, keeps the far energy and tension exact
+    # (test_sl3_far_start_matches_mpmath): Newton converges from e^20 and
+    # e^40, where eigh of S Q S once made it give up (the explicit flow took
+    # 364 passes from e^20 and underflowed after 14 from e^40).  From e^60
+    # Newton's first full step still overflows (1e-17 of rounding off the
+    # diagonal of the step, through e^60) and the explicit flow converges
+    rep, f0 = _sl3_elliptic_at(sl3r, s)
+    _, rpt = hf.flow(rep, f0, drift_radius=100.0)
+    assert rpt.solver == solver and rpt.converged
+    assert not rpt.step_underflow and rpt.iterations == iterations
+    assert rpt.energy < 1e-15 and rpt.basepoint_drift < 1e-6
+
+
+def _sym2(M):
+    """Sym^2 of 2 x 2 matrices in the orthonormal basis e1^2, sqrt(2) e1 e2,
+    e2^2 of Sym^2(C^2), so that SU(2) goes into SU(3)."""
+    a, b, c, d = M[..., 0, 0], M[..., 0, 1], M[..., 1, 0], M[..., 1, 1]
+    r = np.sqrt(2.0)
+    return np.stack([np.stack([a * a, r * a * b, b * b], -1),
+                     np.stack([r * a * c, a * d + b * c, r * b * d], -1),
+                     np.stack([c * c, r * c * d, d * d], -1)], -2)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_principal_sl3_map_is_sym2_of_the_sl2_map(sl2r, sl3r, k):
+    # Sym^2 embeds H^2 totally geodesically with distances doubled, and the
+    # harmonic map of the irreducible Fuchsian rho is unique, so the SL(3,R)
+    # harmonic map of Sym^2 rho is Sym^2 of the SL(2,R) one and
+    # E(Sym^2 rho) = 4 E(rho) on any mesh: the closed-form SL(2) kernel
+    # against the SVD kernel
+    mesh = mc.build_genus2(k)
+    rep2 = rv.genus2_fuchsian_rep(sl2r, mesh)
+    rep3 = rv.Representation.for_mesh(sl3r, mesh, {
+        name: _sym2(np.real(M)) for name, M in rep2.images.items()})
+    f2, rpt2 = hf.harmonic_map(rep2, hf.constant_map(mesh, rep2), tol=1e-11)
+    f3, rpt3 = hf.harmonic_map(rep3, hf.constant_map(mesh, rep3), tol=1e-11)
+    assert rpt3.solver == "newton"
+    assert abs(rpt3.energy - 4.0 * rpt2.energy) <= 1e-12 * rpt3.energy
+    assert hf.map_distance(f3, hf.EquivariantMap(mesh, rep3, _sym2(f2.points))) <= 1e-12
+
+
+def test_explicit_armijo_underflow_far_out(sl3r, monkeypatch):
+    # the far SL(3,R) start of e^60, above, from which no candidate now
+    # evaluates: Newton gives up, and the explicit Armijo search halves its
+    # first step below 1e-16.  No natural input still ends this way (the
+    # eigh edge frame once refused every candidate from this start), so the
+    # gate refuses all but the start
+    rep, f0 = _sl3_elliptic_at(sl3r, 60.0)
+    evaluate = hf.FlowKernel.evaluate
+    monkeypatch.setattr(hf.FlowKernel, "evaluate", lambda self, points: (
+        evaluate(self, points) if np.array_equal(points, f0.points) else None))
     _, rpt = hf.flow(rep, f0, drift_radius=100.0)
     assert rpt.solver == "explicit" and rpt.iterations == 1
     assert rpt.step_underflow and not rpt.converged
     # the first step, 0.5 step_scale, is outside the polish regime, so the
     # underflow is the Armijo search's
-    step = 0.5 * hf.FlowKernel(circle, rep).step_scale
+    step = 0.5 * hf.FlowKernel(f0.mesh, rep).step_scale
     assert 0.25 * step * rpt.tension ** 2 >= 1e-13 * rpt.energy
 
 
@@ -784,36 +838,31 @@ def test_far_drift_is_exact(sl2r):
 # ----------------------------------------------------------------------
 # one evaluation per candidate: energy first, tension only on acceptance
 
-def _energy_and_tension(kern, pts):
-    ev = hf.MapEval(kern, pts)
-    return ev.energy, ev.tension
-
-
-def _roots(P):
-    """(R, S) = (P^{1/2}, P^{-1/2}) of one point: in closed form for n = 2,
-    else from the eigendecomposition of P."""
-    if P.shape[-1] == 2:
-        R = ss.sl2_root(P)
-        return R, ss.adj(R)
-    w, U, S = ss.point_frame(P)
-    return ss._spectral(U, np.sqrt(w)), S
-
-
-def _tension_frame(kern, pts, tau):
-    """S tau R per vertex (S = P^{-1/2}, R = P^{1/2}), one edge or vertex at
-    a time.  For n = 2 it is summed from the traceless Gram parts
-    (H0, K0) of each edge's S_src g R_dst, source terms first, and tau is
-    not read; otherwise tau is conjugated by the roots of each vertex."""
-    roots = [_roots(P) for P in pts]
-    if kern.n != 2:
-        return np.stack([mul(mul(S, tau[v]), R) for v, (R, S) in enumerate(roots)])
-    fwd, back = [], []
-    for e, (s, d) in enumerate(zip(kern.src, kern.dst)):
-        H0, K0 = ss.sl2_grams(mul(mul(roots[s][1], kern.g[e]), roots[d][0]))
+def _edge_frame(kern, pts, roots, e):
+    """(c, Fs, Ff) of edge e alone, log(Z Z^†) = c Fs and log(Z^† Z) = c Ff
+    for Z = S_src g R_dst: for n = 2 c = l / sinh l of sl2_frame and the
+    traceless Gram parts of sl2_grams; otherwise c = 2 and the logs
+    U log Sigma U^†, V log Sigma V^† of edge_svd."""
+    s, d = kern.src[e], kern.dst[e]
+    Z = mul(mul(roots[s][1], kern.g[e]), roots[d][0])
+    if kern.n == 2:
         _, sh, ell = ss.sl2_frame(pts[s], act(kern.g[e], pts[d]))
-        c = kern.w1[e] * ss.sl2_csch(sh, ell)
-        fwd.append(c * H0)
-        back.append(-c * K0)
+        return (ss.sl2_csch(sh, ell), *ss.sl2_grams(Z))
+    U, logs, V = ss.edge_svd(Z)
+    return 2.0, ss._spectral(U, logs), ss._spectral(V, logs)
+
+
+def _tension_frame(kern, pts):
+    """S tau R per vertex (S = P^{-1/2}, R = P^{1/2}), summed one edge at a
+    time from _edge_frame, source terms first: w1 c Fs at the source and
+    -w1 c Ff at the far end."""
+    roots = [ss.roots(P) for P in pts]
+    fwd, back = [], []
+    for e in range(len(kern.src)):
+        c, Fs, Ff = _edge_frame(kern, pts, roots, e)
+        c = kern.w1[e] * c
+        fwd.append(c * Fs)
+        back.append(-c * Ff)
     T = np.zeros(pts.shape, dtype=complex)
     for e, s in enumerate(kern.src):
         T[s] += fwd[e]
@@ -830,46 +879,36 @@ def _norm_sq(kern, T):
     return float(np.dot(kern.w0, vals))
 
 
-def _tension_norm_sq(kern, pts, tau):
-    """Weighted L2 norm^2 of tau in the pointwise fiber metric: ||S tau R||_F^2
-    of _tension_frame."""
-    return _norm_sq(kern, _tension_frame(kern, pts, tau))
-
-
-def _moved(kern, pts, s, X):
-    """The points moved by s along X, the explicit flow's direction: for
-    n = 2 X is _tension_frame and the points are R e^{2 s X} R, one vertex
-    at a time, then the stacked determinant normalization; otherwise X is
-    tau and the points retract(pts, s tau)."""
-    if kern.n != 2:
-        return hf.retract(pts, s * X)
-    new = np.stack([ss._hermitize(mul(mul(R, ss.sl2_exph(2.0 * s * X[v])), R))
-                    for v, (R, _) in enumerate(map(_roots, pts))])
+def _moved(pts, s, X):
+    """The points moved by s along X, a tangent field in the vertex frames:
+    R e^{2 s X} R one vertex at a time (symspace.exph), then the stacked
+    determinant normalization."""
+    new = np.stack([ss._hermitize(mul(mul(R, ss.exph(2.0 * s * X[v])), R))
+                    for v, (R, _) in enumerate(map(ss.roots, pts))])
     with np.errstate(all="ignore"):
         return hf._unit_det(new)
 
 
 def _reference_explicit_flow(kern, pts, *, tol, max_iter, drift_radius):
-    """The explicit flow that evaluates energy and tension of every
-    candidate and measures the drift by ss.dist, and builds its report from
-    the map it returns."""
+    """The explicit flow that evaluates the energy and the per-edge tension
+    of every candidate and measures the drift by ss.dist, and builds its
+    report from the map it returns."""
     eye = np.eye(kern.n, dtype=complex)
     underflow = False
-    E, tau = _energy_and_tension(kern, pts)
+    E = hf.MapEval(kern, pts).energy
     step = 0.5 * kern.step_scale
     for it in range(1, max_iter + 1):
-        T = _tension_frame(kern, pts, tau)
+        T = _tension_frame(kern, pts)
         gsq = _norm_sq(kern, T)
         if np.sqrt(gsq) < tol or ss.dist(eye, pts[0]) > drift_radius:
             break
-        direction = T if kern.n == 2 else tau
         accepted = False
         if 0.25 * step * gsq < 1e-13 * max(1.0, abs(E)):
-            cand = _moved(kern, pts, step, direction)
-            Ec, tauc = _energy_and_tension(kern, cand)
+            cand = _moved(pts, step, T)
+            Ec = hf.MapEval(kern, cand).energy
             if (not np.array_equal(cand, pts)
-                    and _tension_norm_sq(kern, cand, tauc) <= gsq * (1.0 + 1e-6)):
-                pts, E, tau = cand, Ec, tauc
+                    and _norm_sq(kern, _tension_frame(kern, cand)) <= gsq * (1.0 + 1e-6)):
+                pts, E = cand, Ec
                 accepted = True
             else:
                 step *= 0.5
@@ -879,10 +918,10 @@ def _reference_explicit_flow(kern, pts, *, tol, max_iter, drift_radius):
                 break
             continue
         while step > 1e-16:
-            cand = _moved(kern, pts, step, direction)
-            Ec, tauc = _energy_and_tension(kern, cand)
+            cand = _moved(pts, step, T)
+            Ec = hf.MapEval(kern, cand).energy
             if Ec <= E - 0.25 * step * gsq:
-                pts, E, tau = cand, Ec, tauc
+                pts, E = cand, Ec
                 step = min(step * 1.4, 1e8)
                 accepted = True
                 break
@@ -890,7 +929,7 @@ def _reference_explicit_flow(kern, pts, *, tol, max_iter, drift_radius):
         if not accepted:
             underflow = True
             break
-    tension = float(np.sqrt(_tension_norm_sq(kern, pts, tau)))
+    tension = float(np.sqrt(_norm_sq(kern, _tension_frame(kern, pts))))
     drift = ss.dist(eye, pts[0])
     converged = bool(tension < tol and drift <= drift_radius)
     return pts, hf.FlowReport(E, tension, it, converged, drift,
@@ -969,10 +1008,11 @@ def _eval_rep(group, mesh):
 
 def _per_edge_energy_and_tension(kern, points):
     """Reference: energy and tension one edge at a time, from mc_edge and
-    the squared distance (dist^2 for n = 2, the closed form; the sum of
-    the squared log-eigenvalues that dist reads otherwise); the tension
-    sums the source terms of all edges first, then the far-end terms, each
-    carried back by liealg.mul."""
+    the squared distance (dist^2 for n = 2, the closed form; otherwise
+    4 |log sigma|^2 of the SVD of the edge's Z = S_src g R_dst, from the
+    roots of each vertex); the tension sums the source terms of all edges
+    first, then the far-end terms, each carried back by liealg.mul."""
+    roots = [ss.roots(P) for P in points]
     d2 = np.empty(len(kern.src))
     fwd = np.empty((len(kern.src),) + points.shape[1:], dtype=complex)
     for e, (s, d) in enumerate(zip(kern.src, kern.dst)):
@@ -980,7 +1020,8 @@ def _per_edge_energy_and_tension(kern, points):
         if kern.n == 2:
             d2[e] = dist(points[s], Q) * dist(points[s], Q)
         else:
-            d2[e] = np.sum(ss.log_frame(ss.point_frame(points[s])[2], Q)[0] ** 2)
+            logs = ss.edge_svd(mul(mul(roots[s][1], kern.g[e]), roots[d][0]))[1]
+            d2[e] = 4.0 * np.sum(logs ** 2)
         fwd[e] = 2.0 * kern.w1[e] * ss.mc_edge(points[s], Q)
     tau = np.zeros(points.shape, dtype=complex)
     for e, s in enumerate(kern.src):
@@ -1013,7 +1054,7 @@ def test_map_eval_matches_per_edge_loop(mesh_name, group_key, seed, scale,
     assert ev.energy == E
     assert np.array_equal(ev.tension, tau)
     assert ev.drift == dist(np.eye(rep.group.n, dtype=complex), pts[0])
-    assert ev.tension_sq == _tension_norm_sq(kern, pts, tau)
+    assert ev.tension_sq == _norm_sq(kern, _tension_frame(kern, pts))
 
 
 @pytest.mark.parametrize("mesh_name", ["torus", "genus2"])
@@ -1059,22 +1100,28 @@ def test_energy_and_tension_conjugation_invariant(mesh_name, group_key, seed, sc
 
 def _oracle_case(name):
     """(mesh, rep) of the oracle tests: circle 4 with the hyperbolic image
-    in SL(2,R) and a non-unitary one in SL(2,C), and torus 3 torus_diag."""
+    in SL(2,R) and a non-unitary one in SL(2,C), _eval_rep's upper
+    triangular image in SL(3,R) and SL(3,C), and torus 3 torus_diag."""
     if name == "torus3_sl2c":
         mesh = mc.build_torus(3, 3)
         return mesh, rv.torus_diag_rep(MatrixGroup("sl", 2, "C"), mesh,
                                        0.4 + 0.3j, -0.2 + 0.5j)
     mesh = mc.build_circle(4)
-    return mesh, _hessian_rep(MatrixGroup("sl", 2, name[-1].upper()), mesh)
+    return mesh, _eval_rep(MatrixGroup("sl", int(name[-2]), name[-1].upper()), mesh)
 
 
-def _assert_matches_mpmath(kern, pts, hessian=False):
+def _assert_matches_mpmath(kern, pts, hessian=False, frame=False):
     """Energy, tension field, tension norm (and Hessian) within 1e-10
-    relative of the 50-digit evaluation."""
+    relative of the 50-digit evaluation; with frame, the tension field in
+    the vertex frames (tension_frame, which the flow reads) in place of the
+    field at the points."""
     ev = kern.evaluate(pts)
-    E, tau, tsq = ref.mp_energy_tension(kern, pts)
+    E, tau, tsq, tau_frame = ref.mp_energy_tension(kern, pts)
     assert abs(ev.energy - E) <= 1e-10 * E
-    assert np.abs(ev.tension - tau).max() <= 1e-10 * np.abs(tau).max()
+    if frame:
+        assert np.abs(ev.tension_frame - tau_frame).max() <= 1e-10 * np.abs(tau_frame).max()
+    else:
+        assert np.abs(ev.tension - tau).max() <= 1e-10 * np.abs(tau).max()
     assert abs(ev.tension_sq - tsq) <= 1e-10 * tsq
     if hessian:
         H = ref.mp_hessian(kern, pts)
@@ -1096,6 +1143,20 @@ def test_energy_and_tension_match_mpmath(name, scale):
         _assert_matches_mpmath(kern, pts)
 
 
+@pytest.mark.parametrize("name, scale", [
+    *[("circle4_sl3r", s) for s in (0.05, 0.4, 2.0, 4.0)],
+    ("circle4_sl3c", 0.4), ("circle4_sl3c", 4.0)])
+def test_sl3_energy_and_tension_match_mpmath(name, scale):
+    # the SVD edge frame against the 50-digit log(S Q S).  The tension is
+    # compared in the vertex frames: at the points its entries grow like
+    # cond(P), and far out no float evaluation keeps their digits.  Random
+    # points out to scale 4 (up to 11 from I, cond(P) up to 4e6) read to
+    # 1e-11; at scale 6 (cond(P) 7e9) eigh of a float point leaves 3e-10
+    mesh, rep = _oracle_case(name)
+    pts = hf.random_map(mesh, rep, np.random.default_rng(2), scale).points
+    _assert_matches_mpmath(hf.FlowKernel(mesh, rep), pts, frame=True)
+
+
 @pytest.mark.parametrize("name", ["circle4_sl2r", "circle4_sl2c"])
 @pytest.mark.parametrize("scale", [0.05, 0.4, 10.0])
 def test_hessian_matches_mpmath(name, scale):
@@ -1114,6 +1175,15 @@ def test_far_constant_start_matches_mpmath(sl2r, s):
     rep = rv.elliptic_circle_rep(sl2r, circle)
     _assert_matches_mpmath(hf.FlowKernel(circle, rep),
                            _constant_at(circle, rep, s).points, hessian=True)
+
+
+@pytest.mark.parametrize("s", [20.0, 40.0])
+def test_sl3_far_start_matches_mpmath(sl3r, s):
+    # the constant SL(3,R) start at diag(e^s, e^-s, 1) with the elliptic
+    # rotation: at e^20 eigh of S Q S read the edge distance 2.5 % short,
+    # at e^40 22 % short
+    rep, f0 = _sl3_elliptic_at(sl3r, s)
+    _assert_matches_mpmath(hf.FlowKernel(f0.mesh, rep), f0.points, frame=True)
 
 
 def test_sl2_flows_take_no_eigendecomposition(sl2r, sl2c, monkeypatch):
