@@ -16,12 +16,13 @@ status and report fields:
     [re, im] pair, a deformation with both values and a path family or with
     second values next to one, a path family its
     representation cannot carry, a real group given complex images, a
-    non-finite family image, a non-finite cocycle or jet value, a flow
-    max_iter below 1 or drift_radius not above zero, a circle_hyperbolic
-    lam of zero, a start map of non-finite energy, a torus_mc amplitude or
-    curved map that is not finite, refine-study levels that do not strictly
-    increase, or a representation that fails the relator check (every task
-    but refine-study starts from build_problem).
+    non-finite family image, a non-finite cocycle or jet value, a
+    conjugation or bending path whose jets overflow, a flow max_iter below
+    1, a circle_hyperbolic lam of zero, a start map of non-finite energy, a
+    torus_mc amplitude or curved map that is not finite, refine-study
+    levels that do not strictly increase, or a representation that fails
+    the relator check (every task but refine-study starts from
+    build_problem).
     An omitted key takes the default of its routine.  Numbers are read by
     meshcover's as_real and as_integer, which the mesh reader shares.
   3 not-converged: a map that harmonicflow.harmonic_map refused (every task
@@ -241,10 +242,10 @@ def _check_jet(cfg, c, k):
 
 
 def _flow_args(cfg):
-    """Flow keywords: flow_tol, and the flow section's max_iter and
-    drift_radius where it gives them."""
+    """Flow keywords: flow_tol, and the flow section's max_iter where it
+    gives one."""
     return {"tol": cfg["tolerances"]["flow_tol"],
-            **_given(_optional(cfg, "flow"), max_iter=as_integer, drift_radius=as_real)}
+            **_given(_optional(cfg, "flow"), max_iter=as_integer)}
 
 
 def converged_context(cfg, mesh, rep):

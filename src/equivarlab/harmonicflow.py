@@ -26,13 +26,15 @@ centralizer directions by mu = 1e-2 min(1, |tau|) times the vertex mass,
 moves each point along the step in its vertex frame (``MapEval.moved``)
 and backtracks on the energy (on the tension once energy
 decrements fall below float resolution).  When the Newton phase stalls,
-stops outside the drift radius, meets a non-finite value or a singular
-factor, fails its line search or spends its step budget, the explicit Armijo
-flow runs from the start map instead; a parabolic (non-reductive)
-representation always ends there.  A converged run certifies that rho is
-reductive; otherwise the trace-form test ``repvar.Representation.reductive``
-decides.  Every reader of a harmonic map takes it from ``harmonic_map``,
-which refuses the rest.
+meets a non-finite value or a singular factor, fails its line search or
+spends its step budget, the explicit Armijo flow runs from the start map
+instead; a parabolic (non-reductive) representation always ends there.
+Both phases stop on the tension alone, and one rule says a map is too far
+out: a run whose returned map has a vertex at or beyond
+``symspace._FLOOR_DIST`` from I is not converged.  A converged run
+certifies that rho is reductive; otherwise the trace-form test
+``repvar.Representation.reductive`` decides.  Every reader of a harmonic
+map takes it from ``harmonic_map``, which refuses the rest.
 
 FlowKernel holds only (mesh, representation) data: the per-edge arrays, the
 deck words of the mesh (``CoverMesh.word_index``) evaluated once as one
@@ -42,10 +44,9 @@ A MapEval holds all the data of one map, in one vertex-frame kernel for
 every n.  The roots R = P^{1/2}, S = P^{-1/2} of the vertices
 (``symspace.roots``) give each edge its frame Z = S_src g R_dst; log(Z Z^†)
 and log(Z^† Z) are twice the edge log in the source and in the far frame,
-so the tension in the vertex frames is a sum of them; the drift and the
-far-point rule read the vertex distance dist(I, P); and a step moves a point
-to R e^{2X} R, X in the vertex frame, which is exp_point(P, R X S) without
-its cancellation far out.  For n = 2 the closed forms of ``symspace`` give
+so the tension in the vertex frames is a sum of them; and a step moves a
+point to R e^{2X} R, X in the vertex frame, which is exp_point(P, R X S)
+without its cancellation far out.  For n = 2 the closed forms of ``symspace`` give
 the edge quantities with no eigendecomposition (``sl2_frame`` for the
 energy, ``sl2_grams`` for the Gram parts of Z); for n = 1 and n >= 3 one
 eigh per vertex gives the roots and ``symspace.edge_svd`` the SVD of Z.  The
@@ -115,12 +116,16 @@ def retract(points, X):
 
 
 def _unit_det(new):
-    """new / |det new|^(1/n) for n > 1, under the caller's np.errstate."""
+    """new / |det new|^(1/n) for n > 1, under the caller's np.errstate.  A
+    point whose determinant is not positive has left the symmetric space (a
+    far Newton step can land on det -1 with a positive trace): it comes back
+    NaN, as non-finite, so FlowKernel.evaluate refuses it."""
     n = new.shape[-1]
     if n > 1:
         det = (new[:, 0, 0] * new[:, 1, 1] - new[:, 0, 1] * new[:, 1, 0]
                if n == 2 else np.linalg.det(new))
-        new = new / (np.abs(det) ** (1.0 / n))[:, None, None]
+        scale = np.where(det.real > 0.0, np.abs(det), np.nan)
+        new = new / (scale ** (1.0 / n))[:, None, None]
     return new
 
 
@@ -193,7 +198,7 @@ class MapEval:
     with no root, and Z and its Gram parts are formed when the tension is
     first read, so a rejected candidate pays for its energy alone; otherwise
     edge_svd factors Z = U Sigma V^† with the energy.  The tension, its
-    norm, the drift, a move and the Newton model read the same arrays for
+    norm, a move and the Newton model read the same arrays for
     every n; only the Jacobi blocks have an n = 2 closed form of their own.
     """
 
@@ -271,18 +276,6 @@ class MapEval:
         T = self.tension_frame
         vals = np.sum(T.real ** 2 + T.imag ** 2, axis=(-2, -1))
         return float(np.dot(self.kern.w0, vals))
-
-    @property
-    def drift(self):
-        """dist(I, f(v0))."""
-        return ss.origin_dist(self.points[0])
-
-    @property
-    def floored(self):
-        """Whether a vertex lies at or beyond symspace._FLOOR_DIST from I,
-        where the small eigenvalue of a det-1 2 x 2 point reaches the floor
-        symspace._EIG_FLOOR."""
-        return bool(ss.origin_dist(self.points).max() >= ss._FLOOR_DIST)
 
     # -- Newton model at this map ------------------------------------------
     def tangent_field(self, x):
@@ -416,34 +409,30 @@ class FlowReport:
 NEWTON_STEPS = 50
 
 
-def flow(rep, f0, *, tol=1e-8, max_iter=20000, drift_radius=ss.ATTAINED_RADIUS):
+def flow(rep, f0, *, tol=1e-8, max_iter=20000):
     """Harmonic map from f0: damped Riemannian Newton, explicit flow fallback.
 
-    Convergence means the weighted tension norm drops below tol with the
-    basepoint inside the drift radius and no vertex eigenvalue at the floor.
-    The report describes the returned map; ``iterations`` counts loop passes,
-    at most max_iter.  f0 is evaluated once, quietly, and refused if its energy
-    is not finite; when the Newton phase does not converge, the explicit Armijo
-    flow runs from that evaluation and returns its report, with the plateau
-    energy of an unconverged run.  ``reductive_suspected`` is true when the run
+    Convergence means the weighted tension norm drops below tol with no
+    vertex at or beyond symspace._FLOOR_DIST from I.  The report describes
+    the returned map; ``iterations`` counts loop passes, at most max_iter.
+    f0 is evaluated once, quietly, and refused if its energy is not finite;
+    when the Newton phase does not converge, the explicit Armijo flow runs
+    from that evaluation and returns its report, with the plateau energy of
+    an unconverged run.  ``reductive_suspected`` is true when the run
     converged (a harmonic map exists only for a reductive rho) or when rho
     passes the trace-form test, ``Representation.reductive``.  A run needs
-    max_iter >= 1 and a drift radius above zero (inf allows any drift); the
-    defaults are every flow's, ``harmonic_map``'s too.
+    max_iter >= 1; the defaults are every flow's, ``harmonic_map``'s too.
     """
     if not max_iter >= 1:
         raise ValueError(f"max_iter must be at least 1, not {max_iter}")
-    if not drift_radius > 0:
-        raise ValueError(f"drift_radius must be above zero, not {drift_radius}")
     kern = FlowKernel(f0.mesh, rep)
     with np.errstate(all="ignore"):
         start = kern.evaluate(np.array(f0.points, dtype=complex))
     if start is None:
         raise ValueError("start map has non-finite energy")
-    args = dict(tol=tol, max_iter=max_iter, drift_radius=drift_radius)
-    pts, report = _newton_flow(kern, start, **args)
+    pts, report = _newton_flow(kern, start, tol=tol, max_iter=max_iter)
     if not report.converged:
-        pts, report = _explicit_flow(kern, start, **args)
+        pts, report = _explicit_flow(kern, start, tol=tol, max_iter=max_iter)
     return EquivariantMap(f0.mesh, rep, pts), report
 
 
@@ -462,26 +451,26 @@ def harmonic_map(rep, f0, **flow_args):
     return f, report
 
 
-def _descend(kern, ev, step, solver, *, tol, max_iter, drift_radius):
+def _descend(kern, ev, step, solver, *, tol, max_iter):
     """The loop of both phases from the start MapEval ev; (points, report).
-    It stops once the tension is below tol or the basepoint is outside the
-    drift radius, when step(ev) finds no next MapEval (None), or after
-    max_iter passes, which ``iterations`` counts.  The report is read off
-    the returned map: it is converged when that map passes the tension,
-    drift and eigenvalue-floor tests, else reductive as rho's verdict says."""
+    It stops once the tension is below tol, when step(ev) finds no next
+    MapEval (None), or after max_iter passes, which ``iterations`` counts.
+    The report is read off the returned map, with one origin_dist of its
+    points: ``basepoint_drift`` is that of vertex 0, and the map is
+    converged when its tension is below tol and no vertex lies at or beyond
+    symspace._FLOOR_DIST; else reductive as rho's verdict says."""
     underflow = False
     for it in range(1, max_iter + 1):
-        if math.sqrt(ev.tension_sq) < tol or ev.drift > drift_radius:
+        if math.sqrt(ev.tension_sq) < tol:
             break
         nxt = step(ev)
         if nxt is None:
             underflow = True
             break
         ev = nxt
-    tension, drift = math.sqrt(ev.tension_sq), ev.drift
-    converged = bool(tension < tol and drift <= drift_radius
-                     and not ev.floored)
-    return ev.points, FlowReport(ev.energy, tension, it, converged, drift,
+    tension, far = math.sqrt(ev.tension_sq), ss.origin_dist(ev.points)
+    converged = bool(tension < tol and far.max() < ss._FLOOR_DIST)
+    return ev.points, FlowReport(ev.energy, tension, it, converged, float(far[0]),
                                  converged or kern.rep.reductive, underflow,
                                  solver)
 
@@ -579,11 +568,11 @@ def curved_torus_map(mesh, rep, amplitude=0.3):
     j, i = np.divmod(np.arange(mesh.nv), n_)
     x, y = i / n_, j / m_
     bump = np.sin(2 * np.pi * x) * np.sin(2 * np.pi * y)
-    s = ss._expm(x[:, None, None] * A) @ ss._expm(y[:, None, None] * B) \
-        @ ss._expm(bump[:, None, None] * C)
-    pts = s @ ct(s)
-    if nd > 1:
-        with np.errstate(all="ignore"):    # refused below, without a warning
+    with np.errstate(all="ignore"):    # refused below, without a warning
+        s = ss._expm(x[:, None, None] * A) @ ss._expm(y[:, None, None] * B) \
+            @ ss._expm(bump[:, None, None] * C)
+        pts = s @ ct(s)
+        if nd > 1:
             pts = pts / (np.abs(np.linalg.det(pts)) ** (1.0 / nd))[:, None, None]
     if not np.isfinite(pts).all():
         raise ValueError(f"curved test map at amplitude {amplitude} is not finite")

@@ -318,9 +318,11 @@ def exp_family(group, mesh, logs):
                           mesh.relations, logs)
 
 
-def _conjugating_path(rep0, xi, moved):
+def _conjugating_path(kind, rep0, xi, moved):
     """Conjugate the images of the generators in ``moved`` by exp(t xi),
-    with jets c = xi - Ad xi and k = [Ad xi, xi] there and 0 elsewhere."""
+    with jets c = xi - Ad xi and k = [Ad xi, xi] there and 0 elsewhere.
+    Jets that overflow are refused, naming the path kind, before any
+    algebra check reads them."""
     gens = rep0.generators
 
     def images(t):
@@ -329,16 +331,20 @@ def _conjugating_path(rep0, xi, moved):
         return {name: g @ rep0.images[name] @ ginv if name in moved
                 else rep0.images[name] for name in gens}
 
-    adx = {name: ad_action(rep0.images[name], xi) for name in moved}
-    return RepPath(rep0, images,
-                   {name: xi - adx[name] if name in moved else np.zeros_like(xi)
-                    for name in gens},
-                   {name: bracket(adx[name], xi) if name in moved else np.zeros_like(xi)
-                    for name in gens})
+    with np.errstate(all="ignore"):    # refused below, without a warning
+        adx = {name: ad_action(rep0.images[name], xi) for name in moved}
+        c = {name: xi - adx[name] if name in moved else np.zeros_like(xi)
+             for name in gens}
+        k = {name: bracket(adx[name], xi) if name in moved else np.zeros_like(xi)
+             for name in gens}
+    if not all(np.isfinite(v).all() for v in (*c.values(), *k.values())):
+        raise ValueError(f"{kind} path has non-finite jets")
+    return RepPath(rep0, images, c, k)
 
 
 def conjugation_path(rep0, xi):
-    return _conjugating_path(rep0, np.asarray(xi, dtype=complex), rep0.generators)
+    return _conjugating_path("conjugation", rep0, np.asarray(xi, dtype=complex),
+                             rep0.generators)
 
 
 def bending_path(rep0, scale=0.5, imaginary=True):
@@ -360,12 +366,13 @@ def bending_path(rep0, scale=0.5, imaginary=True):
     nrm = np.abs(axis).max()
     if nrm < 1e-12:
         raise ValueError("commutator is central, no bending axis")
-    xi = scale * axis / nrm
+    with np.errstate(all="ignore"):    # a far scale is refused with the jets
+        xi = scale * axis / nrm
     if imaginary:
         if not rep0.group.is_complex:
             raise ValueError("imaginary bending requires a complex group")
         xi = 1j * xi
-    return _conjugating_path(rep0, xi, {"a2", "b2"})
+    return _conjugating_path("bending", rep0, xi, {"a2", "b2"})
 
 
 # ----------------------------------------------------------------------

@@ -56,12 +56,10 @@ MC_EDGE_NORM_RATIO = 0.5
 #: floor of _eigh's eigenvalues (an SL(n) point's smallest is read from det 1)
 _EIG_FLOOR = 1e-14
 #: dist(I, P) of a det-1 2 x 2 point whose small eigenvalue is _EIG_FLOOR:
-#: a flow ending at or beyond it from I, for any n, is not converged
+#: the one "too far" radius.  A flow whose map ends with a vertex at or
+#: beyond it from I, for any n, is not converged, and translation_length
+#: counts a minimizer attained only within it
 _FLOOR_DIST = -np.sqrt(2.0) * np.log(_EIG_FLOOR)
-
-#: distance from I within which a minimizer counts as attained, by
-#: translation_length and by the flow (its default drift radius)
-ATTAINED_RADIUS = 50.0
 
 _EYE2 = np.eye(2, dtype=complex)
 _SQRT2 = np.sqrt(2.0)
@@ -307,7 +305,7 @@ def translation_length(g):
     L = 2 (sum_i log^2 |lambda_i|)^{1/2} over the eigenvalues of g.  The
     infimum is attained exactly when g is semisimple, at P* = V V^† /
     |det V|^{2/n} for the eigenvectors V of g.  attained is True when that
-    P* is finite, lies within ATTAINED_RADIUS of I and displaces by L to
+    P* is finite, lies within _FLOOR_DIST of I and displaces by L to
     1e-8 max(1, L); the nearly parallel eigenvectors of a Jordan block fail
     the check.
     """
@@ -319,6 +317,6 @@ def translation_length(g):
         P = _hermitize(V @ ct(V)) / np.abs(np.linalg.det(V)) ** (2.0 / n)
     attained = bool(
         np.all(np.isfinite(P))
-        and dist(np.eye(n, dtype=complex), P) <= ATTAINED_RADIUS
+        and dist(np.eye(n, dtype=complex), P) < _FLOOR_DIST
         and abs(dist(P, act(g, P)) - L) <= 1e-8 * max(1.0, L))
     return L, attained

@@ -233,7 +233,6 @@ TORUS4_SL2C = {"mesh": {"kind": "torus", "n": 4, "m": 4}, "group": SL2C}
     ("flow", {"seed": True}, "seed"),
     ("refine-study", {"refine": {"levels": [4, 8.5, 16]}}, "levels"),
     ("flow", {"tolerances": {"flow_tol": True}}, "flow_tol"),
-    ("flow", {"flow": {"drift_radius": True}}, "drift_radius"),
     ("flow", {"representation":
               {"family": "circle_hyperbolic", "params": {"lam": "3"}}}, "lam"),
     ("flow", {"group": SL2C, "representation":
@@ -242,7 +241,7 @@ TORUS4_SL2C = {"mesh": {"kind": "torus", "n": 4, "m": 4}, "group": SL2C}
          "refine-levels", "seed", "tolerance-validation", "tolerance-flow_tol",
          "tolerance-zero", "tolerance-negative", "tolerance-nan", "flow-start",
          "mesh-n-fraction", "mesh-n-inf", "mesh-n-string", "seed-bool",
-         "refine-levels-fraction", "tolerance-bool", "flow-drift_radius-bool",
+         "refine-levels-fraction", "tolerance-bool",
          "circle_hyperbolic-lam-string", "torus_diag-alpha-string"])
 def test_config_scalar_of_wrong_type_exit_two(tmp_path, task, overrides, key):
     # a config value that is not a number (a bool or a string among them),
@@ -373,12 +372,6 @@ NAN_COCYCLE_CFG = dict(PARABOLIC_CFG, representation={"family": "circle_hyperbol
      "max_iter must be at least 1, not -1"),
     ("energy", dict(OBSTRUCTED_CFG, flow={"max_iter": 0}),
      "max_iter must be at least 1, not 0"),
-    ("hodge", dict(OBSTRUCTED_CFG, flow={"drift_radius": 0}),
-     "drift_radius must be above zero, not 0.0"),
-    ("hodge", dict(OBSTRUCTED_CFG, flow={"drift_radius": -1}),
-     "drift_radius must be above zero, not -1.0"),
-    ("hodge", dict(OBSTRUCTED_CFG, flow={"drift_radius": math.nan}),
-     "drift_radius must be above zero, not nan"),
     ("deform1", NAN_COCYCLE_CFG, "non-finite entries in algebra element"),
     ("deform2", NAN_COCYCLE_CFG, "non-finite entries in algebra element"),
     ("refine-study", {"group": SL2C, "refine": {"kind": "torus_mc", "amplitude": math.nan}},
@@ -390,6 +383,15 @@ NAN_COCYCLE_CFG = dict(PARABOLIC_CFG, representation={"family": "circle_hyperbol
     ("refine-study", {"group": SL2C, "refine": {"kind": "torus_mc", "amplitude": 6}},
      "curved test map at amplitude 6.0 has lost its determinant "
      "(eps cond(P) = 7.5e-06 > 1e-8)"),
+    ("refine-study", {"group": SL2C, "refine": {"kind": "torus_mc", "amplitude": 1e308}},
+     "curved test map at amplitude 1e+308 is not finite"),
+    ("psh", dict(genus2_bending("genus2_fuchsian", "C"), deformation={
+        "path_family": {"kind": "bending", "imaginary": True, "scale": 1e308}}),
+     "bending path has non-finite jets"),
+    ("variation", dict(TORUS4_SL2C, representation={"family": "torus_diag"},
+                       deformation={"path_family": {
+                           "kind": "conjugation", "xi": [[-1e308, 0], [0, 1e308]]}}),
+     "conjugation path has non-finite jets"),
     ("flow", hyperbolic_lam(0), "lam must be nonzero, not 0.0"),
     ("refine-study", {"group": PARABOLIC_CFG["group"],
                       "refine": {"kind": "circle_energy", "lam": 0}},
@@ -423,10 +425,10 @@ NAN_COCYCLE_CFG = dict(PARABOLIC_CFG, representation={"family": "circle_hyperbol
          "image_singular", "image_missing", "cocycle_shape", "cocycle_missing",
          "jet_missing", "commuting_path_without_logs", "bending_central",
          "bending_imaginary_real_group", "flow_max_iter_zero", "hodge_max_iter_negative",
-         "energy_max_iter_zero", "drift_radius_zero", "drift_radius_negative",
-         "drift_radius_nan", "cocycle_nonfinite_deform1", "cocycle_nonfinite_deform2",
+         "energy_max_iter_zero", "cocycle_nonfinite_deform1", "cocycle_nonfinite_deform2",
          "torus_mc_amplitude_nan", "torus_mc_amplitude_inf", "torus_mc_points_nonfinite",
-         "torus_mc_determinant_lost",
+         "torus_mc_determinant_lost", "torus_mc_amplitude_overflow",
+         "bending_scale_overflow", "conjugation_xi_overflow",
          "flow_lam_zero", "circle_energy_lam_zero", "flow_start_energy_nonfinite",
          "energy_start_energy_nonfinite", "flow_random_start_overflow",
          "torus_diag_image_overflow", "torus_gl1c_image_overflow",
@@ -888,19 +890,26 @@ def test_commuting_path_missing_a_generator_exit_two(tmp_path):
     assert "['b']" in report["error"]
 
 
-def test_converged_context_honours_the_drift_radius(tmp_path):
-    # every task reads the flow section alike: hodge, like flow, stops
-    # unconverged once the basepoint leaves the configured drift radius
-    cfg = {
-        "mesh": {"kind": "circle", "n": 4},
-        "group": {"kind": "sl", "n": 2, "field": "R"},
-        "representation": {"family": "circle_hyperbolic"},
-        "flow": {"drift_radius": 1e-9},
-    }
-    code, report, _ = run_cli(tmp_path, "hodge", cfg)
-    assert code == cli.EXIT_NONCONVERGED
-    assert report["status"] == "not-converged"
-    assert report["flow"]["converged"] is False
+@pytest.mark.parametrize("radius", [0, -1, True])
+@pytest.mark.parametrize("task, cfg", [("flow", PARABOLIC_CFG), ("hodge", CIRCLE_CFG)])
+def test_flow_drift_radius_is_a_key_no_task_reads(tmp_path, task, cfg, radius):
+    # a key that no task reads is ignored: flow.drift_radius, once a flow
+    # option that refused these values, changes no output but the echoed
+    # config
+    def outputs(cfg, name):
+        cfg_path = tmp_path / f"{name}.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out = tmp_path / name
+        code = cli.main([task, "--config", str(cfg_path), "--out", str(out)])
+        files = {f.relative_to(out): f.read_bytes() for f in out.rglob("*") if f.is_file()}
+        report = json.loads(files.pop(Path(f"{task}_report.json")))
+        assert report.pop("config")["flow"] == cfg["flow"]
+        return code, report, files
+
+    flow = dict(cfg.get("flow", {}), max_iter=50)
+    plain = outputs(dict(cfg, flow=flow), "plain")
+    assert plain[0] == cli.EXIT_OK
+    assert outputs(dict(cfg, flow=dict(flow, drift_radius=radius)), "stale") == plain
 
 
 def test_refine_study_circle_energy_needs_converged_maps(tmp_path):

@@ -117,8 +117,7 @@ def test_flow_energy_monotone(sl2c, torus66):
     f0 = hf.random_map(torus66, rep, rng, 0.4)
     for phase in (hf._newton_flow, hf._explicit_flow):
         start = kern.evaluate(f0.points.astype(complex))
-        hist = np.array([phase(kern, start, tol=1e-8,
-                               max_iter=k, drift_radius=50.0)[1].energy
+        hist = np.array([phase(kern, start, tol=1e-8, max_iter=k)[1].energy
                          for k in range(1, 13)])
         assert hist[-1] < hist[0]
         assert np.all(np.diff(hist) <= 1e-12 * np.maximum(1.0, hist[:-1]))
@@ -169,7 +168,7 @@ def test_energy_parabolic(sl2r):
 
 def test_harmonic_map_takes_the_flow_defaults(sl2r, circle8, monkeypatch):
     # harmonic_map states no budget of its own: what its caller omits
-    # (max_iter, drift_radius) takes flow's default, as every flow does
+    # (max_iter) takes flow's default, as every flow does
     rep = rv.hyperbolic_circle_rep(sl2r, circle8)
     calls = []
     flow = hf.flow
@@ -394,7 +393,7 @@ def _agreement(mesh, rep, f0):
     f, rpt = hf.flow(rep, f0, tol=1e-10)
     kern = hf.FlowKernel(mesh, rep)
     pts, slow = hf._explicit_flow(kern, kern.evaluate(f0.points.astype(complex)),
-                                  tol=1e-10, max_iter=20000, drift_radius=50.0)
+                                  tol=1e-10, max_iter=20000)
     assert rpt.solver == "newton" and slow.solver == "explicit"
     assert rpt.converged and slow.converged
     assert rpt.iterations - 1 <= 8
@@ -420,7 +419,7 @@ def test_newton_matches_explicit_genus2(sl2r, genus2):
 
 
 def _explicit_run(rep, f0, **kw):
-    args = dict(tol=1e-8, max_iter=20000, drift_radius=50.0)
+    args = dict(tol=1e-8, max_iter=20000)
     args.update(kw)
     kern = hf.FlowKernel(f0.mesh, rep)
     return hf._explicit_flow(kern, kern.evaluate(f0.points.astype(complex)), **args)
@@ -602,8 +601,9 @@ def test_newton_backtracks_from_a_far_start(sl2r, circle8, monkeypatch):
 
 #: converged Newton runs, of 60 random starts, at each far scale: the counts
 #: of the closed-form SL(2) evaluation (57 / 42 / 27 when the energy was read
-#: from eigh's floored eigenvalues)
-FAR_START_CONVERGED = {6.0: 57, 8.0: 50, 10.0: 47}
+#: from eigh's floored eigenvalues; 47 at scale 10 while a candidate of
+#: det -1 passed the gate)
+FAR_START_CONVERGED = {6.0: 57, 8.0: 50, 10.0: 48}
 
 #: converged flows (Newton, then the explicit fallback), of the same 60
 #: starts at scales 8 and 10 (57 / 52 from eigh's floored eigenvalues, which
@@ -621,8 +621,7 @@ def test_newton_far_start_scan(sl2r, circle8):
         for seed in range(60):
             f0 = hf.random_map(circle8, rep, np.random.default_rng(seed), scale)
             start = kern.evaluate(f0.points.astype(complex))
-            _, rpt = hf._newton_flow(kern, start, tol=1e-10,
-                                     max_iter=20000, drift_radius=50.0)
+            _, rpt = hf._newton_flow(kern, start, tol=1e-10, max_iter=20000)
             converged += rpt.converged
         assert converged >= floor, scale
 
@@ -666,7 +665,7 @@ def test_exhausted_run_reports_the_map_it_returns(sl2c):
     f, rpt = hf.flow(rep, f0, max_iter=1)
     ev = hf.MapEval(hf.FlowKernel(torus, rep), f.points)
     assert rpt.iterations == 1 and not rpt.converged
-    assert rpt.basepoint_drift == ev.drift
+    assert rpt.basepoint_drift == ss.origin_dist(f.points[0])
     assert rpt.energy == ev.energy
     assert rpt.tension == np.sqrt(ev.tension_sq)
     assert abs(rpt.basepoint_drift - 2.1019) < 1e-4
@@ -685,49 +684,38 @@ def test_last_step_that_converges_counts(sl2r, circle8):
 
 def test_newton_drift_exit_and_convergence_outside_the_radius(sl2r, circle8):
     # every constant map is harmonic for the trivial representation.  One
-    # at distance 3 sqrt(2) lies outside a drift radius of 1: Newton stops
-    # at its first check, unconverged because of the drift, and hands over
-    # at once, and the explicit flow stops there too.  The drift exit says
-    # nothing about rho, which is reductive
+    # at distance 3 sqrt(2) from I, however far it lies from the basepoint,
+    # is converged at Newton's first check, with its drift reported, and rho
+    # is reductive
     rep = rv.trivial_rep(sl2r, circle8)
     f0 = _constant_at(circle8, rep, 3.0)
-    f, rpt = hf.flow(rep, f0, drift_radius=1.0)
-    assert rpt.solver == "explicit" and rpt.iterations == 1
+    f, rpt = hf.flow(rep, f0)
+    assert rpt.solver == "newton" and rpt.iterations == 1
     assert rpt.tension == 0.0
-    assert not rpt.converged and rpt.reductive_suspected
+    assert rpt.converged and rpt.reductive_suspected
     assert abs(rpt.basepoint_drift - 3.0 * np.sqrt(2.0)) < 1e-12
     assert np.array_equal(f.points, f0.points)
 
 
-def test_explicit_flow_stops_at_the_drift_radius(sl2r):
-    # the parabolic circle has no harmonic map: the explicit flow stops
-    # where the basepoint leaves a radius of 0.5, long before max_iter,
-    # and marks the representation non-reductive
-    circle = mc.build_circle(4)
-    rep = rv.parabolic_circle_rep(sl2r, circle)
-    _, rpt = hf.flow(rep, hf.constant_map(circle, rep), drift_radius=0.5)
-    assert rpt.solver == "explicit" and rpt.iterations < 100
-    assert rpt.basepoint_drift > 0.5 and rpt.tension > 1e-2
-    assert not rpt.converged and not rpt.reductive_suspected
-    assert not rpt.step_underflow
-
-
 @pytest.mark.parametrize("s, solver, iterations", [
-    (37.0, "newton", 8), (40.0, "explicit", 350), (45.0, "explicit", 352),
-    (60.0, "explicit", 352)])
+    (37.0, "newton", 8), (40.0, "newton", 8), (45.0, "newton", 8),
+    (60.0, "newton", 9), (80.0, "newton", 10), (40.0, "explicit", 350),
+    (45.0, "explicit", 352), (60.0, "explicit", 352), (80.0, "explicit", 355)])
 def test_flow_converges_from_below_the_floor(sl2r, s, solver, iterations):
-    # from diag(e^s, e^-s), up to 84.9 from I, the small eigenvalue is below
+    # from diag(e^s, e^-s), up to 113 from I, the small eigenvalue is below
     # the 1e-14 floor, yet energy, tension and Hessian read exactly
     # (test_far_constant_start_matches_mpmath) and each step moves the points
     # in their vertex frames, and the flow reaches the harmonic map at I:
-    # from e^37 Newton does; from the others Newton gives up and the explicit
-    # flow converges.  From e^60 the explicit flow once underflowed at its
-    # first step, and from e^40 and e^45 it converged on clamped eigenvalues
+    # Newton does from every start, and the explicit flow alone (flow's
+    # fallback) does too.  Newton's first frame step from e^40 once landed
+    # on det -1 at every vertex, with positive traces, and gave up there;
+    # from e^60 the explicit flow once underflowed at its first step, and
+    # from e^40 and e^45 it converged on clamped eigenvalues
     circle = mc.build_circle(4)
     rep = rv.elliptic_circle_rep(sl2r, circle)
     f0 = _constant_at(circle, rep, s)
     assert np.linalg.eigvalsh(f0.points[0]).min() < ss._EIG_FLOOR
-    _, rpt = hf.flow(rep, f0, drift_radius=100.0)
+    _, rpt = hf.flow(rep, f0) if solver == "newton" else _explicit_run(rep, f0)
     assert rpt.solver == solver and rpt.converged
     assert not rpt.step_underflow and rpt.iterations == iterations
     assert rpt.energy < 1e-15 and rpt.basepoint_drift < 1e-6
@@ -754,7 +742,7 @@ def test_sl3_flow_converges_from_far_out(sl3r, s, solver, iterations):
     # Newton's first full step still overflows (1e-17 of rounding off the
     # diagonal of the step, through e^60) and the explicit flow converges
     rep, f0 = _sl3_elliptic_at(sl3r, s)
-    _, rpt = hf.flow(rep, f0, drift_radius=100.0)
+    _, rpt = hf.flow(rep, f0)
     assert rpt.solver == solver and rpt.converged
     assert not rpt.step_underflow and rpt.iterations == iterations
     assert rpt.energy < 1e-15 and rpt.basepoint_drift < 1e-6
@@ -798,7 +786,7 @@ def test_explicit_armijo_underflow_far_out(sl3r, monkeypatch):
     evaluate = hf.FlowKernel.evaluate
     monkeypatch.setattr(hf.FlowKernel, "evaluate", lambda self, points: (
         evaluate(self, points) if np.array_equal(points, f0.points) else None))
-    _, rpt = hf.flow(rep, f0, drift_radius=100.0)
+    _, rpt = hf.flow(rep, f0)
     assert rpt.solver == "explicit" and rpt.iterations == 1
     assert rpt.step_underflow and not rpt.converged
     # the first step, 0.5 step_scale, is outside the polish regime, so the
@@ -809,9 +797,9 @@ def test_explicit_armijo_underflow_far_out(sl3r, monkeypatch):
 
 def test_flow_stopping_at_the_eigenvalue_floor_is_not_converged(sl2r):
     # the parabolic circle has no harmonic map.  From diag(e^34, e^-34), at
-    # 34 sqrt 2 = 48.08 < 50 from I, the small eigenvalue e^-34 is below the
-    # floor and the map has tension 6.9e-15; a run once stopped at such a
-    # map as converged and reductive
+    # 34 sqrt 2 = 48.08 from I, beyond _FLOOR_DIST = 45.59, the small
+    # eigenvalue e^-34 is below the floor and the map has tension 6.9e-15;
+    # a run once stopped at such a map as converged and reductive
     circle = mc.build_circle(4)
     rep = rv.parabolic_circle_rep(sl2r, circle)
     f0 = _constant_at(circle, rep, 34.0)
@@ -819,14 +807,15 @@ def test_flow_stopping_at_the_eigenvalue_floor_is_not_converged(sl2r):
     _, rpt = hf.flow(rep, f0)
     assert rpt.iterations == 1 and rpt.tension < 1e-8
     assert abs(rpt.basepoint_drift - 34.0 * np.sqrt(2.0)) < 1e-12
-    assert rpt.basepoint_drift < 50.0
+    assert rpt.basepoint_drift >= ss._FLOOR_DIST
     assert not rpt.converged and not rpt.reductive_suspected
 
 
 def test_far_drift_is_exact(sl2r):
     # from diag(e^37, e^-37) the parabolic flow reports the drift of the map
-    # it returns, 37 sqrt 2 = 52.33, outside the radius 50 (49.07 once,
-    # from eigh's floored eigenvalues), and stops there at its first check
+    # it returns, 37 sqrt 2 = 52.33 (49.07 once, from eigh's floored
+    # eigenvalues); its tension is below tol there, so it stops at its
+    # first check, unconverged beyond the floor distance
     circle = mc.build_circle(4)
     rep = rv.parabolic_circle_rep(sl2r, circle)
     f, rpt = hf.flow(rep, _constant_at(circle, rep, 37.0))
@@ -889,10 +878,10 @@ def _moved(pts, s, X):
         return hf._unit_det(new)
 
 
-def _reference_explicit_flow(kern, pts, *, tol, max_iter, drift_radius):
+def _reference_explicit_flow(kern, pts, *, tol, max_iter):
     """The explicit flow that evaluates the energy and the per-edge tension
-    of every candidate and measures the drift by ss.dist, and builds its
-    report from the map it returns."""
+    of every candidate, and builds its report from the map it returns, its
+    drift measured by ss.dist."""
     eye = np.eye(kern.n, dtype=complex)
     underflow = False
     E = hf.MapEval(kern, pts).energy
@@ -900,7 +889,7 @@ def _reference_explicit_flow(kern, pts, *, tol, max_iter, drift_radius):
     for it in range(1, max_iter + 1):
         T = _tension_frame(kern, pts)
         gsq = _norm_sq(kern, T)
-        if np.sqrt(gsq) < tol or ss.dist(eye, pts[0]) > drift_radius:
+        if np.sqrt(gsq) < tol:
             break
         accepted = False
         if 0.25 * step * gsq < 1e-13 * max(1.0, abs(E)):
@@ -931,7 +920,7 @@ def _reference_explicit_flow(kern, pts, *, tol, max_iter, drift_radius):
             break
     tension = float(np.sqrt(_norm_sq(kern, _tension_frame(kern, pts))))
     drift = ss.dist(eye, pts[0])
-    converged = bool(tension < tol and drift <= drift_radius)
+    converged = bool(tension < tol)
     return pts, hf.FlowReport(E, tension, it, converged, drift,
                               converged or kern.rep.reductive, underflow,
                               "explicit")
@@ -977,7 +966,7 @@ def _reference_case(name):
 def test_explicit_flow_matches_reference_loop(name):
     mesh, rep, f0, max_iter = _reference_case(name)
     kern = hf.FlowKernel(mesh, rep)
-    args = dict(tol=1e-8, max_iter=max_iter, drift_radius=50.0)
+    args = dict(tol=1e-8, max_iter=max_iter)
     pts, rpt = hf._explicit_flow(kern, kern.evaluate(f0.points.astype(complex)),
                                  **args)
     ref_pts, ref = _reference_explicit_flow(kern, f0.points.copy(), **args)
@@ -1039,9 +1028,10 @@ def _per_edge_energy_and_tension(kern, points):
        retracted=st.booleans())
 def test_map_eval_matches_per_edge_loop(mesh_name, group_key, seed, scale,
                                         retracted):
-    # the evaluation's energy, tension and drift equal the per-edge loop and
-    # dist bit for bit, on random points (often not exactly Hermitian) and on
-    # retracted ones (exactly Hermitian)
+    # the evaluation's energy and tension equal the per-edge loop, and the
+    # stacked origin_dist a flow reads its drift from equals dist, bit for
+    # bit, on random points (often not exactly Hermitian) and on retracted
+    # ones (exactly Hermitian)
     mesh = HESSIAN_MESHES[mesh_name]
     rep = _eval_rep(MatrixGroup(*group_key), mesh)
     kern = hf.FlowKernel(mesh, rep)
@@ -1053,7 +1043,7 @@ def test_map_eval_matches_per_edge_loop(mesh_name, group_key, seed, scale,
     ev = kern.evaluate(pts)
     assert ev.energy == E
     assert np.array_equal(ev.tension, tau)
-    assert ev.drift == dist(np.eye(rep.group.n, dtype=complex), pts[0])
+    assert ss.origin_dist(pts)[0] == dist(np.eye(rep.group.n, dtype=complex), pts[0])
     assert ev.tension_sq == _norm_sq(kern, _tension_frame(kern, pts))
 
 

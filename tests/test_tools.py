@@ -50,13 +50,30 @@ def test_report_diff_exit_status(tmp_path):
     assert run_report_diff(old).returncode == 2
 
 
-def test_report_digest_runs_every_golden_and_bench_config_once(monkeypatch):
-    # the byte-identity check of a refactor is only as wide as this list
-    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+def load_report_digest():
     spec = importlib.util.spec_from_file_location("report_digest",
                                                   ROOT / "tools" / "report_digest.py")
     digest = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(digest)
+    return digest
+
+
+def test_report_digest_against_pairs_lines_by_path():
+    # --against prints the lines of each path that moved or that one side
+    # lacks, old before new, and counts the paths
+    compare = load_report_digest().compare
+    old = ["aa  default/x/r.json", "bb  default/y/r.json", "cc  seed301/x/r.json"]
+    assert compare(old, list(old)) == ([], 0, 3)
+    new = ["aa  default/x/r.json", "bd  default/y/r.json", "dd  seed301/z/r.json"]
+    assert compare(old, new) == (
+        ["- bb  default/y/r.json", "+ bd  default/y/r.json",
+         "- cc  seed301/x/r.json", "+ dd  seed301/z/r.json"], 3, 4)
+
+
+def test_report_digest_runs_every_golden_and_bench_config_once(monkeypatch):
+    # the byte-identity check of a refactor is only as wide as this list
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    digest = load_report_digest()
     import workloads
     expected = {}
     for path in sorted((ROOT / "tests" / "golden").glob("*.json")):
