@@ -40,11 +40,12 @@ FlowKernel holds only (mesh, representation) data: the per-edge arrays, the
 deck words of the mesh (``CoverMesh.word_index``) evaluated once as one
 ``repvar.WordTable`` that the twisted complex reads too, the transports
 rho(word_e) and their inverses per edge, and the Hessian's sparsity pattern.
-A MapEval holds all the data of one map, in one vertex-frame kernel for
-every n.  The roots R = P^{1/2}, S = P^{-1/2} of the vertices
-(``symspace.roots``) give each edge its frame Z = S_src g R_dst; log(Z Z^†)
-and log(Z^† Z) are twice the edge log in the source and in the far frame,
-so the tension in the vertex frames is a sum of them; and a step moves a
+A MapEval holds one map in one form, the vertex frames, with one kernel for
+every n (the edge logs in point coordinates, the Maurer-Cartan cochain, are
+``TwistedComplex.beta``).  The roots R = P^{1/2}, S = P^{-1/2} of the
+vertices (``symspace.roots``) give each edge its frame Z = S_src g R_dst;
+log(Z Z^†) and log(Z^† Z) are twice the edge log in the source and in the
+far frame, so the tension in the vertex frames is a sum of them; and a step moves a
 point to R e^{2X} R, X in the vertex frame, which is exp_point(P, R X S)
 without its cancellation far out.  For n = 2 the closed forms of ``symspace`` give
 the edge quantities with no eigendecomposition (``sl2_frame`` for the
@@ -238,22 +239,6 @@ class MapEval:
         return ss.sl2_csch(self.sh, self.ell), *ss.sl2_grams(self.Z)
 
     @cached_property
-    def beta(self):
-        """mc_edge(P_src, g P_dst g^†) per edge."""
-        k = self.kern
-        return ss.mc_edge(self.points[k.src], ss.act(k.g, self.points[k.dst]))
-
-    @cached_property
-    def tension(self):
-        k = self.kern
-        fwd = 2.0 * k.w1[:, None, None] * self.beta
-        back = -mul(mul(k.ginv, fwd), k.g)
-        tau = np.zeros(self.points.shape, dtype=np.result_type(self.points, k.g))
-        np.add.at(tau, k.src, fwd)
-        np.add.at(tau, k.dst, back)
-        return tau
-
-    @cached_property
     def tension_frame(self):
         """S tau R per vertex: the tension in the frame of the vertex, where
         the fiber metric at P is the Frobenius one, summed in the vertex
@@ -278,12 +263,6 @@ class MapEval:
         return float(np.dot(self.kern.w0, vals))
 
     # -- Newton model at this map ------------------------------------------
-    def tangent_field(self, x):
-        """Tangent field sum_k x[v, k] R_v B_k R_v^{-1} (R_v = P_v^{1/2}) from
-        orthonormal p-coordinates x (flat, vertex-major)."""
-        R, S = self.roots
-        return mul(mul(R, self._frame_field(x)), S)
-
     def _frame_field(self, x):
         """sum_k x[v, k] B_k per vertex: a tangent field in the vertex frames."""
         B = self.kern._pattern[0]
@@ -302,7 +281,7 @@ class MapEval:
         times the vertex mass on the diagonal (sparse CSC).
 
         x @ H @ x is the second derivative of the energy along
-        exp_point(points, s * tangent_field(x)) at s = 0.
+        moved(s, _frame_field(x)) at s = 0.
         """
         k = self.kern
         B, slot, indices, indptr = k._pattern

@@ -110,7 +110,10 @@ class MatrixGroup:
             raise ValueError(f"expected {self.n}x{self.n} matrix, got {g.shape}")
         if not np.all(np.isfinite(g.real)) or not np.all(np.isfinite(np.imag(g))):
             raise ValueError("non-finite entries in group element")
-        d = np.linalg.det(g)
+        with np.errstate(all="ignore"):     # an overflow is refused next
+            d = np.linalg.det(g)
+        if not np.isfinite(d):
+            raise ValueError(f"determinant {d} of group element is not finite")
         if self.is_sl and abs(d - 1.0) > tol:
             raise ValueError(f"determinant {d} not 1 for SL element")
         if abs(d) < 1e-12:

@@ -47,8 +47,9 @@ table gives the cocycle seeds and the edge 2-jets of the deformation
 pipeline, all words in one vectorized pass per token position.  A complex
 builds each operator from that table the first time it is read and keeps
 it, so a study that reads only d1, the degree-2 Gram and beta builds nothing
-else; beta and the energy come from one MapEval, and the period bound of a
-primitive from its conditioning.
+else.  beta, the Maurer-Cartan cochain mc_edge(f(src), rho(w_e) f(dst)
+rho(w_e)^†), and the conditioning behind the period bound of a primitive
+read one stack of far endpoints, ``far_points``.
 
 The nonlinear pieces (the face cup product, the contraction omega* -|
 alpha through the adjoint ``liealg.star``, the bracket with a section) take
@@ -68,9 +69,9 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .harmonicflow import FlowKernel, MapEval
+from .harmonicflow import FlowKernel
 from .liealg import ad_matrix, bracket, gram_at, inv, mul, nullspace, star
-from .symspace import act
+from .symspace import act, mc_edge
 
 #: nullspace cutoff (relative to max(s_0, 1)) below which a direction counts
 #: as Ad-fixed by every generator, that is as a centralizer direction
@@ -414,12 +415,16 @@ class TwistedComplex:
         return F, defect
 
     @cached_property
+    def far_points(self):
+        """rho(w_e) f(dst) rho(w_e)^† per edge, read by beta and edge_conditioning."""
+        return act(self.kern.g, self.points[self.kern.dst])
+
+    @cached_property
     def edge_conditioning(self):
         """The largest cond(f(src)) cond(rho(w_e) f(dst) rho(w_e)^†) over the
         edges: the period defect of a matching class grows with it (0.07 eps
         times it at 1.5e11 on a genus-2 conjugate)."""
-        Q = act(self.kern.g, self.points[self.kern.dst])
-        return float(np.max(np.linalg.cond(self.edge_points) * np.linalg.cond(Q)))
+        return float(np.max(np.linalg.cond(self.edge_points) * np.linalg.cond(self.far_points)))
 
     def _primitive_flat(self, target):
         """Kernel-deflated least-squares section F with dF ~ target (a flat
@@ -475,15 +480,13 @@ class TwistedComplex:
         return TwistedCochain(1, bracket(_vals(a), _vals(xi)[self.kern.src]))
 
     @cached_property
-    def map_eval(self):
-        """The MapEval of the points: the energy and the edge logarithms."""
-        return MapEval(self.kern, self.points)
+    def _beta(self):
+        beta = mc_edge(self.edge_points, self.far_points)
+        beta.flags.writeable = False
+        return beta
 
     def beta(self):
-        """Edge logarithms of the metric map (its Maurer-Cartan cochain); the
-        values are read-only."""
-        beta = self.map_eval.beta
-        beta.flags.writeable = False
-        return TwistedCochain(1, beta)
+        """Edge logarithms of the metric map (its Maurer-Cartan cochain), read-only."""
+        return TwistedCochain(1, self._beta)
 
 

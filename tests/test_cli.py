@@ -419,7 +419,11 @@ NAN_COCYCLE_CFG = dict(PARABOLIC_CFG, representation={"family": "circle_hyperbol
      "config key 'xi' must be a 2x2 matrix, got shape (1, 1)"),
     ("deform1", OVERFLOW_COCYCLE_CFG, "non-finite entries in harmonic representative"),
     ("deform2", OVERFLOW_COCYCLE_CFG, "non-finite entries in harmonic representative"),
-    ("deform1", WORD_OVERFLOW_CFG, "non-finite entries in cocycle word values")],
+    ("deform1", WORD_OVERFLOW_CFG, "non-finite entries in cocycle word values"),
+    ("critical-scan", dict(TORUS4_SL2C, representation={"inline": {"images": {
+        "a": [[[1e308, 0], [1e308, 0]], [[1e308, 0], [1e308, 0]]],
+        "b": [[1, 0], [0, 1]]}}}),
+     "determinant (inf+nanj) of group element is not finite")],
     ids=["mesh_kind", "path_kind", "psh_real_group", "refine_kind", "group_kind",
          "group_field", "sl_n1", "genus2_k0", "image_shape", "image_nonfinite",
          "image_singular", "image_missing", "cocycle_shape", "cocycle_missing",
@@ -435,7 +439,7 @@ NAN_COCYCLE_CFG = dict(PARABOLIC_CFG, representation={"family": "circle_hyperbol
          "torus_mc_image_overflow", "harmonic_residuals_image_overflow",
          "json_mesh_path_not_a_string", "conjugation_xi_shape",
          "cocycle_overflow_deform1", "cocycle_overflow_deform2",
-         "cocycle_word_overflow"])
+         "cocycle_word_overflow", "image_determinant_overflow"])
 def test_validation_error_exit_two(tmp_path, capsys, task, cfg, error):
     code, report, _ = run_cli(tmp_path, task, cfg)
     assert code == cli.EXIT_VALIDATION
@@ -947,6 +951,28 @@ def test_variation_task(tmp_path):
     assert res["first_rel_err"] < 1e-3
     assert res["second_rel_err"] < 1e-2
     assert (out / "variation_fd.csv").exists()
+
+
+@pytest.mark.parametrize("cfg", [
+    dict(TORUS4_SL2C, representation={"family": "torus_diag"}, xi=[[0, 1], [0, 0]]),
+    {"mesh": {"kind": "torus", "n": 5, "m": 5}, "group": {"kind": "gl1c"},
+     "representation": {"family": "torus_gl1c"}, "xi": [[1]]}],
+    ids=["torus4_sl2c", "torus5_gl1c"])
+def test_variation_on_a_conjugation_path_is_floor_limited(tmp_path, cfg):
+    # E is constant along a conjugation path (omega is a coboundary), so both
+    # derivatives are rounding noise on each side: their analytic values sit
+    # near eps and the FD values below FD_ROUNDING eps E0 / h^k, where the
+    # ratios read 0.12 and 44 on torus 4 before the floor was stated
+    cfg = {k: v for k, v in cfg.items() if k != "xi"} | {
+        "deformation": {"path_family": {"kind": "conjugation", "xi": cfg["xi"]}},
+        "tolerances": {"flow_tol": 1e-10}}
+    code, raw = main_report(tmp_path, "variation", "variation", cfg)
+    assert code == cli.EXIT_OK
+    res = json.loads(raw)["result"]
+    for key in ("first", "second"):
+        assert res[f"{key}_rel_err"] is None and res[f"{key}_floor_limited"] is True
+    assert abs(res["analytic_first"]) < 1e-15 and abs(res["analytic_second"]) < 1e-13
+    assert abs(res["fd_first"]) < 1e-12 and abs(res["fd_second"]) < 1e-9
 
 
 def test_psh_task(tmp_path):

@@ -236,7 +236,7 @@ def test_solve_psi_matches_fd_second_derivative_of_beta(sl2c, torus66):
         rep_t = path.at(t)
         f_t, _ = hf.flow(rep_t, hf.EquivariantMap(torus66, rep_t,
                                                   f0.points.copy()), tol=1e-11)
-        betas[t] = hf.MapEval(hf.FlowKernel(torus66, rep_t), f_t.points).beta
+        betas[t] = TwistedComplex(torus66, rep_t, f_t).beta().values
     beta_dd = (betas[h] - 2 * betas[0.0] + betas[-h]) / (h * h)
     _, psi_p = cartan_project(ctx.edge_points, sol.psi.values)
     assert np.abs(psi_p - beta_dd).max() < 1e-4

@@ -15,6 +15,7 @@ from equivarlab import repvar as rv
 from equivarlab import symspace as ss
 from equivarlab.liealg import MatrixGroup, ct, mul
 from equivarlab.symspace import act, dist, exp_point
+from equivarlab.twistedhodge import TwistedComplex
 from conftest import rounding_bound
 import reference as ref
 
@@ -28,7 +29,7 @@ def test_energy_constant_trivial(sl2r, torus66):
     rep = rv.trivial_rep(sl2r, torus66)
     f = hf.constant_map(torus66, rep)
     assert hf.energy(f) < 1e-30
-    assert np.abs(evaluate(f).tension).max() < 1e-14
+    assert np.abs(evaluate(f).tension_frame).max() < 1e-14
 
 
 def test_energy_circle_axis_sampling(sl2r, circle8):
@@ -55,7 +56,8 @@ def test_energy_conjugation_invariance(sl2c, torus66):
 
 def test_tension_is_descent_direction(sl2r, circle8):
     # after a random perturbation of a harmonic map the tension is nonzero
-    # and stepping along +tau decreases the energy (along -tau it increases)
+    # and the flow's move along +tau decreases the energy (along -tau it
+    # increases)
     rng = np.random.default_rng(1)
     rep = rv.hyperbolic_circle_rep(sl2r, circle8, 2.0)
     f, rpt = hf.flow(rep, hf.constant_map(circle8, rep))
@@ -67,14 +69,12 @@ def test_tension_is_descent_direction(sl2r, circle8):
     # symmetrize the perturbation direction at each point
     g = hf.EquivariantMap(circle8, rep, np.stack(
         [0.5 * (P + np.conj(P).T) for P in pts]))
-    tau = evaluate(g).tension
+    ev = evaluate(g)
     assert hf.tension_norm(g) > 1e-6
     eps = 1e-4
     E0 = hf.energy(g)
-    up = hf.EquivariantMap(circle8, rep, np.stack(
-        [exp_point(g.points[v], eps * tau[v]) for v in range(circle8.nv)]))
-    down = hf.EquivariantMap(circle8, rep, np.stack(
-        [exp_point(g.points[v], -eps * tau[v]) for v in range(circle8.nv)]))
+    up = hf.EquivariantMap(circle8, rep, ev.moved(eps, ev.tension_frame))
+    down = hf.EquivariantMap(circle8, rep, ev.moved(-eps, ev.tension_frame))
     assert hf.energy(up) < E0
     assert hf.energy(down) > E0
 
@@ -332,7 +332,8 @@ HESSIAN_MESHES = {"circle": mc.build_circle(6), "torus": mc.build_torus(4, 4),
 @settings(max_examples=8, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), scale=st.floats(0.05, 0.6))
 def test_hessian_is_second_difference(mesh_name, group_key, seed, scale):
-    # x^T H x is the central second difference of the energy along exp_point;
+    # x^T H x is the central second difference of the energy along the
+    # flow's move, which is exp_point(P, s R X S) for X in the vertex frames;
     # h = 1e-3, because the genus-2 transports leave about 1e-13 of rounding
     # in each energy value, which at h = 1e-4 reaches 5e-5 of x^T H x
     mesh = HESSIAN_MESHES[mesh_name]
@@ -343,9 +344,9 @@ def test_hessian_is_second_difference(mesh_name, group_key, seed, scale):
     ev = hf.MapEval(kern, pts)
     H = ev.hessian()
     x = rng.standard_normal(H.shape[0])
-    X = ev.tangent_field(x)
+    X = ev._frame_field(x)
     h = 1e-3
-    E = [hf.MapEval(kern, exp_point(pts, s * X)).energy for s in (-h, 0.0, h)]
+    E = [hf.MapEval(kern, ev.moved(s, X)).energy for s in (-h, 0.0, h)]
     fd = (E[0] - 2.0 * E[1] + E[2]) / h ** 2
     quad = x @ (H @ x)
     assert abs(quad - fd) <= 1e-5 * abs(quad)
@@ -492,15 +493,15 @@ def test_non_finite_start_raises(sl2c, torus66):
 
 
 def test_oversize_step_is_a_silent_rejection(sl2c, torus66):
-    # an overflowing retraction comes back non-finite without a warning and
-    # evaluates as a rejected candidate
+    # an overflowing move, the path every flow candidate takes, comes back
+    # non-finite without a warning and evaluates as a rejected candidate
     rep = rv.torus_diag_rep(sl2c, torus66, 0.4 + 0.3j, -0.2 + 0.5j)
     kern = hf.FlowKernel(torus66, rep)
     pts = hf.random_map(torus66, rep, np.random.default_rng(6), 0.4).points
-    tau = hf.MapEval(kern, pts).tension
+    ev = hf.MapEval(kern, pts)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        cand = hf.retract(pts, 1e6 * tau)
+        cand = ev.moved(1e6, ev.tension_frame)
         assert not np.isfinite(cand).all()
         assert kern.evaluate(cand) is None
 
@@ -1028,10 +1029,10 @@ def _per_edge_energy_and_tension(kern, points):
        retracted=st.booleans())
 def test_map_eval_matches_per_edge_loop(mesh_name, group_key, seed, scale,
                                         retracted):
-    # the evaluation's energy and tension equal the per-edge loop, and the
-    # stacked origin_dist a flow reads its drift from equals dist, bit for
-    # bit, on random points (often not exactly Hermitian) and on retracted
-    # ones (exactly Hermitian)
+    # the evaluation's energy and tension (in the vertex frames) equal the
+    # per-edge loops, and the stacked origin_dist a flow reads its drift
+    # from equals dist, bit for bit, on random points (often not exactly
+    # Hermitian) and on retracted ones (exactly Hermitian)
     mesh = HESSIAN_MESHES[mesh_name]
     rep = _eval_rep(MatrixGroup(*group_key), mesh)
     kern = hf.FlowKernel(mesh, rep)
@@ -1039,12 +1040,36 @@ def test_map_eval_matches_per_edge_loop(mesh_name, group_key, seed, scale,
     if retracted:
         _, tau = _per_edge_energy_and_tension(kern, pts)
         pts = hf.retract(pts, 0.25 * kern.step_scale * tau)
-    E, tau = _per_edge_energy_and_tension(kern, pts)
+    E, _ = _per_edge_energy_and_tension(kern, pts)
     ev = kern.evaluate(pts)
     assert ev.energy == E
-    assert np.array_equal(ev.tension, tau)
+    assert np.array_equal(ev.tension_frame, _tension_frame(kern, pts))
     assert ss.origin_dist(pts)[0] == dist(np.eye(rep.group.n, dtype=complex), pts[0])
     assert ev.tension_sq == _norm_sq(kern, _tension_frame(kern, pts))
+
+
+@pytest.mark.parametrize("mesh_name", sorted(HESSIAN_MESHES))
+@pytest.mark.parametrize("group_key", [("sl", 2, "R"), ("sl", 2, "C"),
+                                       ("gl1c", 1, "C"), ("sl", 3, "R")])
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), scale=st.floats(0.05, 0.6))
+def test_beta_assembles_to_the_frame_tension(mesh_name, group_key, seed, scale):
+    # the twisted complex's Maurer-Cartan cochain, summed as the tension is
+    # (2 w1 beta at the source, minus its transport back at the far end),
+    # is the flow's vertex-frame tension carried to the points, R T S: the
+    # point-coordinate layer and the frame layer state one map
+    mesh = HESSIAN_MESHES[mesh_name]
+    rep = _eval_rep(MatrixGroup(*group_key), mesh)
+    f = hf.random_map(mesh, rep, np.random.default_rng(seed), scale)
+    ctx = TwistedComplex(mesh, rep, f)
+    k = ctx.kern
+    fwd = 2.0 * k.w1[:, None, None] * ctx.beta().values
+    tau = np.zeros(f.points.shape, dtype=complex)
+    np.add.at(tau, k.src, fwd)
+    np.add.at(tau, k.dst, -mul(mul(k.ginv, fwd), k.g))
+    ev = hf.MapEval(k, f.points)
+    R, S = ev.roots
+    assert np.abs(tau - mul(mul(R, ev.tension_frame), S)).max() <= 1e-12 * np.abs(tau).max()
 
 
 @pytest.mark.parametrize("mesh_name", ["torus", "genus2"])
@@ -1103,15 +1128,17 @@ def _oracle_case(name):
 def _assert_matches_mpmath(kern, pts, hessian=False, frame=False):
     """Energy, tension field, tension norm (and Hessian) within 1e-10
     relative of the 50-digit evaluation; with frame, the tension field in
-    the vertex frames (tension_frame, which the flow reads) in place of the
-    field at the points."""
+    the vertex frames (tension_frame, which the flow reads), else the field
+    at the points summed from mc_edge one edge at a time
+    (_per_edge_energy_and_tension, the arithmetic of TwistedComplex.beta)."""
     ev = kern.evaluate(pts)
     E, tau, tsq, tau_frame = ref.mp_energy_tension(kern, pts)
     assert abs(ev.energy - E) <= 1e-10 * E
     if frame:
         assert np.abs(ev.tension_frame - tau_frame).max() <= 1e-10 * np.abs(tau_frame).max()
     else:
-        assert np.abs(ev.tension - tau).max() <= 1e-10 * np.abs(tau).max()
+        loop = _per_edge_energy_and_tension(kern, pts)[1]
+        assert np.abs(loop - tau).max() <= 1e-10 * np.abs(tau).max()
     assert abs(ev.tension_sq - tsq) <= 1e-10 * tsq
     if hessian:
         H = ref.mp_hessian(kern, pts)

@@ -90,6 +90,23 @@ def test_report_digest_runs_every_golden_and_bench_config_once(monkeypatch):
     assert all(task in cli.TASK_FUNCS for _, task, _ in runs)
 
 
+def test_report_digest_keeps_only_output_files(tmp_path, monkeypatch):
+    # a kept tree holds the output files alone, so tools/report_diff.py on
+    # two kept trees counts the files whose lines the digest counts
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    digest = load_report_digest()
+
+    def one_file(argv):
+        assert tmp_path not in Path(argv[argv.index("--config") + 1]).parents
+        (Path(argv[argv.index("--out") + 1]) / "report.json").write_text("{}")
+        return 0
+    monkeypatch.setattr(cli, "main", one_file)
+    lines = digest.digests(tmp_path)
+    files = sorted(str(f.relative_to(tmp_path)) for f in tmp_path.rglob("*") if f.is_file())
+    assert files == [line.split("  ", 1)[1] for line in lines]
+    assert len(files) == len(digest.SEEDS) * len(digest.configs())
+
+
 def resolve(module, name):
     """module.name, imported if it is a submodule; None if it does not exist."""
     try:

@@ -16,7 +16,9 @@ byte-identical.
     python3 tools/report_digest.py --keep DIR
 
 also keeps the output files under DIR (which must not hold an earlier run),
-so that ``tools/report_diff.py`` can show, leaf by leaf, what moved.
+so that ``tools/report_diff.py`` can show, leaf by leaf, what moved.  DIR
+holds the output files alone (the configs are written elsewhere; each
+report echoes its own), so the diff counts the files the digest counts.
 
     python3 tools/report_digest.py --against REV [--keep DIR]
 
@@ -67,22 +69,24 @@ def digests(out_root):
         raise SystemExit(f"equivarlab imported from {cli.__file__}, "
                          f"not from {ROOT / 'src'}")
     lines = []
-    for seed in SEEDS:
-        tag = "default" if seed is None else f"seed{seed}"
-        for name, task, cfg in configs():
-            out = out_root / tag / name
-            out.mkdir(parents=True)
-            cfg_path = out.parent / f"{name}.json"
-            cfg_path.write_text(json.dumps(cfg))
-            argv = [task, "--config", str(cfg_path), "--out", str(out)]
-            if seed is not None:
-                argv += ["--seed", str(seed)]
-            with contextlib.redirect_stderr(io.StringIO()):
-                cli.main(argv)
-            for f in sorted(out.rglob("*")):
-                if f.is_file():
-                    digest = hashlib.sha256(f.read_bytes()).hexdigest()
-                    lines.append(f"{digest}  {f.relative_to(out_root)}")
+    # the configs go outside out_root, which holds the output files alone
+    with tempfile.TemporaryDirectory() as cfg_dir:
+        for seed in SEEDS:
+            tag = "default" if seed is None else f"seed{seed}"
+            for name, task, cfg in configs():
+                out = out_root / tag / name
+                out.mkdir(parents=True)
+                cfg_path = Path(cfg_dir) / f"{name}.json"
+                cfg_path.write_text(json.dumps(cfg))
+                argv = [task, "--config", str(cfg_path), "--out", str(out)]
+                if seed is not None:
+                    argv += ["--seed", str(seed)]
+                with contextlib.redirect_stderr(io.StringIO()):
+                    cli.main(argv)
+                for f in sorted(out.rglob("*")):
+                    if f.is_file():
+                        digest = hashlib.sha256(f.read_bytes()).hexdigest()
+                        lines.append(f"{digest}  {f.relative_to(out_root)}")
     return sorted(lines, key=lambda line: line.split("  ", 1)[1])
 
 
