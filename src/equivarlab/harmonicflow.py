@@ -53,8 +53,14 @@ energy, ``sl2_grams`` for the Gram parts of Z); for n = 1 and n >= 3 one
 eigh per vertex gives the roots and ``symspace.edge_svd`` the SVD of Z.  The
 tension norm needs no inverse: the fiber metric at P is the Frobenius one on
 S tau R.  The 2 x 2 products of the flow (transports, frames, the Newton
-model) go through liealg.mul, broadcast arithmetic instead of one BLAS call
-per block.
+model) are broadcast arithmetic instead of one BLAS call per block: the n = 2
+energy and tension call liealg.mul2, which skips mul's shape check, and read
+the transports' conjugate transposes from FlowKernel (``gh``), formed once.
+On the 4-vertex circle an iteration costs numpy dispatch on 4-element
+stacks, not arithmetic, so every product, branch and reduction there is paid
+once per trial map or once per accepted map, and none of them changes a
+float: the closed forms take their series or NaN branch only when one min
+shows a value needs it.
 
 Both phases run through one loop, ``_descend`` (exit, then one report of the
 map it returns), with Newton and the explicit flow as its two step rules and
@@ -63,9 +69,12 @@ its start map once, quietly, and both phases descend from that MapEval.  The
 explicit flow's fixed-step polish rejects a candidate equal to the current
 points: such a step moved nothing, and accepting it would repeat it until
 max_iter.  The start and every candidate pass one gate, ``FlowKernel.evaluate``
-(finite entries and energy, and a positive trace at every vertex); a
-candidate is evaluated energy first, and for n = 2 its tension is built only
-once it is accepted (or a polish step accepts on it).  curved_torus_map builds
+(finite entries and energy, and a positive trace at every vertex, for n = 2
+the sum of its two real diagonal entries); a candidate is evaluated energy
+first, and its tension is built only on the first read of it, once it is
+accepted (or a polish step or a Newton test reads it): for n = 2 that one
+pass (``MapEval._tension``) forms the roots, Z, the Gram parts, l / sinh l,
+the frame sum and its norm together.  curved_torus_map builds
 the smooth test map of the refinement studies for all vertices in one
 stacked pass, and refuses one whose points have lost their determinant.
 """
@@ -81,7 +90,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import symspace as ss
-from .liealg import ct, mul, p_basis
+from .liealg import ct, mul, mul2, p_basis
 from .repvar import WordTable
 
 
@@ -100,11 +109,12 @@ def constant_map(mesh, rep):
 
 
 def random_map(mesh, rep, rng, scale=0.4):
-    """Vertices drawn by ``symspace.random_point``, the start of the CLI flow
-    task's ``flow.start = "random"``; a far scale overflows quietly, and
+    """Vertices drawn by ``symspace.random_points`` (one stacked draw, the
+    points of one ``random_point`` per vertex in turn), the start of the CLI
+    flow task's ``flow.start = "random"``; a far scale overflows quietly, and
     ``flow`` refuses the start."""
     with np.errstate(all="ignore"):
-        pts = np.stack([ss.random_point(rep.group, rng, scale) for _ in range(mesh.nv)])
+        pts = ss.random_points(rep.group, rng, mesh.nv, scale)
     return EquivariantMap(mesh, rep, pts)
 
 
@@ -125,7 +135,9 @@ def _unit_det(new):
     if n > 1:
         det = (new[:, 0, 0] * new[:, 1, 1] - new[:, 0, 1] * new[:, 1, 0]
                if n == 2 else np.linalg.det(new))
-        scale = np.where(det.real > 0.0, np.abs(det), np.nan)
+        dr = det.real
+        scale = (np.abs(det) if dr.min() > 0.0
+                 else np.where(dr > 0.0, np.abs(det), np.nan))
         new = new / (scale ** (1.0 / n))[:, None, None]
     return new
 
@@ -143,6 +155,7 @@ class FlowKernel:
         self.words = WordTable(rep, mesh.word_index.words)
         idx = mesh.word_index.edge_word
         self.g = self.words.rho[idx]
+        self.gh = ct(self.g)
         self.ginv = self.words.rho_inv[idx]
         self.w0 = np.asarray(mesh.vertex_weights)
         # Jacobi-style scale: stable explicit step is O(1) in this unit
@@ -159,7 +172,9 @@ class FlowKernel:
         one gate of a flow's start and of every candidate."""
         if not np.isfinite(points).all():
             return None
-        if not (np.trace(points, axis1=1, axis2=2).real > 0.0).all():
+        trace = (points[:, 0, 0].real + points[:, 1, 1].real if self.n == 2
+                 else np.trace(points, axis1=1, axis2=2).real)
+        if not trace.min() > 0.0:
             return None
         ev = MapEval(self, points)
         return ev if math.isfinite(ev.energy) else None
@@ -188,6 +203,10 @@ class FlowKernel:
         return B, slot, uniq % N, indptr
 
 
+#: MapEval attributes set by MapEval._tension on the first read of any
+_TENSION_NAMES = frozenset({"roots", "Z", "frame", "tension_frame", "tension_sq"})
+
+
 class MapEval:
     """One evaluation of a map under a FlowKernel, in the vertex frames.
 
@@ -196,9 +215,10 @@ class MapEval:
     S_src Q S_src for the transported far endpoint Q, so log(Z Z^†) is twice
     the edge log in the source frame and log(Z^† Z) in the far frame.  For
     n = 2 sl2_frame of (P_src, Q) gives the squared edge distances d2 = 2 l^2
-    with no root, and Z and its Gram parts are formed when the tension is
-    first read, so a rejected candidate pays for its energy alone; otherwise
-    edge_svd factors Z = U Sigma V^† with the energy.  The tension, its
+    with no root, and the roots, Z and its Gram parts are formed with the
+    tension, in one pass on the first read of any of them (_tension), so a
+    rejected candidate pays for its energy alone; otherwise edge_svd factors
+    Z = U Sigma V^† with the energy.  The tension, its
     norm, a move and the Newton model read the same arrays for
     every n; only the Jacobi blocks have an n = 2 closed form of their own.
     """
@@ -207,60 +227,57 @@ class MapEval:
         self.kern = kern
         self.points = points
         if kern.n == 2:
-            _, self.sh, self.ell = ss.sl2_frame(points[kern.src],
-                                                ss.act(kern.g, points[kern.dst]))
+            # sl2_frame(P_src, Q) of Q = act(g, P_dst), with the kernel's g^†
+            Q = ss._hermitize(mul2(mul2(kern.g, points[kern.dst]), kern.gh))
+            _, self.sh, self.ell = ss._sl2_split(mul2(Q, ss.adj(points[kern.src])))
             d = ss._SQRT2 * self.ell
             self.d2 = d * d
         else:
+            R, S = self.roots = ss.roots(points)
+            self.Z = mul(mul(S[kern.src], kern.g), R[kern.dst])
             self.U, self.logs, self.V = ss.edge_svd(self.Z)
             self.d2 = 4.0 * np.sum(self.logs ** 2, axis=-1)
-            # shadows the cached property, which builds the n = 2 closed forms
             self.frame = (2.0, ss._spectral(self.U, self.logs),
                           ss._spectral(self.V, self.logs))
         self.energy = 0.5 * float(np.dot(kern.w1, self.d2))
 
-    @cached_property
-    def roots(self):
-        """(R, S) = (P^{1/2}, P^{-1/2}) per vertex, symspace.roots."""
-        return ss.roots(self.points)
+    def __getattr__(self, name):
+        # called only for a name not yet set: the tension's, built on first read
+        if name not in _TENSION_NAMES:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        self._tension()
+        return vars(self)[name]
 
-    @cached_property
-    def Z(self):
-        """S_src g R_dst per edge."""
+    def _tension(self):
+        """Set the tension and, for n = 2, what it is summed from, in one pass:
+
+        roots, (R, S) = (P^{1/2}, P^{-1/2}) per vertex (symspace.roots), and
+        Z = S_src g R_dst per edge (for n != 2 __init__ sets both);
+        frame, (c, Fs, Ff) per edge with log(Z Z^†) = c Fs and
+        log(Z^† Z) = c Ff: l / sinh l and the traceless Gram parts of
+        symspace.sl2_grams for n = 2, else (2, U log Sigma U^†,
+        V log Sigma V^†) from __init__;
+        tension_frame, S tau R per vertex: the tension in the frame of the
+        vertex, where the fiber metric at P is the Frobenius one, summed in
+        the vertex frames: an edge adds w1 log(Z Z^†) = 2 w1 S_src beta R_src
+        at its source and minus w1 log(Z^† Z) = Z^{-1} (.) Z of it at its far
+        end (S, R applied to a tension summed at the points would lose the
+        digits of a far point);
+        tension_sq, its weighted L2 norm^2 in the pointwise fiber metric,
+        sum_v w0 ||S tau R||_F^2."""
         k = self.kern
-        R, S = self.roots
-        return mul(mul(S[k.src], k.g), R[k.dst])
-
-    @cached_property
-    def frame(self):
-        """(c, Fs, Ff) per edge with log(Z Z^†) = c Fs and log(Z^† Z) = c Ff:
-        l / sinh l and the traceless Gram parts of symspace.sl2_grams for
-        n = 2; otherwise __init__ sets (2, U log Sigma U^†, V log Sigma V^†)."""
-        return ss.sl2_csch(self.sh, self.ell), *ss.sl2_grams(self.Z)
-
-    @cached_property
-    def tension_frame(self):
-        """S tau R per vertex: the tension in the frame of the vertex, where
-        the fiber metric at P is the Frobenius one, summed in the vertex
-        frames: an edge adds w1 log(Z Z^†) = 2 w1 S_src beta R_src at its
-        source and minus w1 log(Z^† Z) = Z^{-1} (.) Z of it at its far end.
-        S, R applied to a tension summed at the points would lose the digits
-        of a far point."""
-        k = self.kern
+        if k.n == 2:
+            R, S = self.roots = ss.roots(self.points)
+            self.Z = mul2(mul2(S[k.src], k.g), R[k.dst])
+            self.frame = ss.sl2_csch(self.sh, self.ell), *ss.sl2_grams(self.Z)
         c, Fs, Ff = self.frame
         c = (k.w1 * c)[:, None, None]
         T = np.zeros(self.points.shape, dtype=complex)
         np.add.at(T, k.src, c * Fs)
         np.add.at(T, k.dst, -c * Ff)
-        return T
-
-    @cached_property
-    def tension_sq(self):
-        """Weighted L2 norm^2 of the tension in the pointwise fiber metric,
-        sum_v w0 ||S tau R||_F^2."""
-        T = self.tension_frame
-        vals = np.sum(T.real ** 2 + T.imag ** 2, axis=(-2, -1))
-        return float(np.dot(self.kern.w0, vals))
+        self.tension_frame = T
+        self.tension_sq = float(np.dot(k.w0, np.sum(T.real ** 2 + T.imag ** 2,
+                                                    axis=(-2, -1))))
 
     # -- Newton model at this map ------------------------------------------
     def _frame_field(self, x):

@@ -13,6 +13,8 @@ arithmetic.  numpy's stacked ``@`` and ``np.linalg.inv`` make one BLAS or
 LAPACK call per block, which costs more than the arithmetic of a 2 x 2
 block; for n = 2 both are written as broadcast elementwise arithmetic
 instead, so every block of a stack is computed exactly as a stack of one.
+``mul2`` is that 2 x 2 product without ``mul``'s shape check, for callers
+that know the shape.
 ``ct``, the adjoint ``star`` and ``bracket`` state the rest of it once, the
 last two through ``mul``; ``ad_action`` and ``repvar.WordTable`` keep ``@``,
 on which the last bits of the reports depend.
@@ -138,10 +140,15 @@ class MatrixGroup:
 # pointwise operations
 
 def mul(A, B):
-    """Stacked matrix product A @ B of arrays; for 2 x 2 blocks the sum of two
-    broadcast outer products, column j of A times row j of B."""
+    """Stacked matrix product A @ B of arrays; for 2 x 2 blocks mul2."""
     if A.shape[-2:] != (2, 2) or B.shape[-2:] != (2, 2):
         return A @ B
+    return mul2(A, B)
+
+
+def mul2(A, B):
+    """mul of stacks of 2 x 2 blocks, without the shape check: the sum of two
+    broadcast outer products, column j of A times row j of B."""
     return A[..., :, 0, None] * B[..., None, 0, :] + A[..., :, 1, None] * B[..., None, 1, :]
 
 

@@ -290,10 +290,24 @@ class CoverMesh:
 
 # ----------------------------------------------------------------------
 
+#: most cells (vertices + edges + faces) a built mesh may have, far above the
+#: finest meshes the lab studies (genus-2 k = 6: 49 150; torus 96 x 96: 36 864)
+MAX_CELLS = 10 ** 6
+
+
+def _within_budget(cells, name):
+    """Refuse the mesh called name when its cells, counted from the build
+    function's arguments before any cell is built, are more than MAX_CELLS."""
+    if cells > MAX_CELLS:
+        raise ValueError(f"{name} has more than {MAX_CELLS} cells "
+                         f"(vertices, edges and faces)")
+
+
 def build_circle(n):
     """Cycle mesh for Gamma = Z at unit circumference: w0 = 1/n, w1 = n."""
     if n < 3:
         raise ValueError("circle mesh needs n >= 3")
+    _within_budget(2 * n, f"circle mesh n = {n}")
     edges = []
     for i in range(n):
         label = ("a",) if i == n - 1 else ()
@@ -312,6 +326,7 @@ def build_torus(n, m):
     """Flat unit-square torus, n x m grid; relator a b a^-1 b^-1."""
     if n < 3 or m < 3:
         raise ValueError("torus mesh needs n, m >= 3")
+    _within_budget(4 * n * m, f"torus mesh {n} x {m}")
 
     def vid(i, j):
         return (i % n) + n * (j % m)
@@ -464,6 +479,10 @@ def build_genus2(k=1):
     """
     if k < 1:
         raise ValueError("subdivision depth must be >= 1")
+    # 16 4^(k-1) faces, 3/2 as many edges and, by Euler's formula at genus 2,
+    # E - F - 2 vertices; depth 20 is already over the budget, so a deeper
+    # one is counted as depth 20
+    _within_budget(48 * 4 ** (min(k, 20) - 1) - 2, f"genus2 mesh k = {k}")
     nv, tris = _octagon_fan()
     for _ in range(k - 1):
         nv, tris = _refine(nv, tris)

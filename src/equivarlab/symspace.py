@@ -27,7 +27,11 @@ dist, mc_edge and origin_dist take these forms.  For Z = P^{-1/2} g Q^{1/2}
 gives the traceless parts of Z Z^† and Z^† Z and sl2_unitary the polar
 factor of Z, and sl2_exph exponentiates a Hermitian traceless block in real
 arithmetic; all of them are sums of products of entries, with no
-cancellation far from I.
+cancellation far from I.  The closed forms with a series branch (sl2_exph
+below s = 1e-8, sl2_csch below l = 1e-4) take it only when one min over the
+stack shows that a value needs it; a stack with no such value (and no NaN,
+whose min fails the test) reads the other branch alone, which gives the
+same floats as the np.where form over the whole stack.
 
 For n = 1 and n >= 3 the same quantities come from numpy's eigh, once per
 point, and SVD, once per pair.  roots gives R = P^{1/2} and S = P^{-1/2},
@@ -38,9 +42,11 @@ V log Sigma V^† is the same log in Q's frame.  A det-1 spectrum reads its
 smallest value as the reciprocal of the product of the others (_unit_logs).
 
 act, sl2_frame and exp_point multiply through liealg.mul (broadcast
-arithmetic on a 2 x 2 block instead of one BLAS call per block) and
-transpose through liealg.ct; the eigendecompositions and SVDs of n != 2
-are numpy's.
+arithmetic on a 2 x 2 block instead of one BLAS call per block), and
+sl2_grams through liealg.mul2, its check-free 2 x 2 form; they transpose
+through liealg.ct; the eigendecompositions and SVDs of n != 2 are numpy's.
+random_points draws a stack of points with one stacked eigh, bit for bit
+the points of as many random_point calls in turn.
 """
 
 from __future__ import annotations
@@ -48,7 +54,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg
 
-from .liealg import ct, mul
+from .liealg import ct, mul, mul2
 
 #: ||mc_edge(P,Q)||_P / dist(P,Q); fixed by the half-log normalization.
 MC_EDGE_NORM_RATIO = 0.5
@@ -67,7 +73,7 @@ _ADJ_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])
 
 
 def _hermitize(M):
-    return 0.5 * (M + ct(M))
+    return 0.5 * (M + M.swapaxes(-1, -2).conj())
 
 
 def _eigh(P):
@@ -195,7 +201,8 @@ def sl2_grams(Z):
     det 1.  With U = H^{-1/2} Z the unitary polar factor of Z (H = Z Z^†),
     K0 = U^† H0 U = Z^{-1} H0 Z; both are sums of products of entries of Z,
     so a far point keeps its digits."""
-    return _traceless(mul(Z, ct(Z))), _traceless(mul(ct(Z), Z))
+    Zh = ct(Z)
+    return _traceless(mul2(Z, Zh)), _traceless(mul2(Zh, Z))
 
 
 def sl2_unitary(Z):
@@ -220,14 +227,19 @@ def sl2_exph(X):
     cosh(s) I + (sinh(s) / s) X with s^2 = X_00^2 + |X_01|^2 = -det X."""
     q = X[..., 0, 0].real ** 2 + X[..., 0, 1].real ** 2 + X[..., 0, 1].imag ** 2
     s = np.sqrt(q)
-    small = s < 1e-8
-    s1 = np.where(small, 1.0, s)
-    coef = np.where(small, 1.0 + q / 6.0, np.sinh(s1) / s1)
+    if s.min() >= 1e-8:
+        coef = np.sinh(s) / s
+    else:
+        small = s < 1e-8
+        s1 = np.where(small, 1.0, s)
+        coef = np.where(small, 1.0 + q / 6.0, np.sinh(s1) / s1)
     return np.cosh(s)[..., None, None] * _EYE2 + coef[..., None, None] * X
 
 
 def sl2_csch(sh, ell):
     """l / sinh l from sh = sinh l; the series 1 - l^2/6 below l = 1e-4."""
+    if ell.min() >= 1e-4:
+        return ell / sh
     small = ell < 1e-4
     return np.where(small, 1.0 - ell * ell / 6.0, ell / np.where(small, 1.0, sh))
 
@@ -283,19 +295,30 @@ def mc_edge(P, Q):
     return mul(mul(R, _spectral(U, logs)), S)
 
 
-def random_point(group, rng, scale=0.5):
-    """Random symmetric-space point for the given group."""
+def random_points(group, rng, count, scale=0.5):
+    """A stack of count random symmetric-space points for the group: the
+    Gaussian blocks of one point after another, in one draw from rng, then
+    one stacked eigh of their traceless Hermitian parts H and one stacked
+    (U e^w) U^†.  Each point is bit for bit the one a draw of that point
+    alone would give (e^x for GL(1,C))."""
     n = group.n
     if n == 1:
-        return np.array([[np.exp(scale * rng.standard_normal())]], dtype=complex)
+        return np.exp(scale * rng.standard_normal(count)).astype(complex).reshape(count, 1, 1)
     if group.field == "C":
-        A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        draw = rng.standard_normal((count, 2, n, n))
+        A = draw[:, 0] + 1j * draw[:, 1]
     else:
-        A = rng.standard_normal((n, n)).astype(complex)
-    H = scale * 0.5 * (A + np.conj(A).T)
-    H = H - (np.trace(H) / n) * np.eye(n)
+        A = rng.standard_normal((count, n, n)).astype(complex)
+    H = scale * 0.5 * (A + np.conj(A).swapaxes(-1, -2))
+    H = H - (np.trace(H, axis1=-2, axis2=-1) / n)[:, None, None] * np.eye(n)
     w, U = np.linalg.eigh(H)
-    return (U * np.exp(w)) @ np.conj(U).T
+    return (U * np.exp(w)[:, None, :]) @ np.conj(U).swapaxes(-1, -2)
+
+
+def random_point(group, rng, scale=0.5):
+    """Random symmetric-space point for the given group: random_points of
+    one."""
+    return random_points(group, rng, 1, scale)[0]
 
 
 def translation_length(g):

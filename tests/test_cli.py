@@ -423,7 +423,16 @@ NAN_COCYCLE_CFG = dict(PARABOLIC_CFG, representation={"family": "circle_hyperbol
     ("critical-scan", dict(TORUS4_SL2C, representation={"inline": {"images": {
         "a": [[[1e308, 0], [1e308, 0]], [[1e308, 0], [1e308, 0]]],
         "b": [[1, 0], [0, 1]]}}}),
-     "determinant (inf+nanj) of group element is not finite")],
+     "determinant (inf+nanj) of group element is not finite"),
+    # a mesh over the cell budget is refused before any cell is built
+    ("flow", dict(OBSTRUCTED_CFG, mesh={"kind": "torus", "n": 100000}),
+     "torus mesh 100000 x 100000 has more than 1000000 cells (vertices, edges and faces)"),
+    ("refine-study", {"group": SL2C, "refine": {"kind": "torus_mc", "levels": [4, 6, 100000]}},
+     "torus mesh 100000 x 100000 has more than 1000000 cells (vertices, edges and faces)"),
+    ("flow", dict(OBSTRUCTED_CFG, mesh={"kind": "torus", "n": 2 ** 64}),
+     f"torus mesh {2 ** 64} x {2 ** 64} has more than 1000000 cells (vertices, edges and faces)"),
+    ("flow", dict(OBSTRUCTED_CFG, mesh={"kind": "genus2", "k": 40}),
+     "genus2 mesh k = 40 has more than 1000000 cells (vertices, edges and faces)")],
     ids=["mesh_kind", "path_kind", "psh_real_group", "refine_kind", "group_kind",
          "group_field", "sl_n1", "genus2_k0", "image_shape", "image_nonfinite",
          "image_singular", "image_missing", "cocycle_shape", "cocycle_missing",
@@ -439,7 +448,9 @@ NAN_COCYCLE_CFG = dict(PARABOLIC_CFG, representation={"family": "circle_hyperbol
          "torus_mc_image_overflow", "harmonic_residuals_image_overflow",
          "json_mesh_path_not_a_string", "conjugation_xi_shape",
          "cocycle_overflow_deform1", "cocycle_overflow_deform2",
-         "cocycle_word_overflow", "image_determinant_overflow"])
+         "cocycle_word_overflow", "image_determinant_overflow",
+         "torus_n_over_cell_budget", "torus_mc_level_over_cell_budget",
+         "torus_n_2_64", "genus2_k40"])
 def test_validation_error_exit_two(tmp_path, capsys, task, cfg, error):
     code, report, _ = run_cli(tmp_path, task, cfg)
     assert code == cli.EXIT_VALIDATION

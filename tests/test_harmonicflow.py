@@ -927,6 +927,81 @@ def _reference_explicit_flow(kern, pts, *, tol, max_iter):
                               "explicit")
 
 
+def _unit_det_where(new):
+    """hf._unit_det with its NaN branch over the whole stack (np.where)."""
+    n = new.shape[-1]
+    det = (new[:, 0, 0] * new[:, 1, 1] - new[:, 0, 1] * new[:, 1, 0]
+           if n == 2 else np.linalg.det(new))
+    scale = np.where(det.real > 0.0, np.abs(det), np.nan)
+    return new / (scale ** (1.0 / n))[:, None, None]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_unit_det_equals_its_where_form(n):
+    # _unit_det takes its NaN branch only when one min shows a determinant
+    # at or below zero; on stacks that mix such points, non-finite ones and
+    # positive ones it equals the np.where form bit for bit
+    rng = np.random.default_rng(3)
+    fast = slow = 0
+    for trial in range(200):
+        size = int(rng.integers(1, 7))
+        P = rng.standard_normal((size, n, n)) + 1j * rng.standard_normal((size, n, n))
+        P = mul(P, ct(P)) + 0.1 * np.eye(n)         # Hermitian positive
+        flip = rng.random(size) < (0.0 if trial % 2 else 0.3)
+        P[flip, 0] *= -1.0                          # det < 0
+        P[rng.random(size) < 0.1, 0, 0] = 0.0       # det of either sign
+        P[rng.random(size) < (0.1 if trial % 4 == 3 else 0.0), -1, -1] = np.nan
+        P[rng.random(size) < (0.1 if trial % 4 == 3 else 0.0), 0, -1] = np.inf
+        with np.errstate(all="ignore"):
+            got, want = hf._unit_det(P), _unit_det_where(P)
+            det = (P[:, 0, 0] * P[:, 1, 1] - P[:, 0, 1] * P[:, 1, 0]
+                   if n == 2 else np.linalg.det(P))
+        assert np.array_equal(got.view(float), want.view(float), equal_nan=True)
+        fast += bool(det.real.min() > 0.0)
+        slow += not det.real.min() > 0.0
+    assert fast > 0 and slow > 0
+
+
+def test_rejected_trial_pays_for_its_energy_alone(monkeypatch):
+    # 200 explicit plateau iterations from a given start: every trial map
+    # builds its energy once, and the tension (with the roots, Z and Gram
+    # parts it is summed from) is built only for the start and for each
+    # accepted map; the run equals an uncounted one
+    mesh = mc.build_circle(4)
+    rep = rv.parabolic_circle_rep(MatrixGroup("sl", 2, "R"), mesh)
+    kern = hf.FlowKernel(mesh, rep)
+    pts0 = hf.constant_map(mesh, rep).points.astype(complex)
+    args = dict(tol=1e-8, max_iter=200)
+    ref_pts, ref_rpt = hf._explicit_flow(kern, kern.evaluate(pts0), **args)
+    start = kern.evaluate(pts0)
+    counts = dict.fromkeys(["trials", "energy", "tension", "accepted"], 0)
+
+    def counted(name, fn):
+        def wrapped(*a, **kw):
+            counts[name] += 1
+            return fn(*a, **kw)
+        return wrapped
+
+    descend = hf._descend
+
+    def counted_descend(kern, ev, step, solver, **kw):
+        def counted_step(cur):
+            nxt = step(cur)
+            counts["accepted"] += nxt is not None and nxt is not cur
+            return nxt
+        return descend(kern, ev, counted_step, solver, **kw)
+
+    monkeypatch.setattr(hf.FlowKernel, "evaluate", counted("trials", hf.FlowKernel.evaluate))
+    monkeypatch.setattr(hf.MapEval, "__init__", counted("energy", hf.MapEval.__init__))
+    monkeypatch.setattr(hf.MapEval, "_tension", counted("tension", hf.MapEval._tension))
+    monkeypatch.setattr(hf, "_descend", counted_descend)
+    pts, rpt = hf._explicit_flow(kern, start, **args)
+    assert counts["energy"] == counts["trials"] > counts["accepted"] > 0
+    assert counts["tension"] == counts["accepted"] + 1
+    assert np.array_equal(pts, ref_pts)
+    assert dataclasses.asdict(rpt) == dataclasses.asdict(ref_rpt)
+
+
 SL3R_LOGS = {"a": np.diag([0.3, -0.1, -0.2]), "b": np.diag([-0.2, 0.5, -0.3])}
 
 

@@ -45,6 +45,22 @@ def test_torus_counts_and_face_words():
         mc.build_torus(2, 5)
 
 
+@pytest.mark.parametrize("build, args", [
+    (mc.build_circle, (3,)), (mc.build_circle, (11,)), (mc.build_torus, (3, 5)),
+    (mc.build_torus, (6, 6)), (mc.build_genus2, (1,)), (mc.build_genus2, (3,))])
+def test_cell_budget_counts_the_built_cells(monkeypatch, build, args):
+    # the budget counts nv + ne + nf from the arguments, before the mesh is
+    # built: a budget of exactly that many cells admits the mesh, one less
+    # refuses it
+    mesh = build(*args)
+    cells = mesh.nv + mesh.ne + len(mesh.faces)
+    monkeypatch.setattr(mc, "MAX_CELLS", cells)
+    assert build(*args).nv == mesh.nv
+    monkeypatch.setattr(mc, "MAX_CELLS", cells - 1)
+    with pytest.raises(ValueError, match=f"has more than {cells - 1} cells"):
+        build(*args)
+
+
 def test_torus_label_consistency_under_rep(sl2c, torus66):
     rep = rv.torus_diag_rep(sl2c, torus66, 0.3 + 0.2j, 0.1 - 0.4j)
     eye = np.eye(2)

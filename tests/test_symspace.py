@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 from equivarlab.liealg import (MatrixGroup, ad_action, bracket, cartan_project,
                                gram_at, inv, star)
 from equivarlab.symspace import (MC_EDGE_NORM_RATIO, _expm, act, dist,
-                                 exp_point, mc_edge, random_point,
-                                 translation_length)
+                                 exp_point, mc_edge, random_point, random_points,
+                                 sl2_csch, sl2_exph, translation_length)
 from reference import adjoint_at, mp_log_dist, norm_at
 
 SL2C = MatrixGroup("sl", 2, "C")
@@ -316,3 +316,104 @@ def test_scalar_is_a_stack_of_one(gi, seed, size, scale):
         for name, value in single.items():
             assert np.array_equal(stacked[name][i], value), name
     assert np.abs(stacked["exp_point"] - Q).max() < 1e-9 * max(1.0, np.abs(Q).max())
+
+
+# ----------------------------------------------------------------------
+# closed forms: a branch is taken only where one min shows a value needs it
+
+#: magnitudes on both sides of every branch of the closed forms
+MAGNITUDES = (0.0, 1e-12, 1e-9, 3e-5, 0.3, 4.0, 800.0, np.inf, np.nan)
+
+
+def _mixed(rng, shape, nonfinite):
+    """Random values of random magnitudes: each a sign times a MAGNITUDES
+    entry, the non-finite ones only when nonfinite."""
+    mags = np.array(MAGNITUDES[:len(MAGNITUDES) - (0 if nonfinite else 2)])
+    return rng.choice(mags, size=shape) * rng.choice([-1.0, 1.0], size=shape)
+
+
+def _bitwise_equal(a, b):
+    # NaN equals NaN; complex arrays compare their real and imaginary parts
+    a, b = np.asarray(a), np.asarray(b)
+    if np.iscomplexobj(a) or np.iscomplexobj(b):
+        a, b = a.astype(complex).view(float), b.astype(complex).view(float)
+    return a.shape == b.shape and np.array_equal(a, b, equal_nan=True)
+
+
+def _exph_where(X):
+    """sl2_exph with both of its branches over the whole stack (np.where)."""
+    q = X[..., 0, 0].real ** 2 + X[..., 0, 1].real ** 2 + X[..., 0, 1].imag ** 2
+    s = np.sqrt(q)
+    small = s < 1e-8
+    s1 = np.where(small, 1.0, s)
+    coef = np.where(small, 1.0 + q / 6.0, np.sinh(s1) / s1)
+    return np.cosh(s)[..., None, None] * np.eye(2, dtype=complex) + coef[..., None, None] * X
+
+
+def _csch_where(sh, ell):
+    """sl2_csch with both of its branches over the whole stack (np.where)."""
+    small = ell < 1e-4
+    return np.where(small, 1.0 - ell * ell / 6.0, ell / np.where(small, 1.0, sh))
+
+
+@pytest.mark.parametrize("nonfinite", [False, True])
+def test_sl2_closed_forms_equal_their_where_forms(nonfinite):
+    # sl2_exph and sl2_csch skip the series branch when no value needs it;
+    # on stacks that mix values on both sides of each branch (s < 1e-8,
+    # l < 1e-4), and non-finite ones, they equal the np.where forms bit for
+    # bit, on single blocks too
+    rng = np.random.default_rng(11)
+    fast = slow = 0
+    for trial in range(300):
+        size = () if trial % 10 == 0 else (int(rng.integers(1, 7)),)
+        a, b, c = (_mixed(rng, size, nonfinite) for _ in range(3))
+        if trial % 3 == 0:      # far from the small branches
+            a = a + 2.0
+        elif trial % 3 == 2:    # zero blocks, where the series is 1 and sinh s / s is NaN
+            zero = rng.random(size) < 0.5
+            a, b, c = (np.where(zero, 0.0, x) for x in (a, b, c))
+        X = np.zeros(size + (2, 2), dtype=complex)
+        X.real[..., 0, 0], X.real[..., 1, 1] = a, -a
+        X.real[..., 0, 1], X.real[..., 1, 0] = b, b
+        X.imag[..., 0, 1], X.imag[..., 1, 0] = c, -c
+        ell = np.abs(_mixed(rng, size, nonfinite)) + (1.0 if trial % 3 == 1 else 0.0)
+        with np.errstate(all="ignore"):
+            sh = np.sinh(ell)
+            assert _bitwise_equal(sl2_exph(X), _exph_where(X))
+            assert _bitwise_equal(sl2_csch(sh, ell), _csch_where(sh, ell))
+            s = np.sqrt(a * a + b * b + c * c)
+        fast += bool(np.min(s) >= 1e-8)
+        slow += bool(np.any(s < 1e-8))
+    assert fast > 0 and slow > 0
+
+
+@pytest.mark.parametrize("group", [SL2R, SL2C, MatrixGroup("sl", 3, "R"),
+                                   MatrixGroup("sl", 3, "C"), MatrixGroup("gl1c")],
+                         ids=lambda g: f"{g.kind}{g.n}{g.field}")
+def test_random_points_are_the_per_point_draws(group):
+    # one stacked eigh and (U e^w) U^† give bit for bit the points of one
+    # draw per point in turn (the formula below), NaN equal to NaN where a
+    # far scale overflows
+    def per_point(rng, scale):
+        n = group.n
+        if n == 1:
+            return np.array([[np.exp(scale * rng.standard_normal())]], dtype=complex)
+        if group.field == "C":
+            A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        else:
+            A = rng.standard_normal((n, n)).astype(complex)
+        H = scale * 0.5 * (A + np.conj(A).T)
+        H = H - (np.trace(H) / n) * np.eye(n)
+        w, U = np.linalg.eigh(H)
+        return (U * np.exp(w)) @ np.conj(U).T
+
+    for seed in range(12):
+        for scale in (0.05, 0.4, 3.0, 12.0, 16.0):
+            for count in (1, 7):
+                with np.errstate(all="ignore"):
+                    rng = np.random.default_rng(seed)
+                    ref = np.stack([per_point(rng, scale) for _ in range(count)])
+                    got = random_points(group, np.random.default_rng(seed), count, scale)
+                    one = random_point(group, np.random.default_rng(seed), scale)
+                assert _bitwise_equal(got, ref)
+                assert _bitwise_equal(one, ref[0])
