@@ -40,6 +40,15 @@ raised the peak RSS of the ``deform_at_map`` benchmark from 102-104 to
 did.  The transposes d0^T and d1^T are built once, as CSR, and every solve
 takes one flat right-hand side (N,) or a block (N, m) of them.
 
+The block operators store only the nonzero entries of their blocks: about
+80 % of the entries of the d0 and d1 blocks are exact zeros (the -I block of
+every edge, and Ad = I on the edges of the empty word), and 17-83 % of the
+Gram blocks' entries, by the point.  A product with a finite vector then
+skips only terms 0 x, so every float equals that of the zero-laden
+operator.  A0 holds the same entries in another order within its columns,
+which nothing observes: SuperLU sorts them, and a CSC product accumulates
+column by column.
+
 Transports come from the deck-word table of the flow kernel, which
 evaluates the word list of the mesh (``CoverMesh.word_index``: edge labels,
 generators, face prefix words, with the face walks stacked) once; the same
@@ -115,24 +124,29 @@ def _vals(x):
 
 
 def _block_sparse(row, col, blocks, shape):
-    """CSR matrix of shape (shape[0] D, shape[1] D) holding the stacked D x D
-    blocks at the block positions (row[i], col[i]); entries enter in stack
-    order, so repeated positions are summed in that order."""
+    """CSR matrix of shape (shape[0] D, shape[1] D) holding the nonzero
+    entries of the stacked D x D blocks at the block positions (row[i],
+    col[i]); entries enter in stack order, so repeated positions are summed
+    in that order.  The exact zeros of the blocks are never stored: a
+    product with a finite vector skips only terms 0 x, so it gives the
+    floats of the zero-laden matrix."""
     D = blocks.shape[-1]
     r = np.broadcast_to(row[:, None, None] * D + np.arange(D)[:, None], blocks.shape)
     c = np.broadcast_to(col[:, None, None] * D + np.arange(D), blocks.shape)
-    return sp.csr_matrix((blocks.ravel(), (r.ravel(), c.ravel())),
-                         shape=(shape[0] * D, shape[1] * D))
+    nz = blocks != 0
+    return sp.csr_matrix((blocks[nz], (r[nz], c[nz])), shape=(shape[0] * D, shape[1] * D))
 
 
 def _block_diag(blocks):
-    """CSR matrix with the stacked square blocks on its diagonal, written
-    row by row: block row i * D + a holds row a of block i in the columns
-    i * D .. i * D + D - 1."""
+    """CSR matrix with the nonzero entries of the stacked square blocks on
+    its diagonal, written row by row: block row i * D + a holds the nonzeros
+    of row a of block i, in the columns i * D .. i * D + D - 1."""
     N, D = blocks.shape[0], blocks.shape[-1]
     cols = np.broadcast_to(np.arange(N)[:, None, None] * D + np.arange(D), blocks.shape)
-    return sp.csr_matrix((blocks.ravel(), cols.ravel(), np.arange(0, N * D * D + 1, D)),
-                         shape=(N * D, N * D))
+    nz = blocks != 0
+    # row r ends after the nonzeros among the first (r + 1) D entries
+    indptr = np.concatenate(([0], np.cumsum(nz, dtype=np.intp)[D - 1::D]))
+    return sp.csr_matrix((blocks[nz], cols[nz], indptr), shape=(N * D, N * D))
 
 
 # ----------------------------------------------------------------------
@@ -296,10 +310,12 @@ class TwistedComplex:
         return TwistedCochain(k, self.from_flat(out))
 
     def jacobi_dense_sym(self):
-        """G0-symmetrized dense Jacobi operator (similar to J), for spectra."""
+        """G0-symmetrized dense Jacobi operator (similar to J), for spectra:
+        the sparse L^{-1} A0 L^{-T} for the block Cholesky factor G0 = L L^T,
+        symmetrized while sparse and densified once."""
         Linv = _block_diag(np.linalg.inv(np.linalg.cholesky(self._gram_blocks(0))))
-        S = (Linv @ (self.A0 @ Linv.T)).toarray()
-        return 0.5 * (S + S.T)
+        S = Linv @ (self.A0 @ Linv.T)
+        return (0.5 * (S + S.T)).toarray()
 
     # -- inner products ----------------------------------------------------
     def inner(self, a, b, degree):

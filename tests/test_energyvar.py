@@ -296,6 +296,23 @@ def test_variation_first_rel_err_floor(request):
     assert out["first_rel_err"] < 1e-3 and abs(out["analytic_first"]) > 0.1
 
 
+E_DIAG = np.diag([1.0, -1.0]).astype(complex)
+
+
+@pytest.mark.parametrize("key, B", [
+    # E'' = 0.0072, 4e6 times the FD rounding floor 1.8e-9 (E0 = 0.8)
+    ("second", {"a": 0.03 * E_DIAG, "b": 0.03 * np.diag([0.5j, -0.5j])}),
+    # dE/dt = 3.2e-6, 630 times FIRST_FLOOR of 4 ||omega|| ||beta|| (5.1e-9)
+    ("first", {"a": (1e-6 + 1j) * E_DIAG, "b": 1j * E_DIAG}),
+], ids=["second", "first"])
+def test_variation_small_derivative_keeps_its_ratio(diag_ctx, key, B):
+    # a derivative far below 1 but far above its floor is judged: its
+    # ratio is reported, not nulled as rounding noise
+    out = ev.variation_report(diag_ctx, rv.commuting_exp_path(diag_ctx.rep, B))
+    assert f"{key}_floor_limited" not in out
+    assert isinstance(out[f"{key}_rel_err"], float) and out[f"{key}_rel_err"] < 1e-6
+
+
 def test_fd_E0_needs_no_kernel_build(request, monkeypatch):
     # E0 read from the complex's kernel, and from a flow report, equals
     # hf.energy(f0) bit for bit; variation_report reads the kernel's

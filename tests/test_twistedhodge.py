@@ -124,6 +124,87 @@ def test_operators_independent_of_read_order(sl2c, torus66, genus2):
     assert fwd.kernel_dim == 2
 
 
+def zero_laden_block_sparse(row, col, blocks, shape):
+    """Reference: the block operator with every entry of its blocks stored,
+    exact zeros included, from COO triplets in stack order."""
+    D = blocks.shape[-1]
+    r = np.broadcast_to(row[:, None, None] * D + np.arange(D)[:, None], blocks.shape)
+    c = np.broadcast_to(col[:, None, None] * D + np.arange(D), blocks.shape)
+    return sp.csr_matrix((blocks.ravel(), (r.ravel(), c.ravel())),
+                         shape=(shape[0] * D, shape[1] * D))
+
+
+def zero_laden(ctx, names, monkeypatch):
+    """The named operators of a twin of ctx (same mesh, representation and
+    points) whose block builders store every entry of their blocks."""
+    with monkeypatch.context() as m:
+        m.setattr(th, "_block_sparse", zero_laden_block_sparse)
+        m.setattr(th, "_block_diag", coo_block_diag)
+        twin = TwistedComplex(ctx.mesh, ctx.rep,
+                              hf.EquivariantMap(ctx.mesh, ctx.rep, ctx.points))
+        return {name: read_operator(twin, name) for name in names}
+
+
+def block_case(name, request):
+    """A complex of each group the lab's tests use: the fixtures, SL(2,R) on
+    circle 8 and SL(3,R) on torus 6 at random maps."""
+    if name == "circle8_sl2r":
+        mesh = request.getfixturevalue("circle8")
+        rep = rv.hyperbolic_circle_rep(request.getfixturevalue("sl2r"), mesh, 2.0)
+    elif name == "torus6_sl3r":
+        mesh, group = request.getfixturevalue("torus66"), request.getfixturevalue("sl3r")
+        X = group.random_alg(np.random.default_rng(5), 0.5)
+        rep = rv.exp_family(group, mesh, {"a": X, "b": -0.5 * X})
+    else:
+        return request.getfixturevalue(name)
+    return TwistedComplex(mesh, rep, hf.random_map(mesh, rep, np.random.default_rng(6)))
+
+
+BLOCK_CASES = ["circle8_sl2r", "diag_ctx", "fuchsianC_ctx", "torus6_sl3r", "gl1c_ctx"]
+
+
+@pytest.mark.parametrize("name", BLOCK_CASES)
+def test_block_operators_store_only_their_nonzeros(name, request, monkeypatch):
+    # every block operator stores the nonzero entries of its blocks alone,
+    # and holds and multiplies as the zero-laden build does, bit for bit
+    ctx = block_case(name, request)
+    names = [op for op in OPERATORS if op.startswith(("d", "gram")) and op != "gram_vertex"]
+    want = zero_laden(ctx, names + ["A0"], monkeypatch)
+    rng = np.random.default_rng(13)
+    for op in names:
+        M, R = read_operator(ctx, op), want[op]
+        assert M.nnz == np.count_nonzero(M.data), op
+        R = R.copy()
+        R.eliminate_zeros()
+        a, b = M.sorted_indices(), R.sorted_indices()
+        for attr in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(a, attr), getattr(b, attr)), (op, attr)
+        x = rng.standard_normal(M.shape[1])
+        X = rng.standard_normal((M.shape[1], 3))
+        assert np.array_equal(M @ x, want[op] @ x), op
+        assert np.array_equal(M @ X, want[op] @ X), op
+    # A0 holds the same entries; only their order within a column may differ
+    a, b = ctx.A0.sorted_indices(), want["A0"].sorted_indices()
+    for attr in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(a, attr), getattr(b, attr)), attr
+    x = rng.standard_normal(ctx.A0.shape[1])
+    assert np.array_equal(ctx.A0 @ x, want["A0"] @ x)
+
+
+@pytest.mark.parametrize("name", ["fuchsianC_ctx", "diag_ctx"])
+def test_jacobi_dense_sym_matches_dense_symmetrization(name, request, monkeypatch):
+    # the sparse symmetrization densified once gives the floats of the
+    # zero-laden L^{-1} A0 L^{-T} densified first and symmetrized dense
+    ctx = request.getfixturevalue(name)
+    A0 = zero_laden(ctx, ["A0"], monkeypatch)["A0"]
+    Linv = coo_block_diag(np.linalg.inv(np.linalg.cholesky(ctx._gram_blocks(0))))
+    S = (Linv @ (A0 @ Linv.T)).toarray()
+    want = 0.5 * (S + S.T)
+    J = ctx.jacobi_dense_sym()
+    assert J.dtype == want.dtype and J.tobytes() == want.tobytes()
+    assert np.array_equal(J, J.T)
+
+
 LAW_TORUS = mc.build_torus(4, 4)
 LAW_GENUS2 = mc.build_genus2(1)
 #: (mesh, group) of the random representations: commuting exponentials on
@@ -321,6 +402,27 @@ def test_primitive_period_mismatch_raises(diag_ctx):
     c2 = diag_cocycle(ctx.rep, a=(2.0, 0.4), b=(0.3, 0.1))
     with pytest.raises(PeriodMismatchError):
         ctx.primitive(om, c2)
+
+
+def test_primitive_period_floor_from_both_sides(fuchsianC_ctx):
+    # seed(c1) + delta seed(c2) misses the class of omega = H(seed(c1)) by
+    # delta H(seed(c2)): a period defect of 1e-5, 100 times the 1e-7 floor,
+    # is refused; one of 1e-9, above eps edge_conditioning, is accepted
+    ctx = fuchsianC_ctx
+    assert np.finfo(float).eps * ctx.edge_conditioning < 1e-10
+    c1, c2 = rv.cocycle_space_basis(ctx.rep)[:2]
+    om, _ = ctx.harmonic_rep(c1)
+    h2 = ctx.norm(ctx.harmonic_rep(c2)[0], 1)
+    seed1, seed2 = ctx.seed_cochain(c1).values, ctx.seed_cochain(c2).values
+
+    def target(defect):
+        return TwistedCochain(1, seed1 + (defect / h2) * seed2)
+
+    with pytest.raises(PeriodMismatchError) as err:
+        ctx.primitive(om, target(1e-5))
+    assert err.value.defect == pytest.approx(1e-5, rel=1e-6)
+    _, defect = ctx.primitive(om, target(1e-9))
+    assert defect == pytest.approx(1e-9, rel=1e-3)
 
 
 def test_hodge_decomposition(diag_ctx, fuchsian_ctx, unitary_ctx, sl2r, torus66):
