@@ -33,6 +33,13 @@ status and report fields:
   4 obstructed: a second-order deformation request refused, with deform1's
     obstruction report (scale is |omega|^2) and the witness.
 
+main writes the report, and on success the table of a TABLES task; a failed
+run removes that task's table.  An output that cannot be written (an --out
+that is a file, a directory at an output path) exits 2 with one
+"output error:" line.  Each output file is written new: a file (or symlink)
+already at its path is unlinked and a new one created, never truncated or
+renamed over, which on some ext4 hosts costs tens of milliseconds a file.
+
 Complex matrices and numbers are read and written as [re, im] pairs.
 """
 
@@ -40,6 +47,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import sys
 from pathlib import Path
@@ -286,12 +294,21 @@ def resolve_config(args):
     return cfg
 
 
-def write_report(out_dir, task, payload):
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / f"{task.replace('-', '_')}_report.json"
-    path.write_text(json.dumps(payload, sort_keys=True, indent=1,
-                               default=_json_default) + "\n")
+def _write_new(path, text):
+    """Write text to a new file at path, in one call, and return path.  Its
+    directory is made; a file already at path is unlinked first (a symlink
+    is replaced, not written through) and never truncated or renamed over."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.unlink(missing_ok=True)
+    with path.open("x", newline="") as fh:
+        fh.write(text)
     return path
+
+
+def write_report(out_dir, task, payload):
+    return _write_new(out_dir / f"{task.replace('-', '_')}_report.json",
+                      json.dumps(payload, sort_keys=True, indent=1,
+                                 default=_json_default) + "\n")
 
 
 def _json_default(x):
@@ -302,19 +319,27 @@ def _json_default(x):
 
 
 def write_csv(out_dir, name, header, rows):
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / name
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-    return path
+    text = io.StringIO()
+    writer = csv.writer(text)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return _write_new(out_dir / name, text.getvalue())
+
+
+#: task -> (file name, header) of the table it returns with its result, as
+#: (result, rows)
+TABLES = {
+    "hodge": ("jacobi_spectrum.csv", ["index", "eigenvalue"]),
+    "variation": ("variation_fd.csv", ["h", "fd_first", "fd_second"]),
+    "critical-scan": ("critical_scan.csv", ["direction", "normalized_first_variation"]),
+    "refine-study": ("refine_study.csv", ["level", "h", "quantity", "value"]),
+}
 
 
 # ----------------------------------------------------------------------
 # task implementations
 
-def task_flow(cfg, out_dir):
+def task_flow(cfg):
     mesh, group, rep = build_problem(cfg)
     fspec = _optional(cfg, "flow")
     start = fspec.get("start", "constant")
@@ -327,14 +352,14 @@ def task_flow(cfg, out_dir):
     return {"flow": rpt.to_dict()}
 
 
-def task_energy(cfg, out_dir):
+def task_energy(cfg):
     mesh, group, rep = build_problem(cfg)
     f, rpt = hf.flow(rep, hf.constant_map(mesh, rep), **_flow_args(cfg))
     return {"energy": rpt.energy, "reductive_suspected": rpt.reductive_suspected,
             "last_flow": rpt.to_dict()}
 
 
-def task_hodge(cfg, out_dir):
+def task_hodge(cfg):
     mesh, group, rep = build_problem(cfg)
     ctx, rpt = converged_context(cfg, mesh, rep)
     rng = np.random.default_rng(cfg["seed"])
@@ -346,8 +371,6 @@ def task_hodge(cfg, out_dir):
     recon = ctx.norm(TwistedCochain(1, ex.values + coex.values + harm.values
                                     - alpha.values), 1)
     spec = np.linalg.eigvalsh(ctx.jacobi_dense_sym())
-    write_csv(out_dir, "jacobi_spectrum.csv", ["index", "eigenvalue"],
-              list(enumerate(spec.tolist())))
     return {
         "flow": rpt.to_dict(),
         "d_squared": dd,
@@ -360,10 +383,10 @@ def task_hodge(cfg, out_dir):
         "kernel_dim": ctx.kernel_dim,
         "jacobi_min_eigenvalue": float(spec.min()),
         "dstar_beta": ctx.norm(ctx.codiff(ctx.beta()), 0),
-    }
+    }, list(enumerate(spec.tolist()))
 
 
-def task_deform1(cfg, out_dir):
+def task_deform1(cfg):
     mesh, group, rep = build_problem(cfg)
     c, _, _ = build_deformation(cfg, rep)
     ctx, rpt = converged_context(cfg, mesh, rep)
@@ -373,7 +396,7 @@ def task_deform1(cfg, out_dir):
             "kernel_dim": ctx.kernel_dim, "obstruction": obs.to_dict()}
 
 
-def task_deform2(cfg, out_dir):
+def task_deform2(cfg):
     mesh, group, rep = build_problem(cfg)
     c, k = build_jet(cfg, rep)
     ctx, rpt = converged_context(cfg, mesh, rep)
@@ -384,7 +407,7 @@ def task_deform2(cfg, out_dir):
             "kernel_dim": ctx.kernel_dim}
 
 
-def task_variation(cfg, out_dir):
+def task_variation(cfg):
     mesh, group, rep = build_problem(cfg)
     _, _, path = build_deformation(cfg, rep)
     if path is None:
@@ -392,13 +415,11 @@ def task_variation(cfg, out_dir):
     ctx, rpt = converged_context(cfg, mesh, rep)
     out = ev.variation_report(ctx, path,
                               rel_tol=cfg["tolerances"]["rel_obstruction"])
-    rows = [[r["h"], r["first"], r["second"]] for r in out["fd_table"]]
-    write_csv(out_dir, "variation_fd.csv", ["h", "fd_first", "fd_second"], rows)
     out["flow"] = rpt.to_dict()
-    return out
+    return out, [[r["h"], r["first"], r["second"]] for r in out["fd_table"]]
 
 
-def task_psh(cfg, out_dir):
+def task_psh(cfg):
     mesh, group, rep = build_problem(cfg)
     if not group.is_complex:
         raise ConfigError("psh task needs a complex group")
@@ -409,13 +430,12 @@ def task_psh(cfg, out_dir):
             "residuals": report.residuals}
 
 
-def task_critical_scan(cfg, out_dir):
+def task_critical_scan(cfg):
     mesh, group, rep = build_problem(cfg)
     ctx, rpt = converged_context(cfg, mesh, rep)
     scan = ev.critical_scan(ctx)
-    write_csv(out_dir, "critical_scan.csv", ["direction", "normalized_first_variation"],
-              list(enumerate(scan.per_direction)))
-    return {"flow": rpt.to_dict(), "scan": scan.to_dict()}
+    return ({"flow": rpt.to_dict(), "scan": scan.to_dict()},
+            list(enumerate(scan.per_direction)))
 
 
 #: refine-study values at or below this fraction of the study's scale (the
@@ -423,7 +443,7 @@ def task_critical_scan(cfg, out_dir):
 FLOOR_REL = 1e-12
 
 
-def task_refine_study(cfg, out_dir):
+def task_refine_study(cfg):
     """Values of one discretization error over mesh levels and the slope of
     log value against log h.  When a value is at most FLOOR_REL times the
     study's scale, no slope is fitted: fitted_slope is null and the report
@@ -476,7 +496,6 @@ def task_refine_study(cfg, out_dir):
                          max(ctx.norm(ctx.d(om), 2), ctx.norm(ctx.codiff(om), 0))])
     else:
         raise ConfigError(f"unknown refine-study kind {kind!r}")
-    write_csv(out_dir, "refine_study.csv", ["level", "h", "quantity", "value"], rows)
     values = [row[3] for row in rows]
     vals = np.asarray(values)
     hs = 1.0 / np.asarray(levels, dtype=float)
@@ -488,7 +507,7 @@ def task_refine_study(cfg, out_dir):
            "fitted_slope": slope, "monotone_decreasing": monotone}
     if floor_limited:
         out["floor_limited"] = True
-    return out
+    return out, rows
 
 
 TASK_FUNCS = {
@@ -538,12 +557,14 @@ def main(argv=None):
 
     payload = {"schema_version": SCHEMA_VERSION, "task": args.task,
                "config": cfg}
+    table = TABLES.get(args.task)
     try:
         tols = _section(cfg, "tolerances")
         # the task reads converted copies; the report echoes the config as given
         run_cfg = dict(cfg, **_given(cfg, seed=as_integer), tolerances=dict(
             tols, **_given(tols, **dict.fromkeys(TOLERANCES, _tolerance))))
-        payload["result"] = TASK_FUNCS[args.task](run_cfg, out_dir)
+        result = TASK_FUNCS[args.task](run_cfg)
+        payload["result"], rows = result if table else (result, None)
         payload["status"] = "ok"
         code = EXIT_OK
     except (ValueError, LinearSolverError, hf.FlowNotConverged,
@@ -552,7 +573,15 @@ def main(argv=None):
         print(f"{label}: {exc}", file=sys.stderr)
         payload["error"] = str(exc)
         payload.update(extra)
-    write_report(out_dir, args.task, payload)
+    try:
+        if table and code == EXIT_OK:
+            write_csv(out_dir, *table, rows)
+        elif table:
+            (out_dir / table[0]).unlink(missing_ok=True)
+        write_report(out_dir, args.task, payload)
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
     return code
 
 

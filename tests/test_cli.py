@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import os
 from pathlib import Path
 
 import numpy as np
@@ -477,6 +478,91 @@ def test_config_error_exit_two_without_report(tmp_path, capsys, text, error):
     assert code == cli.EXIT_VALIDATION
     assert capsys.readouterr().err.startswith(f"config error: {error}")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("make", ["out_is_a_file", "directory_at_report"])
+def test_unwritable_out_exit_two(tmp_path, capsys, make):
+    # the task runs; its outputs cannot be written: one stderr line, no traceback
+    out = tmp_path / "out"
+    if make == "out_is_a_file":
+        out.write_text("kept\n")
+    else:
+        (out / "flow_report.json").mkdir(parents=True)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(dict(PARABOLIC_CFG, flow={"max_iter": 3})))
+    code = cli.main(["flow", "--config", str(cfg_path), "--out", str(out)])
+    assert code == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("output error: ") and err.count("\n") == 1
+    if make == "out_is_a_file":
+        assert out.read_text() == "kept\n"
+    else:
+        assert not any((out / "flow_report.json").iterdir())
+
+
+@pytest.fixture
+def commuting_variation(monkeypatch):
+    """(task, config) of the benchmark's torus 6 commuting-path variation."""
+    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "bench"))
+    import workloads
+    return workloads.FD_CONFIGS["cli.variation.torus6_commuting"]
+
+
+def test_rerun_writes_every_output_file_new(tmp_path, commuting_variation):
+    # a rerun unlinks each output file and creates it anew: a hard link to
+    # the first run's file keeps that run's bytes, the rerun's files equal
+    # a fresh directory's, and a longer stale file leaves no tail
+    task, cfg = commuting_variation
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    names = ["variation_report.json", "variation_fd.csv"]
+
+    def run(out, seed):
+        code = cli.main([task, "--config", str(cfg_path), "--out", str(out),
+                         "--seed", str(seed)])
+        assert code == cli.EXIT_OK
+        return {name: (out / name).read_bytes() for name in names}
+
+    out, kept = tmp_path / "out", tmp_path / "kept"
+    first = run(out, 0)
+    kept.mkdir()
+    for name in names:
+        os.link(out / name, kept / name)
+    second = run(out, 1)        # the report echoes the seed, so it differs
+    assert second["variation_report.json"] != first["variation_report.json"]
+    assert second == run(tmp_path / "fresh", 1)
+    for name in names:
+        assert (kept / name).read_bytes() == first[name]
+        assert (kept / name).stat().st_nlink == 1
+    (out / names[0]).write_bytes(second[names[0]] + b" " * 4096)
+    assert run(out, 1) == second
+
+
+def test_failed_rerun_removes_the_earlier_table(tmp_path, commuting_variation):
+    task, cfg = commuting_variation
+    cfg_path = tmp_path / "cfg.json"
+    out = tmp_path / "out"
+    argv = [task, "--config", str(cfg_path), "--out", str(out)]
+    cfg_path.write_text(json.dumps(cfg))
+    assert cli.main(argv) == cli.EXIT_OK
+    assert (out / "variation_fd.csv").exists()
+    cfg_path.write_text(json.dumps(dict(cfg, flow={"max_iter": 1})))
+    assert cli.main(argv) == cli.EXIT_NONCONVERGED
+    report = json.loads((out / "variation_report.json").read_text())
+    assert report["status"] == "not-converged"
+    assert sorted(f.name for f in out.iterdir()) == ["variation_report.json"]
+
+
+@pytest.mark.parametrize("task, table", [
+    ("hodge", "jacobi_spectrum.csv"), ("variation", "variation_fd.csv"),
+    ("critical-scan", "critical_scan.csv"), ("refine-study", "refine_study.csv")])
+def test_failed_run_removes_its_table(tmp_path, task, table):
+    stale = tmp_path / "out" / table
+    stale.parent.mkdir()
+    stale.write_text("stale\n")
+    code, report, _ = run_cli(tmp_path, task, {"tolerances": {"flow_tol": 0}})
+    assert code == cli.EXIT_VALIDATION and report["status"] == "validation-error"
+    assert not stale.exists()
 
 
 def main_report(tmp_path, name, task, cfg, *extra):

@@ -98,7 +98,10 @@ def test_report_digest_keeps_only_output_files(tmp_path, monkeypatch):
 
     def one_file(argv):
         assert tmp_path not in Path(argv[argv.index("--config") + 1]).parents
-        (Path(argv[argv.index("--out") + 1]) / "report.json").write_text("{}")
+        report = Path(argv[argv.index("--out") + 1]) / "report.json"
+        # a --seed run reruns over a copy of the default run's outputs
+        assert report.exists() == ("--seed" in argv)
+        report.write_text("{}")
         return 0
     monkeypatch.setattr(cli, "main", one_file)
     lines = digest.digests(tmp_path)

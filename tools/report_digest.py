@@ -8,7 +8,9 @@ used.  The configs are the ok and obstructed runs of ``tests/test_cli.py``
 holds its task and resolved config) and every ``FD_CONFIGS`` and
 ``PLATEAU_CONFIGS`` entry of ``bench/workloads.py``.  Each config runs
 through ``cli.main`` twice, with its default seed and with ``--seed 301``,
-with one BLAS thread.  One line ``<sha256>  <seed>/<config>/<file>`` is
+with one BLAS thread.  The ``--seed 301`` run of a config goes into a copy
+of its default run's output directory, so a file that a rerun leaves stale
+or rewrites only in part shows as an extra or differing line.  One line ``<sha256>  <seed>/<config>/<file>`` is
 printed per output file, sorted by path, so the outputs of two checkouts
 can be compared with ``diff`` to show that a change keeps every report
 byte-identical.
@@ -38,6 +40,7 @@ import hashlib
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tarfile
@@ -75,7 +78,10 @@ def digests(out_root):
             tag = "default" if seed is None else f"seed{seed}"
             for name, task, cfg in configs():
                 out = out_root / tag / name
-                out.mkdir(parents=True)
+                if seed is None:
+                    out.mkdir(parents=True)
+                else:
+                    shutil.copytree(out_root / "default" / name, out)
                 cfg_path = Path(cfg_dir) / f"{name}.json"
                 cfg_path.write_text(json.dumps(cfg))
                 argv = [task, "--config", str(cfg_path), "--out", str(out)]
