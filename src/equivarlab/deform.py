@@ -11,10 +11,14 @@ the contraction omega* -| omega is orthogonal to the kernel fields; the
 kernel component is the obstruction defect with its projection direction as
 witness.  The pair (F, F2) is completed by a second twisted-primitive solve.
 
-The transports go through ``liealg.mul``, the brackets through ``bracket``,
-and every Cartan split passes a cached inverse to ``cartan_project``: the
-point inverses of the complex, or the far-lift metric of the labeled-edge
-check, inverted once for its five splits.
+Every value is in the vertex frames of the complex: F, F2 and the tangent
+fields v and w_beta at their vertices, the edge values at the edge sources,
+where the Cartan split is the Hermitian / anti-Hermitian one
+(``liealg.cartan_project``).  A section is carried across an edge by
+Ad(Z_e), Z_e the edge matrix of the complex; the labeled-edge check moves
+the edge values back into the destination frame by Ad(Z_e^{-1}) and splits
+them there.  The transports go through ``liealg.mul``, the brackets through
+``bracket``.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .liealg import bracket, cartan_project, ct, inv, mul
+from .liealg import bracket, cartan_project, mul
 from .repvar import Jet2Cocycle
 from .twistedhodge import TwistedCochain, _vals
 
@@ -85,16 +89,18 @@ class SecondOrderDeformation:
 
 def _edge_jets(ctx, c, k):
     """Stacked (c(w_e), k(w_e)) over the edges from the word table of the
-    complex (after validating the jet); zero on unlabeled edges."""
+    complex (after validating the jet), in the source frames; zero on
+    unlabeled edges."""
     jet = Jet2Cocycle(c, k)
-    words, idx = ctx.words, ctx.word_index.edge_word
-    cw, kw = words.jets(words.stack(c.values), words.stack(jet.k))
-    return cw[idx], kw[idx]
+    words = ctx.words
+    return tuple(ctx.seed_values(x) for x in
+                 words.jets(words.stack(c.values), words.stack(jet.k)))
 
 
 def _transport(ctx, vals):
-    """Ad_{rho(w_e)} of per-vertex values at the edge targets."""
-    return mul(mul(ctx.kern.g, vals[ctx.kern.dst]), ctx.kern.ginv)
+    """Ad(Z_e) of per-vertex values at the edge targets: into the source
+    frames."""
+    return mul(mul(ctx.Z, vals[ctx.kern.dst]), ctx.Zinv)
 
 
 def _jet_transport(cw, kw, A, B):
@@ -103,11 +109,11 @@ def _jet_transport(cw, kw, A, B):
     return A + cw, B + bracket(cw, A) + kw
 
 
-def _tangents(P, Pinv, F, F2):
+def _tangents(F, F2):
     """Tangent fields (v, w) = (F^[p], F2^[p] + [F^[k], F^[p]]) of a pair
-    (F, F2), split at the points P with inverses Pinv."""
-    Fk, Fp = cartan_project(P, F, Pinv)
-    _, F2p = cartan_project(P, F2, Pinv)
+    (F, F2) in the vertex frames."""
+    Fk, Fp = cartan_project(F)
+    _, F2p = cartan_project(F2)
     return Fp, F2p + bracket(Fk, Fp)
 
 
@@ -131,7 +137,7 @@ def first_order(ctx, c):
     seed = ctx.seed_cochain(c)
     omega, _ = ctx.harmonic_rep(seed)
     F, defect = ctx.primitive(omega, seed)
-    _, v = cartan_project(ctx.points, F.values, ctx.points_inv)
+    _, v = cartan_project(F.values)
     residuals = {
         "equivariance": defect,
         **_omega_residuals(ctx, omega),
@@ -208,32 +214,30 @@ def second_order(ctx, c, k, *, rel_tol=1e-7):
     adF = _transport(ctx, F0.values)
     target = omega2.values - _jet_transport(cw, kw, adF, 0.0)[1]
     F2, defect2 = ctx._primitive_flat(ctx.to_flat(target))
-    v, w_beta = _tangents(ctx.points, ctx.points_inv, F0.values, F2.values)
+    v, w_beta = _tangents(F0.values, F2.values)
 
     residuals = dict(sol.residuals)
     residuals["equivariance_F2"] = defect2
-    residuals["w_projection"] = _w_equivariance_residual(ctx, cw, kw, adF, F2, w_beta)
+    residuals["w_projection"] = _w_equivariance_residual(ctx, cw, kw, F0, F2, w_beta)
     so = SecondOrderDeformation(F0, F2, sol.psi, v, w_beta, omega,
                                 sol.obstruction.contraction, residuals)
     return so, sol
 
 
-def _w_equivariance_residual(ctx, cw, kw, adF, F2, w_beta):
+def _w_equivariance_residual(ctx, cw, kw, F, F2, w_beta):
     """Pointwise check of the labeled-edge transformation rule for the
-    second-order tangent field (commuting-diagram projection); adF = Ad_w F."""
+    second-order tangent field (commuting-diagram projection), in the
+    destination frames: the jet values come back by Ad(Z_e^{-1})."""
     lab = np.flatnonzero([bool(e.label) for e in ctx.mesh.edges])
-    g = ctx.kern.g[lab]
-    cw, kw = cw[lab], kw[lab]
-    # metric at the far lift, inverted once for its five Cartan splits
-    Q = mul(mul(g, ctx.points[ctx.kern.dst[lab]]), ct(g))
-    Qinv = inv(Q)
-    A = adF[lab]
-    ck, cp = cartan_project(Q, cw, Qinv)
-    _, Ap = cartan_project(Q, A, Qinv)
-    _, kp = cartan_project(Q, kw, Qinv)
-    lhs = _transport(ctx, w_beta)[lab] + kp \
-        + 2.0 * bracket(ck, Ap) + bracket(ck, cp)
-    _, rhs = _tangents(Q, Qinv, *_jet_transport(cw, kw, A, _transport(ctx, F2.values)[lab]))
+    dst = ctx.kern.dst[lab]
+    Zinv, Z = ctx.Zinv[lab], ctx.Z[lab]
+    c, k = (mul(mul(Zinv, x[lab]), Z) for x in (cw, kw))
+    A = F.values[dst]
+    ck, cp = cartan_project(c)
+    _, Ap = cartan_project(A)
+    _, kp = cartan_project(k)
+    lhs = w_beta[dst] + kp + 2.0 * bracket(ck, Ap) + bracket(ck, cp)
+    _, rhs = _tangents(*_jet_transport(c, k, A, F2.values[dst]))
     return float(np.abs(lhs - rhs).max(initial=0.0))
 
 

@@ -7,7 +7,9 @@ along a representation path carry one model constant:
     dE/dt   = 4 sum_e w1 <omega_e, beta_e>
     d2E/dt2 ~ 4 sum_e w1 ( <psi_e, beta_e> + ||omega_e^[p]||^2 )
 
-which is the L2 pairing of mc-normalized cochains rescaled by 4.  The second
+which is the L2 pairing of mc-normalized cochains rescaled by 4, taken in
+the vertex frames of the complex, where omega_e^[p] is the Hermitian part
+of omega_e.  The second
 is a consistent approximation, not the exact discrete value: it misses the
 finite differences by 2.07e-2 (relative) on genus-2 k = 2 along real
 bending, a gap that falls at second order in the mesh size.  Analytic values
@@ -39,8 +41,7 @@ def first_variation(ctx, omega):
 
 def second_variation(ctx, psi, omega):
     """d2E/dt2 from the psi 1-form and the p-part of omega."""
-    _, om_p = cartan_project(ctx.edge_points, _vals(omega),
-                             ctx.edge_points_inv)
+    _, om_p = cartan_project(_vals(omega))
     pairing = ctx.inner(psi, ctx.beta(), 1)
     return EDGE_PAIRING_SCALE * (pairing + ctx.inner(om_p, om_p, 1))
 
@@ -107,9 +108,8 @@ def critical_scan(ctx):
     """
     basis = cocycle_space_basis(ctx.rep)
     words = ctx.words
-    seeds = words.values(np.stack([words.stack(c.values) for c in basis]))
-    edge_seeds = seeds[:, ctx.word_index.edge_word]
-    a = ctx.group.to_coords(edge_seeds).reshape(len(basis), -1).T    # a seed per column
+    seeds = ctx.seed_values(words.values(np.stack([words.stack(c.values) for c in basis])))
+    a = ctx.group.to_coords(seeds).reshape(len(basis), -1).T    # a seed per column
     omega = a - ctx._exact(a)[1]
     G1, b = ctx.gram(1), ctx.to_flat(ctx.beta().values)
     bnorm = np.sqrt(EDGE_PAIRING_SCALE * (b @ (G1 @ b)))
@@ -210,7 +210,7 @@ def variation_report(ctx, path, *, rel_tol=1e-7):
     analytic2 = second_variation(ctx, sol.psi, sol.omega)
     omega_sq = omega_l2sq(ctx, sol.omega)
     f0 = hf.EquivariantMap(ctx.mesh, ctx.rep, ctx.points.copy())
-    E0 = hf.MapEval(ctx.kern, ctx.points).energy
+    E0 = ctx.ev.energy
     fd = fd_energy_derivatives(path, f0, E0)
     h = min(FD_STEPS)
     rounding = FD_ROUNDING * np.finfo(float).eps * abs(E0)

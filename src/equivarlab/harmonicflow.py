@@ -41,8 +41,8 @@ deck words of the mesh (``CoverMesh.word_index``) evaluated once as one
 ``repvar.WordTable`` that the twisted complex reads too, the transports
 rho(word_e) and their inverses per edge, and the Hessian's sparsity pattern.
 A MapEval holds one map in one form, the vertex frames, with one kernel for
-every n (the edge logs in point coordinates, the Maurer-Cartan cochain, are
-``TwistedComplex.beta``).  The roots R = P^{1/2}, S = P^{-1/2} of the
+every n, and the twisted complex reads its roots, edge matrices and frame.
+The roots R = P^{1/2}, S = P^{-1/2} of the
 vertices (``symspace.roots``) give each edge its frame Z = S_src g R_dst;
 log(Z Z^†) and log(Z^† Z) are twice the edge log in the source and in the
 far frame, so the tension in the vertex frames is a sum of them; and a step moves a

@@ -2,22 +2,20 @@
 
 Supported groups: SL(n,R), SL(n,C) and GL(1,C) = C*.  The Lie algebra is
 handled as a real vector space with a fixed basis that is orthonormal for
-the base-point trace form <X,Y> = Re tr(X Y^†).  All pointwise Cartan data
-(k/p projections, fiber metrics) is taken at a symmetric-space point P,
-i.e. a positive definite matrix, via  X* = P X^† P^{-1}; the Cartan split,
-the Gram matrix and the Ad coordinate matrix broadcast over stacks of
-points, values and group elements.
+the trace form <X,Y> = Re tr(X Y^†).  The twisted layer works in the vertex
+frames of a harmonic map, where the fiber metric is that trace form, so the
+Cartan split is the Hermitian / anti-Hermitian one (``cartan_project``); the
+split and the Ad coordinate matrix broadcast over stacks of values and group
+elements.
 
-``mul`` and ``inv`` are the stacked product and inverse of the per-cell
-arithmetic.  numpy's stacked ``@`` and ``np.linalg.inv`` make one BLAS or
-LAPACK call per block, which costs more than the arithmetic of a 2 x 2
-block; for n = 2 both are written as broadcast elementwise arithmetic
+``mul`` is the stacked product of the per-cell arithmetic.  numpy's stacked
+``@`` makes one BLAS call per block, which costs more than the arithmetic of
+a 2 x 2 block; for n = 2 it is written as broadcast elementwise arithmetic
 instead, so every block of a stack is computed exactly as a stack of one.
 ``mul2`` is that 2 x 2 product without ``mul``'s shape check, for callers
-that know the shape.
-``ct``, the adjoint ``star`` and ``bracket`` state the rest of it once, the
-last two through ``mul``; ``ad_action`` and ``repvar.WordTable`` keep ``@``,
-on which the last bits of the reports depend.
+that know the shape.  ``ct`` and ``bracket`` state the rest of it once, the
+last through ``mul``; ``ad_action`` and ``repvar.WordTable`` keep ``@``, on
+which the last bits of the reports depend.
 """
 
 from __future__ import annotations
@@ -152,29 +150,9 @@ def mul2(A, B):
     return A[..., :, 0, None] * B[..., None, 0, :] + A[..., :, 1, None] * B[..., None, 1, :]
 
 
-def inv(A):
-    """Stacked matrix inverse of an array; for 2 x 2 blocks the adjugate over
-    the determinant.  A zero or non-finite determinant raises
-    np.linalg.LinAlgError, as np.linalg.inv does on a singular block."""
-    if A.shape[-2:] != (2, 2):
-        return np.linalg.inv(A)
-    a, b, c, d = A[..., 0, 0], A[..., 0, 1], A[..., 1, 0], A[..., 1, 1]
-    with np.errstate(invalid="ignore", over="ignore"):
-        det = a * d - b * c
-    if not (np.isfinite(det).all() and (det != 0).all()):
-        raise np.linalg.LinAlgError("Singular matrix")
-    adj = np.stack([np.stack([d, -b], axis=-1), np.stack([-c, a], axis=-1)], axis=-2)
-    return adj / det[..., None, None]
-
-
 def ct(M):
     """Stacked conjugate transpose M^† over the last two axes."""
     return np.asarray(M).swapaxes(-1, -2).conj()
-
-
-def star(P, X, Pinv):
-    """Stacked metric adjoint X* = P X^† P^{-1}, with Pinv = P^{-1}."""
-    return mul(mul(P, ct(X)), Pinv)
 
 
 def bracket(X, Y):
@@ -191,23 +169,16 @@ def ad_action(g, X):
     return g @ X @ np.linalg.inv(g)
 
 
-def cartan_project(P, X, Pinv=None):
-    """Split X = Xk + Xp into anti-selfadjoint and selfadjoint parts at P,
-    with X* = ``star(P, X, Pinv)``; Pinv is P^{-1}, which a caller that
-    splits many values at the same points inverts once."""
-    P = np.asarray(P)
-    if Pinv is None:
-        Pinv = inv(P)
-    Xs = star(P, X, Pinv)
-    Xp = 0.5 * (X + Xs)
-    Xk = 0.5 * (X - Xs)
-    return Xk, Xp
+def cartan_project(X):
+    """Split X = Xk + Xp into its anti-Hermitian and Hermitian parts, the
+    Cartan split in a vertex frame, where the metric adjoint is X^†."""
+    Xs = ct(X)
+    return 0.5 * (X - Xs), 0.5 * (X + Xs)
 
 
 def p_basis(group):
     """Frobenius-orthonormal basis (dp, n, n) of the selfadjoint part p of the
-    algebra at the identity; R E_k R^{-1} with R = P^{1/2} is then a
-    <.,.>_P-orthonormal basis of p at P."""
+    algebra at the identity, and so in every vertex frame."""
     n = group.n
     mats = []
     for i in range(n):
@@ -222,22 +193,15 @@ def p_basis(group):
     return np.array(mats)
 
 
-def gram_at(group, P):
-    """Gram matrix of the fiber metric at P in the group's real basis; a
-    stack of points gives a stack of Grams."""
-    P = np.asarray(P, dtype=complex)
-    Pinv = np.linalg.inv(P)
-    # adj(B_k) = P B_k^† P^{-1}, then G[j,k] = Re tr(B_j adj(B_k))
-    adj = np.einsum("...ab,kcb,...cd->...kad", P, np.conj(group.basis), Pinv)
-    G = np.real(np.einsum("jab,...kba->...jk", group.basis, adj))
-    return 0.5 * (G + np.swapaxes(G, -1, -2))
-
-
 def ad_matrix(group, g, ginv):
     """Real coordinate matrix of X -> g X g^{-1}, given g^{-1}; a stack of
-    group elements gives a stack of matrices."""
-    conj = np.einsum("...ab,kbc,...cd->...kad", g, group.basis, ginv)
-    return np.swapaxes(group.to_coords(conj), -1, -2).copy()
+    group elements gives a stack of matrices, one basis element at a time
+    over the whole stack (``mul``), so no temporary holds all of them."""
+    g, ginv = np.asarray(g)[..., None, :, :], np.asarray(ginv)[..., None, :, :]
+    out = np.empty(g.shape[:-3] + (group.dim, group.dim))
+    for k, B in enumerate(group.basis):
+        out[..., k] = group.to_coords(mul(mul(g, B), ginv))[..., 0, :]
+    return out
 
 
 def nullspace(A, rtol=1e-9):

@@ -1,20 +1,28 @@
 """Twisted cochain calculus of the adjoint local system with the metric
-induced by a harmonic map.
+induced by a harmonic map, in the unitary gauge of that metric.
 
-Cochains store one algebra value per cell (vertex/edge/face); all edge values
-live at the edge source, and crossing a labeled edge transports by Ad of the
-representation.  The coboundary on sections is
+Cochains store one algebra value per cell (vertex/edge/face) in the frame of
+the cell's base vertex (the vertex, the edge source, the face base): a value
+x in point coordinates at a vertex of point P is stored as x' = S x R, with
+R = P^{1/2} and S = P^{-1/2} the roots of the map's vertex frames
+(``harmonicflow.MapEval``).  There the fiber metric Re tr(X P Y^† P^{-1}) is
+the Frobenius one, so the Gram matrix G_k of degree k is the diagonal of the
+cell weights (the group's basis is orthonormal), the Cartan split is the
+Hermitian / anti-Hermitian one and the metric adjoint of X is X^†: in the
+unitary frame of a harmonic metric the flat connection is
+nabla_K + Phi + Phi^† (Corlette; Simpson).  The coboundary on sections is
 
-    (dF)(e: u -> v) = Ad_{rho(w_e)} F(v) - F(u),
+    (dF)(e: u -> v) = Ad_{Z_e} F(v) - F(u),   Z_e = S_u rho(w_e) R_v,
 
-on 1-cochains the signed, word-transported sum over the face boundary walk.
-The Gram matrix G_k of degree k is block diagonal: each cell's weight times
-the metric Gram at its base vertex (the vertex, the edge source, the face
-base).  Codifferentials are Gram adjoints, d* = G_{k-1}^{-1} d^T G_k on real
-coordinates, and the Jacobi operator is J = d* d on sections; its kernel is
-the centralizer algebra h = H^0 of the adjoint system, computed
-algebraically: the vectors fixed by Ad of every generator, constant over the
-vertices.
+the flow's own edge matrix, and on 1-cochains the signed sum over the face
+boundary walk of Ad(S_base rho(prefix) R_step), R_step the root at the
+source of the step's edge.  Codifferentials are Gram adjoints,
+d* = G_{k-1}^{-1} d^T G_k on real coordinates, and the Jacobi operator is
+J = d* d on sections; its kernel is the centralizer algebra h = H^0 of the
+adjoint system, computed algebraically: Ad(S_v) of the vectors fixed by Ad
+of every generator.  Conjugating rho by h changes each Z_e only by unitary
+factors at its two ends, so every invariant the complex reports is
+conjugation invariant up to the rounding of the roots.
 
 Both Hodge Laplacians, A0 = d0^T G1 d0 on sections and A2 = d1 G1^{-1} d1^T
 on 2-cochains (the normal equations of the coexact part of the Hodge
@@ -40,33 +48,28 @@ raised the peak RSS of the ``deform_at_map`` benchmark from 102-104 to
 did.  The transposes d0^T and d1^T are built once, as CSR, and every solve
 takes one flat right-hand side (N,) or a block (N, m) of them.
 
-The block operators store only the nonzero entries of their blocks: about
-80 % of the entries of the d0 and d1 blocks are exact zeros (the -I block of
-every edge, and Ad = I on the edges of the empty word), and 17-83 % of the
-Gram blocks' entries, by the point.  A product with a finite vector then
-skips only terms 0 x, so every float equals that of the zero-laden
-operator.  A0 holds the same entries in another order within its columns,
-which nothing observes: SuperLU sorts them, and a CSC product accumulates
-column by column.
+d0 and d1 store only the nonzero entries of their blocks (most of the -I
+block of every edge, and the entries a diagonal transport leaves zero).  A
+product with a finite vector then skips only terms 0 x, so every float
+equals that of the zero-laden operator.  A0 holds the same entries in
+another order within its columns, which nothing observes: SuperLU sorts
+them, and a CSC product accumulates column by column.  Both Laplacians drop
+the entries that cancelled to rounding (``_drop_rounding``).
 
 Transports come from the deck-word table of the flow kernel, which
 evaluates the word list of the mesh (``CoverMesh.word_index``: edge labels,
 generators, face prefix words, with the face walks stacked) once; the same
 table gives the cocycle seeds and the edge 2-jets of the deformation
-pipeline, all words in one vectorized pass per token position.  A complex
-builds each operator from that table the first time it is read and keeps
-it, so a study that reads only d1, the degree-2 Gram and beta builds nothing
-else.  beta, the Maurer-Cartan cochain mc_edge(f(src), rho(w_e) f(dst)
-rho(w_e)^†), and the conditioning behind the period bound of a primitive
-read one stack of far endpoints, ``far_points``.
+pipeline, all words in one vectorized pass per token position, which
+``seed_values`` reads on the edges and moves into the source frames.  A
+complex builds each operator the first time it is read and keeps it, so a
+study that reads only d1, the degree-2 Gram and beta builds nothing else.
+beta, the Maurer-Cartan cochain, is half of log(Z_e Z_e^†), the source half
+of the MapEval's frame.
 
 The nonlinear pieces (the face cup product, the contraction omega* -|
-alpha through the adjoint ``liealg.star``, the bracket with a section) take
-``liealg.bracket``, one broadcast product per stack instead of one BLAS call
-per block.  The inverses of the vertex points (``points_inv``, through
-``liealg.inv``) are taken once per complex and the edge-source inverses
-(``edge_points_inv``) are read from them; the Cartan splits of the tangent
-fields and of the second variation pass them to ``liealg.cartan_project``.
+alpha, the bracket with a section) take ``liealg.bracket``, one broadcast
+product per stack instead of one BLAS call per block.
 """
 
 from __future__ import annotations
@@ -78,9 +81,8 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .harmonicflow import FlowKernel
-from .liealg import ad_matrix, bracket, gram_at, inv, mul, nullspace, star
-from .symspace import act, mc_edge
+from .harmonicflow import FlowKernel, MapEval
+from .liealg import ad_matrix, bracket, cartan_project, ct, mul, nullspace
 
 #: nullspace cutoff (relative to max(s_0, 1)) below which a direction counts
 #: as Ad-fixed by every generator, that is as a centralizer direction
@@ -137,28 +139,32 @@ def _block_sparse(row, col, blocks, shape):
     return sp.csr_matrix((blocks[nz], (r[nz], c[nz])), shape=(shape[0] * D, shape[1] * D))
 
 
-def _block_diag(blocks):
-    """CSR matrix with the nonzero entries of the stacked square blocks on
-    its diagonal, written row by row: block row i * D + a holds the nonzeros
-    of row a of block i, in the columns i * D .. i * D + D - 1."""
-    N, D = blocks.shape[0], blocks.shape[-1]
-    cols = np.broadcast_to(np.arange(N)[:, None, None] * D + np.arange(D), blocks.shape)
-    nz = blocks != 0
-    # row r ends after the nonzeros among the first (r + 1) D entries
-    indptr = np.concatenate(([0], np.cumsum(nz, dtype=np.intp)[D - 1::D]))
-    return sp.csr_matrix((blocks[nz], cols[nz], indptr), shape=(N * D, N * D))
+def _drop_rounding(A):
+    """The sparse symmetric matrix A as CSC, without the entries at or below
+    eps sqrt(|a_ii a_jj|): a sum of products that cancels leaves such an
+    entry as rounding, below its own error bound.  Stored, those entries
+    steer the fill-reducing ordering, and with it the pivot ratio of the
+    singularity test, by rounding alone (torus 6 SL(2,C), torus_diag at
+    1e-4 times its default angles: a ratio of 9.2e-11 with them, 6.0e-10
+    without)."""
+    A = A.tocoo()
+    d = np.sqrt(np.abs(A.diagonal()))
+    keep = np.abs(A.data) > np.finfo(float).eps * d[A.row] * d[A.col]
+    return sp.csc_matrix((A.data[keep], (A.row[keep], A.col[keep])), shape=A.shape)
 
 
 # ----------------------------------------------------------------------
 
 class TwistedComplex:
-    """Twisted calculus for (mesh, representation, metric map).
+    """Twisted calculus for (mesh, representation, metric map), in the
+    vertex frames of the map.
 
-    Every operator (d0, d1, their transposes d0t and d1t, the Gram matrices
-    gram(k) and their inverses gram_inv(k), A0, the kernel sections, beta
-    and the inverses of the vertex and edge-source points) is built from the
-    deck-word table the first time it is read and kept for the life of the
-    complex, so a caller pays only for the operators it reads.
+    The roots R, S of the vertices, the edge matrices Z and the map's energy
+    and edge frame are those of one MapEval of the map (``ev``).  Every
+    operator (d0, d1, their transposes d0t and d1t, the Gram matrices gram(k)
+    and their inverses gram_inv(k), A0, the kernel sections) is built the
+    first time it is read and kept for the life of the complex, so a caller
+    pays only for the operators it reads.
     """
 
     def __init__(self, mesh, rep, f):
@@ -170,11 +176,14 @@ class TwistedComplex:
         self.n = self.group.n
 
         # per-edge src, dst, w1, rho(w_e) and its inverse, and the word table
-        self.kern = FlowKernel(mesh, rep)
-        self.words = self.kern.words
+        self.kern = k = FlowKernel(mesh, rep)
+        self.words = k.words
         self.word_index = mesh.word_index
-        # metric at the edge sources, where 1-cochain values live
-        self.edge_points = self.points[self.kern.src]
+        # the vertex frames: roots R, S and edge matrices Z = S_src g R_dst
+        self.ev = MapEval(k, f.points)
+        self.R, self.S = self.ev.roots
+        self.Z = self.ev.Z
+        self.Zinv = mul(mul(self.S[k.dst], k.ginv), self.R[k.src])
         self._gram, self._gram_inv, self._kkt_lu = {}, {}, {}
 
     # -- coordinates ----------------------------------------------------
@@ -186,51 +195,39 @@ class TwistedComplex:
 
     # -- metric ---------------------------------------------------------
     @cached_property
-    def gram_vertex(self):
-        return gram_at(self.group, self.points)
-
-    def _gram_blocks(self, k):
-        """Gram blocks of the degree-k cells: the cell weight times the vertex
-        Gram at the base vertex of the cell (the vertex, the edge source, the
-        face base)."""
-        if k == 0:
-            weight, base = self.mesh.vertex_weights, slice(None)
-        elif k == 1:
-            weight, base = self.kern.w1, self.kern.src
-        else:
-            weight = [f.weight for f in self.mesh.faces]
-            base = self.word_index.face_base
-        return np.asarray(weight)[:, None, None] * self.gram_vertex[base]
+    def _weights(self):
+        """Cell weights of degrees 0, 1 and 2 (vertex, edge, face), each
+        repeated over the coordinates: the diagonals of the Gram matrices."""
+        return [np.repeat(np.asarray(w, dtype=float), self.dim)
+                for w in (self.mesh.vertex_weights, self.kern.w1,
+                          [f.weight for f in self.mesh.faces])]
 
     def gram(self, k):
-        """Block-diagonal Gram matrix of the degree-k cochains."""
+        """Diagonal Gram matrix of the degree-k cochains."""
         if k not in self._gram:
-            self._gram[k] = _block_diag(self._gram_blocks(k))
+            self._gram[k] = sp.diags(self._weights[k], format="csr")
         return self._gram[k]
 
     def gram_inv(self, k):
-        """Inverse of gram(k), from the inverses of its blocks."""
+        """Inverse of gram(k)."""
         if k not in self._gram_inv:
-            self._gram_inv[k] = _block_diag(np.linalg.inv(self._gram_blocks(k)))
+            self._gram_inv[k] = sp.diags(1.0 / self._weights[k], format="csr")
         return self._gram_inv[k]
-
-    @cached_property
-    def points_inv(self):
-        return inv(self.points)
-
-    @cached_property
-    def edge_points_inv(self):
-        return self.points_inv[self.kern.src]
 
     # -- transports and differentials ---------------------------------------
     @cached_property
-    def _Ad(self):
-        """Ad matrices of every word of the table."""
-        return ad_matrix(self.group, self.words.rho, self.words.rho_inv)
+    def _face_transports(self):
+        """(T, T^{-1}) per face step, T = S_base rho(prefix) R_step: from the
+        source frame of the step's edge to the frame of the face base."""
+        idx = self.word_index
+        base, src = idx.face_base[:, None], self.kern.src[idx.face_eid]
+        T = mul(mul(self.S[base], self.words.rho[idx.face_word]), self.R[src])
+        Tinv = mul(mul(self.S[src], self.words.rho_inv[idx.face_word]), self.R[base])
+        return T, Tinv
 
     @cached_property
     def d0(self):
-        D, T = self.dim, self._Ad[self.word_index.edge_word]
+        D, T = self.dim, ad_matrix(self.group, self.Z, self.Zinv)
         return _block_sparse(
             np.repeat(np.arange(self.mesh.ne), 2),
             np.stack([self.kern.dst, self.kern.src], axis=1).ravel(),
@@ -241,9 +238,10 @@ class TwistedComplex:
     def d1(self):
         idx = self.word_index
         step = idx.face_sign != 0
+        T, Tinv = self._face_transports
         return _block_sparse(
             np.nonzero(step)[0], idx.face_eid[step],
-            idx.face_sign[step][:, None, None] * self._Ad[idx.face_word[step]],
+            idx.face_sign[step][:, None, None] * ad_matrix(self.group, T[step], Tinv[step]),
             (self.mesh.nf, self.mesh.ne))
 
     @cached_property
@@ -258,23 +256,23 @@ class TwistedComplex:
 
     @cached_property
     def A0(self):
-        return (self.d0.T @ self.gram(1) @ self.d0).tocsc()
+        return _drop_rounding(self.d0.T @ self.gram(1) @ self.d0)
 
     # -- kernel h = H^0 ---------------------------------------------------
     @cached_property
     def kernel(self):
         """G0-orthonormal basis of parallel sections (the centralizer algebra):
         the vectors fixed by Ad of every generator, hence of every deck word,
-        constant over the vertices in the chosen-lift trivialization."""
+        moved into the vertex frames by Ad(S_v)."""
         D, nv = self.dim, self.mesh.nv
-        gens = self._Ad[self.word_index.gen_word]
+        gen = self.word_index.gen_word
+        gens = ad_matrix(self.group, self.words.rho[gen], self.words.rho_inv[gen])
         basis0 = nullspace((gens - np.eye(D)).reshape(-1, D), KERNEL_RTOL)
-        # G0-orthonormalize; every vertex takes the same product, bit for bit
-        K = np.tile(basis0, (nv, 1))
+        K = (ad_matrix(self.group, self.S, self.R) @ basis0).reshape(nv * D, -1)
         M = K.T @ (self.gram(0) @ K)
         w, U = np.linalg.eigh(0.5 * (M + M.T))
         keep = w > 1e-12 * max(w.max(initial=0.0), 1.0)
-        K = np.tile(basis0 @ (U[:, keep] / np.sqrt(w[keep])), (nv, 1))
+        K = K @ (U[:, keep] / np.sqrt(w[keep]))
         resid = np.abs(self.d0 @ K).max(initial=0.0)
         if resid > 1e-8:
             raise SingularKKTError(K.shape[1], KERNEL_RTOL)
@@ -311,10 +309,9 @@ class TwistedComplex:
 
     def jacobi_dense_sym(self):
         """G0-symmetrized dense Jacobi operator (similar to J), for spectra:
-        the sparse L^{-1} A0 L^{-T} for the block Cholesky factor G0 = L L^T,
-        symmetrized while sparse and densified once."""
-        Linv = _block_diag(np.linalg.inv(np.linalg.cholesky(self._gram_blocks(0))))
-        S = Linv @ (self.A0 @ Linv.T)
+        W0^{-1/2} A0 W0^{-1/2}, symmetrized while sparse and densified once."""
+        s = sp.diags(1.0 / np.sqrt(self._weights[0]))
+        S = s @ (self.A0 @ s)
         return (0.5 * (S + S.T)).toarray()
 
     # -- inner products ----------------------------------------------------
@@ -334,7 +331,7 @@ class TwistedComplex:
         its kernel that borders it in the KKT matrix."""
         if degree == 0:
             return self.A0, self.kernel
-        A2 = (self.d1 @ self.gram_inv(1) @ self.d1t).tocsc()
+        A2 = _drop_rounding(self.d1 @ self.gram_inv(1) @ self.d1t)
         # Killing duals Re tr(K B_j) of the parallel sections at the face bases
         basis = self.group.basis
         killing = np.real(np.einsum("jab,kba->jk", basis, basis))
@@ -395,13 +392,20 @@ class TwistedComplex:
         return x, self.d0 @ x
 
     # -- cocycle seeding and harmonic representatives -----------------------
+    def seed_values(self, word_values):
+        """The values x(w_e) on the edges of per-word values x (..., nwords,
+        n, n), such as ``WordTable.values`` or ``jets`` give, moved into the
+        source frames: S_src x(w_e) R_src, stacked (..., ne, n, n)."""
+        src = self.kern.src
+        x = np.asarray(word_values)[..., self.word_index.edge_word, :, :]
+        return mul(mul(self.S[src], x), self.R[src])
+
     def seed_cochain(self, c):
-        """Closed 1-cochain with edge values c(word_e); represents {c}.  A
-        seed cochain passed for c is returned as it is."""
+        """Closed 1-cochain with edge values c(w_e) in the source frames;
+        represents {c}.  A seed cochain passed for c is returned as it is."""
         if isinstance(c, TwistedCochain):
             return c
-        vals = self.words.values(self.words.stack(c.values))
-        return TwistedCochain(1, vals[self.word_index.edge_word])
+        return TwistedCochain(1, self.seed_values(self.words.values(self.words.stack(c.values))))
 
     def harmonic_rep(self, c):
         """Harmonic 1-cochain representing the class of the cocycle c (or of
@@ -421,26 +425,14 @@ class TwistedComplex:
     def primitive(self, omega, c):
         """Section F with dF = omega - seed(c), i.e. a c-equivariant primitive
         of omega on the cover (c a cocycle or its seed cochain); raises
-        PeriodMismatchError when the G1 norm of the defect exceeds
-        max(1e-7, eps edge_conditioning), i.e. when the classes of omega and
-        c differ.  Solutions form an affine space over the kernel."""
+        PeriodMismatchError when the G1 norm of the defect exceeds 1e-7,
+        i.e. when the classes of omega and c differ.  Solutions form an
+        affine space over the kernel."""
         F, defect = self._primitive_flat(
             self.to_flat(_vals(omega)) - self.to_flat(self.seed_cochain(c).values))
-        if defect > max(1e-7, np.finfo(float).eps * self.edge_conditioning):
+        if defect > 1e-7:
             raise PeriodMismatchError(defect)
         return F, defect
-
-    @cached_property
-    def far_points(self):
-        """rho(w_e) f(dst) rho(w_e)^† per edge, read by beta and edge_conditioning."""
-        return act(self.kern.g, self.points[self.kern.dst])
-
-    @cached_property
-    def edge_conditioning(self):
-        """The largest cond(f(src)) cond(rho(w_e) f(dst) rho(w_e)^†) over the
-        edges: the period defect of a matching class grows with it (0.07 eps
-        times it at 1.5e11 on a genus-2 conjugate)."""
-        return float(np.max(np.linalg.cond(self.edge_points) * np.linalg.cond(self.far_points)))
 
     def _primitive_flat(self, target):
         """Kernel-deflated least-squares section F with dF ~ target (a flat
@@ -468,11 +460,11 @@ class TwistedComplex:
         """Ordered cup product [a, b] on faces: sum_{j<i} [a_j~, b_i~] of the
         transported boundary values; satisfies d psi0 = -[omega,omega] exactly
         for the jet-seeded psi0."""
-        fw, eid = self.word_index.face_word, self.word_index.face_eid
-        g, ginv = self.words.rho[fw], self.words.rho_inv[fw]
+        eid = self.word_index.face_eid
+        T, Tinv = self._face_transports
         sign = self.word_index.face_sign[..., None, None]
-        ta = sign * mul(mul(g, _vals(a)[eid]), ginv)
-        tb = sign * mul(mul(g, _vals(b)[eid]), ginv)
+        ta = sign * mul(mul(T, _vals(a)[eid]), Tinv)
+        tb = sign * mul(mul(T, _vals(b)[eid]), Tinv)
         acc = np.zeros((self.mesh.nf, self.n, self.n), dtype=complex)
         run = np.zeros_like(acc)
         for j in range(eid.shape[1]):
@@ -483,10 +475,10 @@ class TwistedComplex:
 
     def contract_star(self, a, b):
         """Contraction a* -| b: per vertex (1/w0) sum over out-edges of
-        w1 [a_e^[p] - a_e^[k], b_e]; Gram-adjoint to xi -> [a, xi]."""
-        a_star = star(self.edge_points, _vals(a), self.edge_points_inv)
+        w1 [a_e^[p] - a_e^[k], b_e] = w1 [a_e^†, b_e]; Gram-adjoint to
+        xi -> [a, xi]."""
         out = np.zeros((self.mesh.nv, self.n, self.n), dtype=complex)
-        contrib = self.kern.w1[:, None, None] * bracket(a_star, _vals(b))
+        contrib = self.kern.w1[:, None, None] * bracket(ct(_vals(a)), _vals(b))
         np.add.at(out, self.kern.src, contrib)
         out /= np.asarray(self.mesh.vertex_weights)[:, None, None]
         return TwistedCochain(0, out)
@@ -497,12 +489,14 @@ class TwistedComplex:
 
     @cached_property
     def _beta(self):
-        beta = mc_edge(self.edge_points, self.far_points)
+        # log(Z Z^†) is Hermitian; its Hermitian part drops the rounding of
+        # the product (a unitary rho has beta = 0 exactly)
+        c, Fs, _ = self.ev.frame
+        beta = 0.5 * np.reshape(c, (-1, 1, 1)) * cartan_project(Fs)[1]
         beta.flags.writeable = False
         return beta
 
     def beta(self):
-        """Edge logarithms of the metric map (its Maurer-Cartan cochain), read-only."""
+        """Edge logarithms of the metric map (its Maurer-Cartan cochain) in
+        the source frames, half of log(Z_e Z_e^†), read-only."""
         return TwistedCochain(1, self._beta)
-
-

@@ -142,23 +142,14 @@ def rounding_bound(maps, size):
             * np.sqrt(W * max(1.0, size)))
 
 
-def block_rounding_bound(A, B=None):
-    """Entrywise bound on the rounding of the stacked product A B, or with B
-    None of the inverse of A, for comparing two evaluations that agree in
-    exact arithmetic.  An entry of an n x n product sums n products, so an
-    evaluation is off by at most about n eps (|A| |B|) there (Higham,
-    *Accuracy and Stability of Numerical Algorithms*, 3.5).  A computed
-    inverse is off by about n eps cond(A) |A^-1| (Higham, 14.1); the 2 x 2
-    adjugate form loses 2 eps (|ad| + |bc|) / |det| <= 2 eps cond_F(A) in
-    the determinant.  The factor 16 covers both evaluations and complex
-    arithmetic, as in rounding_bound."""
-    eps = np.finfo(float).eps
-    n = A.shape[-1]
-    if B is not None:
-        return 16.0 * n * eps * (np.abs(A) @ np.abs(B))
-    kappa = np.linalg.cond(A)[..., None, None]
-    size = np.abs(np.linalg.inv(A)).max(axis=(-2, -1), keepdims=True)
-    return 16.0 * n * eps * kappa * size
+def block_rounding_bound(A, B):
+    """Entrywise bound on the rounding of the stacked product A B, for
+    comparing two evaluations that agree in exact arithmetic.  An entry of
+    an n x n product sums n products, so an evaluation is off by at most
+    about n eps (|A| |B|) there (Higham, *Accuracy and Stability of
+    Numerical Algorithms*, 3.5).  The factor 16 covers both evaluations and
+    complex arithmetic, as in rounding_bound."""
+    return 16.0 * A.shape[-1] * np.finfo(float).eps * (np.abs(A) @ np.abs(B))
 
 
 def random_cochain(ctx, degree, rng, scale=1.0):
@@ -170,10 +161,9 @@ def random_cochain(ctx, degree, rng, scale=1.0):
 
 def lsmr_g1(ctx, M, rhs):
     """Least-squares oracle: x minimizing |M x - rhs|_{G1}, by lsmr on the
-    system scaled by G1^{1/2}, built blockwise from a stacked eigh."""
-    w, U = np.linalg.eigh(ctx.kern.w1[:, None, None] * ctx.gram_vertex[ctx.kern.src])
-    sq1 = sp.block_diag(list((U * np.sqrt(w)[:, None, :]) @ np.swapaxes(U, -1, -2)),
-                        format="csr")
+    system scaled by G1^{1/2}, the edge weights' square roots in the vertex
+    frames, where the fiber metric is the Frobenius one."""
+    sq1 = sp.diags(np.repeat(np.sqrt(ctx.kern.w1), ctx.dim), format="csr")
     x, istop = spla.lsmr(sq1 @ M, sq1 @ rhs, atol=1e-14, btol=1e-14,
                          maxiter=20000)[:2]
     assert istop != 7, "lsmr hit its iteration limit"

@@ -16,7 +16,9 @@ harmonic representative per basis cocycle, where ``energyvar.critical_scan``
 seeds and solves the whole basis as one block.
 ``mp_energy_tension`` and ``mp_hessian`` evaluate the SL(2) or SL(3)
 energy, its tension field, the tension norm and the Hessian in 50-digit
-mpmath arithmetic, from the exact values of the float points and transports.
+mpmath arithmetic, from the exact values of the float points and transports;
+``mp_edge_logs`` gives the edge logs (the Maurer-Cartan cochain) and the
+tension in the vertex frames the same way, for GL(1,C) too.
 Every float point is read as a point of det 1, as the flow layer reads it
 (for n = 2 P^{-1} = adj P and P^{1/2} = (P + I) / sqrt(tr P + 2); for
 n = 3 the smallest eigenvalue of mpmath's ``eighe`` is the reciprocal of the
@@ -258,8 +260,9 @@ def _mp_unit(P):
     for n >= 3: its smallest eigenvalue is the reciprocal of the product of
     the others."""
     w, V = _mp_eigh(P)
-    k = min(range(len(w)), key=lambda i: w[i])
-    w[k] = 1 / mpmath.fprod(w[:k] + w[k + 1:])
+    if len(w) > 1:      # a GL(1,C) point keeps its value
+        k = min(range(len(w)), key=lambda i: w[i])
+        w[k] = 1 / mpmath.fprod(w[:k] + w[k + 1:])
     return w, V
 
 
@@ -315,6 +318,30 @@ def _mp_energy(kern, pts, g):
     return E
 
 
+def _floats(Ts, n):
+    return np.array([[[complex(T[i, j]) for j in range(n)] for i in range(n)]
+                     for T in Ts])
+
+
+def _mp_fields(kern, pts, g, ginv):
+    """(tension field, tension in the vertex frames, edge logs in the source
+    frames) of mp points: the tension sums 2 w1 mc_edge(P_src, Q) at the
+    source and minus its transport back at the far end; a frame value is
+    S x R, S = R^{-1} and R the root of the point."""
+    n = kern.n
+    roots = [_mp_root(P) for P in pts]
+    tau = [mpmath.zeros(n, n) for _ in pts]
+    beta = []
+    for e, (s, d) in enumerate(zip(kern.src, kern.dst)):
+        Q = g[e] * pts[d] * _mp_ct(g[e])
+        fwd = _mp_edge(pts[s], (Q + _mp_ct(Q)) / 2)[1]
+        beta.append(mpmath.inverse(roots[s]) * fwd * roots[s] / 2)
+        fwd = mpmath.mpf(kern.w1[e]) * fwd
+        tau[s] += fwd
+        tau[d] -= ginv[e] * fwd * g[e]
+    return tau, [mpmath.inverse(R) * T * R for R, T in zip(roots, tau)], beta
+
+
 def mp_energy_tension(kern, points):
     """(energy, tension field, tension norm^2, tension in the vertex frames)
     of an SL(2) or SL(3) map at _digits, as floats.  The norm^2 is
@@ -325,22 +352,22 @@ def mp_energy_tension(kern, points):
     with mpmath.workdps(_digits(kern, points)):
         pts = [_mp_point(P) for P in points]
         g, ginv = _mp_transports(kern)
-        tau = [mpmath.zeros(n, n) for _ in pts]
-        for e, (s, d) in enumerate(zip(kern.src, kern.dst)):
-            Q = g[e] * pts[d] * _mp_ct(g[e])
-            fwd = mpmath.mpf(kern.w1[e]) * _mp_edge(pts[s], (Q + _mp_ct(Q)) / 2)[1]
-            tau[s] += fwd
-            tau[d] -= ginv[e] * fwd * g[e]
+        tau, frame, _ = _mp_fields(kern, pts, g, ginv)
         E = _mp_energy(kern, pts, g)
-        roots = [_mp_root(P) for P in pts]
-        frame = [mpmath.inverse(R) * T * R for R, T in zip(roots, tau)]
     t = -0.5 * mp_gradient(kern, points).reshape(len(points), -1)
+    return (float(E), _floats(tau, n), float(np.dot(kern.w0, np.sum(t * t, axis=1))),
+            _floats(frame, n))
 
-    def floats(Ts):
-        return np.array([[[complex(T[i, j]) for j in range(n)] for i in range(n)]
-                         for T in Ts])
-    return (float(E), floats(tau), float(np.dot(kern.w0, np.sum(t * t, axis=1))),
-            floats(frame))
+
+def mp_edge_logs(kern, points):
+    """(edge logs, tension) of an SL(2), SL(3) or GL(1,C) map at _digits, as
+    floats, in the vertex frames: per edge mc_edge(P_src, Q) =
+    (1/2) log(Q P_src^{-1}) at the source, S_src beta R_src, and per vertex
+    the tension of ``mp_energy_tension`` in its frame."""
+    with mpmath.workdps(_digits(kern, points)):
+        pts = [_mp_point(P) for P in points]
+        _, frame, beta = _mp_fields(kern, pts, *_mp_transports(kern))
+    return _floats(beta, kern.n), _floats(frame, kern.n)
 
 
 def _mp_exph(Y):

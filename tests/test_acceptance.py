@@ -90,11 +90,11 @@ def test_criterion_03_hodge_suite(diag_ctx, unitary_ctx, trivial_ctx,
     assert n_null == 2
     assert diag_ctx.kernel_dim == 2
 
-    # pointwise k/p splitting of the kernel sections
+    # pointwise k/p splitting of the kernel sections (anti-Hermitian and
+    # Hermitian parts in the vertex frames)
     for ctx in (diag_ctx, unitary_ctx, trivial_ctx, gl1c_ctx):
         for kap in ctx.kernel_sections():
-            star = ctx.points @ np.conj(np.swapaxes(kap.values, -1, -2)) \
-                @ np.linalg.inv(ctx.points)
+            star = np.conj(np.swapaxes(kap.values, -1, -2))
             for part in (0.5 * (kap.values - star), 0.5 * (kap.values + star)):
                 assert np.abs(ctx.d(TwistedCochain(0, part)).values).max() < 1e-8
     report(3, f"d^2 = 0, adjunction, Hodge split on {len(contexts)} instances; "

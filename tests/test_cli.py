@@ -839,24 +839,6 @@ def test_far_random_flow_underflows_exit_zero(tmp_path, monkeypatch):
     assert flow["iterations"] == 1
 
 
-def test_singular_point_inverse_exit_three(tmp_path, monkeypatch):
-    # liealg.inv raises numpy's LinAlgError on a singular 2 x 2 block: a
-    # vertex point zeroed after the Gram matrices are built reaches it
-    # through the cached point inverses of first_order's Cartan split
-    first_order = cli.first_order
-
-    def singular_first_order(ctx, c):
-        ctx.gram_vertex
-        ctx.points = ctx.points.copy()
-        ctx.points[0] = 0.0
-        return first_order(ctx, c)
-    monkeypatch.setattr(cli, "first_order", singular_first_order)
-    code, report, _ = run_cli(tmp_path, "deform1", DIAG_DEFORM_CFG)
-    assert code == cli.EXIT_NONCONVERGED
-    assert report["status"] == "solver-error"
-    assert report["error"] == "Singular matrix"
-
-
 DIAG_DEFORM_CFG = {
     "mesh": {"kind": "torus", "n": 4, "m": 4},
     "group": {"kind": "sl", "n": 2, "field": "C"},
@@ -1127,6 +1109,33 @@ def test_refine_study_torus_mc(tmp_path):
     csv_text = (out / "refine_study.csv").read_text()
     assert csv_text.startswith("level,h,quantity,value")
     assert len(csv_text.strip().splitlines()) == 4
+
+
+def torus_mc_result(tmp_path, field, amplitude):
+    """The result of a refine-study torus_mc run on SL(2, field) at levels
+    4, 8 and 16 with the curved map at amplitude, with no golden."""
+    out = tmp_path / f"{field}{amplitude}"
+    out.mkdir()
+    (out / "cfg.json").write_text(json.dumps({
+        "group": {"kind": "sl", "n": 2, "field": field},
+        "refine": {"kind": "torus_mc", "levels": [4, 8, 16], "amplitude": amplitude}}))
+    code = cli.main(["refine-study", "--config", str(out / "cfg.json"), "--out", str(out)])
+    assert code == cli.EXIT_OK
+    return json.loads((out / "refine_study_report.json").read_text())["result"]
+
+
+@pytest.mark.parametrize("field", ["R", "C"])
+def test_refine_study_torus_mc_tiny_amplitude_keeps_its_slope(tmp_path, field):
+    # the Maurer-Cartan residual is linear in the amplitude: value /
+    # amplitude reads 0.5616 / 0.3651 / 0.1946 from amplitude 1e-3 down to
+    # 1e-11.  At 1e-10 the values (5.6e-11 ... 1.9e-11) sit 19 times above
+    # FLOOR_REL, so the slope of the 1e-3 run (0.7646) is fitted, and beta
+    # and the face cup product keep their digits at that size
+    big, tiny = (torus_mc_result(tmp_path, field, a) for a in (1e-3, 1e-10))
+    assert "floor_limited" not in tiny
+    assert abs(tiny["fitted_slope"] - big["fitted_slope"]) <= 1e-3
+    for x, y in zip(tiny["values"], big["values"]):
+        assert abs(x / 1e-10 - y / 1e-3) <= 1e-3 * y / 1e-3
 
 
 def test_refine_study_circle_energy(tmp_path):

@@ -100,8 +100,8 @@ def test_affine_fiber_over_kernel(diag_ctx):
     in_kernel = ctx.kernel_project_flat(diff)
     assert np.sqrt(max((diff - in_kernel) @ (ctx.gram(0) @ (diff - in_kernel)), 0)) < 1e-8
     kappa = ctx.from_flat(in_kernel)
-    _, kp = cartan_project(ctx.points, kappa)
-    _, v2 = cartan_project(ctx.points, F2.values)
+    _, kp = cartan_project(kappa)
+    _, v2 = cartan_project(F2.values)
     assert np.abs((fo.v - v2) - kp).max() < 1e-8
 
 
@@ -217,9 +217,16 @@ def test_solve_psi_zero_jet(diag_ctx):
     assert sol.residuals["dstar_psi_plus_contract"] < 1e-7
 
 
+def to_points(ctx, vals):
+    """Edge values in the source frames of a complex, in point coordinates."""
+    src = ctx.kern.src
+    return mul(mul(ctx.R[src], vals), ctx.S[src])
+
+
 def test_solve_psi_matches_fd_second_derivative_of_beta(sl2c, torus66):
     # the p-part of psi approximates the second t-derivative of the edge
-    # logarithm cochain along the analytic path
+    # logarithm cochain along the analytic path, both in point coordinates
+    # (R x S at the edge sources, back from the vertex frames of each map)
     rep = rv.torus_diag_rep(sl2c, torus66, 0.4 + 0.3j, -0.2 + 0.5j)
     f0, _ = hf.flow(rep, hf.constant_map(torus66, rep), tol=1e-11)
     ctx = TwistedComplex(torus66, rep, f0)
@@ -236,9 +243,10 @@ def test_solve_psi_matches_fd_second_derivative_of_beta(sl2c, torus66):
         rep_t = path.at(t)
         f_t, _ = hf.flow(rep_t, hf.EquivariantMap(torus66, rep_t,
                                                   f0.points.copy()), tol=1e-11)
-        betas[t] = TwistedComplex(torus66, rep_t, f_t).beta().values
+        ctx_t = TwistedComplex(torus66, rep_t, f_t)
+        betas[t] = to_points(ctx_t, ctx_t.beta().values)
     beta_dd = (betas[h] - 2 * betas[0.0] + betas[-h]) / (h * h)
-    _, psi_p = cartan_project(ctx.edge_points, sol.psi.values)
+    psi_p = to_points(ctx, cartan_project(sol.psi.values)[1])
     assert np.abs(psi_p - beta_dd).max() < 1e-4
 
 
@@ -322,9 +330,10 @@ def test_flatness_criterion_across_metrics(diag_ctx):
     for kap in ctx.kernel_sections():
         assert np.abs(ctx.bracket_section(om, kap).values).max() < 1e-10
     assert df.obstruction_check(ctx, om).orthogonal
+    # the p-part of a kernel section at vertex 0, in point coordinates
     base = ctx.kernel_sections()[0].values[0]
-    _, basep = cartan_project(ctx.points[:1], base[None])
-    h = ctx.group.exp(0.7 * basep[0])
+    basep = ctx.R[0] @ cartan_project(base)[1] @ ctx.S[0]
+    h = ctx.group.exp(0.7 * basep)
     pts = np.stack([act(h, P) for P in ctx.points])
     f_h = hf.EquivariantMap(ctx.mesh, ctx.rep, pts)
     ctx_h = TwistedComplex(ctx.mesh, ctx.rep, f_h)
@@ -377,8 +386,10 @@ def test_equivalence_audit_bank(trivial_ctx, trivialC_ctx, diag_ctx,
 
 def test_edge_jet_table_matches_per_edge_loop(fuchsianC_ctx):
     # the stacked (c(w_e), k(w_e)) table and the jet seed built on it equal
-    # the per-edge word evaluations bit for bit
+    # the per-edge word evaluations bit for bit, moved into the source frame
+    # by S_src (.) R_src, and a section carried across by Z_e = S_src g R_dst
     ctx = fuchsianC_ctx
+    S, R = ctx.S, ctx.R
     c, k = rv.bending_path(ctx.rep, 0.4).jets()
     cw, kw = df._edge_jets(ctx, c, k)
     rng = np.random.default_rng(11)
@@ -389,10 +400,15 @@ def test_edge_jet_table_matches_per_edge_loop(fuchsianC_ctx):
         if not e.label:
             assert not cw[i].any() and not kw[i].any() and not seed[i].any()
             continue
-        assert np.array_equal(cw[i], ref.cocycle_word(c, e.label))
-        assert np.array_equal(kw[i], ref.jet_word(rv.Jet2Cocycle(c, k), e.label).mu)
+        src, dst = e.src, e.dst
+        want_c = ref.cocycle_word(c, e.label)
+        want_k = ref.jet_word(rv.Jet2Cocycle(c, k), e.label).mu
+        assert np.array_equal(cw[i], mul(mul(S[src], want_c), R[src]))
+        assert np.array_equal(kw[i], mul(mul(S[src], want_k), R[src]))
         g = ref.rho_word(ctx.rep, e.label)
-        ad_xi = mul(mul(g, xi.values[e.dst]), np.linalg.inv(g))
+        Z = mul(mul(S[src], g), R[dst])
+        Zinv = mul(mul(S[dst], np.linalg.inv(g)), R[src])
+        ad_xi = mul(mul(Z, xi.values[dst]), Zinv)
         assert np.array_equal(seed[i], kw[i] - (mul(cw[i], ad_xi) - mul(ad_xi, cw[i])))
 
 

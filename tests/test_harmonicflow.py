@@ -732,6 +732,20 @@ def _sl3_elliptic_at(sl3r, s):
     return rep, hf.EquivariantMap(circle, rep, np.broadcast_to(P, (circle.nv, 3, 3)).copy())
 
 
+def test_harmonic_map_far_from_I_within_the_floor_is_converged(sl2r, circle8):
+    # the good side of symspace._FLOOR_DIST (45.6): the hyperbolic circle
+    # rep at lam = 2 conjugated by diag(e^14, e^-14) R(0.3) has its harmonic
+    # map 39.04 from I, a converged map of energy 4 log^2 2
+    c, s = np.cos(0.3), np.sin(0.3)
+    h = np.diag([np.exp(14.0), np.exp(-14.0)]) @ np.array([[c, -s], [s, c]])
+    rep = rv.hyperbolic_circle_rep(sl2r, circle8, 2.0).conjugate(h)
+    f, rpt = hf.flow(rep, hf.constant_map(circle8, rep))
+    assert rpt.converged and rpt.solver == "newton"
+    assert 39.0 < ss.origin_dist(f.points).max() < ss._FLOOR_DIST
+    exact = 4.0 * np.log(2.0) ** 2
+    assert abs(rpt.energy - exact) <= 1e-10 * exact
+
+
 @pytest.mark.parametrize("s, solver, iterations", [
     (20.0, "newton", 6), (40.0, "newton", 6), (60.0, "explicit", 311)])
 def test_sl3_flow_converges_from_far_out(sl3r, s, solver, iterations):
@@ -1129,22 +1143,35 @@ def test_map_eval_matches_per_edge_loop(mesh_name, group_key, seed, scale,
 @settings(max_examples=10, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), scale=st.floats(0.05, 0.6))
 def test_beta_assembles_to_the_frame_tension(mesh_name, group_key, seed, scale):
-    # the twisted complex's Maurer-Cartan cochain, summed as the tension is
-    # (2 w1 beta at the source, minus its transport back at the far end),
-    # is the flow's vertex-frame tension carried to the points, R T S: the
-    # point-coordinate layer and the frame layer state one map
+    # the twisted complex's Maurer-Cartan cochain, half of log(Z Z^†) in the
+    # source frames, is the 50-digit edge log taken in the source vertex
+    # frame (reference.mp_edge_logs); summed as the tension is (2 w1 beta at
+    # the source, minus Ad(Z^{-1}) of it at the far end) it is the 50-digit
+    # tension in the vertex frames: the twisted layer and the flow state one
+    # map, each against an evaluation that shares no array with them
     mesh = HESSIAN_MESHES[mesh_name]
     rep = _eval_rep(MatrixGroup(*group_key), mesh)
     f = hf.random_map(mesh, rep, np.random.default_rng(seed), scale)
     ctx = TwistedComplex(mesh, rep, f)
     k = ctx.kern
+    beta, tau = ref.mp_edge_logs(k, f.points)
+    assert np.abs(ctx.beta().values - beta).max() <= 1e-12 * np.abs(beta).max()
     fwd = 2.0 * k.w1[:, None, None] * ctx.beta().values
-    tau = np.zeros(f.points.shape, dtype=complex)
-    np.add.at(tau, k.src, fwd)
-    np.add.at(tau, k.dst, -mul(mul(k.ginv, fwd), k.g))
-    ev = hf.MapEval(k, f.points)
-    R, S = ev.roots
-    assert np.abs(tau - mul(mul(R, ev.tension_frame), S)).max() <= 1e-12 * np.abs(tau).max()
+    T = np.zeros(f.points.shape, dtype=complex)
+    np.add.at(T, k.src, fwd)
+    np.add.at(T, k.dst, -mul(mul(ctx.Zinv, fwd), ctx.Z))
+    assert np.abs(T - tau).max() <= 1e-12 * np.abs(tau).max()
+
+
+@pytest.mark.parametrize("s", [10.0, 20.0, 40.0])
+def test_sl3_far_beta_matches_mpmath(sl3r, s):
+    # far out (diag(e^s, e^-s, 1), cond(P) = e^2s) the Maurer-Cartan
+    # cochain read from the SVD frame of Z keeps its digits against the
+    # 50-digit edge log in the source vertex frame
+    rep, f0 = _sl3_elliptic_at(sl3r, s)
+    ctx = TwistedComplex(f0.mesh, rep, f0)
+    beta, _ = ref.mp_edge_logs(ctx.kern, f0.points)
+    assert np.abs(ctx.beta().values - beta).max() <= 1e-12 * np.abs(beta).max()
 
 
 @pytest.mark.parametrize("mesh_name", ["torus", "genus2"])
@@ -1205,7 +1232,7 @@ def _assert_matches_mpmath(kern, pts, hessian=False, frame=False):
     relative of the 50-digit evaluation; with frame, the tension field in
     the vertex frames (tension_frame, which the flow reads), else the field
     at the points summed from mc_edge one edge at a time
-    (_per_edge_energy_and_tension, the arithmetic of TwistedComplex.beta)."""
+    (_per_edge_energy_and_tension)."""
     ev = kern.evaluate(pts)
     E, tau, tsq, tau_frame = ref.mp_energy_tension(kern, pts)
     assert abs(ev.energy - E) <= 1e-10 * E

@@ -50,6 +50,25 @@ def test_report_diff_exit_status(tmp_path):
     assert run_report_diff(old).returncode == 2
 
 
+def test_report_diff_names_the_largest_change(tmp_path):
+    # one closing line carries the largest relative and the largest absolute
+    # change over every numeric leaf and cell, each with where it occurs: a
+    # relative move at the rounding floor shows as a tiny absolute one
+    old, new = tmp_path / "old", tmp_path / "new"
+    write_tree(old, 1e-14)
+    write_tree(new, 2e-14)
+    (old / "task" / "table.csv").write_text("h,x\n0.1,100.0\n0.2,3.0\n")
+    (new / "task" / "table.csv").write_text("h,x\n0.1,100.5\n0.2,3.0\n")
+    lines = run_report_diff(old, new).stdout.strip().splitlines()
+    assert lines[-1] == "2 of 2 files differ"
+    assert lines[-2] == ("largest change: rel 5.00e-01 at task/report.json: result.x, "
+                         "abs 5.00e-01 at task/table.csv: x row 1")
+    (new / "task" / "report.json").write_text('{"result": {"x": "moved"}}')
+    (new / "task" / "table.csv").write_text((old / "task" / "table.csv").read_text())
+    lines = run_report_diff(old, new).stdout.strip().splitlines()
+    assert lines[-2] == "largest change: no numeric value moved"
+
+
 def load_report_digest():
     spec = importlib.util.spec_from_file_location("report_digest",
                                                   ROOT / "tools" / "report_digest.py")

@@ -10,8 +10,10 @@ as ``path: old -> new`` with its relative difference
 both are numbers; the absolute one shows whether a large relative move sits
 at the rounding floor.  For a CSV file the largest relative and the largest
 absolute difference of each column are printed, each with the row where it
-occurs.  Byte-identical files print nothing; the last line counts the
-files that differ.  The exit status is 0 when every file is byte-identical,
+occurs.  Byte-identical files print nothing.  When a file differs, a
+summary line names the largest relative and the largest absolute change
+over all numeric leaves and cells, each with the file and leaf (or cell)
+where it occurs; the last line counts the files that differ.  The exit status is 0 when every file is byte-identical,
 1 when any file differs or is missing from one tree, and 2 on bad usage.
 """
 
@@ -58,7 +60,29 @@ def rel_diff(a, b):
     return d if d in (0.0, math.inf) else d / max(abs(a), abs(b))
 
 
-def diff_json(old, new):
+class Largest:
+    """The largest relative and the largest absolute change seen, each with
+    the place (file and leaf, or file, column and row) where it occurs."""
+
+    def __init__(self):
+        self.rel, self.rel_at, self.abs, self.abs_at = 0.0, None, 0.0, None
+
+    def see(self, rel, absolute, where):
+        if rel > self.rel:
+            self.rel, self.rel_at = rel, where
+        if absolute > self.abs:
+            self.abs, self.abs_at = absolute, where
+
+    def line(self):
+        if self.rel_at is None:
+            return "largest change: no numeric value moved"
+        return (f"largest change: rel {self.rel:.2e} at {self.rel_at}, "
+                f"abs {self.abs:.2e} at {self.abs_at}")
+
+
+def diff_json(old, new, largest, name):
+    """Lines of the differing leaves of file name; numeric changes also go
+    to largest."""
     a, b = leaves(json.loads(old)), leaves(json.loads(new))
     lines = []
     for key in sorted(a.keys() | b.keys()):
@@ -69,6 +93,7 @@ def diff_json(old, new):
         elif _number(a[key]) and _number(b[key]):
             x, y = float(a[key]), float(b[key])
             r = rel_diff(x, y)
+            largest.see(r, abs_diff(x, y), f"{name}: {key}")
             if r:
                 lines.append(f"  {key}: {json.dumps(a[key])} -> {json.dumps(b[key])}"
                              f"  (rel {r:.2e}, abs {abs_diff(x, y):.2e})")
@@ -84,18 +109,21 @@ def _cell(text):
         return text
 
 
-def diff_csv(old, new):
+def diff_csv(old, new, largest, name):
+    """Lines of the largest change of each column of file name; numeric
+    changes also go to largest."""
     a = list(csv.reader(old.splitlines()))
     b = list(csv.reader(new.splitlines()))
     if not a or not b or a[0] != b[0] or len(a) != len(b):
         return [f"  header or row count differs: {len(a)} -> {len(b)} rows"]
     lines = []
-    for col, name in enumerate(a[0]):
+    for col, col_name in enumerate(a[0]):
         worst, where, worst_abs, where_abs, text = 0.0, None, 0.0, None, False
         for row, (ra, rb) in enumerate(zip(a[1:], b[1:]), start=1):
             x, y = _cell(ra[col]), _cell(rb[col])
             if isinstance(x, float) and isinstance(y, float):
                 r, d = rel_diff(x, y), abs_diff(x, y)
+                largest.see(r, d, f"{name}: {col_name} row {row}")
                 if r > worst:
                     worst, where = r, row
                 if d > worst_abs:
@@ -103,10 +131,10 @@ def diff_csv(old, new):
             elif x != y:
                 text = True
         if worst:
-            lines.append(f"  {name}: max rel {worst:.2e} at row {where}, "
+            lines.append(f"  {col_name}: max rel {worst:.2e} at row {where}, "
                          f"max abs {worst_abs:.2e} at row {where_abs}")
         if text:
-            lines.append(f"  {name}: text cells differ")
+            lines.append(f"  {col_name}: text cells differ")
     return lines
 
 
@@ -118,7 +146,7 @@ def main(argv=None):
     old_root, new_root = Path(argv[0]), Path(argv[1])
     files = {p.relative_to(old_root) for p in old_root.rglob("*") if p.is_file()}
     files |= {p.relative_to(new_root) for p in new_root.rglob("*") if p.is_file()}
-    n_diff = 0
+    n_diff, largest = 0, Largest()
     for rel in sorted(files):
         a, b = old_root / rel, new_root / rel
         if not (a.is_file() and b.is_file()):
@@ -130,13 +158,15 @@ def main(argv=None):
         n_diff += 1
         old, new = a.read_text(), b.read_text()
         if rel.suffix == ".json":
-            lines = diff_json(old, new)
+            lines = diff_json(old, new, largest, rel)
         elif rel.suffix == ".csv":
-            lines = diff_csv(old, new)
+            lines = diff_csv(old, new, largest, rel)
         else:
             lines = ["  contents differ"]
         print(str(rel))
         print("\n".join(lines or ["  bytes differ, values equal"]))
+    if n_diff:
+        print(largest.line())
     print(f"{n_diff} of {len(files)} files differ")
     return 1 if n_diff else 0
 
